@@ -7,7 +7,6 @@ entropies, and two-interval conformal inequality checks, plus a randomized
 counterexample search and a batch CLI.
 """
 
-from .bessel import k0, k0_quadrature
 from .cft import (CrossRatioFunction, TwoIntervalConfig, check_derivative_inequality,
                   check_midpoint_inequality, cross_ratio, renyi_two_interval, z_point)
 from .fermion import (ChargeConfiguration, IntervalSet, correlator_cauchy,

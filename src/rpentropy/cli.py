@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .positivity import SearchConfig, counterexample_search, theorem_sweep_parallel
+from .positivity import (COUNTEREXAMPLE_TOL, TARGETS, SearchConfig, counterexample_search,
+                         theorem_sweep_parallel)
 from .serialize import read_xy_csv, save_report, write_csv, write_fixture
 
 EXIT_OK = 0
@@ -26,49 +27,88 @@ EXIT_CONTROL_VIOLATION = 3
 
 OUT_ENV_VAR = "RPENTROPY_OUT"
 
-# config keys accepted per subcommand (superset of flags); documented in README
-CONFIG_KEYS = {
-    "gram-sweep": {"seed", "trials", "dims", "subsystems", "n", "tolerance", "jobs", "out"},
-    "search": {"seed", "trials", "dims", "target", "lam", "n", "tolerance",
-               "refine", "literal_s", "jobs", "out"},
-    "fermion": {"seed", "trials", "max_components", "lam", "cutoff", "tolerance",
-                "witness_trials", "sets", "out"},
-    "kl": {"seed", "input", "lam", "grid_points", "ridge", "tolerance", "out"},
-    "cft": {"seed", "f_table", "n", "central_charge", "grid_points", "pairs",
-            "tolerance", "out"},
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_dims(spec: str) -> list:
-    """'2x2,2x3' -> [(2, 2), (2, 3)]."""
-    dims = []
-    for part in spec.split(","):
-        fields = part.lower().split("x")
-        if len(fields) != 2:
-            raise ConfigError(f"bad dims entry {part!r}; expected like '2x2'")
+def _split_dims(entry) -> tuple:
+    """'2x3' or [2, 3] -> (2, 3)."""
+    fields = entry.lower().split("x") if isinstance(entry, str) else list(entry)
+    if len(fields) != 2:
+        raise ValueError(f"bad dims entry {entry!r}; expected like '2x2'")
+    return int(fields[0]), int(fields[1])
+
+
+def _list_of(item):
+    """Parser of a comma string ('2,3,4') or a JSON array into [item(v), ...]."""
+    def parse(value) -> list:
         try:
-            dims.append((int(fields[0]), int(fields[1])))
-        except ValueError as exc:
-            raise ConfigError(f"bad dims entry {part!r}: {exc}") from exc
-    return dims
+            return [item(v) for v in (value.split(",") if isinstance(value, str) else value)]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad list {value!r}: {exc}") from exc
+    return parse
 
 
-def _parse_float_list(spec: str) -> list:
-    try:
-        return [float(v) for v in spec.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {spec!r}: {exc}") from exc
+def _options(tolerance: float, *specific) -> list:
+    """Option table of one subcommand: seed, its own options, tolerance, out."""
+    return [("seed", int, 42, "master seed"), *specific,
+            ("tolerance", float, tolerance, "pass/fail tolerance"),
+            ("out", None, lambda resolved: os.environ.get(OUT_ENV_VAR, "reports"),
+             f"output directory (default ${OUT_ENV_VAR} or ./reports)")]
 
 
-def _parse_int_list(spec: str) -> list:
-    try:
-        return [int(v) for v in spec.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {spec!r}: {exc}") from exc
+# One table per subcommand of (key, type, default, help).  The key is the
+# config key and, dashed, the flag.  The type converts flag and config values
+# alike: a tuple lists the allowed values and None keeps the value as given.
+# A callable default is computed from the keys resolved before it.  A help of
+# None marks a config-only key.  The README config table lists the same keys
+# in the same order.
+OPTIONS = {
+    "gram-sweep": _options(
+        1e-10,
+        ("trials", int, 500, "number of random instances"),
+        ("dims", _list_of(_split_dims), "2x2,2x3,2x4,3x3,4x4",
+         "pool of splits, e.g. '2x2,2x3,4x4'"),
+        ("subsystems", _list_of(int), "2,3,4", "pool of subsystem counts, e.g. '2,3,4'"),
+        ("n", _list_of(int), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
+        ("jobs", int, 1, "parallel workers")),
+    "search": _options(
+        COUNTEREXAMPLE_TOL,
+        ("trials", int, 2000, "number of random trials"),
+        ("dims", _list_of(_split_dims), "2x2,2x2,2x2",
+         "one split per subsystem, e.g. '2x2,2x2,2x2'"),
+        ("target", TARGETS, "entropy_n1", "inequality to search"),
+        ("lam", float, 1.0, "exponent weight for entropy mode"),
+        ("n", int, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
+         "Renyi index for integer/detB modes"),
+        ("refine", int, 0, "stochastic descent budget after the sweep"),
+        ("literal_s", float, None, "also check a literal fractional entrywise power"),
+        ("jobs", int, 1, "parallel workers")),
+    "fermion": _options(
+        1e-10,
+        ("trials", int, 50, "random interval sets"),
+        ("max_components", int, 5, "most intervals in a random set"),
+        ("lam", _list_of(float), "0.1,1,6,10", "lambda list, e.g. '0.1,1,6,10'"),
+        ("cutoff", float, 1.0, "UV cutoff of the entropies"),
+        ("witness_trials", int, 100, "random divisibility witness configurations"),
+        ("sets", None, None, None)),
+    "kl": _options(
+        1e-6,
+        ("input", None, None, "CSV of (x, S) samples; default built-in fixture"),
+        ("lam", float, 1.0, "exponent weight of the entropy curve"),
+        ("grid_points", int, 60, "points of the p^2 fit grid"),
+        ("ridge", float, 0.0, "ridge parameter of the fit")),
+    "cft": _options(
+        1e-10,
+        ("f_table", None, None, "CSV of (x, F) pairs; default F=1"),
+        ("n", int, 2, "Renyi index"),
+        ("central_charge", float, 1.0, "central charge"),
+        ("grid_points", int, 1000, "derivative-check grid points"),
+        ("pairs", int, 1000, "random midpoint-check pairs")),
+}
+# config keys accepted per subcommand (superset of flags)
+CONFIG_KEYS = {name: {key for key, *_ in options} for name, options in OPTIONS.items()}
 
 
 def _load_config(path: str | None, subcommand: str) -> dict:
@@ -93,58 +133,44 @@ def _load_config(path: str | None, subcommand: str) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Explicit flag > config file > default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every option of the subcommand: explicit flag > config file > default."""
+    config = _load_config(args.config, args.subcommand)
+    resolved = {}
+    for key, kind, default, _ in OPTIONS[args.subcommand]:
+        value = getattr(args, key, None)
+        if value is None and key in config:
+            value = config[key]
+        elif value is None:
+            value = default(resolved) if callable(default) else default
+        resolved[key] = kind(value) if callable(kind) and value is not None else value
+    return resolved
 
 
-def _out_dir(args, config) -> str:
-    return _resolve(args, config, "out",
-                    os.environ.get(OUT_ENV_VAR, "reports"))
-
-
-def _emit(out_dir: str, name: str, subcommand: str, resolved: dict, results: dict,
-          argv: list) -> str:
+def _emit(subcommand: str, opts: dict, name: str, results: dict, argv: list,
+          config: dict | None = None) -> str:
+    """Write the report; its config defaults to every resolved option but out."""
     report = {
         "tool": "rpentropy",
         "version": __version__,
         "subcommand": subcommand,
-        "config": resolved,
+        "config": config if config is not None else
+                  {k: v for k, v in opts.items() if k != "out"},
         "results": results,
     }
-    path = os.path.join(out_dir, name)
+    path = os.path.join(opts["out"], name)
     save_report(path, report, meta={"argv": argv})
     return path
 
 
 # ----------------------------------------------------------------- gram-sweep
 
-def cmd_gram_sweep(args, argv) -> int:
-    config = _load_config(args.config, "gram-sweep")
-    seed = int(_resolve(args, config, "seed", 42))
-    trials = int(_resolve(args, config, "trials", 500))
-    dims_spec = _resolve(args, config, "dims", "2x2,2x3,2x4,3x3,4x4")
-    dims_pool = _parse_dims(dims_spec) if isinstance(dims_spec, str) else \
-        [tuple(d) for d in dims_spec]
-    counts = _resolve(args, config, "subsystems", "2,3,4")
-    counts = _parse_int_list(counts) if isinstance(counts, str) else list(counts)
-    n_values = _resolve(args, config, "n", "2,3,4,5")
-    n_values = _parse_int_list(n_values) if isinstance(n_values, str) else list(n_values)
-    tol = float(_resolve(args, config, "tolerance", 1e-10))
-    jobs = int(_resolve(args, config, "jobs", 1))
-    out_dir = _out_dir(args, config)
-
+def cmd_gram_sweep(opts, argv) -> int:
+    dims_pool, counts = opts["dims"], opts["subsystems"]
     plan = [[dims_pool[i % len(dims_pool)]] * counts[i % len(counts)]
-            for i in range(trials)]
-    result = theorem_sweep_parallel(plan, n_values, master_seed=seed, tol=tol, jobs=jobs)
-    resolved = {"seed": seed, "trials": trials,
-                "dims": [list(d) for d in dims_pool], "subsystems": counts,
-                "n": n_values, "tolerance": tol, "jobs": jobs}
+            for i in range(opts["trials"])]
+    result = theorem_sweep_parallel(plan, opts["n"], master_seed=opts["seed"],
+                                    tol=opts["tolerance"], jobs=opts["jobs"])
     results = {
         "instances": result.instances,
         "checks": result.checks,
@@ -153,8 +179,7 @@ def cmd_gram_sweep(args, argv) -> int:
         "violations": result.violations,
         "passed": not result.violations,
     }
-    path = _emit(out_dir, f"gram-sweep-seed{seed}.json", "gram-sweep",
-                 resolved, results, argv)
+    path = _emit("gram-sweep", opts, f"gram-sweep-seed{opts['seed']}.json", results, argv)
     print(f"gram-sweep: {result.checks} checks over {result.instances} instances, "
           f"min normalized eigenvalue {result.min_normalized_eig:.3e} -> {path}")
     if result.violations:
@@ -166,41 +191,25 @@ def cmd_gram_sweep(args, argv) -> int:
 
 # --------------------------------------------------------------------- search
 
-def cmd_search(args, argv) -> int:
-    config = _load_config(args.config, "search")
-    seed = int(_resolve(args, config, "seed", 42))
-    trials = int(_resolve(args, config, "trials", 2000))
-    dims_spec = _resolve(args, config, "dims", "2x2,2x2,2x2")
-    dims = _parse_dims(dims_spec) if isinstance(dims_spec, str) else \
-        [tuple(d) for d in dims_spec]
-    target = _resolve(args, config, "target", "entropy_n1")
-    lam = float(_resolve(args, config, "lam", 1.0))
-    n = int(_resolve(args, config, "n", 1 if target != "integer_n" else 2))
-    tol = float(_resolve(args, config, "tolerance", 1e-6))
-    refine = int(_resolve(args, config, "refine", 0))
-    literal_s = _resolve(args, config, "literal_s", None)
-    jobs = int(_resolve(args, config, "jobs", 1))
-    out_dir = _out_dir(args, config)
-
+def cmd_search(opts, argv) -> int:
+    target = opts["target"]
     try:
-        cfg = SearchConfig(dims=dims, trials=trials, master_seed=seed, target=target,
-                           tolerance=tol, lam=lam, n=n,
-                           literal_s=None if literal_s is None else float(literal_s),
-                           refine_iterations=refine)
+        cfg = SearchConfig(dims=opts["dims"], trials=opts["trials"], master_seed=opts["seed"],
+                           target=target, tolerance=opts["tolerance"], lam=opts["lam"],
+                           n=opts["n"], literal_s=opts["literal_s"],
+                           refine_iterations=opts["refine"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = counterexample_search(cfg, jobs=jobs)
-    fixture_paths = []
-    for violation in report.violations:
-        fixture_paths.append(write_fixture(out_dir, {
-            "target": target, "lam": lam, "n": n, "tolerance": tol,
-            "violation": violation}))
+    report = counterexample_search(cfg, jobs=opts["jobs"])
+    fixture_paths = [write_fixture(opts["out"], {
+        "target": target, "lam": opts["lam"], "n": opts["n"], "tolerance": opts["tolerance"],
+        "violation": violation}) for violation in report.violations]
     results = report.to_dict()
     results["fixtures"] = [os.path.basename(p) for p in fixture_paths]
-    resolved = results.pop("config")
-    resolved.update({"jobs": jobs})
-    path = _emit(out_dir, f"search-{target}-seed{seed}.json", "search",
-                 resolved, results, argv)
+    # the search reports its SearchConfig, under that object's field names
+    config = dict(results.pop("config"), jobs=opts["jobs"])
+    path = _emit("search", opts, f"search-{target}-seed{opts['seed']}.json", results, argv,
+                 config)
     found = len(report.violations)
     print(f"search[{target}]: {found} violation(s) in {report.trials_run} trials"
           f"{f' (+{report.refine_used} refine steps)' if report.refine_used else ''}, "
@@ -214,21 +223,11 @@ def cmd_search(args, argv) -> int:
 
 # -------------------------------------------------------------------- fermion
 
-def cmd_fermion(args, argv) -> int:
+def cmd_fermion(opts, argv) -> int:
     from . import fermion
 
-    config = _load_config(args.config, "fermion")
-    seed = int(_resolve(args, config, "seed", 42))
-    trials = int(_resolve(args, config, "trials", 50))
-    max_p = int(_resolve(args, config, "max_components", 5))
-    lams = _resolve(args, config, "lam", "0.1,1,6,10")
-    lams = _parse_float_list(lams) if isinstance(lams, str) else list(lams)
-    cutoff = float(_resolve(args, config, "cutoff", 1.0))
-    tol = float(_resolve(args, config, "tolerance", 1e-10))
-    witness_trials = int(_resolve(args, config, "witness_trials", 100))
-    out_dir = _out_dir(args, config)
-
-    explicit_sets = _resolve(args, config, "sets", None)
+    seed, lams, cutoff, tol = opts["seed"], opts["lam"], opts["cutoff"], opts["tolerance"]
+    explicit_sets = opts["sets"]
     rng = np.random.default_rng(seed)
     if explicit_sets is not None:
         try:
@@ -240,8 +239,8 @@ def cmd_fermion(args, argv) -> int:
             raise ConfigError("interval sets limited to 8 components (permutation sum)")
     else:
         test_sets = []
-        for _ in range(trials):
-            p = int(rng.integers(1, max_p + 1))
+        for _ in range(opts["trials"]):
+            p = int(rng.integers(1, opts["max_components"] + 1))
             pts = np.sort(rng.uniform(0.0, 10.0, 2 * p))
             while np.min(np.diff(pts)) < 1e-3:
                 pts = np.sort(rng.uniform(0.0, 10.0, 2 * p))
@@ -272,16 +271,13 @@ def cmd_fermion(args, argv) -> int:
         worst["duality"] = max(worst["duality"], duality)
         worst["vertex"] = max(worst["vertex"], vertex_dev)
 
-    witness_min = np.inf
+    witness_families = []
     if explicit_sets is not None:
         # divisibility witnesses need half-line sets; skip otherwise
         if all(s.lefts.min() > 0 for s in test_sets) and len(test_sets) >= 2:
-            for lam in lams:
-                record = fermion.divisibility_witness(test_sets, lam)
-                scale = max(np.linalg.norm(record.entries, 2), np.finfo(float).tiny)
-                witness_min = min(witness_min, record.min_eigenvalue / scale)
+            witness_families.append(test_sets)
     else:
-        for t in range(witness_trials):
+        for _ in range(opts["witness_trials"]):
             sets = []
             for _ in range(int(rng.integers(2, 4))):
                 p = int(rng.integers(1, 3))
@@ -290,18 +286,16 @@ def cmd_fermion(args, argv) -> int:
                     pts = np.sort(rng.uniform(0.1, 20.0, 2 * p))
                 sets.append(fermion.IntervalSet(lefts=pts[0::2], rights=pts[1::2],
                                                 cutoff=cutoff))
-            for lam in lams:
-                record = fermion.divisibility_witness(sets, lam)
-                scale = max(np.linalg.norm(record.entries, 2), np.finfo(float).tiny)
-                witness_min = min(witness_min, record.min_eigenvalue / scale)
+            witness_families.append(sets)
+    witness_min = np.inf
+    for sets in witness_families:
+        for lam in lams:
+            record = fermion.divisibility_witness(sets, lam)
+            witness_min = min(witness_min, record.min_eigenvalue / record.scale)
 
-    csv_path = write_csv(os.path.join(out_dir, f"fermion-identities-seed{seed}.csv"),
+    csv_path = write_csv(os.path.join(opts["out"], f"fermion-identities-seed{seed}.csv"),
                          ["trial", "components", "entropy", "wick_cauchy_rel",
                           "duality_residual", "vertex_residual"], rows)
-    resolved = {"seed": seed, "trials": trials, "max_components": max_p,
-                "lam": lams, "cutoff": cutoff, "tolerance": tol,
-                "witness_trials": witness_trials,
-                "sets": explicit_sets}
     witness_ran = bool(np.isfinite(witness_min))
     passed = (worst["wick_cauchy"] <= tol and worst["duality"] <= tol
               and worst["vertex"] <= 1e-9
@@ -310,7 +304,7 @@ def cmd_fermion(args, argv) -> int:
                "divisibility_min_normalized_eigenvalue":
                    float(witness_min) if witness_ran else None,
                "csv": os.path.basename(csv_path), "passed": passed}
-    path = _emit(out_dir, f"fermion-seed{seed}.json", "fermion", resolved, results, argv)
+    path = _emit("fermion", opts, f"fermion-seed{seed}.json", results, argv)
     witness_note = f"{witness_min:.2e}" if witness_ran else "skipped"
     print(f"fermion: worst wick/cauchy {worst['wick_cauchy']:.2e}, duality "
           f"{worst['duality']:.2e}, vertex {worst['vertex']:.2e}, divisibility min "
@@ -320,19 +314,11 @@ def cmd_fermion(args, argv) -> int:
 
 # ------------------------------------------------------------------------- kl
 
-def cmd_kl(args, argv) -> int:
+def cmd_kl(opts, argv) -> int:
     from .spectral import (EntropyCurve, SpectralDensity, decay_rate,
                            derivative_checks, fit_spectral, forward)
 
-    config = _load_config(args.config, "kl")
-    seed = int(_resolve(args, config, "seed", 42))
-    lam = float(_resolve(args, config, "lam", 1.0))
-    grid_points = int(_resolve(args, config, "grid_points", 60))
-    ridge = float(_resolve(args, config, "ridge", 0.0))
-    tol = float(_resolve(args, config, "tolerance", 1e-6))
-    input_csv = _resolve(args, config, "input", None)
-    out_dir = _out_dir(args, config)
-
+    input_csv, lam, grid_points = opts["input"], opts["lam"], opts["grid_points"]
     if input_csv:
         xs, s_vals = read_xy_csv(input_csv)
         curve = EntropyCurve(x=xs, s=s_vals, lam=lam)
@@ -349,7 +335,7 @@ def cmd_kl(args, argv) -> int:
         y = forward(spikes, xs)
         curve = EntropyCurve(x=xs, s=-np.log(y) / lam, lam=lam)
         truth = spikes
-    density, fit_report = fit_spectral(curve, grid, ridge=ridge)
+    density, fit_report = fit_spectral(curve, grid, ridge=opts["ridge"])
     deriv = derivative_checks(curve, tol=1e-6)
     gap_edge = math.sqrt(density.p2_grid[np.flatnonzero(density.weights)[0]]) \
         if np.any(density.weights > 0) else 0.0
@@ -360,8 +346,6 @@ def cmd_kl(args, argv) -> int:
         except ValueError:
             rate = None
 
-    resolved = {"seed": seed, "lam": lam, "grid_points": grid_points, "ridge": ridge,
-                "tolerance": tol, "input": input_csv}
     results = {
         "grid_p2": density.p2_grid.tolist(),
         "weights": density.weights.tolist(),
@@ -373,9 +357,9 @@ def cmd_kl(args, argv) -> int:
                               "c_theorem": deriv.c_theorem},
         "round_trip": truth is not None,
     }
-    passed = fit_report.residual_relative <= tol if truth is not None else True
+    passed = fit_report.residual_relative <= opts["tolerance"] if truth is not None else True
     results["passed"] = passed
-    path = _emit(out_dir, f"kl-seed{seed}.json", "kl", resolved, results, argv)
+    path = _emit("kl", opts, f"kl-seed{opts['seed']}.json", results, argv)
     print(f"kl: residual {fit_report.residual_relative:.3e}, increasing="
           f"{deriv.increasing} concave={deriv.concave} -> {path}")
     return EXIT_OK if passed else EXIT_NUMERICS
@@ -383,41 +367,30 @@ def cmd_kl(args, argv) -> int:
 
 # ------------------------------------------------------------------------ cft
 
-def cmd_cft(args, argv) -> int:
+def cmd_cft(opts, argv) -> int:
     from .cft import (CrossRatioFunction, check_derivative_inequality,
                       check_midpoint_inequality, z_point)
 
-    config = _load_config(args.config, "cft")
-    seed = int(_resolve(args, config, "seed", 42))
-    n = int(_resolve(args, config, "n", 2))
-    central_charge = float(_resolve(args, config, "central_charge", 1.0))
-    grid_points = int(_resolve(args, config, "grid_points", 1000))
-    num_pairs = int(_resolve(args, config, "pairs", 1000))
-    tol = float(_resolve(args, config, "tolerance", 1e-10))
-    f_table = _resolve(args, config, "f_table", None)
-    out_dir = _out_dir(args, config)
-
+    seed, n, f_table, tol = opts["seed"], opts["n"], opts["f_table"], opts["tolerance"]
+    grid_points = opts["grid_points"]
     if f_table:
         xs, fs = read_xy_csv(f_table)
         func = CrossRatioFunction.from_table(xs, fs, name=os.path.basename(f_table))
     else:
         func = CrossRatioFunction.ones()
-    q = central_charge / 6.0 * (n - 1.0 / n)
+    q = opts["central_charge"] / 6.0 * (n - 1.0 / n)
     lo = max(func.domain[0] + 1e-4, 1e-3)
     hi = min(func.domain[1] - 1e-4, 1.0 - 1e-3)
     grid = np.linspace(lo, hi, grid_points)
     rng = np.random.default_rng(seed)
-    pairs = rng.uniform(lo, hi, size=(num_pairs, 2))
+    pairs = rng.uniform(lo, hi, size=(opts["pairs"], 2))
     deriv = check_derivative_inequality(func, q, grid, tol=tol)
     midpoint = check_midpoint_inequality(func, q, pairs, tol=tol)
     z_identity = max(abs(z_point(x, x) - x) for x in grid[:: max(1, grid_points // 32)])
 
-    csv_path = write_csv(os.path.join(out_dir, f"cft-slack-seed{seed}.csv"),
+    csv_path = write_csv(os.path.join(opts["out"], f"cft-slack-seed{seed}.csv"),
                          ["x", "derivative_slack"],
                          zip(grid.tolist(), deriv.slack.tolist()))
-    resolved = {"seed": seed, "n": n, "central_charge": central_charge,
-                "grid_points": grid_points, "pairs": num_pairs,
-                "tolerance": tol, "f_table": f_table}
     results = {
         "f_name": func.name,
         "q": q,
@@ -431,7 +404,7 @@ def cmd_cft(args, argv) -> int:
         "csv": os.path.basename(csv_path),
         "passed": deriv.passed and midpoint.passed and z_identity == 0.0,
     }
-    path = _emit(out_dir, f"cft-seed{seed}.json", "cft", resolved, results, argv)
+    path = _emit("cft", opts, f"cft-seed{seed}.json", results, argv)
     print(f"cft[{func.name}]: derivative {'PASS' if deriv.passed else 'FAIL'} "
           f"(min {deriv.min_slack:.3e}), midpoint {'PASS' if midpoint.passed else 'FAIL'} "
           f"(min {midpoint.min_slack:.3e}) -> {path}")
@@ -440,74 +413,32 @@ def cmd_cft(args, argv) -> int:
 
 # ----------------------------------------------------------------------- main
 
+COMMANDS = {
+    "gram-sweep": (cmd_gram_sweep, "PSD sweep of integer-index Gram matrices"),
+    "search": (cmd_search, "randomized counterexample search"),
+    "fermion": (cmd_fermion, "free-fermion identity and divisibility checks"),
+    "kl": (cmd_kl, "spectral representation fit and derivative checks"),
+    "cft": (cmd_cft, "two-interval cross-ratio inequality checks"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpentropy",
         description="Reflection-positivity entropy inequality toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (_, summary) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./reports)")
-        p.add_argument("--tolerance", type=float, help="pass/fail tolerance")
-
-    p = sub.add_parser("gram-sweep", help="PSD sweep of integer-index Gram matrices")
-    common(p)
-    p.add_argument("--trials", type=int, help="number of random instances")
-    p.add_argument("--dims", help="pool of splits, e.g. '2x2,2x3,4x4'")
-    p.add_argument("--subsystems", help="pool of subsystem counts, e.g. '2,3,4'")
-    p.add_argument("--n", help="Renyi index list, e.g. '2,3,4,5'")
-    p.add_argument("--jobs", type=int, help="parallel workers")
-
-    p = sub.add_parser("search", help="randomized counterexample search")
-    common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--dims", help="one split per subsystem, e.g. '2x2,2x2,2x2'")
-    p.add_argument("--target", choices=["integer_n", "entropy_n1", "schur_s_fraction"])
-    p.add_argument("--lambda", "--lam", dest="lam", type=float,
-                   help="exponent weight for entropy mode")
-    p.add_argument("--n", type=int, help="Renyi index for integer/detB modes")
-    p.add_argument("--refine", type=int, help="stochastic descent budget after the sweep")
-    p.add_argument("--literal-s", type=float, dest="literal_s",
-                   help="also check a literal fractional entrywise power")
-    p.add_argument("--jobs", type=int)
-
-    p = sub.add_parser("fermion", help="free-fermion identity and divisibility checks")
-    common(p)
-    p.add_argument("--trials", type=int, help="random interval sets")
-    p.add_argument("--max-components", type=int, dest="max_components")
-    p.add_argument("--lambda", "--lam", dest="lam",
-                   help="lambda list, e.g. '0.1,1,6,10'")
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--witness-trials", type=int, dest="witness_trials")
-
-    p = sub.add_parser("kl", help="spectral representation fit and derivative checks")
-    common(p)
-    p.add_argument("--input", help="CSV of (x, S) samples; default built-in fixture")
-    p.add_argument("--lambda", "--lam", dest="lam", type=float)
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--ridge", type=float)
-
-    p = sub.add_parser("cft", help="two-interval cross-ratio inequality checks")
-    common(p)
-    p.add_argument("--f-table", dest="f_table", help="CSV of (x, F) pairs; default F=1")
-    p.add_argument("--n", type=int)
-    p.add_argument("--central-charge", type=float, dest="central_charge")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--pairs", type=int)
-
+        for key, kind, _, help_text in OPTIONS[name]:
+            if help_text is None:
+                continue
+            flags = ["--lambda", "--lam"] if key == "lam" else ["--" + key.replace("_", "-")]
+            p.add_argument(*flags, dest=key, help=help_text,
+                           type=kind if kind in (int, float) else None,
+                           choices=kind if isinstance(kind, tuple) else None)
     return parser
-
-
-COMMANDS = {
-    "gram-sweep": cmd_gram_sweep,
-    "search": cmd_search,
-    "fermion": cmd_fermion,
-    "kl": cmd_kl,
-    "cft": cmd_cft,
-}
 
 
 def main(argv: list | None = None) -> int:
@@ -518,7 +449,7 @@ def main(argv: list | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.subcommand](args, argv)
+        return COMMANDS[args.subcommand][0](_resolve(args), argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

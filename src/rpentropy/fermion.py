@@ -82,18 +82,23 @@ class IntervalSet:
             cutoff=self.cutoff)
 
 
+def _log_separations(intervals: IntervalSet) -> tuple[float, float, float]:
+    """(sum_{i,j} log|a_i - b_j|, sum_{i<j} log|a_i - a_j|, sum_{i<j} log|b_i - b_j|)."""
+    a, b = intervals.lefts, intervals.rights
+    iu = np.triu_indices(intervals.num_intervals, k=1)
+    return (np.sum(np.log(np.abs(a[:, None] - b[None, :]))),
+            np.sum(np.log(np.abs(a[:, None] - a[None, :])[iu])),
+            np.sum(np.log(np.abs(b[:, None] - b[None, :])[iu])))
+
+
 def entropy(intervals: IntervalSet) -> float:
     """Multi-interval entanglement entropy of the chiral massless fermion.
 
     S = (1/6) [ sum_{i,j} log|a_i - b_j| - sum_{i<j} log|a_i - a_j|
                 - sum_{i<j} log|b_i - b_j| - p log(eps) ]
     """
-    a, b = intervals.lefts, intervals.rights
+    cross, same_a, same_b = _log_separations(intervals)
     p = intervals.num_intervals
-    cross = np.sum(np.log(np.abs(a[:, None] - b[None, :])))
-    iu = np.triu_indices(p, k=1)
-    same_a = np.sum(np.log(np.abs(a[:, None] - a[None, :])[iu])) if p > 1 else 0.0
-    same_b = np.sum(np.log(np.abs(b[:, None] - b[None, :])[iu])) if p > 1 else 0.0
     return float((cross - same_a - same_b - p * math.log(intervals.cutoff)) / 6.0)
 
 
@@ -109,12 +114,8 @@ def log_correlator_cauchy(intervals: IntervalSet) -> float:
 
     log [ (2 pi)^{-p} prod_{i<j}|a_i-a_j| prod_{i<j}|b_i-b_j| / prod_{i,j}|a_i-b_j| ]
     """
-    a, b = intervals.lefts, intervals.rights
+    cross, same_a, same_b = _log_separations(intervals)
     p = intervals.num_intervals
-    cross = np.sum(np.log(np.abs(a[:, None] - b[None, :])))
-    iu = np.triu_indices(p, k=1)
-    same_a = np.sum(np.log(np.abs(a[:, None] - a[None, :])[iu])) if p > 1 else 0.0
-    same_b = np.sum(np.log(np.abs(b[:, None] - b[None, :])[iu])) if p > 1 else 0.0
     return float(same_a + same_b - cross - p * math.log(2.0 * math.pi))
 
 

@@ -10,7 +10,7 @@ det B >= 0) can fail, and the search hunts for such violating instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,18 @@ PSD_RELATIVE_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
+TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
+
+
+def _gram_spectrum(g):
+    """The one PSD verdict: (symmetrized g, scale max(||g||_2, tiny), eigenvalues
+    ascending, eigenvectors); a relative asymmetry above SYMMETRY_TOL raises."""
+    g = np.asarray(g, dtype=float)
+    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.abs(g).max()):
+        raise InvalidStateError("Gram matrix asymmetric beyond tolerance")
+    g = 0.5 * (g + g.T)
+    eigvals, eigvecs = np.linalg.eigh(g)
+    return g, max(float(np.linalg.norm(g, 2)), np.finfo(float).tiny), eigvals, eigvecs
 
 
 @dataclass
@@ -35,28 +47,29 @@ class GramRecord:
     entries: np.ndarray
     entropy_table: np.ndarray
     min_eigenvalue: float = 0.0
-    leading_minors: np.ndarray = None
+    scale: float = field(default=0.0, init=False)  # max(||entries||_2, tiny)
 
     def __post_init__(self):
-        g = np.asarray(self.entries, dtype=float)
-        if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.abs(g).max()):
-            raise InvalidStateError("Gram matrix asymmetric beyond tolerance")
-        g = 0.5 * (g + g.T)
-        self.entries = g
-        self.min_eigenvalue = float(np.linalg.eigvalsh(g).min())
-        self.leading_minors = np.array(
-            [np.linalg.det(g[: k + 1, : k + 1]) for k in range(self.size)])
+        self.entries, self.scale, eigvals, _ = _gram_spectrum(self.entries)
+        self.min_eigenvalue = float(eigvals[0])
+
+
+def _pair_densities(psi: PurifiedState, splits: list[SubsystemSplit]) -> dict:
+    """Reflected densities rho_{A_i Abar_j} of the split pairs i <= j, each reduced once.
+
+    rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j} and has the same
+    spectrum, so the pairs j < i need no reduction of their own.
+    """
+    sets = [twist_operators(psi, s) for s in splits]
+    return {(i, j): _combine(sets[i], sets[j])
+            for i in range(len(sets)) for j in range(i, len(sets))}
 
 
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs (n = 1 is von Neumann)."""
-    sets = [twist_operators(psi, s) for s in splits]
-    m1 = len(splits)
-    table = np.empty((m1, m1))
-    for i in range(m1):
-        for j in range(m1):
-            rd = _combine(sets[i], sets[j])
-            table[i, j] = von_neumann(rd) if n == 1 else renyi_entropy(rd, n)
+    table = np.empty((len(splits), len(splits)))
+    for (i, j), rd in _pair_densities(psi, splits).items():
+        table[i, j] = table[j, i] = von_neumann(rd) if n == 1 else renyi_entropy(rd, n)
     return table
 
 
@@ -95,12 +108,8 @@ def check_psd(gram, tol: float = PSD_RELATIVE_TOL) -> PsdVerdict:
     The failure witness is the eigenvector of the minimum eigenvalue: the
     coefficient vector of the violating operator combination.
     """
-    g = gram.entries if isinstance(gram, GramRecord) else np.asarray(gram, dtype=float)
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.abs(g).max()):
-        raise InvalidStateError("matrix asymmetric beyond tolerance")
-    g = 0.5 * (g + g.T)
-    scale = float(np.linalg.norm(g, 2))
-    eigvals, eigvecs = np.linalg.eigh(g)
+    g, scale, eigvals, eigvecs = _gram_spectrum(
+        gram.entries if isinstance(gram, GramRecord) else gram)
     min_eig = float(eigvals[0])
     minors = np.array([np.linalg.det(g[: k + 1, : k + 1]) for k in range(g.shape[0])])
     minors_ok = bool(np.all(minors >= -tol * np.maximum(1.0, scale) ** np.arange(1, g.shape[0] + 1)))
@@ -222,7 +231,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.target not in ("integer_n", "entropy_n1", "schur_s_fraction"):
+        if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
@@ -317,17 +326,12 @@ def _instance_from_dict(data: dict):
 def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
                      splits: list[SubsystemSplit]) -> dict:
     """Normalized slack of the configured inequality (negative = violation)."""
-    if cfg.target == "entropy_n1":
-        record = gram_matrix(psi, splits, n=1, lam=cfg.lam)
-        scale = max(np.linalg.norm(record.entries, 2), np.finfo(float).tiny)
-        return {"slack": record.min_eigenvalue / scale,
-                "gram": record.entries.tolist(),
-                "entropy_table": record.entropy_table.tolist(),
-                "min_eigenvalue": record.min_eigenvalue}
-    if cfg.target == "integer_n":
-        record = gram_matrix(psi, splits, n=cfg.n)
-        scale = max(np.linalg.norm(record.entries, 2), np.finfo(float).tiny)
-        return {"slack": record.min_eigenvalue / scale,
+    if cfg.target != "schur_s_fraction":
+        # entropy_n1 weighs von Neumann entropies by lam; integer_n is the
+        # proven case lam = n - 1
+        record = (gram_matrix(psi, splits, n=1, lam=cfg.lam) if cfg.target == "entropy_n1"
+                  else gram_matrix(psi, splits, n=cfg.n))
+        return {"slack": record.min_eigenvalue / record.scale,
                 "gram": record.entries.tolist(),
                 "entropy_table": record.entropy_table.tolist(),
                 "min_eigenvalue": record.min_eigenvalue}
@@ -348,11 +352,9 @@ def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
            "best_ordering": list(ordering),
            "entropy_table": table.tolist()}
     if cfg.literal_s is not None:
-        powered = np.exp(-cfg.literal_s * (cfg.n - 1) * table)
-        eigs = np.linalg.eigvalsh(0.5 * (powered + powered.T))
-        out["literal_s_min_eigenvalue"] = float(eigs.min())
-        out["literal_s_slack"] = float(eigs.min() / max(np.linalg.norm(powered, 2),
-                                                        np.finfo(float).tiny))
+        _, scale, eigvals, _ = _gram_spectrum(np.exp(-cfg.literal_s * (cfg.n - 1) * table))
+        out["literal_s_min_eigenvalue"] = float(eigvals[0])
+        out["literal_s_slack"] = float(eigvals[0] / scale)
     return out
 
 
@@ -365,9 +367,27 @@ def run_trial(cfg: SearchConfig, trial: int) -> dict:
     return result
 
 
-def _run_trial_range(args) -> list:
-    cfg, start, count = args
-    return [run_trial(cfg, t) for t in range(start, start + count)]
+def _run_trials(args) -> list:
+    trials, _, cfg = args
+    return [run_trial(cfg, t) for t in trials]
+
+
+def _pool_map(worker, items, jobs: int, *args) -> list:
+    """worker((chunk, offset, *args)) over contiguous chunks of items, in item order.
+
+    With jobs > 1 and at least two items, a fresh process pool of `jobs`
+    workers runs ceil(len(items) / jobs)-sized chunks; otherwise one call
+    takes every item in this process.
+    """
+    if jobs <= 1 or len(items) < 2:
+        return [worker((items, 0, *args))]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = -(-len(items) // jobs)
+    tasks = [(items[start:start + chunk], start, *args)
+             for start in range(0, len(items), chunk)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
@@ -380,18 +400,8 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     refine_iterations > 0 a seeded descent then pushes the best sweep
     instance toward the violating region.
     """
-    if jobs > 1 and cfg.trials > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, -(-cfg.trials // jobs))
-        ranges = [(cfg, start, min(chunk, cfg.trials - start))
-                  for start in range(0, cfg.trials, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_run_trial_range, ranges))
-        results = [r for batch in batches for r in batch]
-        results.sort(key=lambda r: r["trial"])
-    else:
-        results = [run_trial(cfg, t) for t in range(cfg.trials)]
+    results = [r for batch in _pool_map(_run_trials, range(cfg.trials), jobs, cfg)
+               for r in batch]
     violations = []
     min_slack = np.inf
     min_trial = -1
@@ -503,23 +513,14 @@ class SweepResult:
 
 
 def _sweep_chunk(args) -> "SweepResult":
-    dims_list, n_values, master_seed, tol, offset = args
+    dims_list, offset, n_values, master_seed, tol = args
     return theorem_sweep(dims_list, n_values, master_seed, tol=tol, trial_offset=offset)
 
 
 def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
                            tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> "SweepResult":
     """Parallel theorem sweep; instance streams make the merge order-free."""
-    dims_list = list(dims_list)
-    if jobs <= 1 or len(dims_list) < 2:
-        return theorem_sweep(dims_list, n_values, master_seed, tol=tol)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, -(-len(dims_list) // jobs))
-    tasks = [(dims_list[start:start + chunk], n_values, master_seed, tol, start)
-             for start in range(0, len(dims_list), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_sweep_chunk, tasks))
+    parts = _pool_map(_sweep_chunk, list(dims_list), jobs, n_values, master_seed, tol)
     merged = SweepResult(instances=0, checks=0, min_normalized_eig=np.inf,
                          worst={}, violations=[])
     for part in parts:
@@ -549,21 +550,14 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
         cfg = SearchConfig(dims=dims, trials=1, master_seed=master_seed,
                            target="integer_n", n=2, trial_offset=trial_offset + idx)
         psi, splits = _draw_instance(cfg, 0)
-        sets = [twist_operators(psi, s) for s in splits]
-        m1 = len(splits)
-        table = {}
-        for i in range(m1):
-            for j in range(i, m1):
-                rd = _combine(sets[i], sets[j])
-                table[(i, j)] = rd.eigenvalues
+        spectra = {pair: np.clip(rd.eigenvalues, 0.0, None)
+                   for pair, rd in _pair_densities(psi, splits).items()}
         for n in n_values:
-            g = np.empty((m1, m1))
-            for i in range(m1):
-                for j in range(i, m1):
-                    eigs = np.clip(table[(i, j)], 0.0, None)
-                    g[i, j] = g[j, i] = float(np.sum(eigs ** n))
-            scale = max(np.linalg.norm(g, 2), np.finfo(float).tiny)
-            min_eig = float(np.linalg.eigvalsh(g).min())
+            g = np.empty((len(splits), len(splits)))
+            for (i, j), eigs in spectra.items():
+                g[i, j] = g[j, i] = float(np.sum(eigs ** n))
+            g, scale, eigvals, _ = _gram_spectrum(g)
+            min_eig = float(eigvals[0])
             checks += 1
             normalized = min_eig / scale
             if normalized < min_norm_eig:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-
-from .bessel import k0
+from scipy.special import k0
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,8 @@ class SpectralDensity:
             raise ValueError("p^2 grid must be nonnegative and strictly increasing")
         if np.any(w < 0) or self.delta_at_zero < 0:
             raise ValueError("spectral weights must be nonnegative")
+        if not self.delta_p0 > 0:
+            raise ValueError("delta_p0 must be positive")
         object.__setattr__(self, "p2_grid", grid)
         object.__setattr__(self, "weights", w)
 

@@ -1,10 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rpentropy.cli import main
+from rpentropy.cli import OPTIONS, main
 from rpentropy.serialize import canonical_dumps, read_xy_csv, write_csv
 
 
@@ -171,6 +172,16 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    def test_readme_key_table_matches_options(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = {}
+        for line in readme.read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 2 and cells[0] in OPTIONS:
+                rows[cells[0]] = [key.strip() for key in cells[1].split(",")]
+        assert rows == {name: [key for key, *_ in options]
+                        for name, options in OPTIONS.items()}
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')
@@ -280,3 +291,81 @@ class TestSerializeHelpers:
         code = main(["kl", "--seed", "21", "--lambda", "2.0", "--out", str(tmp_path)])
         assert code == 0
         assert load(tmp_path, "kl-seed21.json")["report"]["config"]["lam"] == 2.0
+
+
+class TestResolvedConfig:
+    """The full resolved report.config of every subcommand, key by key."""
+
+    @pytest.fixture(autouse=True)
+    def fast_sweeps(self, monkeypatch):
+        import rpentropy.cli as cli_mod
+        from rpentropy.positivity import SearchReport, SweepResult
+
+        monkeypatch.setattr(cli_mod, "theorem_sweep_parallel", lambda *args, **kwargs:
+                            SweepResult(instances=0, checks=0, min_normalized_eig=0.0,
+                                        worst={}, violations=[]))
+        monkeypatch.setattr(cli_mod, "counterexample_search", lambda cfg, jobs=1:
+                            SearchReport(config=cfg, trials_run=cfg.trials, violations=[],
+                                         min_slack=0.0, min_slack_trial=0))
+
+    def check(self, tmp_path, name, argv, expected):
+        assert run(tmp_path, *argv) == 0
+        config = load(tmp_path, name)["report"]["config"]
+        # canonical JSON on both sides pins the value types too (1.0 is not 1)
+        assert canonical_dumps(config) == canonical_dumps(expected)
+
+    def test_gram_sweep(self, tmp_path):
+        self.check(tmp_path, "gram-sweep-seed42.json", ["gram-sweep"], {
+            "seed": 42, "trials": 500, "dims": [[2, 2], [2, 3], [2, 4], [3, 3], [4, 4]],
+            "subsystems": [2, 3, 4], "n": [2, 3, 4, 5], "tolerance": 1e-10, "jobs": 1})
+        self.check(tmp_path, "gram-sweep-seed3.json",
+                   ["gram-sweep", "--seed", "3", "--trials", "7", "--dims", "2x3,3X2",
+                    "--subsystems", "2", "--n", "4", "--tolerance", "1e-8", "--jobs", "2"], {
+            "seed": 3, "trials": 7, "dims": [[2, 3], [3, 2]], "subsystems": [2], "n": [4],
+            "tolerance": 1e-8, "jobs": 2})
+
+    def test_search(self, tmp_path):
+        self.check(tmp_path, "search-entropy_n1-seed42.json", ["search"], {
+            "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 42,
+            "target": "entropy_n1", "tolerance": 1e-6, "lam": 1.0, "n": 1,
+            "literal_s": None, "trial_offset": 0, "refine_iterations": 0, "jobs": 1})
+        # the default n follows the target
+        self.check(tmp_path, "search-integer_n-seed5.json",
+                   ["search", "--seed", "5", "--target", "integer_n", "--dims", "2x3,3x2",
+                    "--trials", "9", "--jobs", "2"], {
+            "dims": [[2, 3], [3, 2]], "trials": 9, "master_seed": 5, "target": "integer_n",
+            "tolerance": 1e-6, "lam": 1.0, "n": 2, "literal_s": None, "trial_offset": 0,
+            "refine_iterations": 0, "jobs": 2})
+        self.check(tmp_path, "search-schur_s_fraction-seed6.json",
+                   ["search", "--seed", "6", "--target", "schur_s_fraction", "--lam", "2",
+                    "--n", "3", "--literal-s", "0.5", "--refine", "10",
+                    "--tolerance", "1e-4"], {
+            "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 6,
+            "target": "schur_s_fraction", "tolerance": 1e-4, "lam": 2.0, "n": 3,
+            "literal_s": 0.5, "trial_offset": 0, "refine_iterations": 10, "jobs": 1})
+
+    def test_fermion(self, tmp_path):
+        self.check(tmp_path, "fermion-seed42.json",
+                   ["fermion", "--trials", "3", "--witness-trials", "2"], {
+            "seed": 42, "trials": 3, "max_components": 5, "lam": [0.1, 1.0, 6.0, 10.0],
+            "cutoff": 1.0, "tolerance": 1e-10, "witness_trials": 2, "sets": None})
+        self.check(tmp_path, "fermion-seed2.json",
+                   ["fermion", "--seed", "2", "--trials", "2", "--max-components", "2",
+                    "--lambda", "0.5,2", "--cutoff", "0.5", "--witness-trials", "1"], {
+            "seed": 2, "trials": 2, "max_components": 2, "lam": [0.5, 2.0],
+            "cutoff": 0.5, "tolerance": 1e-10, "witness_trials": 1, "sets": None})
+
+    def test_kl(self, tmp_path):
+        self.check(tmp_path, "kl-seed42.json", ["kl", "--grid-points", "30"], {
+            "seed": 42, "lam": 1.0, "grid_points": 30, "ridge": 0.0, "tolerance": 1e-6,
+            "input": None})
+
+    def test_cft(self, tmp_path):
+        self.check(tmp_path, "cft-seed42.json", ["cft", "--grid-points", "50", "--pairs", "20"], {
+            "seed": 42, "n": 2, "central_charge": 1.0, "grid_points": 50, "pairs": 20,
+            "tolerance": 1e-10, "f_table": None})
+        self.check(tmp_path, "cft-seed4.json",
+                   ["cft", "--seed", "4", "--n", "3", "--central-charge", "0.5",
+                    "--grid-points", "50", "--pairs", "20", "--tolerance", "1e-9"], {
+            "seed": 4, "n": 3, "central_charge": 0.5, "grid_points": 50, "pairs": 20,
+            "tolerance": 1e-9, "f_table": None})

@@ -64,14 +64,21 @@ class TestGramMatrix:
             gram_matrix(psi, splits, n=1)
 
     def test_entries_match_matrix_power_trace(self):
-        # log-sum-exp entropy route vs literal matrix powers
+        # log-sum-exp entropy route vs literal matrix powers, also where the
+        # splits' dim_a differ, so that the pairs j < i filled by symmetry
+        # come from a reflected density of another shape
         from rpentropy.reflected import reflected_density
-        record, psi, splits = random_gram(41, m1=2, n=3)
-        for i in range(2):
-            for j in range(2):
-                rho = reflected_density(psi, splits[i], splits[j]).matrix
-                direct = float(np.trace(np.linalg.matrix_power(rho, 3)).real)
-                assert record.entries[i, j] == pytest.approx(direct, rel=1e-11)
+        _, psi, splits = random_gram(41, m1=2, n=3)
+        rng = np.random.default_rng(43)
+        mixed = [SubsystemSplit.haar(da, db, rng) for da, db in ((2, 3), (3, 2), (2, 3))]
+        for psi, splits in ((psi, splits),
+                            (purify(DensityMatrix.from_matrix(random_density(6, rng))), mixed)):
+            record = gram_matrix(psi, splits, n=3)
+            for i in range(len(splits)):
+                for j in range(len(splits)):
+                    rho = reflected_density(psi, splits[i], splits[j]).matrix
+                    direct = float(np.trace(np.linalg.matrix_power(rho, 3)).real)
+                    assert record.entries[i, j] == pytest.approx(direct, rel=1e-11)
 
     def test_sweep_matches_gram_matrix(self):
         # the sweep's inline trace-power path must agree with gram_matrix on
