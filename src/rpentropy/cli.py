@@ -43,10 +43,7 @@ def _split_dims(entry) -> tuple:
 def _list_of(item):
     """Parser of a comma string ('2,3,4') or a JSON array into [item(v), ...]."""
     def parse(value) -> list:
-        try:
-            return [item(v) for v in (value.split(",") if isinstance(value, str) else value)]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad list {value!r}: {exc}") from exc
+        return [item(v) for v in (value.split(",") if isinstance(value, str) else value)]
     return parse
 
 
@@ -143,7 +140,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = config[key]
         elif value is None:
             value = default(resolved) if callable(default) else default
-        resolved[key] = kind(value) if callable(kind) and value is not None else value
+        try:
+            resolved[key] = kind(value) if callable(kind) and value is not None else value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
     return resolved
 
 
@@ -289,8 +289,9 @@ def cmd_fermion(opts, argv) -> int:
             witness_families.append(sets)
     witness_min = np.inf
     for sets in witness_families:
+        table = fermion.witness_table(sets)
         for lam in lams:
-            record = fermion.divisibility_witness(sets, lam)
+            record = fermion.witness_record(table, lam)
             witness_min = min(witness_min, record.min_eigenvalue / record.scale)
 
     csv_path = write_csv(os.path.join(opts["out"], f"fermion-identities-seed{seed}.csv"),

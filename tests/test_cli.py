@@ -182,6 +182,13 @@ class TestConfigHandling:
         assert rows == {name: [key for key, *_ in options]
                         for name, options in OPTIONS.items()}
 
+    @pytest.mark.parametrize("value", [[3], {"count": 3}, "x"])
+    def test_bad_scalar_value_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": value}))
+        assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "trials" in capsys.readouterr().err
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')

@@ -64,10 +64,10 @@ class TestGramMatrix:
             gram_matrix(psi, splits, n=1)
 
     def test_entries_match_matrix_power_trace(self):
-        # log-sum-exp entropy route vs literal matrix powers, also where the
-        # splits' dim_a differ, so that the pairs j < i filled by symmetry
-        # come from a reflected density of another shape
-        from rpentropy.reflected import reflected_density
+        # singular-value entropy route vs literal matrix powers of the
+        # brute-force oracle, also where the splits' dim_a differ, so that the
+        # pairs j < i filled by symmetry come from a density of another shape
+        from rpentropy.reflected import brute_force_reflected
         _, psi, splits = random_gram(41, m1=2, n=3)
         rng = np.random.default_rng(43)
         mixed = [SubsystemSplit.haar(da, db, rng) for da, db in ((2, 3), (3, 2), (2, 3))]
@@ -76,7 +76,7 @@ class TestGramMatrix:
             record = gram_matrix(psi, splits, n=3)
             for i in range(len(splits)):
                 for j in range(len(splits)):
-                    rho = reflected_density(psi, splits[i], splits[j]).matrix
+                    rho = brute_force_reflected(psi, splits[i], splits[j]).matrix
                     direct = float(np.trace(np.linalg.matrix_power(rho, 3)).real)
                     assert record.entries[i, j] == pytest.approx(direct, rel=1e-11)
 

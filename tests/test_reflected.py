@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpentropy.modular import DensityMatrix, InvalidStateError, purify
-from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, brute_force_reflected,
-                                 marginals, mutual_information, reflected_density,
-                                 renyi_entropy, twist_operators, von_neumann)
+from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
+from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _combine,
+                                 brute_force_reflected, marginals, mutual_information,
+                                 pair_spectrum, reflected_density, renyi_entropy,
+                                 twist_operators, von_neumann)
 from rpentropy.sampling import haar_unitary, random_density
 
 SPLIT_CHOICES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (4, 3)]
@@ -150,6 +151,66 @@ class TestReflectedDensity:
         assert np.linalg.eigvalsh(rho_i).min() >= -1e-12
 
 
+def haar_state(d, rng):
+    lam = rng.dirichlet(np.ones(d))
+    return PurifiedState(dim=d, schmidt_values=np.sort(lam)[::-1],
+                         eigenbasis=haar_unitary(d, rng))
+
+
+class TestPairSpectrum:
+
+    # mixed shapes, and 8x2 with 8x2, where a_i a_j = 64 > b_i b_j = 4 leaves
+    # rho_{A_i Abar_j} with rank at most 4
+    @pytest.mark.parametrize("dims_i, dims_j", [((2, 8), (8, 2)), ((8, 2), (2, 8)),
+                                                ((8, 2), (8, 2)), ((4, 4), (2, 8)),
+                                                ((2, 3), (3, 2)), ((3, 3), (3, 3))])
+    def test_matches_twist_and_brute_force_oracles(self, dims_i, dims_j):
+        rng = np.random.default_rng(dims_i[0] * 10 + dims_j[0])
+        psi = haar_state(dims_i[0] * dims_i[1], rng)
+        si, sj = SubsystemSplit.haar(*dims_i, rng), SubsystemSplit.haar(*dims_j, rng)
+        spectrum = pair_spectrum(psi, si, sj)
+        assert spectrum.size == min(dims_i[0] * dims_j[0], dims_i[1] * dims_j[1])
+        assert spectrum.min() >= 0.0
+        padded = np.sort(np.pad(spectrum, (0, dims_i[0] * dims_j[0] - spectrum.size)))
+        for oracle in (_combine(twist_operators(psi, si), twist_operators(psi, sj)),
+                       brute_force_reflected(psi, si, sj)):
+            assert np.max(np.abs(padded - oracle.eigenvalues)) <= 1e-13
+            for n in (1, 2, 3):
+                assert renyi_entropy(spectrum, n) == pytest.approx(
+                    renyi_entropy(oracle, n), rel=1e-11, abs=1e-13)
+
+    def test_trace_check_rejects_tampered_spectrum(self):
+        rng = np.random.default_rng(5)
+        psi = haar_state(4, rng)
+        tampered = PurifiedState(dim=4, schmidt_values=psi.schmidt_values * (1 + 1e-6),
+                                 eigenbasis=psi.eigenbasis)
+        split = SubsystemSplit.haar(2, 2, rng)
+        with pytest.raises(InvalidStateError, match="sums to"):
+            pair_spectrum(tampered, split, split)
+
+    def test_dimension_mismatch(self):
+        psi = purify(DensityMatrix.from_matrix(np.eye(4) / 4))
+        with pytest.raises(InvalidStateError, match="dimension"):
+            pair_spectrum(psi, SubsystemSplit.axis(2, 2), SubsystemSplit.axis(2, 3))
+
+    def test_reflected_density_at_d256(self):
+        # the twist route needs 268 MB per split here and the brute-force
+        # oracle a d^2 x d^2 projector, so the check is the marginals:
+        # tracing out Abar_j leaves rho_{A_i} = sum_p lam_p C_i[p] C_i[p]^dag,
+        # and tracing out A_i leaves its conjugate for split j
+        rng = np.random.default_rng(256)
+        psi = haar_state(256, rng)
+        si, sj = SubsystemSplit.haar(16, 16, rng), SubsystemSplit.haar(16, 16, rng)
+        rd = reflected_density(psi, si, sj)
+        assert rd.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(np.sort(pair_spectrum(psi, si, sj)) - rd.eigenvalues)) <= 1e-13
+        lam = psi.schmidt_values
+        rho_i, rho_j = marginals(rd)
+        for rho, split, conj in ((rho_i, si, False), (rho_j, sj, True)):
+            expected = np.einsum("p,pkl,pml->km", lam, split.coeffs, split.coeffs.conj())
+            assert np.max(np.abs(rho - (expected.conj() if conj else expected))) <= 1e-13
+
+
 class TestEntropies:
 
     def test_renyi_maximally_mixed(self):
@@ -163,6 +224,12 @@ class TestEntropies:
         # (2/3)^3 + (1/3)^3 = 1/3
         assert renyi_entropy(np.diag([2 / 3, 1 / 3]), 3) == pytest.approx(
             np.log(3) / 2, abs=1e-12)
+
+    def test_spectrum_input_matches_matrix_input(self):
+        lam = np.array([0.6, 0.3, 0.1, 0.0])
+        for n in (1, 2, 4):
+            assert renyi_entropy(lam, n) == pytest.approx(renyi_entropy(np.diag(lam), n),
+                                                          abs=1e-14)
 
     def test_renyi_routes_to_von_neumann(self):
         rho = np.diag([0.7, 0.3])
