@@ -10,32 +10,46 @@ det B >= 0) can fail, and the search hunts for such violating instances.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .modular import InvalidStateError, PurifiedState
-from .reflected import SubsystemSplit, pair_spectrum, renyi_entropy, von_neumann
+from .reflected import (SubsystemSplit, _check_unitary, _pair_spectrum, pair_spectrum,
+                        renyi_entropy, von_neumann)
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, twist_operators  # noqa: F401
-from .sampling import haar_unitary, simplex_eigenvalues, trial_rng
+from .sampling import (ginibre, haar_unitary, simplex_eigenvalues, trial_rng,
+                       unitary_from_ginibre)
 
 PSD_RELATIVE_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
 TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
+# a theorem_sweep block closes once its pair matrices reach this many
+# entries, which bounds the sweep's memory for any plan length and split
+# size.  A block is also the least work a pool worker gets: on 2 cores one
+# takes about 40 ms, against about 17 ms to start a fresh 2-worker pool.
+SWEEP_BLOCK_ENTRIES = 1 << 17
 
 
 def _gram_spectrum(g):
     """The one PSD verdict: (symmetrized g, scale max(||g||_2, tiny), eigenvalues
-    ascending, eigenvectors); a relative asymmetry above SYMMETRY_TOL raises."""
+    ascending, eigenvectors); a relative asymmetry above SYMMETRY_TOL raises.
+
+    ||g||_2 of the symmetric g is its largest |eigenvalue|.  Leading axes of
+    g (..., m, m) are a stack, and every output gains the same axes.
+    """
     g = np.asarray(g, dtype=float)
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.abs(g).max()):
+    asymmetry = np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(asymmetry > SYMMETRY_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))):
         raise InvalidStateError("Gram matrix asymmetric beyond tolerance")
-    g = 0.5 * (g + g.T)
+    g = 0.5 * (g + g.swapaxes(-1, -2))
     eigvals, eigvecs = np.linalg.eigh(g)
-    return g, max(float(np.linalg.norm(g, 2)), np.finfo(float).tiny), eigvals, eigvecs
+    scale = np.maximum(np.abs(eigvals).max(axis=-1), np.finfo(float).tiny)
+    return g, scale, eigvals, eigvecs
 
 
 @dataclass
@@ -51,7 +65,8 @@ class GramRecord:
     scale: float = field(default=0.0, init=False)  # max(||entries||_2, tiny)
 
     def __post_init__(self):
-        self.entries, self.scale, eigvals, _ = _gram_spectrum(self.entries)
+        self.entries, scale, eigvals, _ = _gram_spectrum(self.entries)
+        self.scale = float(scale)
         self.min_eigenvalue = float(eigvals[0])
 
 
@@ -110,6 +125,7 @@ def check_psd(gram, tol: float = PSD_RELATIVE_TOL) -> PsdVerdict:
     """
     g, scale, eigvals, eigvecs = _gram_spectrum(
         gram.entries if isinstance(gram, GramRecord) else gram)
+    scale = float(scale)
     min_eig = float(eigvals[0])
     minors = np.array([np.linalg.det(g[: k + 1, : k + 1]) for k in range(g.shape[0])])
     minors_ok = bool(np.all(minors >= -tol * np.maximum(1.0, scale) ** np.arange(1, g.shape[0] + 1)))
@@ -143,6 +159,22 @@ class DivisibilityRecord:
     cross_check_dev: float
 
 
+def _checked_table(entropy_table) -> np.ndarray:
+    """The entropy table as a float array, once it is square, of size >= 2
+    and symmetric within SYMMETRY_TOL."""
+    s = np.asarray(entropy_table, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
+        raise ValueError("entropy table must be square with size >= 2")
+    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL * max(1.0, np.abs(s).max()):
+        raise InvalidStateError("entropy table asymmetric beyond tolerance")
+    return s
+
+
+def _second_differences(s: np.ndarray) -> np.ndarray:
+    """B of the (..., m+1, m+1) tables s; leading axes are a stack."""
+    return s[..., :-1, 1:] + s[..., 1:, :-1] - s[..., :-1, :-1] - s[..., 1:, 1:]
+
+
 def divisibility_matrix(entropy_table: np.ndarray,
                         marginals_i: np.ndarray | None = None,
                         marginals_j: np.ndarray | None = None) -> DivisibilityRecord:
@@ -151,13 +183,9 @@ def divisibility_matrix(entropy_table: np.ndarray,
     The same matrix is rebuilt from mutual informations (the marginal
     entropies cancel) and the two routes are cross-checked.
     """
-    s = np.asarray(entropy_table, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
-        raise ValueError("entropy table must be square with size >= 2")
-    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL * max(1.0, np.abs(s).max()):
-        raise InvalidStateError("entropy table asymmetric beyond tolerance")
+    s = _checked_table(entropy_table)
     m = s.shape[0] - 1
-    b = s[:m, 1:] + s[1:, :m] - s[:m, :m] - s[1:, 1:]
+    b = _second_differences(s)
     s_i = np.zeros(m + 1) if marginals_i is None else np.asarray(marginals_i, dtype=float)
     s_j = np.zeros(m + 1) if marginals_j is None else np.asarray(marginals_j, dtype=float)
     mutual = s_i[:, None] + s_j[None, :] - s
@@ -177,11 +205,11 @@ def divisibility_over_orderings(entropy_table: np.ndarray):
     size = s.shape[0]
     if size > 4:
         raise ValueError("orderings report supported for up to 4 subsystems")
-    results = []
-    for perm in itertools.permutations(range(size)):
-        table = s[np.ix_(perm, perm)]
-        det_b = divisibility_matrix(table).det_b
-        results.append((perm, det_b))
+    s = _checked_table(s)
+    perms = list(itertools.permutations(range(size)))
+    index = np.array(perms)
+    dets = np.linalg.det(_second_differences(s[index[:, :, None], index[:, None, :]]))
+    results = [(perm, float(det_b)) for perm, det_b in zip(perms, dets)]
     worst = min(results, key=lambda item: item[1])
     return worst[1], worst[0], results
 
@@ -197,6 +225,16 @@ def three_set_inequality(s_ab, s_ac, s_bc, s_aa, s_bb, s_cc) -> float:
     rhs = s_ab ** 2 + s_ac ** 2 + s_bc ** 2 \
         + 2 * s_ab * s_cc + 2 * s_ac * s_bb + 2 * s_bc * s_aa
     return float(lhs - rhs)
+
+
+def _validated_dims(dims) -> list:
+    """One (d_A, d_B) int pair per subsystem: at least two, one product d."""
+    dims = [(int(a), int(b)) for a, b in dims]
+    if len({a * b for a, b in dims}) != 1:
+        raise ValueError("all subsystem splits must share the same total dimension")
+    if len(dims) < 2:
+        raise ValueError("need at least two subsystems")
+    return dims
 
 
 @dataclass
@@ -235,13 +273,7 @@ class SearchConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
-        dims = [(int(a), int(b)) for a, b in self.dims]
-        products = {a * b for a, b in dims}
-        if len(products) != 1:
-            raise ValueError("all subsystem splits must share the same total dimension")
-        if len(dims) < 2:
-            raise ValueError("need at least two subsystems")
-        self.dims = dims
+        self.dims = _validated_dims(self.dims)
 
     @property
     def dim(self) -> int:
@@ -513,14 +545,21 @@ class SweepResult:
 
 
 def _sweep_chunk(args) -> "SweepResult":
-    dims_list, offset, n_values, master_seed, tol = args
-    return theorem_sweep(dims_list, n_values, master_seed, tol=tol, trial_offset=offset)
+    blocks, _, n_values, master_seed, tol = args
+    return theorem_sweep([dims for _, block in blocks for dims in block], n_values,
+                         master_seed, tol=tol, trial_offset=blocks[0][0] if blocks else 0)
 
 
 def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
                            tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> "SweepResult":
-    """Parallel theorem sweep; instance streams make the merge order-free."""
-    parts = _pool_map(_sweep_chunk, list(dims_list), jobs, n_values, master_seed, tol)
+    """Parallel theorem sweep; instance streams make the merge order-free.
+
+    Workers take runs of whole blocks, which carry about equal work, so a
+    plan of one block runs in this process whatever `jobs` is.
+    """
+    blocks = [(start, [dims for dims, _ in block])
+              for start, block in _sweep_blocks(dims_list)]
+    parts = _pool_map(_sweep_chunk, blocks, jobs, n_values, master_seed, tol)
     merged = SweepResult(instances=0, checks=0, min_normalized_eig=np.inf,
                          worst={}, violations=[])
     for part in parts:
@@ -533,41 +572,117 @@ def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
     return merged
 
 
+def _sweep_blocks(dims_by_instance):
+    """The plan as (first instance, [(dims, validated dims), ...]) blocks; a
+    block closes once its instances' pair matrices reach SWEEP_BLOCK_ENTRIES
+    entries."""
+    block, entries, start = [], 0, 0
+    for dims in dims_by_instance:
+        checked = _validated_dims(dims)
+        block.append((dims, checked))
+        m, d = len(checked), checked[0][0] * checked[0][1]
+        entries += m * (m + 1) // 2 * d * d
+        if entries >= SWEEP_BLOCK_ENTRIES:
+            yield start, block
+            start, block, entries = start + len(block), [], 0
+    if block:
+        yield start, block
+
+
+def _sweep_block(block, n_values, master_seed: int, offset: int):
+    """(minimum eigenvalues, scales, symmetrized Grams) of a block's checks.
+
+    Python only draws, instance by instance in `_draw_instance`'s order, so
+    an instance is the same in any block.  The rest is one stacked call per
+    group: the Haar step and the unitarity check per d, the pair spectra per
+    (split_i, split_j) shape, then their power sums per n, and the verdicts
+    per subsystem count.  Every output is indexed (instance, n).
+    """
+    schmidt, ginibres, slots = defaultdict(list), defaultdict(list), []
+    drawn = defaultdict(int)  # split matrices so far, by d
+    for idx, (_, dims) in enumerate(block):
+        rng = trial_rng(master_seed, offset + idx)
+        d = dims[0][0] * dims[0][1]
+        slots.append((len(schmidt[d]), drawn[d]))
+        drawn[d] += len(dims)
+        schmidt[d].append(np.sort(simplex_eigenvalues(d, rng))[::-1])
+        # the eigenbasis comes first; it enters no pair spectrum, so only
+        # the splits' matrices are kept
+        ginibres[d].append(ginibre(d, rng, (1 + len(dims),))[1:])
+    schmidt = {d: np.array(rows) for d, rows in schmidt.items()}
+    unitaries = {d: unitary_from_ginibre(np.concatenate(z)) for d, z in ginibres.items()}
+    for u in unitaries.values():
+        _check_unitary(u)
+
+    # each instance's Gram entries are a row-major m x m run of `entries`
+    sizes = np.array([len(dims) for _, dims in block])
+    starts = np.concatenate(([0], np.cumsum(sizes ** 2)))
+    groups = defaultdict(lambda: ([], [], [], [], []))
+    for (_, dims), (row, col), start in zip(block, slots, starts.tolist()):
+        m = len(dims)
+        for i in range(m):
+            for j in range(i, m):
+                rows, cols_i, cols_j, at_ij, at_ji = groups[dims[i], dims[j]]
+                rows.append(row)
+                cols_i.append(col + i)
+                cols_j.append(col + j)
+                at_ij.append(start + i * m + j)
+                at_ji.append(start + j * m + i)
+    entries = np.empty((starts[-1], len(n_values)))
+    for (dims_i, dims_j), (rows, cols_i, cols_j, at_ij, at_ji) in groups.items():
+        d = dims_i[0] * dims_i[1]
+        eigs = _pair_spectrum(schmidt[d][rows], unitaries[d][cols_i], unitaries[d][cols_j],
+                              dims_i, dims_j)
+        # a scalar exponent squares exactly at n = 2, where a broadcast power
+        # array can miss by an ulp
+        for c, n in enumerate(n_values):
+            entries[at_ij, c] = entries[at_ji, c] = (eigs ** n).sum(axis=-1)
+
+    min_eigs = np.empty((len(block), len(n_values)))
+    scales = np.empty_like(min_eigs)
+    grams = {}
+    for m in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == m)
+        g = entries[starts[members][:, None] + np.arange(m * m)]
+        g, scale, eigvals, _ = _gram_spectrum(
+            g.reshape(len(members), m, m, -1).transpose(0, 3, 1, 2))
+        min_eigs[members] = eigvals[..., 0]
+        scales[members] = scale
+        grams.update(zip(members.tolist(), g))
+    return min_eigs, scales, grams
+
+
 def theorem_sweep(dims_by_instance, n_values, master_seed: int,
                   tol: float = PSD_RELATIVE_TOL, trial_offset: int = 0) -> SweepResult:
     """PSD sweep of integer-index Gram matrices over random instances.
 
     dims_by_instance: iterable of split-dimension lists, one instance each.
     Every (instance, n) pair must come out PSD within -tol * ||G||; any
-    violation is collected (a numerics bug, not physics).
+    violation is collected (a numerics bug, not physics).  Instances run in
+    stacked blocks (`_sweep_block`); the result is the same for any block
+    boundaries, and so for any chunking of the plan.
     """
+    n_values = list(n_values)
     min_norm_eig = np.inf
     worst = {}
     violations = []
-    checks = 0
     count = 0
-    for idx, dims in enumerate(dims_by_instance):
-        cfg = SearchConfig(dims=dims, trials=1, master_seed=master_seed,
-                           target="integer_n", n=2, trial_offset=trial_offset + idx)
-        psi, splits = _draw_instance(cfg, 0)
-        spectra = _pair_spectra(psi, splits)
-        for n in n_values:
-            g = np.empty((len(splits), len(splits)))
-            for (i, j), eigs in spectra.items():
-                g[i, j] = g[j, i] = float(np.sum(eigs ** n))
-            g, scale, eigvals, _ = _gram_spectrum(g)
-            min_eig = float(eigvals[0])
-            checks += 1
-            normalized = min_eig / scale
-            if normalized < min_norm_eig:
-                min_norm_eig = normalized
-                worst = {"instance": trial_offset + idx, "n": n, "dims": list(dims),
-                         "min_eigenvalue": min_eig, "scale": scale}
-            if normalized < -tol:
-                violations.append({"instance": trial_offset + idx, "n": n,
-                                   "dims": list(dims), "gram": g.tolist(),
-                                   "min_eigenvalue": min_eig})
-        count += 1
-    return SweepResult(instances=count, checks=checks,
+    for start, block in _sweep_blocks(dims_by_instance):
+        first = trial_offset + start
+        min_eigs, scales, grams = _sweep_block(block, n_values, master_seed, first)
+        normalized = min_eigs / scales
+        if normalized.size:
+            k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
+            if normalized[k, c] < min_norm_eig:
+                min_norm_eig = normalized[k, c]
+                worst = {"instance": first + int(k), "n": n_values[c],
+                         "dims": list(block[k][0]), "min_eigenvalue": float(min_eigs[k, c]),
+                         "scale": float(scales[k, c])}
+        for k, c in zip(*np.nonzero(normalized < -tol)):
+            violations.append({"instance": first + int(k), "n": n_values[c],
+                               "dims": list(block[k][0]), "gram": grams[k][c].tolist(),
+                               "min_eigenvalue": float(min_eigs[k, c])})
+        count += len(block)
+    return SweepResult(instances=count, checks=count * len(n_values),
                        min_normalized_eig=float(min_norm_eig), worst=worst,
                        violations=violations)

@@ -29,7 +29,8 @@ class SubsystemSplit:
 
     coeffs[p, k, l] is the component of eigenvector |p> on the product basis
     vector |k l>; as a (d, d) matrix over p and flattened (k, l) it must be
-    unitary (orthonormal in both index families).
+    unitary (orthonormal in both index families).  Leading axes of coeffs,
+    (..., d, d_A, d_B) or (..., d, d), make a stack of splits of one shape.
     """
 
     dim_a: int
@@ -40,16 +41,12 @@ class SubsystemSplit:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         d = self.dim_a * self.dim_b
-        if c.shape == (d, d):
-            c = c.reshape(d, self.dim_a, self.dim_b)
-        if c.shape != (d, self.dim_a, self.dim_b):
+        if c.shape[-3:] != (d, self.dim_a, self.dim_b) and c.shape[-2:] == (d, d):
+            c = c.reshape(*c.shape[:-2], d, self.dim_a, self.dim_b)
+        if c.shape[-3:] != (d, self.dim_a, self.dim_b):
             raise InvalidStateError(
                 f"coeffs shape {c.shape} incompatible with split ({self.dim_a},{self.dim_b})")
-        mat = c.reshape(d, d)
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > UNITARITY_TOL:
-            raise InvalidStateError("split coefficients violate row orthonormality")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > UNITARITY_TOL:
-            raise InvalidStateError("split coefficients violate column orthonormality")
+        _check_unitary(c.reshape(*c.shape[:-3], d, d))
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -58,7 +55,7 @@ class SubsystemSplit:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.coeffs.reshape(self.dim, self.dim)
+        return self.coeffs.reshape(*self.coeffs.shape[:-3], self.dim, self.dim)
 
     @classmethod
     def axis(cls, dim_a: int, dim_b: int, label: str = "") -> "SubsystemSplit":
@@ -76,8 +73,19 @@ class SubsystemSplit:
     def swapped(self) -> "SubsystemSplit":
         """Complementary arrangement: the B factor becomes the subsystem."""
         return SubsystemSplit(dim_a=self.dim_b, dim_b=self.dim_a,
-                              coeffs=self.coeffs.transpose(0, 2, 1),
+                              coeffs=self.coeffs.swapaxes(-1, -2),
                               label=self.label + "~" if self.label else "")
+
+
+def _check_unitary(mat: np.ndarray) -> None:
+    """Raise unless every (d, d) matrix of the stack `mat` (..., d, d) is
+    unitary, row by row and column by column, within UNITARITY_TOL."""
+    eye = np.eye(mat.shape[-1])
+    adjoint = mat.conj().swapaxes(-1, -2)
+    if np.max(np.abs(mat @ adjoint - eye)) > UNITARITY_TOL:
+        raise InvalidStateError("split coefficients violate row orthonormality")
+    if np.max(np.abs(adjoint @ mat - eye)) > UNITARITY_TOL:
+        raise InvalidStateError("split coefficients violate column orthonormality")
 
 
 @dataclass(frozen=True)
@@ -150,22 +158,47 @@ def _combine(ops_i: TwistOperatorSet, ops_j: TwistOperatorSet,
                             dim_j=ops_j.dim_a, labels=labels)
 
 
-def _pair_matrix(psi: PurifiedState, split_i: SubsystemSplit,
-                 split_j: SubsystemSplit) -> np.ndarray:
-    """Coefficients X of the purified vector on (A_i Abar_j) x (B_i Bbar_j).
-
-    X[(k l), (r s)] = sum_p sqrt(lam_p) C_i[p, k, r] conj(C_j[p, l, s]) with
-    k, l the A and r, s the B indices, so rho_{A_i Abar_j} = X X^dag.
-    """
+def _pair_args(psi: PurifiedState, split_i: SubsystemSplit,
+               split_j: SubsystemSplit) -> tuple:
+    """Arguments of `_pair_matrix` and `_pair_spectrum` for one split pair."""
     if split_i.dim != psi.dim or split_j.dim != psi.dim:
         raise InvalidStateError(
             f"split dimensions ({split_i.dim}, {split_j.dim}) do not match "
             f"state dimension {psi.dim}")
-    weights = np.sqrt(np.sqrt(psi.schmidt_values))[:, None]
-    x = (weights * split_i.matrix).T @ (weights * split_j.matrix).conj()
-    da_i, db_i, da_j, db_j = split_i.dim_a, split_i.dim_b, split_j.dim_a, split_j.dim_b
-    return (x.reshape(da_i, db_i, da_j, db_j).transpose(0, 2, 1, 3)
-            .reshape(da_i * da_j, db_i * db_j))
+    return (psi.schmidt_values, split_i.matrix, split_j.matrix,
+            (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
+
+
+def _pair_matrix(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
+                 dims_i: tuple, dims_j: tuple) -> np.ndarray:
+    """Coefficients X of the purified vector on (A_i Abar_j) x (B_i Bbar_j).
+
+    X[(k l), (r s)] = sum_p sqrt(lam_p) C_i[p, k, r] conj(C_j[p, l, s]) with
+    k, l the A and r, s the B indices, so rho_{A_i Abar_j} = X X^dag.  The
+    Schmidt values (..., d) and the split matrices (..., d, d), of shapes
+    dims_i = (a_i, b_i) and dims_j = (a_j, b_j), may carry matching leading
+    axes: a stack of pairs gives a stack of pair matrices.
+    """
+    weights = np.sqrt(np.sqrt(schmidt_values))[..., :, None]
+    x = (weights * mat_i).swapaxes(-1, -2) @ (weights * mat_j).conj()
+    (da_i, db_i), (da_j, db_j) = dims_i, dims_j
+    lead = x.shape[:-2]
+    return (x.reshape(*lead, da_i, db_i, da_j, db_j).swapaxes(-3, -2)
+            .reshape(*lead, da_i * da_j, db_i * db_j))
+
+
+def _pair_spectrum(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
+                   dims_i: tuple, dims_j: tuple) -> np.ndarray:
+    """Squared singular values of `_pair_matrix`, stack by stack; each
+    spectrum must sum to 1 within TRACE_TOL."""
+    x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
+    eigs = np.linalg.svd(x, compute_uv=False) ** 2
+    sums = eigs.sum(axis=-1)
+    bad = abs(sums - 1.0) > TRACE_TOL
+    if bad.any():
+        first = np.ravel(sums)[np.ravel(bad)][0]
+        raise InvalidStateError(f"pair spectrum sums to {first:.12f}, not 1")
+    return eigs
 
 
 def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
@@ -173,12 +206,11 @@ def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
     """Spectrum of rho_{A_i Abar_j}, nonnegative by construction.
 
     The squared singular values of the pair matrix: every nonzero
-    eigenvalue, padded with zeros to min(a_i a_j, b_i b_j) entries.
+    eigenvalue, padded with zeros to min(a_i a_j, b_i b_j) entries.  A state
+    with stacked Schmidt values and splits with stacked coefficients give
+    one spectrum per stack entry.
     """
-    eigs = np.linalg.svd(_pair_matrix(psi, split_i, split_j), compute_uv=False) ** 2
-    if abs(eigs.sum() - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"pair spectrum sums to {eigs.sum():.12f}, not 1")
-    return eigs
+    return _pair_spectrum(*_pair_args(psi, split_i, split_j))
 
 
 def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
@@ -189,7 +221,7 @@ def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
     semidefinite and unit trace.  `_combine` of the twist families builds
     the same matrix and serves as a test oracle.
     """
-    x = _pair_matrix(psi, split_i, split_j)
+    x = _pair_matrix(*_pair_args(psi, split_i, split_j))
     return ReflectedDensity(matrix=x @ x.conj().T, dim_i=split_i.dim_a,
                             dim_j=split_j.dim_a, labels=(split_i.label, split_j.label))
 

@@ -14,13 +14,27 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), int(trial_index)))
 
 
+def ginibre(dim: int, rng: np.random.Generator, stack: tuple = ()) -> np.ndarray:
+    """Complex Ginibre matrices of shape (*stack, dim, dim).
+
+    Each matrix takes its real parts and then its imaginary parts from the
+    stream, so one stacked draw equals that many single draws in turn.
+    """
+    x = rng.standard_normal((*stack, 2, dim, dim))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre matrices (..., d, d): QR, then R's phases
+    absorbed so the distribution is exactly Haar.  Leading axes are a stack."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    # absorb the R phases so the distribution is exactly Haar
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    return unitary_from_ginibre(ginibre(dim, rng))
 
 
 def simplex_eigenvalues(dim: int, rng: np.random.Generator,
@@ -43,7 +57,7 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_operator(dim: int, rng: np.random.Generator, hermitian: bool = False,
                     unit_norm: bool = True) -> np.ndarray:
     """Complex Ginibre test operator, optionally hermitized / Frobenius-normalized."""
-    op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op = ginibre(dim, rng)
     if hermitian:
         op = 0.5 * (op + op.conj().T)
     if unit_norm:

@@ -1,10 +1,13 @@
+import itertools
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpentropy import positivity
 from rpentropy.modular import DensityMatrix, InvalidStateError, purify
 from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   counterexample_search, divisibility_matrix,
@@ -117,6 +120,37 @@ class TestCheckPsd:
         assert check_psd(schur_power(record, 2)).passed
 
 
+class TestGramSpectrum:
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(8)
+        raw = rng.standard_normal((4, 3, 5, 5))
+        stack = raw + raw.swapaxes(-1, -2)
+        g, scale, eigvals, eigvecs = positivity._gram_spectrum(stack)
+        assert scale.shape == (4, 3) and eigvals.shape == (4, 3, 5)
+        for k in range(4):
+            for c in range(3):
+                one = positivity._gram_spectrum(stack[k, c])
+                assert np.array_equal(g[k, c], one[0]) and scale[k, c] == one[1]
+                assert np.array_equal(eigvals[k, c], one[2])
+                assert np.array_equal(eigvecs[k, c], one[3])
+
+    def test_scale_is_the_spectral_norm(self):
+        rng = np.random.default_rng(9)
+        for m in (2, 3, 5):
+            raw = rng.standard_normal((m, m))
+            g = raw + raw.T
+            _, scale, _, _ = positivity._gram_spectrum(g)
+            assert scale == pytest.approx(np.linalg.norm(g, 2), rel=1e-14)
+        assert positivity._gram_spectrum(np.zeros((2, 2)))[1] == np.finfo(float).tiny
+
+    def test_one_asymmetric_matrix_in_a_stack_raises(self):
+        stack = np.array([np.eye(3)] * 4)
+        stack[3, 0, 1] = 1e-3
+        with pytest.raises(InvalidStateError, match="asymmetric"):
+            positivity._gram_spectrum(stack)
+
+
 class TestSchurPower:
 
     def test_s_one_is_identity_map(self):
@@ -180,6 +214,25 @@ class TestDivisibility:
         assert len(results) == 6
         assert worst == min(det for _, det in results)
         assert worst <= divisibility_matrix(table).det_b + 1e-15
+
+    def test_orderings_equal_per_ordering_records(self):
+        rng = np.random.default_rng(41)
+        for size in (2, 3, 4):
+            raw = rng.uniform(0.1, 2.0, size=(size, size))
+            table = 0.5 * (raw + raw.T)
+            worst, ordering, results = divisibility_over_orderings(table)
+            assert [perm for perm, _ in results] == list(itertools.permutations(range(size)))
+            for perm, det_b in results:
+                assert det_b == divisibility_matrix(table[np.ix_(perm, perm)]).det_b
+            assert (worst, ordering) == min(((d, p) for p, d in results), key=lambda x: x[0])
+
+    def test_orderings_validate_the_table(self):
+        with pytest.raises(InvalidStateError):
+            divisibility_over_orderings(np.array([[0.4, 1.1], [0.3, 0.9]]))
+        with pytest.raises(ValueError, match="square"):
+            divisibility_over_orderings(np.ones((1, 1)))
+        with pytest.raises(ValueError, match="up to 4"):
+            divisibility_over_orderings(np.ones((5, 5)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.05, 3.0), min_size=6, max_size=6))
@@ -291,3 +344,53 @@ class TestTheoremSweep:
         assert serial.min_normalized_eig == pytest.approx(
             parallel.min_normalized_eig, rel=1e-14)
         assert serial.checks == parallel.checks
+
+    def test_result_exact_across_jobs_and_blocks(self, monkeypatch):
+        # tol = -0.5 counts most checks as violations, so their order and
+        # their Gram entries are compared as well
+        plan = [[(2, 2)] * 2, [(2, 3), (3, 2), (2, 3)], [(4, 4), (2, 8)], [(3, 3)] * 4] * 8
+        reference = asdict(theorem_sweep(plan, [2, 3, 5], master_seed=21, tol=-0.5))
+        assert reference["instances"] == 32 and reference["checks"] == 96
+        assert 0 < len(reference["violations"]) < 96
+        # the default budget holds the plan in one block; 1 puts every
+        # instance in a block of its own, 2000 about two instances
+        for entries in (positivity.SWEEP_BLOCK_ENTRIES, 1, 2000):
+            monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", entries)
+            assert asdict(theorem_sweep(plan, [2, 3, 5], master_seed=21, tol=-0.5)) == reference
+            for jobs in (1, 2, 3):
+                parallel = theorem_sweep_parallel(plan, [2, 3, 5], master_seed=21, tol=-0.5,
+                                                  jobs=jobs)
+                assert asdict(parallel) == reference
+
+    def test_sweep_draws_the_search_instance(self):
+        # the stacked draws must give exactly the instance of _draw_instance,
+        # also in the second slot of a block; tol = -1 records every check
+        from rpentropy.positivity import _draw_instance, _gram_spectrum, _pair_spectra
+        seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
+        sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,
+                              tol=-1.0, trial_offset=4)
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
+                           trial_offset=5)
+        spectra = _pair_spectra(*_draw_instance(cfg, 0))
+        recorded = [v for v in sweep.violations if v["instance"] == 5]
+        assert [v["n"] for v in recorded] == n_values
+        for n, violation in zip(n_values, recorded):
+            g = np.empty((3, 3))
+            for (i, j), eigs in spectra.items():
+                g[i, j] = g[j, i] = np.sum(eigs ** n)
+            g, _, eigvals, _ = _gram_spectrum(g)
+            assert violation["gram"] == g.tolist()
+            assert violation["min_eigenvalue"] == eigvals[0]
+
+    def test_invalid_plans_raise(self):
+        for sweep in (theorem_sweep, theorem_sweep_parallel):
+            with pytest.raises(ValueError, match="same total dimension"):
+                sweep([[(2, 2)] * 2, [(2, 2), (2, 3)]], [2], master_seed=1)
+            with pytest.raises(ValueError, match="at least two subsystems"):
+                sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
+
+    def test_empty_plan_and_empty_n(self):
+        empty = theorem_sweep_parallel([], [2, 3], master_seed=1, jobs=2)
+        assert (empty.instances, empty.checks, empty.worst) == (0, 0, {})
+        no_n = theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
+        assert (no_n.instances, no_n.checks, no_n.violations) == (3, 0, [])

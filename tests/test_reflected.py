@@ -8,7 +8,7 @@ from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _combine,
                                  brute_force_reflected, marginals, mutual_information,
                                  pair_spectrum, reflected_density, renyi_entropy,
                                  twist_operators, von_neumann)
-from rpentropy.sampling import haar_unitary, random_density
+from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
 
 SPLIT_CHOICES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (4, 3)]
 
@@ -37,6 +37,23 @@ class TestSubsystemSplit:
         bad[0, 0] = 2.0
         with pytest.raises(InvalidStateError, match="orthonormality"):
             SubsystemSplit(dim_a=2, dim_b=2, coeffs=bad)
+
+    def test_one_non_unitary_in_a_stack_raises(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([haar_unitary(6, rng) for _ in range(4)])
+        assert SubsystemSplit(2, 3, stack).coeffs.shape == (4, 6, 2, 3)
+        stack[2, 0, 0] += 1e-8
+        with pytest.raises(InvalidStateError, match="orthonormality"):
+            SubsystemSplit(2, 3, stack)
+
+    def test_stacked_haar_step_equals_single_draws(self):
+        # one stacked Ginibre draw reads the stream as consecutive single
+        # draws do, and the stacked QR and phase fix act matrix by matrix
+        first, second = np.random.default_rng(3), np.random.default_rng(3)
+        singles = [haar_unitary(4, first) for _ in range(5)]
+        stacked = unitary_from_ginibre(ginibre(4, second, (5,)))
+        assert all(np.array_equal(u, v) for u, v in zip(singles, stacked))
+        assert first.standard_normal() == second.standard_normal()
 
     def test_swapped_swaps_factors(self):
         rng = np.random.default_rng(0)
@@ -192,6 +209,31 @@ class TestPairSpectrum:
         psi = purify(DensityMatrix.from_matrix(np.eye(4) / 4))
         with pytest.raises(InvalidStateError, match="dimension"):
             pair_spectrum(psi, SubsystemSplit.axis(2, 2), SubsystemSplit.axis(2, 3))
+
+    def test_stacked_spectra_equal_per_pair_calls(self):
+        # a stack of states and splits goes through one call per kernel step,
+        # and each entry must come out exactly as its own call would
+        rng = np.random.default_rng(606)
+        states = [haar_state(6, rng) for _ in range(5)]
+        pairs = [(SubsystemSplit.haar(2, 3, rng), SubsystemSplit.haar(3, 2, rng))
+                 for _ in states]
+        stacked = pair_spectrum(
+            PurifiedState(dim=6, schmidt_values=np.array([p.schmidt_values for p in states]),
+                          eigenbasis=np.array([p.eigenbasis for p in states])),
+            SubsystemSplit(2, 3, np.array([si.coeffs for si, _ in pairs])),
+            SubsystemSplit(3, 2, np.array([sj.matrix for _, sj in pairs])))
+        assert stacked.shape == (5, 6)
+        for k, (psi, (si, sj)) in enumerate(zip(states, pairs)):
+            assert np.array_equal(stacked[k], pair_spectrum(psi, si, sj))
+
+    def test_stacked_trace_check_names_the_bad_entry(self):
+        rng = np.random.default_rng(7)
+        lam = np.array([haar_state(4, rng).schmidt_values for _ in range(3)])
+        lam[1] *= 1 + 1e-6
+        split = SubsystemSplit(2, 2, np.array([haar_unitary(4, rng) for _ in range(3)]))
+        psi = PurifiedState(dim=4, schmidt_values=lam, eigenbasis=np.eye(4, dtype=complex))
+        with pytest.raises(InvalidStateError, match="sums to 1.000001"):
+            pair_spectrum(psi, split, split)
 
     def test_reflected_density_at_d256(self):
         # the twist route needs 268 MB per split here and the brute-force
