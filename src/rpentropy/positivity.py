@@ -18,10 +18,10 @@ import numpy as np
 from .modular import InvalidStateError, PurifiedState
 from .reflected import (SubsystemSplit, _check_unitary, _pair_spectrum, pair_spectrum,
                         renyi_entropy, von_neumann)
+from .sampling import ginibre, simplex_eigenvalues, trial_rng, unitary_from_ginibre
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, twist_operators  # noqa: F401
-from .sampling import (ginibre, haar_unitary, simplex_eigenvalues, trial_rng,
-                       unitary_from_ginibre)
+from .sampling import haar_unitary  # noqa: F401
 
 PSD_RELATIVE_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
@@ -31,7 +31,8 @@ TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
 # a theorem_sweep block closes once its pair matrices reach this many
 # entries, which bounds the sweep's memory for any plan length and split
 # size.  A block is also the least work a pool worker gets: on 2 cores one
-# takes about 40 ms, against about 17 ms to start a fresh 2-worker pool.
+# takes about 40 ms, against about 17 ms to start a fresh 2-worker pool, so
+# a tail under half a block joins the block before it.
 SWEEP_BLOCK_ENTRIES = 1 << 17
 
 
@@ -319,13 +320,21 @@ class SearchReport:
         }
 
 
+def _draw_raw(master_seed: int, index: int, dims) -> tuple:
+    """(descending Schmidt values, Ginibre matrices (m+1, d, d)) of instance
+    `index`: the eigenbasis's matrix first, then one per split.  This is the
+    one owner of an instance's stream order."""
+    rng = trial_rng(master_seed, index)
+    d = dims[0][0] * dims[0][1]
+    lam = np.sort(simplex_eigenvalues(d, rng))[::-1]
+    return lam, ginibre(d, rng, (1 + len(dims),))
+
+
 def _draw_instance(cfg: SearchConfig, trial: int):
-    rng = trial_rng(cfg.master_seed, cfg.trial_offset + trial)
-    d = cfg.dim
-    lam = simplex_eigenvalues(d, rng)
-    u = haar_unitary(d, rng)
-    psi = PurifiedState(dim=d, schmidt_values=np.sort(lam)[::-1], eigenbasis=u)
-    splits = [SubsystemSplit.haar(da, db, rng, label=f"A{k+1}")
+    lam, z = _draw_raw(cfg.master_seed, cfg.trial_offset + trial, cfg.dims)
+    u = unitary_from_ginibre(z)
+    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam, eigenbasis=u[0])
+    splits = [SubsystemSplit(dim_a=da, dim_b=db, coeffs=u[k + 1], label=f"A{k+1}")
               for k, (da, db) in enumerate(cfg.dims)]
     return psi, splits
 
@@ -554,8 +563,9 @@ def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
                            tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> "SweepResult":
     """Parallel theorem sweep; instance streams make the merge order-free.
 
-    Workers take runs of whole blocks, which carry about equal work, so a
-    plan of one block runs in this process whatever `jobs` is.
+    Workers take runs of whole blocks, each at least half the budget of
+    SWEEP_BLOCK_ENTRIES, so a plan of one block runs in this process
+    whatever `jobs` is.
     """
     blocks = [(start, [dims for dims, _ in block])
               for start, block in _sweep_blocks(dims_list)]
@@ -573,18 +583,27 @@ def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
 
 
 def _sweep_blocks(dims_by_instance):
-    """The plan as (first instance, [(dims, validated dims), ...]) blocks; a
-    block closes once its instances' pair matrices reach SWEEP_BLOCK_ENTRIES
-    entries."""
-    block, entries, start = [], 0, 0
+    """The plan as (first instance, [(dims, validated dims), ...]) blocks.
+
+    A block closes once its instances' pair matrices reach
+    SWEEP_BLOCK_ENTRIES entries; a tail under half that joins the block
+    before it, so a block is at least half the budget unless it is the
+    plan's only one.
+    """
+    held, block, entries, start = None, [], 0, 0
     for dims in dims_by_instance:
         checked = _validated_dims(dims)
         block.append((dims, checked))
         m, d = len(checked), checked[0][0] * checked[0][1]
         entries += m * (m + 1) // 2 * d * d
         if entries >= SWEEP_BLOCK_ENTRIES:
-            yield start, block
-            start, block, entries = start + len(block), [], 0
+            if held is not None:
+                yield held
+            held, start, block, entries = (start, block), start + len(block), [], 0
+    if held is not None and 2 * entries < SWEEP_BLOCK_ENTRIES:
+        held, block = (held[0], held[1] + block), []
+    if held is not None:
+        yield held
     if block:
         yield start, block
 
@@ -592,23 +611,23 @@ def _sweep_blocks(dims_by_instance):
 def _sweep_block(block, n_values, master_seed: int, offset: int):
     """(minimum eigenvalues, scales, symmetrized Grams) of a block's checks.
 
-    Python only draws, instance by instance in `_draw_instance`'s order, so
-    an instance is the same in any block.  The rest is one stacked call per
-    group: the Haar step and the unitarity check per d, the pair spectra per
-    (split_i, split_j) shape, then their power sums per n, and the verdicts
-    per subsystem count.  Every output is indexed (instance, n).
+    Python only draws, instance by instance through `_draw_raw`, so an
+    instance is the search's and the same in any block.  The rest is one
+    stacked call per group: the Haar step and the unitarity check per d, the
+    pair spectra per (split_i, split_j) shape, then their power sums per n,
+    and the verdicts per subsystem count.  Every output is indexed
+    (instance, n).
     """
     schmidt, ginibres, slots = defaultdict(list), defaultdict(list), []
     drawn = defaultdict(int)  # split matrices so far, by d
     for idx, (_, dims) in enumerate(block):
-        rng = trial_rng(master_seed, offset + idx)
-        d = dims[0][0] * dims[0][1]
+        lam, z = _draw_raw(master_seed, offset + idx, dims)
+        d = lam.size
         slots.append((len(schmidt[d]), drawn[d]))
         drawn[d] += len(dims)
-        schmidt[d].append(np.sort(simplex_eigenvalues(d, rng))[::-1])
-        # the eigenbasis comes first; it enters no pair spectrum, so only
-        # the splits' matrices are kept
-        ginibres[d].append(ginibre(d, rng, (1 + len(dims),))[1:])
+        schmidt[d].append(lam)
+        # the eigenbasis enters no pair spectrum, so only the splits' are kept
+        ginibres[d].append(z[1:])
     schmidt = {d: np.array(rows) for d, rows in schmidt.items()}
     unitaries = {d: unitary_from_ginibre(np.concatenate(z)) for d, z in ginibres.items()}
     for u in unitaries.values():

@@ -29,8 +29,7 @@ class SubsystemSplit:
 
     coeffs[p, k, l] is the component of eigenvector |p> on the product basis
     vector |k l>; as a (d, d) matrix over p and flattened (k, l) it must be
-    unitary (orthonormal in both index families).  Leading axes of coeffs,
-    (..., d, d_A, d_B) or (..., d, d), make a stack of splits of one shape.
+    unitary (orthonormal in both index families).
     """
 
     dim_a: int
@@ -41,12 +40,12 @@ class SubsystemSplit:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         d = self.dim_a * self.dim_b
-        if c.shape[-3:] != (d, self.dim_a, self.dim_b) and c.shape[-2:] == (d, d):
-            c = c.reshape(*c.shape[:-2], d, self.dim_a, self.dim_b)
-        if c.shape[-3:] != (d, self.dim_a, self.dim_b):
+        if c.shape == (d, d):
+            c = c.reshape(d, self.dim_a, self.dim_b)
+        if c.shape != (d, self.dim_a, self.dim_b):
             raise InvalidStateError(
                 f"coeffs shape {c.shape} incompatible with split ({self.dim_a},{self.dim_b})")
-        _check_unitary(c.reshape(*c.shape[:-3], d, d))
+        _check_unitary(c.reshape(d, d))
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -55,7 +54,7 @@ class SubsystemSplit:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.coeffs.reshape(*self.coeffs.shape[:-3], self.dim, self.dim)
+        return self.coeffs.reshape(self.dim, self.dim)
 
     @classmethod
     def axis(cls, dim_a: int, dim_b: int, label: str = "") -> "SubsystemSplit":
@@ -73,7 +72,7 @@ class SubsystemSplit:
     def swapped(self) -> "SubsystemSplit":
         """Complementary arrangement: the B factor becomes the subsystem."""
         return SubsystemSplit(dim_a=self.dim_b, dim_b=self.dim_a,
-                              coeffs=self.coeffs.swapaxes(-1, -2),
+                              coeffs=self.coeffs.transpose(0, 2, 1),
                               label=self.label + "~" if self.label else "")
 
 
@@ -158,15 +157,12 @@ def _combine(ops_i: TwistOperatorSet, ops_j: TwistOperatorSet,
                             dim_j=ops_j.dim_a, labels=labels)
 
 
-def _pair_args(psi: PurifiedState, split_i: SubsystemSplit,
-               split_j: SubsystemSplit) -> tuple:
-    """Arguments of `_pair_matrix` and `_pair_spectrum` for one split pair."""
+def _check_pair_dims(psi: PurifiedState, split_i: SubsystemSplit,
+                     split_j: SubsystemSplit) -> None:
     if split_i.dim != psi.dim or split_j.dim != psi.dim:
         raise InvalidStateError(
             f"split dimensions ({split_i.dim}, {split_j.dim}) do not match "
             f"state dimension {psi.dim}")
-    return (psi.schmidt_values, split_i.matrix, split_j.matrix,
-            (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
 
 
 def _pair_matrix(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
@@ -206,11 +202,11 @@ def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
     """Spectrum of rho_{A_i Abar_j}, nonnegative by construction.
 
     The squared singular values of the pair matrix: every nonzero
-    eigenvalue, padded with zeros to min(a_i a_j, b_i b_j) entries.  A state
-    with stacked Schmidt values and splits with stacked coefficients give
-    one spectrum per stack entry.
+    eigenvalue, padded with zeros to min(a_i a_j, b_i b_j) entries.
     """
-    return _pair_spectrum(*_pair_args(psi, split_i, split_j))
+    _check_pair_dims(psi, split_i, split_j)
+    return _pair_spectrum(psi.schmidt_values, split_i.matrix, split_j.matrix,
+                          (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
 
 
 def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
@@ -221,7 +217,9 @@ def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
     semidefinite and unit trace.  `_combine` of the twist families builds
     the same matrix and serves as a test oracle.
     """
-    x = _pair_matrix(*_pair_args(psi, split_i, split_j))
+    _check_pair_dims(psi, split_i, split_j)
+    x = _pair_matrix(psi.schmidt_values, split_i.matrix, split_j.matrix,
+                     (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
     return ReflectedDensity(matrix=x @ x.conj().T, dim_i=split_i.dim_a,
                             dim_j=split_j.dim_a, labels=(split_i.label, split_j.label))
 

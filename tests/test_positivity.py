@@ -83,6 +83,22 @@ class TestGramMatrix:
                     direct = float(np.trace(np.linalg.matrix_power(rho, 3)).real)
                     assert record.entries[i, j] == pytest.approx(direct, rel=1e-11)
 
+    def test_draw_instance_matches_single_draws(self):
+        # one stacked Haar step must reproduce the eigenbasis and the splits
+        # drawn one matrix at a time, so search trials stay the same
+        from rpentropy.positivity import _draw_instance
+        from rpentropy.sampling import haar_unitary, simplex_eigenvalues, trial_rng
+        dims = [(2, 3), (3, 2), (2, 3)]
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=17, trial_offset=40)
+        psi, splits = _draw_instance(cfg, 2)
+        rng = trial_rng(17, 42)
+        lam = simplex_eigenvalues(6, rng)
+        assert np.array_equal(psi.schmidt_values, np.sort(lam)[::-1])
+        assert np.array_equal(psi.eigenbasis, haar_unitary(6, rng))
+        for k, split in enumerate(splits):
+            single = SubsystemSplit.haar(*dims[k], rng)
+            assert split.label == f"A{k+1}" and np.array_equal(split.coeffs, single.coeffs)
+
     def test_sweep_matches_gram_matrix(self):
         # the sweep's inline trace-power path must agree with gram_matrix on
         # the instance drawn from the same trial stream
@@ -362,9 +378,19 @@ class TestTheoremSweep:
                                                   jobs=jobs)
                 assert asdict(parallel) == reference
 
+    def test_small_tail_joins_the_block_before_it(self, monkeypatch):
+        # a 2 x 2x2 instance has 3 pairs of 16 entries: 48 of a 100 budget,
+        # so blocks close every 3 instances, and a tail of one is under half
+        monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 100)
+        for count, sizes in ((1, [1]), (3, [3]), (7, [3, 4]), (8, [3, 3, 2])):
+            blocks = list(positivity._sweep_blocks([[(2, 2)] * 2] * count))
+            assert [len(block) for _, block in blocks] == sizes
+            assert [start for start, _ in blocks] == [0, 3, 6][:len(sizes)]
+
     def test_sweep_draws_the_search_instance(self):
-        # the stacked draws must give exactly the instance of _draw_instance,
-        # also in the second slot of a block; tol = -1 records every check
+        # the stacked sweep must give exactly the Gram of the per-instance
+        # route on the search's instance, also in the second slot of a block;
+        # tol = -1 records every check
         from rpentropy.positivity import _draw_instance, _gram_spectrum, _pair_spectra
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
-from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _combine,
-                                 brute_force_reflected, marginals, mutual_information,
-                                 pair_spectrum, reflected_density, renyi_entropy,
-                                 twist_operators, von_neumann)
+from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _check_unitary, _combine,
+                                 _pair_spectrum, brute_force_reflected, marginals,
+                                 mutual_information, pair_spectrum, reflected_density,
+                                 renyi_entropy, twist_operators, von_neumann)
 from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
 
 SPLIT_CHOICES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (4, 3)]
@@ -41,10 +41,10 @@ class TestSubsystemSplit:
     def test_one_non_unitary_in_a_stack_raises(self):
         rng = np.random.default_rng(12)
         stack = np.array([haar_unitary(6, rng) for _ in range(4)])
-        assert SubsystemSplit(2, 3, stack).coeffs.shape == (4, 6, 2, 3)
+        _check_unitary(stack)
         stack[2, 0, 0] += 1e-8
         with pytest.raises(InvalidStateError, match="orthonormality"):
-            SubsystemSplit(2, 3, stack)
+            _check_unitary(stack)
 
     def test_stacked_haar_step_equals_single_draws(self):
         # one stacked Ginibre draw reads the stream as consecutive single
@@ -217,11 +217,9 @@ class TestPairSpectrum:
         states = [haar_state(6, rng) for _ in range(5)]
         pairs = [(SubsystemSplit.haar(2, 3, rng), SubsystemSplit.haar(3, 2, rng))
                  for _ in states]
-        stacked = pair_spectrum(
-            PurifiedState(dim=6, schmidt_values=np.array([p.schmidt_values for p in states]),
-                          eigenbasis=np.array([p.eigenbasis for p in states])),
-            SubsystemSplit(2, 3, np.array([si.coeffs for si, _ in pairs])),
-            SubsystemSplit(3, 2, np.array([sj.matrix for _, sj in pairs])))
+        stacked = _pair_spectrum(np.array([p.schmidt_values for p in states]),
+                                 np.array([si.matrix for si, _ in pairs]),
+                                 np.array([sj.matrix for _, sj in pairs]), (2, 3), (3, 2))
         assert stacked.shape == (5, 6)
         for k, (psi, (si, sj)) in enumerate(zip(states, pairs)):
             assert np.array_equal(stacked[k], pair_spectrum(psi, si, sj))
@@ -230,10 +228,9 @@ class TestPairSpectrum:
         rng = np.random.default_rng(7)
         lam = np.array([haar_state(4, rng).schmidt_values for _ in range(3)])
         lam[1] *= 1 + 1e-6
-        split = SubsystemSplit(2, 2, np.array([haar_unitary(4, rng) for _ in range(3)]))
-        psi = PurifiedState(dim=4, schmidt_values=lam, eigenbasis=np.eye(4, dtype=complex))
+        mats = np.array([haar_unitary(4, rng) for _ in range(3)])
         with pytest.raises(InvalidStateError, match="sums to 1.000001"):
-            pair_spectrum(psi, split, split)
+            _pair_spectrum(lam, mats, mats, (2, 2), (2, 2))
 
     def test_reflected_density_at_d256(self):
         # the twist route needs 268 MB per split here and the brute-force
