@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modular import InvalidStateError, PurifiedState
-from .reflected import (SubsystemSplit, _check_unitary, _pair_spectrum, pair_spectrum,
-                        renyi_entropy, von_neumann)
+from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
+                        _pair_spectrum)
 from .sampling import ginibre, simplex_eigenvalues, trial_rng, unitary_from_ginibre
 # not called here: the benchmark's tracer patches these names on this module
-from .reflected import _combine, twist_operators  # noqa: F401
+from .reflected import _combine, renyi_entropy, twist_operators, von_neumann  # noqa: F401
 from .sampling import haar_unitary  # noqa: F401
 
 PSD_RELATIVE_TOL = 1e-10
@@ -34,6 +34,13 @@ TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
 # takes about 40 ms, against about 17 ms to start a fresh 2-worker pool, so
 # a tail under half a block joins the block before it.
 SWEEP_BLOCK_ENTRIES = 1 << 17
+# one stacked call of the search or of an entropy table holds at most this
+# many pair-matrix entries: a search block of trials, or the pairs of one
+# shape reduced together.  At 64 KB per complex temporary a stack stays in
+# cache and a search block's peak memory near a single trial's; at 3 x 2x2
+# a block holds 42 trials and runs as fast as blocks of the sweep's size,
+# and a 3 x 8x8 instance reduces one pair per call.
+STACK_ENTRIES = 1 << 12
 
 
 def _gram_spectrum(g):
@@ -71,22 +78,51 @@ class GramRecord:
         self.min_eigenvalue = float(eigvals[0])
 
 
-def _pair_spectra(psi: PurifiedState, splits: list[SubsystemSplit]) -> dict:
-    """Spectra of rho_{A_i Abar_j} over the split pairs i <= j, each reduced once.
+def _pair_groups(dims, size: int) -> list:
+    """The split pairs i <= j in runs of at most `size` pairs of one shape,
+    in first-seen order, as ((dims_i, dims_j), i indices, j indices)."""
+    groups = {}
+    for i in range(len(dims)):
+        for j in range(i, len(dims)):
+            rows_i, rows_j = groups.setdefault((tuple(dims[i]), tuple(dims[j])), ([], []))
+            rows_i.append(i)
+            rows_j.append(j)
+    return [(shapes, np.array(i[k:k + size]), np.array(j[k:k + size]))
+            for shapes, (i, j) in groups.items() for k in range(0, len(i), size)]
+
+
+def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
+    """Tables (..., m, m) of S_n(A_i Abar_j) (n = 1 is von Neumann) of the
+    instances with Schmidt values (..., d) and split matrices (..., m, d, d),
+    the splits shaped as dims; leading axes are a stack.
 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j} and has the same
-    spectrum, so the pairs j < i need no reduction of their own.
+    spectrum, so only the pairs i <= j are reduced.  Pairs of one shape share
+    a `_pair_spectrum` and an `_entropies` call, up to STACK_ENTRIES
+    pair-matrix entries per call.
     """
-    return {(i, j): pair_spectrum(psi, splits[i], splits[j])
-            for i in range(len(splits)) for j in range(i, len(splits))}
+    m, d = len(dims), schmidt.shape[-1]
+    table = np.empty(schmidt.shape[:-1] + (m, m))
+    size = max(1, STACK_ENTRIES // (schmidt[..., 0].size * d * d))
+    for (dims_i, dims_j), i, j in _pair_groups(dims, size):
+        eigs = _pair_spectrum(schmidt[..., None, :], mats[..., i, :, :], mats[..., j, :, :],
+                              dims_i, dims_j)
+        table[..., i, j] = table[..., j, i] = _entropies(eigs, n)
+    return table
+
+
+def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
+    """(Schmidt values, split matrices (m, d, d), split dims) of one instance."""
+    for split in splits:
+        _check_pair_dims(psi, split, split)
+    return (psi.schmidt_values, np.array([s.matrix for s in splits]),
+            [(s.dim_a, s.dim_b) for s in splits])
 
 
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs (n = 1 is von Neumann)."""
-    table = np.empty((len(splits), len(splits)))
-    for (i, j), eigs in _pair_spectra(psi, splits).items():
-        table[i, j] = table[j, i] = von_neumann(eigs) if n == 1 else renyi_entropy(eigs, n)
-    return table
+    schmidt, mats, dims = _instance_arrays(psi, splits)
+    return _entropy_tables(schmidt, mats, dims, n)
 
 
 def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
@@ -161,12 +197,14 @@ class DivisibilityRecord:
 
 
 def _checked_table(entropy_table) -> np.ndarray:
-    """The entropy table as a float array, once it is square, of size >= 2
-    and symmetric within SYMMETRY_TOL."""
+    """The entropy tables (..., m+1, m+1) as a float array, once they are
+    square, of size >= 2 and symmetric within SYMMETRY_TOL; leading axes are
+    a stack."""
     s = np.asarray(entropy_table, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 2:
         raise ValueError("entropy table must be square with size >= 2")
-    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL * max(1.0, np.abs(s).max()):
+    asymmetry = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(asymmetry > SYMMETRY_TOL * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))):
         raise InvalidStateError("entropy table asymmetric beyond tolerance")
     return s
 
@@ -196,6 +234,14 @@ def divisibility_matrix(entropy_table: np.ndarray,
                               b_from_mutual=b_mi, cross_check_dev=dev)
 
 
+def _ordering_dets(s: np.ndarray) -> tuple:
+    """(orderings, det B of the checked tables s (..., size, size) under
+    each ordering, shape (..., orderings)): one stacked det."""
+    perms = list(itertools.permutations(range(s.shape[-1])))
+    index = np.array(perms)
+    return perms, np.linalg.det(_second_differences(s[..., index[:, :, None], index[:, None, :]]))
+
+
 def divisibility_over_orderings(entropy_table: np.ndarray):
     """det B for every subsystem ordering; returns (worst det, ordering, all).
 
@@ -203,13 +249,9 @@ def divisibility_over_orderings(entropy_table: np.ndarray):
     over permutations is the strongest divisibility test for an instance.
     """
     s = np.asarray(entropy_table, dtype=float)
-    size = s.shape[0]
-    if size > 4:
+    if s.shape[0] > 4:
         raise ValueError("orderings report supported for up to 4 subsystems")
-    s = _checked_table(s)
-    perms = list(itertools.permutations(range(size)))
-    index = np.array(perms)
-    dets = np.linalg.det(_second_differences(s[index[:, :, None], index[:, None, :]]))
+    perms, dets = _ordering_dets(_checked_table(s))
     results = [(perm, float(det_b)) for perm, det_b in zip(perms, dets)]
     worst = min(results, key=lambda item: item[1])
     return worst[1], worst[0], results
@@ -339,16 +381,15 @@ def _draw_instance(cfg: SearchConfig, trial: int):
     return psi, splits
 
 
-def _serialize_instance(psi: PurifiedState, splits: list[SubsystemSplit]) -> dict:
+def _serialize_instance(schmidt: np.ndarray, eigenbasis: np.ndarray, dims,
+                        mats: np.ndarray) -> dict:
     from .serialize import encode_complex
 
     return {
-        "eigenvalues": psi.schmidt_values.tolist(),
-        "eigenbasis": encode_complex(psi.eigenbasis),
-        "splits": [{
-            "dim_a": s.dim_a, "dim_b": s.dim_b,
-            "coeffs": encode_complex(s.matrix),
-        } for s in splits],
+        "eigenvalues": schmidt.tolist(),
+        "eigenbasis": encode_complex(eigenbasis),
+        "splits": [{"dim_a": da, "dim_b": db, "coeffs": encode_complex(mat)}
+                   for (da, db), mat in zip(dims, mats)],
     }
 
 
@@ -364,53 +405,89 @@ def _instance_from_dict(data: dict):
     return psi, splits
 
 
-def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
-                     splits: list[SubsystemSplit]) -> dict:
-    """Normalized slack of the configured inequality (negative = violation)."""
+def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) -> dict:
+    """The configured inequality on a block of instances: Schmidt values
+    (N, d) and unitary split matrices (N, m, d, d), split as cfg.dims.
+
+    Returns the report fields as arrays indexed by instance, "slack" (the
+    normalized slack, negative = violation) first; `_payload` turns one
+    instance's into its result dict.
+    """
     if cfg.target != "schur_s_fraction":
         # entropy_n1 weighs von Neumann entropies by lam; integer_n is the
         # proven case lam = n - 1
-        record = (gram_matrix(psi, splits, n=1, lam=cfg.lam) if cfg.target == "entropy_n1"
-                  else gram_matrix(psi, splits, n=cfg.n))
-        return {"slack": record.min_eigenvalue / record.scale,
-                "gram": record.entries.tolist(),
-                "entropy_table": record.entropy_table.tolist(),
-                "min_eigenvalue": record.min_eigenvalue}
+        n, lam = (1, cfg.lam) if cfg.target == "entropy_n1" else (cfg.n, float(cfg.n - 1))
+        table = _entropy_tables(schmidt, mats, cfg.dims, n)
+        gram, scale, eigvals, _ = _gram_spectrum(np.exp(-lam * table))
+        return {"slack": eigvals[:, 0] / scale, "gram": gram, "entropy_table": table,
+                "min_eigenvalue": eigvals[:, 0]}
     # schur_s_fraction: infinite divisibility through the lam -> 0 expansion
-    table = entropy_table(psi, splits, n=cfg.n)
-    m = table.shape[0] - 1
-    record = divisibility_matrix(table)
-    det_fixed = record.det_b
-    if table.shape[0] <= 4:
-        det_best, ordering, _ = divisibility_over_orderings(table)
+    table = _checked_table(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
+    size = table.shape[-1]
+    b = _second_differences(table)
+    det_fixed = np.linalg.det(b)
+    if size <= 4:
+        perms, dets = _ordering_dets(table)
+        worst = np.argmin(dets, axis=-1)
+        det_best, ordering = dets[np.arange(len(dets)), worst], np.array(perms)[worst]
     else:
-        det_best, ordering = det_fixed, tuple(range(table.shape[0]))
-    # the scale floor keeps roundoff on near-degenerate tables (B ~ 0) from
-    # masquerading as violations
-    b_scale = max(np.linalg.norm(record.b_matrix) ** m, 1e-12)
-    out = {"slack": det_best / b_scale,
-           "det_b": det_fixed, "det_b_best": det_best,
-           "best_ordering": list(ordering),
-           "entropy_table": table.tolist()}
+        det_best, ordering = det_fixed, np.tile(np.arange(size), (len(table), 1))
+    # ||B||_F as the dot product np.linalg.norm takes; the scale floor keeps
+    # roundoff on near-degenerate tables (B ~ 0) from masquerading as violations
+    flat = b.reshape(len(b), -1)
+    b_norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    out = {"slack": det_best / np.maximum(b_norm ** (size - 1), 1e-12),
+           "det_b": det_fixed, "det_b_best": det_best, "best_ordering": ordering,
+           "entropy_table": table}
     if cfg.literal_s is not None:
         _, scale, eigvals, _ = _gram_spectrum(np.exp(-cfg.literal_s * (cfg.n - 1) * table))
-        out["literal_s_min_eigenvalue"] = float(eigvals[0])
-        out["literal_s_slack"] = float(eigvals[0] / scale)
+        out["literal_s_min_eigenvalue"] = eigvals[:, 0]
+        out["literal_s_slack"] = eigvals[:, 0] / scale
     return out
 
 
-def run_trial(cfg: SearchConfig, trial: int) -> dict:
-    psi, splits = _draw_instance(cfg, trial)
-    result = _evaluate_target(cfg, psi, splits)
-    result["trial"] = cfg.trial_offset + trial
-    if result["slack"] < -cfg.tolerance:
-        result["instance"] = _serialize_instance(psi, splits)
-    return result
+def _payload(fields: dict, k: int) -> dict:
+    """The result dict of instance k of an `_evaluate_block` output."""
+    return {key: value[k].tolist() for key, value in fields.items()}
 
 
-def _run_trials(args) -> list:
+def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
+                     splits: list[SubsystemSplit]) -> dict:
+    """Normalized slack of the configured inequality (negative = violation)
+    on one instance, whose splits must be shaped as cfg.dims."""
+    schmidt, mats, dims = _instance_arrays(psi, splits)
+    if dims != cfg.dims:
+        raise ValueError(f"splits {dims} do not match the configured dims {cfg.dims}")
+    return _payload(_evaluate_block(cfg, schmidt[None], mats[None]), 0)
+
+
+def _search_chunk(args) -> tuple:
+    """(slacks, violations) of a contiguous run of trials.
+
+    The run is evaluated in blocks of at most STACK_ENTRIES pair-matrix
+    entries (at least one trial), so memory is bounded for any trial count
+    and split size.  Python only draws, trial by trial through `_draw_raw`;
+    the Haar step, its unitarity check and `_evaluate_block` take the block
+    as one stack.  Payloads are built for violating trials only.
+    """
     trials, _, cfg = args
-    return [run_trial(cfg, t) for t in trials]
+    m, d = len(cfg.dims), cfg.dim
+    size = max(1, STACK_ENTRIES // (m * (m + 1) // 2 * d * d))
+    slacks, violations = [], []
+    for first in range(0, len(trials), size):
+        block = trials[first:first + size]
+        draws = [_draw_raw(cfg.master_seed, cfg.trial_offset + t, cfg.dims) for t in block]
+        schmidt = np.array([lam for lam, _ in draws])
+        u = unitary_from_ginibre(np.array([z for _, z in draws]))
+        _check_unitary(u)
+        fields = _evaluate_block(cfg, schmidt, u[:, 1:])
+        slacks.append(fields["slack"])
+        for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
+            result = _payload(fields, k)
+            result["trial"] = cfg.trial_offset + block[k]
+            result["instance"] = _serialize_instance(schmidt[k], u[k, 0], cfg.dims, u[k, 1:])
+            violations.append(result)
+    return np.concatenate(slacks), violations
 
 
 def _pool_map(worker, items, jobs: int, *args) -> list:
@@ -435,25 +512,17 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """Randomized search for violations of the configured inequality.
 
     Each trial derives its own stream from (master_seed, trial index), so any
-    execution schedule (including parallel chunks) produces the identical
-    report after the deterministic merge.  Exhausting the budget without a
-    violation is a normal outcome, reported with the trial count; with
-    refine_iterations > 0 a seeded descent then pushes the best sweep
-    instance toward the violating region.
+    execution schedule (including parallel chunks and any block boundaries)
+    produces the identical report after the deterministic merge.  Exhausting
+    the budget without a violation is a normal outcome, reported with the
+    trial count; with refine_iterations > 0 a seeded descent then pushes the
+    best sweep instance toward the violating region.
     """
-    results = [r for batch in _pool_map(_run_trials, range(cfg.trials), jobs, cfg)
-               for r in batch]
-    violations = []
-    min_slack = np.inf
-    min_trial = -1
-    slacks = np.empty(len(results))
-    for idx, result in enumerate(results):
-        slacks[idx] = result["slack"]
-        if result["slack"] < min_slack:
-            min_slack = result["slack"]
-            min_trial = result["trial"]
-        if "instance" in result:
-            violations.append(result)
+    parts = _pool_map(_search_chunk, range(cfg.trials), jobs, cfg)
+    slacks = np.concatenate([part_slacks for part_slacks, _ in parts])
+    violations = [result for _, found in parts for result in found]
+    best = int(np.argmin(slacks))
+    min_slack, min_trial = float(slacks[best]), cfg.trial_offset + best
     quantiles = {f"q{int(100 * q):02d}": float(np.quantile(slacks, q))
                  for q in (0.0, 0.01, 0.1, 0.5, 1.0)}
     refine_used = 0
@@ -474,27 +543,19 @@ def _refine(cfg: SearchConfig, start_trial: int):
     random small unitary; only improvements are kept and the move scale
     shrinks after repeated rejections.  The state eigenbasis is irrelevant to
     every target (only the spectrum and the splits enter), so it stays fixed.
-    Returns a violation payload once the slack clears -10 * tolerance.
+    Each move is one `_evaluate_block` call on one instance.  Returns a
+    violation payload once the slack clears -10 * tolerance.
     """
     rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
-    seed_cfg = SearchConfig(dims=cfg.dims, trials=1, master_seed=cfg.master_seed,
-                            target=cfg.target, tolerance=cfg.tolerance, lam=cfg.lam,
-                            n=cfg.n, literal_s=cfg.literal_s,
-                            trial_offset=start_trial)
-    psi, splits = _draw_instance(seed_cfg, 0)
+    lam, z = _draw_raw(cfg.master_seed, start_trial, cfg.dims)
+    lam, betas = lam.copy(), unitary_from_ginibre(z)[1:]
+    _check_unitary(betas)
     d = cfg.dim
-    lam = psi.schmidt_values.copy()
-    betas = [s.matrix.copy() for s in splits]
 
     def evaluate(lam_vec, beta_mats):
-        state = PurifiedState(dim=d, schmidt_values=np.sort(lam_vec)[::-1],
-                              eigenbasis=np.eye(d, dtype=complex))
-        sub = [SubsystemSplit(dim_a=a, dim_b=b, coeffs=mat)
-               for (a, b), mat in zip(cfg.dims, beta_mats)]
-        return _evaluate_target(cfg, state, sub), state, sub
+        return _evaluate_block(cfg, np.sort(lam_vec)[::-1][None], beta_mats[None])
 
-    current, _, _ = evaluate(lam, betas)
-    cur_slack = current["slack"]
+    cur_slack = evaluate(lam, betas)["slack"][0]
     target_slack = -10.0 * cfg.tolerance
     scale = cfg.refine_scale
     stall = 0
@@ -512,18 +573,21 @@ def _refine(cfg: SearchConfig, start_trial: int):
             h = 0.5 * (h + h.conj().T)
             w, v = np.linalg.eigh(h)
             rot = (v * np.exp(1j * scale * w)) @ v.conj().T
-            betas_new = [b.copy() for b in betas]
-            betas_new[which - 1] = rot @ betas_new[which - 1]
-        result, state, sub = evaluate(lam_new, betas_new)
-        if result["slack"] < cur_slack:
-            cur_slack = result["slack"]
+            betas_new = betas.copy()
+            betas_new[which - 1] = rot @ betas[which - 1]
+            _check_unitary(betas_new[which - 1])
+        fields = evaluate(lam_new, betas_new)
+        if fields["slack"][0] < cur_slack:
+            cur_slack = fields["slack"][0]
             lam, betas = lam_new, betas_new
             stall = 0
             if cur_slack < target_slack:
+                result = _payload(fields, 0)
                 result["trial"] = start_trial
                 result["refined"] = True
                 result["refine_iterations"] = it + 1
-                result["instance"] = _serialize_instance(state, sub)
+                result["instance"] = _serialize_instance(
+                    np.sort(lam)[::-1], np.eye(d, dtype=complex), cfg.dims, betas)
                 return result, it + 1
         else:
             stall += 1
@@ -534,14 +598,18 @@ def _refine(cfg: SearchConfig, start_trial: int):
 
 
 def verify_witness(witness: dict, target: str, tolerance: float = COUNTEREXAMPLE_TOL,
-                   lam: float = 1.0, n: int = 2) -> float:
-    """Re-evaluate a stored violating instance; returns the recomputed slack."""
+                   lam: float = 1.0, n: int | None = None) -> float:
+    """Re-evaluate a stored violating instance; returns the recomputed slack.
+
+    n defaults as in the search CLI: 2 for integer_n, otherwise 1.
+    """
+    if n is None:
+        n = 2 if target == "integer_n" else 1
     psi, splits = _instance_from_dict(witness["instance"])
     cfg = SearchConfig(dims=[(s.dim_a, s.dim_b) for s in splits], trials=1,
                        master_seed=0, target=target, tolerance=tolerance,
                        lam=lam, n=n)
-    result = _evaluate_target(cfg, psi, splits)
-    return result["slack"]
+    return _evaluate_target(cfg, psi, splits)["slack"]
 
 
 @dataclass
@@ -636,26 +704,36 @@ def _sweep_block(block, n_values, master_seed: int, offset: int):
     # each instance's Gram entries are a row-major m x m run of `entries`
     sizes = np.array([len(dims) for _, dims in block])
     starts = np.concatenate(([0], np.cumsum(sizes ** 2)))
-    groups = defaultdict(lambda: ([], [], [], [], []))
-    for (_, dims), (row, col), start in zip(block, slots, starts.tolist()):
-        m = len(dims)
-        for i in range(m):
-            for j in range(i, m):
-                rows, cols_i, cols_j, at_ij, at_ji = groups[dims[i], dims[j]]
-                rows.append(row)
-                cols_i.append(col + i)
-                cols_j.append(col + j)
-                at_ij.append(start + i * m + j)
-                at_ji.append(start + j * m + i)
+    # a code per split shape; a pair's group is (code_i, code_j), and its
+    # indices come from each instance's slots by index arithmetic per m
+    shapes = {}
+    codes = np.array([shapes.setdefault(tuple(split), len(shapes))
+                      for _, dims in block for split in dims])
+    first_split = np.cumsum(sizes) - sizes
+    row_of, col_of = np.array(slots).T
+    parts = []
+    for m in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == m)
+        i, j = np.triu_indices(m)
+        code = codes[first_split[members, None] + np.arange(m)]
+        row, col, start = row_of[members, None], col_of[members, None], starts[members, None]
+        parts.append(np.stack(np.broadcast_arrays(
+            code[:, i] * len(shapes) + code[:, j], row, col + i, col + j,
+            start + i * m + j, start + j * m + i)).reshape(6, -1))
+    key, rows, cols_i, cols_j, at_ij, at_ji = np.concatenate(parts, axis=1)
+    order = np.argsort(key, kind="stable")
+    shape_of = list(shapes)
     entries = np.empty((starts[-1], len(n_values)))
-    for (dims_i, dims_j), (rows, cols_i, cols_j, at_ij, at_ji) in groups.items():
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        code_i, code_j = divmod(int(key[group[0]]), len(shapes))
+        dims_i, dims_j = shape_of[code_i], shape_of[code_j]
         d = dims_i[0] * dims_i[1]
-        eigs = _pair_spectrum(schmidt[d][rows], unitaries[d][cols_i], unitaries[d][cols_j],
-                              dims_i, dims_j)
+        eigs = _pair_spectrum(schmidt[d][rows[group]], unitaries[d][cols_i[group]],
+                              unitaries[d][cols_j[group]], dims_i, dims_j)
         # a scalar exponent squares exactly at n = 2, where a broadcast power
         # array can miss by an ulp
         for c, n in enumerate(n_values):
-            entries[at_ij, c] = entries[at_ji, c] = (eigs ** n).sum(axis=-1)
+            entries[at_ij[group], c] = entries[at_ji[group], c] = (eigs ** n).sum(axis=-1)
 
     min_eigs = np.empty((len(block), len(n_values)))
     scales = np.empty_like(min_eigs)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .modular import DensityMatrix, InvalidStateError, PurifiedState
 
@@ -266,6 +265,34 @@ def _eigenvalues_of(state) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
+def _entropies(eigs: np.ndarray, n: int) -> np.ndarray:
+    """S_n of each spectrum along the last axis of eigs (..., k); n = 1 is
+    von Neumann.  Zero eigenvalues are masked: 0 log 0 = 0, and they add
+    nothing to tr rho^n.
+
+    tr rho^n is summed in log space, shifted by its largest term, which is
+    split off and added back through log1p, so tiny eigenvalues neither
+    underflow nor cost digits of the leading one.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    low = eigs.min()
+    if low < PSD_FLOOR:
+        raise InvalidStateError(f"negative eigenvalue {low:.3e} in entropy input")
+    positive = eigs > 0
+    logs = np.log(np.where(positive, eigs, 1.0))
+    if n == 1:
+        return -np.sum(np.where(positive, eigs * logs, 0.0), axis=-1)
+    if not positive.any(axis=-1).all():
+        raise InvalidStateError("no positive eigenvalues: trace power vanished")
+    terms = np.where(positive, n * logs, -np.inf)
+    top = terms.max(axis=-1, keepdims=True)
+    is_top = terms == top
+    count = is_top.sum(axis=-1, keepdims=True).astype(float)
+    rest = np.exp(np.where(is_top, -np.inf, terms) - top).sum(axis=-1, keepdims=True)
+    log_trace_n = (np.log1p(rest / count) + np.log(count) + top)[..., 0]
+    return -log_trace_n / (n - 1)
+
+
 def renyi_entropy(state, n: int) -> float:
     """Renyi entropy -log(tr rho^n)/(n-1) in nats, from eigenvalues.
 
@@ -276,23 +303,12 @@ def renyi_entropy(state, n: int) -> float:
         raise ValueError("Renyi index must be >= 1")
     if n == 1:
         return von_neumann(state)
-    eigs = _eigenvalues_of(state)
-    if eigs.min() < PSD_FLOOR:
-        raise InvalidStateError(f"negative eigenvalue {eigs.min():.3e} in entropy input")
-    eigs = eigs[eigs > 0]
-    if eigs.size == 0:
-        raise InvalidStateError("no positive eigenvalues: trace power vanished")
-    log_trace_n = logsumexp(n * np.log(eigs))
-    return float(-log_trace_n / (n - 1))
+    return float(_entropies(_eigenvalues_of(state), n))
 
 
 def von_neumann(state) -> float:
     """Von Neumann entropy -tr(rho log rho) in nats, with 0 log 0 = 0."""
-    eigs = _eigenvalues_of(state)
-    if eigs.min() < PSD_FLOOR:
-        raise InvalidStateError(f"negative eigenvalue {eigs.min():.3e} in entropy input")
-    eigs = eigs[eigs > 0]
-    return float(-np.sum(eigs * np.log(eigs)))
+    return float(_entropies(_eigenvalues_of(state), 1))
 
 
 def mutual_information(s_a: float, s_b: float, s_ab: float) -> float:

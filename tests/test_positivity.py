@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpentropy import positivity
-from rpentropy.modular import DensityMatrix, InvalidStateError, purify
+from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   counterexample_search, divisibility_matrix,
                                   divisibility_over_orderings, entropy_table,
                                   gram_matrix, schur_power, theorem_sweep,
                                   theorem_sweep_parallel, three_set_inequality,
                                   verify_witness)
-from rpentropy.reflected import SubsystemSplit
-from rpentropy.sampling import random_density
+from rpentropy.reflected import SubsystemSplit, pair_spectrum, renyi_entropy, von_neumann
+from rpentropy.sampling import haar_unitary, random_density
 
 
 def random_gram(seed, m1=3, n=2, d_a=2, d_b=2):
@@ -311,8 +311,8 @@ class TestSearch:
     def test_literal_fractional_power_reported(self):
         cfg = SearchConfig(dims=[(2, 2)] * 3, trials=3, master_seed=1,
                            target="schur_s_fraction", n=2, literal_s=0.25)
-        from rpentropy.positivity import run_trial
-        result = run_trial(cfg, 0)
+        from rpentropy.positivity import _draw_instance, _evaluate_target
+        result = _evaluate_target(cfg, *_draw_instance(cfg, 0))
         assert "literal_s_min_eigenvalue" in result
 
     def test_detb_witness_breaks_literal_fractional_powers(self):
@@ -341,6 +341,180 @@ class TestSearch:
             SearchConfig(dims=[(2, 2)] * 2, trials=1, master_seed=0, target="bogus")
         with pytest.raises(ValueError, match="trials"):
             SearchConfig(dims=[(2, 2)] * 2, trials=0, master_seed=0)
+
+
+class TestBatchedSearch:
+    """The search evaluates blocks of trials as one stack; every trial must
+    come out exactly as its own N = 1 evaluation."""
+
+    CASES = {
+        "entropy-mixed": dict(dims=[(2, 3), (3, 2), (2, 3)], target="entropy_n1", lam=0.7),
+        "integer-mixed": dict(dims=[(2, 3), (3, 2), (2, 3)], target="integer_n", n=3),
+        "detb-mixed": dict(dims=[(2, 3), (3, 2), (2, 3)], target="schur_s_fraction", n=1),
+        "literal-s": dict(dims=[(2, 4), (4, 2), (2, 4)], target="schur_s_fraction", n=2,
+                          literal_s=0.5),
+        "entropy-8x2": dict(dims=[(8, 2)] * 3, target="entropy_n1"),
+        "detb-8x2": dict(dims=[(8, 2)] * 3, target="schur_s_fraction", n=2),
+        "detb-five": dict(dims=[(2, 2)] * 5, target="schur_s_fraction", n=1),
+        "entropy-five": dict(dims=[(2, 2)] * 5, target="entropy_n1"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_search_equals_per_trial_evaluation(self, name):
+        # a tolerance of -10 counts every trial as a violation, so every
+        # payload is compared
+        from rpentropy.positivity import _draw_instance, _evaluate_target, _instance_from_dict
+        cfg = SearchConfig(trials=9, master_seed=31, trial_offset=5, tolerance=-10.0,
+                           **self.CASES[name])
+        report = counterexample_search(cfg)
+        assert len(report.violations) == cfg.trials
+        for t, result in enumerate(report.violations):
+            psi, splits = _draw_instance(cfg, t)
+            expected = _evaluate_target(cfg, psi, splits)
+            expected["trial"] = cfg.trial_offset + t
+            instance = result.pop("instance")
+            assert result == expected
+            stored_psi, stored_splits = _instance_from_dict(instance)
+            assert np.array_equal(stored_psi.schmidt_values, psi.schmidt_values)
+            assert np.array_equal(stored_psi.eigenbasis, psi.eigenbasis)
+            for stored, split in zip(stored_splits, splits):
+                assert np.array_equal(stored.matrix, split.matrix)
+            if len(cfg.dims) > 4 and cfg.target == "schur_s_fraction":
+                # past four subsystems the orderings report is skipped
+                assert result["best_ordering"] == list(range(5))
+                assert result["det_b_best"] == result["det_b"]
+        slacks = [r["slack"] for r in report.violations]
+        assert report.min_slack == min(slacks)
+        assert report.min_slack_trial == cfg.trial_offset + slacks.index(min(slacks))
+
+    @pytest.mark.parametrize("target,n", [("entropy_n1", 1), ("integer_n", 2),
+                                          ("schur_s_fraction", 1), ("schur_s_fraction", 3)])
+    def test_block_equals_single_instances_on_exact_zero_spectra(self, target, n):
+        # identity splits make 8x2/8x2 pair spectra with exact zeros, which
+        # the stacked entropies mask
+        from rpentropy.positivity import (_draw_instance, _evaluate_block, _evaluate_target,
+                                          _payload)
+        cfg = SearchConfig(dims=[(8, 2)] * 3, trials=4, master_seed=8, target=target, n=n,
+                           literal_s=0.3 if target == "schur_s_fraction" else None)
+        axis = SubsystemSplit.axis(8, 2)
+        instances = [_draw_instance(cfg, t) for t in range(cfg.trials)]
+        instances = [(psi, [axis, splits[1], axis]) for psi, splits in instances]
+        assert (pair_spectrum(instances[0][0], axis, axis) == 0).any()
+        fields = _evaluate_block(cfg, np.array([psi.schmidt_values for psi, _ in instances]),
+                                 np.array([[s.matrix for s in splits] for _, splits in instances]))
+        for k, (psi, splits) in enumerate(instances):
+            assert _payload(fields, k) == _evaluate_target(cfg, psi, splits)
+
+    def test_report_exact_across_jobs_and_blocks(self, monkeypatch):
+        # trials 2960..2999 of seed 2024 hold the entropy witness at 2985
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=40, master_seed=2024, trial_offset=2960)
+        reference = json.dumps(counterexample_search(cfg).to_dict(), sort_keys=True)
+        assert [v["trial"] for v in json.loads(reference)["violations"]] == [2985]
+        # a 3 x 2x2 trial has 6 pairs of 16 entries: the default budget holds
+        # 42 trials in a block, 1 gives blocks of one trial and one pair per
+        # call, 500 blocks of five trials
+        for entries in (positivity.STACK_ENTRIES, 1, 500):
+            monkeypatch.setattr(positivity, "STACK_ENTRIES", entries)
+            for jobs in (1, 2, 3):
+                report = counterexample_search(cfg, jobs=jobs).to_dict()
+                assert json.dumps(report, sort_keys=True) == reference
+
+    def test_blocks_stay_within_the_budget(self, monkeypatch):
+        sizes = []
+        evaluate = positivity._evaluate_block
+
+        def recording(cfg, schmidt, mats):
+            sizes.append(len(schmidt))
+            return evaluate(cfg, schmidt, mats)
+
+        monkeypatch.setattr(positivity, "_evaluate_block", recording)
+        monkeypatch.setattr(positivity, "STACK_ENTRIES", 1000)
+        # 96 entries per 3 x 2x2 trial: 10 trials per block
+        counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=45, master_seed=1))
+        assert sizes == [10, 10, 10, 10, 5]
+        # a trial over the whole budget still runs, one per block
+        sizes.clear()
+        counterexample_search(SearchConfig(dims=[(4, 4)] * 3, trials=3, master_seed=1))
+        assert sizes == [1, 1, 1]
+
+    def test_non_unitary_draws_raise(self, monkeypatch):
+        make = positivity.unitary_from_ginibre
+        monkeypatch.setattr(positivity, "unitary_from_ginibre", lambda z: make(z) * (1 + 1e-6))
+        with pytest.raises(InvalidStateError, match="orthonormality"):
+            counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=5, master_seed=1))
+
+    def test_every_refine_rotation_is_checked(self, monkeypatch):
+        shapes = []
+        check = positivity._check_unitary
+
+        def recording(mat):
+            shapes.append(mat.shape)
+            check(mat)
+
+        monkeypatch.setattr(positivity, "_check_unitary", recording)
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=20, master_seed=7,
+                           target="schur_s_fraction", refine_iterations=50)
+        counterexample_search(cfg)
+        # the block's stack, the descent's start, then each rotated split
+        assert shapes[:2] == [(20, 4, 4, 4), (3, 4, 4)]
+        assert len(shapes) > 10 and set(shapes[2:]) == {(4, 4)}
+
+    def test_verify_witness_defaults_to_the_search_n(self):
+        # the stored det-B witness was found at the search's default n = 1
+        import os
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "detb_witness.json")
+        with open(fixture) as handle:
+            data = json.load(handle)
+        assert data["n"] == 1
+        witness = data["violation"]
+        slack = verify_witness(witness, target="schur_s_fraction")
+        # the fixture predates the singular-value kernel: agreement to 1e-9
+        assert slack == pytest.approx(witness["slack"], rel=1e-9)
+        assert slack == verify_witness(witness, target="schur_s_fraction", n=1)
+        assert (verify_witness(witness, target="integer_n")
+                == verify_witness(witness, target="integer_n", n=2))
+
+    def test_entropy_tables_exact_across_call_sizes(self, monkeypatch):
+        # one call per pair, runs of a few pairs and whole shape groups give
+        # the same tables; the 3 x 8x8 instance reduces one pair per call
+        from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_groups
+        assert [len(i) for _, i, _ in _pair_groups([(8, 8)] * 3, 1)] == [1] * 6
+        for dims in ([(2, 3), (3, 2), (2, 3), (3, 2)], [(8, 8)] * 3):
+            cfg = SearchConfig(dims=dims, trials=3, master_seed=4)
+            drawn = [_draw_instance(cfg, t) for t in range(cfg.trials)]
+            schmidt = np.array([psi.schmidt_values for psi, _ in drawn])
+            mats = np.array([[s.matrix for s in splits] for _, splits in drawn])
+            reference = _entropy_tables(schmidt, mats, dims, 2)
+            for entries in (1, 100, 1 << 20):
+                monkeypatch.setattr(positivity, "STACK_ENTRIES", entries)
+                assert np.array_equal(_entropy_tables(schmidt, mats, dims, 2), reference)
+                assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, 2),
+                                      reference[1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
+                            [(4, 4), (2, 8), (8, 2)], [(8, 8), (16, 4)]]),
+           st.floats(0.0, 12.0), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+    def test_entropy_tables_equal_per_pair_entropies(self, dims, decades, seed, n):
+        # Schmidt spectra spread over up to 12 decades, below the sampler's
+        # 1e-6 redraw floor; a stack of three instances against per-pair
+        # calls, and each pair j < i is its reflection's entry
+        from rpentropy.positivity import _entropy_tables
+        rng = np.random.default_rng(seed)
+        d = dims[0][0] * dims[0][1]
+        schmidt = np.sort(np.logspace(0, -decades, d) * rng.uniform(0.5, 1.0, (3, d)))[:, ::-1]
+        schmidt /= schmidt.sum(axis=-1, keepdims=True)
+        mats = np.array([[haar_unitary(d, rng) for _ in dims] for _ in range(3)])
+        tables = _entropy_tables(schmidt, mats, dims, n)
+        for k in range(3):
+            psi = PurifiedState(dim=d, schmidt_values=schmidt[k], eigenbasis=np.eye(d))
+            splits = [SubsystemSplit(dim_a=a, dim_b=b, coeffs=mat)
+                      for (a, b), mat in zip(dims, mats[k])]
+            for i in range(len(dims)):
+                for j in range(i, len(dims)):
+                    eigs = pair_spectrum(psi, splits[i], splits[j])
+                    expected = von_neumann(eigs) if n == 1 else renyi_entropy(eigs, n)
+                    assert tables[k, i, j] == tables[k, j, i] == expected
 
 
 class TestTheoremSweep:
@@ -391,13 +565,16 @@ class TestTheoremSweep:
         # the stacked sweep must give exactly the Gram of the per-instance
         # route on the search's instance, also in the second slot of a block;
         # tol = -1 records every check
-        from rpentropy.positivity import _draw_instance, _gram_spectrum, _pair_spectra
+        from rpentropy.positivity import _draw_instance, _gram_spectrum
+        from rpentropy.reflected import pair_spectrum
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,
                               tol=-1.0, trial_offset=4)
         cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
                            trial_offset=5)
-        spectra = _pair_spectra(*_draw_instance(cfg, 0))
+        psi, splits = _draw_instance(cfg, 0)
+        spectra = {(i, j): pair_spectrum(psi, splits[i], splits[j])
+                   for i in range(3) for j in range(i, 3)}
         recorded = [v for v in sweep.violations if v["instance"] == 5]
         assert [v["n"] for v in recorded] == n_values
         for n, violation in zip(n_values, recorded):

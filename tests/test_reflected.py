@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _check_unitary, _combine,
-                                 _pair_spectrum, brute_force_reflected, marginals,
+                                 _entropies, _pair_spectrum, brute_force_reflected, marginals,
                                  mutual_information, pair_spectrum, reflected_density,
                                  renyi_entropy, twist_operators, von_neumann)
 from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
@@ -309,3 +309,44 @@ class TestEntropies:
         lam = np.array(weights) / np.sum(weights)
         direct = -np.log(np.sum(lam ** n)) / (n - 1)
         assert renyi_entropy(np.diag(lam), n) == pytest.approx(direct, rel=1e-10)
+
+    def test_stacked_entropies_equal_per_spectrum_calls(self):
+        # exact zeros are masked per row, also in rows of 8 and more, where
+        # they would change numpy's pairwise summation if they were dropped
+        rng = np.random.default_rng(12)
+        for k in (4, 9, 16):
+            eigs = rng.dirichlet(np.ones(k), size=(5, 3))
+            eigs[eigs < 0.5 / k] = 0.0
+            assert (eigs == 0).any()
+            for n in (1, 2, 3):
+                stacked = _entropies(eigs, n)
+                assert stacked.shape == (5, 3)
+                for row, value in zip(eigs.reshape(-1, k), stacked.ravel()):
+                    single = von_neumann(row) if n == 1 else renyi_entropy(row, n)
+                    assert value == single
+
+    def test_stacked_entropy_checks(self):
+        eigs = np.full((3, 4), 0.25)
+        eigs[2] = [1.0, 0.0, 0.0, -1e-9]
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            _entropies(eigs, 2)
+        eigs[2] = 0.0
+        with pytest.raises(InvalidStateError, match="no positive eigenvalues"):
+            _entropies(eigs, 3)
+        assert _entropies(eigs, 1)[2] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-12.0, 0.0), min_size=1, max_size=24),
+           st.lists(st.booleans(), min_size=24, max_size=24), st.integers(2, 6))
+    def test_log_sum_exp_matches_scipy(self, exponents, zeros, n):
+        # spectra down to 1e-12, with exact zeros: the numpy kernel against
+        # scipy's logsumexp over the positive eigenvalues
+        from scipy.special import logsumexp
+        lam = 10.0 ** np.array(exponents)
+        lam[np.array(zeros[:lam.size]) & (np.arange(lam.size) > 0)] = 0.0
+        lam = lam / lam.sum()
+        positive = lam[lam > 0]
+        expected = -logsumexp(n * np.log(positive)) / (n - 1)
+        assert renyi_entropy(lam, n) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+        assert von_neumann(lam) == pytest.approx(-np.sum(positive * np.log(positive)),
+                                                 rel=1e-13, abs=1e-15)
