@@ -223,6 +223,17 @@ def cmd_search(opts, argv) -> int:
 
 # -------------------------------------------------------------------- fermion
 
+def _random_intervals(rng, p: int, lo: float, hi: float, gap: float, cutoff: float):
+    """p intervals with endpoints uniform on [lo, hi], redrawn until every two
+    neighbouring endpoints are at least `gap` apart."""
+    from .fermion import IntervalSet
+
+    pts = np.sort(rng.uniform(lo, hi, 2 * p))
+    while np.min(np.diff(pts)) < gap:
+        pts = np.sort(rng.uniform(lo, hi, 2 * p))
+    return IntervalSet(lefts=pts[0::2], rights=pts[1::2], cutoff=cutoff)
+
+
 def cmd_fermion(opts, argv) -> int:
     from . import fermion
 
@@ -238,14 +249,9 @@ def cmd_fermion(opts, argv) -> int:
         if any(s.num_intervals > 8 for s in test_sets):
             raise ConfigError("interval sets limited to 8 components (permutation sum)")
     else:
-        test_sets = []
-        for _ in range(opts["trials"]):
-            p = int(rng.integers(1, opts["max_components"] + 1))
-            pts = np.sort(rng.uniform(0.0, 10.0, 2 * p))
-            while np.min(np.diff(pts)) < 1e-3:
-                pts = np.sort(rng.uniform(0.0, 10.0, 2 * p))
-            test_sets.append(fermion.IntervalSet(lefts=pts[0::2], rights=pts[1::2],
-                                                 cutoff=cutoff))
+        test_sets = [_random_intervals(rng, int(rng.integers(1, opts["max_components"] + 1)),
+                                       0.0, 10.0, 1e-3, cutoff)
+                     for _ in range(opts["trials"])]
     rows = []
     worst = {"wick_cauchy": 0.0, "duality": 0.0, "vertex": 0.0}
     calib = fermion.IntervalSet.from_pairs([(1.0, 2.0)], cutoff=cutoff)
@@ -278,15 +284,9 @@ def cmd_fermion(opts, argv) -> int:
             witness_families.append(test_sets)
     else:
         for _ in range(opts["witness_trials"]):
-            sets = []
-            for _ in range(int(rng.integers(2, 4))):
-                p = int(rng.integers(1, 3))
-                pts = np.sort(rng.uniform(0.1, 20.0, 2 * p))
-                while np.min(np.diff(pts)) < 1e-2:
-                    pts = np.sort(rng.uniform(0.1, 20.0, 2 * p))
-                sets.append(fermion.IntervalSet(lefts=pts[0::2], rights=pts[1::2],
-                                                cutoff=cutoff))
-            witness_families.append(sets)
+            witness_families.append(
+                [_random_intervals(rng, int(rng.integers(1, 3)), 0.1, 20.0, 1e-2, cutoff)
+                 for _ in range(int(rng.integers(2, 4)))])
     witness_min = np.inf
     for sets in witness_families:
         table = fermion.witness_table(sets)

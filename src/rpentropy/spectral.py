@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import k0
+from scipy.special import k0, k0e
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,28 @@ def forward(density: SpectralDensity, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def _fit_kernel(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Fit kernel K_ij = K0(p_j x_i) over increasing x and p.
+
+    K0 is exactly 0.0 in double precision beyond p x ~ 742, so a momentum
+    with p x_min past that point gives an all-zero column that a fit would
+    silently drop; such a grid is refused, with the magnitude from k0e.
+    """
+    kernel = k0(np.outer(x, p))
+    dead = ~kernel.any(axis=0)
+    if np.any(dead):
+        first = p[dead][0]
+        arg = first * x[0]
+        log10_k0 = math.log10(k0e(arg)) - arg / math.log(10.0)
+        usable = (f"the largest usable p on this grid is {p[~dead][-1]:.6g}"
+                  if np.any(~dead) else "no p on this grid is usable")
+        raise ValueError(
+            f"K0 underflows to 0 for fit momentum p = {first:.6g} and above "
+            f"({int(dead.sum())} of {p.size} grid points): K0(p x_min) = "
+            f"K0({arg:.6g}) ~ 1e{log10_k0:.0f}; {usable}")
+    return kernel
+
+
 @dataclass
 class FitReport:
     residual: float
@@ -119,7 +141,7 @@ def fit_spectral(curve: EntropyCurve, p2_grid: np.ndarray,
         raise ValueError("fit grid must be positive and strictly increasing")
     y = curve.exponentials()
     p = np.sqrt(p2_grid)
-    kernel = k0(np.outer(curve.x, p))
+    kernel = _fit_kernel(curve.x, p)
     if ridge > 0:
         kernel_aug = np.vstack([kernel, math.sqrt(ridge) * np.eye(p.size)])
         y_aug = np.concatenate([y, np.zeros(p.size)])
@@ -248,7 +270,7 @@ def fit_power_density(curve: EntropyCurve, gamma_bounds: tuple[float, float] = (
     p_hi = margins[1] / curve.x.min()
     p2 = np.logspace(np.log10(p_lo ** 2), np.log10(p_hi ** 2), grid_points)
     quad = np.gradient(p2)
-    kernel = k0(np.outer(curve.x, np.sqrt(p2)))
+    kernel = _fit_kernel(curve.x, np.sqrt(p2))
     p_ref = math.sqrt(p_lo * p_hi)
 
     def predict(gamma: float) -> np.ndarray:

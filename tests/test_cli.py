@@ -140,6 +140,17 @@ class TestKl:
         assert not results["round_trip"]
         assert results["residual_relative"] <= 1e-3
 
+    def test_underflowing_fit_grid_exits_numerics(self, tmp_path, monkeypatch, capsys):
+        # kl's own grids stop at p x_min = 40, so the fit is handed a grid
+        # reaching past the K0 underflow at p x_min ~ 742
+        from rpentropy import spectral
+
+        fit = spectral.fit_spectral
+        monkeypatch.setattr(spectral, "fit_spectral", lambda curve, grid, ridge=0.0: fit(
+            curve, np.append(grid, (800.0 / curve.x.min()) ** 2), ridge=ridge))
+        assert run(tmp_path, "kl", "--seed", "1") == 2
+        assert "K0 underflows to 0" in capsys.readouterr().err
+
 
 class TestCft:
 

@@ -133,6 +133,22 @@ class TestFit:
         with pytest.raises(ValueError, match="increasing"):
             fit_spectral(curve, np.array([4.0, 1.0]))
 
+    def test_underflowing_kernel_column_refused(self):
+        # K0 is exactly 0.0 beyond ~742, so p = 800 / x_min gives an all-zero
+        # column that NNLS would silently drop
+        xs = np.logspace(-1, 0.7, 40)
+        curve = EntropyCurve(x=xs, s=np.log(xs) / 6, lam=1.0)
+        assert k0(800.0) == 0.0
+        usable = np.logspace(-2, 2, 60)
+        grid = np.append(usable, [7000.0 ** 2, 8000.0 ** 2, 9000.0 ** 2])
+        with pytest.raises(ValueError, match=r"p = 8000 and above \(2 of 63.*"
+                                             r"K0\(800\) ~ 1e-349.*largest usable p .* 7000$"):
+            fit_spectral(curve, grid)
+        # p x_min = 700 is tiny but nonzero: still a usable column
+        fit_spectral(curve, np.append(usable, 7000.0 ** 2))
+        with pytest.raises(ValueError, match="no p on this grid is usable"):
+            fit_spectral(curve, np.array([8000.0 ** 2, 9000.0 ** 2]))
+
 
 class TestDerivativeChecks:
 
@@ -225,6 +241,12 @@ class TestPowerLaw:
         curve = EntropyCurve(x=xs, s=np.log(xs) / 6, lam=6.0)
         fit = fit_power_density(curve)
         assert fit.gamma == pytest.approx(-1.0, rel=0.05)
+
+    def test_underflowing_kernel_column_refused(self):
+        xs = np.logspace(math.log10(0.3), math.log10(3.0), 60)
+        curve = EntropyCurve(x=xs, s=np.log(xs) / 6, lam=6.0)
+        with pytest.raises(ValueError, match="K0 underflows to 0.*largest usable p"):
+            fit_power_density(curve, margins=(0.03, 800.0))
 
     def test_free_form_exponent_is_coarse_but_sane(self):
         alpha = 1.5
