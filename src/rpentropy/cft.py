@@ -174,6 +174,13 @@ def z_point(x: float, y: float) -> float:
     return float(z)
 
 
+def _z_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z_point over arrays of pairs, bit for bit, degenerate pairs included."""
+    root = np.sqrt(x * y)
+    z = 2.0 * root / (1.0 + np.sqrt(1.0 - x) * np.sqrt(1.0 - y) + root)
+    return np.where(x == y, x, z)
+
+
 def check_midpoint_inequality(func: CrossRatioFunction, q: float, pairs,
                               tol: float = 1e-10) -> InequalityReport:
     """Two-point inequality G(x) G(y) >= G(z)^2 with G(u) = F(u)/(1-u)^q.
@@ -184,7 +191,7 @@ def check_midpoint_inequality(func: CrossRatioFunction, q: float, pairs,
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if np.any(pairs <= 0) or np.any(pairs >= 1):
         raise ValueError("pairs must lie strictly inside (0, 1)")
-    zs = np.array([z_point(x, y) for x, y in pairs])
+    zs = _z_points(pairs[:, 0], pairs[:, 1])
     g_x = _ratio(func, q, pairs[:, 0])
     g_y = _ratio(func, q, pairs[:, 1])
     g_z = _ratio(func, q, zs)

@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 usage/config error, 2 assertion or numerics failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .positivity import (COUNTEREXAMPLE_TOL, TARGETS, SearchConfig, counterexample_search,
-                         theorem_sweep_parallel)
+                         summarize, theorem_sweep_parallel)
 from .serialize import read_xy_csv, save_report, write_csv, write_fixture
 
 EXIT_OK = 0
@@ -255,9 +256,8 @@ def cmd_fermion(opts, argv) -> int:
     rows = []
     worst = {"wick_cauchy": 0.0, "duality": 0.0, "vertex": 0.0}
     calib = fermion.IntervalSet.from_pairs([(1.0, 2.0)], cutoff=cutoff)
-    vertex_const = {lam: fermion.gaussian_vertex_correlator(
-        fermion.ChargeConfiguration.from_intervals(calib, lam))
-        + lam * fermion.entropy(calib) for lam in lams}
+    vertex_const = {lam: log_v + lam * fermion.entropy(calib)
+                    for lam, log_v in zip(lams, fermion.vertex_log_correlators(calib, lams))}
     for t, intervals in enumerate(test_sets):
         p = intervals.num_intervals
         s_val = fermion.entropy(intervals)
@@ -267,9 +267,7 @@ def cmd_fermion(opts, argv) -> int:
         cauchy = fermion.correlator_cauchy(intervals)
         wick_dev = abs(wick - cauchy) / abs(cauchy)
         vertex_dev = 0.0
-        for lam in lams:
-            log_v = fermion.gaussian_vertex_correlator(
-                fermion.ChargeConfiguration.from_intervals(intervals, lam))
+        for lam, log_v in zip(lams, fermion.vertex_log_correlators(intervals, lams)):
             vertex_dev = max(vertex_dev,
                              abs(log_v + lam * s_val - p * vertex_const[lam]))
         rows.append([t, p, s_val, wick_dev, duality, vertex_dev])
@@ -317,16 +315,14 @@ def cmd_fermion(opts, argv) -> int:
 
 def cmd_kl(opts, argv) -> int:
     from .spectral import (EntropyCurve, SpectralDensity, decay_rate,
-                           derivative_checks, fit_spectral, forward)
+                           derivative_checks, fit_grid, fit_spectral, forward)
 
     input_csv, lam, grid_points = opts["input"], opts["lam"], opts["grid_points"]
     if input_csv:
         xs, s_vals = read_xy_csv(input_csv)
         curve = EntropyCurve(x=xs, s=s_vals, lam=lam)
         truth = None
-        p_lo = 0.03 / curve.x.max()
-        p_hi = 40.0 / curve.x.min()
-        grid = np.logspace(np.log10(p_lo ** 2), np.log10(p_hi ** 2), grid_points)
+        grid = fit_grid(curve.x, grid_points)[0]
     else:
         # built-in round-trip fixture: two spectral spikes on the fit grid
         xs = np.logspace(-1, 0.7, 40)
@@ -368,6 +364,14 @@ def cmd_kl(opts, argv) -> int:
 
 # ------------------------------------------------------------------------ cft
 
+def _check_summary(check) -> dict:
+    """Verdict and slack summary of a cft check, in place of its per-point slacks;
+    argmin is the worst grid x or the worst pair [x, y]."""
+    _, best, quantiles = summarize(check.slack)
+    return {"passed": check.passed, "min_slack": check.min_slack,
+            "argmin": check.grid[best].tolist(), "slack_quantiles": quantiles}
+
+
 def cmd_cft(opts, argv) -> int:
     from .cft import (CrossRatioFunction, check_derivative_inequality,
                       check_midpoint_inequality, z_point)
@@ -396,11 +400,11 @@ def cmd_cft(opts, argv) -> int:
         "f_name": func.name,
         "q": q,
         "f_validation": func.validate(),
-        "derivative": {"passed": deriv.passed, "min_slack": deriv.min_slack,
-                       "fd_error": deriv.fd_error,
-                       "grid": grid.tolist(), "slack": deriv.slack.tolist()},
-        "midpoint": {"passed": midpoint.passed, "min_slack": midpoint.min_slack,
-                     "pairs": pairs.tolist(), "slack": midpoint.slack.tolist()},
+        # the grid is linspace(lo, hi, grid_points) and the midpoint pairs are
+        # default_rng(seed).uniform(lo, hi, (pairs, 2)), so both regenerate
+        "x_range": [lo, hi],
+        "derivative": dict(_check_summary(deriv), fd_error=deriv.fd_error),
+        "midpoint": _check_summary(midpoint),
         "z_identity_deviation": z_identity,
         "csv": os.path.basename(csv_path),
         "passed": deriv.passed and midpoint.passed and z_identity == 0.0,
@@ -442,11 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

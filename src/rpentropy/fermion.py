@@ -9,6 +9,7 @@ underflow long before the entropies lose accuracy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,13 +83,25 @@ class IntervalSet:
             cutoff=self.cutoff)
 
 
-def _log_separations(intervals: IntervalSet) -> tuple[float, float, float]:
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(p: int) -> tuple:
+    """np.triu_indices(p, k=1), read-only because every caller shares it."""
+    rows, cols = np.triu_indices(p, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _log_separations(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """(sum_{i,j} log|a_i - b_j|, sum_{i<j} log|a_i - a_j|, sum_{i<j} log|b_i - b_j|)."""
-    a, b = intervals.lefts, intervals.rights
-    iu = np.triu_indices(intervals.num_intervals, k=1)
+    iu = _upper_triangle(a.size)
     return (np.sum(np.log(np.abs(a[:, None] - b[None, :]))),
             np.sum(np.log(np.abs(a[:, None] - a[None, :])[iu])),
             np.sum(np.log(np.abs(b[:, None] - b[None, :])[iu])))
+
+
+def _entropy(a: np.ndarray, b: np.ndarray, cutoff: float) -> float:
+    cross, same_a, same_b = _log_separations(a, b)
+    return float((cross - same_a - same_b - a.size * math.log(cutoff)) / 6.0)
 
 
 def entropy(intervals: IntervalSet) -> float:
@@ -97,9 +110,7 @@ def entropy(intervals: IntervalSet) -> float:
     S = (1/6) [ sum_{i,j} log|a_i - b_j| - sum_{i<j} log|a_i - a_j|
                 - sum_{i<j} log|b_i - b_j| - p log(eps) ]
     """
-    cross, same_a, same_b = _log_separations(intervals)
-    p = intervals.num_intervals
-    return float((cross - same_a - same_b - p * math.log(intervals.cutoff)) / 6.0)
+    return _entropy(intervals.lefts, intervals.rights, intervals.cutoff)
 
 
 def renyi(intervals: IntervalSet, n: float) -> float:
@@ -114,7 +125,7 @@ def log_correlator_cauchy(intervals: IntervalSet) -> float:
 
     log [ (2 pi)^{-p} prod_{i<j}|a_i-a_j| prod_{i<j}|b_i-b_j| / prod_{i,j}|a_i-b_j| ]
     """
-    cross, same_a, same_b = _log_separations(intervals)
+    cross, same_a, same_b = _log_separations(intervals.lefts, intervals.rights)
     p = intervals.num_intervals
     return float(same_a + same_b - cross - p * math.log(2.0 * math.pi))
 
@@ -133,15 +144,20 @@ def correlator_wick(intervals: IntervalSet) -> float:
     if p > MAX_WICK_COMPONENTS:
         raise IntervalError(f"permutation sum limited to {MAX_WICK_COMPONENTS} intervals")
     a, b = intervals.lefts, intervals.rights
-    inv = 1.0 / (a[:, None] - b[None, :])
+    inv = (1.0 / (a[:, None] - b[None, :])).tolist()
     total = 0.0
-    for perm in itertools.permutations(range(p)):
-        sign = _permutation_sign(perm)
+    for perm, sign in _signed_permutations(p):
         term = sign
         for i, j in enumerate(perm):
-            term *= inv[i, j]
+            term *= inv[i][j]
         total += term
     return float((-1.0) ** p / (2.0 * math.pi) ** p * total)
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(p: int) -> tuple:
+    """Every permutation of range(p), in itertools order, with its sign."""
+    return tuple((perm, _permutation_sign(perm)) for perm in itertools.permutations(range(p)))
 
 
 def _permutation_sign(perm) -> int:
@@ -182,21 +198,37 @@ class ChargeConfiguration:
         np.fill_diagonal(diffs, np.inf)
         if diffs.min() < MIN_SEPARATION:
             raise IntervalError("charge insertion points must be distinct")
-        if abs(q.sum()) > 1e-12:
-            raise ValueError(f"configuration is not neutral: total charge {q.sum():.3e}")
+        _check_neutral(q)
         object.__setattr__(self, "points", x)
         object.__setattr__(self, "charges", q)
 
     @classmethod
     def from_intervals(cls, intervals: IntervalSet, lam: float) -> "ChargeConfiguration":
         """Charges +/- sqrt(2 pi lam / 3) at the left/right endpoints."""
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        q = math.sqrt(2.0 * math.pi * lam / 3.0)
-        points = np.concatenate([intervals.lefts, intervals.rights])
-        charges = np.concatenate([np.full(intervals.num_intervals, q),
-                                  np.full(intervals.num_intervals, -q)])
-        return cls(points=points, charges=charges, lam=float(lam))
+        return cls(points=np.concatenate([intervals.lefts, intervals.rights]),
+                   charges=_interval_charges(intervals.num_intervals, lam), lam=float(lam))
+
+
+def _check_neutral(charges: np.ndarray) -> None:
+    if abs(charges.sum()) > 1e-12:
+        raise ValueError(f"configuration is not neutral: total charge {charges.sum():.3e}")
+
+
+def _interval_charges(p: int, lam: float) -> np.ndarray:
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    q = math.sqrt(2.0 * math.pi * lam / 3.0)
+    return np.concatenate([np.full(p, q), np.full(p, -q)])
+
+
+def _log_distances(x: np.ndarray) -> np.ndarray:
+    """log|x_i - x_j| off the diagonal, 0 on it."""
+    return np.log(np.abs(x[:, None] - x[None, :]), where=~np.eye(x.size, dtype=bool),
+                  out=np.zeros((x.size, x.size)))
+
+
+def _vertex_sum(charges: np.ndarray, logs: np.ndarray) -> float:
+    return float(np.sum(np.outer(charges, charges) * logs) / (8.0 * math.pi))
 
 
 def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
@@ -206,10 +238,24 @@ def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
     self-energies are dropped (normal ordering) and absorbed into one
     multiplicative constant per insertion pair.
     """
-    x, q = cfg.points, cfg.charges
-    logs = np.log(np.abs(x[:, None] - x[None, :]), where=~np.eye(x.size, dtype=bool),
-                  out=np.zeros((x.size, x.size)))
-    return float(np.sum(np.outer(q, q) * logs) / (8.0 * math.pi))
+    return _vertex_sum(cfg.charges, _log_distances(cfg.points))
+
+
+def vertex_log_correlators(intervals: IntervalSet, lams) -> list[float]:
+    """gaussian_vertex_correlator of ChargeConfiguration.from_intervals(intervals,
+    lam) for each lam, bit for bit, from one log-distance matrix.
+
+    An interval set's endpoints are at least MIN_SEPARATION apart already, so
+    only each lam's charges are checked.
+    """
+    points = np.concatenate([intervals.lefts, intervals.rights])
+    logs = _log_distances(points)
+    values = []
+    for lam in lams:
+        charges = _interval_charges(intervals.num_intervals, lam)
+        _check_neutral(charges)
+        values.append(_vertex_sum(charges, logs))
+    return values
 
 
 def witness_table(sets: list[IntervalSet]) -> np.ndarray:
@@ -218,17 +264,25 @@ def witness_table(sets: list[IntervalSet]) -> np.ndarray:
     Every set must lie strictly inside x > 0; the reflection is x -> -x.
     The table is symmetric, since reflecting A_j u reflected(A_i) gives
     A_i u reflected(A_j) and the entropy depends only on distances, so
-    each pair i <= j is evaluated once.
+    each pair i <= j is evaluated once.  The half-line check puts every
+    reflected endpoint below every endpoint of A_i, at least
+    2 MIN_SEPARATION apart, so each union's endpoint arrays are the two
+    sets' arrays joined: no sort and no second validation.
     """
     for s in sets:
         if s.lefts.min() < MIN_SEPARATION:
             raise IntervalError("sets must lie strictly inside the positive half-line")
-    reflections = [s.reflected() for s in sets]
+        if abs(s.cutoff - sets[0].cutoff) > 0:
+            raise IntervalError("cannot union interval sets with different cutoffs")
+    mirrored = [(-s.rights[::-1], -s.lefts[::-1]) for s in sets]
     m1 = len(sets)
     table = np.empty((m1, m1))
-    for i in range(m1):
+    for i, s in enumerate(sets):
         for j in range(i, m1):
-            table[i, j] = table[j, i] = entropy(sets[i].union(reflections[j]))
+            lefts, rights = mirrored[j]
+            table[i, j] = table[j, i] = _entropy(np.concatenate([lefts, s.lefts]),
+                                                 np.concatenate([rights, s.rights]),
+                                                 s.cutoff)
     return table
 
 

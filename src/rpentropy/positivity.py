@@ -41,6 +41,8 @@ SWEEP_BLOCK_ENTRIES = 1 << 17
 # a block holds 42 trials and runs as fast as blocks of the sweep's size,
 # and a 3 x 8x8 instance reduces one pair per call.
 STACK_ENTRIES = 1 << 12
+# the quantiles a report keeps of a slack array in place of the array
+SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
 
 
 def _gram_spectrum(g):
@@ -508,6 +510,19 @@ def _pool_map(worker, items, jobs: int, *args) -> list:
         return list(pool.map(worker, tasks))
 
 
+def summarize(values) -> tuple[float, int, dict]:
+    """(min, argmin, quantiles) of a 1-D array, for a report in place of the array.
+
+    The quantiles are keyed q00, q01, q10, q50 and q100; argmin is the first
+    index of the minimum.
+    """
+    values = np.asarray(values)
+    best = int(np.argmin(values))
+    quantiles = {f"q{int(100 * q):02d}": float(np.quantile(values, q))
+                 for q in SUMMARY_QUANTILES}
+    return float(values[best]), best, quantiles
+
+
 def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """Randomized search for violations of the configured inequality.
 
@@ -521,10 +536,8 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     parts = _pool_map(_search_chunk, range(cfg.trials), jobs, cfg)
     slacks = np.concatenate([part_slacks for part_slacks, _ in parts])
     violations = [result for _, found in parts for result in found]
-    best = int(np.argmin(slacks))
-    min_slack, min_trial = float(slacks[best]), cfg.trial_offset + best
-    quantiles = {f"q{int(100 * q):02d}": float(np.quantile(slacks, q))
-                 for q in (0.0, 0.01, 0.1, 0.5, 1.0)}
+    min_slack, best, quantiles = summarize(slacks)
+    min_trial = cfg.trial_offset + best
     refine_used = 0
     if not violations and cfg.refine_iterations > 0 and cfg.target != "integer_n":
         refined, refine_used = _refine(cfg, min_trial)

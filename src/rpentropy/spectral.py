@@ -118,6 +118,19 @@ def _fit_kernel(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return kernel
 
 
+def fit_grid(x: np.ndarray, grid_points: int,
+             margins: tuple[float, float] = (0.03, 40.0)) -> tuple[np.ndarray, float, float]:
+    """Log-spaced p^2 grid for samples at lengths x, with its momentum ends.
+
+    The momenta run from p_lo = margins[0] / max x to p_hi = margins[1] / min x,
+    so the grid spans every decay scale the samples can resolve while
+    K0(p_hi min x) stays far above its double-precision underflow.
+    """
+    p_lo = margins[0] / x.max()
+    p_hi = margins[1] / x.min()
+    return np.logspace(np.log10(p_lo ** 2), np.log10(p_hi ** 2), grid_points), p_lo, p_hi
+
+
 @dataclass
 class FitReport:
     residual: float
@@ -266,9 +279,7 @@ def fit_power_density(curve: EntropyCurve, gamma_bounds: tuple[float, float] = (
     from scipy.optimize import minimize_scalar
 
     y = curve.exponentials()
-    p_lo = margins[0] / curve.x.max()
-    p_hi = margins[1] / curve.x.min()
-    p2 = np.logspace(np.log10(p_lo ** 2), np.log10(p_hi ** 2), grid_points)
+    p2, p_lo, p_hi = fit_grid(curve.x, grid_points, margins)
     quad = np.gradient(p2)
     kernel = _fit_kernel(curve.x, np.sqrt(p2))
     p_ref = math.sqrt(p_lo * p_hi)

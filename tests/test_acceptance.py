@@ -171,8 +171,9 @@ def test_criterion_6_fermion_infinite_divisibility():
             while np.min(np.diff(pts)) < 1e-2:
                 pts = np.sort(rng.uniform(0.05, 25.0, 2 * p))
             sets.append(fermion.IntervalSet(lefts=pts[0::2], rights=pts[1::2]))
+        table = fermion.witness_table(sets)
         for lam in (0.1, 1.0, 10.0):
-            record = fermion.divisibility_witness(sets, lam)
+            record = fermion.witness_record(table, lam)
             scale = max(np.linalg.norm(record.entries, 2), np.finfo(float).tiny)
             worst = min(worst, record.min_eigenvalue / scale)
     report(6, worst >= -1e-10,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpentropy.cft import (CrossRatioFunction, TwoIntervalConfig,
+from rpentropy.cft import (CrossRatioFunction, TwoIntervalConfig, _z_points,
                            check_derivative_inequality, check_midpoint_inequality,
                            cross_ratio, renyi_two_interval, z_point)
 
@@ -117,6 +117,15 @@ class TestZPoint:
     def test_domain(self):
         with pytest.raises(ValueError):
             z_point(0.0, 0.5)
+
+    def test_stacked_points_match_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        pairs = rng.uniform(1e-3, 1 - 1e-3, size=(20000, 2))
+        pairs[::97, 1] = pairs[::97, 0]  # degenerate pairs take the x == y shortcut
+        stacked = _z_points(pairs[:, 0], pairs[:, 1])
+        scalar = np.array([z_point(x, y) for x, y in pairs.tolist()])
+        assert stacked.tobytes() == scalar.tobytes()
+        assert np.array_equal(stacked[::97], pairs[::97, 0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1e-3, 1 - 1e-3), st.floats(1e-3, 1 - 1e-3))

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rpentropy import cli
 from rpentropy.cli import OPTIONS, main
+from rpentropy.positivity import summarize
 from rpentropy.serialize import canonical_dumps, read_xy_csv, write_csv
 
 
@@ -163,6 +165,46 @@ class TestCft:
         assert results["z_identity_deviation"] == 0.0
         assert (tmp_path / results["csv"]).exists()
 
+    def test_report_holds_summaries_only(self, tmp_path):
+        from rpentropy.cft import CrossRatioFunction, check_midpoint_inequality
+
+        xs = np.linspace(1e-3, 1 - 1e-3, 200)
+        write_csv(tmp_path / "f.csv", ["x", "f"],
+                  zip(xs.tolist(), (1.0 + 0.2 * (xs * (1 - xs)) ** 2).tolist()))
+        code = run(tmp_path, "cft", "--seed", "9", "--f-table", str(tmp_path / "f.csv"),
+                   "--grid-points", "2000", "--pairs", "20000")
+        assert code == 0
+        assert (tmp_path / "cft-seed9.json").stat().st_size < 10_000
+        results = load(tmp_path, "cft-seed9.json")["report"]["results"]
+
+        def longest_list(node):
+            if isinstance(node, dict):
+                return max(map(longest_list, node.values()), default=0)
+            if isinstance(node, list):
+                return max([len(node), *map(longest_list, node)])
+            return 0
+
+        assert longest_list(results) <= 8
+        # the derivative summary is the summary of the CSV's slack column
+        grid, slack = read_xy_csv(tmp_path / results["csv"])
+        deriv = results["derivative"]
+        assert deriv["min_slack"] == slack.min()
+        assert deriv["argmin"] == grid[np.argmin(slack)]
+        assert deriv["slack_quantiles"] == summarize(slack)[2]
+        # the worst pair alone reproduces the midpoint minimum
+        func = CrossRatioFunction.from_table(xs, 1.0 + 0.2 * (xs * (1 - xs)) ** 2)
+        mid = results["midpoint"]
+        alone = check_midpoint_inequality(func, results["q"], [mid["argmin"]])
+        assert alone.slack[0] == mid["min_slack"]
+        # and the pairs regenerate from the seed and the reported range
+        lo, hi = results["x_range"]
+        assert np.array_equal(grid, np.linspace(lo, hi, 2000))
+        pairs = np.random.default_rng(9).uniform(lo, hi, size=(20000, 2))
+        min_slack, best, quantiles = summarize(
+            check_midpoint_inequality(func, results["q"], pairs).slack)
+        assert (min_slack, pairs[best].tolist(), quantiles) == (
+            mid["min_slack"], mid["argmin"], mid["slack_quantiles"])
+
     def test_violator_table_fails(self, tmp_path):
         xs = np.linspace(0.01, 0.99, 99)
         q = 1.0 / 6.0 * (2 - 0.5)
@@ -221,6 +263,27 @@ class TestConfigHandling:
                      "--trials", "5", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "gram-sweep-seed99.json").exists()
+
+    def test_one_parser_serves_independent_calls(self, tmp_path, monkeypatch):
+        first_cfg, second_cfg = tmp_path / "first.json", tmp_path / "second.json"
+        first_cfg.write_text(json.dumps({"trials": 8, "seed": 11}))
+        second_cfg.write_text(json.dumps({"seed": 3, "lambda": [0.5, 2]}))
+        assert main(["gram-sweep", "--config", str(first_cfg), "--n", "2",
+                     "--out", str(tmp_path)]) == 0
+
+        def rebuilt():
+            raise AssertionError("main rebuilt its parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert main(["fermion", "--config", str(second_cfg), "--trials", "2",
+                     "--witness-trials", "1", "--out", str(tmp_path)]) == 0
+        assert main(["gram-sweep", "--trials", "4", "--out", str(tmp_path)]) == 0
+        first = load(tmp_path, "gram-sweep-seed11.json")["report"]["config"]
+        second = load(tmp_path, "fermion-seed3.json")["report"]["config"]
+        third = load(tmp_path, "gram-sweep-seed42.json")["report"]["config"]
+        assert (first["trials"], first["n"]) == (8, [2])
+        assert (second["lam"], second["trials"], second["witness_trials"]) == ([0.5, 2.0], 2, 1)
+        assert (third["seed"], third["trials"], third["n"]) == (42, 4, [2, 3, 4, 5])
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RPENTROPY_OUT", str(tmp_path / "envout"))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,17 @@ import pytest
 from rpentropy.fermion import (ChargeConfiguration, IntervalError, IntervalSet,
                                correlator_cauchy, correlator_wick, divisibility_witness,
                                entropy, gaussian_vertex_correlator,
-                               log_correlator_cauchy, renyi)
+                               log_correlator_cauchy, renyi, vertex_log_correlators,
+                               witness_table)
 from rpentropy.positivity import check_psd, three_set_inequality
+
+
+def union_witness_table(sets):
+    """The witness table through one validated IntervalSet union per pair i <= j."""
+    table = np.empty((len(sets), len(sets)))
+    for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
+        table[i, j] = table[j, i] = entropy(sets[i].union(sets[j].reflected()))
+    return table
 
 
 def random_set(rng, p, lo=0.0, hi=10.0, cutoff=1.0, min_gap=1e-3):
@@ -99,6 +109,20 @@ class TestCorrelators:
         with pytest.raises(IntervalError, match="permutation"):
             correlator_wick(s)
 
+    def test_wick_sum_unchanged_by_sign_table(self):
+        # the plain permutation loop, with each sign counted by inversions
+        rng = np.random.default_rng(12)
+        for p in range(1, 7):
+            s = random_set(rng, p)
+            inv = 1.0 / (s.lefts[:, None] - s.rights[None, :])
+            total = 0.0
+            for perm in itertools.permutations(range(p)):
+                term = (-1) ** sum(perm[i] > perm[j] for i in range(p) for j in range(i + 1, p))
+                for i, j in enumerate(perm):
+                    term *= inv[i, j]
+                total += term
+            assert correlator_wick(s) == float((-1.0) ** p / (2.0 * math.pi) ** p * total)
+
     def test_duality_identity(self):
         rng = np.random.default_rng(3)
         for p in (1, 2, 4):
@@ -139,6 +163,17 @@ class TestVertexOperators:
                     ChargeConfiguration.from_intervals(s, lam))
                 assert abs(log_v + lam * entropy(s) - p * const) <= 1e-12
 
+    def test_shared_log_matrix_matches_single_lam_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        lams = [0.1, 1.0, 2.5, 6.0, 10.0]
+        for p in range(1, 7):
+            s = random_set(rng, p, cutoff=0.4)
+            assert vertex_log_correlators(s, lams) == [
+                gaussian_vertex_correlator(ChargeConfiguration.from_intervals(s, lam))
+                for lam in lams]
+        with pytest.raises(ValueError, match="lam must be positive"):
+            vertex_log_correlators(s, [1.0, 0.0])
+
     def test_lambda_six_matches_correlator_scaling(self):
         # at lam = 6 the vertex expectation carries the same set dependence as
         # the field correlator
@@ -169,6 +204,19 @@ class TestDivisibilityWitness:
     def test_origin_guard(self):
         with pytest.raises(IntervalError, match="half-line"):
             divisibility_witness([IntervalSet.from_pairs([(0.0, 1.0)])], lam=1.0)
+
+    def test_table_matches_union_path_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            sets = [random_set(rng, int(rng.integers(1, 4)), lo=1e-3, hi=20.0,
+                               cutoff=0.8, min_gap=1e-2)
+                    for _ in range(int(rng.integers(1, 5)))]
+            assert witness_table(sets).tobytes() == union_witness_table(sets).tobytes()
+
+    def test_mixed_cutoffs_refused(self):
+        sets = [IntervalSet.from_pairs([(1, 2)]), IntervalSet.from_pairs([(3, 4)], cutoff=0.5)]
+        with pytest.raises(IntervalError, match="cutoffs"):
+            witness_table(sets)
 
     def test_lambda_sweep_stays_psd(self):
         rng = np.random.default_rng(19)

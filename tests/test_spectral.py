@@ -6,7 +6,7 @@ from scipy.integrate import trapezoid
 from scipy.special import k0
 
 from rpentropy.spectral import (EntropyCurve, SpectralDensity, decay_rate,
-                                derivative_checks, fit_power_density, fit_spectral,
+                                derivative_checks, fit_grid, fit_power_density, fit_spectral,
                                 fitted_power_exponent, forward)
 
 
@@ -127,6 +127,15 @@ class TestFit:
         curve = EntropyCurve(x=xs, s=-np.log(forward(truth, xs)), lam=1.0)
         _, report = fit_spectral(curve, grid, ridge=1e-10)
         assert report.residual_relative <= 1e-3
+
+    def test_fit_grid_spans_the_margins(self):
+        xs = np.logspace(-1, 0.7, 40)
+        p2, p_lo, p_hi = fit_grid(xs, 50)
+        assert (p_lo, p_hi) == (0.03 / xs.max(), 40.0 / xs.min())
+        assert p2.size == 50 and np.all(np.diff(np.log(p2)) > 0)
+        assert np.allclose(np.sqrt(p2[[0, -1]]), [p_lo, p_hi], rtol=1e-12)
+        # the margins reach K0(40), far above its underflow at ~742
+        assert np.all(k0(np.outer(xs, np.sqrt(p2))).any(axis=0))
 
     def test_grid_validation(self):
         curve = EntropyCurve(x=np.array([1.0, 2.0]), s=np.array([0.1, 0.2]), lam=1.0)
