@@ -149,8 +149,9 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _emit(subcommand: str, opts: dict, name: str, results: dict, argv: list,
-          config: dict | None = None) -> str:
-    """Write the report; its config defaults to every resolved option but out."""
+          config: dict | None = None, meta: dict | None = None) -> str:
+    """Write the report; its config defaults to every resolved option but out,
+    and `meta` joins the argv in the run-specific section."""
     report = {
         "tool": "rpentropy",
         "version": __version__,
@@ -160,7 +161,7 @@ def _emit(subcommand: str, opts: dict, name: str, results: dict, argv: list,
         "results": results,
     }
     path = os.path.join(opts["out"], name)
-    save_report(path, report, meta={"argv": argv})
+    save_report(path, report, meta=dict(meta or {}, argv=argv))
     return path
 
 
@@ -209,8 +210,9 @@ def cmd_search(opts, argv) -> int:
     results["fixtures"] = [os.path.basename(p) for p in fixture_paths]
     # the search reports its SearchConfig, under that object's field names
     config = dict(results.pop("config"), jobs=opts["jobs"])
+    # the descent's counters are run telemetry: meta, never report
     path = _emit("search", opts, f"search-{target}-seed{opts['seed']}.json", results, argv,
-                 config)
+                 config, meta={"refine": report.refine_counters})
     found = len(report.violations)
     print(f"search[{target}]: {found} violation(s) in {report.trials_run} trials"
           f"{f' (+{report.refine_used} refine steps)' if report.refine_used else ''}, "
@@ -260,11 +262,12 @@ def cmd_fermion(opts, argv) -> int:
                     for lam, log_v in zip(lams, fermion.vertex_log_correlators(calib, lams))}
     for t, intervals in enumerate(test_sets):
         p = intervals.num_intervals
-        s_val = fermion.entropy(intervals)
+        s_val, log_cauchy = fermion.entropy_and_log_correlator(intervals)
         log_c = p * math.log(1.0 / (2.0 * math.pi * cutoff))
-        duality = abs(fermion.log_correlator_cauchy(intervals) + 6.0 * s_val - log_c)
+        duality = abs(log_cauchy + 6.0 * s_val - log_c)
         wick = fermion.correlator_wick(intervals)
-        cauchy = fermion.correlator_cauchy(intervals)
+        # correlator_cauchy(intervals), without a second pass over the separations
+        cauchy = math.exp(log_cauchy)
         wick_dev = abs(wick - cauchy) / abs(cauchy)
         vertex_dev = 0.0
         for lam, log_v in zip(lams, fermion.vertex_log_correlators(intervals, lams)):

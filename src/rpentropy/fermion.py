@@ -99,9 +99,18 @@ def _log_separations(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]
             np.sum(np.log(np.abs(b[:, None] - b[None, :])[iu])))
 
 
+def _entropy_of(separations: tuple, p: int, cutoff: float) -> float:
+    cross, same_a, same_b = separations
+    return float((cross - same_a - same_b - p * math.log(cutoff)) / 6.0)
+
+
+def _log_correlator_of(separations: tuple, p: int) -> float:
+    cross, same_a, same_b = separations
+    return float(same_a + same_b - cross - p * math.log(2.0 * math.pi))
+
+
 def _entropy(a: np.ndarray, b: np.ndarray, cutoff: float) -> float:
-    cross, same_a, same_b = _log_separations(a, b)
-    return float((cross - same_a - same_b - a.size * math.log(cutoff)) / 6.0)
+    return _entropy_of(_log_separations(a, b), a.size, cutoff)
 
 
 def entropy(intervals: IntervalSet) -> float:
@@ -111,6 +120,14 @@ def entropy(intervals: IntervalSet) -> float:
                 - sum_{i<j} log|b_i - b_j| - p log(eps) ]
     """
     return _entropy(intervals.lefts, intervals.rights, intervals.cutoff)
+
+
+def entropy_and_log_correlator(intervals: IntervalSet) -> tuple[float, float]:
+    """(entropy(intervals), log_correlator_cauchy(intervals)), bit for bit,
+    from one pass over the endpoint separations."""
+    separations = _log_separations(intervals.lefts, intervals.rights)
+    p = intervals.num_intervals
+    return _entropy_of(separations, p, intervals.cutoff), _log_correlator_of(separations, p)
 
 
 def renyi(intervals: IntervalSet, n: float) -> float:
@@ -125,9 +142,8 @@ def log_correlator_cauchy(intervals: IntervalSet) -> float:
 
     log [ (2 pi)^{-p} prod_{i<j}|a_i-a_j| prod_{i<j}|b_i-b_j| / prod_{i,j}|a_i-b_j| ]
     """
-    cross, same_a, same_b = _log_separations(intervals.lefts, intervals.rights)
-    p = intervals.num_intervals
-    return float(same_a + same_b - cross - p * math.log(2.0 * math.pi))
+    return _log_correlator_of(_log_separations(intervals.lefts, intervals.rights),
+                              intervals.num_intervals)
 
 
 def correlator_cauchy(intervals: IntervalSet) -> float:

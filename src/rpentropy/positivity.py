@@ -9,7 +9,9 @@ det B >= 0) can fail, and the search hunts for such violating instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -43,6 +45,10 @@ SWEEP_BLOCK_ENTRIES = 1 << 17
 STACK_ENTRIES = 1 << 12
 # the quantiles a report keeps of a slack array in place of the array
 SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
+# the refine descent's counters, kept on SearchReport outside its report:
+# stacked proposal calls, proposals evaluated, accepted, evaluated past the
+# accepted one and so discarded, and step-scale shrinks
+REFINE_COUNTERS = ("blocks", "evaluated", "accepted", "discarded", "shrinks")
 
 
 def _gram_spectrum(g):
@@ -80,17 +86,23 @@ class GramRecord:
         self.min_eigenvalue = float(eigvals[0])
 
 
-def _pair_groups(dims, size: int) -> list:
-    """The split pairs i <= j in runs of at most `size` pairs of one shape,
-    in first-seen order, as ((dims_i, dims_j), i indices, j indices)."""
+@functools.lru_cache(maxsize=256)
+def _pair_groups(dims: tuple, size: int) -> tuple:
+    """The split pairs i <= j of the (d_A, d_B) tuples `dims` in runs of at
+    most `size` pairs of one shape, in first-seen order, as ((dims_i,
+    dims_j), i indices, j indices); the index arrays are read-only because
+    every caller shares them."""
     groups = {}
     for i in range(len(dims)):
         for j in range(i, len(dims)):
-            rows_i, rows_j = groups.setdefault((tuple(dims[i]), tuple(dims[j])), ([], []))
+            rows_i, rows_j = groups.setdefault((dims[i], dims[j]), ([], []))
             rows_i.append(i)
             rows_j.append(j)
-    return [(shapes, np.array(i[k:k + size]), np.array(j[k:k + size]))
+    runs = [(shapes, np.array(i[k:k + size]), np.array(j[k:k + size]))
             for shapes, (i, j) in groups.items() for k in range(0, len(i), size)]
+    for _, i, j in runs:
+        i.flags.writeable = j.flags.writeable = False
+    return tuple(runs)
 
 
 def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
@@ -106,7 +118,7 @@ def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.n
     m, d = len(dims), schmidt.shape[-1]
     table = np.empty(schmidt.shape[:-1] + (m, m))
     size = max(1, STACK_ENTRIES // (schmidt[..., 0].size * d * d))
-    for (dims_i, dims_j), i, j in _pair_groups(dims, size):
+    for (dims_i, dims_j), i, j in _pair_groups(tuple(dims), size):
         eigs = _pair_spectrum(schmidt[..., None, :], mats[..., i, :, :], mats[..., j, :, :],
                               dims_i, dims_j)
         table[..., i, j] = table[..., j, i] = _entropies(eigs, n)
@@ -238,10 +250,20 @@ def divisibility_matrix(entropy_table: np.ndarray,
 
 def _ordering_dets(s: np.ndarray) -> tuple:
     """(orderings, det B of the checked tables s (..., size, size) under
-    each ordering, shape (..., orderings)): one stacked det."""
-    perms = list(itertools.permutations(range(s.shape[-1])))
-    index = np.array(perms)
+    each ordering, shape (..., orderings)): one stacked det.  The identity
+    ordering comes first."""
+    perms, index = _orderings(s.shape[-1])
     return perms, np.linalg.det(_second_differences(s[..., index[:, :, None], index[:, None, :]]))
+
+
+@functools.lru_cache(maxsize=None)
+def _orderings(size: int) -> tuple:
+    """(every permutation of range(size) in itertools order, the identity
+    first, as a tuple and as a read-only (size!, size) index array)."""
+    perms = tuple(itertools.permutations(range(size)))
+    index = np.array(perms)
+    index.flags.writeable = False
+    return perms, index
 
 
 def divisibility_over_orderings(entropy_table: np.ndarray):
@@ -334,6 +356,8 @@ class SearchReport:
     min_slack_trial: int
     refine_used: int = 0
     slack_quantiles: dict | None = None
+    # run telemetry, not part of to_dict(): the descent's REFINE_COUNTERS
+    refine_counters: dict = field(default_factory=lambda: dict.fromkeys(REFINE_COUNTERS, 0))
 
     @property
     def found(self) -> bool:
@@ -427,12 +451,14 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
     table = _checked_table(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
     size = table.shape[-1]
     b = _second_differences(table)
-    det_fixed = np.linalg.det(b)
     if size <= 4:
-        perms, dets = _ordering_dets(table)
+        # the identity ordering's det is the fixed ordering's, to the last bit
+        _, dets = _ordering_dets(table)
         worst = np.argmin(dets, axis=-1)
-        det_best, ordering = dets[np.arange(len(dets)), worst], np.array(perms)[worst]
+        det_fixed, det_best = dets[:, 0], dets[np.arange(len(dets)), worst]
+        ordering = _orderings(size)[1][worst]
     else:
+        det_fixed = np.linalg.det(b)
         det_best, ordering = det_fixed, np.tile(np.arange(size), (len(table), 1))
     # ||B||_F as the dot product np.linalg.norm takes; the scale floor keeps
     # roundoff on near-degenerate tables (B ~ 0) from masquerading as violations
@@ -469,8 +495,9 @@ def _search_chunk(args) -> tuple:
     The run is evaluated in blocks of at most STACK_ENTRIES pair-matrix
     entries (at least one trial), so memory is bounded for any trial count
     and split size.  Python only draws, trial by trial through `_draw_raw`;
-    the Haar step, its unitarity check and `_evaluate_block` take the block
-    as one stack.  Payloads are built for violating trials only.
+    the splits' Haar step, its unitarity check and `_evaluate_block` take
+    the block as one stack.  Payloads, and the eigenbasis unitary they
+    store, are built for violating trials only.
     """
     trials, _, cfg = args
     m, d = len(cfg.dims), cfg.dim
@@ -480,14 +507,17 @@ def _search_chunk(args) -> tuple:
         block = trials[first:first + size]
         draws = [_draw_raw(cfg.master_seed, cfg.trial_offset + t, cfg.dims) for t in block]
         schmidt = np.array([lam for lam, _ in draws])
-        u = unitary_from_ginibre(np.array([z for _, z in draws]))
+        # the eigenbasis enters no target, so only the splits' are built here
+        u = unitary_from_ginibre(np.array([z[1:] for _, z in draws]))
         _check_unitary(u)
-        fields = _evaluate_block(cfg, schmidt, u[:, 1:])
+        fields = _evaluate_block(cfg, schmidt, u)
         slacks.append(fields["slack"])
         for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
+            eigenbasis = unitary_from_ginibre(draws[k][1][0])
+            _check_unitary(eigenbasis)
             result = _payload(fields, k)
             result["trial"] = cfg.trial_offset + block[k]
-            result["instance"] = _serialize_instance(schmidt[k], u[k, 0], cfg.dims, u[k, 1:])
+            result["instance"] = _serialize_instance(schmidt[k], eigenbasis, cfg.dims, u[k])
             violations.append(result)
     return np.concatenate(slacks), violations
 
@@ -538,15 +568,15 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     violations = [result for _, found in parts for result in found]
     min_slack, best, quantiles = summarize(slacks)
     min_trial = cfg.trial_offset + best
-    refine_used = 0
+    report = SearchReport(config=cfg, trials_run=cfg.trials, violations=violations,
+                          min_slack=float(min_slack), min_slack_trial=min_trial,
+                          slack_quantiles=quantiles)
     if not violations and cfg.refine_iterations > 0 and cfg.target != "integer_n":
-        refined, refine_used = _refine(cfg, min_trial)
+        refined, report.refine_used, report.refine_counters = _refine(cfg, min_trial)
         if refined is not None:
             violations.append(refined)
-            min_slack = min(min_slack, refined["slack"])
-    return SearchReport(config=cfg, trials_run=cfg.trials, violations=violations,
-                        min_slack=float(min_slack), min_slack_trial=min_trial,
-                        refine_used=refine_used, slack_quantiles=quantiles)
+            report.min_slack = float(min(min_slack, refined["slack"]))
+    return report
 
 
 def _refine(cfg: SearchConfig, start_trial: int):
@@ -554,60 +584,101 @@ def _refine(cfg: SearchConfig, start_trial: int):
 
     Moves perturb the spectrum in the log simplex or rotate one split by a
     random small unitary; only improvements are kept and the move scale
-    shrinks after repeated rejections.  The state eigenbasis is irrelevant to
-    every target (only the spectrum and the splits enter), so it stays fixed.
-    Each move is one `_evaluate_block` call on one instance.  Returns a
-    violation payload once the slack clears -10 * tolerance.
+    shrinks after 300 rejections in a row.  The state eigenbasis is
+    irrelevant to every target (only the spectrum and the splits enter), so
+    it is never built and the payload stores the identity.
+
+    Proposals are pre-fetched.  A proposal's draws do not depend on the
+    state, and under rejection the stall count, the shrink and the
+    `refine_floor` skip are deterministic, so a block of proposals is drawn
+    from the current state as if each were rejected.  Their rotations take
+    one stacked `eigh` and one unitarity check, and the block one
+    `_evaluate_block` call.  The first proposal that improves is accepted:
+    the generator, the scale and the iteration count rewind to just after
+    it, so the trajectory is the sequential one-at-a-time descent's to the
+    last bit.  The block size follows the run.  After an accept it is
+    2 / sqrt(p), p the accepts per iteration so far: a block of K costs
+    about c0 + c1 K and advances about K (1 - p K / 2) iterations, which
+    is cheapest per iteration at K = sqrt(2 c0 / (c1 p)), and a call's
+    fixed cost c0 is about two proposals' c1 at 3 x 2x2.  After a block
+    without an accept it doubles.  It never exceeds a search block's worth
+    of instances.
+
+    Returns (violation payload once the slack clears -10 * tolerance, else
+    None; iterations used; counters keyed as REFINE_COUNTERS).
     """
     rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
     lam, z = _draw_raw(cfg.master_seed, start_trial, cfg.dims)
-    lam, betas = lam.copy(), unitary_from_ginibre(z)[1:]
+    lam, betas = lam.copy(), unitary_from_ginibre(z[1:])
     _check_unitary(betas)
-    d = cfg.dim
-
-    def evaluate(lam_vec, beta_mats):
-        return _evaluate_block(cfg, np.sort(lam_vec)[::-1][None], beta_mats[None])
-
-    cur_slack = evaluate(lam, betas)["slack"][0]
+    m, d = len(betas), cfg.dim
+    cap = max(1, STACK_ENTRIES // (m * (m + 1) // 2 * d * d))
+    counters = dict.fromkeys(REFINE_COUNTERS, 0)
+    cur_slack = _evaluate_block(cfg, np.sort(lam)[::-1][None], betas[None])["slack"][0]
     target_slack = -10.0 * cfg.tolerance
-    scale = cfg.refine_scale
-    stall = 0
-    for it in range(cfg.refine_iterations):
-        which = int(rng.integers(0, 1 + len(betas)))
-        lam_new, betas_new = lam, betas
-        if which == 0:
-            logl = np.log(lam) + scale * rng.standard_normal(lam.size)
-            lam_new = np.exp(logl)
-            lam_new = lam_new / lam_new.sum()
-            if lam_new.min() < cfg.refine_floor:
-                continue
-        else:
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = 0.5 * (h + h.conj().T)
-            w, v = np.linalg.eigh(h)
-            rot = (v * np.exp(1j * scale * w)) @ v.conj().T
-            betas_new = betas.copy()
-            betas_new[which - 1] = rot @ betas[which - 1]
-            _check_unitary(betas_new[which - 1])
-        fields = evaluate(lam_new, betas_new)
-        if fields["slack"][0] < cur_slack:
-            cur_slack = fields["slack"][0]
-            lam, betas = lam_new, betas_new
-            stall = 0
-            if cur_slack < target_slack:
-                result = _payload(fields, 0)
-                result["trial"] = start_trial
-                result["refined"] = True
-                result["refine_iterations"] = it + 1
-                result["instance"] = _serialize_instance(
-                    np.sort(lam)[::-1], np.eye(d, dtype=complex), cfg.dims, betas)
-                return result, it + 1
-        else:
+    scale, stall, it, size = cfg.refine_scale, 0, 0, 1
+    while it < cfg.refine_iterations:
+        # (iteration count, split moved (0: the spectrum), spectrum, Hermitian
+        # draw, scale, shrinks before it in the block, generator state after)
+        block, shrinks = [], 0
+        while len(block) < size and it < cfg.refine_iterations:
+            it += 1
+            which = int(rng.integers(0, 1 + m))
+            lam_new, h = lam, None
+            if which == 0:
+                logl = np.log(lam) + scale * rng.standard_normal(lam.size)
+                lam_new = np.exp(logl)
+                lam_new = lam_new / lam_new.sum()
+                if lam_new.min() < cfg.refine_floor:
+                    continue
+            else:
+                h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            block.append((it, which, lam_new, h, scale, shrinks, rng.bit_generator.state))
+            # the rejection this proposal meets unless it is accepted
             stall += 1
             if stall > 300:
                 scale = max(scale * 0.6, 1e-3)
                 stall = 0
-    return None, cfg.refine_iterations
+                shrinks += 1
+        if not block:
+            break
+        whichs = np.array([move[1] for move in block])
+        mats = np.repeat(betas[None], len(block), axis=0)
+        rows = np.flatnonzero(whichs)
+        if rows.size:
+            draws = np.array([block[r][3] for r in rows])
+            w, v = np.linalg.eigh(0.5 * (draws + draws.conj().swapaxes(-1, -2)))
+            phases = np.exp(1j * np.array([block[r][4] for r in rows])[:, None] * w)
+            rotated = ((v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+                       @ betas[whichs[rows] - 1])
+            _check_unitary(rotated)
+            mats[rows, whichs[rows] - 1] = rotated
+        schmidt = np.sort([move[2] for move in block], axis=-1)[:, ::-1]
+        fields = _evaluate_block(cfg, schmidt, mats)
+        counters["blocks"] += 1
+        counters["evaluated"] += len(block)
+        better = np.flatnonzero(fields["slack"] < cur_slack)
+        if not better.size:
+            counters["shrinks"] += shrinks
+            size = min(cap, 2 * size)
+            continue
+        k = int(better[0])
+        it, _, lam, _, scale, shrinks, state = block[k]
+        rng.bit_generator.state = state
+        betas, cur_slack, stall = mats[k], fields["slack"][k], 0
+        counters["accepted"] += 1
+        counters["discarded"] += len(block) - k - 1
+        counters["shrinks"] += shrinks
+        if cur_slack < target_slack:
+            result = _payload(fields, k)
+            result["trial"] = start_trial
+            result["refined"] = True
+            result["refine_iterations"] = it
+            result["instance"] = _serialize_instance(
+                np.sort(lam)[::-1], np.eye(d, dtype=complex), cfg.dims, betas)
+            return result, it, counters
+        size = max(1, min(cap, round(2 * math.sqrt(it / counters["accepted"]))))
+    return None, cfg.refine_iterations, counters
 
 
 def verify_witness(witness: dict, target: str, tolerance: float = COUNTEREXAMPLE_TOL,

@@ -102,6 +102,31 @@ class TestSearch:
                    "--dims", "2x2,2x2", "--trials", "5", "--seed", "2")
         assert code == 3
 
+    def test_refine_counters_in_meta_only(self, tmp_path, monkeypatch):
+        # the descent's counters go to meta.refine; the report section is
+        # byte-identical with them and with the counters dropped
+        argv = ("search", "--target", "schur_s_fraction", "--dims", "2x2,2x2,2x2",
+                "--trials", "200", "--seed", "7", "--refine", "20000")
+        assert run(tmp_path / "with", *argv) == 0
+        with_counters = load(tmp_path / "with", "search-schur_s_fraction-seed7.json")
+        counters = with_counters["meta"]["refine"]
+        assert set(counters) == {"blocks", "evaluated", "accepted", "discarded", "shrinks"}
+        assert counters["blocks"] > 0 and counters["accepted"] > 0
+        assert counters["evaluated"] - counters["discarded"] <= 138
+        assert with_counters["report"]["results"]["refine_used"] == 138
+        search = cli.counterexample_search
+
+        def without_counters(cfg, jobs=1):
+            report = search(cfg, jobs=jobs)
+            report.refine_counters = {}
+            return report
+
+        monkeypatch.setattr(cli, "counterexample_search", without_counters)
+        assert run(tmp_path / "without", *argv) == 0
+        without = load(tmp_path / "without", "search-schur_s_fraction-seed7.json")
+        assert without["meta"]["refine"] == {}
+        assert canonical_dumps(without["report"]) == canonical_dumps(with_counters["report"])
+
     def test_bad_dims_config_error(self, tmp_path):
         assert run(tmp_path, "search", "--dims", "2xx2") == 1
         assert run(tmp_path, "search", "--dims", "2x2,3x3") == 1

@@ -6,7 +6,7 @@ import pytest
 
 from rpentropy.fermion import (ChargeConfiguration, IntervalError, IntervalSet,
                                correlator_cauchy, correlator_wick, divisibility_witness,
-                               entropy, gaussian_vertex_correlator,
+                               entropy, entropy_and_log_correlator, gaussian_vertex_correlator,
                                log_correlator_cauchy, renyi, vertex_log_correlators,
                                witness_table)
 from rpentropy.positivity import check_psd, three_set_inequality
@@ -132,6 +132,16 @@ class TestCorrelators:
                 - p * math.log(1 / (2 * math.pi * eps))
             assert abs(resid) <= 1e-12
 
+
+    def test_one_pass_matches_entropy_and_correlator_bit_for_bit(self):
+        # the fermion CLI takes both duality terms from one pass over the
+        # separations and the Wick comparison's correlator as their exp
+        rng = np.random.default_rng(12)
+        for t in range(200):
+            s = random_set(rng, 1 + t % 8, cutoff=float(rng.uniform(0.2, 2.0)))
+            s_val, log_c = entropy_and_log_correlator(s)
+            assert s_val == entropy(s) and log_c == log_correlator_cauchy(s)
+            assert math.exp(log_c) == correlator_cauchy(s)
 
 class TestVertexOperators:
 

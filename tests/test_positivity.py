@@ -15,6 +15,9 @@ from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   gram_matrix, schur_power, theorem_sweep,
                                   theorem_sweep_parallel, three_set_inequality,
                                   verify_witness)
+# the sequential descent oracle at the end of this file calls these
+from rpentropy.positivity import (_check_unitary, _draw_raw, _evaluate_block, _payload,
+                                  _serialize_instance, trial_rng, unitary_from_ginibre)
 from rpentropy.reflected import SubsystemSplit, pair_spectrum, renyi_entropy, von_neumann
 from rpentropy.sampling import haar_unitary, random_density
 
@@ -444,20 +447,75 @@ class TestBatchedSearch:
             counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=5, master_seed=1))
 
     def test_every_refine_rotation_is_checked(self, monkeypatch):
-        shapes = []
-        check = positivity._check_unitary
+        # every split matrix an evaluator call sees has passed _check_unitary
+        # before it: the search block's splits, the descent's start, and the
+        # rotated split of each rotation proposal, checked as stacked slices
+        shapes, checked = [], set()
+        check, evaluate = positivity._check_unitary, positivity._evaluate_block
 
-        def recording(mat):
-            shapes.append(mat.shape)
+        def recording_check(mat):
             check(mat)
+            shapes.append(mat.shape)
+            checked.update(m.tobytes() for m in mat.reshape(-1, *mat.shape[-2:]))
 
-        monkeypatch.setattr(positivity, "_check_unitary", recording)
+        def recording_evaluate(cfg, schmidt, mats):
+            assert all(m.tobytes() in checked for m in mats.reshape(-1, *mats.shape[-2:]))
+            return evaluate(cfg, schmidt, mats)
+
+        monkeypatch.setattr(positivity, "_check_unitary", recording_check)
+        monkeypatch.setattr(positivity, "_evaluate_block", recording_evaluate)
         cfg = SearchConfig(dims=[(2, 2)] * 3, trials=20, master_seed=7,
                            target="schur_s_fraction", refine_iterations=50)
-        counterexample_search(cfg)
-        # the block's stack, the descent's start, then each rotated split
-        assert shapes[:2] == [(20, 4, 4, 4), (3, 4, 4)]
-        assert len(shapes) > 10 and set(shapes[2:]) == {(4, 4)}
+        counters = counterexample_search(cfg).refine_counters
+        # the block's splits (no eigenbasis), the descent's start, then one
+        # stack of rotated splits per block that holds a rotation
+        assert shapes[:2] == [(20, 3, 4, 4), (3, 4, 4)]
+        rotations = shapes[2:]
+        assert len(rotations) > 5 and {shape[1:] for shape in rotations} == {(4, 4)}
+        assert max(shape[0] for shape in rotations) > 1
+        assert sum(shape[0] for shape in rotations) <= counters["evaluated"]
+
+    def test_violation_instance_is_the_whole_stack_draw(self):
+        # the search builds only the splits' unitaries and a violating
+        # trial's eigenbasis on its own; both equal the QR of the whole
+        # (trials, m + 1, d, d) stack to the last bit.  tolerance = -10
+        # makes every trial a violation
+        from rpentropy.positivity import _instance_from_dict
+        cfg = SearchConfig(dims=[(2, 3), (3, 2), (2, 3)], trials=12, master_seed=17,
+                           tolerance=-10.0)
+        report = counterexample_search(cfg)
+        z = np.array([_draw_raw(cfg.master_seed, t, cfg.dims)[1] for t in range(cfg.trials)])
+        u = unitary_from_ginibre(z)
+        assert len(report.violations) == cfg.trials
+        for k, violation in enumerate(report.violations):
+            psi, splits = _instance_from_dict(violation["instance"])
+            assert np.array_equal(psi.eigenbasis, u[k, 0])
+            assert all(np.array_equal(split.matrix, u[k, 1 + i]) for i, split in enumerate(splits))
+
+    def test_detb_fixed_ordering_is_the_identity_ordering(self):
+        # det_b is read from the identity column of the ordering dets; it
+        # must equal a det of the fixed-ordering B of its own, stacked and
+        # one instance at a time
+        from rpentropy.positivity import _second_differences
+        for dims in ([(2, 2)] * 3, [(2, 3), (3, 2), (2, 3), (3, 2)], [(2, 2)] * 2):
+            cfg = SearchConfig(dims=dims, trials=60, master_seed=23, target="schur_s_fraction")
+            draws = [_draw_raw(cfg.master_seed, t, cfg.dims) for t in range(cfg.trials)]
+            mats = unitary_from_ginibre(np.array([z[1:] for _, z in draws]))
+            fields = _evaluate_block(cfg, np.array([lam for lam, _ in draws]), mats)
+            b = _second_differences(fields["entropy_table"])
+            assert np.array_equal(fields["det_b"], np.linalg.det(b))
+            for k in range(cfg.trials):
+                assert fields["det_b"][k] == np.linalg.det(b[k])
+
+    def test_shared_index_caches_are_read_only(self):
+        from rpentropy.positivity import _orderings, _pair_groups
+        groups = _pair_groups(((2, 3), (3, 2), (2, 3)), 2)
+        assert _pair_groups(((2, 3), (3, 2), (2, 3)), 2) is groups
+        perms, index = _orderings(4)
+        assert _orderings(4)[1] is index and perms[0] == (0, 1, 2, 3)
+        for array in [index] + [a for _, i, j in groups for a in (i, j)]:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_verify_witness_defaults_to_the_search_n(self):
         # the stored det-B witness was found at the search's default n = 1
@@ -478,7 +536,7 @@ class TestBatchedSearch:
         # one call per pair, runs of a few pairs and whole shape groups give
         # the same tables; the 3 x 8x8 instance reduces one pair per call
         from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_groups
-        assert [len(i) for _, i, _ in _pair_groups([(8, 8)] * 3, 1)] == [1] * 6
+        assert [len(i) for _, i, _ in _pair_groups(((8, 8),) * 3, 1)] == [1] * 6
         for dims in ([(2, 3), (3, 2), (2, 3), (3, 2)], [(8, 8)] * 3):
             cfg = SearchConfig(dims=dims, trials=3, master_seed=4)
             drawn = [_draw_instance(cfg, t) for t in range(cfg.trials)]
@@ -597,3 +655,186 @@ class TestTheoremSweep:
         assert (empty.instances, empty.checks, empty.worst) == (0, 0, {})
         no_n = theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
         assert (no_n.instances, no_n.checks, no_n.violations) == (3, 0, [])
+
+
+class TestPrefetchedRefine:
+    """`_refine` evaluates blocks of proposals drawn as if each were rejected
+    and rewinds to the first accepted one; its (payload, steps) must be the
+    sequential descent's, bit for bit."""
+
+    DETB = dict(dims=[(2, 2)] * 3, target="schur_s_fraction", n=1)
+    CASES = {
+        # the search workload's descent: 138 steps to the witness
+        "detb-seed7": (dict(DETB, trials=200, master_seed=7, refine_iterations=20000), 138),
+        # the budget runs out mid-block without a witness
+        "budget-ends": (dict(DETB, trials=200, master_seed=7, refine_iterations=50), 50),
+        # an unreachable target: the descent stalls past 300 rejections and
+        # shrinks its scale, with refine_floor skips on the way
+        "stall-shrink": (dict(dims=[(2, 2)] * 2, target="entropy_n1", trials=1, master_seed=3,
+                              tolerance=10.0, refine_iterations=700, refine_scale=2.0), 700),
+        # large moves: many spectra fall below refine_floor and are skipped
+        "floor-skips": (dict(DETB, trials=1, master_seed=5, refine_iterations=400,
+                             refine_scale=3.0, refine_floor=1e-3), 170),
+        # past four subsystems det-B skips the orderings
+        "five-subsystems": (dict(DETB, dims=[(2, 2)] * 5, trials=400, master_seed=3,
+                                 refine_iterations=500), 115),
+        "entropy-n1": (dict(dims=[(2, 2)] * 3, target="entropy_n1", trials=1, master_seed=3,
+                            refine_iterations=300), 300),
+        "literal-s": (dict(DETB, n=2, literal_s=0.5, trials=1, master_seed=3,
+                           refine_iterations=300), 300),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_trajectory_equals_the_sequential_descent(self, name):
+        kwargs, steps = self.CASES[name]
+        cfg = SearchConfig(**kwargs)
+        start = counterexample_search(SearchConfig(**dict(kwargs, refine_iterations=0)))
+        expected = sequential_refine(cfg, start.min_slack_trial)
+        payload, used, counters = positivity._refine(cfg, start.min_slack_trial)
+        assert (payload, used) == expected
+        assert used == steps
+        assert (payload is None) == (steps == cfg.refine_iterations)
+        # proposals evaluated in sequence order, before each accepted one and
+        # in fully rejected blocks, plus skips make up the steps
+        committed = counters["evaluated"] - counters["discarded"]
+        assert committed <= used and counters["accepted"] <= counters["blocks"]
+        if name == "stall-shrink":
+            assert counters["shrinks"] >= 1 and committed < used
+        if name == "floor-skips":
+            assert committed < used
+
+    def test_rewinds_under_long_stalls(self, monkeypatch):
+        # a stand-in evaluator whose slack is a fixed pseudo-random number in
+        # [0, 1) per proposal: improvements get rarer as the descent goes on,
+        # so stalls pass 300 again and again (a shrink each time), and large
+        # moves make skips.  Every proposal the sequential descent evaluates
+        # must be evaluated, bit for bit and in the same order, up to each
+        # block's first improvement
+        calls = []
+
+        def fake(cfg, schmidt, mats):
+            slack = np.mod(1e4 * (schmidt[:, 0] + mats[:, :, 0, 0].real.sum(-1)), 1.0)
+            calls.append(list(zip(schmidt.copy(), mats.copy(), slack)))
+            return {"slack": slack}
+
+        def sequence():
+            (_, _, best), = calls[0]
+            evaluated = []
+            for block in calls[1:]:
+                for schmidt, mats, slack in block:
+                    evaluated.append((schmidt, mats))
+                    if slack < best:
+                        best = slack
+                        break
+            calls.clear()
+            return evaluated
+
+        monkeypatch.setattr(positivity, "_evaluate_block", fake)
+        # the oracle below calls this module's own reference
+        monkeypatch.setitem(globals(), "_evaluate_block", fake)
+        # blocks of up to 682 proposals, so that an accept and a shrink the
+        # rewind must undo often share a block
+        monkeypatch.setattr(positivity, "STACK_ENTRIES", 1 << 16)
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=1, master_seed=2, tolerance=-2e-5,
+                           refine_iterations=3000, refine_scale=2.0, refine_floor=1e-3)
+        expected = sequential_refine(cfg, 0)
+        expected_sequence = sequence()
+        payload, used, counters = positivity._refine(cfg, 0)
+        assert (payload, used) == expected
+        assert counters["shrinks"] >= 3
+        evaluated = sequence()
+        # the proposals before each accepted one and in fully rejected
+        # blocks; the skipped iterations make up the rest
+        assert len(evaluated) == len(expected_sequence) == (counters["evaluated"]
+                                                            - counters["discarded"]) < used
+        for (schmidt, mats), (schmidt_0, mats_0) in zip(evaluated, expected_sequence):
+            assert np.array_equal(schmidt, schmidt_0) and np.array_equal(mats, mats_0)
+
+    def test_blocks_stay_within_the_stack_budget(self, monkeypatch):
+        # a 3 x 4x4 proposal has 6 pairs of 256 entries: two per block at
+        # the default budget; a budget of one instance is the sequential
+        # descent, one call per proposal
+        sizes = []
+        evaluate = positivity._evaluate_block
+
+        def recording(cfg, schmidt, mats):
+            sizes.append(len(schmidt))
+            return evaluate(cfg, schmidt, mats)
+
+        monkeypatch.setattr(positivity, "_evaluate_block", recording)
+        cfg = SearchConfig(dims=[(4, 4)] * 3, trials=1, master_seed=1,
+                           target="schur_s_fraction", refine_iterations=60)
+        reference = sequential_refine(cfg, 0)
+        sizes.clear()
+        assert positivity._refine(cfg, 0)[:2] == reference
+        assert max(sizes) == 2 and sizes[0] == 1
+        monkeypatch.setattr(positivity, "STACK_ENTRIES", 1)
+        sizes.clear()
+        payload, used, counters = positivity._refine(cfg, 0)
+        assert (payload, used) == reference
+        assert set(sizes) == {1} and counters["discarded"] == 0
+
+
+# --------------------------------------------------------------- test oracle
+# The one-proposal-per-call descent that `_refine` pre-fetches, kept verbatim
+# from before the pre-fetch: `_refine` must follow its trajectory to the bit.
+
+def sequential_refine(cfg: SearchConfig, start_trial: int):
+    """Stochastic descent from a sweep instance into the violating region.
+
+    Moves perturb the spectrum in the log simplex or rotate one split by a
+    random small unitary; only improvements are kept and the move scale
+    shrinks after repeated rejections.  The state eigenbasis is irrelevant to
+    every target (only the spectrum and the splits enter), so it stays fixed.
+    Each move is one `_evaluate_block` call on one instance.  Returns a
+    violation payload once the slack clears -10 * tolerance.
+    """
+    rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
+    lam, z = _draw_raw(cfg.master_seed, start_trial, cfg.dims)
+    lam, betas = lam.copy(), unitary_from_ginibre(z)[1:]
+    _check_unitary(betas)
+    d = cfg.dim
+
+    def evaluate(lam_vec, beta_mats):
+        return _evaluate_block(cfg, np.sort(lam_vec)[::-1][None], beta_mats[None])
+
+    cur_slack = evaluate(lam, betas)["slack"][0]
+    target_slack = -10.0 * cfg.tolerance
+    scale = cfg.refine_scale
+    stall = 0
+    for it in range(cfg.refine_iterations):
+        which = int(rng.integers(0, 1 + len(betas)))
+        lam_new, betas_new = lam, betas
+        if which == 0:
+            logl = np.log(lam) + scale * rng.standard_normal(lam.size)
+            lam_new = np.exp(logl)
+            lam_new = lam_new / lam_new.sum()
+            if lam_new.min() < cfg.refine_floor:
+                continue
+        else:
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = 0.5 * (h + h.conj().T)
+            w, v = np.linalg.eigh(h)
+            rot = (v * np.exp(1j * scale * w)) @ v.conj().T
+            betas_new = betas.copy()
+            betas_new[which - 1] = rot @ betas[which - 1]
+            _check_unitary(betas_new[which - 1])
+        fields = evaluate(lam_new, betas_new)
+        if fields["slack"][0] < cur_slack:
+            cur_slack = fields["slack"][0]
+            lam, betas = lam_new, betas_new
+            stall = 0
+            if cur_slack < target_slack:
+                result = _payload(fields, 0)
+                result["trial"] = start_trial
+                result["refined"] = True
+                result["refine_iterations"] = it + 1
+                result["instance"] = _serialize_instance(
+                    np.sort(lam)[::-1], np.eye(d, dtype=complex), cfg.dims, betas)
+                return result, it + 1
+        else:
+            stall += 1
+            if stall > 300:
+                scale = max(scale * 0.6, 1e-3)
+                stall = 0
+    return None, cfg.refine_iterations
