@@ -167,15 +167,11 @@ def z_point(x: float, y: float) -> float:
     """
     if not (0 < x < 1 and 0 < y < 1):
         raise ValueError("x and y must lie in (0, 1)")
-    if x == y:
-        return float(x)
-    root = math.sqrt(x * y)
-    z = 2.0 * root / (1.0 + math.sqrt(1.0 - x) * math.sqrt(1.0 - y) + root)
-    return float(z)
+    return float(_z_points(x, y))
 
 
 def _z_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """z_point over arrays of pairs, bit for bit, degenerate pairs included."""
+    """z_point over arrays (or scalars) x and y, degenerate pairs included."""
     root = np.sqrt(x * y)
     z = 2.0 * root / (1.0 + np.sqrt(1.0 - x) * np.sqrt(1.0 - y) + root)
     return np.where(x == y, x, z)

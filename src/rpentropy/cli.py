@@ -41,6 +41,12 @@ def _split_dims(entry) -> tuple:
     return int(fields[0]), int(fields[1])
 
 
+def _positive_int(value) -> int:
+    if int(value) < 1:
+        raise ValueError("must be >= 1")
+    return int(value)
+
+
 def _list_of(item):
     """Parser of a comma string ('2,3,4') or a JSON array into [item(v), ...]."""
     def parse(value) -> list:
@@ -70,7 +76,7 @@ OPTIONS = {
          "pool of splits, e.g. '2x2,2x3,4x4'"),
         ("subsystems", _list_of(int), "2,3,4", "pool of subsystem counts, e.g. '2,3,4'"),
         ("n", _list_of(int), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
-        ("jobs", int, 1, "parallel workers")),
+        ("jobs", _positive_int, 1, "parallel workers")),
     "search": _options(
         COUNTEREXAMPLE_TOL,
         ("trials", int, 2000, "number of random trials"),
@@ -82,7 +88,7 @@ OPTIONS = {
          "Renyi index for integer/detB modes"),
         ("refine", int, 0, "stochastic descent budget after the sweep"),
         ("literal_s", float, None, "also check a literal fractional entrywise power"),
-        ("jobs", int, 1, "parallel workers")),
+        ("jobs", _positive_int, 1, "parallel workers")),
     "fermion": _options(
         1e-10,
         ("trials", int, 50, "random interval sets"),

@@ -87,42 +87,68 @@ class GramRecord:
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_groups(dims: tuple, size: int) -> tuple:
-    """The split pairs i <= j of the (d_A, d_B) tuples `dims` in runs of at
-    most `size` pairs of one shape, in first-seen order, as ((dims_i,
-    dims_j), i indices, j indices); the index arrays are read-only because
-    every caller shares them."""
-    groups = {}
-    for i in range(len(dims)):
-        for j in range(i, len(dims)):
-            rows_i, rows_j = groups.setdefault((dims[i], dims[j]), ([], []))
-            rows_i.append(i)
-            rows_j.append(j)
-    runs = [(shapes, np.array(i[k:k + size]), np.array(j[k:k + size]))
-            for shapes, (i, j) in groups.items() for k in range(0, len(i), size)]
-    for _, i, j in runs:
-        i.flags.writeable = j.flags.writeable = False
+def _pair_plan(dims: tuple, size: int) -> tuple:
+    """The split pairs i <= j of a flat stack of instances shaped as `dims`
+    (a tuple of (d_A, d_B) per instance; splits stacked flat and m x m tables
+    laid out flat, row-major, both in instance order), by instance, then j,
+    then i, in runs of at most `size` pairs of one shape, in first-seen
+    order: ((dims_i, dims_j), instance, split i, split j, entry ij, entry
+    ji).  The index arrays are read-only because every caller shares them."""
+    sizes = np.array([len(splits) for splits in dims])
+    count = sizes * (sizes + 1) // 2
+    inst = np.repeat(np.arange(len(dims)), count)
+    # the pairs of each m, by j and then i, are a prefix of the largest m's
+    j, i = np.tril_indices(sizes.max())
+    local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i, j, m = i[local], j[local], sizes[inst]
+    split, entry = (np.cumsum(sizes) - sizes)[inst], (np.cumsum(sizes ** 2) - sizes ** 2)[inst]
+    pairs = np.stack((inst, split + i, split + j, entry + i * m + j, entry + j * m + i))
+    shapes = {}
+    codes = np.array([shapes.setdefault(shape, len(shapes))
+                      for splits in dims for shape in splits])
+    key = codes[pairs[1]] * len(shapes) + codes[pairs[2]]
+    shape_of, runs = list(shapes), []
+    for code in dict.fromkeys(key.tolist()):
+        group = pairs[:, key == code]
+        group.flags.writeable = False
+        for k in range(0, group.shape[1], size):
+            runs.append(((shape_of[code // len(shapes)], shape_of[code % len(shapes)]),
+                         *group[:, k:k + size]))
     return tuple(runs)
+
+
+def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce,
+                 budget: int) -> np.ndarray:
+    """Flat tables (..., sum of m^2) of reduce(pair spectrum) of a flat stack
+    of instances shaped as `dims` (`_pair_plan`): Schmidt values (..., N, d)
+    and split matrices (..., S, d, d); leading axes are a stack.
+
+    rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j}, so each pair
+    i <= j is reduced once and written to both entries.  A run of at most
+    `budget` pair-matrix entries (at least one pair) takes one
+    `_pair_spectrum` and one `reduce` call, from spectra (..., run, k) to
+    values (..., run), which may gain axes in front of the run axis.
+    """
+    d = schmidt.shape[-1]
+    size = max(1, budget // (schmidt[..., 0, 0].size * d * d))
+    table = None
+    for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, size):
+        values = reduce(_pair_spectrum(schmidt[..., inst, :], mats[..., i, :, :],
+                                       mats[..., j, :, :], dims_i, dims_j))
+        if table is None:
+            table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
+        table[..., ij] = table[..., ji] = values
+    return table
 
 
 def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
     """Tables (..., m, m) of S_n(A_i Abar_j) (n = 1 is von Neumann) of the
     instances with Schmidt values (..., d) and split matrices (..., m, d, d),
-    the splits shaped as dims; leading axes are a stack.
-
-    rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j} and has the same
-    spectrum, so only the pairs i <= j are reduced.  Pairs of one shape share
-    a `_pair_spectrum` and an `_entropies` call, up to STACK_ENTRIES
-    pair-matrix entries per call.
-    """
-    m, d = len(dims), schmidt.shape[-1]
-    table = np.empty(schmidt.shape[:-1] + (m, m))
-    size = max(1, STACK_ENTRIES // (schmidt[..., 0].size * d * d))
-    for (dims_i, dims_j), i, j in _pair_groups(tuple(dims), size):
-        eigs = _pair_spectrum(schmidt[..., None, :], mats[..., i, :, :], mats[..., j, :, :],
-                              dims_i, dims_j)
-        table[..., i, j] = table[..., j, i] = _entropies(eigs, n)
-    return table
+    the splits shaped as dims; leading axes are a stack, and one call holds
+    at most STACK_ENTRIES pair-matrix entries."""
+    table = _pair_tables(schmidt[..., None, :], mats, (tuple(dims),),
+                         lambda eigs: _entropies(eigs, n), STACK_ENTRIES)
+    return table.reshape(table.shape[:-1] + (len(dims),) * 2)
 
 
 def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
@@ -525,9 +551,9 @@ def _search_chunk(args) -> tuple:
 def _pool_map(worker, items, jobs: int, *args) -> list:
     """worker((chunk, offset, *args)) over contiguous chunks of items, in item order.
 
-    With jobs > 1 and at least two items, a fresh process pool of `jobs`
-    workers runs ceil(len(items) / jobs)-sized chunks; otherwise one call
-    takes every item in this process.
+    With jobs > 1 and at least two items, a fresh process pool runs
+    ceil(len(items) / jobs)-sized chunks, one worker per chunk up to `jobs`;
+    otherwise one call takes every item in this process.
     """
     if jobs <= 1 or len(items) < 2:
         return [worker((items, 0, *args))]
@@ -536,7 +562,7 @@ def _pool_map(worker, items, jobs: int, *args) -> list:
     chunk = -(-len(items) // jobs)
     tasks = [(items[start:start + chunk], start, *args)
              for start in range(0, len(items), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -705,24 +731,10 @@ class SweepResult:
     violations: list
 
 
-def _sweep_chunk(args) -> "SweepResult":
-    blocks, _, n_values, master_seed, tol = args
-    return theorem_sweep([dims for _, block in blocks for dims in block], n_values,
-                         master_seed, tol=tol, trial_offset=blocks[0][0] if blocks else 0)
-
-
-def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
-                           tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> "SweepResult":
-    """Parallel theorem sweep; instance streams make the merge order-free.
-
-    Workers take runs of whole blocks, each at least half the budget of
-    SWEEP_BLOCK_ENTRIES, so a plan of one block runs in this process
-    whatever `jobs` is.
-    """
-    blocks = [(start, [dims for dims, _ in block])
-              for start, block in _sweep_blocks(dims_list)]
-    parts = _pool_map(_sweep_chunk, blocks, jobs, n_values, master_seed, tol)
-    merged = SweepResult(instances=0, checks=0, min_normalized_eig=np.inf,
+def _merged(parts) -> SweepResult:
+    """One sweep result of the results of consecutive runs of blocks, in
+    plan order; the worst check is the first one at the minimum."""
+    merged = SweepResult(instances=0, checks=0, min_normalized_eig=math.inf,
                          worst={}, violations=[])
     for part in parts:
         merged.instances += part.instances
@@ -734,18 +746,37 @@ def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
     return merged
 
 
+def _sweep_chunk(args) -> SweepResult:
+    """The sweep over exactly the given `_sweep_blocks` blocks, merged in order."""
+    blocks, _, n_values, master_seed, tol = args
+    return _merged(_sweep_block(block, n_values, master_seed, first, tol)
+                   for first, block in blocks)
+
+
+def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
+                           tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> SweepResult:
+    """Parallel theorem sweep; instance streams make the merge order-free.
+
+    The plan is blocked and validated once, here, and workers take runs of
+    those blocks, each at least half of SWEEP_BLOCK_ENTRIES, so a plan of
+    one block runs in this process whatever `jobs` is.
+    """
+    blocks = list(_sweep_blocks(dims_list))
+    return _merged(_pool_map(_sweep_chunk, blocks, jobs, list(n_values), master_seed, tol))
+
+
 def _sweep_blocks(dims_by_instance):
-    """The plan as (first instance, [(dims, validated dims), ...]) blocks.
+    """The plan as (first instance, [validated dims tuple, ...]) blocks.
 
     A block closes once its instances' pair matrices reach
     SWEEP_BLOCK_ENTRIES entries; a tail under half that joins the block
     before it, so a block is at least half the budget unless it is the
     plan's only one.
     """
-    held, block, entries, start = None, [], 0, 0
+    held, block, entries, start, seen = None, [], 0, 0, {}
     for dims in dims_by_instance:
-        checked = _validated_dims(dims)
-        block.append((dims, checked))
+        checked = tuple(_validated_dims(dims))
+        block.append(seen.setdefault(checked, checked))  # repeated dims share one tuple
         m, d = len(checked), checked[0][0] * checked[0][1]
         entries += m * (m + 1) // 2 * d * d
         if entries >= SWEEP_BLOCK_ENTRIES:
@@ -760,77 +791,63 @@ def _sweep_blocks(dims_by_instance):
         yield start, block
 
 
-def _sweep_block(block, n_values, master_seed: int, offset: int):
-    """(minimum eigenvalues, scales, symmetrized Grams) of a block's checks.
+def _sweep_block(block, n_values, master_seed: int, first: int, tol: float) -> SweepResult:
+    """The sweep result of one block, its first instance `first`.
 
     Python only draws, instance by instance through `_draw_raw`, so an
-    instance is the search's and the same in any block.  The rest is one
-    stacked call per group: the Haar step and the unitarity check per d, the
-    pair spectra per (split_i, split_j) shape, then their power sums per n,
-    and the verdicts per subsystem count.  Every output is indexed
-    (instance, n).
+    instance is the search's and the same in any block.  The rest is
+    stacked: per d one Haar step, one unitarity check and one
+    `_pair_tables` call, whose runs reduce pair spectra to their power sums
+    per n; then the verdicts per subsystem count.
     """
-    schmidt, ginibres, slots = defaultdict(list), defaultdict(list), []
-    drawn = defaultdict(int)  # split matrices so far, by d
-    for idx, (_, dims) in enumerate(block):
-        lam, z = _draw_raw(master_seed, offset + idx, dims)
-        d = lam.size
-        slots.append((len(schmidt[d]), drawn[d]))
-        drawn[d] += len(dims)
-        schmidt[d].append(lam)
-        # the eigenbasis enters no pair spectrum, so only the splits' are kept
-        ginibres[d].append(z[1:])
-    schmidt = {d: np.array(rows) for d, rows in schmidt.items()}
-    unitaries = {d: unitary_from_ginibre(np.concatenate(z)) for d, z in ginibres.items()}
-    for u in unitaries.values():
-        _check_unitary(u)
+    by_d = defaultdict(list)  # d -> (block index, Schmidt values, the splits' Ginibres)
+    for idx, dims in enumerate(block):
+        lam, z = _draw_raw(master_seed, first + idx, dims)
+        by_d[lam.size].append((idx, lam, z[1:]))  # the eigenbasis enters no pair spectrum
 
-    # each instance's Gram entries are a row-major m x m run of `entries`
-    sizes = np.array([len(dims) for _, dims in block])
-    starts = np.concatenate(([0], np.cumsum(sizes ** 2)))
-    # a code per split shape; a pair's group is (code_i, code_j), and its
-    # indices come from each instance's slots by index arithmetic per m
-    shapes = {}
-    codes = np.array([shapes.setdefault(tuple(split), len(shapes))
-                      for _, dims in block for split in dims])
-    first_split = np.cumsum(sizes) - sizes
-    row_of, col_of = np.array(slots).T
-    parts = []
-    for m in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == m)
-        i, j = np.triu_indices(m)
-        code = codes[first_split[members, None] + np.arange(m)]
-        row, col, start = row_of[members, None], col_of[members, None], starts[members, None]
-        parts.append(np.stack(np.broadcast_arrays(
-            code[:, i] * len(shapes) + code[:, j], row, col + i, col + j,
-            start + i * m + j, start + j * m + i)).reshape(6, -1))
-    key, rows, cols_i, cols_j, at_ij, at_ji = np.concatenate(parts, axis=1)
-    order = np.argsort(key, kind="stable")
-    shape_of = list(shapes)
-    entries = np.empty((starts[-1], len(n_values)))
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        code_i, code_j = divmod(int(key[group[0]]), len(shapes))
-        dims_i, dims_j = shape_of[code_i], shape_of[code_j]
-        d = dims_i[0] * dims_i[1]
-        eigs = _pair_spectrum(schmidt[d][rows[group]], unitaries[d][cols_i[group]],
-                              unitaries[d][cols_j[group]], dims_i, dims_j)
+    def power_sums(eigs):
         # a scalar exponent squares exactly at n = 2, where a broadcast power
         # array can miss by an ulp
-        for c, n in enumerate(n_values):
-            entries[at_ij[group], c] = entries[at_ji[group], c] = (eigs ** n).sum(axis=-1)
+        return np.array([(eigs ** n).sum(axis=-1) for n in n_values]).reshape(
+            len(n_values), *eigs.shape[:-1])
+
+    tables, order = [], []
+    for idx, lam, z in (zip(*rows) for rows in by_d.values()):
+        u = unitary_from_ginibre(np.concatenate(z))
+        _check_unitary(u)
+        order += idx
+        tables.append(_pair_tables(np.array(lam), u, tuple(block[k] for k in idx),
+                                   power_sums, SWEEP_BLOCK_ENTRIES))
+    # each instance's Gram entries are a row-major m x m run of `entries`
+    entries = np.concatenate(tables, axis=-1)
+    sizes = np.array([len(dims) for dims in block])
+    starts = np.empty_like(sizes)
+    starts[order] = np.cumsum(sizes[order] ** 2) - sizes[order] ** 2
 
     min_eigs = np.empty((len(block), len(n_values)))
     scales = np.empty_like(min_eigs)
     grams = {}
     for m in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == m)
-        g = entries[starts[members][:, None] + np.arange(m * m)]
+        g = entries[:, starts[members][:, None] + np.arange(m * m)]
         g, scale, eigvals, _ = _gram_spectrum(
-            g.reshape(len(members), m, m, -1).transpose(0, 3, 1, 2))
+            g.reshape(-1, len(members), m, m).swapaxes(0, 1))
         min_eigs[members] = eigvals[..., 0]
         scales[members] = scale
         grams.update(zip(members.tolist(), g))
-    return min_eigs, scales, grams
+
+    normalized = min_eigs / scales
+    min_norm_eig, worst = math.inf, {}
+    if normalized.size:
+        k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
+        min_norm_eig = float(normalized[k, c])
+        worst = {"instance": first + int(k), "n": n_values[c], "dims": list(block[k]),
+                 "min_eigenvalue": float(min_eigs[k, c]), "scale": float(scales[k, c])}
+    violations = [{"instance": first + int(k), "n": n_values[c], "dims": list(block[k]),
+                   "gram": grams[k][c].tolist(), "min_eigenvalue": float(min_eigs[k, c])}
+                  for k, c in zip(*np.nonzero(normalized < -tol))]
+    return SweepResult(instances=len(block), checks=len(block) * len(n_values),
+                       min_normalized_eig=min_norm_eig, worst=worst, violations=violations)
 
 
 def theorem_sweep(dims_by_instance, n_values, master_seed: int,
@@ -840,30 +857,9 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     dims_by_instance: iterable of split-dimension lists, one instance each.
     Every (instance, n) pair must come out PSD within -tol * ||G||; any
     violation is collected (a numerics bug, not physics).  Instances run in
-    stacked blocks (`_sweep_block`); the result is the same for any block
-    boundaries, and so for any chunking of the plan.
+    stacked blocks (`_sweep_block`) as they are planned, so this is the
+    one-chunk case of `theorem_sweep_parallel`; the result is the same for
+    any block boundaries, and so for any chunking of the plan.
     """
-    n_values = list(n_values)
-    min_norm_eig = np.inf
-    worst = {}
-    violations = []
-    count = 0
-    for start, block in _sweep_blocks(dims_by_instance):
-        first = trial_offset + start
-        min_eigs, scales, grams = _sweep_block(block, n_values, master_seed, first)
-        normalized = min_eigs / scales
-        if normalized.size:
-            k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
-            if normalized[k, c] < min_norm_eig:
-                min_norm_eig = normalized[k, c]
-                worst = {"instance": first + int(k), "n": n_values[c],
-                         "dims": list(block[k][0]), "min_eigenvalue": float(min_eigs[k, c]),
-                         "scale": float(scales[k, c])}
-        for k, c in zip(*np.nonzero(normalized < -tol)):
-            violations.append({"instance": first + int(k), "n": n_values[c],
-                               "dims": list(block[k][0]), "gram": grams[k][c].tolist(),
-                               "min_eigenvalue": float(min_eigs[k, c])})
-        count += len(block)
-    return SweepResult(instances=count, checks=count * len(n_values),
-                       min_normalized_eig=float(min_norm_eig), worst=worst,
-                       violations=violations)
+    blocks = ((trial_offset + start, block) for start, block in _sweep_blocks(dims_by_instance))
+    return _sweep_chunk((blocks, 0, list(n_values), master_seed, tol))

@@ -267,6 +267,21 @@ class TestConfigHandling:
         assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["gram-sweep", "search"])
+    def test_jobs_flag_below_one_config_error(self, tmp_path, capsys, subcommand):
+        for jobs in ("0", "-3"):
+            assert run(tmp_path, subcommand, "--trials", "2", "--jobs", jobs) == 1
+            assert "jobs" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand", ["gram-sweep", "search"])
+    def test_jobs_config_below_one_config_error(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "cfg.json"
+        for jobs in (0, -3):
+            cfg.write_text(json.dumps({"trials": 2, "jobs": jobs}))
+            assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            assert "jobs" in capsys.readouterr().err
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')

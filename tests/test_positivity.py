@@ -508,14 +508,37 @@ class TestBatchedSearch:
                 assert fields["det_b"][k] == np.linalg.det(b[k])
 
     def test_shared_index_caches_are_read_only(self):
-        from rpentropy.positivity import _orderings, _pair_groups
-        groups = _pair_groups(((2, 3), (3, 2), (2, 3)), 2)
-        assert _pair_groups(((2, 3), (3, 2), (2, 3)), 2) is groups
+        from rpentropy.positivity import _orderings, _pair_plan
+        plan = _pair_plan((((2, 3), (3, 2), (2, 3)),), 2)
+        assert _pair_plan((((2, 3), (3, 2), (2, 3)),), 2) is plan
         perms, index = _orderings(4)
         assert _orderings(4)[1] is index and perms[0] == (0, 1, 2, 3)
-        for array in [index] + [a for _, i, j in groups for a in (i, j)]:
+        for array in [index] + [a for _, *arrays in plan for a in arrays]:
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_pair_plan_layout(self):
+        # splits stack flat in instance order and the m x m tables lie flat,
+        # row-major; every pair i <= j of every instance is in one run, runs
+        # are single-shape and come in first-seen shape order
+        from rpentropy.positivity import _pair_plan
+        dims = (((2, 3), (3, 2)), ((3, 2), (3, 2), (2, 3)), ((2, 3),) * 4)
+        plan = _pair_plan(dims, 4)
+        first_split, first_entry, seen = [0, 2, 5], [0, 4, 13], set()
+        for (dims_i, dims_j), inst, i, j, ij, ji in plan:
+            assert 1 <= len(inst) <= 4
+            for k, a, b, at_ij, at_ji in zip(inst, i, j, ij, ji):
+                m, a0, b0 = len(dims[k]), a - first_split[k], b - first_split[k]
+                assert 0 <= a0 <= b0 < m
+                assert (dims[k][a0], dims[k][b0]) == (dims_i, dims_j)
+                assert (at_ij, at_ji) == (first_entry[k] + a0 * m + b0,
+                                          first_entry[k] + b0 * m + a0)
+                seen.add((int(k), int(a0), int(b0)))
+        assert seen == {(k, a, b) for k, splits in enumerate(dims)
+                        for a in range(len(splits)) for b in range(a, len(splits))}
+        a, b = (2, 3), (3, 2)
+        assert [(shapes, len(inst)) for shapes, inst, *_ in plan] == [
+            ((a, a), 4), ((a, a), 4), ((a, a), 4), ((a, b), 1), ((b, b), 4), ((b, a), 2)]
 
     def test_verify_witness_defaults_to_the_search_n(self):
         # the stored det-B witness was found at the search's default n = 1
@@ -535,8 +558,8 @@ class TestBatchedSearch:
     def test_entropy_tables_exact_across_call_sizes(self, monkeypatch):
         # one call per pair, runs of a few pairs and whole shape groups give
         # the same tables; the 3 x 8x8 instance reduces one pair per call
-        from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_groups
-        assert [len(i) for _, i, _ in _pair_groups(((8, 8),) * 3, 1)] == [1] * 6
+        from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_plan
+        assert [len(i) for _, _, i, *_ in _pair_plan((((8, 8),) * 3,), 1)] == [1] * 6
         for dims in ([(2, 3), (3, 2), (2, 3), (3, 2)], [(8, 8)] * 3):
             cfg = SearchConfig(dims=dims, trials=3, master_seed=4)
             drawn = [_draw_instance(cfg, t) for t in range(cfg.trials)]
@@ -548,31 +571,55 @@ class TestBatchedSearch:
                 assert np.array_equal(_entropy_tables(schmidt, mats, dims, 2), reference)
                 assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, 2),
                                       reference[1])
+        # at the default budget, one 8x8 pair matrix fills a call
+        monkeypatch.undo()
+        calls = []
+        spectrum = positivity._pair_spectrum
+
+        def recording(schmidt_values, mat_i, *rest):
+            calls.append(mat_i.shape)
+            return spectrum(schmidt_values, mat_i, *rest)
+
+        monkeypatch.setattr(positivity, "_pair_spectrum", recording)
+        assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, 2), reference[1])
+        assert calls == [(1, 64, 64)] * 6
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
-                            [(4, 4), (2, 8), (8, 2)], [(8, 8), (16, 4)]]),
+                            [(4, 4), (2, 8), (8, 2)], [(8, 8), (16, 4)],
+                            # a flat stack of instances that differ in split
+                            # shapes and counts, as a sweep block holds them
+                            (((2, 3), (3, 2)), ((3, 2), (3, 2), (2, 3)), ((2, 3),) * 4)]),
            st.floats(0.0, 12.0), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
     def test_entropy_tables_equal_per_pair_entropies(self, dims, decades, seed, n):
         # Schmidt spectra spread over up to 12 decades, below the sampler's
         # 1e-6 redraw floor; a stack of three instances against per-pair
         # calls, and each pair j < i is its reflection's entry
-        from rpentropy.positivity import _entropy_tables
+        from rpentropy.positivity import _entropy_tables, _pair_tables
+        from rpentropy.reflected import _entropies
+        per_instance = dims if isinstance(dims, tuple) else [dims] * 3
         rng = np.random.default_rng(seed)
-        d = dims[0][0] * dims[0][1]
+        d = per_instance[0][0][0] * per_instance[0][0][1]
         schmidt = np.sort(np.logspace(0, -decades, d) * rng.uniform(0.5, 1.0, (3, d)))[:, ::-1]
         schmidt /= schmidt.sum(axis=-1, keepdims=True)
-        mats = np.array([[haar_unitary(d, rng) for _ in dims] for _ in range(3)])
-        tables = _entropy_tables(schmidt, mats, dims, n)
-        for k in range(3):
+        mats = [np.array([haar_unitary(d, rng) for _ in splits]) for splits in per_instance]
+        if isinstance(dims, tuple):
+            flat = _pair_tables(schmidt, np.concatenate(mats), dims,
+                                lambda eigs: _entropies(eigs, n), positivity.STACK_ENTRIES)
+            ends = np.cumsum([len(splits) ** 2 for splits in dims])
+            tables = [t.reshape(len(splits), -1)
+                      for t, splits in zip(np.split(flat, ends[:-1]), dims)]
+        else:
+            tables = _entropy_tables(schmidt, np.array(mats), dims, n)
+        for k, splits_k in enumerate(per_instance):
             psi = PurifiedState(dim=d, schmidt_values=schmidt[k], eigenbasis=np.eye(d))
             splits = [SubsystemSplit(dim_a=a, dim_b=b, coeffs=mat)
-                      for (a, b), mat in zip(dims, mats[k])]
-            for i in range(len(dims)):
-                for j in range(i, len(dims)):
+                      for (a, b), mat in zip(splits_k, mats[k])]
+            for i in range(len(splits)):
+                for j in range(i, len(splits)):
                     eigs = pair_spectrum(psi, splits[i], splits[j])
                     expected = von_neumann(eigs) if n == 1 else renyi_entropy(eigs, n)
-                    assert tables[k, i, j] == tables[k, j, i] == expected
+                    assert tables[k][i, j] == tables[k][j, i] == expected
 
 
 class TestTheoremSweep:
@@ -649,6 +696,42 @@ class TestTheoremSweep:
                 sweep([[(2, 2)] * 2, [(2, 2), (2, 3)]], [2], master_seed=1)
             with pytest.raises(ValueError, match="at least two subsystems"):
                 sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
+
+    def test_pool_gets_the_validated_blocks_one_worker_each(self, monkeypatch):
+        # a stand-in executor records its size and maps in this process, so
+        # no process starts; the plan is validated once, before the pool
+        import concurrent.futures
+        sizes, validated = [], []
+        validate = positivity._validated_dims
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                return list(map(worker, tasks))
+
+        def recording(dims):
+            validated.append(dims)
+            return validate(dims)
+
+        plan = [[(2, 2)] * 2] * 6
+        reference = asdict(theorem_sweep(plan, [2, 3], master_seed=5))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(positivity, "_validated_dims", recording)
+        # 48 entries per instance: two blocks of three
+        monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 100)
+        assert asdict(theorem_sweep_parallel(plan, [2, 3], master_seed=5, jobs=4)) == reference
+        assert sizes == [2] and len(validated) == len(plan)
+        sizes.clear()
+        counterexample_search(SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1), jobs=5)
+        assert sizes == [3]
 
     def test_empty_plan_and_empty_n(self):
         empty = theorem_sweep_parallel([], [2, 3], master_seed=1, jobs=2)
