@@ -75,7 +75,7 @@ OPTIONS = {
         ("dims", _list_of(_split_dims), "2x2,2x3,2x4,3x3,4x4",
          "pool of splits, e.g. '2x2,2x3,4x4'"),
         ("subsystems", _list_of(int), "2,3,4", "pool of subsystem counts, e.g. '2,3,4'"),
-        ("n", _list_of(int), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
+        ("n", _list_of(_positive_int), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
         ("jobs", _positive_int, 1, "parallel workers")),
     "search": _options(
         COUNTEREXAMPLE_TOL,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .modular import InvalidStateError, PurifiedState
 from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
-                        _pair_spectrum)
+                        _pair_spectrum, _pair_traces)
 from .sampling import ginibre, simplex_eigenvalues, trial_rng, unitary_from_ginibre
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, renyi_entropy, twist_operators, von_neumann  # noqa: F401
@@ -33,7 +33,7 @@ TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
 # a theorem_sweep block closes once its pair matrices reach this many
 # entries, which bounds the sweep's memory for any plan length and split
 # size.  A block is also the least work a pool worker gets: on 2 cores one
-# takes about 40 ms, against about 17 ms to start a fresh 2-worker pool, so
+# takes about 30 ms, against about 17 ms to start a fresh 2-worker pool, so
 # a tail under half a block joins the block before it.
 SWEEP_BLOCK_ENTRIES = 1 << 17
 # one stacked call of the search or of an entropy table holds at most this
@@ -117,24 +117,25 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
     return tuple(runs)
 
 
-def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce,
+def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, kernel,
                  budget: int) -> np.ndarray:
-    """Flat tables (..., sum of m^2) of reduce(pair spectrum) of a flat stack
-    of instances shaped as `dims` (`_pair_plan`): Schmidt values (..., N, d)
+    """Flat tables (..., sum of m^2) of a pair kernel over a flat stack of
+    instances shaped as `dims` (`_pair_plan`): Schmidt values (..., N, d)
     and split matrices (..., S, d, d); leading axes are a stack.
 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j}, so each pair
     i <= j is reduced once and written to both entries.  A run of at most
     `budget` pair-matrix entries (at least one pair) takes one
-    `_pair_spectrum` and one `reduce` call, from spectra (..., run, k) to
-    values (..., run), which may gain axes in front of the run axis.
+    kernel(Schmidt values (..., run, d), split i and split j matrices
+    (..., run, d, d), dims_i, dims_j) call, whose values (..., run) may
+    gain axes in front of the run axis.
     """
     d = schmidt.shape[-1]
     size = max(1, budget // (schmidt[..., 0, 0].size * d * d))
     table = None
     for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, size):
-        values = reduce(_pair_spectrum(schmidt[..., inst, :], mats[..., i, :, :],
-                                       mats[..., j, :, :], dims_i, dims_j))
+        values = kernel(schmidt[..., inst, :], mats[..., i, :, :], mats[..., j, :, :],
+                        dims_i, dims_j)
         if table is None:
             table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
         table[..., ij] = table[..., ji] = values
@@ -147,7 +148,7 @@ def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.n
     the splits shaped as dims; leading axes are a stack, and one call holds
     at most STACK_ENTRIES pair-matrix entries."""
     table = _pair_tables(schmidt[..., None, :], mats, (tuple(dims),),
-                         lambda eigs: _entropies(eigs, n), STACK_ENTRIES)
+                         lambda *pair: _entropies(_pair_spectrum(*pair), n), STACK_ENTRIES)
     return table.reshape(table.shape[:-1] + (len(dims),) * 2)
 
 
@@ -364,6 +365,8 @@ class SearchConfig:
             raise ValueError("trials must be >= 1")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
+        if self.n < 1:
+            raise ValueError("Renyi index must be >= 1")
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
         self.dims = _validated_dims(self.dims)
@@ -746,6 +749,14 @@ def _merged(parts) -> SweepResult:
     return merged
 
 
+def _renyi_indices(n_values) -> list:
+    """The sweep's Renyi indices as a list of ints; a trace power needs n >= 1."""
+    n_values = list(n_values)
+    if any(int(n) != n or n < 1 for n in n_values):
+        raise ValueError(f"Renyi indices must be integers >= 1, got {n_values}")
+    return [int(n) for n in n_values]
+
+
 def _sweep_chunk(args) -> SweepResult:
     """The sweep over exactly the given `_sweep_blocks` blocks, merged in order."""
     blocks, _, n_values, master_seed, tol = args
@@ -761,8 +772,9 @@ def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
     those blocks, each at least half of SWEEP_BLOCK_ENTRIES, so a plan of
     one block runs in this process whatever `jobs` is.
     """
+    n_values = _renyi_indices(n_values)
     blocks = list(_sweep_blocks(dims_list))
-    return _merged(_pool_map(_sweep_chunk, blocks, jobs, list(n_values), master_seed, tol))
+    return _merged(_pool_map(_sweep_chunk, blocks, jobs, n_values, master_seed, tol))
 
 
 def _sweep_blocks(dims_by_instance):
@@ -797,19 +809,14 @@ def _sweep_block(block, n_values, master_seed: int, first: int, tol: float) -> S
     Python only draws, instance by instance through `_draw_raw`, so an
     instance is the search's and the same in any block.  The rest is
     stacked: per d one Haar step, one unitarity check and one
-    `_pair_tables` call, whose runs reduce pair spectra to their power sums
-    per n; then the verdicts per subsystem count.
+    `_pair_tables` call, whose runs reduce pair matrices to their trace
+    powers per n (`_pair_traces`, no SVD); then the verdicts per subsystem
+    count.
     """
     by_d = defaultdict(list)  # d -> (block index, Schmidt values, the splits' Ginibres)
     for idx, dims in enumerate(block):
         lam, z = _draw_raw(master_seed, first + idx, dims)
-        by_d[lam.size].append((idx, lam, z[1:]))  # the eigenbasis enters no pair spectrum
-
-    def power_sums(eigs):
-        # a scalar exponent squares exactly at n = 2, where a broadcast power
-        # array can miss by an ulp
-        return np.array([(eigs ** n).sum(axis=-1) for n in n_values]).reshape(
-            len(n_values), *eigs.shape[:-1])
+        by_d[lam.size].append((idx, lam, z[1:]))  # the eigenbasis enters no pair matrix
 
     tables, order = [], []
     for idx, lam, z in (zip(*rows) for rows in by_d.values()):
@@ -817,7 +824,8 @@ def _sweep_block(block, n_values, master_seed: int, first: int, tol: float) -> S
         _check_unitary(u)
         order += idx
         tables.append(_pair_tables(np.array(lam), u, tuple(block[k] for k in idx),
-                                   power_sums, SWEEP_BLOCK_ENTRIES))
+                                   lambda *pair: _pair_traces(*pair, n_values),
+                                   SWEEP_BLOCK_ENTRIES))
     # each instance's Gram entries are a row-major m x m run of `entries`
     entries = np.concatenate(tables, axis=-1)
     sizes = np.array([len(dims) for dims in block])
@@ -855,11 +863,13 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     """PSD sweep of integer-index Gram matrices over random instances.
 
     dims_by_instance: iterable of split-dimension lists, one instance each.
-    Every (instance, n) pair must come out PSD within -tol * ||G||; any
-    violation is collected (a numerics bug, not physics).  Instances run in
-    stacked blocks (`_sweep_block`) as they are planned, so this is the
-    one-chunk case of `theorem_sweep_parallel`; the result is the same for
-    any block boundaries, and so for any chunking of the plan.
+    Every n must be an integer >= 1, and every (instance, n) pair must come
+    out PSD within -tol * ||G||; any violation is collected (a numerics bug,
+    not physics).  Instances run in stacked blocks (`_sweep_block`) as they
+    are planned, so this is the one-chunk case of `theorem_sweep_parallel`;
+    the result is the same for any block boundaries, and so for any
+    chunking of the plan.
     """
+    n_values = _renyi_indices(n_values)
     blocks = ((trial_offset + start, block) for start, block in _sweep_blocks(dims_by_instance))
-    return _sweep_chunk((blocks, 0, list(n_values), master_seed, tol))
+    return _sweep_chunk((blocks, 0, n_values, master_seed, tol))

@@ -182,18 +182,47 @@ def _pair_matrix(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
             .reshape(*lead, da_i * da_j, db_i * db_j))
 
 
+def _check_pair_traces(traces: np.ndarray) -> None:
+    """Raise unless every tr rho_{A_i Abar_j} of the stack is 1 within TRACE_TOL."""
+    bad = abs(traces - 1.0) > TRACE_TOL
+    if bad.any():
+        first = np.ravel(traces)[np.ravel(bad)][0]
+        raise InvalidStateError(f"pair spectrum sums to {first:.12f}, not 1")
+
+
 def _pair_spectrum(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
                    dims_i: tuple, dims_j: tuple) -> np.ndarray:
     """Squared singular values of `_pair_matrix`, stack by stack; each
     spectrum must sum to 1 within TRACE_TOL."""
     x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
     eigs = np.linalg.svd(x, compute_uv=False) ** 2
-    sums = eigs.sum(axis=-1)
-    bad = abs(sums - 1.0) > TRACE_TOL
-    if bad.any():
-        first = np.ravel(sums)[np.ravel(bad)][0]
-        raise InvalidStateError(f"pair spectrum sums to {first:.12f}, not 1")
+    _check_pair_traces(eigs.sum(axis=-1))
     return eigs
+
+
+def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
+                 dims_i: tuple, dims_j: tuple, n_values) -> np.ndarray:
+    """tr rho^n of `_pair_matrix`'s rho = X X^dag for each n >= 1 of n_values,
+    shape (len(n_values), ...), from matrix products alone: no spectrum.
+
+    M is the smaller of X X^dag and X^dag X, which share their nonzero
+    eigenvalues; tr M must be 1 within TRACE_TOL.  The powers of M are
+    Hermitian, so tr M^n is the entrywise sum of M^ceil(n/2) times
+    conj(M^floor(n/2)), from one ladder M, M^2, ... up to M^ceil(max n / 2).
+    """
+    x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
+    adjoint = x.conj().swapaxes(-1, -2)
+    m = x @ adjoint if x.shape[-2] <= x.shape[-1] else adjoint @ x
+    _check_pair_traces(np.trace(m, axis1=-2, axis2=-1).real)
+    ladder = [np.eye(m.shape[-1], dtype=m.dtype), m]
+    while len(ladder) <= (max(n_values, default=0) + 1) // 2:
+        ladder.append(ladder[-1] @ m)
+    traces = np.empty((len(n_values),) + m.shape[:-2])
+    for k, n in enumerate(n_values):
+        # Re sum(A conj(B)) is the dot product of the (re, im) pairs of A and B
+        high, low = ladder[(n + 1) // 2].view(float), ladder[n // 2].view(float)
+        traces[k] = (high * low).sum(axis=(-2, -1))
+    return traces
 
 
 def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,

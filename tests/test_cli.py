@@ -57,6 +57,15 @@ class TestGramSweep:
         code = run(tmp_path, "gram-sweep", "--trials", "1", "--seed", "3")
         assert code == 3
 
+    def test_renyi_index_below_one_config_error(self, tmp_path, capsys):
+        for n in ("0", "-1", "2,0"):
+            assert run(tmp_path, "gram-sweep", "--trials", "2", "--n", n) == 1
+            assert "for n" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "n": [2, 0]}))
+        assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_parallel_jobs_match(self, tmp_path):
         run(tmp_path, "gram-sweep", "--trials", "12", "--seed", "9", "--jobs", "1")
         serial = load(tmp_path, "gram-sweep-seed9.json")["report"]["results"]
@@ -126,6 +135,16 @@ class TestSearch:
         without = load(tmp_path / "without", "search-schur_s_fraction-seed7.json")
         assert without["meta"]["refine"] == {}
         assert canonical_dumps(without["report"]) == canonical_dumps(with_counters["report"])
+
+    @pytest.mark.parametrize("target", ["integer_n", "entropy_n1", "schur_s_fraction"])
+    def test_renyi_index_below_one_config_error(self, tmp_path, capsys, target):
+        # det-B at n = -2 once reported spurious violations and wrote them
+        # as fixtures
+        for n in ("-2", "0"):
+            assert run(tmp_path, "search", "--target", target, "--n", n,
+                       "--trials", "20") == 1
+            assert "Renyi index must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_dims_config_error(self, tmp_path):
         assert run(tmp_path, "search", "--dims", "2xx2") == 1

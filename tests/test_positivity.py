@@ -596,7 +596,7 @@ class TestBatchedSearch:
         # 1e-6 redraw floor; a stack of three instances against per-pair
         # calls, and each pair j < i is its reflection's entry
         from rpentropy.positivity import _entropy_tables, _pair_tables
-        from rpentropy.reflected import _entropies
+        from rpentropy.reflected import _entropies, _pair_spectrum
         per_instance = dims if isinstance(dims, tuple) else [dims] * 3
         rng = np.random.default_rng(seed)
         d = per_instance[0][0][0] * per_instance[0][0][1]
@@ -605,7 +605,8 @@ class TestBatchedSearch:
         mats = [np.array([haar_unitary(d, rng) for _ in splits]) for splits in per_instance]
         if isinstance(dims, tuple):
             flat = _pair_tables(schmidt, np.concatenate(mats), dims,
-                                lambda eigs: _entropies(eigs, n), positivity.STACK_ENTRIES)
+                                lambda *pair: _entropies(_pair_spectrum(*pair), n),
+                                positivity.STACK_ENTRIES)
             ends = np.cumsum([len(splits) ** 2 for splits in dims])
             tables = [t.reshape(len(splits), -1)
                       for t, splits in zip(np.split(flat, ends[:-1]), dims)]
@@ -667,28 +668,54 @@ class TestTheoremSweep:
             assert [start for start, _ in blocks] == [0, 3, 6][:len(sizes)]
 
     def test_sweep_draws_the_search_instance(self):
-        # the stacked sweep must give exactly the Gram of the per-instance
-        # route on the search's instance, also in the second slot of a block;
-        # tol = -1 records every check
+        # the stacked sweep must give exactly the Gram of per-pair trace
+        # powers on the search's instance, also in the second slot of a
+        # block; tol = -1 records every check.  The spectrum's power sums
+        # agree within the kernel tolerance of tests/test_reflected.py
         from rpentropy.positivity import _draw_instance, _gram_spectrum
-        from rpentropy.reflected import pair_spectrum
+        from rpentropy.reflected import _pair_traces, pair_spectrum
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,
                               tol=-1.0, trial_offset=4)
         cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
                            trial_offset=5)
         psi, splits = _draw_instance(cfg, 0)
-        spectra = {(i, j): pair_spectrum(psi, splits[i], splits[j])
-                   for i in range(3) for j in range(i, 3)}
+        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+        traces = {(i, j): _pair_traces(psi.schmidt_values, splits[i].matrix,
+                                       splits[j].matrix, dims[i], dims[j], n_values)
+                  for i, j in pairs}
+        spectra = {(i, j): pair_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
         recorded = [v for v in sweep.violations if v["instance"] == 5]
         assert [v["n"] for v in recorded] == n_values
-        for n, violation in zip(n_values, recorded):
+        for k, (n, violation) in enumerate(zip(n_values, recorded)):
             g = np.empty((3, 3))
-            for (i, j), eigs in spectra.items():
-                g[i, j] = g[j, i] = np.sum(eigs ** n)
+            for (i, j), values in traces.items():
+                g[i, j] = g[j, i] = values[k]
+                power_sum = np.sum(spectra[i, j] ** n)
+                assert values[k] == pytest.approx(
+                    power_sum, rel=8 * n * psi.dim * np.finfo(float).eps)
             g, _, eigvals, _ = _gram_spectrum(g)
             assert violation["gram"] == g.tolist()
             assert violation["min_eigenvalue"] == eigvals[0]
+
+    def test_sweep_takes_no_svd(self, monkeypatch):
+        # integer-index Gram entries are trace powers of the pair matrix:
+        # the sweep runs to completion with the spectrum kernel disabled
+        def no_svd(*args):
+            raise AssertionError("the theorem sweep took a pair spectrum")
+
+        monkeypatch.setattr(positivity, "_pair_spectrum", no_svd)
+        plan = [[(2, 2)] * 2, [(2, 3), (3, 2), (2, 3)], [(4, 4), (2, 8)]] * 3
+        for sweep in (theorem_sweep, theorem_sweep_parallel):
+            result = sweep(plan, [1, 2, 3, 5], master_seed=3)
+            assert result.checks == 4 * len(plan) and not result.violations
+
+    def test_renyi_indices_below_one_raise(self):
+        # n = 0 would count zero-padded eigenvalues; no trace power exists there
+        for sweep in (theorem_sweep, theorem_sweep_parallel):
+            for n_values in ([0], [-1], [2, 0, 3], [2.5]):
+                with pytest.raises(ValueError, match="integers >= 1"):
+                    sweep([[(2, 2)] * 2], n_values, master_seed=1)
 
     def test_invalid_plans_raise(self):
         for sweep in (theorem_sweep, theorem_sweep_parallel):

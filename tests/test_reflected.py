@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _check_unitary, _combine,
-                                 _entropies, _pair_spectrum, brute_force_reflected, marginals,
+                                 _entropies, _pair_spectrum, _pair_traces,
+                                 brute_force_reflected, marginals,
                                  mutual_information, pair_spectrum, reflected_density,
                                  renyi_entropy, twist_operators, von_neumann)
 from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
@@ -248,6 +249,61 @@ class TestPairSpectrum:
         for rho, split, conj in ((rho_i, si, False), (rho_j, sj, True)):
             expected = np.einsum("p,pkl,pml->km", lam, split.coeffs, split.coeffs.conj())
             assert np.max(np.abs(rho - (expected.conj() if conj else expected))) <= 1e-13
+
+
+class TestPairTraces:
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([((2, 2), (2, 2)), ((2, 3), (3, 2)), ((2, 8), (8, 2)),
+                            ((8, 8), (8, 8)), ((16, 4), (4, 16)), ((16, 4), (16, 4)),
+                            ((8, 8), (16, 4))]),
+           st.floats(0.0, 12.0), st.integers(0, 2 ** 32 - 1))
+    def test_trace_powers_match_spectrum_power_sums(self, dims, decades, seed):
+        # Schmidt spectra spread over up to 12 decades, a stack of three
+        # pairs, n = 1..9: products of the pair matrix against the SVD
+        dims_i, dims_j = dims
+        rng = np.random.default_rng(seed)
+        d = dims_i[0] * dims_i[1]
+        lam = np.sort(np.logspace(0, -decades, d) * rng.uniform(0.5, 1.0, (3, d)))[:, ::-1]
+        lam /= lam.sum(axis=-1, keepdims=True)
+        mat_i = np.array([haar_unitary(d, rng) for _ in range(3)])
+        mat_j = np.array([haar_unitary(d, rng) for _ in range(3)])
+        n_values = list(range(1, 10))
+        traces = _pair_traces(lam, mat_i, mat_j, dims_i, dims_j, n_values)
+        assert traces.shape == (9, 3)
+        eigs = _pair_spectrum(lam, mat_i, mat_j, dims_i, dims_j)
+        for n, values in zip(n_values, traces):
+            expected = np.sum(eigs ** n, axis=-1)
+            tol = 8 * n * d * np.finfo(float).eps
+            assert np.all(np.abs(values - expected) <= tol * expected)
+
+    def test_stacked_traces_equal_per_pair_calls(self):
+        rng = np.random.default_rng(707)
+        n_values = [2, 1, 5, 3, 8]
+        for dims_i, dims_j in (((2, 3), (3, 2)), ((8, 2), (8, 2)), ((2, 8), (4, 4))):
+            d = dims_i[0] * dims_i[1]
+            lam = np.array([haar_state(d, rng).schmidt_values for _ in range(5)])
+            mat_i = np.array([haar_unitary(d, rng) for _ in range(5)])
+            mat_j = np.array([haar_unitary(d, rng) for _ in range(5)])
+            stacked = _pair_traces(lam, mat_i, mat_j, dims_i, dims_j, n_values)
+            assert stacked.shape == (5, 5)
+            for k in range(5):
+                single = _pair_traces(lam[k], mat_i[k], mat_j[k], dims_i, dims_j, n_values)
+                assert np.array_equal(stacked[:, k], single)
+
+    def test_empty_indices(self):
+        rng = np.random.default_rng(8)
+        lam = np.array([haar_state(6, rng).schmidt_values for _ in range(4)])
+        mats = np.array([haar_unitary(6, rng) for _ in range(4)])
+        assert _pair_traces(lam, mats, mats, (2, 3), (3, 2), []).shape == (0, 4)
+        assert _pair_traces(lam[0], mats[0], mats[0], (2, 3), (3, 2), []).shape == (0,)
+
+    def test_non_unitary_split_raises_the_trace_error(self):
+        rng = np.random.default_rng(9)
+        lam = haar_state(4, rng).schmidt_values
+        mat = haar_unitary(4, rng)
+        with pytest.raises(InvalidStateError, match="sums to 1.0201"):
+            _pair_traces(lam, 1.01 * mat, mat, (2, 2), (2, 2), [2])
 
 
 class TestEntropies:
