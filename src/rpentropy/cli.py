@@ -47,6 +47,12 @@ def _positive_int(value) -> int:
     return int(value)
 
 
+def _subsystem_count(value) -> int:
+    if int(value) < 2:
+        raise ValueError("need at least two subsystems")
+    return int(value)
+
+
 def _list_of(item):
     """Parser of a comma string ('2,3,4') or a JSON array into [item(v), ...]."""
     def parse(value) -> list:
@@ -71,10 +77,11 @@ def _options(tolerance: float, *specific) -> list:
 OPTIONS = {
     "gram-sweep": _options(
         1e-10,
-        ("trials", int, 500, "number of random instances"),
+        ("trials", _positive_int, 500, "number of random instances"),
         ("dims", _list_of(_split_dims), "2x2,2x3,2x4,3x3,4x4",
          "pool of splits, e.g. '2x2,2x3,4x4'"),
-        ("subsystems", _list_of(int), "2,3,4", "pool of subsystem counts, e.g. '2,3,4'"),
+        ("subsystems", _list_of(_subsystem_count), "2,3,4",
+         "pool of subsystem counts, e.g. '2,3,4'"),
         ("n", _list_of(_positive_int), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
         ("jobs", _positive_int, 1, "parallel workers")),
     "search": _options(

@@ -142,13 +142,28 @@ def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, kernel,
     return table
 
 
+def _pair_entropies(schmidt_values, mat_i, mat_j, dims_i, dims_j, n: int) -> np.ndarray:
+    """S_n(A_i Abar_j) of a stack of pairs, the pair kernel of entropy tables.
+
+    Von Neumann (n = 1) needs the eigenvalues, so it takes the SVD of each
+    pair matrix (`_pair_spectrum`).  An integer n >= 2 needs none: S_n is
+    -log(tr rho^n) / (n - 1), from the theorem sweep's trace-power kernel
+    (`_pair_traces`).
+    """
+    pair = (schmidt_values, mat_i, mat_j, dims_i, dims_j)
+    if n == 1:
+        return _entropies(_pair_spectrum(*pair), 1)
+    return -np.log(_pair_traces(*pair, (n,))[0]) / (n - 1)
+
+
 def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
     """Tables (..., m, m) of S_n(A_i Abar_j) (n = 1 is von Neumann) of the
     instances with Schmidt values (..., d) and split matrices (..., m, d, d),
-    the splits shaped as dims; leading axes are a stack, and one call holds
-    at most STACK_ENTRIES pair-matrix entries."""
+    the splits shaped as dims; leading axes are a stack, and one
+    `_pair_entropies` call holds at most STACK_ENTRIES pair-matrix entries,
+    so only n = 1 takes an SVD."""
     table = _pair_tables(schmidt[..., None, :], mats, (tuple(dims),),
-                         lambda *pair: _entropies(_pair_spectrum(*pair), n), STACK_ENTRIES)
+                         functools.partial(_pair_entropies, n=n), STACK_ENTRIES)
     return table.reshape(table.shape[:-1] + (len(dims),) * 2)
 
 
@@ -161,7 +176,9 @@ def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
 
 
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
-    """Table of S_n(A_i Abar_j) over all split pairs (n = 1 is von Neumann)."""
+    """Table of S_n(A_i Abar_j) over all split pairs: von Neumann from the pair
+    spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no SVD)
+    for n >= 2."""
     schmidt, mats, dims = _instance_arrays(psi, splits)
     return _entropy_tables(schmidt, mats, dims, n)
 
@@ -172,7 +189,9 @@ def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
 
     lam defaults to n - 1, the proven case where entries equal the trace
     powers tr(rho^n); other values are experimental search targets.  For
-    n = 1 the trace entries are trivially 1, so lam must be supplied.
+    n = 1 the trace entries are trivially 1, so lam must be supplied.  The
+    entropy table behind the entries takes an SVD per pair for n = 1 only;
+    for n >= 2 it comes from the trace powers themselves (`entropy_table`).
     """
     if n < 1:
         raise ValueError("Renyi index must be >= 1")
@@ -489,9 +508,10 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
     else:
         det_fixed = np.linalg.det(b)
         det_best, ordering = det_fixed, np.tile(np.arange(size), (len(table), 1))
-    # ||B||_F as the dot product np.linalg.norm takes; the scale floor keeps
+    # ||B||_F as the dot product np.linalg.norm takes, of a C-ordered copy so
+    # that its bits do not depend on B's layout; the scale floor keeps
     # roundoff on near-degenerate tables (B ~ 0) from masquerading as violations
-    flat = b.reshape(len(b), -1)
+    flat = np.ascontiguousarray(b).reshape(len(b), -1)
     b_norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
     out = {"slack": det_best / np.maximum(b_norm ** (size - 1), 1e-12),
            "det_b": det_fixed, "det_b_best": det_best, "best_ordering": ordering,

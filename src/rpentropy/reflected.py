@@ -209,6 +209,8 @@ def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
     eigenvalues; tr M must be 1 within TRACE_TOL.  The powers of M are
     Hermitian, so tr M^n is the entrywise sum of M^ceil(n/2) times
     conj(M^floor(n/2)), from one ladder M, M^2, ... up to M^ceil(max n / 2).
+    A trace power below the smallest normal float raises, since its log,
+    the Renyi entropy, would be lost to underflow.
     """
     x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
     adjoint = x.conj().swapaxes(-1, -2)
@@ -222,6 +224,11 @@ def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
         # Re sum(A conj(B)) is the dot product of the (re, im) pairs of A and B
         high, low = ladder[(n + 1) // 2].view(float), ladder[n // 2].view(float)
         traces[k] = (high * low).sum(axis=(-2, -1))
+    vanished = ~(traces >= np.finfo(float).tiny)
+    if vanished.any():
+        first = tuple(np.argwhere(vanished)[0])
+        raise InvalidStateError(f"tr rho^{n_values[first[0]]} = {traces[first]:.3e}: "
+                                "trace power vanished")
     return traces
 
 

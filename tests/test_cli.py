@@ -66,6 +66,21 @@ class TestGramSweep:
         assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_bad_plan_config_error(self, tmp_path, capsys):
+        # a one-subsystem instance, or a plan of no instances (which once
+        # wrote a minimum eigenvalue of inf that JSON cannot hold), is a
+        # config error, as in the search, and writes no report
+        for argv, message in ((["--subsystems", "1", "--trials", "2"], "at least two"),
+                              (["--subsystems", "2,1", "--trials", "1"], "at least two"),
+                              (["--trials", "0"], "trials: must be >= 1"),
+                              (["--trials", "-3"], "trials: must be >= 1")):
+            assert run(tmp_path, "gram-sweep", *argv) == 1
+            assert message in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 0}))
+        assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_parallel_jobs_match(self, tmp_path):
         run(tmp_path, "gram-sweep", "--trials", "12", "--seed", "9", "--jobs", "1")
         serial = load(tmp_path, "gram-sweep-seed9.json")["report"]["results"]

@@ -18,7 +18,7 @@ from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
 # the sequential descent oracle at the end of this file calls these
 from rpentropy.positivity import (_check_unitary, _draw_raw, _evaluate_block, _payload,
                                   _serialize_instance, trial_rng, unitary_from_ginibre)
-from rpentropy.reflected import SubsystemSplit, pair_spectrum, renyi_entropy, von_neumann
+from rpentropy.reflected import SubsystemSplit, pair_spectrum, von_neumann
 from rpentropy.sampling import haar_unitary, random_density
 
 
@@ -70,9 +70,10 @@ class TestGramMatrix:
             gram_matrix(psi, splits, n=1)
 
     def test_entries_match_matrix_power_trace(self):
-        # singular-value entropy route vs literal matrix powers of the
-        # brute-force oracle, also where the splits' dim_a differ, so that the
-        # pairs j < i filled by symmetry come from a density of another shape
+        # trace-power route (the power ladder of the smaller pair Gram matrix)
+        # vs literal matrix powers of the brute-force oracle's density, also
+        # where the splits' dim_a differ, so that the pairs j < i filled by
+        # symmetry come from a density of another shape
         from rpentropy.reflected import brute_force_reflected
         _, psi, splits = random_gram(41, m1=2, n=3)
         rng = np.random.default_rng(43)
@@ -103,17 +104,21 @@ class TestGramMatrix:
             assert split.label == f"A{k+1}" and np.array_equal(split.coeffs, single.coeffs)
 
     def test_sweep_matches_gram_matrix(self):
-        # the sweep's inline trace-power path must agree with gram_matrix on
-        # the instance drawn from the same trial stream
+        # the sweep and gram_matrix share the trace-power kernel, so on the
+        # instance drawn from the same trial stream the Gram matrices agree
+        # entrywise up to gram_matrix's exp(-(n-1) S) round trip; tol = -1
+        # records the sweep's Gram
         from rpentropy.positivity import _draw_instance
         seed, dims = 91, [(2, 3)] * 3
-        sweep = theorem_sweep([dims], [4], master_seed=seed)
+        sweep = theorem_sweep([dims], [4], master_seed=seed, tol=-1.0)
         cfg = SearchConfig(dims=dims, trials=1, master_seed=seed,
                            target="integer_n", n=4)
         psi, splits = _draw_instance(cfg, 0)
         record = gram_matrix(psi, splits, n=4)
-        assert sweep.worst["min_eigenvalue"] == pytest.approx(
-            record.min_eigenvalue, rel=1e-9, abs=1e-12)
+        [violation] = sweep.violations
+        assert np.asarray(violation["gram"]) == pytest.approx(record.entries, rel=1e-12)
+        assert violation["min_eigenvalue"] == pytest.approx(
+            record.min_eigenvalue, rel=1e-12, abs=1e-12)
 
 
 class TestCheckPsd:
@@ -492,6 +497,32 @@ class TestBatchedSearch:
             assert np.array_equal(psi.eigenbasis, u[k, 0])
             assert all(np.array_equal(split.matrix, u[k, 1 + i]) for i, split in enumerate(splits))
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_detb_slack_independent_of_the_layout_of_b(self, monkeypatch, layout):
+        # ||B||_F must not depend on how B lies in memory: a Fortran-ordered
+        # B, or one whose last axis has stride 2, gives the fresh
+        # C-contiguous B's slack to the last bit, with and without orderings
+        def strided(b):
+            out = np.zeros(b.shape[:-1] + (2 * b.shape[-1],))[..., ::2]
+            out[...] = b
+            return out
+
+        second_differences = positivity._second_differences
+        relaid = np.asfortranarray if layout == "fortran" else strided
+        assert not relaid(np.ones((2, 3, 3))).flags.c_contiguous
+        for dims in ([(2, 2)] * 3, [(2, 3), (3, 2), (2, 3), (3, 2)], [(2, 2)] * 6):
+            cfg = SearchConfig(dims=dims, trials=40, master_seed=29, target="schur_s_fraction")
+            draws = [_draw_raw(cfg.master_seed, t, cfg.dims) for t in range(cfg.trials)]
+            schmidt = np.array([lam for lam, _ in draws])
+            mats = unitary_from_ginibre(np.array([z[1:] for _, z in draws]))
+            monkeypatch.setattr(positivity, "_second_differences", second_differences)
+            reference = _evaluate_block(cfg, schmidt, mats)
+            monkeypatch.setattr(positivity, "_second_differences",
+                                lambda s: relaid(second_differences(s)))
+            fields = _evaluate_block(cfg, schmidt, mats)
+            for key in ("slack", "det_b", "det_b_best"):
+                assert np.array_equal(fields[key], reference[key])
+
     def test_detb_fixed_ordering_is_the_identity_ordering(self):
         # det_b is read from the identity column of the ordering dets; it
         # must equal a det of the fixed-ordering B of its own, stacked and
@@ -557,7 +588,8 @@ class TestBatchedSearch:
 
     def test_entropy_tables_exact_across_call_sizes(self, monkeypatch):
         # one call per pair, runs of a few pairs and whole shape groups give
-        # the same tables; the 3 x 8x8 instance reduces one pair per call
+        # the same tables, through either pair kernel; the 3 x 8x8 instance
+        # reduces one pair per call
         from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_plan
         assert [len(i) for _, _, i, *_ in _pair_plan((((8, 8),) * 3,), 1)] == [1] * 6
         for dims in ([(2, 3), (3, 2), (2, 3), (3, 2)], [(8, 8)] * 3):
@@ -565,24 +597,27 @@ class TestBatchedSearch:
             drawn = [_draw_instance(cfg, t) for t in range(cfg.trials)]
             schmidt = np.array([psi.schmidt_values for psi, _ in drawn])
             mats = np.array([[s.matrix for s in splits] for _, splits in drawn])
-            reference = _entropy_tables(schmidt, mats, dims, 2)
+            reference = {n: _entropy_tables(schmidt, mats, dims, n) for n in (1, 2)}
             for entries in (1, 100, 1 << 20):
                 monkeypatch.setattr(positivity, "STACK_ENTRIES", entries)
-                assert np.array_equal(_entropy_tables(schmidt, mats, dims, 2), reference)
-                assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, 2),
-                                      reference[1])
-        # at the default budget, one 8x8 pair matrix fills a call
-        monkeypatch.undo()
-        calls = []
-        spectrum = positivity._pair_spectrum
+                for n, table in reference.items():
+                    assert np.array_equal(_entropy_tables(schmidt, mats, dims, n), table)
+                    assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
+                                          table[1])
+            monkeypatch.undo()
+        # at the default budget, one 8x8 pair matrix fills a call: of the
+        # trace-power kernel for n = 2, of the spectrum kernel for n = 1
+        for n, name in ((2, "_pair_traces"), (1, "_pair_spectrum")):
+            calls, kernel = [], getattr(positivity, name)
 
-        def recording(schmidt_values, mat_i, *rest):
-            calls.append(mat_i.shape)
-            return spectrum(schmidt_values, mat_i, *rest)
+            def recording(schmidt_values, mat_i, *rest, kernel=kernel, calls=calls):
+                calls.append(mat_i.shape)
+                return kernel(schmidt_values, mat_i, *rest)
 
-        monkeypatch.setattr(positivity, "_pair_spectrum", recording)
-        assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, 2), reference[1])
-        assert calls == [(1, 64, 64)] * 6
+            monkeypatch.setattr(positivity, name, recording)
+            assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
+                                  reference[n][1])
+            assert calls == [(1, 64, 64)] * 6
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
@@ -594,9 +629,12 @@ class TestBatchedSearch:
     def test_entropy_tables_equal_per_pair_entropies(self, dims, decades, seed, n):
         # Schmidt spectra spread over up to 12 decades, below the sampler's
         # 1e-6 redraw floor; a stack of three instances against per-pair
-        # calls, and each pair j < i is its reflection's entry
-        from rpentropy.positivity import _entropy_tables, _pair_tables
-        from rpentropy.reflected import _entropies, _pair_spectrum
+        # spectra, and each pair j < i is its reflection's entry.  n = 1
+        # shares the spectrum kernel, so it matches to the last bit; n >= 2
+        # comes from trace powers, whose exp(-(n-1) S) matches the spectrum's
+        # power sum within the kernel tolerance of tests/test_reflected.py
+        import functools
+        from rpentropy.positivity import _entropy_tables, _pair_entropies, _pair_tables
         per_instance = dims if isinstance(dims, tuple) else [dims] * 3
         rng = np.random.default_rng(seed)
         d = per_instance[0][0][0] * per_instance[0][0][1]
@@ -605,7 +643,7 @@ class TestBatchedSearch:
         mats = [np.array([haar_unitary(d, rng) for _ in splits]) for splits in per_instance]
         if isinstance(dims, tuple):
             flat = _pair_tables(schmidt, np.concatenate(mats), dims,
-                                lambda *pair: _entropies(_pair_spectrum(*pair), n),
+                                functools.partial(_pair_entropies, n=n),
                                 positivity.STACK_ENTRIES)
             ends = np.cumsum([len(splits) ** 2 for splits in dims])
             tables = [t.reshape(len(splits), -1)
@@ -619,8 +657,41 @@ class TestBatchedSearch:
             for i in range(len(splits)):
                 for j in range(i, len(splits)):
                     eigs = pair_spectrum(psi, splits[i], splits[j])
-                    expected = von_neumann(eigs) if n == 1 else renyi_entropy(eigs, n)
-                    assert tables[k][i, j] == tables[k][j, i] == expected
+                    assert tables[k][i, j] == tables[k][j, i]
+                    if n == 1:
+                        assert tables[k][i, j] == von_neumann(eigs)
+                    else:
+                        assert np.exp(-(n - 1) * tables[k][i, j]) == pytest.approx(
+                            np.sum(eigs ** n), rel=8 * n * d * np.finfo(float).eps)
+
+    def test_integer_index_tables_take_no_svd(self, monkeypatch, tmp_path):
+        # S_n for n >= 2 is -log(tr rho^n) / (n - 1): Gram records, the
+        # integer_n and det-B n = 2 searches (with the refine descent) and
+        # witness re-verification run with the spectrum kernel disabled
+        import os
+        from rpentropy.cli import main
+
+        def no_svd(*args):
+            raise AssertionError("an integer-index table took a pair spectrum")
+
+        monkeypatch.setattr(positivity, "_pair_spectrum", no_svd)
+        rng = np.random.default_rng(12)
+        for dims in ([(8, 8)] * 3, [(2, 3), (3, 2), (2, 3)]):
+            d = dims[0][0] * dims[0][1]
+            psi = purify(DensityMatrix.from_matrix(random_density(d, rng)))
+            splits = [SubsystemSplit.haar(a, b, rng) for a, b in dims]
+            for n in range(2, 6):
+                assert check_psd(gram_matrix(psi, splits, n)).passed
+        assert main(["search", "--target", "integer_n", "--trials", "40", "--n", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["search", "--target", "schur_s_fraction", "--n", "2", "--trials", "50",
+                     "--seed", "3", "--refine", "300", "--out", str(tmp_path)]) == 0
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "detb_witness.json")
+        with open(fixture) as handle:
+            witness = json.load(handle)["violation"]
+        assert verify_witness(witness, target="integer_n") > 0
+        with pytest.raises(AssertionError, match="pair spectrum"):
+            entropy_table(psi, splits, 1)
 
 
 class TestTheoremSweep:

@@ -305,6 +305,20 @@ class TestPairTraces:
         with pytest.raises(InvalidStateError, match="sums to 1.0201"):
             _pair_traces(lam, 1.01 * mat, mat, (2, 2), (2, 2), [2])
 
+    def test_underflowing_trace_power_raises(self):
+        # the maximally mixed 2x2 pair has tr rho^n = 4^(1 - n): 1/4 at n = 2,
+        # 4^-599 ~ 1e-361 at n = 600, below the smallest normal float, where
+        # -log(tr rho^n) / (n - 1) would read inf
+        lam = np.full(4, 0.25)
+        axis = SubsystemSplit.axis(2, 2)
+        pair = (lam, axis.matrix, axis.swapped().matrix, (2, 2), (2, 2))
+        assert _pair_traces(*pair, [2])[0] == pytest.approx(0.25, rel=1e-15)
+        with pytest.raises(InvalidStateError, match=r"tr rho\^600 = .*trace power vanished"):
+            _pair_traces(*pair, [2, 600])
+        stacked = [np.stack([array, array]) for array in pair[:3]]
+        with pytest.raises(InvalidStateError, match="trace power vanished"):
+            _pair_traces(*stacked, (2, 2), (2, 2), [600])
+
 
 class TestEntropies:
 
