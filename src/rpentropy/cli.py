@@ -41,21 +41,31 @@ def _split_dims(entry) -> tuple:
     return int(fields[0]), int(fields[1])
 
 
-def _positive_int(value) -> int:
-    if int(value) < 1:
-        raise ValueError("must be >= 1")
-    return int(value)
+def _checked(kind, test, message: str):
+    """Converter to `kind` that refuses a value failing `test`."""
+    def convert(value):
+        if not test(kind(value)):
+            raise ValueError(message)
+        return kind(value)
+    return convert
 
 
-def _subsystem_count(value) -> int:
-    if int(value) < 2:
-        raise ValueError("need at least two subsystems")
-    return int(value)
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+_positive = _checked(float, lambda v: v > 0, "must be > 0")
+_subsystem_count = _checked(int, lambda v: v >= 2, "need at least two subsystems")
+
+
+def _component_count(value) -> int:
+    from .fermion import MAX_WICK_COMPONENTS  # loaded only to resolve fermion options
+    return _checked(int, lambda v: 1 <= v <= MAX_WICK_COMPONENTS,
+                    f"must be in 1..{MAX_WICK_COMPONENTS} (permutation sum)")(value)
 
 
 def _list_of(item):
-    """Parser of a comma string ('2,3,4') or a JSON array into [item(v), ...]."""
+    """Parser of a comma string ('2,3,4') or a nonempty JSON array into [item(v), ...]."""
     def parse(value) -> list:
+        if not len(value):
+            raise ValueError("must list at least one value")
         return [item(v) for v in (value.split(",") if isinstance(value, str) else value)]
     return parse
 
@@ -98,11 +108,12 @@ OPTIONS = {
         ("jobs", _positive_int, 1, "parallel workers")),
     "fermion": _options(
         1e-10,
-        ("trials", int, 50, "random interval sets"),
-        ("max_components", int, 5, "most intervals in a random set"),
-        ("lam", _list_of(float), "0.1,1,6,10", "lambda list, e.g. '0.1,1,6,10'"),
-        ("cutoff", float, 1.0, "UV cutoff of the entropies"),
-        ("witness_trials", int, 100, "random divisibility witness configurations"),
+        ("trials", _positive_int, 50, "random interval sets"),
+        ("max_components", _component_count, 5, "most intervals in a random set"),
+        ("lam", _list_of(_positive), "0.1,1,6,10", "lambda list, e.g. '0.1,1,6,10'"),
+        ("cutoff", _positive, 1.0, "UV cutoff of the entropies"),
+        ("witness_trials", _checked(int, lambda v: v >= 0, "must be >= 0"), 100,
+         "random divisibility witness configurations"),
         ("sets", None, None, None)),
     "kl": _options(
         1e-6,
@@ -245,7 +256,7 @@ def _random_intervals(rng, p: int, lo: float, hi: float, gap: float, cutoff: flo
     from .fermion import IntervalSet
 
     pts = np.sort(rng.uniform(lo, hi, 2 * p))
-    while np.min(np.diff(pts)) < gap:
+    while (pts[1:] - pts[:-1]).min() < gap:
         pts = np.sort(rng.uniform(lo, hi, 2 * p))
     return IntervalSet(lefts=pts[0::2], rights=pts[1::2], cutoff=cutoff)
 
@@ -262,34 +273,31 @@ def cmd_fermion(opts, argv) -> int:
                          for pairs in explicit_sets]
         except (fermion.IntervalError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad interval sets: {exc}") from exc
-        if any(s.num_intervals > 8 for s in test_sets):
-            raise ConfigError("interval sets limited to 8 components (permutation sum)")
+        if not test_sets:
+            raise ConfigError("sets must list at least one interval set")
+        if any(s.num_intervals > fermion.MAX_WICK_COMPONENTS for s in test_sets):
+            raise ConfigError(f"interval sets limited to {fermion.MAX_WICK_COMPONENTS} "
+                              "components (permutation sum)")
     else:
         test_sets = [_random_intervals(rng, int(rng.integers(1, opts["max_components"] + 1)),
                                        0.0, 10.0, 1e-3, cutoff)
                      for _ in range(opts["trials"])]
-    rows = []
-    worst = {"wick_cauchy": 0.0, "duality": 0.0, "vertex": 0.0}
+    # the calibration set's row fixes each lam's vertex constant
     calib = fermion.IntervalSet.from_pairs([(1.0, 2.0)], cutoff=cutoff)
-    vertex_const = {lam: log_v + lam * fermion.entropy(calib)
-                    for lam, log_v in zip(lams, fermion.vertex_log_correlators(calib, lams))}
-    for t, intervals in enumerate(test_sets):
-        p = intervals.num_intervals
-        s_val, log_cauchy = fermion.entropy_and_log_correlator(intervals)
-        log_c = p * math.log(1.0 / (2.0 * math.pi * cutoff))
-        duality = abs(log_cauchy + 6.0 * s_val - log_c)
-        wick = fermion.correlator_wick(intervals)
-        # correlator_cauchy(intervals), without a second pass over the separations
-        cauchy = math.exp(log_cauchy)
-        wick_dev = abs(wick - cauchy) / abs(cauchy)
-        vertex_dev = 0.0
-        for lam, log_v in zip(lams, fermion.vertex_log_correlators(intervals, lams)):
-            vertex_dev = max(vertex_dev,
-                             abs(log_v + lam * s_val - p * vertex_const[lam]))
-        rows.append([t, p, s_val, wick_dev, duality, vertex_dev])
-        worst["wick_cauchy"] = max(worst["wick_cauchy"], wick_dev)
-        worst["duality"] = max(worst["duality"], duality)
-        worst["vertex"] = max(worst["vertex"], vertex_dev)
+    s_val, log_cauchy, wick, log_v = fermion.identity_rows([calib] + test_sets, lams)
+    lams_col = np.array(lams)
+    vertex_const = log_v[0] + lams_col * s_val[0]
+    s_val, log_cauchy, wick, log_v = s_val[1:], log_cauchy[1:], wick[1:], log_v[1:]
+    p = np.array([s.num_intervals for s in test_sets])
+    duality = np.abs(log_cauchy + 6.0 * s_val - p * math.log(1.0 / (2.0 * math.pi * cutoff)))
+    cauchy = np.array([math.exp(v) for v in log_cauchy.tolist()])  # correlator_cauchy's exp
+    wick_dev = np.abs(wick - cauchy) / np.abs(cauchy)
+    vertex_dev = np.max(np.abs(log_v + lams_col * s_val[:, None] - p[:, None] * vertex_const),
+                        axis=1)
+    rows = zip(range(len(test_sets)), p.tolist(), s_val.tolist(), wick_dev.tolist(),
+               duality.tolist(), vertex_dev.tolist())
+    worst = {name: float(dev.max()) for name, dev in
+             (("wick_cauchy", wick_dev), ("duality", duality), ("vertex", vertex_dev))}
 
     witness_families = []
     if explicit_sets is not None:
@@ -301,12 +309,8 @@ def cmd_fermion(opts, argv) -> int:
             witness_families.append(
                 [_random_intervals(rng, int(rng.integers(1, 3)), 0.1, 20.0, 1e-2, cutoff)
                  for _ in range(int(rng.integers(2, 4)))])
-    witness_min = np.inf
-    for sets in witness_families:
-        table = fermion.witness_table(sets)
-        for lam in lams:
-            record = fermion.witness_record(table, lam)
-            witness_min = min(witness_min, record.min_eigenvalue / record.scale)
+    witness_min = fermion.witness_minimum(
+        [fermion.witness_table(sets) for sets in witness_families], lams)
 
     csv_path = write_csv(os.path.join(opts["out"], f"fermion-identities-seed{seed}.csv"),
                          ["trial", "components", "entropy", "wick_cauchy_rel",

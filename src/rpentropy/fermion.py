@@ -12,16 +12,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .positivity import GramRecord
+from .positivity import GramRecord, _gram_spectrum
 
 # below this separation the correlator singularities take over and the
 # entropy is not defined; error out rather than regularize
 MIN_SEPARATION = 1e-9
 MAX_WICK_COMPONENTS = 8
+# factors one stacked Wick chunk gathers (4 MB); one set at p = 8 takes 322,560
+WICK_CHUNK_ENTRIES = 1 << 19
 
 
 class IntervalError(ValueError):
@@ -41,17 +44,15 @@ class IntervalSet:
         b = np.atleast_1d(np.asarray(self.rights, dtype=float))
         if a.shape != b.shape or a.ndim != 1 or a.size == 0:
             raise IntervalError("lefts and rights must be equal-length 1-D sequences")
-        points = np.empty(2 * a.size)
-        points[0::2] = a
-        points[1::2] = b
-        if np.any(np.diff(points) < MIN_SEPARATION):
+        object.__setattr__(self, "lefts", a)
+        object.__setattr__(self, "rights", b)
+        points = self.points
+        if (points[1:] - points[:-1]).min() < MIN_SEPARATION:
             raise IntervalError(
                 "endpoints must be strictly increasing with separation "
                 f">= {MIN_SEPARATION:g} (coincident points are singular)")
         if not self.cutoff > 0:
             raise IntervalError("cutoff must be positive")
-        object.__setattr__(self, "lefts", a)
-        object.__setattr__(self, "rights", b)
 
     @classmethod
     def from_pairs(cls, pairs, cutoff: float = 1.0) -> "IntervalSet":
@@ -65,10 +66,8 @@ class IntervalSet:
 
     @property
     def points(self) -> np.ndarray:
-        pts = np.empty(2 * self.lefts.size)
-        pts[0::2] = self.lefts
-        pts[1::2] = self.rights
-        return pts
+        """a_1, b_1, a_2, b_2, ..."""
+        return np.stack([self.lefts, self.rights], axis=-1).ravel()
 
     def reflected(self) -> "IntervalSet":
         """Mirror image under x -> -x (the spatial wedge reflection)."""
@@ -91,26 +90,20 @@ def _upper_triangle(p: int) -> tuple:
     return rows, cols
 
 
-def _log_separations(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    """(sum_{i,j} log|a_i - b_j|, sum_{i<j} log|a_i - a_j|, sum_{i<j} log|b_i - b_j|)."""
-    iu = _upper_triangle(a.size)
-    return (np.sum(np.log(np.abs(a[:, None] - b[None, :]))),
-            np.sum(np.log(np.abs(a[:, None] - a[None, :])[iu])),
-            np.sum(np.log(np.abs(b[:, None] - b[None, :])[iu])))
+def _entropy_terms(a: np.ndarray, b: np.ndarray, log_cutoff) -> tuple:
+    """(entropy, log Cauchy correlator) of each row of the (..., p) endpoint
+    arrays, from one pass over the separations sum_{i,j} log|a_i - b_j|,
+    sum_{i<j} log|a_i - a_j| and sum_{i<j} log|b_i - b_j|."""
+    p = a.shape[-1]
+    rows, cols = _upper_triangle(p)
 
+    def same(x):  # np.take keeps the pairs C-ordered, so each row sums as one set would
+        return np.sum(np.log(np.abs(np.take(x, rows, -1) - np.take(x, cols, -1))), axis=-1)
 
-def _entropy_of(separations: tuple, p: int, cutoff: float) -> float:
-    cross, same_a, same_b = separations
-    return float((cross - same_a - same_b - p * math.log(cutoff)) / 6.0)
-
-
-def _log_correlator_of(separations: tuple, p: int) -> float:
-    cross, same_a, same_b = separations
-    return float(same_a + same_b - cross - p * math.log(2.0 * math.pi))
-
-
-def _entropy(a: np.ndarray, b: np.ndarray, cutoff: float) -> float:
-    return _entropy_of(_log_separations(a, b), a.size, cutoff)
+    cross, same_a, same_b = (np.sum(np.log(np.abs(a[..., :, None] - b[..., None, :])),
+                                    axis=(-2, -1)), same(a), same(b))
+    return ((cross - same_a - same_b - p * log_cutoff) / 6.0,
+            same_a + same_b - cross - p * math.log(2.0 * math.pi))
 
 
 def entropy(intervals: IntervalSet) -> float:
@@ -119,15 +112,14 @@ def entropy(intervals: IntervalSet) -> float:
     S = (1/6) [ sum_{i,j} log|a_i - b_j| - sum_{i<j} log|a_i - a_j|
                 - sum_{i<j} log|b_i - b_j| - p log(eps) ]
     """
-    return _entropy(intervals.lefts, intervals.rights, intervals.cutoff)
+    return entropy_and_log_correlator(intervals)[0]
 
 
 def entropy_and_log_correlator(intervals: IntervalSet) -> tuple[float, float]:
-    """(entropy(intervals), log_correlator_cauchy(intervals)), bit for bit,
-    from one pass over the endpoint separations."""
-    separations = _log_separations(intervals.lefts, intervals.rights)
-    p = intervals.num_intervals
-    return _entropy_of(separations, p, intervals.cutoff), _log_correlator_of(separations, p)
+    """(entropy(intervals), log_correlator_cauchy(intervals)) from one pass
+    over the endpoint separations."""
+    s_val, log_c = _entropy_terms(intervals.lefts, intervals.rights, math.log(intervals.cutoff))
+    return float(s_val), float(log_c)
 
 
 def renyi(intervals: IntervalSet, n: float) -> float:
@@ -142,8 +134,7 @@ def log_correlator_cauchy(intervals: IntervalSet) -> float:
 
     log [ (2 pi)^{-p} prod_{i<j}|a_i-a_j| prod_{i<j}|b_i-b_j| / prod_{i,j}|a_i-b_j| ]
     """
-    return _log_correlator_of(_log_separations(intervals.lefts, intervals.rights),
-                              intervals.num_intervals)
+    return entropy_and_log_correlator(intervals)[1]
 
 
 def correlator_cauchy(intervals: IntervalSet) -> float:
@@ -156,41 +147,39 @@ def correlator_wick(intervals: IntervalSet) -> float:
     (-1)^p (2 pi)^{-p} sum_P sign(P) prod_i 1/(a_i - b_{P(i)}).  Factorial
     cost; independent oracle for the product formula at small p.
     """
-    p = intervals.num_intervals
+    return float(_wick_correlators(intervals.lefts[None], intervals.rights[None])[0])
+
+
+def _wick_correlators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """correlator_wick of every row of the (N, p) endpoint arrays.
+
+    A row's terms are left-to-right products taken in itertools order and
+    summed in that order (a cumulative sum, never pairwise), so a row is the
+    same in any stack.  A chunk of sets gathers at most WICK_CHUNK_ENTRIES
+    factors, or one set's.
+    """
+    count, p = a.shape
     if p > MAX_WICK_COMPONENTS:
         raise IntervalError(f"permutation sum limited to {MAX_WICK_COMPONENTS} intervals")
-    a, b = intervals.lefts, intervals.rights
-    inv = (1.0 / (a[:, None] - b[None, :])).tolist()
-    total = 0.0
-    for perm, sign in _signed_permutations(p):
-        term = sign
-        for i, j in enumerate(perm):
-            term *= inv[i][j]
-        total += term
-    return float((-1.0) ** p / (2.0 * math.pi) ** p * total)
+    perms, signs = _signed_permutations(p)
+    inv = 1.0 / (a[:, :, None] - b[:, None, :])
+    per_chunk = max(1, WICK_CHUNK_ENTRIES // perms.size)
+    totals = np.empty(count)
+    for k in range(0, count, per_chunk):
+        terms = np.prod(inv[k:k + per_chunk][:, np.arange(p), perms], axis=-1) * signs
+        totals[k:k + per_chunk] = np.cumsum(terms, axis=1)[:, -1]
+    return (-1.0) ** p / (2.0 * math.pi) ** p * totals
 
 
 @functools.lru_cache(maxsize=None)
 def _signed_permutations(p: int) -> tuple:
-    """Every permutation of range(p), in itertools order, with its sign."""
-    return tuple((perm, _permutation_sign(perm)) for perm in itertools.permutations(range(p)))
-
-
-def _permutation_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Every permutation of range(p), in itertools order, as a read-only
+    (p!, p) array, and its sign (-1) ** inversions as floats."""
+    perms = np.array(list(itertools.permutations(range(p))), dtype=np.intp).reshape(-1, p)
+    rows, cols = _upper_triangle(p)
+    signs = 1.0 - 2.0 * (np.sum(perms[:, rows] > perms[:, cols], axis=1) % 2)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
 @dataclass(frozen=True)
@@ -231,20 +220,28 @@ def _check_neutral(charges: np.ndarray) -> None:
 
 
 def _interval_charges(p: int, lam: float) -> np.ndarray:
+    """+/- sqrt(2 pi lam / 3) at the p left and p right endpoints, checked neutral."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     q = math.sqrt(2.0 * math.pi * lam / 3.0)
-    return np.concatenate([np.full(p, q), np.full(p, -q)])
+    charges = np.concatenate([np.full(p, q), np.full(p, -q)])
+    _check_neutral(charges)
+    return charges
 
 
-def _log_distances(x: np.ndarray) -> np.ndarray:
-    """log|x_i - x_j| off the diagonal, 0 on it."""
-    return np.log(np.abs(x[:, None] - x[None, :]), where=~np.eye(x.size, dtype=bool),
-                  out=np.zeros((x.size, x.size)))
+def _log_distances(x: np.ndarray, within=True) -> np.ndarray:
+    """log|x_i - x_j| off the diagonal where `within` holds, 0 elsewhere, per
+    row of the (..., k) points."""
+    diffs = np.abs(x[..., :, None] - x[..., None, :])
+    return np.log(diffs, where=~np.eye(x.shape[-1], dtype=bool) & within,
+                  out=np.zeros(diffs.shape))
 
 
-def _vertex_sum(charges: np.ndarray, logs: np.ndarray) -> float:
-    return float(np.sum(np.outer(charges, charges) * logs) / (8.0 * math.pi))
+def _vertex_sums(charges: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """(1/8 pi) sum_{i,j} q_i q_j logs_ij per charge row (L, k) and per
+    log-distance matrix (..., k, k): shape (..., L)."""
+    products = charges[:, :, None] * charges[:, None, :] * logs[..., None, :, :]
+    return np.sum(products, axis=(-2, -1)) / (8.0 * math.pi)
 
 
 def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
@@ -254,7 +251,14 @@ def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
     self-energies are dropped (normal ordering) and absorbed into one
     multiplicative constant per insertion pair.
     """
-    return _vertex_sum(cfg.charges, _log_distances(cfg.points))
+    return float(_vertex_sums(cfg.charges[None], _log_distances(cfg.points))[0])
+
+
+def _vertex_logs(a: np.ndarray, b: np.ndarray, lams) -> np.ndarray:
+    """vertex_log_correlators of every row of the (N, p) endpoint arrays: (N, L)."""
+    charges = np.array([_interval_charges(a.shape[-1], lam) for lam in lams])
+    return _vertex_sums(charges.reshape(-1, 2 * a.shape[-1]),
+                        _log_distances(np.concatenate([a, b], axis=-1)))
 
 
 def vertex_log_correlators(intervals: IntervalSet, lams) -> list[float]:
@@ -264,42 +268,67 @@ def vertex_log_correlators(intervals: IntervalSet, lams) -> list[float]:
     An interval set's endpoints are at least MIN_SEPARATION apart already, so
     only each lam's charges are checked.
     """
-    points = np.concatenate([intervals.lefts, intervals.rights])
-    logs = _log_distances(points)
-    values = []
-    for lam in lams:
-        charges = _interval_charges(intervals.num_intervals, lam)
-        _check_neutral(charges)
-        values.append(_vertex_sum(charges, logs))
-    return values
+    return _vertex_logs(intervals.lefts[None], intervals.rights[None], lams)[0].tolist()
+
+
+def identity_rows(sets: list[IntervalSet], lams) -> tuple:
+    """(entropy, log Cauchy correlator, Wick correlator) of every set, each
+    shaped (N,), and its vertex log correlators per lam, shaped (N, L): row k
+    is entropy_and_log_correlator, correlator_wick and vertex_log_correlators
+    of sets[k], up to roundoff, from one stacked pass per component count.
+    """
+    terms = [np.empty(len(sets)) for _ in range(3)] + [np.empty((len(sets), len(lams)))]
+    by_count = defaultdict(list)
+    for k, s in enumerate(sets):
+        by_count[s.num_intervals].append(k)
+    for members in by_count.values():
+        a, b = (np.array([getattr(sets[k], end) for k in members]) for end in ("lefts", "rights"))
+        log_cutoffs = np.array([math.log(sets[k].cutoff) for k in members])
+        for term, value in zip(terms, (*_entropy_terms(a, b, log_cutoffs),
+                                       _wick_correlators(a, b), _vertex_logs(a, b, lams))):
+            term[members] = value
+    return tuple(terms)
 
 
 def witness_table(sets: list[IntervalSet]) -> np.ndarray:
-    """Table S(A_i u reflected(A_j)) of half-line sets, for every lam at once.
+    """Symmetric table S(A_i u reflected(A_j)) of half-line sets (x -> -x).
 
-    Every set must lie strictly inside x > 0; the reflection is x -> -x.
-    The table is symmetric, since reflecting A_j u reflected(A_i) gives
-    A_i u reflected(A_j) and the entropy depends only on distances, so
-    each pair i <= j is evaluated once.  The half-line check puts every
-    reflected endpoint below every endpoint of A_i, at least
-    2 MIN_SEPARATION apart, so each union's endpoint arrays are the two
-    sets' arrays joined: no sort and no second validation.
+    Every set must lie strictly inside x > 0.  With t = +1 at a left and -1
+    at a right endpoint, the union's separation sums split into each set's
+    own and one quadratic form over the family's endpoints:
+    S(A_i u R(A_j)) = S(A_i) + S(A_j) + (1/6) sum_{k in A_i, l in A_j} t_k t_l log(x_k + x_l).
     """
-    for s in sets:
-        if s.lefts.min() < MIN_SEPARATION:
-            raise IntervalError("sets must lie strictly inside the positive half-line")
-        if abs(s.cutoff - sets[0].cutoff) > 0:
-            raise IntervalError("cannot union interval sets with different cutoffs")
-    mirrored = [(-s.rights[::-1], -s.lefts[::-1]) for s in sets]
-    m1 = len(sets)
-    table = np.empty((m1, m1))
-    for i, s in enumerate(sets):
-        for j in range(i, m1):
-            lefts, rights = mirrored[j]
-            table[i, j] = table[j, i] = _entropy(np.concatenate([lefts, s.lefts]),
-                                                 np.concatenate([rights, s.rights]),
-                                                 s.cutoff)
-    return table
+    lefts = np.concatenate([s.lefts for s in sets])
+    if lefts.min() < MIN_SEPARATION:
+        raise IntervalError("sets must lie strictly inside the positive half-line")
+    if len({s.cutoff for s in sets}) > 1:
+        raise IntervalError("cannot union interval sets with different cutoffs")
+    counts = np.array([s.num_intervals for s in sets])
+    x = np.concatenate([lefts] + [s.rights for s in sets])
+    owner = np.tile(np.repeat(np.arange(len(sets)), counts), 2)
+    # row i holds t_k on the endpoints of A_i and 0 elsewhere
+    signed = (owner == np.arange(len(sets))[:, None]).astype(float)
+    signed[:, lefts.size:] *= -1.0
+    cross = signed @ np.log(x[:, None] + x) @ signed.T
+    # 6 S(A_i): minus half the signed log-distances within A_i, minus p_i log eps
+    within = signed @ _log_distances(x, owner[:, None] == owner)
+    own = -0.5 * np.sum(within * signed, axis=1) - counts * math.log(sets[0].cutoff)
+    return (0.5 * (cross + cross.T) + (own[:, None] + own)) / 6.0
+
+
+def witness_minimum(tables: list[np.ndarray], lams) -> float:
+    """min over tables and lams of witness_record(table, lam)'s min_eigenvalue
+    / scale (inf for no tables): one stacked Gram verdict per table size."""
+    lams = np.asarray(lams, dtype=float)
+    if np.any(lams <= 0):
+        raise ValueError("lam must be positive")
+    by_size, worst = defaultdict(list), math.inf
+    for table in tables:
+        by_size[table.shape[0]].append(table)
+    for group in by_size.values():
+        _, scale, eigvals, _ = _gram_spectrum(np.exp(-lams[:, None, None, None] * np.array(group)))
+        worst = min(worst, float(np.min(eigvals[..., 0] / scale)))
+    return worst
 
 
 def witness_record(table: np.ndarray, lam: float) -> GramRecord:

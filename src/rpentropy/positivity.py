@@ -803,7 +803,7 @@ def _sweep_blocks(dims_by_instance):
     A block closes once its instances' pair matrices reach
     SWEEP_BLOCK_ENTRIES entries; a tail under half that joins the block
     before it, so a block is at least half the budget unless it is the
-    plan's only one.
+    plan's only one.  An empty plan raises ValueError.
     """
     held, block, entries, start, seen = None, [], 0, 0, {}
     for dims in dims_by_instance:
@@ -815,6 +815,8 @@ def _sweep_blocks(dims_by_instance):
             if held is not None:
                 yield held
             held, start, block, entries = (start, block), start + len(block), [], 0
+    if held is None and not block:
+        raise ValueError("the sweep plan is empty")
     if held is not None and 2 * entries < SWEEP_BLOCK_ENTRIES:
         held, block = (held[0], held[1] + block), []
     if held is not None:

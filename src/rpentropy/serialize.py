@@ -62,11 +62,6 @@ def save_report(path: str, report: dict, meta: dict | None = None) -> str:
     return path
 
 
-def load_report(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def write_fixture(out_dir: str, payload: dict) -> str:
     """Store a payload under a content-hash filename; bit-stable given a seed."""
     digest = content_hash(payload)

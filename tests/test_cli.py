@@ -66,6 +66,16 @@ class TestGramSweep:
         assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_empty_lists_config_error(self, tmp_path, capsys):
+        # an empty n list once reached the sweep, whose minimum over no
+        # checks (inf) the report writer refused midway through the file
+        cfg = tmp_path / "cfg.json"
+        for key in ("n", "dims", "subsystems"):
+            cfg.write_text(json.dumps({"trials": 3, key: []}))
+            assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            assert f"for {key}: must list at least one value" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_bad_plan_config_error(self, tmp_path, capsys):
         # a one-subsystem instance, or a plan of no instances (which once
         # wrote a minimum eigenvalue of inf that JSON cannot hold), is a
@@ -178,6 +188,45 @@ class TestFermion:
         assert results["worst_residuals"]["wick_cauchy"] <= 1e-10
         csv_rows = (tmp_path / results["csv"]).read_text().splitlines()
         assert len(csv_rows) == 16  # header + trials
+
+    # each bad value is a config error (exit 1) before any set is drawn, and
+    # writes no report; they once exited 2 mid-run or passed having checked
+    # nothing
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-components", "9", "--trials", "40"], "max_components: must be in 1..8"),
+        (["--max-components", "0"], "max_components: must be in 1..8"),
+        (["--trials", "-3"], "trials: must be >= 1"),
+        (["--trials", "0"], "trials: must be >= 1"),
+        (["--witness-trials", "-2"], "witness_trials: must be >= 0"),
+        (["--lambda", "0"], "lam: must be > 0"),
+        (["--lambda", "1,-1"], "lam: must be > 0"),
+        (["--cutoff", "0"], "cutoff: must be > 0"),
+    ])
+    def test_bad_value_config_error(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "fermion", *argv) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_config_values_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for key, value in (("max_components", 9), ("trials", 0), ("witness_trials", -1),
+                           ("lambda", [1.0, 0.0]), ("lambda", []), ("cutoff", -0.5),
+                           ("sets", [])):
+            cfg.write_text(json.dumps({key: value}))
+            assert main(["fermion", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_zero_witness_trials_skips_the_witness(self, tmp_path):
+        assert run(tmp_path, "fermion", "--trials", "3", "--witness-trials", "0") == 0
+        results = load(tmp_path, "fermion-seed42.json")["report"]["results"]
+        assert results["passed"] and results["divisibility_min_normalized_eigenvalue"] is None
+
+    def test_eight_components_run(self, tmp_path):
+        assert run(tmp_path, "fermion", "--trials", "24", "--max-components", "8",
+                   "--witness-trials", "4") == 0
+        rows = (tmp_path / "fermion-identities-seed42.csv").read_text().splitlines()[1:]
+        assert max(int(row.split(",")[1]) for row in rows) == 8
 
 
 class TestKl:

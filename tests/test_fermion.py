@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from rpentropy import fermion
 from rpentropy.fermion import (ChargeConfiguration, IntervalError, IntervalSet,
                                correlator_cauchy, correlator_wick, divisibility_witness,
                                entropy, entropy_and_log_correlator, gaussian_vertex_correlator,
-                               log_correlator_cauchy, renyi, vertex_log_correlators,
+                               identity_rows, log_correlator_cauchy, renyi,
+                               vertex_log_correlators, witness_minimum, witness_record,
                                witness_table)
 from rpentropy.positivity import check_psd, three_set_inequality
 
@@ -143,6 +145,62 @@ class TestCorrelators:
             assert s_val == entropy(s) and log_c == log_correlator_cauchy(s)
             assert math.exp(log_c) == correlator_cauchy(s)
 
+
+class TestIdentityRows:
+    """identity_rows stacks the sets by component count; each row must be
+    its set's per-set entropy, log correlator, Wick sum and vertex sums."""
+
+    def sets(self, seed, count):
+        rng = np.random.default_rng(seed)
+        return [random_set(rng, 1 + t % 8, hi=40.0, cutoff=float(rng.uniform(0.2, 2.0)))
+                for t in range(count)]
+
+    def test_rows_match_per_set_terms(self):
+        sets, lams = self.sets(23, 48), [0.1, 1.0, 6.0, 10.0]
+        # the six p = 8 sets span more than one Wick chunk
+        assert 6 * math.factorial(8) * 8 > fermion.WICK_CHUNK_ENTRIES
+        s_val, log_c, wick, log_v = identity_rows(sets, lams)
+        eps = np.finfo(float).eps
+        for k, s in enumerate(sets):
+            p = s.num_intervals
+            bound = 4 * (2 * p) ** 2 * eps
+            single_s, single_log_c = entropy_and_log_correlator(s)
+            assert abs(s_val[k] - single_s) <= bound * max(1.0, abs(single_s))
+            assert abs(log_c[k] - single_log_c) <= bound * max(1.0, abs(single_log_c))
+            single_wick = correlator_wick(s)
+            assert abs(wick[k] - single_wick) <= bound * math.factorial(p) * abs(single_wick)
+            single_v = np.array(vertex_log_correlators(s, lams))
+            assert np.all(np.abs(log_v[k] - single_v)
+                          <= bound * np.maximum(1.0, np.abs(single_v)))
+
+    def test_wick_rows_ignore_chunking(self, monkeypatch):
+        # each row's permutation terms are summed in one order, whatever the
+        # chunks, so the Wick sums are the same to the last bit
+        sets = self.sets(29, 24)
+        wick = identity_rows(sets, [1.0])[2]
+        for budget in (1, 5000, 1 << 22):
+            monkeypatch.setattr(fermion, "WICK_CHUNK_ENTRIES", budget)
+            assert identity_rows(sets, [1.0])[2].tobytes() == wick.tobytes()
+
+    def test_eight_components_match_plain_permutation_loop(self):
+        s = self.sets(31, 8)[7]
+        inv = (1.0 / (s.lefts[:, None] - s.rights[None, :])).tolist()
+        total = 0.0
+        for perm in itertools.permutations(range(8)):
+            term = (-1) ** sum(perm[i] > perm[j] for i in range(8) for j in range(i + 1, 8))
+            for i, j in enumerate(perm):
+                term *= inv[i][j]
+            total += term
+        assert identity_rows([s], [1.0])[2][0] == (-1.0) ** 8 / (2.0 * math.pi) ** 8 * total
+        assert abs(correlator_wick(s) - correlator_cauchy(s)) <= 1e-10 * correlator_cauchy(s)
+
+    def test_validation_kept(self):
+        with pytest.raises(IntervalError, match="permutation"):
+            identity_rows([random_set(np.random.default_rng(2), 9, hi=100.0)], [1.0])
+        with pytest.raises(ValueError, match="lam must be positive"):
+            identity_rows(self.sets(3, 2), [1.0, -1.0])
+
+
 class TestVertexOperators:
 
     def test_two_charge_coefficient(self):
@@ -215,13 +273,43 @@ class TestDivisibilityWitness:
         with pytest.raises(IntervalError, match="half-line"):
             divisibility_witness([IntervalSet.from_pairs([(0.0, 1.0)])], lam=1.0)
 
-    def test_table_matches_union_path_bit_for_bit(self):
+    def test_table_matches_union_path_within_roundoff(self):
+        # the table is one quadratic form in log(x_k + x_l) plus each set's
+        # own entropy, so it differs from the union entropies by roundoff:
+        # at most k^2 eps max(1, |S|), k the union's endpoint count
         rng = np.random.default_rng(31)
-        for _ in range(60):
+        eps = np.finfo(float).eps
+        for _ in range(200):
             sets = [random_set(rng, int(rng.integers(1, 4)), lo=1e-3, hi=20.0,
                                cutoff=0.8, min_gap=1e-2)
                     for _ in range(int(rng.integers(1, 5)))]
-            assert witness_table(sets).tobytes() == union_witness_table(sets).tobytes()
+            table, union = witness_table(sets), union_witness_table(sets)
+            ends = 2 * np.array([s.num_intervals for s in sets])
+            k = ends[:, None] + ends[None, :]
+            assert np.all(np.abs(table - union) <= k ** 2 * eps * np.maximum(1.0, np.abs(union)))
+            assert np.array_equal(table, table.T)
+
+    def test_shared_endpoints_across_sets(self):
+        # sets of one family may share an endpoint; only distances within a
+        # set enter its entropy, so no log(0) reaches the table
+        sets = [IntervalSet.from_pairs([(1, 2)]), IntervalSet.from_pairs([(2, 3), (4, 5)])]
+        assert np.allclose(witness_table(sets), union_witness_table(sets), rtol=1e-14, atol=1e-14)
+
+    def test_stacked_minimum_matches_witness_records(self):
+        # one Gram verdict per table size, stacked over tables and lams, is
+        # the minimum of the single-table records at eps scale
+        rng = np.random.default_rng(41)
+        lams = [0.1, 1.0, 6.0, 10.0]
+        tables = [witness_table([random_set(rng, int(rng.integers(1, 3)), lo=0.1, hi=20.0,
+                                            min_gap=1e-2)
+                                 for _ in range(int(rng.integers(2, 5)))])
+                  for _ in range(60)]
+        records = [witness_record(t, lam) for t in tables for lam in lams]
+        expected = min(r.min_eigenvalue / r.scale for r in records)
+        assert abs(witness_minimum(tables, lams) - expected) <= 8 * np.finfo(float).eps
+        assert witness_minimum([], lams) == math.inf
+        with pytest.raises(ValueError, match="lam must be positive"):
+            witness_minimum(tables, [1.0, 0.0])
 
     def test_mixed_cutoffs_refused(self):
         sets = [IntervalSet.from_pairs([(1, 2)]), IntervalSet.from_pairs([(3, 4)], cutoff=0.5)]

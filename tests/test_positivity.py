@@ -832,8 +832,13 @@ class TestTheoremSweep:
         assert sizes == [3]
 
     def test_empty_plan_and_empty_n(self):
-        empty = theorem_sweep_parallel([], [2, 3], master_seed=1, jobs=2)
-        assert (empty.instances, empty.checks, empty.worst) == (0, 0, {})
+        # a plan of no instances has no minimum to report (it once returned
+        # inf, which a JSON report cannot hold)
+        for sweep in (theorem_sweep, theorem_sweep_parallel):
+            with pytest.raises(ValueError, match="empty"):
+                sweep([], [2], 1)
+        with pytest.raises(ValueError, match="empty"):
+            theorem_sweep_parallel([], [2, 3], master_seed=1, jobs=2)
         no_n = theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
         assert (no_n.instances, no_n.checks, no_n.violations) == (3, 0, [])
 
