@@ -20,7 +20,8 @@ import numpy as np
 from .modular import InvalidStateError, PurifiedState
 from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
                         _pair_spectrum, _pair_traces)
-from .sampling import ginibre, simplex_eigenvalues, trial_rng, unitary_from_ginibre
+from .sampling import (ginibre_from_parts, ginibre_parts, simplex_eigenvalues, trial_rng,
+                       unitary_from_ginibre)
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, renyi_entropy, twist_operators, von_neumann  # noqa: F401
 from .sampling import haar_unitary  # noqa: F401
@@ -145,10 +146,11 @@ def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, kernel,
 def _pair_entropies(schmidt_values, mat_i, mat_j, dims_i, dims_j, n: int) -> np.ndarray:
     """S_n(A_i Abar_j) of a stack of pairs, the pair kernel of entropy tables.
 
-    Von Neumann (n = 1) needs the eigenvalues, so it takes the SVD of each
-    pair matrix (`_pair_spectrum`).  An integer n >= 2 needs none: S_n is
-    -log(tr rho^n) / (n - 1), from the theorem sweep's trace-power kernel
-    (`_pair_traces`).
+    Both kernels start from the pair Gram matrix M (`_pair_gram`), and
+    neither takes an SVD.  Von Neumann (n = 1) needs the eigenvalues, so it
+    takes `eigvalsh` of M (`_pair_spectrum`).  An integer n >= 2 needs none:
+    S_n is -log(tr rho^n) / (n - 1), from the theorem sweep's trace-power
+    kernel (`_pair_traces`).
     """
     pair = (schmidt_values, mat_i, mat_j, dims_i, dims_j)
     if n == 1:
@@ -160,8 +162,8 @@ def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.n
     """Tables (..., m, m) of S_n(A_i Abar_j) (n = 1 is von Neumann) of the
     instances with Schmidt values (..., d) and split matrices (..., m, d, d),
     the splits shaped as dims; leading axes are a stack, and one
-    `_pair_entropies` call holds at most STACK_ENTRIES pair-matrix entries,
-    so only n = 1 takes an SVD."""
+    `_pair_entropies` call holds at most STACK_ENTRIES pair-matrix entries;
+    only n = 1 takes a spectrum."""
     table = _pair_tables(schmidt[..., None, :], mats, (tuple(dims),),
                          functools.partial(_pair_entropies, n=n), STACK_ENTRIES)
     return table.reshape(table.shape[:-1] + (len(dims),) * 2)
@@ -177,8 +179,8 @@ def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
 
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs: von Neumann from the pair
-    spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no SVD)
-    for n >= 2."""
+    spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no
+    spectrum) for n >= 2."""
     schmidt, mats, dims = _instance_arrays(psi, splits)
     return _entropy_tables(schmidt, mats, dims, n)
 
@@ -190,7 +192,7 @@ def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
     lam defaults to n - 1, the proven case where entries equal the trace
     powers tr(rho^n); other values are experimental search targets.  For
     n = 1 the trace entries are trivially 1, so lam must be supplied.  The
-    entropy table behind the entries takes an SVD per pair for n = 1 only;
+    entropy table behind the entries takes a pair spectrum for n = 1 only;
     for n >= 2 it comes from the trace powers themselves (`entropy_table`).
     """
     if n < 1:
@@ -436,20 +438,35 @@ class SearchReport:
         }
 
 
-def _draw_raw(master_seed: int, index: int, dims) -> tuple:
-    """(descending Schmidt values, Ginibre matrices (m+1, d, d)) of instance
-    `index`: the eigenbasis's matrix first, then one per split.  This is the
-    one owner of an instance's stream order."""
-    rng = trial_rng(master_seed, index)
-    d = dims[0][0] * dims[0][1]
-    lam = np.sort(simplex_eigenvalues(d, rng))[::-1]
-    return lam, ginibre(d, rng, (1 + len(dims),))
+def _draw_block(master_seed: int, indices, dims_list) -> tuple:
+    """(descending Schmidt values (N, d), Ginibre matrices (sum of m+1, d, d),
+    each instance's first row (N,)) of the instances `indices`, split as
+    `dims_list`, which share one d.  An instance's rows are its eigenbasis's
+    matrix, then one per split.
+
+    This is the one owner of stream order.  Instance k's `trial_rng` stream
+    gives its spectrum and then, straight into its rows of one buffer, the
+    real and then the imaginary parts of each matrix in turn
+    (`sampling.ginibre_parts`, as `ginibre` draws them), so an instance is
+    the same in any block.  The sort and the complex combine run once per
+    block.
+    """
+    d = dims_list[0][0][0] * dims_list[0][0][1]
+    rows = [1 + len(dims) for dims in dims_list]
+    stops = np.cumsum(rows)
+    raw = np.empty((stops[-1], 2, d, d))
+    lam = np.empty((len(rows), d))
+    for k, (index, count, stop) in enumerate(zip(indices, rows, stops.tolist())):
+        rng = trial_rng(master_seed, index)
+        lam[k] = simplex_eigenvalues(d, rng)
+        ginibre_parts(rng, raw[stop - count:stop])
+    return np.sort(lam)[:, ::-1].copy(), ginibre_from_parts(raw), stops - rows
 
 
 def _draw_instance(cfg: SearchConfig, trial: int):
-    lam, z = _draw_raw(cfg.master_seed, cfg.trial_offset + trial, cfg.dims)
+    lam, z, _ = _draw_block(cfg.master_seed, [cfg.trial_offset + trial], [cfg.dims])
     u = unitary_from_ginibre(z)
-    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam, eigenbasis=u[0])
+    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam[0], eigenbasis=u[0])
     splits = [SubsystemSplit(dim_a=da, dim_b=db, coeffs=u[k + 1], label=f"A{k+1}")
               for k, (da, db) in enumerate(cfg.dims)]
     return psi, splits
@@ -543,10 +560,10 @@ def _search_chunk(args) -> tuple:
 
     The run is evaluated in blocks of at most STACK_ENTRIES pair-matrix
     entries (at least one trial), so memory is bounded for any trial count
-    and split size.  Python only draws, trial by trial through `_draw_raw`;
-    the splits' Haar step, its unitarity check and `_evaluate_block` take
-    the block as one stack.  Payloads, and the eigenbasis unitary they
-    store, are built for violating trials only.
+    and split size.  A block is drawn by one `_draw_block` call; the
+    splits' Haar step, its unitarity check and `_evaluate_block` take it as
+    one stack.  Payloads, and the eigenbasis unitary they store, are built
+    for violating trials only.
     """
     trials, _, cfg = args
     m, d = len(cfg.dims), cfg.dim
@@ -554,15 +571,16 @@ def _search_chunk(args) -> tuple:
     slacks, violations = [], []
     for first in range(0, len(trials), size):
         block = trials[first:first + size]
-        draws = [_draw_raw(cfg.master_seed, cfg.trial_offset + t, cfg.dims) for t in block]
-        schmidt = np.array([lam for lam, _ in draws])
+        schmidt, z, _ = _draw_block(cfg.master_seed, [cfg.trial_offset + t for t in block],
+                                    [cfg.dims] * len(block))
+        z = z.reshape(len(block), m + 1, d, d)
         # the eigenbasis enters no target, so only the splits' are built here
-        u = unitary_from_ginibre(np.array([z[1:] for _, z in draws]))
+        u = unitary_from_ginibre(z[:, 1:])
         _check_unitary(u)
         fields = _evaluate_block(cfg, schmidt, u)
         slacks.append(fields["slack"])
         for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
-            eigenbasis = unitary_from_ginibre(draws[k][1][0])
+            eigenbasis = unitary_from_ginibre(z[k, 0])
             _check_unitary(eigenbasis)
             result = _payload(fields, k)
             result["trial"] = cfg.trial_offset + block[k]
@@ -597,8 +615,8 @@ def summarize(values) -> tuple[float, int, dict]:
     """
     values = np.asarray(values)
     best = int(np.argmin(values))
-    quantiles = {f"q{int(100 * q):02d}": float(np.quantile(values, q))
-                 for q in SUMMARY_QUANTILES}
+    quantiles = {f"q{int(100 * q):02d}": float(value)
+                 for q, value in zip(SUMMARY_QUANTILES, np.quantile(values, SUMMARY_QUANTILES))}
     return float(values[best]), best, quantiles
 
 
@@ -657,8 +675,8 @@ def _refine(cfg: SearchConfig, start_trial: int):
     None; iterations used; counters keyed as REFINE_COUNTERS).
     """
     rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
-    lam, z = _draw_raw(cfg.master_seed, start_trial, cfg.dims)
-    lam, betas = lam.copy(), unitary_from_ginibre(z[1:])
+    lam, z, _ = _draw_block(cfg.master_seed, [start_trial], [cfg.dims])
+    lam, betas = lam[0], unitary_from_ginibre(z[1:])
     _check_unitary(betas)
     m, d = len(betas), cfg.dim
     cap = max(1, STACK_ENTRIES // (m * (m + 1) // 2 * d * d))
@@ -828,25 +846,25 @@ def _sweep_blocks(dims_by_instance):
 def _sweep_block(block, n_values, master_seed: int, first: int, tol: float) -> SweepResult:
     """The sweep result of one block, its first instance `first`.
 
-    Python only draws, instance by instance through `_draw_raw`, so an
-    instance is the search's and the same in any block.  The rest is
-    stacked: per d one Haar step, one unitarity check and one
-    `_pair_tables` call, whose runs reduce pair matrices to their trace
-    powers per n (`_pair_traces`, no SVD); then the verdicts per subsystem
-    count.
+    Per d, one `_draw_block` call draws the instances, so an instance is
+    the search's and the same in any block; one Haar step, one unitarity
+    check and one `_pair_tables` call follow, whose runs reduce pair
+    matrices to their trace powers per n (`_pair_traces`, no spectrum).
+    Then come the verdicts per subsystem count.
     """
-    by_d = defaultdict(list)  # d -> (block index, Schmidt values, the splits' Ginibres)
-    for idx, dims in enumerate(block):
-        lam, z = _draw_raw(master_seed, first + idx, dims)
-        by_d[lam.size].append((idx, lam, z[1:]))  # the eigenbasis enters no pair matrix
+    by_d = defaultdict(list)  # d -> block indices
+    for idx, splits in enumerate(block):
+        by_d[splits[0][0] * splits[0][1]].append(idx)
 
     tables, order = [], []
-    for idx, lam, z in (zip(*rows) for rows in by_d.values()):
-        u = unitary_from_ginibre(np.concatenate(z))
+    for idx in by_d.values():
+        dims = tuple(block[k] for k in idx)
+        lam, z, eigenbases = _draw_block(master_seed, [first + k for k in idx], dims)
+        # the eigenbasis enters no pair matrix
+        u = unitary_from_ginibre(np.delete(z, eigenbases, axis=0))
         _check_unitary(u)
         order += idx
-        tables.append(_pair_tables(np.array(lam), u, tuple(block[k] for k in idx),
-                                   lambda *pair: _pair_traces(*pair, n_values),
+        tables.append(_pair_tables(lam, u, dims, lambda *pair: _pair_traces(*pair, n_values),
                                    SWEEP_BLOCK_ENTRIES))
     # each instance's Gram entries are a row-major m x m run of `entries`
     entries = np.concatenate(tables, axis=-1)

@@ -190,14 +190,24 @@ def _check_pair_traces(traces: np.ndarray) -> None:
         raise InvalidStateError(f"pair spectrum sums to {first:.12f}, not 1")
 
 
+def _pair_gram(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
+               dims_i: tuple, dims_j: tuple) -> np.ndarray:
+    """M, the smaller of X X^dag and X^dag X of `_pair_matrix`'s X, stack by
+    stack: min(a_i a_j, b_i b_j) square, with the nonzero eigenvalues of
+    rho = X X^dag.  tr M must be 1 within TRACE_TOL."""
+    x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
+    adjoint = x.conj().swapaxes(-1, -2)
+    m = x @ adjoint if x.shape[-2] <= x.shape[-1] else adjoint @ x
+    _check_pair_traces(np.trace(m, axis1=-2, axis2=-1).real)
+    return m
+
+
 def _pair_spectrum(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
                    dims_i: tuple, dims_j: tuple) -> np.ndarray:
-    """Squared singular values of `_pair_matrix`, stack by stack; each
-    spectrum must sum to 1 within TRACE_TOL."""
-    x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
-    eigs = np.linalg.svd(x, compute_uv=False) ** 2
-    _check_pair_traces(eigs.sum(axis=-1))
-    return eigs
+    """Eigenvalues of `_pair_gram`'s M, ascending, stack by stack; roundoff
+    below zero is clipped to 0."""
+    m = _pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j)
+    return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
 def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
@@ -205,17 +215,13 @@ def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
     """tr rho^n of `_pair_matrix`'s rho = X X^dag for each n >= 1 of n_values,
     shape (len(n_values), ...), from matrix products alone: no spectrum.
 
-    M is the smaller of X X^dag and X^dag X, which share their nonzero
-    eigenvalues; tr M must be 1 within TRACE_TOL.  The powers of M are
-    Hermitian, so tr M^n is the entrywise sum of M^ceil(n/2) times
+    M is `_pair_gram`'s, which shares rho's nonzero eigenvalues.  The powers
+    of M are Hermitian, so tr M^n is the entrywise sum of M^ceil(n/2) times
     conj(M^floor(n/2)), from one ladder M, M^2, ... up to M^ceil(max n / 2).
     A trace power below the smallest normal float raises, since its log,
     the Renyi entropy, would be lost to underflow.
     """
-    x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
-    adjoint = x.conj().swapaxes(-1, -2)
-    m = x @ adjoint if x.shape[-2] <= x.shape[-1] else adjoint @ x
-    _check_pair_traces(np.trace(m, axis1=-2, axis2=-1).real)
+    m = _pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j)
     ladder = [np.eye(m.shape[-1], dtype=m.dtype), m]
     while len(ladder) <= (max(n_values, default=0) + 1) // 2:
         ladder.append(ladder[-1] @ m)
@@ -234,10 +240,11 @@ def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
 
 def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
                   split_j: SubsystemSplit) -> np.ndarray:
-    """Spectrum of rho_{A_i Abar_j}, nonnegative by construction.
+    """Spectrum of rho_{A_i Abar_j}, ascending and nonnegative.
 
-    The squared singular values of the pair matrix: every nonzero
-    eigenvalue, padded with zeros to min(a_i a_j, b_i b_j) entries.
+    The eigenvalues of the smaller pair Gram matrix (X X^dag or X^dag X of
+    the pair matrix X; no SVD): every nonzero eigenvalue, padded with zeros
+    to min(a_i a_j, b_i b_j) entries, and roundoff below zero clipped to 0.
     """
     _check_pair_dims(psi, split_i, split_j)
     return _pair_spectrum(psi.schmidt_values, split_i.matrix, split_j.matrix,

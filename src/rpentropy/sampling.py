@@ -14,14 +14,25 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), int(trial_index)))
 
 
+def ginibre_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (..., 2, d, d) from the stream: each matrix's real parts,
+    then its imaginary parts, matrix after matrix.  Returns `out`."""
+    rng.standard_normal(out=out)
+    return out
+
+
+def ginibre_from_parts(parts: np.ndarray) -> np.ndarray:
+    """Complex matrices (..., d, d) from `ginibre_parts`'s (..., 2, d, d)."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
 def ginibre(dim: int, rng: np.random.Generator, stack: tuple = ()) -> np.ndarray:
     """Complex Ginibre matrices of shape (*stack, dim, dim).
 
-    Each matrix takes its real parts and then its imaginary parts from the
-    stream, so one stacked draw equals that many single draws in turn.
+    The parts come from `ginibre_parts`, so one stacked draw equals that
+    many single draws in turn.
     """
-    x = rng.standard_normal((*stack, 2, dim, dim))
-    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    return ginibre_from_parts(ginibre_parts(rng, np.empty((*stack, 2, dim, dim))))
 
 
 def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:

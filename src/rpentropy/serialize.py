@@ -48,17 +48,18 @@ def save_report(path: str, report: dict, meta: dict | None = None) -> str:
 
     Timestamps and other run-specific context live only under meta, so two
     runs with the same configuration and seed produce identical report
-    sections.
+    sections.  The payload is encoded before the file opens, so a value the
+    encoder refuses (such as inf) raises and leaves no partial report.
     """
     payload = {
         "meta": dict(meta or {}, timestamp=datetime.now(timezone.utc).isoformat()),
         "report": report,
     }
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                      default=_json_default)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False,
-                  default=_json_default)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 

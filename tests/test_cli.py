@@ -491,6 +491,43 @@ class TestSerializeHelpers:
         assert os.path.basename(path) == content_hash(payload) + ".json"
         assert json.loads(open(path).read()) == payload
 
+    def test_refused_value_leaves_no_report(self, tmp_path):
+        # the payload is encoded before the file opens: inf raises and no
+        # truncated report is left behind
+        from rpentropy.serialize import save_report
+        path = tmp_path / "sub" / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_report(str(path), {"ok": [1.0, 2.0], "worst": float("inf")})
+        assert not path.exists()
+
+    def test_report_bytes_are_the_streamed_encoding(self, tmp_path):
+        # a good report is byte for byte what json.dump streamed into the
+        # file before: indent 2, sorted keys, numpy values, a final newline
+        import io
+        from rpentropy.serialize import _json_default, save_report
+        report = {"z": np.float64(0.1), "a": [np.int64(3), np.bool_(True)],
+                  "m": np.arange(4.0).reshape(2, 2), "s": "x", "n": None}
+        path = save_report(str(tmp_path / "report.json"), report, meta={"argv": ["x"]})
+        written = Path(path).read_text()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, sort_keys=True, indent=2, allow_nan=False,
+                  default=_json_default)
+        assert written == streamed.getvalue() + "\n"
+        assert json.loads(written)["report"] == {"a": [3, True], "m": [[0.0, 1.0], [2.0, 3.0]],
+                                                 "n": None, "s": "x", "z": 0.1}
+
+    def test_summary_quantiles_equal_per_quantile_calls(self):
+        # one np.quantile call over SUMMARY_QUANTILES, bit for bit the
+        # per-q calls, on an odd and an even length with ties
+        from rpentropy.positivity import SUMMARY_QUANTILES
+        rng = np.random.default_rng(31)
+        for values in (rng.standard_normal(301), rng.integers(0, 5, 200) * 0.1,
+                       np.array([2.5])):
+            _, _, quantiles = summarize(values)
+            expected = [float(np.quantile(values, q)) for q in SUMMARY_QUANTILES]
+            assert list(quantiles.values()) == expected
+            assert list(quantiles) == ["q00", "q01", "q10", "q50", "q100"]
+
     def test_lambda_flag_alias(self, tmp_path):
         code = main(["kl", "--seed", "21", "--lambda", "2.0", "--out", str(tmp_path)])
         assert code == 0

@@ -15,11 +15,28 @@ from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   gram_matrix, schur_power, theorem_sweep,
                                   theorem_sweep_parallel, three_set_inequality,
                                   verify_witness)
-# the sequential descent oracle at the end of this file calls these
-from rpentropy.positivity import (_check_unitary, _draw_raw, _evaluate_block, _payload,
+# block_instances and the test oracles at the end of this file call these
+from rpentropy.positivity import (_check_unitary, _draw_block, _evaluate_block, _payload,
                                   _serialize_instance, trial_rng, unitary_from_ginibre)
-from rpentropy.reflected import SubsystemSplit, pair_spectrum, von_neumann
-from rpentropy.sampling import haar_unitary, random_density
+from rpentropy.reflected import SubsystemSplit, _pair_matrix, pair_spectrum, von_neumann
+from rpentropy.sampling import ginibre, haar_unitary, random_density, simplex_eigenvalues
+
+
+def block_instances(cfg: SearchConfig):
+    """(Schmidt values (trials, d), split unitaries (trials, m, d, d)) of
+    the search's trials, from one `_draw_block` call."""
+    schmidt, z, _ = _draw_block(cfg.master_seed, range(cfg.trials), [cfg.dims] * cfg.trials)
+    z = z.reshape(cfg.trials, len(cfg.dims) + 1, cfg.dim, cfg.dim)
+    return schmidt, unitary_from_ginibre(z[:, 1:])
+
+
+def svd_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
+                 split_j: SubsystemSplit) -> np.ndarray:
+    """Test-only oracle for the pair spectrum: the squared singular values
+    of the pair matrix, independent of the kernels' pair Gram matrix."""
+    x = _pair_matrix(psi.schmidt_values, split_i.matrix, split_j.matrix,
+                     (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
+    return np.linalg.svd(x, compute_uv=False) ** 2
 
 
 def random_gram(seed, m1=3, n=2, d_a=2, d_b=2):
@@ -489,7 +506,7 @@ class TestBatchedSearch:
         cfg = SearchConfig(dims=[(2, 3), (3, 2), (2, 3)], trials=12, master_seed=17,
                            tolerance=-10.0)
         report = counterexample_search(cfg)
-        z = np.array([_draw_raw(cfg.master_seed, t, cfg.dims)[1] for t in range(cfg.trials)])
+        z = np.array([draw_one(cfg.master_seed, t, cfg.dims)[1] for t in range(cfg.trials)])
         u = unitary_from_ginibre(z)
         assert len(report.violations) == cfg.trials
         for k, violation in enumerate(report.violations):
@@ -512,9 +529,7 @@ class TestBatchedSearch:
         assert not relaid(np.ones((2, 3, 3))).flags.c_contiguous
         for dims in ([(2, 2)] * 3, [(2, 3), (3, 2), (2, 3), (3, 2)], [(2, 2)] * 6):
             cfg = SearchConfig(dims=dims, trials=40, master_seed=29, target="schur_s_fraction")
-            draws = [_draw_raw(cfg.master_seed, t, cfg.dims) for t in range(cfg.trials)]
-            schmidt = np.array([lam for lam, _ in draws])
-            mats = unitary_from_ginibre(np.array([z[1:] for _, z in draws]))
+            schmidt, mats = block_instances(cfg)
             monkeypatch.setattr(positivity, "_second_differences", second_differences)
             reference = _evaluate_block(cfg, schmidt, mats)
             monkeypatch.setattr(positivity, "_second_differences",
@@ -530,9 +545,7 @@ class TestBatchedSearch:
         from rpentropy.positivity import _second_differences
         for dims in ([(2, 2)] * 3, [(2, 3), (3, 2), (2, 3), (3, 2)], [(2, 2)] * 2):
             cfg = SearchConfig(dims=dims, trials=60, master_seed=23, target="schur_s_fraction")
-            draws = [_draw_raw(cfg.master_seed, t, cfg.dims) for t in range(cfg.trials)]
-            mats = unitary_from_ginibre(np.array([z[1:] for _, z in draws]))
-            fields = _evaluate_block(cfg, np.array([lam for lam, _ in draws]), mats)
+            fields = _evaluate_block(cfg, *block_instances(cfg))
             b = _second_differences(fields["entropy_table"])
             assert np.array_equal(fields["det_b"], np.linalg.det(b))
             for k in range(cfg.trials):
@@ -631,8 +644,9 @@ class TestBatchedSearch:
         # 1e-6 redraw floor; a stack of three instances against per-pair
         # spectra, and each pair j < i is its reflection's entry.  n = 1
         # shares the spectrum kernel, so it matches to the last bit; n >= 2
-        # comes from trace powers, whose exp(-(n-1) S) matches the spectrum's
-        # power sum within the kernel tolerance of tests/test_reflected.py
+        # comes from trace powers, whose exp(-(n-1) S) matches the power sum
+        # of the test-only SVD oracle within the kernel tolerance of
+        # tests/test_reflected.py
         import functools
         from rpentropy.positivity import _entropy_tables, _pair_entropies, _pair_tables
         per_instance = dims if isinstance(dims, tuple) else [dims] * 3
@@ -656,11 +670,12 @@ class TestBatchedSearch:
                       for (a, b), mat in zip(splits_k, mats[k])]
             for i in range(len(splits)):
                 for j in range(i, len(splits)):
-                    eigs = pair_spectrum(psi, splits[i], splits[j])
                     assert tables[k][i, j] == tables[k][j, i]
                     if n == 1:
+                        eigs = pair_spectrum(psi, splits[i], splits[j])
                         assert tables[k][i, j] == von_neumann(eigs)
                     else:
+                        eigs = svd_spectrum(psi, splits[i], splits[j])
                         assert np.exp(-(n - 1) * tables[k][i, j]) == pytest.approx(
                             np.sum(eigs ** n), rel=8 * n * d * np.finfo(float).eps)
 
@@ -692,6 +707,89 @@ class TestBatchedSearch:
         assert verify_witness(witness, target="integer_n") > 0
         with pytest.raises(AssertionError, match="pair spectrum"):
             entropy_table(psi, splits, 1)
+
+    def test_von_neumann_tables_take_no_svd(self, monkeypatch, tmp_path):
+        # S_1 takes eigvalsh of the pair Gram matrix: the entropy_n1 search
+        # (its witness at trial 2985 of seed 2024 included), a det-B n = 1
+        # search with its descent and witness re-verification run with
+        # np.linalg.svd disabled
+        from rpentropy.cli import main
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=40, master_seed=2024, trial_offset=2960)
+        report = counterexample_search(cfg)
+        assert [v["trial"] for v in report.violations] == [2985]
+        assert verify_witness(report.violations[0], target="entropy_n1") < -cfg.tolerance
+        assert main(["search", "--target", "schur_s_fraction", "--trials", "30", "--seed", "7",
+                     "--dims", "2x3,3x2,2x3", "--refine", "200", "--out", str(tmp_path)]) == 0
+        with pytest.raises(AssertionError, match="svd was called"):
+            np.linalg.svd(np.eye(2))
+
+
+class TestBlockDraws:
+    """`_draw_block` owns stream order: every instance of a block is its own
+    stream's one-at-a-time draw (`draw_one`), to the last bit."""
+
+    # at seed 5, instance 55195's first flat Dirichlet draw, at d = 4 and at
+    # d = 6, has an entry below EIGENVALUE_REDRAW_FLOOR and is redrawn
+    REDRAWN = (5, 55195)
+
+    @pytest.mark.parametrize("dims_list", [
+        # 2, 3 and 4 subsystems at d = 6, 2x3 and 3x2 mixed
+        [[(2, 3), (3, 2)], [(3, 2), (3, 2), (2, 3)], [(2, 3)] * 4, [(3, 2)] * 2],
+        [[(2, 2)] * 3, [(2, 2)] * 4, [(2, 2)] * 2, [(2, 2)] * 3]])
+    def test_block_equals_the_one_at_a_time_stream(self, dims_list):
+        from rpentropy.sampling import EIGENVALUE_REDRAW_FLOOR
+        seed, redrawn = self.REDRAWN
+        d = dims_list[0][0][0] * dims_list[0][0][1]
+        assert trial_rng(seed, redrawn).dirichlet(np.ones(d)).min() < EIGENVALUE_REDRAW_FLOOR
+        indices = [3, redrawn, 0, 17]
+        schmidt, z, first = _draw_block(seed, indices, dims_list)
+        rows = np.array([1 + len(dims) for dims in dims_list])
+        assert first.tolist() == (np.cumsum(rows) - rows).tolist()
+        assert schmidt.shape == (4, d) and z.shape == (rows.sum(), d, d)
+        assert schmidt.min() >= EIGENVALUE_REDRAW_FLOOR
+        for k, (index, dims) in enumerate(zip(indices, dims_list)):
+            lam, single = draw_one(seed, index, dims)
+            assert schmidt[k].tobytes() == lam.tobytes()
+            assert z[first[k]:first[k] + rows[k]].tobytes() == single.tobytes()
+            # a one-row block is the same instance
+            alone = _draw_block(seed, [index], [dims])
+            assert alone[0].tobytes() == lam.tobytes() and alone[1].tobytes() == single.tobytes()
+
+    def test_ginibre_parts_keep_the_stacked_layout(self):
+        # `draw_one` and `_draw_block` share sampling's layout, so it is
+        # pinned here against a plain standard-normal draw: real parts, then
+        # imaginary parts, matrix after matrix, also into a buffer's slice
+        from rpentropy.sampling import ginibre_from_parts, ginibre_parts
+        raw = np.random.default_rng(9).standard_normal((3, 2, 4, 4))
+        stacked = ginibre(4, np.random.default_rng(9), (3,))
+        assert stacked.tobytes() == (raw[:, 0] + 1j * raw[:, 1]).tobytes()
+        rng = np.random.default_rng(9)
+        assert np.array([ginibre(4, rng) for _ in range(3)]).tobytes() == stacked.tobytes()
+        buffer = np.zeros((5, 2, 4, 4))
+        ginibre_parts(np.random.default_rng(9), buffer[1:4])
+        assert buffer[1:4].tobytes() == raw.tobytes() and not buffer[[0, 4]].any()
+        assert ginibre_from_parts(buffer[1:4]).tobytes() == stacked.tobytes()
+
+    def test_sweep_and_search_take_the_redrawn_instance(self):
+        # both callers read the redrawn spectrum: the Gram matrix the sweep
+        # records for that instance is gram_matrix's of the search instance
+        from rpentropy.positivity import _draw_instance
+        seed, redrawn = self.REDRAWN
+        dims = [(2, 3), (3, 2), (2, 3)]
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
+                           trial_offset=redrawn)
+        psi, splits = _draw_instance(cfg, 0)
+        assert psi.schmidt_values.tobytes() == draw_one(seed, redrawn, dims)[0].tobytes()
+        sweep = theorem_sweep([[(2, 2)] * 2, dims], [2], master_seed=seed, tol=-1.0,
+                              trial_offset=redrawn - 1)
+        [violation] = [v for v in sweep.violations if v["instance"] == redrawn]
+        assert np.asarray(violation["gram"]) == pytest.approx(
+            gram_matrix(psi, splits, 2).entries, rel=1e-12)
 
 
 class TestTheoremSweep:
@@ -741,10 +839,11 @@ class TestTheoremSweep:
     def test_sweep_draws_the_search_instance(self):
         # the stacked sweep must give exactly the Gram of per-pair trace
         # powers on the search's instance, also in the second slot of a
-        # block; tol = -1 records every check.  The spectrum's power sums
-        # agree within the kernel tolerance of tests/test_reflected.py
+        # block; tol = -1 records every check.  The power sums of the
+        # test-only SVD oracle agree within the kernel tolerance of
+        # tests/test_reflected.py
         from rpentropy.positivity import _draw_instance, _gram_spectrum
-        from rpentropy.reflected import _pair_traces, pair_spectrum
+        from rpentropy.reflected import _pair_traces
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,
                               tol=-1.0, trial_offset=4)
@@ -755,7 +854,7 @@ class TestTheoremSweep:
         traces = {(i, j): _pair_traces(psi.schmidt_values, splits[i].matrix,
                                        splits[j].matrix, dims[i], dims[j], n_values)
                   for i, j in pairs}
-        spectra = {(i, j): pair_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
+        spectra = {(i, j): svd_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
         recorded = [v for v in sweep.violations if v["instance"] == 5]
         assert [v["n"] for v in recorded] == n_values
         for k, (n, violation) in enumerate(zip(n_values, recorded)):
@@ -961,7 +1060,19 @@ class TestPrefetchedRefine:
         assert set(sizes) == {1} and counters["discarded"] == 0
 
 
-# --------------------------------------------------------------- test oracle
+# -------------------------------------------------------------- test oracles
+# One instance drawn from its stream on its own, the order `_draw_block`
+# keeps for a whole block: the spectrum, then each Ginibre matrix in turn.
+
+def draw_one(master_seed: int, index: int, dims) -> tuple:
+    """(descending Schmidt values, Ginibre matrices (m+1, d, d)) of instance
+    `index`: the eigenbasis's matrix first, then one per split."""
+    rng = trial_rng(master_seed, index)
+    d = dims[0][0] * dims[0][1]
+    lam = np.sort(simplex_eigenvalues(d, rng))[::-1]
+    return lam, ginibre(d, rng, (1 + len(dims),))
+
+
 # The one-proposal-per-call descent that `_refine` pre-fetches, kept verbatim
 # from before the pre-fetch: `_refine` must follow its trajectory to the bit.
 
@@ -976,7 +1087,7 @@ def sequential_refine(cfg: SearchConfig, start_trial: int):
     violation payload once the slack clears -10 * tolerance.
     """
     rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
-    lam, z = _draw_raw(cfg.master_seed, start_trial, cfg.dims)
+    lam, z = draw_one(cfg.master_seed, start_trial, cfg.dims)
     lam, betas = lam.copy(), unitary_from_ginibre(z)[1:]
     _check_unitary(betas)
     d = cfg.dim

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _check_unitary, _combine,
-                                 _entropies, _pair_spectrum, _pair_traces,
+                                 _entropies, _pair_matrix, _pair_spectrum, _pair_traces,
                                  brute_force_reflected, marginals,
                                  mutual_information, pair_spectrum, reflected_density,
                                  renyi_entropy, twist_operators, von_neumann)
@@ -197,6 +197,17 @@ class TestPairSpectrum:
                 assert renyi_entropy(spectrum, n) == pytest.approx(
                     renyi_entropy(oracle, n), rel=1e-11, abs=1e-13)
 
+    def test_rank_deficient_spectra_clip_to_zero(self):
+        # identity 8x2 splits make M = X^dag X of rank 2 in 4 entries, with two
+        # zero rows; eigvalsh returns their eigenvalues as roundoff of either
+        # sign, and the kernel clips the negative ones to 0
+        rng = np.random.default_rng(3)
+        lam = np.sort(rng.dirichlet(np.ones(16), size=40))[:, ::-1]
+        mats = np.broadcast_to(SubsystemSplit.axis(8, 2).matrix, (40, 16, 16))
+        eigs = _pair_spectrum(lam, mats, mats, (8, 2), (8, 2))
+        assert eigs.shape == (40, 4) and eigs.min() >= 0.0
+        assert (eigs[:, :2] <= 4 * np.finfo(float).eps).all() and (eigs[:, 2:] > 0).all()
+
     def test_trace_check_rejects_tampered_spectrum(self):
         rng = np.random.default_rng(5)
         psi = haar_state(4, rng)
@@ -233,6 +244,34 @@ class TestPairSpectrum:
         with pytest.raises(InvalidStateError, match="sums to 1.000001"):
             _pair_spectrum(lam, mats, mats, (2, 2), (2, 2))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([((2, 8), (8, 2)), ((8, 2), (2, 8)), ((4, 2), (4, 2)),
+                            ((2, 4), (2, 4)), ((4, 2), (2, 4)), ((8, 2), (8, 2)),
+                            ((2, 3), (3, 2)), ((2, 2), (2, 2))]),
+           st.floats(0.0, 12.0), st.integers(0, 2 ** 32 - 1))
+    def test_von_neumann_matches_an_svd_oracle(self, dims, decades, seed):
+        # S_1 from eigvalsh of the pair Gram matrix against S_1 from the
+        # squared singular values of the pair matrix itself, square (2x8
+        # with 8x2) and not (4x2 with 4x2: 16 x 4; 2x4 with 2x4: 4 x 16),
+        # Schmidt spectra spread over up to 12 decades, a stack of three.
+        # An eigenvalue error of k eps moves S by up to k eps (1 + |log eps|)
+        dims_i, dims_j = dims
+        rng = np.random.default_rng(seed)
+        d = dims_i[0] * dims_i[1]
+        lam = np.sort(np.logspace(0, -decades, d) * rng.uniform(0.5, 1.0, (3, d)))[:, ::-1]
+        lam /= lam.sum(axis=-1, keepdims=True)
+        mat_i = np.array([haar_unitary(d, rng) for _ in range(3)])
+        mat_j = np.array([haar_unitary(d, rng) for _ in range(3)])
+        eigs = _pair_spectrum(lam, mat_i, mat_j, dims_i, dims_j)
+        k = min(dims_i[0] * dims_j[0], dims_i[1] * dims_j[1])
+        assert eigs.shape == (3, k) and eigs.min() >= 0.0
+        x = _pair_matrix(lam, mat_i, mat_j, dims_i, dims_j)
+        oracle = _entropies(np.linalg.svd(x, compute_uv=False) ** 2, 1)
+        entropy = _entropies(eigs, 1)
+        eps = np.finfo(float).eps
+        tol = k * eps * (1 + abs(np.log(eps))) * np.maximum(1.0, np.abs(oracle))
+        assert np.all(np.abs(entropy - oracle) <= tol)
+
     def test_reflected_density_at_d256(self):
         # the twist route needs 268 MB per split here and the brute-force
         # oracle a d^2 x d^2 projector, so the check is the marginals:
@@ -260,7 +299,8 @@ class TestPairTraces:
            st.floats(0.0, 12.0), st.integers(0, 2 ** 32 - 1))
     def test_trace_powers_match_spectrum_power_sums(self, dims, decades, seed):
         # Schmidt spectra spread over up to 12 decades, a stack of three
-        # pairs, n = 1..9: products of the pair matrix against the SVD
+        # pairs, n = 1..9: products of the pair matrix against the power sums
+        # of a test-only oracle, the squared singular values of the pair matrix
         dims_i, dims_j = dims
         rng = np.random.default_rng(seed)
         d = dims_i[0] * dims_i[1]
@@ -271,7 +311,8 @@ class TestPairTraces:
         n_values = list(range(1, 10))
         traces = _pair_traces(lam, mat_i, mat_j, dims_i, dims_j, n_values)
         assert traces.shape == (9, 3)
-        eigs = _pair_spectrum(lam, mat_i, mat_j, dims_i, dims_j)
+        x = _pair_matrix(lam, mat_i, mat_j, dims_i, dims_j)
+        eigs = np.linalg.svd(x, compute_uv=False) ** 2
         for n, values in zip(n_values, traces):
             expected = np.sum(eigs ** n, axis=-1)
             tol = 8 * n * d * np.finfo(float).eps
