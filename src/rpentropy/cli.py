@@ -174,18 +174,20 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _emit(subcommand: str, opts: dict, name: str, results: dict, argv: list,
           config: dict | None = None, meta: dict | None = None) -> str:
-    """Write the report; its config defaults to every resolved option but out,
-    and `meta` joins the argv in the run-specific section."""
+    """Write the report.  out and jobs are run context, not config: the
+    report's config defaults to every other resolved option, and jobs joins
+    `meta` and the argv in the run-specific section."""
     report = {
         "tool": "rpentropy",
         "version": __version__,
         "subcommand": subcommand,
         "config": config if config is not None else
-                  {k: v for k, v in opts.items() if k != "out"},
+                  {k: v for k, v in opts.items() if k not in ("out", "jobs")},
         "results": results,
     }
+    run = {"jobs": opts["jobs"]} if "jobs" in opts else {}
     path = os.path.join(opts["out"], name)
-    save_report(path, report, meta=dict(meta or {}, argv=argv))
+    save_report(path, report, meta=dict(meta or {}, **run, argv=argv))
     return path
 
 
@@ -232,9 +234,9 @@ def cmd_search(opts, argv) -> int:
         "violation": violation}) for violation in report.violations]
     results = report.to_dict()
     results["fixtures"] = [os.path.basename(p) for p in fixture_paths]
-    # the search reports its SearchConfig, under that object's field names
-    config = dict(results.pop("config"), jobs=opts["jobs"])
+    # the search reports its SearchConfig, under that object's field names;
     # the descent's counters are run telemetry: meta, never report
+    config = results.pop("config")
     path = _emit("search", opts, f"search-{target}-seed{opts['seed']}.json", results, argv,
                  config, meta={"refine": report.refine_counters})
     found = len(report.violations)

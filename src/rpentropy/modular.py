@@ -23,15 +23,11 @@ class InvalidStateError(ValueError):
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible component is real positive."""
+    pivot = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(vectors.shape[1])]
+    rotate = np.abs(pivot) > 0
     out = vectors.copy()
-    d = vectors.shape[0]
-    for j in range(vectors.shape[1]):
-        col = out[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12)
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            out[:, j] = col * (np.abs(pivot) / pivot)
-    assert out.shape[0] == d
+    # transposed, each column times its phase rounds as a column by itself
+    out[:, rotate] = (vectors[:, rotate].T * (np.abs(pivot[rotate]) / pivot[rotate])[:, None]).T
     return out
 
 

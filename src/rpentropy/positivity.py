@@ -52,6 +52,17 @@ SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
 REFINE_COUNTERS = ("blocks", "evaluated", "accepted", "discarded", "shrinks")
 
 
+def _check_symmetric(a, what: str) -> np.ndarray:
+    """The stack a (..., m, m) as a float array once each matrix is symmetric
+    within SYMMETRY_TOL of max(1, its largest |entry|); otherwise raises
+    InvalidStateError naming `what`."""
+    a = np.asarray(a, dtype=float)
+    asymmetry = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(asymmetry > SYMMETRY_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))):
+        raise InvalidStateError(f"{what} asymmetric beyond tolerance")
+    return a
+
+
 def _gram_spectrum(g):
     """The one PSD verdict: (symmetrized g, scale max(||g||_2, tiny), eigenvalues
     ascending, eigenvectors); a relative asymmetry above SYMMETRY_TOL raises.
@@ -59,10 +70,7 @@ def _gram_spectrum(g):
     ||g||_2 of the symmetric g is its largest |eigenvalue|.  Leading axes of
     g (..., m, m) are a stack, and every output gains the same axes.
     """
-    g = np.asarray(g, dtype=float)
-    asymmetry = np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(asymmetry > SYMMETRY_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))):
-        raise InvalidStateError("Gram matrix asymmetric beyond tolerance")
+    g = _check_symmetric(g, "Gram matrix")
     g = 0.5 * (g + g.swapaxes(-1, -2))
     eigvals, eigvecs = np.linalg.eigh(g)
     scale = np.maximum(np.abs(eigvals).max(axis=-1), np.finfo(float).tiny)
@@ -213,25 +221,19 @@ class PsdVerdict:
     min_eigenvalue: float
     scale: float
     witness: np.ndarray | None
-    minors_ok: bool
 
 
 def check_psd(gram, tol: float = PSD_RELATIVE_TOL) -> PsdVerdict:
-    """PASS iff the minimum eigenvalue and all leading minors clear -tol * scale.
-
-    The failure witness is the eigenvector of the minimum eigenvalue: the
-    coefficient vector of the violating operator combination.
-    """
-    g, scale, eigvals, eigvecs = _gram_spectrum(
+    """PASS iff the minimum eigenvalue clears -tol * scale, which for
+    0 <= tol < 1 also bounds every leading k x k minor below by
+    -tol * scale^k (Cauchy interlacing).  The failure witness is the
+    eigenvector of the minimum eigenvalue: the coefficient vector of the
+    violating operator combination."""
+    _, scale, eigvals, eigvecs = _gram_spectrum(
         gram.entries if isinstance(gram, GramRecord) else gram)
-    scale = float(scale)
-    min_eig = float(eigvals[0])
-    minors = np.array([np.linalg.det(g[: k + 1, : k + 1]) for k in range(g.shape[0])])
-    minors_ok = bool(np.all(minors >= -tol * np.maximum(1.0, scale) ** np.arange(1, g.shape[0] + 1)))
-    passed = bool(min_eig >= -tol * scale) and minors_ok
-    witness = None if passed else eigvecs[:, 0]
-    return PsdVerdict(passed=passed, min_eigenvalue=min_eig, scale=scale,
-                      witness=witness, minors_ok=minors_ok)
+    passed = bool(eigvals[0] >= -tol * scale)
+    return PsdVerdict(passed=passed, min_eigenvalue=float(eigvals[0]), scale=float(scale),
+                      witness=None if passed else eigvecs[:, 0])
 
 
 def schur_power(gram: GramRecord, s: int) -> GramRecord:
@@ -265,10 +267,7 @@ def _checked_table(entropy_table) -> np.ndarray:
     s = np.asarray(entropy_table, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 2:
         raise ValueError("entropy table must be square with size >= 2")
-    asymmetry = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(asymmetry > SYMMETRY_TOL * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))):
-        raise InvalidStateError("entropy table asymmetric beyond tolerance")
-    return s
+    return _check_symmetric(s, "entropy table")
 
 
 def _second_differences(s: np.ndarray) -> np.ndarray:
@@ -555,56 +554,64 @@ def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
     return _payload(_evaluate_block(cfg, schmidt[None], mats[None]), 0)
 
 
-def _search_chunk(args) -> tuple:
-    """(slacks, violations) of a contiguous run of trials.
+def _block_trials(cfg: SearchConfig) -> int:
+    """Trials per search block: at most STACK_ENTRIES pair-matrix entries,
+    and at least one trial."""
+    m = len(cfg.dims)
+    return max(1, STACK_ENTRIES // (m * (m + 1) // 2 * cfg.dim * cfg.dim))
 
-    The run is evaluated in blocks of at most STACK_ENTRIES pair-matrix
-    entries (at least one trial), so memory is bounded for any trial count
-    and split size.  A block is drawn by one `_draw_block` call; the
-    splits' Haar step, its unitarity check and `_evaluate_block` take it as
-    one stack.  Payloads, and the eigenbasis unitary they store, are built
-    for violating trials only.
-    """
-    trials, _, cfg = args
+
+def _search_block(trials, cfg: SearchConfig) -> tuple:
+    """(slacks, violations) of one block of trials (`_block_trials`): one
+    `_draw_block` call, and one stack through the splits' Haar step, its
+    unitarity check and `_evaluate_block`.  Payloads, and the eigenbasis
+    unitary they store, are built for violating trials only."""
     m, d = len(cfg.dims), cfg.dim
-    size = max(1, STACK_ENTRIES // (m * (m + 1) // 2 * d * d))
-    slacks, violations = [], []
-    for first in range(0, len(trials), size):
-        block = trials[first:first + size]
-        schmidt, z, _ = _draw_block(cfg.master_seed, [cfg.trial_offset + t for t in block],
-                                    [cfg.dims] * len(block))
-        z = z.reshape(len(block), m + 1, d, d)
-        # the eigenbasis enters no target, so only the splits' are built here
-        u = unitary_from_ginibre(z[:, 1:])
-        _check_unitary(u)
-        fields = _evaluate_block(cfg, schmidt, u)
-        slacks.append(fields["slack"])
-        for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
-            eigenbasis = unitary_from_ginibre(z[k, 0])
-            _check_unitary(eigenbasis)
-            result = _payload(fields, k)
-            result["trial"] = cfg.trial_offset + block[k]
-            result["instance"] = _serialize_instance(schmidt[k], eigenbasis, cfg.dims, u[k])
-            violations.append(result)
-    return np.concatenate(slacks), violations
+    schmidt, z, _ = _draw_block(cfg.master_seed, [cfg.trial_offset + t for t in trials],
+                                [cfg.dims] * len(trials))
+    z = z.reshape(len(trials), m + 1, d, d)
+    # the eigenbasis enters no target, so only the splits' are built here
+    u = unitary_from_ginibre(z[:, 1:])
+    _check_unitary(u)
+    fields = _evaluate_block(cfg, schmidt, u)
+    violations = []
+    for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
+        eigenbasis = unitary_from_ginibre(z[k, 0])
+        _check_unitary(eigenbasis)
+        result = _payload(fields, k)
+        result["trial"] = cfg.trial_offset + trials[k]
+        result["instance"] = _serialize_instance(schmidt[k], eigenbasis, cfg.dims, u[k])
+        violations.append(result)
+    return fields["slack"], violations
 
 
-def _pool_map(worker, items, jobs: int, *args) -> list:
-    """worker((chunk, offset, *args)) over contiguous chunks of items, in item order.
+def _run_blocks(task) -> list:
+    """The outputs of one pool task (worker, blocks, args), in block order."""
+    worker, blocks, args = task
+    return [worker(*block, *args) for block in blocks]
 
-    With jobs > 1 and at least two items, a fresh process pool runs
-    ceil(len(items) / jobs)-sized chunks, one worker per chunk up to `jobs`;
-    otherwise one call takes every item in this process.
+
+def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
+    """worker(*block, *args) on each block, merged in block order: the one
+    merge of block results.  Of the output tuples, array fields are
+    concatenated along their first axis and list fields joined.
+
+    Runs of ceil(len(blocks) / jobs) blocks are one task each.  One task
+    (jobs = 1, or a single block) runs in this process; more start a fresh
+    process pool with a worker per task.
     """
-    if jobs <= 1 or len(items) < 2:
-        return [worker((items, 0, *args))]
-    from concurrent.futures import ProcessPoolExecutor
+    size = -(-len(blocks) // jobs)
+    tasks = [(worker, blocks[k:k + size], args) for k in range(0, len(blocks), size)]
+    if len(tasks) == 1:
+        runs = map(_run_blocks, tasks)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-len(items) // jobs)
-    tasks = [(items[start:start + chunk], start, *args)
-             for start in range(0, len(items), chunk)]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(worker, tasks))
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            runs = list(pool.map(_run_blocks, tasks))
+    outputs = [output for run in runs for output in run]
+    return tuple(np.concatenate(field) if isinstance(field[0], np.ndarray)
+                 else list(itertools.chain.from_iterable(field)) for field in zip(*outputs))
 
 
 def summarize(values) -> tuple[float, int, dict]:
@@ -623,16 +630,17 @@ def summarize(values) -> tuple[float, int, dict]:
 def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """Randomized search for violations of the configured inequality.
 
-    Each trial derives its own stream from (master_seed, trial index), so any
-    execution schedule (including parallel chunks and any block boundaries)
-    produces the identical report after the deterministic merge.  Exhausting
-    the budget without a violation is a normal outcome, reported with the
-    trial count; with refine_iterations > 0 a seeded descent then pushes the
-    best sweep instance toward the violating region.
+    The trials are cut into blocks of `_block_trials` up front, and
+    `_pool_map` runs and merges them.  Each trial derives its own stream
+    from (master_seed, trial index), so any block boundaries and any `jobs`
+    give the identical report.  Exhausting the budget without a violation
+    is a normal outcome, reported with the trial count; with
+    refine_iterations > 0 a seeded descent then pushes the best sweep
+    instance toward the violating region.
     """
-    parts = _pool_map(_search_chunk, range(cfg.trials), jobs, cfg)
-    slacks = np.concatenate([part_slacks for part_slacks, _ in parts])
-    violations = [result for _, found in parts for result in found]
+    size = _block_trials(cfg)
+    blocks = [(range(cfg.trials)[first:first + size],) for first in range(0, cfg.trials, size)]
+    slacks, violations = _pool_map(_search_block, blocks, jobs, cfg)
     min_slack, best, quantiles = summarize(slacks)
     min_trial = cfg.trial_offset + best
     report = SearchReport(config=cfg, trials_run=cfg.trials, violations=violations,
@@ -678,8 +686,7 @@ def _refine(cfg: SearchConfig, start_trial: int):
     lam, z, _ = _draw_block(cfg.master_seed, [start_trial], [cfg.dims])
     lam, betas = lam[0], unitary_from_ginibre(z[1:])
     _check_unitary(betas)
-    m, d = len(betas), cfg.dim
-    cap = max(1, STACK_ENTRIES // (m * (m + 1) // 2 * d * d))
+    m, d, cap = len(betas), cfg.dim, _block_trials(cfg)
     counters = dict.fromkeys(REFINE_COUNTERS, 0)
     cur_slack = _evaluate_block(cfg, np.sort(lam)[::-1][None], betas[None])["slack"][0]
     target_slack = -10.0 * cfg.tolerance
@@ -772,79 +779,75 @@ class SweepResult:
     violations: list
 
 
-def _merged(parts) -> SweepResult:
-    """One sweep result of the results of consecutive runs of blocks, in
-    plan order; the worst check is the first one at the minimum."""
-    merged = SweepResult(instances=0, checks=0, min_normalized_eig=math.inf,
-                         worst={}, violations=[])
-    for part in parts:
-        merged.instances += part.instances
-        merged.checks += part.checks
-        merged.violations.extend(part.violations)
-        if part.min_normalized_eig < merged.min_normalized_eig:
-            merged.min_normalized_eig = part.min_normalized_eig
-            merged.worst = part.worst
-    return merged
+def theorem_sweep(dims_by_instance, n_values, master_seed: int,
+                  tol: float = PSD_RELATIVE_TOL, jobs: int = 1,
+                  trial_offset: int = 0) -> SweepResult:
+    """PSD sweep of integer-index Gram matrices over random instances.
 
-
-def _renyi_indices(n_values) -> list:
-    """The sweep's Renyi indices as a list of ints; a trace power needs n >= 1."""
-    n_values = list(n_values)
-    if any(int(n) != n or n < 1 for n in n_values):
-        raise ValueError(f"Renyi indices must be integers >= 1, got {n_values}")
-    return [int(n) for n in n_values]
-
-
-def _sweep_chunk(args) -> SweepResult:
-    """The sweep over exactly the given `_sweep_blocks` blocks, merged in order."""
-    blocks, _, n_values, master_seed, tol = args
-    return _merged(_sweep_block(block, n_values, master_seed, first, tol)
-                   for first, block in blocks)
-
-
-def theorem_sweep_parallel(dims_list: list, n_values, master_seed: int,
-                           tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> SweepResult:
-    """Parallel theorem sweep; instance streams make the merge order-free.
-
-    The plan is blocked and validated once, here, and workers take runs of
-    those blocks, each at least half of SWEEP_BLOCK_ENTRIES, so a plan of
-    one block runs in this process whatever `jobs` is.
+    dims_by_instance: iterable of split-dimension lists, one instance each,
+    numbered from trial_offset.  Every n must be an integer >= 1, and every
+    (instance, n) pair must come out PSD within -tol * ||G||; any violation
+    is collected (a numerics bug, not physics).  The plan is validated and
+    blocked once, here (`_sweep_blocks`); `_pool_map` runs the blocks
+    (`_sweep_block`) and merges them, in this process when the plan is one
+    block or jobs = 1.  Instance streams make the result the same to the
+    last bit for any block boundaries and any `jobs`; the worst check is
+    the first one at the minimum, in instance and then n order.
     """
-    n_values = _renyi_indices(n_values)
-    blocks = list(_sweep_blocks(dims_list))
-    return _merged(_pool_map(_sweep_chunk, blocks, jobs, n_values, master_seed, tol))
+    n_values = list(n_values)
+    if any(int(n) != n or n < 1 for n in n_values):  # a trace power needs n >= 1
+        raise ValueError(f"Renyi indices must be integers >= 1, got {n_values}")
+    n_values = [int(n) for n in n_values]
+    blocks = [(trial_offset + start, block) for start, block in _sweep_blocks(dims_by_instance)]
+    min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
+                                             master_seed, tol)
+    dims = [splits for _, block in blocks for splits in block]
+    normalized = min_eigs / scales
+    result = SweepResult(instances=len(dims), checks=normalized.size,
+                         min_normalized_eig=math.inf, worst={}, violations=violations)
+    if normalized.size:
+        k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
+        result.min_normalized_eig = float(normalized[k, c])
+        result.worst = {"instance": trial_offset + int(k), "n": n_values[c],
+                        "dims": list(dims[k]), "min_eigenvalue": float(min_eigs[k, c]),
+                        "scale": float(scales[k, c])}
+    return result
 
 
-def _sweep_blocks(dims_by_instance):
-    """The plan as (first instance, [validated dims tuple, ...]) blocks.
+# the name the exports, perfbench/tracer.py and the sweep workload (jobs 5th positional) use
+theorem_sweep_parallel = theorem_sweep
+
+
+def _sweep_blocks(dims_by_instance) -> list:
+    """The plan as [(first instance, [validated dims tuple, ...]), ...].
 
     A block closes once its instances' pair matrices reach
     SWEEP_BLOCK_ENTRIES entries; a tail under half that joins the block
     before it, so a block is at least half the budget unless it is the
     plan's only one.  An empty plan raises ValueError.
     """
-    held, block, entries, start, seen = None, [], 0, 0, {}
+    blocks, block, entries, start, seen = [], [], 0, 0, {}
     for dims in dims_by_instance:
         checked = tuple(_validated_dims(dims))
         block.append(seen.setdefault(checked, checked))  # repeated dims share one tuple
         m, d = len(checked), checked[0][0] * checked[0][1]
         entries += m * (m + 1) // 2 * d * d
         if entries >= SWEEP_BLOCK_ENTRIES:
-            if held is not None:
-                yield held
-            held, start, block, entries = (start, block), start + len(block), [], 0
-    if held is None and not block:
+            blocks.append((start, block))
+            start, block, entries = start + len(block), [], 0
+    if blocks and 2 * entries < SWEEP_BLOCK_ENTRIES:
+        blocks[-1][1].extend(block)
+    elif block:
+        blocks.append((start, block))
+    if not blocks:
         raise ValueError("the sweep plan is empty")
-    if held is not None and 2 * entries < SWEEP_BLOCK_ENTRIES:
-        held, block = (held[0], held[1] + block), []
-    if held is not None:
-        yield held
-    if block:
-        yield start, block
+    return blocks
 
 
-def _sweep_block(block, n_values, master_seed: int, first: int, tol: float) -> SweepResult:
-    """The sweep result of one block, its first instance `first`.
+def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> tuple:
+    """(min eigenvalues, scales, violations) of one block, its first
+    instance `first`: both arrays are (instances, n), by instance and then
+    by n, as are the violations.
 
     Per d, one `_draw_block` call draws the instances, so an instance is
     the search's and the same in any block; one Haar step, one unitarity
@@ -884,32 +887,7 @@ def _sweep_block(block, n_values, master_seed: int, first: int, tol: float) -> S
         scales[members] = scale
         grams.update(zip(members.tolist(), g))
 
-    normalized = min_eigs / scales
-    min_norm_eig, worst = math.inf, {}
-    if normalized.size:
-        k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
-        min_norm_eig = float(normalized[k, c])
-        worst = {"instance": first + int(k), "n": n_values[c], "dims": list(block[k]),
-                 "min_eigenvalue": float(min_eigs[k, c]), "scale": float(scales[k, c])}
     violations = [{"instance": first + int(k), "n": n_values[c], "dims": list(block[k]),
                    "gram": grams[k][c].tolist(), "min_eigenvalue": float(min_eigs[k, c])}
-                  for k, c in zip(*np.nonzero(normalized < -tol))]
-    return SweepResult(instances=len(block), checks=len(block) * len(n_values),
-                       min_normalized_eig=min_norm_eig, worst=worst, violations=violations)
-
-
-def theorem_sweep(dims_by_instance, n_values, master_seed: int,
-                  tol: float = PSD_RELATIVE_TOL, trial_offset: int = 0) -> SweepResult:
-    """PSD sweep of integer-index Gram matrices over random instances.
-
-    dims_by_instance: iterable of split-dimension lists, one instance each.
-    Every n must be an integer >= 1, and every (instance, n) pair must come
-    out PSD within -tol * ||G||; any violation is collected (a numerics bug,
-    not physics).  Instances run in stacked blocks (`_sweep_block`) as they
-    are planned, so this is the one-chunk case of `theorem_sweep_parallel`;
-    the result is the same for any block boundaries, and so for any
-    chunking of the plan.
-    """
-    n_values = _renyi_indices(n_values)
-    blocks = ((trial_offset + start, block) for start, block in _sweep_blocks(dims_by_instance))
-    return _sweep_chunk((blocks, 0, n_values, master_seed, tol))
+                  for k, c in zip(*np.nonzero(min_eigs / scales < -tol))]
+    return min_eigs, scales, violations

@@ -99,6 +99,31 @@ class TestGramSweep:
         assert canonical_dumps(serial) == canonical_dumps(parallel)
 
 
+class TestJobsIsRunContext:
+    """--jobs changes no result, so it stays out of the report section
+    (config included) and is recorded under meta."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["gram-sweep", "--trials", "40", "--seed", "4"], "gram-sweep-seed4.json"),
+        # 42 trials to a block at 3 x 2x2: three blocks
+        (["search", "--trials", "100", "--seed", "2024"], "search-entropy_n1-seed2024.json"),
+    ])
+    def test_report_bytes_equal_across_jobs(self, tmp_path, monkeypatch, argv, name):
+        from rpentropy import positivity
+        # 48 to 768 entries per sweep instance: a plan of several blocks
+        monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 2000)
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            text = (out / name).read_text()
+            assert json.loads(text)["meta"]["jobs"] == int(jobs)
+            # meta sorts before report: the rest of the file is the report
+            reports.append(text[text.index('"report": '):])
+        assert reports[0] == reports[1]
+        assert "jobs" not in json.loads("{" + reports[0])["report"]["config"]
+
+
 class TestSearch:
 
     def test_entropy_search_writes_fixture(self, tmp_path):
@@ -535,7 +560,8 @@ class TestSerializeHelpers:
 
 
 class TestResolvedConfig:
-    """The full resolved report.config of every subcommand, key by key."""
+    """The full resolved report.config of every subcommand, key by key; out
+    and jobs are run context and stay out of it."""
 
     @pytest.fixture(autouse=True)
     def fast_sweeps(self, monkeypatch):
@@ -558,32 +584,32 @@ class TestResolvedConfig:
     def test_gram_sweep(self, tmp_path):
         self.check(tmp_path, "gram-sweep-seed42.json", ["gram-sweep"], {
             "seed": 42, "trials": 500, "dims": [[2, 2], [2, 3], [2, 4], [3, 3], [4, 4]],
-            "subsystems": [2, 3, 4], "n": [2, 3, 4, 5], "tolerance": 1e-10, "jobs": 1})
+            "subsystems": [2, 3, 4], "n": [2, 3, 4, 5], "tolerance": 1e-10})
         self.check(tmp_path, "gram-sweep-seed3.json",
                    ["gram-sweep", "--seed", "3", "--trials", "7", "--dims", "2x3,3X2",
                     "--subsystems", "2", "--n", "4", "--tolerance", "1e-8", "--jobs", "2"], {
             "seed": 3, "trials": 7, "dims": [[2, 3], [3, 2]], "subsystems": [2], "n": [4],
-            "tolerance": 1e-8, "jobs": 2})
+            "tolerance": 1e-8})
 
     def test_search(self, tmp_path):
         self.check(tmp_path, "search-entropy_n1-seed42.json", ["search"], {
             "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 42,
             "target": "entropy_n1", "tolerance": 1e-6, "lam": 1.0, "n": 1,
-            "literal_s": None, "trial_offset": 0, "refine_iterations": 0, "jobs": 1})
+            "literal_s": None, "trial_offset": 0, "refine_iterations": 0})
         # the default n follows the target
         self.check(tmp_path, "search-integer_n-seed5.json",
                    ["search", "--seed", "5", "--target", "integer_n", "--dims", "2x3,3x2",
                     "--trials", "9", "--jobs", "2"], {
             "dims": [[2, 3], [3, 2]], "trials": 9, "master_seed": 5, "target": "integer_n",
             "tolerance": 1e-6, "lam": 1.0, "n": 2, "literal_s": None, "trial_offset": 0,
-            "refine_iterations": 0, "jobs": 2})
+            "refine_iterations": 0})
         self.check(tmp_path, "search-schur_s_fraction-seed6.json",
                    ["search", "--seed", "6", "--target", "schur_s_fraction", "--lam", "2",
                     "--n", "3", "--literal-s", "0.5", "--refine", "10",
                     "--tolerance", "1e-4"], {
             "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 6,
             "target": "schur_s_fraction", "tolerance": 1e-4, "lam": 2.0, "n": 3,
-            "literal_s": 0.5, "trial_offset": 0, "refine_iterations": 10, "jobs": 1})
+            "literal_s": 0.5, "trial_offset": 0, "refine_iterations": 10})
 
     def test_fermion(self, tmp_path):
         self.check(tmp_path, "fermion-seed42.json",

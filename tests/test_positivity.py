@@ -160,6 +160,34 @@ class TestCheckPsd:
         assert check_psd(record).passed
         assert check_psd(schur_power(record, 2)).passed
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.sampled_from(["psd", "near_singular", "indefinite"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_verdict_is_the_minimum_eigenvalue_gate(self, m, kind, seed):
+        # no leading-minor gate: the verdict is the eigenvalue gate alone,
+        # and a failure's witness is the minimum eigenvalue's eigenvector
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        eigs = rng.uniform(0.0, 1.0, m) * 10.0 ** rng.uniform(-3, 3)
+        if kind == "near_singular":
+            # within a few eps of the gate, on either side of it
+            eigs[0] = rng.uniform(-3, 3) * positivity.PSD_RELATIVE_TOL * eigs.max()
+        elif kind == "indefinite":
+            eigs[: rng.integers(1, m)] *= -1
+        g = q @ np.diag(eigs) @ q.T
+        g = 0.5 * (g + g.T)
+        verdict = check_psd(g)
+        exact = np.linalg.eigh(g)[0]
+        scale = max(np.abs(exact).max(), np.finfo(float).tiny)
+        assert verdict.min_eigenvalue == exact[0] and verdict.scale == scale
+        assert verdict.passed == (exact[0] >= -positivity.PSD_RELATIVE_TOL * scale)
+        if verdict.passed:
+            assert verdict.witness is None
+        else:
+            witness = verdict.witness
+            assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(g @ witness - exact[0] * witness).max() <= 1e-12 * scale
+
 
 class TestGramSpectrum:
 
@@ -927,6 +955,8 @@ class TestTheoremSweep:
         assert asdict(theorem_sweep_parallel(plan, [2, 3], master_seed=5, jobs=4)) == reference
         assert sizes == [2] and len(validated) == len(plan)
         sizes.clear()
+        # 48 entries per 2 x 2x2 trial: three trials are three blocks
+        monkeypatch.setattr(positivity, "STACK_ENTRIES", 48)
         counterexample_search(SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1), jobs=5)
         assert sizes == [3]
 
@@ -940,6 +970,61 @@ class TestTheoremSweep:
             theorem_sweep_parallel([], [2, 3], master_seed=1, jobs=2)
         no_n = theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
         assert (no_n.instances, no_n.checks, no_n.violations) == (3, 0, [])
+
+
+class TestPoolMap:
+    """`_pool_map` is the one merge of block results; a stand-in executor
+    records each pool it would start and maps in this process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                return list(map(worker, tasks))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    @staticmethod
+    def worker(k, tag):
+        # outputs of k rows: a (k, 2) array, a (k,) array and a k-item list
+        rows = 10 * k + np.arange(k)
+        return np.stack((rows, -rows), axis=-1), rows.astype(float), [f"{tag}{k}"] * k
+
+    def test_outputs_merge_in_block_order(self, pools):
+        blocks = [(3,), (0,), (1,), (4,)]
+        rows = np.array([30, 31, 32, 10, 40, 41, 42, 43])
+        labels = ["b3"] * 3 + ["b1"] + ["b4"] * 4
+        for jobs, started in ((1, []), (2, [2]), (5, [4])):
+            pools.clear()
+            pairs, values, names = positivity._pool_map(self.worker, blocks, jobs, "b")
+            assert np.array_equal(pairs, np.stack((rows, -rows), axis=-1))
+            assert np.array_equal(values, rows) and values.dtype == float
+            assert names == labels and pools == started
+
+    def test_one_block_builds_no_pool(self, pools):
+        # 3 x 2x2 search trials: 42 to a block; a 2 x 2x2 sweep instance
+        # has 48 of the sweep block's 2^17 entries
+        report = counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=42,
+                                                    master_seed=1), jobs=4)
+        sweep = theorem_sweep([[(2, 2)] * 2] * 20, [2, 3], master_seed=1, jobs=4)
+        assert report.trials_run == 42 and sweep.checks == 40
+        assert pools == []
+
+    def test_one_sweep_function(self):
+        assert theorem_sweep_parallel is theorem_sweep
 
 
 class TestPrefetchedRefine:
