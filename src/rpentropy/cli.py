@@ -51,6 +51,7 @@ def _checked(kind, test, message: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "must be >= 0")
 _positive = _checked(float, lambda v: v > 0, "must be > 0")
 _subsystem_count = _checked(int, lambda v: v >= 2, "need at least two subsystems")
 
@@ -72,7 +73,7 @@ def _list_of(item):
 
 def _options(tolerance: float, *specific) -> list:
     """Option table of one subcommand: seed, its own options, tolerance, out."""
-    return [("seed", int, 42, "master seed"), *specific,
+    return [("seed", _nonnegative_int, 42, "master seed"), *specific,
             ("tolerance", float, tolerance, "pass/fail tolerance"),
             ("out", None, lambda resolved: os.environ.get(OUT_ENV_VAR, "reports"),
              f"output directory (default ${OUT_ENV_VAR} or ./reports)")]
@@ -112,7 +113,7 @@ OPTIONS = {
         ("max_components", _component_count, 5, "most intervals in a random set"),
         ("lam", _list_of(_positive), "0.1,1,6,10", "lambda list, e.g. '0.1,1,6,10'"),
         ("cutoff", _positive, 1.0, "UV cutoff of the entropies"),
-        ("witness_trials", _checked(int, lambda v: v >= 0, "must be >= 0"), 100,
+        ("witness_trials", _nonnegative_int, 100,
          "random divisibility witness configurations"),
         ("sets", None, None, None)),
     "kl": _options(

@@ -20,8 +20,8 @@ import numpy as np
 from .modular import InvalidStateError, PurifiedState
 from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
                         _pair_spectrum, _pair_traces)
-from .sampling import (ginibre_from_parts, ginibre_parts, simplex_eigenvalues, trial_rng,
-                       unitary_from_ginibre)
+from .sampling import (EIGENVALUE_REDRAW_FLOOR, ginibre_from_parts, ginibre_parts,
+                       simplex_eigenvalues, trial_rng, trial_rngs, unitary_from_ginibre)
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, renyi_entropy, twist_operators, von_neumann  # noqa: F401
 from .sampling import haar_unitary  # noqa: F401
@@ -443,23 +443,31 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
     `dims_list`, which share one d.  An instance's rows are its eigenbasis's
     matrix, then one per split.
 
-    This is the one owner of stream order.  Instance k's `trial_rng` stream
-    gives its spectrum and then, straight into its rows of one buffer, the
-    real and then the imaginary parts of each matrix in turn
-    (`sampling.ginibre_parts`, as `ginibre` draws them), so an instance is
-    the same in any block.  The sort and the complex combine run once per
-    block.
+    This is the one owner of stream order.  Instance k's `trial_rng`
+    stream, seeded with the block's by `trial_rngs`, gives its spectrum and
+    then, straight into its rows of one buffer, the real and then the
+    imaginary parts of each matrix in turn (`sampling.ginibre_parts`, as
+    `ginibre` draws them).  The spectrum is `Generator.dirichlet`'s flat
+    draw: d standard exponentials times one over their sequential sum
+    (`cumsum`; a pairwise `sum` differs in the last bits).  The rare
+    instance below the redraw floor is drawn again as `simplex_eigenvalues`
+    draws it, so an instance is the same in any block.  Normalization, sort
+    and complex combine run once per block.
     """
     d = dims_list[0][0][0] * dims_list[0][0][1]
     rows = [1 + len(dims) for dims in dims_list]
-    stops = np.cumsum(rows)
+    stops = np.cumsum(rows).tolist()
     raw = np.empty((stops[-1], 2, d, d))
     lam = np.empty((len(rows), d))
-    for k, (index, count, stop) in enumerate(zip(indices, rows, stops.tolist())):
-        rng = trial_rng(master_seed, index)
-        lam[k] = simplex_eigenvalues(d, rng)
+    for k, (rng, count, stop) in enumerate(zip(trial_rngs(master_seed, indices), rows, stops)):
+        rng.standard_exponential(out=lam[k])
         ginibre_parts(rng, raw[stop - count:stop])
-    return np.sort(lam)[:, ::-1].copy(), ginibre_from_parts(raw), stops - rows
+    lam *= 1.0 / np.cumsum(lam, axis=1)[:, -1:]
+    for k in np.flatnonzero(lam.min(axis=1) < EIGENVALUE_REDRAW_FLOOR).tolist():
+        rng = trial_rng(master_seed, indices[k])
+        lam[k] = simplex_eigenvalues(d, rng)
+        ginibre_parts(rng, raw[stops[k] - rows[k]:stops[k]])
+    return np.sort(lam)[:, ::-1].copy(), ginibre_from_parts(raw), np.array(stops) - rows
 
 
 def _draw_instance(cfg: SearchConfig, trial: int):

@@ -390,6 +390,17 @@ class TestConfigHandling:
             assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 1
             assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", list(OPTIONS))
+    def test_negative_seed_config_error(self, tmp_path, capsys, subcommand):
+        # a seeded stream takes no negative seed: a config error (exit 1)
+        # before any work, not a numerics failure (exit 2), and no report
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"seed": -3}))
+        for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+            assert main([subcommand, *argv, "--out", str(out)]) == 1
+            assert "for seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from dataclasses import asdict
@@ -19,7 +20,8 @@ from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
 from rpentropy.positivity import (_check_unitary, _draw_block, _evaluate_block, _payload,
                                   _serialize_instance, trial_rng, unitary_from_ginibre)
 from rpentropy.reflected import SubsystemSplit, _pair_matrix, pair_spectrum, von_neumann
-from rpentropy.sampling import ginibre, haar_unitary, random_density, simplex_eigenvalues
+from rpentropy.sampling import (ginibre, haar_unitary, random_density, simplex_eigenvalues,
+                                trial_rngs)
 
 
 def block_instances(cfg: SearchConfig):
@@ -788,6 +790,57 @@ class TestBlockDraws:
             alone = _draw_block(seed, [index], [dims])
             assert alone[0].tobytes() == lam.tobytes() and alone[1].tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
+    def test_block_seeding_gives_the_default_rng_streams(self, seed):
+        # indices of one to four uint32 words (on both sides of 2^32, 2^64
+        # and 2^96) put four entropy lengths in one block
+        indices = [0, 7, 2**32 - 1, 2**32, 5, 2**32 + 9, 2**64 - 1, 2**64, 2**64 + 11,
+                   2**96 + 1, np.int64(3)]
+        states = [rng.bit_generator.state for rng in trial_rngs(seed, indices)]
+        assert states == [np.random.default_rng((seed, int(k))).bit_generator.state
+                          for k in indices]
+        assert trial_rngs(seed, range(3))[2].random() == trial_rng(seed, 2).random()
+
+    def test_block_seeding_refuses_negative_values(self):
+        # as SeedSequence does
+        for seed, indices in ((-1, [0, 1]), (3, [2, -4, 5]), (-(2**40), [2**40])):
+            with pytest.raises(ValueError, match="non-negative"):
+                trial_rngs(seed, indices)
+            with pytest.raises(ValueError, match="non-negative"):
+                np.random.default_rng((seed, min(indices)))
+
+    @pytest.mark.parametrize("dims", [[(1, 2), (2, 1)], [(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)],
+                                      [(4, 4), (2, 8)], [(8, 8), (4, 16)]])
+    @pytest.mark.parametrize("seed", [7373, 2**32 + 1])
+    def test_block_equals_per_trial_draws(self, dims, seed):
+        # d = 2, 4, 6, 16 and 64: the exponential fill, normalized once per
+        # block by its running sum, is each stream's Dirichlet draw
+        indices = [4, 2**32 + 1, 0, 99, 12]
+        schmidt, z, first = _draw_block(seed, indices, [dims] * len(indices))
+        for k, index in enumerate(indices):
+            lam, single = draw_one(seed, index, dims)
+            assert schmidt[k].tobytes() == lam.tobytes()
+            assert z[first[k]:first[k] + len(dims) + 1].tobytes() == single.tobytes()
+
+    def test_redraws_follow_the_one_at_a_time_stream(self, monkeypatch):
+        # at a floor of 0.1 about 4 in 5 flat Dirichlet draws at d = 4 have
+        # an entry below it, so most instances of the block take the redraw
+        # branch, some of them more than once
+        floor, seed, dims = 0.1, 11, [(2, 2)] * 3
+        monkeypatch.setattr(positivity, "EIGENVALUE_REDRAW_FLOOR", floor)
+        monkeypatch.setattr(positivity, "simplex_eigenvalues",
+                            functools.partial(simplex_eigenvalues, floor=floor))
+        indices = list(range(30, 70))
+        schmidt, z, first = _draw_block(seed, indices, [dims] * len(indices))
+        first_draws = [trial_rng(seed, k).dirichlet(np.ones(4)).min() for k in indices]
+        assert 20 <= sum(m < floor for m in first_draws) < len(indices)
+        assert schmidt.min() >= floor
+        for k, index in enumerate(indices):
+            rng = trial_rng(seed, index)
+            lam = np.sort(simplex_eigenvalues(4, rng, floor))[::-1]
+            assert schmidt[k].tobytes() == lam.tobytes()
+            assert z[first[k]:first[k] + 4].tobytes() == ginibre(4, rng, (4,)).tobytes()
+
     def test_ginibre_parts_keep_the_stacked_layout(self):
         # `draw_one` and `_draw_block` share sampling's layout, so it is
         # pinned here against a plain standard-normal draw: real parts, then
@@ -833,7 +886,7 @@ class TestTheoremSweep:
     def test_parallel_merge_matches_serial(self):
         plan = [[(2, 2)] * 2, [(2, 3)] * 3] * 6
         serial = theorem_sweep(plan, [2, 4], master_seed=13)
-        parallel = theorem_sweep_parallel(plan, [2, 4], master_seed=13, jobs=3)
+        parallel = theorem_sweep(plan, [2, 4], master_seed=13, jobs=3)
         assert serial.min_normalized_eig == pytest.approx(
             parallel.min_normalized_eig, rel=1e-14)
         assert serial.checks == parallel.checks
@@ -851,8 +904,7 @@ class TestTheoremSweep:
             monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", entries)
             assert asdict(theorem_sweep(plan, [2, 3, 5], master_seed=21, tol=-0.5)) == reference
             for jobs in (1, 2, 3):
-                parallel = theorem_sweep_parallel(plan, [2, 3, 5], master_seed=21, tol=-0.5,
-                                                  jobs=jobs)
+                parallel = theorem_sweep(plan, [2, 3, 5], master_seed=21, tol=-0.5, jobs=jobs)
                 assert asdict(parallel) == reference
 
     def test_small_tail_joins_the_block_before_it(self, monkeypatch):
@@ -904,23 +956,20 @@ class TestTheoremSweep:
 
         monkeypatch.setattr(positivity, "_pair_spectrum", no_svd)
         plan = [[(2, 2)] * 2, [(2, 3), (3, 2), (2, 3)], [(4, 4), (2, 8)]] * 3
-        for sweep in (theorem_sweep, theorem_sweep_parallel):
-            result = sweep(plan, [1, 2, 3, 5], master_seed=3)
-            assert result.checks == 4 * len(plan) and not result.violations
+        result = theorem_sweep(plan, [1, 2, 3, 5], master_seed=3)
+        assert result.checks == 4 * len(plan) and not result.violations
 
     def test_renyi_indices_below_one_raise(self):
         # n = 0 would count zero-padded eigenvalues; no trace power exists there
-        for sweep in (theorem_sweep, theorem_sweep_parallel):
-            for n_values in ([0], [-1], [2, 0, 3], [2.5]):
-                with pytest.raises(ValueError, match="integers >= 1"):
-                    sweep([[(2, 2)] * 2], n_values, master_seed=1)
+        for n_values in ([0], [-1], [2, 0, 3], [2.5]):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                theorem_sweep([[(2, 2)] * 2], n_values, master_seed=1)
 
     def test_invalid_plans_raise(self):
-        for sweep in (theorem_sweep, theorem_sweep_parallel):
-            with pytest.raises(ValueError, match="same total dimension"):
-                sweep([[(2, 2)] * 2, [(2, 2), (2, 3)]], [2], master_seed=1)
-            with pytest.raises(ValueError, match="at least two subsystems"):
-                sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
+        with pytest.raises(ValueError, match="same total dimension"):
+            theorem_sweep([[(2, 2)] * 2, [(2, 2), (2, 3)]], [2], master_seed=1)
+        with pytest.raises(ValueError, match="at least two subsystems"):
+            theorem_sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
 
     def test_pool_gets_the_validated_blocks_one_worker_each(self, monkeypatch):
         # a stand-in executor records its size and maps in this process, so
@@ -952,7 +1001,7 @@ class TestTheoremSweep:
         monkeypatch.setattr(positivity, "_validated_dims", recording)
         # 48 entries per instance: two blocks of three
         monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 100)
-        assert asdict(theorem_sweep_parallel(plan, [2, 3], master_seed=5, jobs=4)) == reference
+        assert asdict(theorem_sweep(plan, [2, 3], master_seed=5, jobs=4)) == reference
         assert sizes == [2] and len(validated) == len(plan)
         sizes.clear()
         # 48 entries per 2 x 2x2 trial: three trials are three blocks
@@ -963,11 +1012,10 @@ class TestTheoremSweep:
     def test_empty_plan_and_empty_n(self):
         # a plan of no instances has no minimum to report (it once returned
         # inf, which a JSON report cannot hold)
-        for sweep in (theorem_sweep, theorem_sweep_parallel):
-            with pytest.raises(ValueError, match="empty"):
-                sweep([], [2], 1)
         with pytest.raises(ValueError, match="empty"):
-            theorem_sweep_parallel([], [2, 3], master_seed=1, jobs=2)
+            theorem_sweep([], [2], 1)
+        with pytest.raises(ValueError, match="empty"):
+            theorem_sweep([], [2, 3], master_seed=1, jobs=2)
         no_n = theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
         assert (no_n.instances, no_n.checks, no_n.violations) == (3, 0, [])
 
