@@ -26,7 +26,6 @@ class TwoIntervalConfig:
     b2: float
     central_charge: float = 1.0
     n: int = 2
-    k_constant: float = 1.0
 
     def __post_init__(self):
         if not (self.a1 < self.b1 < self.a2 < self.b2):
@@ -38,8 +37,12 @@ class TwoIntervalConfig:
 
     @property
     def q(self) -> float:
-        """Twist exponent (C/6)(n - 1/n), positive for n >= 2."""
-        return self.central_charge / 6.0 * (self.n - 1.0 / self.n)
+        return twist_exponent(self.central_charge, self.n)
+
+
+def twist_exponent(central_charge: float, n: int) -> float:
+    """Twist exponent q = (c/6)(n - 1/n), positive for n >= 2."""
+    return central_charge / 6.0 * (n - 1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,7 @@ class CrossRatioFunction:
     domain: tuple = (0.0, 1.0)
 
     def __call__(self, x):
-        vals = np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
-        return vals
+        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
 
     @classmethod
     def ones(cls) -> "CrossRatioFunction":
@@ -101,25 +103,23 @@ class CrossRatioFunction:
 
 def cross_ratio(cfg: TwoIntervalConfig) -> float:
     """Conformally invariant cross ratio in (0, 1) of the four endpoints."""
-    x = ((cfg.b1 - cfg.a1) * (cfg.b2 - cfg.a2)
-         / ((cfg.a2 - cfg.a1) * (cfg.b2 - cfg.b1)))
-    return float(x)
+    return float((cfg.b1 - cfg.a1) * (cfg.b2 - cfg.a2)
+                 / ((cfg.a2 - cfg.a1) * (cfg.b2 - cfg.b1)))
 
 
 def renyi_two_interval(cfg: TwoIntervalConfig, func: CrossRatioFunction) -> float:
     """Two-interval Renyi entropy from the conformal parameterization.
 
-    S_n = [q log(x (a2-b1)(b2-a1)) - 2 log k - log F(x)] / (n - 1); the
-    absolute value is cutoff dependent through k, so only differences and
-    slacks are physical.
+    S_n = [q log(x (a2-b1)(b2-a1)) - 2 log k - log F(x)] / (n - 1) at k = 1;
+    the absolute value is cutoff dependent through k, so only differences
+    and slacks are physical.
     """
     x = cross_ratio(cfg)
     f_val = float(func(np.array([x]))[0])
-    if f_val <= 0:
+    if not f_val > 0:
         raise ValueError("F must be positive")
     scale_arg = x * (cfg.a2 - cfg.b1) * (cfg.b2 - cfg.a1)
-    return float((cfg.q * math.log(scale_arg) - 2.0 * math.log(cfg.k_constant)
-                  - math.log(f_val)) / (cfg.n - 1))
+    return float((cfg.q * math.log(scale_arg) - math.log(f_val)) / (cfg.n - 1))
 
 
 def _ratio(func: CrossRatioFunction, q: float, x: np.ndarray) -> np.ndarray:

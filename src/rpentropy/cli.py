@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .positivity import (COUNTEREXAMPLE_TOL, TARGETS, SearchConfig, counterexample_search,
-                         summarize, theorem_sweep_parallel)
+                         summarize, theorem_sweep)
 from .serialize import read_xy_csv, save_report, write_csv, write_fixture
 
 EXIT_OK = 0
@@ -34,11 +34,11 @@ class ConfigError(Exception):
 
 
 def _split_dims(entry) -> tuple:
-    """'2x3' or [2, 3] -> (2, 3)."""
+    """'2x3' or [2, 3] -> (2, 3); each factor must be >= 1."""
     fields = entry.lower().split("x") if isinstance(entry, str) else list(entry)
     if len(fields) != 2:
         raise ValueError(f"bad dims entry {entry!r}; expected like '2x2'")
-    return int(fields[0]), int(fields[1])
+    return _positive_int(fields[0]), _positive_int(fields[1])
 
 
 def _checked(kind, test, message: str):
@@ -50,9 +50,13 @@ def _checked(kind, test, message: str):
     return convert
 
 
+# a float option must be finite: NaN and inf fail each float bound
 _positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "must be >= 0")
-_positive = _checked(float, lambda v: v > 0, "must be > 0")
+_at_least_two = _checked(int, lambda v: v >= 2, "must be >= 2")
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "must be > 0 and finite")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
 _subsystem_count = _checked(int, lambda v: v >= 2, "need at least two subsystems")
 
 
@@ -74,7 +78,7 @@ def _list_of(item):
 def _options(tolerance: float, *specific) -> list:
     """Option table of one subcommand: seed, its own options, tolerance, out."""
     return [("seed", _nonnegative_int, 42, "master seed"), *specific,
-            ("tolerance", float, tolerance, "pass/fail tolerance"),
+            ("tolerance", _finite, tolerance, "pass/fail tolerance"),
             ("out", None, lambda resolved: os.environ.get(OUT_ENV_VAR, "reports"),
              f"output directory (default ${OUT_ENV_VAR} or ./reports)")]
 
@@ -101,11 +105,11 @@ OPTIONS = {
         ("dims", _list_of(_split_dims), "2x2,2x2,2x2",
          "one split per subsystem, e.g. '2x2,2x2,2x2'"),
         ("target", TARGETS, "entropy_n1", "inequality to search"),
-        ("lam", float, 1.0, "exponent weight for entropy mode"),
+        ("lam", _finite, 1.0, "exponent weight for entropy mode"),
         ("n", int, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
          "Renyi index for integer/detB modes"),
-        ("refine", int, 0, "stochastic descent budget after the sweep"),
-        ("literal_s", float, None, "also check a literal fractional entrywise power"),
+        ("refine", _nonnegative_int, 0, "stochastic descent budget after the sweep"),
+        ("literal_s", _finite, None, "also check a literal fractional entrywise power"),
         ("jobs", _positive_int, 1, "parallel workers")),
     "fermion": _options(
         1e-10,
@@ -119,16 +123,16 @@ OPTIONS = {
     "kl": _options(
         1e-6,
         ("input", None, None, "CSV of (x, S) samples; default built-in fixture"),
-        ("lam", float, 1.0, "exponent weight of the entropy curve"),
-        ("grid_points", int, 60, "points of the p^2 fit grid"),
-        ("ridge", float, 0.0, "ridge parameter of the fit")),
+        ("lam", _positive, 1.0, "exponent weight of the entropy curve"),
+        ("grid_points", _at_least_two, 60, "points of the p^2 fit grid"),
+        ("ridge", _nonnegative, 0.0, "ridge parameter of the fit")),
     "cft": _options(
         1e-10,
         ("f_table", None, None, "CSV of (x, F) pairs; default F=1"),
-        ("n", int, 2, "Renyi index"),
-        ("central_charge", float, 1.0, "central charge"),
-        ("grid_points", int, 1000, "derivative-check grid points"),
-        ("pairs", int, 1000, "random midpoint-check pairs")),
+        ("n", _at_least_two, 2, "Renyi index"),
+        ("central_charge", _positive, 1.0, "central charge"),
+        ("grid_points", _positive_int, 1000, "derivative-check grid points"),
+        ("pairs", _positive_int, 1000, "random midpoint-check pairs")),
 }
 # config keys accepted per subcommand (superset of flags)
 CONFIG_KEYS = {name: {key for key, *_ in options} for name, options in OPTIONS.items()}
@@ -198,8 +202,8 @@ def cmd_gram_sweep(opts, argv) -> int:
     dims_pool, counts = opts["dims"], opts["subsystems"]
     plan = [[dims_pool[i % len(dims_pool)]] * counts[i % len(counts)]
             for i in range(opts["trials"])]
-    result = theorem_sweep_parallel(plan, opts["n"], master_seed=opts["seed"],
-                                    tol=opts["tolerance"], jobs=opts["jobs"])
+    result = theorem_sweep(plan, opts["n"], master_seed=opts["seed"],
+                           tol=opts["tolerance"], jobs=opts["jobs"])
     results = {
         "instances": result.instances,
         "checks": result.checks,
@@ -397,7 +401,7 @@ def _check_summary(check) -> dict:
 
 def cmd_cft(opts, argv) -> int:
     from .cft import (CrossRatioFunction, check_derivative_inequality,
-                      check_midpoint_inequality, z_point)
+                      check_midpoint_inequality, twist_exponent, z_point)
 
     seed, n, f_table, tol = opts["seed"], opts["n"], opts["f_table"], opts["tolerance"]
     grid_points = opts["grid_points"]
@@ -406,7 +410,7 @@ def cmd_cft(opts, argv) -> int:
         func = CrossRatioFunction.from_table(xs, fs, name=os.path.basename(f_table))
     else:
         func = CrossRatioFunction.ones()
-    q = opts["central_charge"] / 6.0 * (n - 1.0 / n)
+    q = twist_exponent(opts["central_charge"], n)
     lo = max(func.domain[0] + 1e-4, 1e-3)
     hi = min(func.domain[1] - 1e-4, 1.0 - 1e-3)
     grid = np.linspace(lo, hi, grid_points)
@@ -464,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             flags = ["--lambda", "--lam"] if key == "lam" else ["--" + key.replace("_", "-")]
             p.add_argument(*flags, dest=key, help=help_text,
-                           type=kind if kind in (int, float) else None,
+                           type=kind if kind is int else None,
                            choices=kind if isinstance(kind, tuple) else None)
     return parser
 

@@ -112,14 +112,8 @@ def entropy(intervals: IntervalSet) -> float:
     S = (1/6) [ sum_{i,j} log|a_i - b_j| - sum_{i<j} log|a_i - a_j|
                 - sum_{i<j} log|b_i - b_j| - p log(eps) ]
     """
-    return entropy_and_log_correlator(intervals)[0]
-
-
-def entropy_and_log_correlator(intervals: IntervalSet) -> tuple[float, float]:
-    """(entropy(intervals), log_correlator_cauchy(intervals)) from one pass
-    over the endpoint separations."""
-    s_val, log_c = _entropy_terms(intervals.lefts, intervals.rights, math.log(intervals.cutoff))
-    return float(s_val), float(log_c)
+    return float(_entropy_terms(intervals.lefts, intervals.rights,
+                                math.log(intervals.cutoff))[0])
 
 
 def renyi(intervals: IntervalSet, n: float) -> float:
@@ -134,7 +128,8 @@ def log_correlator_cauchy(intervals: IntervalSet) -> float:
 
     log [ (2 pi)^{-p} prod_{i<j}|a_i-a_j| prod_{i<j}|b_i-b_j| / prod_{i,j}|a_i-b_j| ]
     """
-    return entropy_and_log_correlator(intervals)[1]
+    return float(_entropy_terms(intervals.lefts, intervals.rights,
+                                math.log(intervals.cutoff))[1])
 
 
 def correlator_cauchy(intervals: IntervalSet) -> float:
@@ -215,13 +210,13 @@ class ChargeConfiguration:
 
 
 def _check_neutral(charges: np.ndarray) -> None:
-    if abs(charges.sum()) > 1e-12:
+    if not abs(charges.sum()) <= 1e-12:
         raise ValueError(f"configuration is not neutral: total charge {charges.sum():.3e}")
 
 
 def _interval_charges(p: int, lam: float) -> np.ndarray:
     """+/- sqrt(2 pi lam / 3) at the p left and p right endpoints, checked neutral."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     q = math.sqrt(2.0 * math.pi * lam / 3.0)
     charges = np.concatenate([np.full(p, q), np.full(p, -q)])
@@ -255,27 +250,21 @@ def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
 
 
 def _vertex_logs(a: np.ndarray, b: np.ndarray, lams) -> np.ndarray:
-    """vertex_log_correlators of every row of the (N, p) endpoint arrays: (N, L)."""
+    """gaussian_vertex_correlator of ChargeConfiguration.from_intervals(set,
+    lam) per lam, for the set of every row of the (N, p) endpoint arrays:
+    (N, L).  An interval set's endpoints are at least MIN_SEPARATION apart
+    already, so only each lam's charges are checked."""
     charges = np.array([_interval_charges(a.shape[-1], lam) for lam in lams])
     return _vertex_sums(charges.reshape(-1, 2 * a.shape[-1]),
                         _log_distances(np.concatenate([a, b], axis=-1)))
 
 
-def vertex_log_correlators(intervals: IntervalSet, lams) -> list[float]:
-    """gaussian_vertex_correlator of ChargeConfiguration.from_intervals(intervals,
-    lam) for each lam, bit for bit, from one log-distance matrix.
-
-    An interval set's endpoints are at least MIN_SEPARATION apart already, so
-    only each lam's charges are checked.
-    """
-    return _vertex_logs(intervals.lefts[None], intervals.rights[None], lams)[0].tolist()
-
-
 def identity_rows(sets: list[IntervalSet], lams) -> tuple:
     """(entropy, log Cauchy correlator, Wick correlator) of every set, each
     shaped (N,), and its vertex log correlators per lam, shaped (N, L): row k
-    is entropy_and_log_correlator, correlator_wick and vertex_log_correlators
-    of sets[k], up to roundoff, from one stacked pass per component count.
+    is entropy, log_correlator_cauchy, correlator_wick and, per lam,
+    gaussian_vertex_correlator of ChargeConfiguration.from_intervals of
+    sets[k], up to roundoff, from one stacked pass per component count.
     """
     terms = [np.empty(len(sets)) for _ in range(3)] + [np.empty((len(sets), len(lams)))]
     by_count = defaultdict(list)
@@ -320,7 +309,7 @@ def witness_minimum(tables: list[np.ndarray], lams) -> float:
     """min over tables and lams of witness_record(table, lam)'s min_eigenvalue
     / scale (inf for no tables): one stacked Gram verdict per table size."""
     lams = np.asarray(lams, dtype=float)
-    if np.any(lams <= 0):
+    if not np.all(lams > 0):
         raise ValueError("lam must be positive")
     by_size, worst = defaultdict(list), math.inf
     for table in tables:
@@ -337,7 +326,7 @@ def witness_record(table: np.ndarray, lam: float) -> GramRecord:
     The vertex representation makes these matrices positive semidefinite for
     every lam > 0 (infinite divisibility of the fermion entropy).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     return GramRecord(size=table.shape[0], n=1, lam=float(lam),
                       entries=np.exp(-lam * table), entropy_table=table)

@@ -21,6 +21,23 @@ class InvalidStateError(ValueError):
     """Input fails a density-matrix or purified-state invariant."""
 
 
+def _check_hermitian(mat, bound, what: str) -> None:
+    """The Hermiticity gate: raise unless each matrix of the stack mat (..., m, m)
+    is within a finite bound (one, or one per matrix) of its adjoint, entrywise."""
+    deviation = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if not np.all((deviation <= bound) & (bound < np.inf)):
+        raise InvalidStateError(f"{what} not Hermitian: asymmetric beyond tolerance")
+
+
+def _check_unit_trace(traces, what: str) -> None:
+    """The unit-trace gate: raise, naming the first offender, unless each trace
+    of the array is 1 within TRACE_TOL in both its real and imaginary parts."""
+    traces = np.asarray(traces)
+    bad = ~((np.abs(traces.real - 1.0) <= TRACE_TOL) & (np.abs(traces.imag) <= TRACE_TOL))
+    if bad.any():
+        raise InvalidStateError(f"{what} {traces[bad][0]:.12f}, not 1")
+
+
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible component is real positive."""
     pivot = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(vectors.shape[1])]
@@ -42,15 +59,12 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise InvalidStateError(f"expected shape {(self.dim, self.dim)}, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise InvalidStateError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
-            raise InvalidStateError("trace differs from 1 beyond tolerance")
+        _check_hermitian(mat, HERMITICITY_TOL, "density matrix")
+        _check_unit_trace(np.trace(mat), "density matrix trace")
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        if eigs.min() < RANK_FLOOR:
-            raise InvalidStateError(
-                f"state not invertible: smallest eigenvalue {eigs.min():.3e} "
-                f"below rank floor {RANK_FLOOR:.0e}")
+        if not eigs.min() >= RANK_FLOOR:
+            raise InvalidStateError(f"state not invertible: smallest eigenvalue "
+                                    f"{eigs.min():.3e} below rank floor {RANK_FLOOR:.0e}")
         object.__setattr__(self, "entries", mat)
 
     @classmethod
@@ -76,11 +90,15 @@ class PurifiedState:
     def h2_basis(self) -> np.ndarray:
         return self.eigenbasis.conj()
 
+    def purified_matrix(self, h2_basis: np.ndarray | None = None) -> np.ndarray:
+        """Purified vector as a (d, d) matrix over (H1, H2) computational
+        indices: (U sqrt(lam)) U2^T, U2 the H2 basis."""
+        u2 = self.h2_basis if h2_basis is None else h2_basis
+        return (self.eigenbasis * np.sqrt(self.schmidt_values)) @ u2.T
+
     def vector(self, h2_basis: np.ndarray | None = None) -> np.ndarray:
         """Purified vector in computational coordinates (length d**2)."""
-        u2 = self.h2_basis if h2_basis is None else h2_basis
-        mat = (self.eigenbasis * np.sqrt(self.schmidt_values)) @ u2.T
-        return mat.reshape(-1)
+        return self.purified_matrix(h2_basis).reshape(-1)
 
     def reconstruct_density(self) -> np.ndarray:
         u = self.eigenbasis
@@ -98,7 +116,7 @@ def purify(rho: DensityMatrix) -> PurifiedState:
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vecs = _phase_fix(vecs[:, order])
-    if lam.min() < RANK_FLOOR:
+    if not lam.min() >= RANK_FLOOR:
         raise InvalidStateError("state not invertible")
     return PurifiedState(dim=rho.dim, schmidt_values=lam, eigenbasis=vecs)
 
@@ -178,21 +196,19 @@ def reflect_operator(md: ModularData, op: np.ndarray) -> np.ndarray:
 def doubled_overlap(psi: PurifiedState, op_first: np.ndarray,
                     op_second: np.ndarray) -> complex:
     """<0| (A (x) B) |0> for A on the first factor, B on the second."""
-    mat = (psi.eigenbasis * np.sqrt(psi.schmidt_values)) @ psi.h2_basis.T
+    mat = psi.purified_matrix()
     return complex(np.trace(mat.conj().T @ op_first @ mat @ op_second.T))
 
 
 def half_sided_overlap(psi: PurifiedState, md: ModularData, op: np.ndarray) -> complex:
     """<0| (O (x) 1) Delta^{1/2} (O^dag (x) 1) |0>, the reflection-positive form."""
-    vec = md.apply_delta(_apply_first_factor(psi, op.conj().T), power=0.5)
-    bra = _apply_first_factor(psi, op.conj().T)
     # <0| O ... = <O^dag 0| ...
-    return complex(np.vdot(bra, vec))
+    bra = _apply_first_factor(psi, op.conj().T)
+    return complex(np.vdot(bra, md.apply_delta(bra, power=0.5)))
 
 
 def _apply_first_factor(psi: PurifiedState, op: np.ndarray) -> np.ndarray:
-    mat = (psi.eigenbasis * np.sqrt(psi.schmidt_values)) @ psi.h2_basis.T
-    return (op @ mat).reshape(-1)
+    return (op @ psi.purified_matrix()).reshape(-1)
 
 
 @dataclass

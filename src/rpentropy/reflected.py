@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import DensityMatrix, InvalidStateError, PurifiedState
+from .modular import (HERMITICITY_TOL, DensityMatrix, InvalidStateError, PurifiedState,
+                      _check_hermitian, _check_unit_trace)
 
 UNITARITY_TOL = 1e-10
 PSD_FLOOR = -1e-12
-TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,14 @@ class SubsystemSplit:
                               label=self.label + "~" if self.label else "")
 
 
-def _check_unitary(mat: np.ndarray) -> None:
-    """Raise unless every (d, d) matrix of the stack `mat` (..., d, d) is
-    unitary, row by row and column by column, within UNITARITY_TOL."""
-    eye = np.eye(mat.shape[-1])
-    adjoint = mat.conj().swapaxes(-1, -2)
-    if np.max(np.abs(mat @ adjoint - eye)) > UNITARITY_TOL:
-        raise InvalidStateError("split coefficients violate row orthonormality")
-    if np.max(np.abs(adjoint @ mat - eye)) > UNITARITY_TOL:
-        raise InvalidStateError("split coefficients violate column orthonormality")
+def _check_unitary(mat: np.ndarray, what: str = "split coefficients") -> None:
+    """The unitarity gate: raise unless each (d, d) matrix U of the stack mat
+    (..., d, d) has max |U U^dag - 1| <= UNITARITY_TOL / d.  One side is
+    enough: U^dag U - 1 shares the spectral norm of U U^dag - 1, at most d
+    times its largest entry, so U^dag U is within UNITARITY_TOL entrywise."""
+    d = mat.shape[-1]
+    if not np.max(np.abs(mat @ mat.conj().swapaxes(-1, -2) - np.eye(d))) <= UNITARITY_TOL / d:
+        raise InvalidStateError(f"{what} not unitary: rows violate orthonormality")
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,7 @@ class TwistOperatorSet:
 
 def twist_operators(psi: PurifiedState, split: SubsystemSplit) -> TwistOperatorSet:
     """Build the twist-operator family of one subsystem split."""
-    if split.dim != psi.dim:
-        raise InvalidStateError(
-            f"split dimension {split.dim} does not match state dimension {psi.dim}")
+    _check_pair_dims(psi, split, split)
     lam = psi.schmidt_values
     weights = np.sqrt(np.sqrt(np.outer(lam, lam)))
     ops = np.einsum("pkl,qml->pqkm", split.coeffs, split.coeffs.conj())
@@ -135,15 +132,11 @@ class ReflectedDensity:
         n = self.dim_i * self.dim_j
         if mat.shape != (n, n):
             raise InvalidStateError(f"expected shape {(n, n)}, got {mat.shape}")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
-        if herm_dev > 1e-10:
-            raise InvalidStateError(f"reflected density not Hermitian: deviation {herm_dev:.3e}")
+        _check_hermitian(mat, HERMITICITY_TOL, "reflected density")
         mat = 0.5 * (mat + mat.conj().T)
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < PSD_FLOOR:
-            raise InvalidStateError(f"negative eigenvalue {eigs.min():.3e} below floor")
-        if abs(eigs.sum() - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace {eigs.sum():.12f} differs from 1")
+        _check_spectrum(eigs, "reflected density")
+        _check_unit_trace(eigs.sum(), "reflected density trace")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "eigenvalues", eigs)
 
@@ -182,14 +175,6 @@ def _pair_matrix(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
             .reshape(*lead, da_i * da_j, db_i * db_j))
 
 
-def _check_pair_traces(traces: np.ndarray) -> None:
-    """Raise unless every tr rho_{A_i Abar_j} of the stack is 1 within TRACE_TOL."""
-    bad = abs(traces - 1.0) > TRACE_TOL
-    if bad.any():
-        first = np.ravel(traces)[np.ravel(bad)][0]
-        raise InvalidStateError(f"pair spectrum sums to {first:.12f}, not 1")
-
-
 def _pair_gram(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
                dims_i: tuple, dims_j: tuple) -> np.ndarray:
     """M, the smaller of X X^dag and X^dag X of `_pair_matrix`'s X, stack by
@@ -198,7 +183,7 @@ def _pair_gram(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
     x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
     adjoint = x.conj().swapaxes(-1, -2)
     m = x @ adjoint if x.shape[-2] <= x.shape[-1] else adjoint @ x
-    _check_pair_traces(np.trace(m, axis1=-2, axis2=-1).real)
+    _check_unit_trace(np.trace(m, axis1=-2, axis2=-1).real, "pair spectrum sums to")
     return m
 
 
@@ -276,12 +261,9 @@ def brute_force_reflected(psi: PurifiedState, split_i: SubsystemSplit,
     mixed product basis of the two splits, forms the full projector and
     partial-traces the complement factors by explicit index summation.
     """
-    if split_i.dim != psi.dim or split_j.dim != psi.dim:
-        raise InvalidStateError("split dimensions do not match the state")
-    d = psi.dim
+    _check_pair_dims(psi, split_i, split_j)
     u2 = psi.h2_basis if h2_basis is None else np.asarray(h2_basis, dtype=complex)
-    if np.max(np.abs(u2.conj().T @ u2 - np.eye(d))) > UNITARITY_TOL:
-        raise InvalidStateError("H2 basis must be unitary")
+    _check_unitary(u2, "H2 basis")
     vec0 = psi.vector(h2_basis=u2)
     # product bases of the two splits in computational coordinates
     basis_1 = psi.eigenbasis @ split_i.matrix.conj()
@@ -294,6 +276,13 @@ def brute_force_reflected(psi: PurifiedState, split_i: SubsystemSplit,
     n = da_i * da_j
     return ReflectedDensity(matrix=reduced.reshape(n, n), dim_i=da_i, dim_j=da_j,
                             labels=(split_i.label, split_j.label))
+
+
+def _check_spectrum(eigs: np.ndarray, what: str) -> None:
+    """The PSD floor gate: raise unless every eigenvalue is finite and at
+    least PSD_FLOOR."""
+    if not (np.min(eigs) >= PSD_FLOOR and np.max(eigs) < np.inf):
+        raise InvalidStateError(f"non-finite or negative eigenvalue {np.min(eigs):.3e} in {what}")
 
 
 def _eigenvalues_of(state) -> np.ndarray:
@@ -318,9 +307,7 @@ def _entropies(eigs: np.ndarray, n: int) -> np.ndarray:
     underflow nor cost digits of the leading one.
     """
     eigs = np.asarray(eigs, dtype=float)
-    low = eigs.min()
-    if low < PSD_FLOOR:
-        raise InvalidStateError(f"negative eigenvalue {low:.3e} in entropy input")
+    _check_spectrum(eigs, "entropy input")
     positive = eigs > 0
     logs = np.log(np.where(positive, eigs, 1.0))
     if n == 1:
@@ -344,8 +331,6 @@ def renyi_entropy(state, n: int) -> float:
     """
     if n < 1:
         raise ValueError("Renyi index must be >= 1")
-    if n == 1:
-        return von_neumann(state)
     return float(_entropies(_eigenvalues_of(state), n))
 
 
@@ -362,6 +347,4 @@ def mutual_information(s_a: float, s_b: float, s_ab: float) -> float:
 def marginals(rd: ReflectedDensity) -> tuple[np.ndarray, np.ndarray]:
     """Partial traces of a reflected density onto its two factors."""
     mat = rd.matrix.reshape(rd.dim_i, rd.dim_j, rd.dim_i, rd.dim_j)
-    rho_i = np.einsum("ajbj->ab", mat)
-    rho_j = np.einsum("iaib->ab", mat)
-    return rho_i, rho_j
+    return np.einsum("ajbj->ab", mat), np.einsum("iaib->ab", mat)

@@ -53,7 +53,7 @@ class TestGramSweep:
             return SweepResult(instances=1, checks=1, min_normalized_eig=-1.0,
                                worst={}, violations=[{"instance": 0, "n": 2}])
 
-        monkeypatch.setattr(cli_mod, "theorem_sweep_parallel", fake_sweep)
+        monkeypatch.setattr(cli_mod, "theorem_sweep", fake_sweep)
         code = run(tmp_path, "gram-sweep", "--trials", "1", "--seed", "3")
         assert code == 3
 
@@ -460,6 +460,56 @@ class TestConfigHandling:
         assert "timestamp" in payload["meta"]
 
 
+class TestOptionBounds:
+    """Each option's bound sits in its converter: a value outside it is a
+    config error (exit 1) before any work, and writes no report.  These
+    once raised a traceback, exited 2 as a numerics failure, or ran."""
+
+    CASES = [
+        (["cft", "--n", "0"], "for n: must be >= 2"),  # ZeroDivisionError
+        (["cft", "--n", "1"], "for n: must be >= 2"),  # q = 0
+        (["cft", "--central-charge", "-1"], "central_charge: must be > 0"),
+        (["cft", "--grid-points", "0"], "grid_points: must be >= 1"),
+        (["cft", "--pairs", "0"], "pairs: must be >= 1"),
+        (["cft", "--pairs", "-1"], "pairs: must be >= 1"),
+        (["kl", "--grid-points", "0"], "grid_points: must be >= 2"),  # IndexError
+        (["kl", "--grid-points", "1"], "grid_points: must be >= 2"),
+        (["kl", "--lam", "0"], "lam: must be > 0"),
+        (["kl", "--ridge", "-1"], "ridge: must be >= 0"),  # ran with no ridge
+        (["kl", "--ridge", "inf"], "ridge: must be >= 0 and finite"),
+        (["gram-sweep", "--dims", "0x2"], "dims: must be >= 1"),
+        (["search", "--dims", "2x2,4x0,2x2"], "dims: must be >= 1"),
+        (["search", "--lam", "nan"], "lam: must be finite"),  # LAPACK non-convergence
+        (["search", "--literal-s", "nan"], "literal_s: must be finite"),
+        (["search", "--refine", "-3"], "refine: must be >= 0"),  # ran with no descent
+        (["fermion", "--cutoff", "inf"], "cutoff: must be > 0 and finite"),
+        (["fermion", "--lambda", "1,nan"], "lam: must be > 0 and finite"),
+    ] + [([name, "--tolerance", bad], "tolerance: must be finite")
+         for name in OPTIONS for bad in ("nan", "inf")]
+
+    @pytest.mark.parametrize("argv, message", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_out_of_bounds_config_error(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand", list(OPTIONS))
+    def test_non_finite_config_tolerance(self, tmp_path, capsys, subcommand):
+        # JSON config files may spell NaN; the converter refuses it there too
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"tolerance": float("nan")}))
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "tolerance: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_tolerance_still_accepted(self, tmp_path):
+        # a negative tolerance is how a report check records violations
+        assert run(tmp_path, "cft", "--grid-points", "20", "--pairs", "10",
+                   "--tolerance", "-0.5") == 2
+        assert load(tmp_path, "cft-seed42.json")["report"]["config"]["tolerance"] == -0.5
+
+
 class TestFermionExplicitSets:
 
     def test_config_supplied_interval_sets(self, tmp_path):
@@ -579,7 +629,7 @@ class TestResolvedConfig:
         import rpentropy.cli as cli_mod
         from rpentropy.positivity import SearchReport, SweepResult
 
-        monkeypatch.setattr(cli_mod, "theorem_sweep_parallel", lambda *args, **kwargs:
+        monkeypatch.setattr(cli_mod, "theorem_sweep", lambda *args, **kwargs:
                             SweepResult(instances=0, checks=0, min_normalized_eig=0.0,
                                         worst={}, violations=[]))
         monkeypatch.setattr(cli_mod, "counterexample_search", lambda cfg, jobs=1:

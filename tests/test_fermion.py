@@ -7,9 +7,8 @@ import pytest
 from rpentropy import fermion
 from rpentropy.fermion import (ChargeConfiguration, IntervalError, IntervalSet,
                                correlator_cauchy, correlator_wick, divisibility_witness,
-                               entropy, entropy_and_log_correlator, gaussian_vertex_correlator,
-                               identity_rows, log_correlator_cauchy, renyi,
-                               vertex_log_correlators, witness_minimum, witness_record,
+                               entropy, gaussian_vertex_correlator, identity_rows,
+                               log_correlator_cauchy, renyi, witness_minimum, witness_record,
                                witness_table)
 from rpentropy.positivity import check_psd, three_set_inequality
 
@@ -141,7 +140,7 @@ class TestCorrelators:
         rng = np.random.default_rng(12)
         for t in range(200):
             s = random_set(rng, 1 + t % 8, cutoff=float(rng.uniform(0.2, 2.0)))
-            s_val, log_c = entropy_and_log_correlator(s)
+            s_val, log_c = (float(row[0]) for row in identity_rows([s], [1.0])[:2])
             assert s_val == entropy(s) and log_c == log_correlator_cauchy(s)
             assert math.exp(log_c) == correlator_cauchy(s)
 
@@ -164,12 +163,13 @@ class TestIdentityRows:
         for k, s in enumerate(sets):
             p = s.num_intervals
             bound = 4 * (2 * p) ** 2 * eps
-            single_s, single_log_c = entropy_and_log_correlator(s)
+            single_s, single_log_c = entropy(s), log_correlator_cauchy(s)
             assert abs(s_val[k] - single_s) <= bound * max(1.0, abs(single_s))
             assert abs(log_c[k] - single_log_c) <= bound * max(1.0, abs(single_log_c))
             single_wick = correlator_wick(s)
             assert abs(wick[k] - single_wick) <= bound * math.factorial(p) * abs(single_wick)
-            single_v = np.array(vertex_log_correlators(s, lams))
+            single_v = np.array([gaussian_vertex_correlator(
+                ChargeConfiguration.from_intervals(s, lam)) for lam in lams])
             assert np.all(np.abs(log_v[k] - single_v)
                           <= bound * np.maximum(1.0, np.abs(single_v)))
 
@@ -199,6 +199,13 @@ class TestIdentityRows:
             identity_rows([random_set(np.random.default_rng(2), 9, hi=100.0)], [1.0])
         with pytest.raises(ValueError, match="lam must be positive"):
             identity_rows(self.sets(3, 2), [1.0, -1.0])
+        # a NaN lam once gave NaN vertex sums, and a NaN witness Gram matrix
+        with pytest.raises(ValueError, match="lam must be positive"):
+            identity_rows(self.sets(3, 2), [1.0, float("nan")])
+        with pytest.raises(ValueError, match="lam must be positive"):
+            witness_minimum([witness_table([IntervalSet.from_pairs([(1, 2)]),
+                                            IntervalSet.from_pairs([(3, 4)])])],
+                            [float("nan")])
 
 
 class TestVertexOperators:
@@ -236,11 +243,11 @@ class TestVertexOperators:
         lams = [0.1, 1.0, 2.5, 6.0, 10.0]
         for p in range(1, 7):
             s = random_set(rng, p, cutoff=0.4)
-            assert vertex_log_correlators(s, lams) == [
+            assert identity_rows([s], lams)[3][0].tolist() == [
                 gaussian_vertex_correlator(ChargeConfiguration.from_intervals(s, lam))
                 for lam in lams]
         with pytest.raises(ValueError, match="lam must be positive"):
-            vertex_log_correlators(s, [1.0, 0.0])
+            identity_rows([s], [1.0, 0.0])
 
     def test_lambda_six_matches_correlator_scaling(self):
         # at lam = 6 the vertex expectation carries the same set dependence as

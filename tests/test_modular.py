@@ -31,6 +31,20 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError, match="trace"):
             DensityMatrix.from_matrix(np.diag([0.6, 0.6]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for entry in ((0, 0), (0, 1)):
+            mat = np.diag([0.5, 0.5]).astype(complex)
+            mat[entry] = bad
+            with pytest.raises(InvalidStateError, match="Hermitian"):
+                DensityMatrix.from_matrix(mat)
+
+    def test_rejects_imaginary_trace(self):
+        with pytest.raises(InvalidStateError, match="trace"):
+            # each diagonal entry is Hermitian within tolerance, their sum is not
+            DensityMatrix.from_matrix(np.diag([0.25 + 4e-11j] * 4))
+
     def test_rejects_singular_state(self):
         with pytest.raises(InvalidStateError, match="not invertible"):
             DensityMatrix.from_matrix(np.diag([1.0, 0.0]))

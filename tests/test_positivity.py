@@ -157,6 +157,16 @@ class TestCheckPsd:
         with pytest.raises(InvalidStateError, match="asymmetric"):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN Gram matrix once passed the symmetry check and reached eigh
+        for entry in ((0, 0), (0, 1)):
+            gram = np.eye(3)
+            gram[entry] = bad
+            with pytest.raises(InvalidStateError, match="asymmetric"):
+                check_psd(gram)
+
     def test_schur_square_of_pass_passes(self):
         record, _, _ = random_gram(11, m1=3, n=2)
         assert check_psd(record).passed

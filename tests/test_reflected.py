@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
-from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, _check_unitary, _combine,
-                                 _entropies, _pair_matrix, _pair_spectrum, _pair_traces,
+from rpentropy.reflected import (UNITARITY_TOL, ReflectedDensity, SubsystemSplit,
+                                 _check_unitary, _combine, _entropies, _pair_matrix,
+                                 _pair_spectrum, _pair_traces,
                                  brute_force_reflected, marginals,
                                  mutual_information, pair_spectrum, reflected_density,
                                  renyi_entropy, twist_operators, von_neumann)
@@ -46,6 +47,32 @@ class TestSubsystemSplit:
         stack[2, 0, 0] += 1e-8
         with pytest.raises(InvalidStateError, match="orthonormality"):
             _check_unitary(stack)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_raise(self, bad):
+        coeffs = np.eye(4, dtype=complex)
+        coeffs[1, 2] = bad
+        with pytest.raises(InvalidStateError, match="orthonormality"):
+            SubsystemSplit(dim_a=2, dim_b=2, coeffs=coeffs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 16), st.floats(-14.0, -8.0), st.integers(0, 2 ** 32 - 1))
+    def test_one_sided_check_bounds_both_sides(self, d, log_norm, seed):
+        # U + E with ||E||_F = 10^log_norm: whatever passes the U U^dag check
+        # at UNITARITY_TOL / d also has U^dag U within UNITARITY_TOL
+        rng = np.random.default_rng(seed)
+        e = ginibre(d, rng)
+        v = haar_unitary(d, rng) + 10.0 ** log_norm * e / np.linalg.norm(e)
+        try:
+            _check_unitary(v)
+        except InvalidStateError:
+            # entries of V V^dag - 1 are at most 2 ||E|| + ||E||^2 + roundoff
+            assert 10.0 ** log_norm > 2e-12
+            return
+        eye = np.eye(d)
+        assert np.abs(v @ v.conj().T - eye).max() <= UNITARITY_TOL
+        assert np.abs(v.conj().T @ v - eye).max() <= UNITARITY_TOL
 
     def test_stacked_haar_step_equals_single_draws(self):
         # one stacked Ginibre draw reads the stream as consecutive single
@@ -94,6 +121,19 @@ class TestTwistOperators:
 
 
 class TestReflectedDensity:
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("matrix, message", [
+        (np.eye(3) / 3, "expected shape"),
+        (np.eye(4) / 4 + 1e-9 * np.eye(4, k=1), "not Hermitian"),
+        (np.diag([0.6, 0.6, -0.1, -0.1]), "negative eigenvalue"),
+        (np.eye(4) / 4 * (1 + 1e-6), "trace 1.000001"),
+        (np.diag([np.nan, 0.5, 0.25, 0.25]), "not Hermitian"),
+        (np.diag([np.inf, 0.5, 0.25, 0.25]), "not Hermitian"),
+    ], ids=["shape", "hermitian", "psd", "trace", "nan", "inf"])
+    def test_invariant_gates_raise(self, matrix, message):
+        with pytest.raises(InvalidStateError, match=message):
+            ReflectedDensity(matrix=matrix, dim_i=2, dim_j=2)
 
     def test_oracle_agreement(self):
         for seed in range(30):
@@ -339,6 +379,18 @@ class TestPairTraces:
         assert _pair_traces(lam, mats, mats, (2, 3), (3, 2), []).shape == (0, 4)
         assert _pair_traces(lam[0], mats[0], mats[0], (2, 3), (3, 2), []).shape == (0,)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_traces_raise(self, bad):
+        rng = np.random.default_rng(10)
+        lam = np.array([haar_state(4, rng).schmidt_values for _ in range(3)])
+        lam[1, 2] = bad
+        mats = np.array([haar_unitary(4, rng) for _ in range(3)])
+        with pytest.raises(InvalidStateError, match="pair spectrum sums to"):
+            _pair_spectrum(lam, mats, mats, (2, 2), (2, 2))
+        with pytest.raises(InvalidStateError, match="pair spectrum sums to"):
+            _pair_traces(lam, mats, mats, (2, 2), (2, 2), [2, 3])
+
     def test_non_unitary_split_raises_the_trace_error(self):
         rng = np.random.default_rng(9)
         lam = haar_state(4, rng).schmidt_values
@@ -397,6 +449,19 @@ class TestEntropies:
     def test_von_neumann_rejects_negative(self):
         with pytest.raises(InvalidStateError):
             von_neumann(np.diag([1.1, -0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectra_raise(self, bad):
+        # renyi_entropy([nan, 0.5], 2) once returned 1.386
+        for n in (1, 2, 3):
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                renyi_entropy(np.array([bad, 0.5]), n)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            von_neumann(np.array([0.5, bad]))
+        eigs = np.full((3, 4), 0.25)
+        eigs[1, 3] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            _entropies(eigs, 2)
 
     def test_product_state_mutual_information(self):
         rng = np.random.default_rng(4)
