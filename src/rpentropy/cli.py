@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -257,17 +258,6 @@ def cmd_search(opts, argv) -> int:
 
 # -------------------------------------------------------------------- fermion
 
-def _random_intervals(rng, p: int, lo: float, hi: float, gap: float, cutoff: float):
-    """p intervals with endpoints uniform on [lo, hi], redrawn until every two
-    neighbouring endpoints are at least `gap` apart."""
-    from .fermion import IntervalSet
-
-    pts = np.sort(rng.uniform(lo, hi, 2 * p))
-    while (pts[1:] - pts[:-1]).min() < gap:
-        pts = np.sort(rng.uniform(lo, hi, 2 * p))
-    return IntervalSet(lefts=pts[0::2], rights=pts[1::2], cutoff=cutoff)
-
-
 def cmd_fermion(opts, argv) -> int:
     from . import fermion
 
@@ -286,9 +276,9 @@ def cmd_fermion(opts, argv) -> int:
             raise ConfigError(f"interval sets limited to {fermion.MAX_WICK_COMPONENTS} "
                               "components (permutation sum)")
     else:
-        test_sets = [_random_intervals(rng, int(rng.integers(1, opts["max_components"] + 1)),
-                                       0.0, 10.0, 1e-3, cutoff)
-                     for _ in range(opts["trials"])]
+        test_sets = fermion.interval_sets(
+            [fermion.random_endpoints(rng, (1, opts["max_components"] + 1), 0.0, 10.0, 1e-3)
+             for _ in range(opts["trials"])], cutoff)
     # the calibration set's row fixes each lam's vertex constant
     calib = fermion.IntervalSet.from_pairs([(1.0, 2.0)], cutoff=cutoff)
     s_val, log_cauchy, wick, log_v = fermion.identity_rows([calib] + test_sets, lams)
@@ -312,12 +302,12 @@ def cmd_fermion(opts, argv) -> int:
         if all(s.lefts.min() > 0 for s in test_sets) and len(test_sets) >= 2:
             witness_families.append(test_sets)
     else:
-        for _ in range(opts["witness_trials"]):
-            witness_families.append(
-                [_random_intervals(rng, int(rng.integers(1, 3)), 0.1, 20.0, 1e-2, cutoff)
-                 for _ in range(int(rng.integers(2, 4)))])
-    witness_min = fermion.witness_minimum(
-        [fermion.witness_table(sets) for sets in witness_families], lams)
+        draws = [[fermion.random_endpoints(rng, (1, 3), 0.1, 20.0, 1e-2)
+                  for _ in range(int(rng.integers(2, 4)))]
+                 for _ in range(opts["witness_trials"])]
+        sets = iter(fermion.interval_sets([row for rows in draws for row in rows], cutoff))
+        witness_families = [list(itertools.islice(sets, len(rows))) for rows in draws]
+    witness_min = fermion.witness_minimum(fermion.witness_tables(witness_families), lams)
 
     csv_path = write_csv(os.path.join(opts["out"], f"fermion-identities-seed{seed}.csv"),
                          ["trial", "components", "entropy", "wick_cauchy_rel",
@@ -340,13 +330,22 @@ def cmd_fermion(opts, argv) -> int:
 
 # ------------------------------------------------------------------------- kl
 
+def _read_table(path: str) -> tuple:
+    """read_xy_csv, with a malformed table (non-finite or no numeric rows) as a
+    config error."""
+    try:
+        return read_xy_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_kl(opts, argv) -> int:
     from .spectral import (EntropyCurve, SpectralDensity, decay_rate,
                            derivative_checks, fit_grid, fit_spectral, forward)
 
     input_csv, lam, grid_points = opts["input"], opts["lam"], opts["grid_points"]
     if input_csv:
-        xs, s_vals = read_xy_csv(input_csv)
+        xs, s_vals = _read_table(input_csv)
         curve = EntropyCurve(x=xs, s=s_vals, lam=lam)
         truth = None
         grid = fit_grid(curve.x, grid_points)[0]
@@ -406,7 +405,7 @@ def cmd_cft(opts, argv) -> int:
     seed, n, f_table, tol = opts["seed"], opts["n"], opts["f_table"], opts["tolerance"]
     grid_points = opts["grid_points"]
     if f_table:
-        xs, fs = read_xy_csv(f_table)
+        xs, fs = _read_table(f_table)
         func = CrossRatioFunction.from_table(xs, fs, name=os.path.basename(f_table))
     else:
         func = CrossRatioFunction.ones()

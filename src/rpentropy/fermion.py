@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -46,13 +47,14 @@ class IntervalSet:
             raise IntervalError("lefts and rights must be equal-length 1-D sequences")
         object.__setattr__(self, "lefts", a)
         object.__setattr__(self, "rights", b)
-        points = self.points
-        if (points[1:] - points[:-1]).min() < MIN_SEPARATION:
-            raise IntervalError(
-                "endpoints must be strictly increasing with separation "
-                f">= {MIN_SEPARATION:g} (coincident points are singular)")
-        if not self.cutoff > 0:
-            raise IntervalError("cutoff must be positive")
+        _check_endpoints(self.points, self.cutoff)
+
+    @classmethod
+    def _gated(cls, lefts: np.ndarray, rights: np.ndarray, cutoff: float) -> "IntervalSet":
+        """A set from 1-D float endpoints that already passed _check_endpoints."""
+        self = object.__new__(cls)
+        vars(self).update(lefts=lefts, rights=rights, cutoff=cutoff)
+        return self
 
     @classmethod
     def from_pairs(cls, pairs, cutoff: float = 1.0) -> "IntervalSet":
@@ -80,6 +82,47 @@ class IntervalSet:
         return IntervalSet.from_pairs(
             list(zip(self.lefts, self.rights)) + list(zip(other.lefts, other.rights)),
             cutoff=self.cutoff)
+
+
+def _check_endpoints(points: np.ndarray, cutoff) -> None:
+    """The IntervalSet invariant on every row of the (..., 2p) endpoints a_1,
+    b_1, ..., a_p, b_p: strictly increasing with separation >= MIN_SEPARATION
+    (NaN fails), and a positive cutoff."""
+    if not np.all(points[..., 1:] - points[..., :-1] >= MIN_SEPARATION):
+        raise IntervalError(
+            "endpoints must be strictly increasing with separation "
+            f">= {MIN_SEPARATION:g} (coincident points are singular)")
+    if not cutoff > 0:
+        raise IntervalError("cutoff must be positive")
+
+
+def random_endpoints(rng: np.random.Generator, components: tuple, lo: float, hi: float,
+                     gap: float) -> list:
+    """Sorted endpoints a_1, b_1, ..., a_p, b_p of one random set, as floats:
+    p = rng.integers(*components), then 2p points rng.uniform(lo, hi), drawn
+    again while two neighbours are less than `gap` apart."""
+    size = 2 * int(rng.integers(*components))
+    while True:
+        points = sorted(rng.uniform(lo, hi, size).tolist())
+        if min(map(operator.sub, points[1:], points)) >= gap:
+            return points
+
+
+def interval_sets(rows, cutoff: float = 1.0) -> list[IntervalSet]:
+    """IntervalSet(lefts=row[0::2], rights=row[1::2], cutoff=cutoff) of every
+    row of endpoints a_1, b_1, ..., a_p, b_p, checked by one endpoint gate per
+    stack of rows with the same p rather than one per set."""
+    by_length, sets = defaultdict(list), [None] * len(rows)
+    for k, row in enumerate(rows):
+        by_length[len(row)].append(k)
+    for length, members in by_length.items():
+        if length == 0 or length % 2:
+            raise IntervalError("a row must hold 2p > 0 endpoints a_1, b_1, ..., a_p, b_p")
+        points = np.array([rows[k] for k in members], dtype=float)
+        _check_endpoints(points, cutoff)
+        for k, lefts, rights in zip(members, points[:, 0::2], points[:, 1::2]):
+            sets[k] = IntervalSet._gated(lefts, rights, cutoff)
+    return sets
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,22 +330,41 @@ def witness_table(sets: list[IntervalSet]) -> np.ndarray:
     own and one quadratic form over the family's endpoints:
     S(A_i u R(A_j)) = S(A_i) + S(A_j) + (1/6) sum_{k in A_i, l in A_j} t_k t_l log(x_k + x_l).
     """
-    lefts = np.concatenate([s.lefts for s in sets])
-    if lefts.min() < MIN_SEPARATION:
-        raise IntervalError("sets must lie strictly inside the positive half-line")
-    if len({s.cutoff for s in sets}) > 1:
-        raise IntervalError("cannot union interval sets with different cutoffs")
-    counts = np.array([s.num_intervals for s in sets])
-    x = np.concatenate([lefts] + [s.rights for s in sets])
-    owner = np.tile(np.repeat(np.arange(len(sets)), counts), 2)
-    # row i holds t_k on the endpoints of A_i and 0 elsewhere
-    signed = (owner == np.arange(len(sets))[:, None]).astype(float)
-    signed[:, lefts.size:] *= -1.0
-    cross = signed @ np.log(x[:, None] + x) @ signed.T
-    # 6 S(A_i): minus half the signed log-distances within A_i, minus p_i log eps
-    within = signed @ _log_distances(x, owner[:, None] == owner)
-    own = -0.5 * np.sum(within * signed, axis=1) - counts * math.log(sets[0].cutoff)
-    return (0.5 * (cross + cross.T) + (own[:, None] + own)) / 6.0
+    return witness_tables([sets])[0]
+
+
+def witness_tables(families: list[list[IntervalSet]]) -> list[np.ndarray]:
+    """witness_table of every family, from one stacked quadratic form per
+    family shape (the tuple of its sets' component counts).  The matrix
+    products run per family inside the stack, so a table is the same in any
+    stack."""
+    by_shape, tables = defaultdict(list), [None] * len(families)
+    for k, sets in enumerate(families):
+        by_shape[tuple(s.num_intervals for s in sets)].append(k)
+    for shape, members in by_shape.items():
+        group = [families[k] for k in members]
+        # row f: the lefts of family f's sets in order, then their rights
+        x = np.concatenate([np.array([getattr(sets[i], end) for sets in group])
+                            for end in ("lefts", "rights") for i in range(len(shape))], axis=1)
+        if not x[:, :x.shape[1] // 2].min() >= MIN_SEPARATION:
+            raise IntervalError("sets must lie strictly inside the positive half-line")
+        if any(len({s.cutoff for s in sets}) > 1 for sets in group):
+            raise IntervalError("cannot union interval sets with different cutoffs")
+        counts = np.array(shape)
+        owner = np.tile(np.repeat(np.arange(counts.size), counts), 2)
+        # row i holds t_k on the endpoints of A_i and 0 elsewhere
+        signed = (owner == np.arange(counts.size)[:, None]).astype(float)
+        signed[:, x.shape[1] // 2:] *= -1.0
+        cross = signed @ np.log(x[:, :, None] + x[:, None, :]) @ signed.T
+        # 6 S(A_i): minus half the signed log-distances within A_i, minus p_i log eps
+        within = signed @ _log_distances(x, owner[:, None] == owner)
+        log_cutoffs = np.array([math.log(sets[0].cutoff) for sets in group])
+        own = -0.5 * np.sum(within * signed, axis=-1) - counts * log_cutoffs[:, None]
+        stacked = (0.5 * (cross + np.swapaxes(cross, -1, -2))
+                   + (own[:, :, None] + own[:, None, :])) / 6.0
+        for k, table in zip(members, stacked):
+            tables[k] = table
+    return tables
 
 
 def witness_minimum(tables: list[np.ndarray], lams) -> float:

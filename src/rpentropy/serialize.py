@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from datetime import datetime, timezone
 
@@ -76,26 +77,37 @@ def write_fixture(out_dir: str, payload: dict) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> str:
+    """Write a table of plain names and numeric rows as csv.writer did:
+    comma-separated, a CRLF after every line, each field as its str.  A
+    Python float's str is its repr, and a numpy scalar's is a plain number.
+    The text is joined in one pass and written at once."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        handle.write("\r\n".join(lines) + "\r\n")
     return path
 
 
 def read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column numeric CSV (with optional header) -> (x, y) arrays."""
+    """Two-column numeric CSV (with optional header) -> (x, y) arrays.
+
+    A row whose first two cells are not numbers is skipped as a header.  A
+    nan or inf cell, or a file without numeric rows, raises ValueError that
+    names the file (and the row).
+    """
     xs, ys = [], []
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row or len(row) < 2:
                 continue
             try:
                 x, y = float(row[0]), float(row[1])
             except ValueError:
                 continue  # header line
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}: row {reader.line_num}: non-finite value in "
+                                 f"{row[:2]}")
             xs.append(x)
             ys.append(y)
     if not xs:

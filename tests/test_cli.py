@@ -494,6 +494,24 @@ class TestOptionBounds:
         assert "config error" in err and message in err
         assert not list(tmp_path.iterdir())
 
+    # an input table with a nan or inf cell, or with no numeric row, once
+    # reached scipy and exited 2; the error names the file and the row
+    TABLES = {"nan cell": ("x,y\n0.1,1.0\n0.2,nan\n0.3,1.2\n", "row 3: non-finite"),
+              "inf cell": ("0.1,1.0\n0.2,1.1\ninf,1.2\n", "row 3: non-finite"),
+              "no numeric row": ("x,y\na,b\n", "no numeric (x, y) rows")}
+
+    @pytest.mark.parametrize("flag", [["kl", "--input"], ["cft", "--f-table"]],
+                             ids=["kl", "cft"])
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_bad_input_table_config_error(self, tmp_path, capsys, flag, table):
+        text, message = self.TABLES[table]
+        path, out = tmp_path / "table.csv", tmp_path / "out"
+        path.write_text(text)
+        assert main(flag + [str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err and str(path) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", list(OPTIONS))
     def test_non_finite_config_tolerance(self, tmp_path, capsys, subcommand):
         # JSON config files may spell NaN; the converter refuses it there too
@@ -557,6 +575,30 @@ class TestSerializeHelpers:
         path.write_text("only,header\n")
         with pytest.raises(ValueError):
             read_xy_csv(str(path))
+
+    def test_write_csv_bytes_are_csv_writer(self, tmp_path):
+        # the one-pass join writes, byte for byte, what csv.writer wrote for
+        # Python ints and floats (a float as its repr), "\r\n" line ends included
+        import csv
+        import io
+        header = ["trial", "value", "other"]
+        rows = [(0, 0.5, -3), (1, float("inf"), 1e-300), (-2, -0.1, float("-inf")),
+                (3, 1e16, 123456789.12345679), (4, -0.0, 2.5e-17), (5, 1e-05, 0.0001)]
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        path = write_csv(str(tmp_path / "t.csv"), header, iter(rows))
+        assert Path(path).read_bytes() == expected.getvalue().encode()
+        assert Path(write_csv(str(tmp_path / "h.csv"), header, [])).read_bytes() == \
+            b"trial,value,other\r\n"
+
+    def test_write_csv_numpy_scalars_are_plain_numbers(self, tmp_path):
+        # a numpy float once went through repr: np.float64(0.5) under numpy 2
+        path = write_csv(str(tmp_path / "t.csv"), ["a", "b", "c", "d"],
+                         [(np.float64(0.5), np.int64(3), 0.25, np.float64(-1e-300))])
+        assert Path(path).read_bytes() == b"a,b,c,d\r\n0.5,3,0.25,-1e-300\r\n"
 
     def test_complex_round_trip(self):
         from rpentropy.serialize import decode_complex, encode_complex

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpentropy import fermion
-from rpentropy.fermion import (ChargeConfiguration, IntervalError, IntervalSet,
+from rpentropy.fermion import (MIN_SEPARATION, ChargeConfiguration, IntervalError, IntervalSet,
                                correlator_cauchy, correlator_wick, divisibility_witness,
                                entropy, gaussian_vertex_correlator, identity_rows,
-                               log_correlator_cauchy, renyi, witness_minimum, witness_record,
-                               witness_table)
+                               interval_sets, log_correlator_cauchy, random_endpoints, renyi,
+                               witness_minimum, witness_record, witness_table, witness_tables)
 from rpentropy.positivity import check_psd, three_set_inequality
 
 
@@ -19,6 +21,20 @@ def union_witness_table(sets):
     for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
         table[i, j] = table[j, i] = entropy(sets[i].union(sets[j].reflected()))
     return table
+
+
+def plain_witness_table(sets):
+    """The witness table's quadratic form for one family, as 2-D products."""
+    lefts = np.concatenate([s.lefts for s in sets])
+    counts = np.array([s.num_intervals for s in sets])
+    x = np.concatenate([lefts] + [s.rights for s in sets])
+    owner = np.tile(np.repeat(np.arange(len(sets)), counts), 2)
+    signed = (owner == np.arange(len(sets))[:, None]).astype(float)
+    signed[:, lefts.size:] *= -1.0
+    cross = signed @ np.log(x[:, None] + x) @ signed.T
+    within = signed @ fermion._log_distances(x, owner[:, None] == owner)
+    own = -0.5 * np.sum(within * signed, axis=1) - counts * math.log(sets[0].cutoff)
+    return (0.5 * (cross + cross.T) + (own[:, None] + own)) / 6.0
 
 
 def random_set(rng, p, lo=0.0, hi=10.0, cutoff=1.0, min_gap=1e-3):
@@ -47,6 +63,70 @@ class TestIntervalSet:
     def test_union_sorts(self):
         s = IntervalSet.from_pairs([(4, 5)]).union(IntervalSet.from_pairs([(1, 2)]))
         assert np.allclose(s.lefts, [1, 4])
+
+
+def same_sets(got, want):
+    return all(a.lefts.tobytes() == b.lefts.tobytes() and a.rights.tobytes() == b.rights.tobytes()
+               and a.cutoff == b.cutoff for a, b in zip(got, want)) and len(got) == len(want)
+
+
+class TestStackedDraws:
+    """random_endpoints + interval_sets, the fermion CLI's draw, against one
+    random_set per set interleaved with rng.integers as cmd_fermion calls it."""
+
+    @pytest.mark.parametrize("components, lo, hi, gap", [
+        ((1, 9), 0.0, 10.0, 1e-3),   # the identity sets, up to the Wick limit
+        ((1, 3), 0.1, 20.0, 1e-2),   # the witness sets
+        ((1, 9), 0.0, 10.0, 0.2)])   # frequent redraws
+    def test_stream_identity(self, components, lo, hi, gap):
+        for seed in range(4):
+            stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = interval_sets([random_endpoints(stacked, components, lo, hi, gap)
+                                 for _ in range(40)], 0.7)
+            want = [random_set(single, int(single.integers(*components)), lo, hi, 0.7, gap)
+                    for _ in range(40)]
+            assert same_sets(got, want)
+            # witness families: a family size, then each set's component count
+            draws = [[random_endpoints(stacked, components, lo, hi, gap)
+                      for _ in range(int(stacked.integers(2, 4)))] for _ in range(20)]
+            got = interval_sets([row for rows in draws for row in rows], 0.7)
+            want = [s for _ in range(20) for s in
+                    [random_set(single, int(single.integers(*components)), lo, hi, 0.7, gap)
+                     for _ in range(int(single.integers(2, 4)))]]
+            assert same_sets(got, want)
+            assert stacked.bit_generator.state == single.bit_generator.state
+
+    # gaps between neighbouring endpoints, around MIN_SEPARATION and out of order
+    GAPS = st.sampled_from([0.0, 0.5 * MIN_SEPARATION, MIN_SEPARATION, 2 * MIN_SEPARATION,
+                            0.25, 3.0, -0.5, math.inf, math.nan])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # inf - inf
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 4), count=st.integers(1, 4), start=st.floats(-5.0, 5.0),
+           cutoff=st.sampled_from([1.0, 0.3, math.inf, 0.0, -1.0, math.nan]), data=st.data())
+    def test_stacked_gate_matches_interval_set(self, p, count, start, cutoff, data):
+        # one gate per stack raises what IntervalSet raises on its worst row:
+        # a separation failure before a cutoff failure, as within one set
+        rows = [(start + np.cumsum(data.draw(st.lists(self.GAPS, min_size=2 * p,
+                                                      max_size=2 * p)))).tolist()
+                for _ in range(count)]
+        messages, singles = [], []
+        for row in rows:
+            try:
+                singles.append(IntervalSet(lefts=row[0::2], rights=row[1::2], cutoff=cutoff))
+            except IntervalError as exc:
+                messages.append(str(exc))
+        if not messages:
+            assert same_sets(interval_sets(rows, cutoff), singles)
+            return
+        with pytest.raises(IntervalError) as raised:
+            interval_sets(rows, cutoff)
+        assert str(raised.value) == min(messages, key=lambda m: "cutoff" in m)
+
+    def test_odd_or_empty_row_refused(self):
+        for row in ([1.0, 2.0, 3.0], []):
+            with pytest.raises(IntervalError, match="2p > 0 endpoints"):
+                interval_sets([[0.5, 0.75], row])
 
 
 class TestEntropy:
@@ -317,6 +397,24 @@ class TestDivisibilityWitness:
         assert witness_minimum([], lams) == math.inf
         with pytest.raises(ValueError, match="lam must be positive"):
             witness_minimum(tables, [1.0, 0.0])
+
+    def test_stacked_tables_equal_single_tables(self):
+        # one quadratic form per family shape, stacked over families of
+        # mixed component counts and cutoffs, is bit for bit each family's
+        # alone and the one-family 2-D products
+        rng = np.random.default_rng(23)
+        families = []
+        for _ in range(150):
+            cutoff = float(rng.choice([1.0, 0.6, 2.5]))
+            families.append([random_set(rng, int(rng.integers(1, 4)), lo=0.1, hi=20.0,
+                                        cutoff=cutoff, min_gap=1e-2)
+                             for _ in range(int(rng.integers(1, 5)))])
+        tables = witness_tables(families)
+        assert len({tuple(s.num_intervals for s in f) for f in families}) > 20
+        assert [t.tobytes() for t in tables] == [witness_table(f).tobytes() for f in families]
+        assert [t.tobytes() for t in tables] == [plain_witness_table(f).tobytes()
+                                                 for f in families]
+        assert witness_tables([]) == []
 
     def test_mixed_cutoffs_refused(self):
         sets = [IntervalSet.from_pairs([(1, 2)]), IntervalSet.from_pairs([(3, 4)], cutoff=0.5)]
