@@ -331,11 +331,11 @@ def cmd_fermion(opts, argv) -> int:
 # ------------------------------------------------------------------------- kl
 
 def _read_table(path: str) -> tuple:
-    """read_xy_csv, with a malformed table (non-finite or no numeric rows) as a
-    config error."""
+    """read_xy_csv, with a table that cannot be read (missing or unreadable
+    file) or is malformed (non-finite or no numeric rows) as a config error."""
     try:
         return read_xy_csv(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -406,7 +406,10 @@ def cmd_cft(opts, argv) -> int:
     grid_points = opts["grid_points"]
     if f_table:
         xs, fs = _read_table(f_table)
-        func = CrossRatioFunction.from_table(xs, fs, name=os.path.basename(f_table))
+        try:
+            func = CrossRatioFunction.from_table(xs, fs, name=os.path.basename(f_table))
+        except ValueError as exc:  # x not strictly increasing, or F <= 0
+            raise ConfigError(f"{f_table}: {exc}") from exc
     else:
         func = CrossRatioFunction.ones()
     q = twist_exponent(opts["central_charge"], n)
@@ -489,7 +492,7 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, FileNotFoundError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

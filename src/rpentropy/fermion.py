@@ -340,6 +340,8 @@ def witness_tables(families: list[list[IntervalSet]]) -> list[np.ndarray]:
     stack."""
     by_shape, tables = defaultdict(list), [None] * len(families)
     for k, sets in enumerate(families):
+        if not sets:
+            raise IntervalError(f"witness family {k} is empty: a family needs an interval set")
         by_shape[tuple(s.num_intervals for s in sets)].append(k)
     for shape, members in by_shape.items():
         group = [families[k] for k in members]

@@ -9,6 +9,7 @@ det B >= 0) can fail, and the search hunts for such violating instances.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
@@ -31,12 +32,21 @@ SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
 TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
-# a theorem_sweep block closes once its pair matrices reach this many
-# entries, which bounds the sweep's memory for any plan length and split
-# size.  A block is also the least work a pool worker gets: on 2 cores one
-# takes about 30 ms, against about 17 ms to start a fresh 2-worker pool, so
-# a tail under half a block joins the block before it.
+# a theorem_sweep block holds at most this many pair-matrix entries (one
+# instance may exceed it alone), which bounds the sweep's memory for any
+# plan length and split size
 SWEEP_BLOCK_ENTRIES = 1 << 17
+# the cost model of sweep blocks: an instance costs its m(m+1)/2 d^2 pair
+# entries plus this many entries' worth of fixed work (draw, Haar step,
+# verdict).  40-instance blocks of 2-4 subsystems, one BLAS thread on a
+# 2-core x86_64 machine, took 2.8-3.2 ms for 4,000 entries at d = 4 and
+# 14.4-14.7 ms for 64,000 at d = 16: about 0.2 us per entry and a fixed
+# 260-330 entries per instance.  The two blocks of the benchmark's
+# 200-instance criterion-1 mix then take 15.2 ms each.  A plan that costs
+# less than SWEEP_BLOCK_ENTRIES // 8 (about 3 ms) stays one block in the
+# calling process, where a pool task's round trip (about 1 ms to start a
+# warm worker) would not pay.
+SWEEP_INSTANCE_ENTRIES = 320
 # one stacked call of the search or of an entropy table holds at most this
 # many pair-matrix entries: a search block of trials, or the pairs of one
 # shape reduced together.  At 64 KB per complex temporary a stack stays in
@@ -596,24 +606,63 @@ def _run_blocks(task) -> list:
     return [worker(*block, *args) for block in blocks]
 
 
+_POOL = {}  # jobs -> the live executor of jobs - 1 workers; at most one entry
+
+
+def _worker_pool(jobs: int, fresh: bool = False):
+    """The process's executor of jobs - 1 workers, built on first use and
+    kept for later calls; built anew when jobs changes or `fresh` is set."""
+    if fresh or jobs not in _POOL:
+        from concurrent.futures import ProcessPoolExecutor
+
+        _shutdown_pool()
+        _POOL[jobs] = ProcessPoolExecutor(max_workers=jobs - 1)
+    return _POOL[jobs]
+
+
+@atexit.register
+def _shutdown_pool():
+    """Stop and join the workers, if any.  Registered at exit, so that no
+    executor outlives the modules its finalizers use."""
+    for pool in _POOL.values():
+        pool.shutdown()
+    _POOL.clear()
+
+
+def _pool_runs(tasks: list, jobs: int) -> list:
+    """The outputs of every task, in order: the first task runs in this
+    process while the pool runs the rest.  A pool that breaks (a worker
+    died) is replaced, and the new one runs this call's pool tasks again."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    def submit(fresh=False):
+        pool = _worker_pool(jobs, fresh)
+        return [pool.submit(_run_blocks, task) for task in tasks[1:]]
+
+    try:
+        futures = submit()
+    except BrokenProcessPool:
+        futures = submit(fresh=True)
+    runs = [_run_blocks(tasks[0])]
+    try:
+        return runs + [future.result() for future in futures]
+    except BrokenProcessPool:
+        return runs + [future.result() for future in submit(fresh=True)]
+
+
 def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
     """worker(*block, *args) on each block, merged in block order: the one
     merge of block results.  Of the output tuples, array fields are
     concatenated along their first axis and list fields joined.
 
     Runs of ceil(len(blocks) / jobs) blocks are one task each.  One task
-    (jobs = 1, or a single block) runs in this process; more start a fresh
-    process pool with a worker per task.
+    (jobs = 1, or a single block) runs in this process; with more, this
+    process runs the first and the process's pool of jobs - 1 workers
+    (`_worker_pool`) the others.
     """
     size = -(-len(blocks) // jobs)
     tasks = [(worker, blocks[k:k + size], args) for k in range(0, len(blocks), size)]
-    if len(tasks) == 1:
-        runs = map(_run_blocks, tasks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            runs = list(pool.map(_run_blocks, tasks))
+    runs = _pool_runs(tasks, jobs) if len(tasks) > 1 else [_run_blocks(tasks[0])]
     outputs = [output for run in runs for output in run]
     return tuple(np.concatenate(field) if isinstance(field[0], np.ndarray)
                  else list(itertools.chain.from_iterable(field)) for field in zip(*outputs))
@@ -793,17 +842,19 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     numbered from trial_offset.  Every n must be an integer >= 1, and every
     (instance, n) pair must come out PSD within -tol * ||G||; any violation
     is collected (a numerics bug, not physics).  The plan is validated and
-    blocked once, here (`_sweep_blocks`); `_pool_map` runs the blocks
-    (`_sweep_block`) and merges them, in this process when the plan is one
-    block or jobs = 1.  Instance streams make the result the same to the
-    last bit for any block boundaries and any `jobs`; the worst check is
-    the first one at the minimum, in instance and then n order.
+    cut into blocks of equal estimated cost once, here (`_sweep_blocks`);
+    `_pool_map` runs the blocks (`_sweep_block`) and merges them, in this
+    process when jobs = 1 or the plan is under the one-block floor.
+    Instance streams make the result the same to the last bit for any block
+    boundaries and any `jobs`; the worst check is the first one at the
+    minimum, in instance and then n order.
     """
     n_values = list(n_values)
     if any(int(n) != n or n < 1 for n in n_values):  # a trace power needs n >= 1
         raise ValueError(f"Renyi indices must be integers >= 1, got {n_values}")
     n_values = [int(n) for n in n_values]
-    blocks = [(trial_offset + start, block) for start, block in _sweep_blocks(dims_by_instance)]
+    blocks = [(trial_offset + start, block)
+              for start, block in _sweep_blocks(dims_by_instance, jobs)]
     min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
                                              master_seed, tol)
     dims = [splits for _, block in blocks for splits in block]
@@ -824,30 +875,44 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
 theorem_sweep_parallel = theorem_sweep
 
 
-def _sweep_blocks(dims_by_instance) -> list:
-    """The plan as [(first instance, [validated dims tuple, ...]), ...].
+def _sweep_blocks(dims_by_instance, jobs: int) -> list:
+    """The plan as [(first instance, [validated dims tuple, ...]), ...]:
+    contiguous blocks of about equal estimated cost (SWEEP_INSTANCE_ENTRIES
+    plus its pair entries per instance), each cut at the instance boundary
+    nearest its share of the plan's cost.
 
-    A block closes once its instances' pair matrices reach
-    SWEEP_BLOCK_ENTRIES entries; a tail under half that joins the block
-    before it, so a block is at least half the budget unless it is the
-    plan's only one.  An empty plan raises ValueError.
+    A plan that costs less than SWEEP_BLOCK_ENTRIES // 8 is one block.
+    Otherwise the block count is the least multiple of jobs that keeps
+    every block of two or more instances within SWEEP_BLOCK_ENTRIES pair
+    entries, so each of the `_pool_map` runs gets the same number of
+    blocks; one instance per block if no such count is below the plan's
+    length.  An empty plan raises ValueError.
     """
-    blocks, block, entries, start, seen = [], [], 0, 0, {}
+    plan, seen = [], {}
     for dims in dims_by_instance:
         checked = tuple(_validated_dims(dims))
-        block.append(seen.setdefault(checked, checked))  # repeated dims share one tuple
-        m, d = len(checked), checked[0][0] * checked[0][1]
-        entries += m * (m + 1) // 2 * d * d
-        if entries >= SWEEP_BLOCK_ENTRIES:
-            blocks.append((start, block))
-            start, block, entries = start + len(block), [], 0
-    if blocks and 2 * entries < SWEEP_BLOCK_ENTRIES:
-        blocks[-1][1].extend(block)
-    elif block:
-        blocks.append((start, block))
-    if not blocks:
+        plan.append(seen.setdefault(checked, checked))  # repeated dims share one tuple
+    if not plan:
         raise ValueError("the sweep plan is empty")
-    return blocks
+    entries = np.array([len(dims) * (len(dims) + 1) // 2 * (dims[0][0] * dims[0][1]) ** 2
+                        for dims in plan])
+    # bounds[b] is the cost of the first b instances
+    bounds = np.concatenate(([0], np.cumsum(entries + SWEEP_INSTANCE_ENTRIES)))
+    count = 1
+    if bounds[-1] >= SWEEP_BLOCK_ENTRIES // 8:
+        count = jobs * -(-int(entries.sum()) // (jobs * SWEEP_BLOCK_ENTRIES))
+    while count < len(plan):
+        shares = bounds[-1] * np.arange(1, count) / count
+        after = np.searchsorted(bounds, shares)  # the first boundary at or past each share
+        nearer = bounds[after] - shares <= shares - bounds[after - 1]
+        cuts = np.unique(np.concatenate(([0], np.where(nearer, after, after - 1), [len(plan)])))
+        sizes = np.add.reduceat(entries, cuts[:-1])
+        if not np.any((sizes > SWEEP_BLOCK_ENTRIES) & (np.diff(cuts) > 1)):
+            break
+        count += jobs
+    else:
+        cuts = np.arange(len(plan) + 1)
+    return [(start, plan[start:stop]) for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
 
 
 def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> tuple:

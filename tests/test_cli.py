@@ -512,6 +512,30 @@ class TestOptionBounds:
         assert "config error" in err and message in err and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["kl", "--input"], ["cft", "--f-table"]],
+                             ids=["kl", "cft"])
+    def test_missing_input_table_config_error(self, tmp_path, capsys, flag):
+        # FileNotFoundError once exited 2, as a numerics failure
+        path, out = tmp_path / "missing.csv", tmp_path / "out"
+        assert main(flag + [str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "No such file" in err and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,F\n0.3,1.0\n0.2,1.1\n0.1,1.2\n", "strictly increasing"),
+        ("0.1,1.0\n0.2,1.0\n0.2,1.1\n", "strictly increasing"),
+        ("0.1,1.0\n0.2,0.0\n0.3,1.1\n", "must be positive"),
+    ], ids=["decreasing x", "repeated x", "zero F"])
+    def test_bad_f_table_config_error(self, tmp_path, capsys, text, message):
+        # CrossRatioFunction.from_table's ValueError once exited 2
+        path, out = tmp_path / "f.csv", tmp_path / "out"
+        path.write_text(text)
+        assert main(["cft", "--f-table", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err and str(path) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", list(OPTIONS))
     def test_non_finite_config_tolerance(self, tmp_path, capsys, subcommand):
         # JSON config files may spell NaN; the converter refuses it there too

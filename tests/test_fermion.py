@@ -416,6 +416,16 @@ class TestDivisibilityWitness:
                                                  for f in families]
         assert witness_tables([]) == []
 
+    def test_empty_family_refused(self):
+        # numpy's "need at least one array to concatenate" once surfaced here
+        a = IntervalSet.from_pairs([(1, 2)])
+        with pytest.raises(IntervalError, match="witness family 0 is empty"):
+            witness_table([])
+        with pytest.raises(IntervalError, match="witness family 0 is empty"):
+            divisibility_witness([], lam=1.0)
+        with pytest.raises(IntervalError, match="witness family 1 is empty"):
+            witness_tables([[a], [], [a, a]])
+
     def test_mixed_cutoffs_refused(self):
         sets = [IntervalSet.from_pairs([(1, 2)]), IntervalSet.from_pairs([(3, 4)], cutoff=0.5)]
         with pytest.raises(IntervalError, match="cutoffs"):

@@ -1,7 +1,12 @@
 import functools
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +44,29 @@ def svd_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
     x = _pair_matrix(psi.schmidt_values, split_i.matrix, split_j.matrix,
                      (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
     return np.linalg.svd(x, compute_uv=False) ** 2
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """A stand-in executor: records the worker count of each pool built and
+    runs each submitted call in this process, so no process starts."""
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 def random_gram(seed, m1=3, n=2, d_a=2, d_b=2):
@@ -917,14 +945,45 @@ class TestTheoremSweep:
                 parallel = theorem_sweep(plan, [2, 3, 5], master_seed=21, tol=-0.5, jobs=jobs)
                 assert asdict(parallel) == reference
 
-    def test_small_tail_joins_the_block_before_it(self, monkeypatch):
-        # a 2 x 2x2 instance has 3 pairs of 16 entries: 48 of a 100 budget,
-        # so blocks close every 3 instances, and a tail of one is under half
-        monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 100)
-        for count, sizes in ((1, [1]), (3, [3]), (7, [3, 4]), (8, [3, 3, 2])):
-            blocks = list(positivity._sweep_blocks([[(2, 2)] * 2] * count))
-            assert [len(block) for _, block in blocks] == sizes
-            assert [start for start, _ in blocks] == [0, 3, 6][:len(sizes)]
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_blocks_partition_the_plan_at_equal_cost(self, monkeypatch, jobs):
+        # a d-sorted mix of 2-4 subsystems at d = 4, 6, 8, 9 and 16, as in
+        # criterion 1: instance costs differ by a factor of 7
+        rng = np.random.default_rng(jobs)
+        pools = [[(2, 2)], [(2, 3), (3, 2)], [(2, 4), (4, 2)], [(3, 3)], [(4, 4), (2, 8)]]
+        plan = [tuple(pool[k % len(pool)] for k in range(m))
+                for pool in pools for m in rng.integers(2, 5, 40).tolist()]
+        entries = np.array([len(dims) * (len(dims) + 1) // 2 * (dims[0][0] * dims[0][1]) ** 2
+                            for dims in plan])
+        cost = entries + positivity.SWEEP_INSTANCE_ENTRIES
+        for budget in (1 << 17, 20000, 4000):
+            monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", budget)
+            blocks = positivity._sweep_blocks([list(dims) for dims in plan], jobs)
+            starts = [start for start, _ in blocks]
+            stops = starts[1:] + [len(plan)]
+            # contiguous and in order, and together the whole plan
+            assert starts[0] == 0 and all(start < stop for start, stop in zip(starts, stops))
+            assert [dims for _, block in blocks for dims in block] == plan
+            # the least multiple of jobs that can hold the entries, or more
+            least = jobs * -(-int(entries.sum()) // (jobs * budget))
+            assert len(blocks) % jobs == 0 and len(blocks) >= least
+            assert len(blocks) == least or budget < 1 << 17
+            assert max(entries[a:b].sum() for a, b in zip(starts, stops)) <= budget
+            costs = np.array([cost[a:b].sum() for a, b in zip(starts, stops)])
+            assert np.abs(costs - cost.sum() / len(blocks)).max() <= cost.max()
+
+    def test_a_plan_under_the_floor_is_one_block(self):
+        # a 2 x 2x2 instance costs 48 entries plus the fixed 320: 44 of them
+        # stay under SWEEP_BLOCK_ENTRIES // 8, and 45 do not
+        per = 48 + positivity.SWEEP_INSTANCE_ENTRIES
+        under = positivity.SWEEP_BLOCK_ENTRIES // 8 // per
+        assert under == 44
+        for jobs in (1, 2, 4):
+            assert len(positivity._sweep_blocks([[(2, 2)] * 2] * under, jobs)) == 1
+            assert len(positivity._sweep_blocks([[(2, 2)] * 2] * (under + 1), jobs)) == jobs
+        # one instance over the budget is a block of its own
+        big = [[(16, 16)] * 3]
+        assert [start for start, _ in positivity._sweep_blocks(big * 3, 2)] == [0, 1, 2]
 
     def test_sweep_draws_the_search_instance(self):
         # the stacked sweep must give exactly the Gram of per-pair trace
@@ -981,43 +1040,32 @@ class TestTheoremSweep:
         with pytest.raises(ValueError, match="at least two subsystems"):
             theorem_sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
 
-    def test_pool_gets_the_validated_blocks_one_worker_each(self, monkeypatch):
-        # a stand-in executor records its size and maps in this process, so
-        # no process starts; the plan is validated once, before the pool
-        import concurrent.futures
-        sizes, validated = [], []
+    def test_pool_keeps_jobs_minus_one_workers(self, serial_pools, monkeypatch):
+        # the plan is validated once, before the pool; a stand-in executor
+        # records each pool's size and runs its tasks in this process
+        validated = []
         validate = positivity._validated_dims
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, worker, tasks):
-                return list(map(worker, tasks))
 
         def recording(dims):
             validated.append(dims)
             return validate(dims)
 
-        plan = [[(2, 2)] * 2] * 6
+        # 416 entries of cost per 3 x 2x2 instance: 200 are over the floor
+        plan = [[(2, 2)] * 3] * 200
         reference = asdict(theorem_sweep(plan, [2, 3], master_seed=5))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert serial_pools == []
         monkeypatch.setattr(positivity, "_validated_dims", recording)
-        # 48 entries per instance: two blocks of three
-        monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 100)
-        assert asdict(theorem_sweep(plan, [2, 3], master_seed=5, jobs=4)) == reference
-        assert sizes == [2] and len(validated) == len(plan)
-        sizes.clear()
-        # 48 entries per 2 x 2x2 trial: three trials are three blocks
+        for _ in range(2):
+            assert asdict(theorem_sweep(plan, [2, 3], master_seed=5, jobs=4)) == reference
+        assert serial_pools == [3] and len(validated) == 2 * len(plan)
+        # 48 entries per 2 x 2x2 trial: three trials are three blocks, and
+        # five jobs replace the pool of three workers
         monkeypatch.setattr(positivity, "STACK_ENTRIES", 48)
         counterexample_search(SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1), jobs=5)
-        assert sizes == [3]
+        assert serial_pools == [3, 4]
+        # a plan under the floor runs in this process at any jobs
+        theorem_sweep([[(2, 2)] * 2] * 44, [2, 3], master_seed=5, jobs=3)
+        assert serial_pools == [3, 4] and list(positivity._POOL) == [5]
 
     def test_empty_plan_and_empty_n(self):
         # a plan of no instances has no minimum to report (it once returned
@@ -1031,55 +1079,80 @@ class TestTheoremSweep:
 
 
 class TestPoolMap:
-    """`_pool_map` is the one merge of block results; a stand-in executor
-    records each pool it would start and maps in this process."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        import concurrent.futures
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, worker, tasks):
-                return list(map(worker, tasks))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        return sizes
+    """`_pool_map` is the one merge of block results.  It runs the first
+    run of blocks in this process and the others on a pool of jobs - 1
+    worker processes that lives until jobs changes, the pool breaks or the
+    interpreter exits."""
 
     @staticmethod
     def worker(k, tag):
-        # outputs of k rows: a (k, 2) array, a (k,) array and a k-item list
+        # outputs of k rows: a (k, 2) array, a (k,) array, a k-item list and
+        # the process that ran it, k times
         rows = 10 * k + np.arange(k)
-        return np.stack((rows, -rows), axis=-1), rows.astype(float), [f"{tag}{k}"] * k
+        return (np.stack((rows, -rows), axis=-1), rows.astype(float), [f"{tag}{k}"] * k,
+                [os.getpid()] * k)
 
-    def test_outputs_merge_in_block_order(self, pools):
+    def test_caller_runs_the_first_run_and_the_pool_stays(self):
         blocks = [(3,), (0,), (1,), (4,)]
         rows = np.array([30, 31, 32, 10, 40, 41, 42, 43])
         labels = ["b3"] * 3 + ["b1"] + ["b4"] * 4
-        for jobs, started in ((1, []), (2, [2]), (5, [4])):
-            pools.clear()
-            pairs, values, names = positivity._pool_map(self.worker, blocks, jobs, "b")
+        pools = []
+        # the first run is ceil(4 / jobs) blocks: all 8 rows at jobs = 1,
+        # else the 3 rows of block (3,) and the empty (0,)
+        for jobs, first in ((1, 8), (2, 3), (2, 3), (3, 3), (5, 3)):
+            pairs, values, names, pids = positivity._pool_map(self.worker, blocks, jobs, "b")
             assert np.array_equal(pairs, np.stack((rows, -rows), axis=-1))
             assert np.array_equal(values, rows) and values.dtype == float
-            assert names == labels and pools == started
+            assert names == labels
+            assert pids[:first] == [os.getpid()] * first and os.getpid() not in pids[first:]
+            pools.append(positivity._POOL.get(jobs))
+        assert pools[0] is None and pools[1] is pools[2]
+        assert len({id(pool) for pool in pools[1:]}) == 3 and list(positivity._POOL) == [5]
 
-    def test_one_block_builds_no_pool(self, pools):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_killed_worker_is_replaced(self, monkeypatch, jobs):
+        # one pool task per worker: the replacement pool is built once and
+        # runs every pool task of the call
+        import concurrent.futures
+        built = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        plan = [[(2, 2)] * 3] * 200
+        reference = asdict(theorem_sweep(plan, [2, 3], master_seed=8))
+        assert len(positivity._sweep_blocks(plan, jobs)) == jobs
+        assert asdict(theorem_sweep(plan, [2, 3], master_seed=8, jobs=jobs)) == reference
+        pool = positivity._POOL[jobs]
+        os.kill(pool.submit(os.getpid).result(), signal.SIGKILL)
+        assert asdict(theorem_sweep(plan, [2, 3], master_seed=8, jobs=jobs)) == reference
+        assert positivity._POOL[jobs] is not pool and built == [jobs - 1] * 2
+
+    def test_interpreter_exit_joins_the_workers(self):
+        # the pool is shut down at exit: the child exits 0 with nothing on
+        # stderr, and its worker is gone when it has exited
+        script = ("import os\nfrom rpentropy import positivity\n"
+                  "positivity.theorem_sweep([[(2, 2)] * 3] * 200, [2, 3], 1, jobs=2)\n"
+                  "print(positivity._POOL[2].submit(os.getpid).result())\n")
+        src = str(Path(positivity.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0 and out.stderr == ""
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(out.stdout), 0)
+
+    def test_one_block_builds_no_pool(self, serial_pools):
         # 3 x 2x2 search trials: 42 to a block; a 2 x 2x2 sweep instance
         # has 48 of the sweep block's 2^17 entries
         report = counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=42,
                                                     master_seed=1), jobs=4)
         sweep = theorem_sweep([[(2, 2)] * 2] * 20, [2, 3], master_seed=1, jobs=4)
         assert report.trials_run == 42 and sweep.checks == 40
-        assert pools == []
+        assert serial_pools == []
 
     def test_one_sweep_function(self):
         assert theorem_sweep_parallel is theorem_sweep
