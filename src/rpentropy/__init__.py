@@ -33,10 +33,9 @@ _EXPORTS = {
                    "schur_power", "theorem_sweep", "theorem_sweep_parallel",
                    "three_set_inequality", "verify_witness"),
     "reflected": ("ReflectedDensity", "SubsystemSplit", "TwistOperatorSet",
-                  "brute_force_reflected", "marginals", "mutual_information",
                   "reflected_density", "renyi_entropy", "twist_operators", "von_neumann"),
     "spectral": ("EntropyCurve", "SpectralDensity", "decay_rate", "derivative_checks",
-                 "fit_power_density", "fit_spectral", "fitted_power_exponent", "forward"),
+                 "fit_power_density", "fit_spectral", "forward"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

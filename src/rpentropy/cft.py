@@ -15,6 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+SYMMETRY_TOL = 1e-9     # validate: the largest |F(x) - F(1-x)| of a symmetric F
+SYMMETRY_SAMPLES = 101  # validate: mirror points x, up to x = 1/2
+FD_STEP = 1e-5          # derivative check: central-difference step over min(x, 1-x)
+
 
 @dataclass(frozen=True)
 class TwoIntervalConfig:
@@ -83,7 +87,7 @@ class CrossRatioFunction:
         return cls(evaluator=evaluator, name=name,
                    domain=(float(x_values[0]), float(x_values[-1])))
 
-    def validate(self, tol: float = 1e-9, num: int = 101) -> dict:
+    def validate(self) -> dict:
         """Check the crossing symmetry F(x) = F(1-x) and the F(0+) -> 1 limit.
 
         Symmetry is tested on mirror pairs inside the domain; the limit check
@@ -91,9 +95,9 @@ class CrossRatioFunction:
         """
         lo = max(self.domain[0], 1e-4)
         hi = min(self.domain[1], 1.0 - 1e-4)
-        xs = np.linspace(max(lo, 1.0 - hi), 0.5, num)
+        xs = np.linspace(max(lo, 1.0 - hi), 0.5, SYMMETRY_SAMPLES)
         sym_dev = float(np.max(np.abs(self(xs) - self(1.0 - xs))))
-        report = {"symmetry_deviation": sym_dev, "symmetric": sym_dev <= tol}
+        report = {"symmetry_deviation": sym_dev, "symmetric": sym_dev <= SYMMETRY_TOL}
         if self.domain[0] <= 1e-4:
             f0 = float(self(np.array([1e-4]))[0])
             report["limit_at_zero"] = f0
@@ -137,7 +141,7 @@ class InequalityReport:
 
 
 def check_derivative_inequality(func: CrossRatioFunction, q: float, grid,
-                                tol: float = 1e-10, step: float = 1e-5) -> InequalityReport:
+                                tol: float = 1e-10) -> InequalityReport:
     """Monotonicity inequality: d/dx [F(x)/(1-x)^q] >= 0 on the grid.
 
     Central differences with relative step, cross-checked by Richardson
@@ -147,7 +151,7 @@ def check_derivative_inequality(func: CrossRatioFunction, q: float, grid,
     xs = np.asarray(grid, dtype=float)
     if np.any(xs <= 0) or np.any(xs >= 1):
         raise ValueError("grid must lie strictly inside (0, 1)")
-    h = step * np.minimum(xs, 1.0 - xs)
+    h = FD_STEP * np.minimum(xs, 1.0 - xs)
     d_h = (_ratio(func, q, xs + h) - _ratio(func, q, xs - h)) / (2.0 * h)
     d_h2 = (_ratio(func, q, xs + h / 2) - _ratio(func, q, xs - h / 2)) / h
     richardson = (4.0 * d_h2 - d_h) / 3.0

@@ -346,7 +346,11 @@ def cmd_kl(opts, argv) -> int:
     input_csv, lam, grid_points = opts["input"], opts["lam"], opts["grid_points"]
     if input_csv:
         xs, s_vals = _read_table(input_csv)
-        curve = EntropyCurve(x=xs, s=s_vals, lam=lam)
+        try:  # too few rows for second differences, or an x not positive and distinct
+            curve = EntropyCurve(x=xs, s=s_vals, lam=lam)
+            deriv = derivative_checks(curve, tol=1e-6)
+        except ValueError as exc:
+            raise ConfigError(f"{input_csv}: {exc}") from exc
         truth = None
         grid = fit_grid(curve.x, grid_points)[0]
     else:
@@ -357,9 +361,9 @@ def cmd_kl(opts, argv) -> int:
                                  weights=np.array([0.5, 0.3]))
         y = forward(spikes, xs)
         curve = EntropyCurve(x=xs, s=-np.log(y) / lam, lam=lam)
+        deriv = derivative_checks(curve, tol=1e-6)
         truth = spikes
     density, fit_report = fit_spectral(curve, grid, ridge=opts["ridge"])
-    deriv = derivative_checks(curve, tol=1e-6)
     gap_edge = math.sqrt(density.p2_grid[np.flatnonzero(density.weights)[0]]) \
         if np.any(density.weights > 0) else 0.0
     rate = None

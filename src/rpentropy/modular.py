@@ -8,7 +8,7 @@ eigenbasis, so the purified vector equals vec(sqrt(rho)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,13 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, full-rank (invertible) state on a d-dim space."""
+    """Hermitian, unit-trace, full-rank (invertible) state on a d-dim space, with
+    the eigendecomposition (ascending) of the symmetrized entries its rank gate checks."""
 
     dim: int
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
@@ -61,11 +64,13 @@ class DensityMatrix:
             raise InvalidStateError(f"expected shape {(self.dim, self.dim)}, got {mat.shape}")
         _check_hermitian(mat, HERMITICITY_TOL, "density matrix")
         _check_unit_trace(np.trace(mat), "density matrix trace")
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        eigs, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
         if not eigs.min() >= RANK_FLOOR:
             raise InvalidStateError(f"state not invertible: smallest eigenvalue "
                                     f"{eigs.min():.3e} below rank floor {RANK_FLOOR:.0e}")
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "eigenvectors", vecs)
 
     @classmethod
     def from_matrix(cls, mat) -> "DensityMatrix":
@@ -90,35 +95,26 @@ class PurifiedState:
     def h2_basis(self) -> np.ndarray:
         return self.eigenbasis.conj()
 
-    def purified_matrix(self, h2_basis: np.ndarray | None = None) -> np.ndarray:
+    def purified_matrix(self) -> np.ndarray:
         """Purified vector as a (d, d) matrix over (H1, H2) computational
         indices: (U sqrt(lam)) U2^T, U2 the H2 basis."""
-        u2 = self.h2_basis if h2_basis is None else h2_basis
-        return (self.eigenbasis * np.sqrt(self.schmidt_values)) @ u2.T
+        return (self.eigenbasis * np.sqrt(self.schmidt_values)) @ self.h2_basis.T
 
-    def vector(self, h2_basis: np.ndarray | None = None) -> np.ndarray:
+    def vector(self) -> np.ndarray:
         """Purified vector in computational coordinates (length d**2)."""
-        return self.purified_matrix(h2_basis).reshape(-1)
-
-    def reconstruct_density(self) -> np.ndarray:
-        u = self.eigenbasis
-        return (u * self.schmidt_values) @ u.conj().T
+        return self.purified_matrix().reshape(-1)
 
 
 def purify(rho: DensityMatrix) -> PurifiedState:
     """Canonical purification of an invertible density matrix.
 
-    Eigenvalues are sorted descending; degenerate eigenspaces get a
-    deterministic orientation from the phase convention.  Downstream
-    entropies do not depend on these choices.
+    The density's eigendecomposition, past its rank gate, sorted descending;
+    degenerate eigenspaces get a deterministic orientation from the phase
+    convention.  Downstream entropies do not depend on these choices.
     """
-    lam, vecs = np.linalg.eigh(rho.entries)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    vecs = _phase_fix(vecs[:, order])
-    if not lam.min() >= RANK_FLOOR:
-        raise InvalidStateError("state not invertible")
-    return PurifiedState(dim=rho.dim, schmidt_values=lam, eigenbasis=vecs)
+    order = np.argsort(-rho.eigenvalues, kind="stable")
+    return PurifiedState(dim=rho.dim, schmidt_values=rho.eigenvalues[order],
+                         eigenbasis=_phase_fix(rho.eigenvectors[:, order]))
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,6 @@ class ModularData:
         lam = self.schmidt_values
         return (lam[:, None] / lam[None, :]).reshape(-1)
 
-    def _basis(self) -> np.ndarray:
-        return np.kron(self.eigenbasis, self.h2_basis)
-
     def _to_coeffs(self, vec: np.ndarray) -> np.ndarray:
         d = self.dim
         mat = vec.reshape(d, d)
@@ -161,18 +154,6 @@ class ModularData:
     def apply_conjugation(self, vec: np.ndarray) -> np.ndarray:
         """Apply the antiunitary conjugation (transpose + conjugate in Schmidt basis)."""
         return self._from_coeffs(self._to_coeffs(vec).conj().T)
-
-    def delta_matrix(self) -> np.ndarray:
-        """Dense d**2 x d**2 modular operator (small dimensions only)."""
-        w = self._basis()
-        return (w * self.delta_eigenvalues) @ w.conj().T
-
-    def conjugation_matrix(self) -> np.ndarray:
-        """Unitary factor M of the antilinear map J: x -> M conj(x)."""
-        d = self.dim
-        w = self._basis()
-        perm = (np.arange(d * d).reshape(d, d).T).reshape(-1)
-        return w[:, perm] @ w.T
 
 
 def modular_operators(psi: PurifiedState) -> ModularData:

@@ -263,8 +263,6 @@ class DivisibilityRecord:
 
     b_matrix: np.ndarray
     det_b: float
-    b_from_mutual: np.ndarray
-    cross_check_dev: float
 
 
 def _checked_table(entropy_table) -> np.ndarray:
@@ -282,24 +280,10 @@ def _second_differences(s: np.ndarray) -> np.ndarray:
     return s[..., :-1, 1:] + s[..., 1:, :-1] - s[..., :-1, :-1] - s[..., 1:, 1:]
 
 
-def divisibility_matrix(entropy_table: np.ndarray,
-                        marginals_i: np.ndarray | None = None,
-                        marginals_j: np.ndarray | None = None) -> DivisibilityRecord:
-    """Build the m x m second-difference record from an (m+1)x(m+1) table.
-
-    The same matrix is rebuilt from mutual informations (the marginal
-    entropies cancel) and the two routes are cross-checked.
-    """
-    s = _checked_table(entropy_table)
-    m = s.shape[0] - 1
-    b = _second_differences(s)
-    s_i = np.zeros(m + 1) if marginals_i is None else np.asarray(marginals_i, dtype=float)
-    s_j = np.zeros(m + 1) if marginals_j is None else np.asarray(marginals_j, dtype=float)
-    mutual = s_i[:, None] + s_j[None, :] - s
-    b_mi = mutual[:m, :m] + mutual[1:, 1:] - mutual[:m, 1:] - mutual[1:, :m]
-    dev = float(np.max(np.abs(b - b_mi)))
-    return DivisibilityRecord(b_matrix=b, det_b=float(np.linalg.det(b)),
-                              b_from_mutual=b_mi, cross_check_dev=dev)
+def divisibility_matrix(entropy_table: np.ndarray) -> DivisibilityRecord:
+    """Build the m x m second-difference record from an (m+1)x(m+1) table."""
+    b = _second_differences(_checked_table(entropy_table))
+    return DivisibilityRecord(b_matrix=b, det_b=float(np.linalg.det(b)))
 
 
 def _ordering_dets(s: np.ndarray) -> tuple:

@@ -1,6 +1,6 @@
 """Subsystem splits, reflected reduced density matrices and their spectra,
-and the entropies computed from them; twist operators and the brute-force
-partial trace remain as independent test oracles.
+and the entropies computed from them.  The twist operators are a second
+route to the reflected densities; tests use them as an oracle.
 
 A subsystem is a tensor factorization H1 = H_A (x) H_B encoded by the
 coefficients of the state eigenvectors in the split's product basis.  Index
@@ -96,16 +96,6 @@ class TwistOperatorSet:
 
     dim_a: int
     operators: np.ndarray
-
-    def hilbert_schmidt_mass(self) -> float:
-        """sum_{p,q} tr(O^{pq} (O^{pq})^dag); finite and real by construction."""
-        mass = np.einsum("pqkm,pqkm->", self.operators, self.operators.conj())
-        return float(mass.real)
-
-    def reconstructed_trace(self) -> float:
-        """Trace of the reflected density rebuilt from the set (must be 1)."""
-        traces = np.einsum("pqkk->pq", self.operators)
-        return float(np.sum(traces * traces.conj()).real)
 
 
 def twist_operators(psi: PurifiedState, split: SubsystemSplit) -> TwistOperatorSet:
@@ -251,33 +241,6 @@ def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
                             dim_j=split_j.dim_a, labels=(split_i.label, split_j.label))
 
 
-def brute_force_reflected(psi: PurifiedState, split_i: SubsystemSplit,
-                          split_j: SubsystemSplit,
-                          h2_basis: np.ndarray | None = None) -> ReflectedDensity:
-    """Independent oracle: explicit doubled vector and index-summed partial trace.
-
-    Writes the purified vector in computational coordinates for an explicit
-    H2 basis (canonical conjugated copy unless overridden), rotates into the
-    mixed product basis of the two splits, forms the full projector and
-    partial-traces the complement factors by explicit index summation.
-    """
-    _check_pair_dims(psi, split_i, split_j)
-    u2 = psi.h2_basis if h2_basis is None else np.asarray(h2_basis, dtype=complex)
-    _check_unitary(u2, "H2 basis")
-    vec0 = psi.vector(h2_basis=u2)
-    # product bases of the two splits in computational coordinates
-    basis_1 = psi.eigenbasis @ split_i.matrix.conj()
-    basis_2 = u2 @ split_j.matrix
-    rotated = np.kron(basis_1.conj().T, basis_2.conj().T) @ vec0
-    full = np.outer(rotated, rotated.conj())
-    da_i, db_i, da_j, db_j = split_i.dim_a, split_i.dim_b, split_j.dim_a, split_j.dim_b
-    full = full.reshape(da_i, db_i, da_j, db_j, da_i, db_i, da_j, db_j)
-    reduced = np.einsum("albsclds->abcd", full)
-    n = da_i * da_j
-    return ReflectedDensity(matrix=reduced.reshape(n, n), dim_i=da_i, dim_j=da_j,
-                            labels=(split_i.label, split_j.label))
-
-
 def _check_spectrum(eigs: np.ndarray, what: str) -> None:
     """The PSD floor gate: raise unless every eigenvalue is finite and at
     least PSD_FLOOR."""
@@ -290,7 +253,7 @@ def _eigenvalues_of(state) -> np.ndarray:
     if isinstance(state, ReflectedDensity):
         return state.eigenvalues
     if isinstance(state, DensityMatrix):
-        return np.linalg.eigvalsh(state.entries)
+        return state.eigenvalues
     if np.ndim(state) == 1:
         return np.asarray(state, dtype=float)
     mat = np.asarray(state, dtype=complex)
@@ -337,14 +300,3 @@ def renyi_entropy(state, n: int) -> float:
 def von_neumann(state) -> float:
     """Von Neumann entropy -tr(rho log rho) in nats, with 0 log 0 = 0."""
     return float(_entropies(_eigenvalues_of(state), 1))
-
-
-def mutual_information(s_a: float, s_b: float, s_ab: float) -> float:
-    """I(A,B) = S(A) + S(B) - S(AB)."""
-    return s_a + s_b - s_ab
-
-
-def marginals(rd: ReflectedDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Partial traces of a reflected density onto its two factors."""
-    mat = rd.matrix.reshape(rd.dim_i, rd.dim_j, rd.dim_i, rd.dim_j)
-    return np.einsum("ajbj->ab", mat), np.einsum("iaib->ab", mat)

@@ -150,12 +150,7 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def random_operator(dim: int, rng: np.random.Generator, hermitian: bool = False,
-                    unit_norm: bool = True) -> np.ndarray:
-    """Complex Ginibre test operator, optionally hermitized / Frobenius-normalized."""
+def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre test operator of unit Frobenius norm."""
     op = ginibre(dim, rng)
-    if hermitian:
-        op = 0.5 * (op + op.conj().T)
-    if unit_norm:
-        op = op / np.linalg.norm(op)
-    return op
+    return op / np.linalg.norm(op)

@@ -17,6 +17,10 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import k0, k0e
 
+DECAY_SAMPLES = 40                # decay_rate: x points of the log-slope regression
+POWER_GAMMA_BOUNDS = (-1.9, 8.0)  # fit_power_density: exponent search interval
+POWER_GRID_POINTS = 400           # fit_power_density: p^2 grid size
+
 
 @dataclass(frozen=True)
 class SpectralDensity:
@@ -217,8 +221,7 @@ def derivative_checks(curve: EntropyCurve, tol: float = 1e-9) -> DerivativeRepor
                             c_theorem=bool(np.all(combo <= tol * scale)))
 
 
-def decay_rate(density: SpectralDensity, x_window: tuple[float, float],
-               num: int = 40) -> float:
+def decay_rate(density: SpectralDensity, x_window: tuple[float, float]) -> float:
     """Exponential decay rate of the transform, by log-slope regression.
 
     For g supported on p^2 >= 4 M^2 the rate approaches 2M (the square root
@@ -228,7 +231,7 @@ def decay_rate(density: SpectralDensity, x_window: tuple[float, float],
     lo, hi = x_window
     if not 0 < lo < hi:
         raise ValueError("x window must satisfy 0 < lo < hi")
-    xs = np.linspace(lo, hi, num)
+    xs = np.linspace(lo, hi, DECAY_SAMPLES)
     vals = forward(density, xs)
     if np.any(vals <= 0):
         raise ValueError("transform must stay positive over the window")
@@ -239,26 +242,6 @@ def decay_rate(density: SpectralDensity, x_window: tuple[float, float],
     return float(-slope)
 
 
-def fitted_power_exponent(density: SpectralDensity,
-                          momentum_window: tuple[float, float]) -> float:
-    """Coarse power-law exponent gamma read off free-form fitted weights.
-
-    Constrained least squares returns spiky weight vectors, so the exponent
-    is taken from the cumulative weight W(p) ~ p^{gamma + 2} regressed over
-    the momentum window the data actually probes.  Diagnostic quality only;
-    use fit_power_density for a quantitative exponent.
-    """
-    w = density.weights
-    p = density.momenta
-    cum = np.cumsum(w)
-    lo, hi = momentum_window
-    mask = (p >= lo) & (p <= hi) & (cum > 0)
-    if mask.sum() < 3:
-        raise ValueError("too few active weights in the window for regression")
-    slope = np.polyfit(np.log(p[mask]), np.log(cum[mask]), 1)[0]
-    return float(slope - 2.0)
-
-
 @dataclass
 class PowerFitReport:
     gamma: float
@@ -266,8 +249,7 @@ class PowerFitReport:
     residual_relative: float
 
 
-def fit_power_density(curve: EntropyCurve, gamma_bounds: tuple[float, float] = (-1.9, 8.0),
-                      grid_points: int = 400,
+def fit_power_density(curve: EntropyCurve,
                       margins: tuple[float, float] = (0.03, 40.0)) -> PowerFitReport:
     """Fit a pure power-law spectral density g(p^2) = A p^gamma, A >= 0.
 
@@ -279,7 +261,7 @@ def fit_power_density(curve: EntropyCurve, gamma_bounds: tuple[float, float] = (
     from scipy.optimize import minimize_scalar
 
     y = curve.exponentials()
-    p2, p_lo, p_hi = fit_grid(curve.x, grid_points, margins)
+    p2, p_lo, p_hi = fit_grid(curve.x, POWER_GRID_POINTS, margins)
     quad = np.gradient(p2)
     kernel = _fit_kernel(curve.x, np.sqrt(p2))
     p_ref = math.sqrt(p_lo * p_hi)
@@ -294,7 +276,7 @@ def fit_power_density(curve: EntropyCurve, gamma_bounds: tuple[float, float] = (
         amp = max(float(b @ y) / denom, 0.0) if denom > 0 else 0.0
         return float(np.linalg.norm(y - amp * b))
 
-    opt = minimize_scalar(residual, bounds=gamma_bounds, method="bounded",
+    opt = minimize_scalar(residual, bounds=POWER_GAMMA_BOUNDS, method="bounded",
                           options={"xatol": 1e-6})
     gamma = float(opt.x)
     b = predict(gamma)

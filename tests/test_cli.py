@@ -536,6 +536,37 @@ class TestOptionBounds:
         assert "config error" in err and message in err and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,S\n0.1,1.0\n0.2,1.1\n", "at least 5 samples"),
+        ("0.1,1.0\n0.2,1.1\n0.3,1.2\n0.4,1.3\n", "at least 5 samples"),
+        ("0.1,1.0\n0.2,1.1\n0.2,1.2\n0.3,1.3\n0.4,1.4\n0.5,1.5\n", "positive and distinct"),
+        ("0.0,1.0\n0.2,1.1\n0.3,1.2\n0.4,1.3\n0.5,1.4\n0.6,1.5\n", "positive and distinct"),
+        ("-0.1,1.0\n0.2,1.1\n0.3,1.2\n0.4,1.3\n0.5,1.4\n", "positive and distinct"),
+    ], ids=["two rows", "four rows", "repeated x", "zero x", "negative x"])
+    def test_bad_kl_curve_config_error(self, tmp_path, capsys, text, message):
+        # a table EntropyCurve or derivative_checks refuses once exited 2
+        path, out = tmp_path / "curve.csv", tmp_path / "out"
+        path.write_text(text)
+        assert main(["kl", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err and str(path) in err
+        assert not out.exists()
+
+    def test_kl_decreasing_x_is_sorted(self, tmp_path):
+        # the curve sorts its samples by x: a table listed from large x to
+        # small reports the same as the one listed from small to large
+        xs = np.linspace(0.5, 3.0, 6)
+        rows = list(zip(xs.tolist(), np.log(xs).tolist()))
+        reports = []
+        for name, table in (("up", rows), ("down", rows[::-1])):
+            write_csv(tmp_path / f"{name}.csv", ["x", "S"], table)
+            assert main(["kl", "--input", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / name)]) == 0
+            results = load(tmp_path / name, "kl-seed42.json")["report"]["results"]
+            assert results["derivative_report"]["increasing"]
+            reports.append(results)
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("subcommand", list(OPTIONS))
     def test_non_finite_config_tolerance(self, tmp_path, capsys, subcommand):
         # JSON config files may spell NaN; the converter refuses it there too

@@ -14,27 +14,7 @@ from rpentropy.fermion import (MIN_SEPARATION, ChargeConfiguration, IntervalErro
                                witness_minimum, witness_record, witness_table, witness_tables)
 from rpentropy.positivity import check_psd, three_set_inequality
 
-
-def union_witness_table(sets):
-    """The witness table through one validated IntervalSet union per pair i <= j."""
-    table = np.empty((len(sets), len(sets)))
-    for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
-        table[i, j] = table[j, i] = entropy(sets[i].union(sets[j].reflected()))
-    return table
-
-
-def plain_witness_table(sets):
-    """The witness table's quadratic form for one family, as 2-D products."""
-    lefts = np.concatenate([s.lefts for s in sets])
-    counts = np.array([s.num_intervals for s in sets])
-    x = np.concatenate([lefts] + [s.rights for s in sets])
-    owner = np.tile(np.repeat(np.arange(len(sets)), counts), 2)
-    signed = (owner == np.arange(len(sets))[:, None]).astype(float)
-    signed[:, lefts.size:] *= -1.0
-    cross = signed @ np.log(x[:, None] + x) @ signed.T
-    within = signed @ fermion._log_distances(x, owner[:, None] == owner)
-    own = -0.5 * np.sum(within * signed, axis=1) - counts * math.log(sets[0].cutoff)
-    return (0.5 * (cross + cross.T) + (own[:, None] + own)) / 6.0
+from oracles import plain_witness_table, union_witness_table
 
 
 def random_set(rng, p, lo=0.0, hi=10.0, cutoff=1.0, min_gap=1e-3):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpentropy.modular import (DensityMatrix, InvalidStateError, PurifiedState,
+from rpentropy.modular import (HERMITICITY_TOL, RANK_FLOOR, DensityMatrix, InvalidStateError,
                                check_tomita_relation, doubled_overlap,
                                half_sided_overlap, modular_operators, purify,
                                reflect_operator)
 from rpentropy.sampling import random_density, random_operator
+
+from oracles import conjugation_matrix, delta_matrix, reconstruct_density
 
 
 def make_state(d, seed):
@@ -71,8 +73,25 @@ class TestPurify:
             # partial trace over the second factor returns the source state
             mat = vec.reshape(5, 5)
             recon = mat @ mat.conj().T
-            target = psi.reconstruct_density()
+            target = reconstruct_density(psi)
             assert np.linalg.norm(recon - target) <= 1e-12 * np.linalg.norm(target)
+
+    def test_one_rank_gate_for_a_nearly_hermitian_state(self):
+        # symmetrized, U diag(1 - b, b) U^T with b just above the rank floor
+        # and U a 45 degree rotation; the antisymmetric part t, within the
+        # Hermiticity tolerance, moves the lower triangle's small eigenvalue
+        # to b - t < 0, so a second gate on the raw entries would refuse it
+        b, t = 1.5 * RANK_FLOOR, 0.4 * HERMITICITY_TOL
+        u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
+        mat = (u * [1.0 - b, b]) @ u.T + np.array([[0.0, t], [-t, 0.0]])
+        assert np.linalg.eigvalsh(mat, UPLO="L")[0] < 0.0
+        rho = DensityMatrix.from_matrix(mat)
+        assert rho.eigenvalues[0] == pytest.approx(b, abs=1e-14)
+        psi = purify(rho)
+        assert np.all(psi.schmidt_values >= RANK_FLOOR)
+        assert psi.schmidt_values.tolist() == rho.eigenvalues[::-1].tolist()
+        symmetrized = 0.5 * (mat + mat.T)
+        assert np.max(np.abs(reconstruct_density(psi) - symmetrized)) <= 1e-14
 
     def test_descending_order_and_phase_convention(self):
         psi, _ = make_state(6, 3)
@@ -88,7 +107,7 @@ class TestModularOperators:
     def test_delta_identity_for_maximally_mixed(self):
         psi = purify(DensityMatrix.from_matrix(np.eye(3) / 3))
         md = modular_operators(psi)
-        assert np.allclose(md.delta_matrix(), np.eye(9), atol=1e-12)
+        assert np.allclose(delta_matrix(md), np.eye(9), atol=1e-12)
 
     def test_delta_spectrum_two_thirds(self):
         psi = purify(DensityMatrix.from_matrix(np.diag([2 / 3, 1 / 3])))
@@ -125,8 +144,8 @@ class TestModularOperators:
         psi, rng = make_state(3, 2)
         md = modular_operators(psi)
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        assert np.allclose(md.delta_matrix() @ x, md.apply_delta(x), atol=1e-11)
-        assert np.allclose(md.conjugation_matrix() @ x.conj(),
+        assert np.allclose(delta_matrix(md) @ x, md.apply_delta(x), atol=1e-11)
+        assert np.allclose(conjugation_matrix(md) @ x.conj(),
                            md.apply_conjugation(x), atol=1e-11)
 
     @settings(max_examples=25, deadline=None)
@@ -202,7 +221,7 @@ class TestReflectOperator:
         psi, rng = make_state(3, 12)
         md = modular_operators(psi)
         op = random_operator(3, rng)
-        mj = md.conjugation_matrix()
+        mj = conjugation_matrix(md)
         full = mj @ np.kron(op, np.eye(3)).conj() @ mj.conj()
         assert np.allclose(full, np.kron(np.eye(3), reflect_operator(md, op)),
                            atol=1e-11)

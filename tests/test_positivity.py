@@ -21,12 +21,14 @@ from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   gram_matrix, schur_power, theorem_sweep,
                                   theorem_sweep_parallel, three_set_inequality,
                                   verify_witness)
-# block_instances and the test oracles at the end of this file call these
-from rpentropy.positivity import (_check_unitary, _draw_block, _evaluate_block, _payload,
-                                  _serialize_instance, trial_rng, unitary_from_ginibre)
-from rpentropy.reflected import SubsystemSplit, _pair_matrix, pair_spectrum, von_neumann
+from rpentropy.positivity import _draw_block, _evaluate_block, trial_rng, unitary_from_ginibre
+from rpentropy.reflected import SubsystemSplit, pair_spectrum, von_neumann
 from rpentropy.sampling import (ginibre, haar_unitary, random_density, simplex_eigenvalues,
                                 trial_rngs)
+
+import oracles
+from oracles import (b_from_mutual, brute_force_reflected, draw_one, sequential_refine,
+                     svd_spectrum)
 
 
 def block_instances(cfg: SearchConfig):
@@ -35,15 +37,6 @@ def block_instances(cfg: SearchConfig):
     schmidt, z, _ = _draw_block(cfg.master_seed, range(cfg.trials), [cfg.dims] * cfg.trials)
     z = z.reshape(cfg.trials, len(cfg.dims) + 1, cfg.dim, cfg.dim)
     return schmidt, unitary_from_ginibre(z[:, 1:])
-
-
-def svd_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
-                 split_j: SubsystemSplit) -> np.ndarray:
-    """Test-only oracle for the pair spectrum: the squared singular values
-    of the pair matrix, independent of the kernels' pair Gram matrix."""
-    x = _pair_matrix(psi.schmidt_values, split_i.matrix, split_j.matrix,
-                     (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
-    return np.linalg.svd(x, compute_uv=False) ** 2
 
 
 @pytest.fixture
@@ -121,7 +114,6 @@ class TestGramMatrix:
         # vs literal matrix powers of the brute-force oracle's density, also
         # where the splits' dim_a differ, so that the pairs j < i filled by
         # symmetry come from a density of another shape
-        from rpentropy.reflected import brute_force_reflected
         _, psi, splits = random_gram(41, m1=2, n=3)
         rng = np.random.default_rng(43)
         mixed = [SubsystemSplit.haar(da, db, rng) for da, db in ((2, 3), (3, 2), (2, 3))]
@@ -307,8 +299,8 @@ class TestDivisibility:
         table = 0.5 * (raw + raw.T)
         marg_i = rng.uniform(0.1, 1.0, 4)
         marg_j = rng.uniform(0.1, 1.0, 4)
-        record = divisibility_matrix(table, marginals_i=marg_i, marginals_j=marg_j)
-        assert record.cross_check_dev <= 1e-10
+        b_mutual = b_from_mutual(table, marg_i, marg_j)
+        assert np.max(np.abs(divisibility_matrix(table).b_matrix - b_mutual)) <= 1e-10
 
     def test_rejects_asymmetric_table(self):
         table = np.array([[0.4, 1.1], [0.3, 0.9]])
@@ -1231,8 +1223,8 @@ class TestPrefetchedRefine:
             return evaluated
 
         monkeypatch.setattr(positivity, "_evaluate_block", fake)
-        # the oracle below calls this module's own reference
-        monkeypatch.setitem(globals(), "_evaluate_block", fake)
+        # the oracle below calls its own module's reference
+        monkeypatch.setattr(oracles, "_evaluate_block", fake)
         # blocks of up to 682 proposals, so that an accept and a shrink the
         # rewind must undo often share a block
         monkeypatch.setattr(positivity, "STACK_ENTRIES", 1 << 16)
@@ -1274,80 +1266,3 @@ class TestPrefetchedRefine:
         payload, used, counters = positivity._refine(cfg, 0)
         assert (payload, used) == reference
         assert set(sizes) == {1} and counters["discarded"] == 0
-
-
-# -------------------------------------------------------------- test oracles
-# One instance drawn from its stream on its own, the order `_draw_block`
-# keeps for a whole block: the spectrum, then each Ginibre matrix in turn.
-
-def draw_one(master_seed: int, index: int, dims) -> tuple:
-    """(descending Schmidt values, Ginibre matrices (m+1, d, d)) of instance
-    `index`: the eigenbasis's matrix first, then one per split."""
-    rng = trial_rng(master_seed, index)
-    d = dims[0][0] * dims[0][1]
-    lam = np.sort(simplex_eigenvalues(d, rng))[::-1]
-    return lam, ginibre(d, rng, (1 + len(dims),))
-
-
-# The one-proposal-per-call descent that `_refine` pre-fetches, kept verbatim
-# from before the pre-fetch: `_refine` must follow its trajectory to the bit.
-
-def sequential_refine(cfg: SearchConfig, start_trial: int):
-    """Stochastic descent from a sweep instance into the violating region.
-
-    Moves perturb the spectrum in the log simplex or rotate one split by a
-    random small unitary; only improvements are kept and the move scale
-    shrinks after repeated rejections.  The state eigenbasis is irrelevant to
-    every target (only the spectrum and the splits enter), so it stays fixed.
-    Each move is one `_evaluate_block` call on one instance.  Returns a
-    violation payload once the slack clears -10 * tolerance.
-    """
-    rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
-    lam, z = draw_one(cfg.master_seed, start_trial, cfg.dims)
-    lam, betas = lam.copy(), unitary_from_ginibre(z)[1:]
-    _check_unitary(betas)
-    d = cfg.dim
-
-    def evaluate(lam_vec, beta_mats):
-        return _evaluate_block(cfg, np.sort(lam_vec)[::-1][None], beta_mats[None])
-
-    cur_slack = evaluate(lam, betas)["slack"][0]
-    target_slack = -10.0 * cfg.tolerance
-    scale = cfg.refine_scale
-    stall = 0
-    for it in range(cfg.refine_iterations):
-        which = int(rng.integers(0, 1 + len(betas)))
-        lam_new, betas_new = lam, betas
-        if which == 0:
-            logl = np.log(lam) + scale * rng.standard_normal(lam.size)
-            lam_new = np.exp(logl)
-            lam_new = lam_new / lam_new.sum()
-            if lam_new.min() < cfg.refine_floor:
-                continue
-        else:
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = 0.5 * (h + h.conj().T)
-            w, v = np.linalg.eigh(h)
-            rot = (v * np.exp(1j * scale * w)) @ v.conj().T
-            betas_new = betas.copy()
-            betas_new[which - 1] = rot @ betas[which - 1]
-            _check_unitary(betas_new[which - 1])
-        fields = evaluate(lam_new, betas_new)
-        if fields["slack"][0] < cur_slack:
-            cur_slack = fields["slack"][0]
-            lam, betas = lam_new, betas_new
-            stall = 0
-            if cur_slack < target_slack:
-                result = _payload(fields, 0)
-                result["trial"] = start_trial
-                result["refined"] = True
-                result["refine_iterations"] = it + 1
-                result["instance"] = _serialize_instance(
-                    np.sort(lam)[::-1], np.eye(d, dtype=complex), cfg.dims, betas)
-                return result, it + 1
-        else:
-            stall += 1
-            if stall > 300:
-                scale = max(scale * 0.6, 1e-3)
-                stall = 0
-    return None, cfg.refine_iterations

@@ -7,7 +7,7 @@ from scipy.special import k0
 
 from rpentropy.spectral import (EntropyCurve, SpectralDensity, decay_rate,
                                 derivative_checks, fit_grid, fit_power_density, fit_spectral,
-                                fitted_power_exponent, forward)
+                                forward)
 
 
 def k0_quadrature(x, step: float = 0.01, tail: float = 45.0) -> np.ndarray:
@@ -256,13 +256,3 @@ class TestPowerLaw:
         curve = EntropyCurve(x=xs, s=np.log(xs) / 6, lam=6.0)
         with pytest.raises(ValueError, match="K0 underflows to 0.*largest usable p"):
             fit_power_density(curve, margins=(0.03, 800.0))
-
-    def test_free_form_exponent_is_coarse_but_sane(self):
-        alpha = 1.5
-        xs = np.logspace(math.log10(0.3), math.log10(3.0), 120)
-        curve = EntropyCurve(x=xs, s=alpha * np.log(xs), lam=1.0)
-        grid = np.logspace(np.log10((0.03 / xs.max()) ** 2),
-                           np.log10((40.0 / xs.min()) ** 2), 90)
-        density, _ = fit_spectral(curve, grid)
-        gamma = fitted_power_exponent(density, (1.0 / xs.max(), 3.0 / xs.min()))
-        assert gamma == pytest.approx(alpha - 2, abs=0.25)
