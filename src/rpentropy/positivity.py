@@ -32,11 +32,11 @@ SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
 TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
-# a theorem_sweep block holds at most this many pair-matrix entries (one
-# instance may exceed it alone), which bounds the sweep's memory for any
-# plan length and split size
+# block planning (`_sweep_blocks`, for the sweep and the search): a block of
+# two or more instances holds at most this many pair-matrix entries, which
+# bounds a block's memory for any plan length and split size
 SWEEP_BLOCK_ENTRIES = 1 << 17
-# the cost model of sweep blocks: an instance costs its m(m+1)/2 d^2 pair
+# the cost model of blocks: an instance costs its m(m+1)/2 d^2 pair
 # entries plus this many entries' worth of fixed work (draw, Haar step,
 # verdict).  40-instance blocks of 2-4 subsystems, one BLAS thread on a
 # 2-core x86_64 machine, took 2.8-3.2 ms for 4,000 entries at d = 4 and
@@ -47,12 +47,11 @@ SWEEP_BLOCK_ENTRIES = 1 << 17
 # calling process, where a pool task's round trip (about 1 ms to start a
 # warm worker) would not pay.
 SWEEP_INSTANCE_ENTRIES = 320
-# one stacked call of the search or of an entropy table holds at most this
-# many pair-matrix entries: a search block of trials, or the pairs of one
-# shape reduced together.  At 64 KB per complex temporary a stack stays in
-# cache and a search block's peak memory near a single trial's; at 3 x 2x2
-# a block holds 42 trials and runs as fast as blocks of the sweep's size,
-# and a 3 x 8x8 instance reduces one pair per call.
+# kernel calls: one pair-kernel call (`_pair_tables`) holds at most this many
+# pair-matrix entries, or one pair if a single pair is larger.  At 64 KB
+# per complex temporary a call stays in cache: 256 pairs at d = 4, and one
+# pair at d = 64.  The refine descent evaluates at most as many proposals
+# at once as fit in one call (`_block_trials`).
 STACK_ENTRIES = 1 << 12
 # the quantiles a report keeps of a slack array in place of the array
 SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
@@ -134,25 +133,22 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
     return tuple(runs)
 
 
-def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, kernel,
-                 budget: int) -> np.ndarray:
-    """Flat tables (..., sum of m^2) of a pair kernel over a flat stack of
-    instances shaped as `dims` (`_pair_plan`): Schmidt values (..., N, d)
-    and split matrices (..., S, d, d); leading axes are a stack.
+def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, kernel) -> np.ndarray:
+    """Flat table (sum of m^2,) of a pair kernel over a flat stack of
+    instances shaped as `dims` (`_pair_plan`): Schmidt values (N, d) and
+    split matrices (S, d, d).
 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j}, so each pair
     i <= j is reduced once and written to both entries.  A run of at most
-    `budget` pair-matrix entries (at least one pair) takes one
-    kernel(Schmidt values (..., run, d), split i and split j matrices
-    (..., run, d, d), dims_i, dims_j) call, whose values (..., run) may
-    gain axes in front of the run axis.
+    STACK_ENTRIES pair-matrix entries (at least one pair) takes one
+    kernel(Schmidt values (run, d), split i and split j matrices
+    (run, d, d), dims_i, dims_j) call, whose values (run,) may gain axes
+    in front of the run axis; the table gains them too.
     """
     d = schmidt.shape[-1]
-    size = max(1, budget // (schmidt[..., 0, 0].size * d * d))
     table = None
-    for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, size):
-        values = kernel(schmidt[..., inst, :], mats[..., i, :, :], mats[..., j, :, :],
-                        dims_i, dims_j)
+    for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
+        values = kernel(schmidt[inst], mats[i], mats[j], dims_i, dims_j)
         if table is None:
             table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
         table[..., ij] = table[..., ji] = values
@@ -177,12 +173,12 @@ def _pair_entropies(schmidt_values, mat_i, mat_j, dims_i, dims_j, n: int) -> np.
 def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
     """Tables (..., m, m) of S_n(A_i Abar_j) (n = 1 is von Neumann) of the
     instances with Schmidt values (..., d) and split matrices (..., m, d, d),
-    the splits shaped as dims; leading axes are a stack, and one
-    `_pair_entropies` call holds at most STACK_ENTRIES pair-matrix entries;
-    only n = 1 takes a spectrum."""
-    table = _pair_tables(schmidt[..., None, :], mats, (tuple(dims),),
-                         functools.partial(_pair_entropies, n=n), STACK_ENTRIES)
-    return table.reshape(table.shape[:-1] + (len(dims),) * 2)
+    the splits shaped as dims; leading axes are a stack, flattened into one
+    `_pair_tables` call; only n = 1 takes a spectrum."""
+    d, lead = schmidt.shape[-1], schmidt.shape[:-1]
+    table = _pair_tables(schmidt.reshape(-1, d), mats.reshape(-1, d, d),
+                         (tuple(dims),) * math.prod(lead), functools.partial(_pair_entropies, n=n))
+    return table.reshape(lead + (len(dims),) * 2)
 
 
 def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
@@ -352,10 +348,12 @@ class SearchConfig:
             'schur_s_fraction' (det B second differences, the s -> 0 limit;
             n = 1 is the entropy table of the divisibility inequalities,
             n >= 2 tests fractional powers of the proven integer-index case).
-    literal_s: optional fractional entrywise power checked alongside det B.
+    literal_s: a fractional entrywise power checked alongside det B.
     refine_iterations: when > 0 and the plain sweep finds nothing, run a
     seeded stochastic descent from the best sweep instance (violating
     regions occupy a small volume, so pure sampling can need huge budgets).
+    A report must not claim a check that does not run, so literal_s needs
+    schur_s_fraction and a descent is refused under integer_n.
     """
 
     dims: list
@@ -380,6 +378,10 @@ class SearchConfig:
             raise ValueError("Renyi index must be >= 1")
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
+        if self.literal_s is not None and self.target != "schur_s_fraction":
+            raise ValueError("literal_s is checked only by the schur_s_fraction target")
+        if self.refine_iterations > 0 and self.target == "integer_n":
+            raise ValueError("the integer_n control mode takes no refine descent")
         self.dims = _validated_dims(self.dims)
 
     @property
@@ -429,21 +431,23 @@ class SearchReport:
 
 
 def _draw_block(master_seed: int, indices, dims_list) -> tuple:
-    """(descending Schmidt values (N, d), Ginibre matrices (sum of m+1, d, d),
-    each instance's first row (N,)) of the instances `indices`, split as
-    `dims_list`, which share one d.  An instance's rows are its eigenbasis's
-    matrix, then one per split.
+    """(descending Schmidt values (N, d), checked Haar split unitaries
+    stacked flat (sum of m, d, d), eigenbasis Ginibre matrices (N, d, d))
+    of the instances `indices`, split as `dims_list`, which share one d.
+    The eigenbasis enters no pair matrix: a caller that needs its unitary
+    builds and checks it.
 
-    This is the one owner of stream order.  Instance k's `trial_rng`
-    stream, seeded with the block's by `trial_rngs`, gives its spectrum and
-    then, straight into its rows of one buffer, the real and then the
-    imaginary parts of each matrix in turn (`sampling.ginibre_parts`, as
-    `ginibre` draws them).  The spectrum is `Generator.dirichlet`'s flat
-    draw: d standard exponentials times one over their sequential sum
-    (`cumsum`; a pairwise `sum` differs in the last bits).  The rare
-    instance below the redraw floor is drawn again as `simplex_eigenvalues`
-    draws it, so an instance is the same in any block.  Normalization, sort
-    and complex combine run once per block.
+    This is the one owner of stream order and of the splits' Haar step.
+    Instance k's `trial_rng` stream, seeded with the block's by
+    `trial_rngs`, gives its spectrum and then, straight into its rows of
+    one buffer, the real and then the imaginary parts of its eigenbasis's
+    matrix and then each split's (`sampling.ginibre_parts`, as `ginibre`
+    draws them).  The spectrum is `Generator.dirichlet`'s flat draw: d
+    standard exponentials times one over their sequential sum (`cumsum`; a
+    pairwise `sum` differs in the last bits).  The rare instance below the
+    redraw floor is drawn again as `simplex_eigenvalues` draws it, so an
+    instance is the same in any block.  Normalization, sort, complex
+    combine, QR and `_check_unitary` run once per block.
     """
     d = dims_list[0][0][0] * dims_list[0][0][1]
     rows = [1 + len(dims) for dims in dims_list]
@@ -458,14 +462,18 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
         rng = trial_rng(master_seed, indices[k])
         lam[k] = simplex_eigenvalues(d, rng)
         ginibre_parts(rng, raw[stops[k] - rows[k]:stops[k]])
-    return np.sort(lam)[:, ::-1].copy(), ginibre_from_parts(raw), np.array(stops) - rows
+    z, eigenbases = ginibre_from_parts(raw), np.array(stops) - rows
+    u = unitary_from_ginibre(np.delete(z, eigenbases, axis=0))
+    _check_unitary(u)
+    return np.sort(lam)[:, ::-1].copy(), u, z[eigenbases]
 
 
 def _draw_instance(cfg: SearchConfig, trial: int):
-    lam, z, _ = _draw_block(cfg.master_seed, [cfg.trial_offset + trial], [cfg.dims])
-    u = unitary_from_ginibre(z)
-    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam[0], eigenbasis=u[0])
-    splits = [SubsystemSplit(dim_a=da, dim_b=db, coeffs=u[k + 1], label=f"A{k+1}")
+    lam, u, z = _draw_block(cfg.master_seed, [cfg.trial_offset + trial], [cfg.dims])
+    eigenbasis = unitary_from_ginibre(z[0])
+    _check_unitary(eigenbasis)
+    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam[0], eigenbasis=eigenbasis)
+    splits = [SubsystemSplit(dim_a=da, dim_b=db, coeffs=u[k], label=f"A{k+1}")
               for k, (da, db) in enumerate(cfg.dims)]
     return psi, splits
 
@@ -554,31 +562,26 @@ def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
 
 
 def _block_trials(cfg: SearchConfig) -> int:
-    """Trials per search block: at most STACK_ENTRIES pair-matrix entries,
-    and at least one trial."""
+    """The refine descent's cap on proposals per evaluator call: as many
+    instances as STACK_ENTRIES pair-matrix entries hold, and at least one."""
     m = len(cfg.dims)
     return max(1, STACK_ENTRIES // (m * (m + 1) // 2 * cfg.dim * cfg.dim))
 
 
-def _search_block(trials, cfg: SearchConfig) -> tuple:
-    """(slacks, violations) of one block of trials (`_block_trials`): one
-    `_draw_block` call, and one stack through the splits' Haar step, its
-    unitarity check and `_evaluate_block`.  Payloads, and the eigenbasis
-    unitary they store, are built for violating trials only."""
-    m, d = len(cfg.dims), cfg.dim
-    schmidt, z, _ = _draw_block(cfg.master_seed, [cfg.trial_offset + t for t in trials],
-                                [cfg.dims] * len(trials))
-    z = z.reshape(len(trials), m + 1, d, d)
-    # the eigenbasis enters no target, so only the splits' are built here
-    u = unitary_from_ginibre(z[:, 1:])
-    _check_unitary(u)
+def _search_block(first: int, block, cfg: SearchConfig) -> tuple:
+    """(slacks, violations) of one block of trials (`_sweep_blocks`), its
+    first trial `first`: one `_draw_block` call and one `_evaluate_block`
+    call.  Payloads, and the eigenbasis unitary they store, are built for
+    violating trials only."""
+    schmidt, u, z = _draw_block(cfg.master_seed, range(first, first + len(block)), block)
+    u = u.reshape(len(block), len(cfg.dims), cfg.dim, cfg.dim)
     fields = _evaluate_block(cfg, schmidt, u)
     violations = []
     for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
-        eigenbasis = unitary_from_ginibre(z[k, 0])
+        eigenbasis = unitary_from_ginibre(z[k])
         _check_unitary(eigenbasis)
         result = _payload(fields, k)
-        result["trial"] = cfg.trial_offset + trials[k]
+        result["trial"] = first + k
         result["instance"] = _serialize_instance(schmidt[k], eigenbasis, cfg.dims, u[k])
         violations.append(result)
     return fields["slack"], violations
@@ -668,23 +671,23 @@ def summarize(values) -> tuple[float, int, dict]:
 def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """Randomized search for violations of the configured inequality.
 
-    The trials are cut into blocks of `_block_trials` up front, and
-    `_pool_map` runs and merges them.  Each trial derives its own stream
-    from (master_seed, trial index), so any block boundaries and any `jobs`
-    give the identical report.  Exhausting the budget without a violation
-    is a normal outcome, reported with the trial count; with
-    refine_iterations > 0 a seeded descent then pushes the best sweep
-    instance toward the violating region.
+    The trials are cut into blocks up front by the sweep's planner
+    (`_sweep_blocks`), and `_pool_map` runs and merges them.  Each trial
+    derives its own stream from (master_seed, trial index), so any block
+    boundaries and any `jobs` give the identical report.  Exhausting the
+    budget without a violation is a normal outcome, reported with the trial
+    count; with refine_iterations > 0 a seeded descent then pushes the best
+    sweep instance toward the violating region.
     """
-    size = _block_trials(cfg)
-    blocks = [(range(cfg.trials)[first:first + size],) for first in range(0, cfg.trials, size)]
+    blocks = [(cfg.trial_offset + start, block)
+              for start, block in _sweep_blocks([cfg.dims] * cfg.trials, jobs)]
     slacks, violations = _pool_map(_search_block, blocks, jobs, cfg)
     min_slack, best, quantiles = summarize(slacks)
     min_trial = cfg.trial_offset + best
     report = SearchReport(config=cfg, trials_run=cfg.trials, violations=violations,
                           min_slack=float(min_slack), min_slack_trial=min_trial,
                           slack_quantiles=quantiles)
-    if not violations and cfg.refine_iterations > 0 and cfg.target != "integer_n":
+    if not violations and cfg.refine_iterations > 0:
         refined, report.refine_used, report.refine_counters = _refine(cfg, min_trial)
         if refined is not None:
             violations.append(refined)
@@ -714,17 +717,14 @@ def _refine(cfg: SearchConfig, start_trial: int):
     about c0 + c1 K and advances about K (1 - p K / 2) iterations, which
     is cheapest per iteration at K = sqrt(2 c0 / (c1 p)), and a call's
     fixed cost c0 is about two proposals' c1 at 3 x 2x2.  After a block
-    without an accept it doubles.  It never exceeds a search block's worth
-    of instances.
+    without an accept it doubles.  It never exceeds `_block_trials`.
 
     Returns (violation payload once the slack clears -10 * tolerance, else
     None; iterations used; counters keyed as REFINE_COUNTERS).
     """
     rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
-    lam, z, _ = _draw_block(cfg.master_seed, [start_trial], [cfg.dims])
-    lam, betas = lam[0], unitary_from_ginibre(z[1:])
-    _check_unitary(betas)
-    m, d, cap = len(betas), cfg.dim, _block_trials(cfg)
+    lam, betas, _ = _draw_block(cfg.master_seed, [start_trial], [cfg.dims])
+    lam, m, d, cap = lam[0], len(betas), cfg.dim, _block_trials(cfg)
     counters = dict.fromkeys(REFINE_COUNTERS, 0)
     cur_slack = _evaluate_block(cfg, lam[None], betas[None])["slack"][0]
     target_slack = -10.0 * cfg.tolerance
@@ -872,10 +872,12 @@ def _sweep_blocks(dims_by_instance, jobs: int) -> list:
     blocks; one instance per block if no such count is below the plan's
     length.  An empty plan raises ValueError.
     """
-    plan, seen = [], {}
+    plan, seen, raw = [], {}, None
     for dims in dims_by_instance:
-        checked = tuple(_validated_dims(dims))
-        plan.append(seen.setdefault(checked, checked))  # repeated dims share one tuple
+        if dims is not raw:  # a run of one object, as a search's trials are, is keyed once
+            raw, key = dims, tuple(map(tuple, dims))
+            checked = seen[key] = seen.get(key) or tuple(_validated_dims(dims))
+        plan.append(checked)  # each distinct dims is validated once, and shares one tuple
     if not plan:
         raise ValueError("the sweep plan is empty")
     entries = np.array([len(dims) * (len(dims) + 1) // 2 * (dims[0][0] * dims[0][1]) ** 2
@@ -904,11 +906,11 @@ def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> t
     instance `first`: both arrays are (instances, n), by instance and then
     by n, as are the violations.
 
-    Per d, one `_draw_block` call draws the instances, so an instance is
-    the search's and the same in any block; one Haar step, one unitarity
-    check and one `_pair_tables` call follow, whose runs reduce pair
-    matrices to their trace powers per n (`_pair_traces`, no spectrum).
-    Then come the verdicts per subsystem count.
+    Per d, one `_draw_block` call draws the instances and their Haar
+    splits, so an instance is the search's and the same in any block; one
+    `_pair_tables` call follows, whose runs reduce pair matrices to their
+    trace powers per n (`_pair_traces`, no spectrum).  Then come the
+    verdicts per subsystem count.
     """
     by_d = defaultdict(list)  # d -> block indices
     for idx, splits in enumerate(block):
@@ -917,13 +919,9 @@ def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> t
     tables, order = [], []
     for idx in by_d.values():
         dims = tuple(block[k] for k in idx)
-        lam, z, eigenbases = _draw_block(master_seed, [first + k for k in idx], dims)
-        # the eigenbasis enters no pair matrix
-        u = unitary_from_ginibre(np.delete(z, eigenbases, axis=0))
-        _check_unitary(u)
+        lam, u, _ = _draw_block(master_seed, [first + k for k in idx], dims)
         order += idx
-        tables.append(_pair_tables(lam, u, dims, lambda *pair: _pair_traces(*pair, n_values),
-                                   SWEEP_BLOCK_ENTRIES))
+        tables.append(_pair_tables(lam, u, dims, lambda *pair: _pair_traces(*pair, n_values)))
     # each instance's Gram entries are a row-major m x m run of `entries`
     entries = np.concatenate(tables, axis=-1)
     sizes = np.array([len(dims) for dims in block])

@@ -75,14 +75,14 @@ class SubsystemSplit:
                               label=self.label + "~" if self.label else "")
 
 
-def _check_unitary(mat: np.ndarray, what: str = "split coefficients") -> None:
+def _check_unitary(mat: np.ndarray) -> None:
     """The unitarity gate: raise unless each (d, d) matrix U of the stack mat
     (..., d, d) has max |U U^dag - 1| <= UNITARITY_TOL / d.  One side is
     enough: U^dag U - 1 shares the spectral norm of U U^dag - 1, at most d
     times its largest entry, so U^dag U is within UNITARITY_TOL entrywise."""
     d = mat.shape[-1]
     if not np.max(np.abs(mat @ mat.conj().swapaxes(-1, -2) - np.eye(d))) <= UNITARITY_TOL / d:
-        raise InvalidStateError(f"{what} not unitary: rows violate orthonormality")
+        raise InvalidStateError("matrix not unitary: rows violate orthonormality")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ def brute_force_reflected(psi: PurifiedState, split_i: SubsystemSplit,
     """
     _check_pair_dims(psi, split_i, split_j)
     u2 = psi.h2_basis if h2_basis is None else np.asarray(h2_basis, dtype=complex)
-    _check_unitary(u2, "H2 basis")
+    _check_unitary(u2)
     vec0 = ((psi.eigenbasis * np.sqrt(psi.schmidt_values)) @ u2.T).reshape(-1)
     # product bases of the two splits in computational coordinates
     basis_1 = psi.eigenbasis @ split_i.matrix.conj()

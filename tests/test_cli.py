@@ -105,7 +105,8 @@ class TestJobsIsRunContext:
 
     @pytest.mark.parametrize("argv, name", [
         (["gram-sweep", "--trials", "40", "--seed", "4"], "gram-sweep-seed4.json"),
-        # 42 trials to a block at 3 x 2x2: three blocks
+        # 96 pair entries per 3 x 2x2 trial: at a block budget of 2000, five
+        # blocks at jobs 1 and six at jobs 2
         (["search", "--trials", "100", "--seed", "2024"], "search-entropy_n1-seed2024.json"),
     ])
     def test_report_bytes_equal_across_jobs(self, tmp_path, monkeypatch, argv, name):
@@ -482,6 +483,12 @@ class TestOptionBounds:
         (["search", "--lam", "nan"], "lam: must be finite"),  # LAPACK non-convergence
         (["search", "--literal-s", "nan"], "literal_s: must be finite"),
         (["search", "--refine", "-3"], "refine: must be >= 0"),  # ran with no descent
+        # reported in the config but never run: a literal power outside det B,
+        # a descent in the integer_n control mode
+        (["search", "--target", "entropy_n1", "--literal-s", "0.5"],
+         "literal_s is checked only by the schur_s_fraction target"),
+        (["search", "--target", "integer_n", "--refine", "500"],
+         "the integer_n control mode takes no refine descent"),
         (["fermion", "--cutoff", "inf"], "cutoff: must be > 0 and finite"),
         (["fermion", "--lambda", "1,nan"], "lam: must be > 0 and finite"),
     ] + [([name, "--tolerance", bad], "tolerance: must be finite")

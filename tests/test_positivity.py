@@ -34,9 +34,8 @@ from oracles import (b_from_mutual, brute_force_reflected, draw_one, sequential_
 def block_instances(cfg: SearchConfig):
     """(Schmidt values (trials, d), split unitaries (trials, m, d, d)) of
     the search's trials, from one `_draw_block` call."""
-    schmidt, z, _ = _draw_block(cfg.master_seed, range(cfg.trials), [cfg.dims] * cfg.trials)
-    z = z.reshape(cfg.trials, len(cfg.dims) + 1, cfg.dim, cfg.dim)
-    return schmidt, unitary_from_ginibre(z[:, 1:])
+    schmidt, u, _ = _draw_block(cfg.master_seed, range(cfg.trials), [cfg.dims] * cfg.trials)
+    return schmidt, u.reshape(cfg.trials, len(cfg.dims), cfg.dim, cfg.dim)
 
 
 @pytest.fixture
@@ -427,6 +426,21 @@ class TestSearch:
         with pytest.raises(ValueError, match="trials"):
             SearchConfig(dims=[(2, 2)] * 2, trials=0, master_seed=0)
 
+    @pytest.mark.parametrize("target,n", [("entropy_n1", 1), ("integer_n", 2)])
+    def test_config_refuses_settings_no_target_runs(self, target, n):
+        # a literal power is checked by det B alone, and the integer_n
+        # control mode runs no descent: either would be reported but not run
+        base = dict(dims=[(2, 2)] * 3, trials=1, master_seed=0, target=target, n=n)
+        with pytest.raises(ValueError, match="literal_s is checked only"):
+            SearchConfig(**base, literal_s=0.5)
+        if target == "integer_n":
+            with pytest.raises(ValueError, match="takes no refine descent"):
+                SearchConfig(**base, refine_iterations=500)
+        else:
+            assert SearchConfig(**base, refine_iterations=500).refine_iterations == 500
+        SearchConfig(**base, refine_iterations=0)
+        SearchConfig(**dict(base, target="schur_s_fraction"), literal_s=0.5, refine_iterations=5)
+
 
 class TestBatchedSearch:
     """The search evaluates blocks of trials as one stack; every trial must
@@ -495,32 +509,69 @@ class TestBatchedSearch:
         cfg = SearchConfig(dims=[(2, 2)] * 3, trials=40, master_seed=2024, trial_offset=2960)
         reference = json.dumps(counterexample_search(cfg).to_dict(), sort_keys=True)
         assert [v["trial"] for v in json.loads(reference)["violations"]] == [2985]
-        # a 3 x 2x2 trial has 6 pairs of 16 entries: the default budget holds
-        # 42 trials in a block, 1 gives blocks of one trial and one pair per
-        # call, 500 blocks of five trials
-        for entries in (positivity.STACK_ENTRIES, 1, 500):
-            monkeypatch.setattr(positivity, "STACK_ENTRIES", entries)
+        # a 3 x 2x2 trial has 6 pairs of 16 entries.  Blocks: the default
+        # plan is one block, 1 puts every trial in a block of its own, 500
+        # about five trials.  Kernel runs: the default holds 256 pairs, 1 one
+        # pair, 100 six pairs, one trial's worth
+        for block_entries, stack_entries in itertools.product(
+                (positivity.SWEEP_BLOCK_ENTRIES, 1, 500), (positivity.STACK_ENTRIES, 1, 100)):
+            monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(positivity, "STACK_ENTRIES", stack_entries)
             for jobs in (1, 2, 3):
                 report = counterexample_search(cfg, jobs=jobs).to_dict()
                 assert json.dumps(report, sort_keys=True) == reference
 
-    def test_blocks_stay_within_the_budget(self, monkeypatch):
-        sizes = []
-        evaluate = positivity._evaluate_block
+    def test_kernel_calls_stay_within_the_stack_budget(self, monkeypatch):
+        # every pair-kernel call of the sweep, the search and the descent
+        # holds at most STACK_ENTRIES pair-matrix entries, or one pair whose
+        # d^2 entries exceed it alone
+        calls = []
+        for name in ("_pair_traces", "_pair_spectrum"):
+            def recording(schmidt_values, mat_i, *rest, kernel=getattr(positivity, name)):
+                calls.append(mat_i.shape)
+                return kernel(schmidt_values, mat_i, *rest)
 
-        def recording(cfg, schmidt, mats):
-            sizes.append(len(schmidt))
-            return evaluate(cfg, schmidt, mats)
+            monkeypatch.setattr(positivity, name, recording)
+        mixed = [[(2, 2)] * 3, [(2, 3), (3, 2)], [(8, 8)] * 3, [(4, 4), (2, 8)], [(8, 8), (4, 16)]]
+        theorem_sweep(mixed * 4, [2, 3], master_seed=3)
+        counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=400, master_seed=1))
+        counterexample_search(SearchConfig(dims=[(8, 8)] * 3, trials=4, master_seed=1))
+        counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=20, master_seed=7,
+                                           target="schur_s_fraction", n=2,
+                                           refine_iterations=300))
+        counterexample_search(SearchConfig(dims=[(4, 4)] * 3, trials=2, master_seed=7,
+                                           target="schur_s_fraction", refine_iterations=100))
+        pairs = {d: [run for run, dd, _ in calls if dd == d] for d in (4, 6, 16, 64)}
+        assert all(pairs.values()) and len(calls) == sum(map(len, pairs.values()))
+        for d, runs in pairs.items():
+            assert all(run * d * d <= positivity.STACK_ENTRIES or run == 1 for run in runs)
+        # the budget binds: full 256-pair runs at d = 4, one pair at d = 64
+        assert max(pairs[4]) == positivity.STACK_ENTRIES // 16 and set(pairs[64]) == {1}
 
-        monkeypatch.setattr(positivity, "_evaluate_block", recording)
-        monkeypatch.setattr(positivity, "STACK_ENTRIES", 1000)
-        # 96 entries per 3 x 2x2 trial: 10 trials per block
-        counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=45, master_seed=1))
-        assert sizes == [10, 10, 10, 10, 5]
-        # a trial over the whole budget still runs, one per block
-        sizes.clear()
-        counterexample_search(SearchConfig(dims=[(4, 4)] * 3, trials=3, master_seed=1))
-        assert sizes == [1, 1, 1]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_search_blocks_are_the_sweep_planners(self, serial_pools, monkeypatch, jobs):
+        # the search hands `_pool_map` the blocks `_sweep_blocks` cuts from
+        # its trials, numbered from trial_offset; the stand-in executor runs
+        # the pool's blocks in this process (before the caller's own), where
+        # they are recorded
+        seen = []
+
+        def recording(first, block, cfg):
+            seen.append((first, block))
+            return np.zeros(len(block)), []
+
+        monkeypatch.setattr(positivity, "_search_block", recording)
+        # block counts at jobs = 1: one block under the floor, two 700-trial
+        # blocks at 3 x 2x2, and three blocks of 3 x 8x8 trials, whose 24576
+        # pair entries each allow at most five to a block
+        for dims, trials, count in (([(2, 2)] * 2, 30, 1), ([(2, 2)] * 3, 1400, 2),
+                                    ([(8, 8)] * 3, 12, 3)):
+            seen.clear()
+            counterexample_search(SearchConfig(dims=dims, trials=trials, master_seed=1,
+                                               trial_offset=50), jobs=jobs)
+            planned = positivity._sweep_blocks([dims] * trials, jobs)
+            assert sorted(seen) == [(50 + start, block) for start, block in planned]
+            assert len(seen) == (1 if count == 1 else jobs * -(-count // jobs))
 
     def test_non_unitary_draws_raise(self, monkeypatch):
         make = positivity.unitary_from_ginibre
@@ -549,9 +600,10 @@ class TestBatchedSearch:
         cfg = SearchConfig(dims=[(2, 2)] * 3, trials=20, master_seed=7,
                            target="schur_s_fraction", refine_iterations=50)
         counters = counterexample_search(cfg).refine_counters
-        # the block's splits (no eigenbasis), the descent's start, then one
-        # stack of rotated splits per block that holds a rotation
-        assert shapes[:2] == [(20, 3, 4, 4), (3, 4, 4)]
+        # the block draw's flat stack of splits (no eigenbasis), the
+        # descent's start draw, then one stack of rotated splits per block
+        # that holds a rotation
+        assert shapes[:2] == [(60, 4, 4), (3, 4, 4)]
         rotations = shapes[2:]
         assert len(rotations) > 5 and {shape[1:] for shape in rotations} == {(4, 4)}
         assert max(shape[0] for shape in rotations) > 1
@@ -717,8 +769,7 @@ class TestBatchedSearch:
         mats = [np.array([haar_unitary(d, rng) for _ in splits]) for splits in per_instance]
         if isinstance(dims, tuple):
             flat = _pair_tables(schmidt, np.concatenate(mats), dims,
-                                functools.partial(_pair_entropies, n=n),
-                                positivity.STACK_ENTRIES)
+                                functools.partial(_pair_entropies, n=n))
             ends = np.cumsum([len(splits) ** 2 for splits in dims])
             tables = [t.reshape(len(splits), -1)
                       for t, splits in zip(np.split(flat, ends[:-1]), dims)]
@@ -791,7 +842,18 @@ class TestBatchedSearch:
 
 class TestBlockDraws:
     """`_draw_block` owns stream order: every instance of a block is its own
-    stream's one-at-a-time draw (`draw_one`), to the last bit."""
+    stream's one-at-a-time draw (`draw_one`), to the last bit, with its
+    splits' Ginibre matrices through the Haar step."""
+
+    @staticmethod
+    def assert_instance(draw, k, first, lam, single):
+        """Instance k of a `_draw_block` output, its splits from split row
+        `first` on, is `draw_one`'s (lam, single) to the last bit."""
+        schmidt, u, eigenbases = draw
+        splits = unitary_from_ginibre(single[1:])
+        assert schmidt[k].tobytes() == lam.tobytes()
+        assert eigenbases[k].tobytes() == single[0].tobytes()
+        assert u[first:first + len(splits)].tobytes() == splits.tobytes()
 
     # at seed 5, instance 55195's first flat Dirichlet draw, at d = 4 and at
     # d = 6, has an entry below EIGENVALUE_REDRAW_FLOOR and is redrawn
@@ -807,18 +869,18 @@ class TestBlockDraws:
         d = dims_list[0][0][0] * dims_list[0][0][1]
         assert trial_rng(seed, redrawn).dirichlet(np.ones(d)).min() < EIGENVALUE_REDRAW_FLOOR
         indices = [3, redrawn, 0, 17]
-        schmidt, z, first = _draw_block(seed, indices, dims_list)
-        rows = np.array([1 + len(dims) for dims in dims_list])
-        assert first.tolist() == (np.cumsum(rows) - rows).tolist()
-        assert schmidt.shape == (4, d) and z.shape == (rows.sum(), d, d)
+        draw = _draw_block(seed, indices, dims_list)
+        splits = np.array([len(dims) for dims in dims_list])
+        schmidt, u, eigenbases = draw
+        assert schmidt.shape == (4, d) and eigenbases.shape == (4, d, d)
+        assert u.shape == (splits.sum(), d, d)
         assert schmidt.min() >= EIGENVALUE_REDRAW_FLOOR
-        for k, (index, dims) in enumerate(zip(indices, dims_list)):
+        for k, (index, dims, first) in enumerate(zip(indices, dims_list,
+                                                     np.cumsum(splits) - splits)):
             lam, single = draw_one(seed, index, dims)
-            assert schmidt[k].tobytes() == lam.tobytes()
-            assert z[first[k]:first[k] + rows[k]].tobytes() == single.tobytes()
+            self.assert_instance(draw, k, first, lam, single)
             # a one-row block is the same instance
-            alone = _draw_block(seed, [index], [dims])
-            assert alone[0].tobytes() == lam.tobytes() and alone[1].tobytes() == single.tobytes()
+            self.assert_instance(_draw_block(seed, [index], [dims]), 0, 0, lam, single)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
     def test_block_seeding_gives_the_default_rng_streams(self, seed):
@@ -846,11 +908,9 @@ class TestBlockDraws:
         # d = 2, 4, 6, 16 and 64: the exponential fill, normalized once per
         # block by its running sum, is each stream's Dirichlet draw
         indices = [4, 2**32 + 1, 0, 99, 12]
-        schmidt, z, first = _draw_block(seed, indices, [dims] * len(indices))
+        draw = _draw_block(seed, indices, [dims] * len(indices))
         for k, index in enumerate(indices):
-            lam, single = draw_one(seed, index, dims)
-            assert schmidt[k].tobytes() == lam.tobytes()
-            assert z[first[k]:first[k] + len(dims) + 1].tobytes() == single.tobytes()
+            self.assert_instance(draw, k, k * len(dims), *draw_one(seed, index, dims))
 
     def test_redraws_follow_the_one_at_a_time_stream(self, monkeypatch):
         # at a floor of 0.1 about 4 in 5 flat Dirichlet draws at d = 4 have
@@ -861,15 +921,14 @@ class TestBlockDraws:
         monkeypatch.setattr(positivity, "simplex_eigenvalues",
                             functools.partial(simplex_eigenvalues, floor=floor))
         indices = list(range(30, 70))
-        schmidt, z, first = _draw_block(seed, indices, [dims] * len(indices))
+        draw = _draw_block(seed, indices, [dims] * len(indices))
         first_draws = [trial_rng(seed, k).dirichlet(np.ones(4)).min() for k in indices]
         assert 20 <= sum(m < floor for m in first_draws) < len(indices)
-        assert schmidt.min() >= floor
+        assert draw[0].min() >= floor
         for k, index in enumerate(indices):
             rng = trial_rng(seed, index)
             lam = np.sort(simplex_eigenvalues(4, rng, floor))[::-1]
-            assert schmidt[k].tobytes() == lam.tobytes()
-            assert z[first[k]:first[k] + 4].tobytes() == ginibre(4, rng, (4,)).tobytes()
+            self.assert_instance(draw, k, 3 * k, lam, ginibre(4, rng, (4,)))
 
     def test_ginibre_parts_keep_the_stacked_layout(self):
         # `draw_one` and `_draw_block` share sampling's layout, so it is
@@ -1049,14 +1108,16 @@ class TestTheoremSweep:
         monkeypatch.setattr(positivity, "_validated_dims", recording)
         for _ in range(2):
             assert asdict(theorem_sweep(plan, [2, 3], master_seed=5, jobs=4)) == reference
-        assert serial_pools == [3] and len(validated) == 2 * len(plan)
-        # 48 entries per 2 x 2x2 trial: three trials are three blocks, and
-        # five jobs replace the pool of three workers
-        monkeypatch.setattr(positivity, "STACK_ENTRIES", 48)
-        counterexample_search(SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1), jobs=5)
-        assert serial_pools == [3, 4]
+        # each call validates the plan's one distinct dims once
+        assert serial_pools == [3] and validated == [[(2, 2)] * 3] * 2
         # a plan under the floor runs in this process at any jobs
         theorem_sweep([[(2, 2)] * 2] * 44, [2, 3], master_seed=5, jobs=3)
+        assert serial_pools == [3] and list(positivity._POOL) == [4]
+        # 48 entries per 2 x 2x2 trial: at a block budget of 48, three
+        # trials are three blocks, and five jobs replace the pool of three
+        # workers
+        monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 48)
+        counterexample_search(SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1), jobs=5)
         assert serial_pools == [3, 4] and list(positivity._POOL) == [5]
 
     def test_empty_plan_and_empty_n(self):
@@ -1138,12 +1199,13 @@ class TestPoolMap:
             os.kill(int(out.stdout), 0)
 
     def test_one_block_builds_no_pool(self, serial_pools):
-        # 3 x 2x2 search trials: 42 to a block; a 2 x 2x2 sweep instance
-        # has 48 of the sweep block's 2^17 entries
-        report = counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=42,
+        # both plans stay under the one-block floor of SWEEP_BLOCK_ENTRIES // 8
+        # (16384) entries of cost: 39 3 x 2x2 search trials at 96 + 320
+        # each, and 20 2 x 2x2 sweep instances at 48 + 320
+        report = counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=39,
                                                     master_seed=1), jobs=4)
         sweep = theorem_sweep([[(2, 2)] * 2] * 20, [2, 3], master_seed=1, jobs=4)
-        assert report.trials_run == 42 and sweep.checks == 40
+        assert report.trials_run == 39 and sweep.checks == 40
         assert serial_pools == []
 
     def test_one_sweep_function(self):
