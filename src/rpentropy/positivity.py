@@ -20,7 +20,7 @@ import numpy as np
 
 from .modular import PurifiedState, _check_hermitian
 from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
-                        _pair_spectrum, _pair_traces)
+                        _gram_eigenvalues, _gram_traces, _pair_gram)
 from .sampling import (EIGENVALUE_REDRAW_FLOOR, ginibre_from_parts, ginibre_parts,
                        simplex_eigenvalues, trial_rng, trial_rngs, unitary_from_ginibre)
 # not called here: the benchmark's tracer patches these names on this module
@@ -39,19 +39,26 @@ SWEEP_BLOCK_ENTRIES = 1 << 17
 # the cost model of blocks: an instance costs its m(m+1)/2 d^2 pair
 # entries plus this many entries' worth of fixed work (draw, Haar step,
 # verdict).  40-instance blocks of 2-4 subsystems, one BLAS thread on a
-# 2-core x86_64 machine, took 2.8-3.2 ms for 4,000 entries at d = 4 and
-# 14.4-14.7 ms for 64,000 at d = 16: about 0.2 us per entry and a fixed
-# 260-330 entries per instance.  The two blocks of the benchmark's
-# 200-instance criterion-1 mix then take 15.2 ms each.  A plan that costs
-# less than SWEEP_BLOCK_ENTRIES // 8 (about 3 ms) stays one block in the
-# calling process, where a pool task's round trip (about 1 ms to start a
-# warm worker) would not pay.
+# shared 2-core x86_64 machine, took 1.9 ms for 4,000 entries at d = 4 and
+# 8.7 ms for 64,000 at d = 16 (medians over 12 batches of each batch's
+# fastest of 8 runs): about 0.11 us per entry and a fixed 36 us, about
+# 310 entries, per instance.  The two blocks of the benchmark's
+# 200-instance criterion-1 mix then take 9.8 and 10.5 ms.  A plan that
+# costs less than SWEEP_BLOCK_ENTRIES // 8 (about 2 ms) stays one block in
+# the calling process, where a pool task's round trip (0.05 ms to an idle
+# worker and back, more while this process computes) would not pay.
 SWEEP_INSTANCE_ENTRIES = 320
-# kernel calls: one pair-kernel call (`_pair_tables`) holds at most this many
-# pair-matrix entries, or one pair if a single pair is larger.  At 64 KB
-# per complex temporary a call stays in cache: 256 pairs at d = 4, and one
-# pair at d = 64.  The refine descent evaluates at most as many proposals
-# at once as fit in one call (`_block_trials`).
+# stacked steps of a block: each holds at most this many entries, or one
+# matrix if a single matrix is larger.  A build run of pair Gram matrices
+# (`_pair_tables`) holds this many pair-matrix entries: 256 pairs at
+# d = 4, one pair at d = 64; a pooled reduction, this many entries of the
+# Ms (256 4 x 4 Ms, one 64 x 64); a Haar-step run (`_draw_block`), this
+# many split entries.  At 64 KB per complex temporary a step stays in
+# cache and below the allocator's mapping threshold, so its memory is
+# reused, not faulted in afresh.  The d = 16 block above took 10.4 ms with
+# 19 trace calls, one per build run, and takes 8.7 ms with 19 build runs
+# and 8 pooled reductions.  The refine descent evaluates at most
+# as many proposals at once as fit in one build run (`_block_trials`).
 STACK_ENTRIES = 1 << 12
 # the quantiles a report keeps of a slack array in place of the array
 SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
@@ -133,41 +140,59 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
     return tuple(runs)
 
 
-def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, kernel) -> np.ndarray:
-    """Flat table (sum of m^2,) of a pair kernel over a flat stack of
+def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> np.ndarray:
+    """Flat table (sum of m^2,) of a pair reduction over a flat stack of
     instances shaped as `dims` (`_pair_plan`): Schmidt values (N, d) and
     split matrices (S, d, d).
 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j}, so each pair
-    i <= j is reduced once and written to both entries.  A run of at most
-    STACK_ENTRIES pair-matrix entries (at least one pair) takes one
-    kernel(Schmidt values (run, d), split i and split j matrices
-    (run, d, d), dims_i, dims_j) call, whose values (run,) may gain axes
-    in front of the run axis; the table gains them too.
+    i <= j is reduced once and written to both entries.  Each run of one
+    shape pair, at most STACK_ENTRIES pair-matrix entries (at least one
+    pair), builds its pair Gram matrices M (`_pair_gram`, k x k).  The Ms
+    of one k are pooled across shape pairs, and a pool is reduced once it
+    holds STACK_ENTRIES entries (at least one M), the rest at the end:
+    reduce(M stack (run, k, k)) gives values (run,), which may gain axes in
+    front of the run axis; the table gains them too.  Each M is reduced
+    alone, so the table is the same for any pooling.
     """
-    d = schmidt.shape[-1]
-    table = None
-    for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
-        values = kernel(schmidt[inst], mats[i], mats[j], dims_i, dims_j)
+    d, table, pools = schmidt.shape[-1], None, defaultdict(list)
+
+    def flush(m, ij, ji):
+        nonlocal table
+        values = reduce(m)
         if table is None:
             table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
         table[..., ij] = table[..., ji] = values
+
+    for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
+        m = _pair_gram(schmidt[inst], mats[i], mats[j], dims_i, dims_j)
+        pool, cap = pools[m.shape[-1]], max(1, STACK_ENTRIES // m.shape[-1] ** 2)
+        if not pool and len(ij) == cap:  # a full run is a pool of its own
+            flush(m, ij, ji)
+            continue
+        pool.append((m, ij, ji))
+        if sum(len(held[1]) for held in pool) >= cap:
+            # a run is at most one pool's worth (k <= d), so one flush empties it
+            m, ij, ji = (np.concatenate(p) if len(pool) > 1 else p[0] for p in zip(*pool))
+            flush(m[:cap], ij[:cap], ji[:cap])
+            pool[:] = [(m[cap:], ij[cap:], ji[cap:])] if len(ij) > cap else []
+    for pool in pools.values():
+        if pool:
+            flush(*(np.concatenate(p) for p in zip(*pool)))
     return table
 
 
-def _pair_entropies(schmidt_values, mat_i, mat_j, dims_i, dims_j, n: int) -> np.ndarray:
-    """S_n(A_i Abar_j) of a stack of pairs, the pair kernel of entropy tables.
-
-    Both kernels start from the pair Gram matrix M (`_pair_gram`), and
-    neither takes an SVD.  Von Neumann (n = 1) needs the eigenvalues, so it
-    takes `eigvalsh` of M (`_pair_spectrum`).  An integer n >= 2 needs none:
-    S_n is -log(tr rho^n) / (n - 1), from the theorem sweep's trace-power
-    kernel (`_pair_traces`).
+def _pair_entropies(m: np.ndarray, n: int) -> np.ndarray:
+    """S_n(A_i Abar_j) of a stack of pair Gram matrices M (`_pair_gram`),
+    the pair reduction of entropy tables; neither route takes an SVD.  Von
+    Neumann (n = 1) needs the eigenvalues, so it takes `eigvalsh` of M
+    (`_gram_eigenvalues`).  An integer n >= 2 needs none: S_n is
+    -log(tr rho^n) / (n - 1), from the theorem sweep's trace powers
+    (`_gram_traces`).
     """
-    pair = (schmidt_values, mat_i, mat_j, dims_i, dims_j)
     if n == 1:
-        return _entropies(_pair_spectrum(*pair), 1)
-    return -np.log(_pair_traces(*pair, (n,))[0]) / (n - 1)
+        return _entropies(_gram_eigenvalues(m), 1)
+    return -np.log(_gram_traces(m, (n,))[0]) / (n - 1)
 
 
 def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
@@ -432,45 +457,52 @@ class SearchReport:
 
 def _draw_block(master_seed: int, indices, dims_list) -> tuple:
     """(descending Schmidt values (N, d), checked Haar split unitaries
-    stacked flat (sum of m, d, d), eigenbasis Ginibre matrices (N, d, d))
+    stacked flat (sum of m, d, d), eigenbasis Ginibre parts (N, 2, d, d))
     of the instances `indices`, split as `dims_list`, which share one d.
     The eigenbasis enters no pair matrix: a caller that needs its unitary
-    builds and checks it.
+    combines its parts (`ginibre_from_parts`) and builds and checks it.
 
     This is the one owner of stream order and of the splits' Haar step.
     Instance k's `trial_rng` stream, seeded with the block's by
-    `trial_rngs`, gives its spectrum and then, straight into its rows of
-    one buffer, the real and then the imaginary parts of its eigenbasis's
-    matrix and then each split's (`sampling.ginibre_parts`, as `ginibre`
-    draws them).  The spectrum is `Generator.dirichlet`'s flat draw: d
-    standard exponentials times one over their sequential sum (`cumsum`; a
-    pairwise `sum` differs in the last bits).  The rare instance below the
-    redraw floor is drawn again as `simplex_eigenvalues` draws it, so an
-    instance is the same in any block.  Normalization, sort, complex
-    combine, QR and `_check_unitary` run once per block.
+    `trial_rngs`, gives its spectrum, then the real and then the imaginary
+    parts of its eigenbasis's matrix into its row of one buffer and each
+    split's into its rows of another (`sampling.ginibre_parts`, as
+    `ginibre` draws them).  The spectrum is `Generator.dirichlet`'s flat
+    draw: d standard exponentials times one over their sequential sum
+    (`cumsum`; a pairwise `sum` differs in the last bits).  The rare
+    instance below the redraw floor is drawn again as `simplex_eigenvalues`
+    draws it, so an instance is the same in any block.  The Haar step
+    (complex combine, QR, phase fix, `_check_unitary`) runs on runs of at
+    most STACK_ENTRIES split entries, or one split, into one output.
     """
     d = dims_list[0][0][0] * dims_list[0][0][1]
-    rows = [1 + len(dims) for dims in dims_list]
-    stops = np.cumsum(rows).tolist()
-    raw = np.empty((stops[-1], 2, d, d))
-    lam = np.empty((len(rows), d))
-    for k, (rng, count, stop) in enumerate(zip(trial_rngs(master_seed, indices), rows, stops)):
+    stops = np.cumsum([len(dims) for dims in dims_list]).tolist()
+    eigen = np.empty((len(stops), 2, d, d))
+    parts = np.empty((stops[-1], 2, d, d))
+    lam = np.empty((len(stops), d))
+    for k, (rng, start, stop) in enumerate(zip(trial_rngs(master_seed, indices),
+                                               [0] + stops, stops)):
         rng.standard_exponential(out=lam[k])
-        ginibre_parts(rng, raw[stop - count:stop])
+        ginibre_parts(rng, eigen[k])
+        ginibre_parts(rng, parts[start:stop])
     lam *= 1.0 / np.cumsum(lam, axis=1)[:, -1:]
     for k in np.flatnonzero(lam.min(axis=1) < EIGENVALUE_REDRAW_FLOOR).tolist():
         rng = trial_rng(master_seed, indices[k])
         lam[k] = simplex_eigenvalues(d, rng)
-        ginibre_parts(rng, raw[stops[k] - rows[k]:stops[k]])
-    z, eigenbases = ginibre_from_parts(raw), np.array(stops) - rows
-    u = unitary_from_ginibre(np.delete(z, eigenbases, axis=0))
-    _check_unitary(u)
-    return np.sort(lam)[:, ::-1].copy(), u, z[eigenbases]
+        ginibre_parts(rng, eigen[k])
+        ginibre_parts(rng, parts[stops[k] - len(dims_list[k]):stops[k]])
+    u = np.empty(parts.shape[:1] + (d, d), dtype=complex)
+    run = max(1, STACK_ENTRIES // d ** 2)
+    for start in range(0, len(u), run):
+        out = u[start:start + run]
+        unitary_from_ginibre(ginibre_from_parts(parts[start:start + run]), out=out)
+        _check_unitary(out)
+    return np.sort(lam)[:, ::-1].copy(), u, eigen
 
 
 def _draw_instance(cfg: SearchConfig, trial: int):
-    lam, u, z = _draw_block(cfg.master_seed, [cfg.trial_offset + trial], [cfg.dims])
-    eigenbasis = unitary_from_ginibre(z[0])
+    lam, u, eigen = _draw_block(cfg.master_seed, [cfg.trial_offset + trial], [cfg.dims])
+    eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[0]))
     _check_unitary(eigenbasis)
     psi = PurifiedState(dim=cfg.dim, schmidt_values=lam[0], eigenbasis=eigenbasis)
     splits = [SubsystemSplit(dim_a=da, dim_b=db, coeffs=u[k], label=f"A{k+1}")
@@ -573,12 +605,12 @@ def _search_block(first: int, block, cfg: SearchConfig) -> tuple:
     first trial `first`: one `_draw_block` call and one `_evaluate_block`
     call.  Payloads, and the eigenbasis unitary they store, are built for
     violating trials only."""
-    schmidt, u, z = _draw_block(cfg.master_seed, range(first, first + len(block)), block)
+    schmidt, u, eigen = _draw_block(cfg.master_seed, range(first, first + len(block)), block)
     u = u.reshape(len(block), len(cfg.dims), cfg.dim, cfg.dim)
     fields = _evaluate_block(cfg, schmidt, u)
     violations = []
     for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
-        eigenbasis = unitary_from_ginibre(z[k])
+        eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[k]))
         _check_unitary(eigenbasis)
         result = _payload(fields, k)
         result["trial"] = first + k
@@ -593,48 +625,132 @@ def _run_blocks(task) -> list:
     return [worker(*block, *args) for block in blocks]
 
 
-_POOL = {}  # jobs -> the live executor of jobs - 1 workers; at most one entry
+def _outcome(task) -> tuple:
+    """(True, `_run_blocks(task)`), or (False, the exception it raised)."""
+    try:
+        return True, _run_blocks(task)
+    except Exception as exc:
+        return False, exc
 
 
-def _worker_pool(jobs: int, fresh: bool = False):
-    """The process's executor of jobs - 1 workers, built on first use and
-    kept for later calls; built anew when jobs changes or `fresh` is set."""
-    if fresh or jobs not in _POOL:
-        from concurrent.futures import ProcessPoolExecutor
+def _serve(conn) -> None:
+    """A pool worker: sends back the `_outcome` of each task that arrives
+    on its pipe, until None or the end of the pipe.  An interrupt is the
+    caller's to handle, so the worker ignores SIGINT."""
+    import signal
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for task in iter(conn.recv, None):
+            outcome = _outcome(task)
+            try:
+                conn.send(outcome)
+            except Exception as exc:  # an output or exception that does not pickle
+                conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    except EOFError:
+        pass
+
+
+class _Workers:
+    """`count` worker processes (`_serve`), each fed and read through its
+    own duplex `multiprocessing.Pipe`; a worker found dead is replaced."""
+
+    def __init__(self, count: int):
+        self.procs, self.conns = [None] * count, [None] * count
+        for k in range(count):
+            self._start(k)
+
+    def _start(self, k: int) -> None:
+        import multiprocessing
+
+        self.conns[k], child = multiprocessing.Pipe()
+        self.procs[k] = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+        self.procs[k].start()
+        child.close()
+
+    def _restart(self, k: int) -> None:
+        self.conns[k].close()
+        self.procs[k].kill()
+        self.procs[k].join()
+        self._start(k)
+
+    def send(self, k: int, task) -> None:
+        """Hand worker k a task, through a new worker if it died idle."""
+        try:
+            self.conns[k].send(task)
+        except OSError:
+            self._restart(k)
+            self.conns[k].send(task)
+
+    def receive(self, k: int, task) -> tuple:
+        """Worker k's `_outcome` of `task`; if the worker died on the way, a
+        new one runs the task again, once."""
+        try:
+            return self.conns[k].recv()
+        except (EOFError, OSError):
+            self._restart(k)
+            self.conns[k].send(task)
+            return self.conns[k].recv()
+
+    def close(self, kill: bool = False) -> None:
+        """Stop every worker, idle ones by a None task, or all by SIGKILL,
+        and join it."""
+        for proc, conn in zip(self.procs, self.conns):
+            if kill:
+                proc.kill()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:  # it died: join reaps it
+                    pass
+        for proc, conn in zip(self.procs, self.conns):
+            proc.join()
+            conn.close()
+
+
+_POOL = {}  # jobs -> the live _Workers of jobs - 1 workers; at most one entry
+
+
+def _worker_pool(jobs: int) -> _Workers:
+    """The process's jobs - 1 workers, started on first use and kept for
+    later calls; started anew when jobs changes."""
+    if jobs not in _POOL:
         _shutdown_pool()
-        _POOL[jobs] = ProcessPoolExecutor(max_workers=jobs - 1)
+        _POOL[jobs] = _Workers(jobs - 1)
+        # the first start registers multiprocessing's exit hook, which
+        # terminates daemonic workers; registered after it, this one runs
+        # first and lets each worker finish
+        atexit.unregister(_shutdown_pool)
+        atexit.register(_shutdown_pool)
     return _POOL[jobs]
 
 
-@atexit.register
-def _shutdown_pool():
-    """Stop and join the workers, if any.  Registered at exit, so that no
-    executor outlives the modules its finalizers use."""
+def _shutdown_pool(kill: bool = False) -> None:
+    """Stop and join the workers, if any (`_Workers.close`)."""
     for pool in _POOL.values():
-        pool.shutdown()
+        pool.close(kill)
     _POOL.clear()
 
 
 def _pool_runs(tasks: list, jobs: int) -> list:
-    """The outputs of every task, in order: the first task runs in this
-    process while the pool runs the rest.  A pool that breaks (a worker
-    died) is replaced, and the new one runs this call's pool tasks again."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    def submit(fresh=False):
-        pool = _worker_pool(jobs, fresh)
-        return [pool.submit(_run_blocks, task) for task in tasks[1:]]
-
+    """The outputs of every task, in order.  Tasks after the first go down
+    the pipes of the process's workers (`_worker_pool`), then this process
+    runs the first, then each worker's reply is read.  Every reply is read
+    before a task's exception, the first in task order, is raised here, so
+    no stale reply stays in a pipe; an interrupt, or a task that kills its
+    worker twice, kills the pool instead."""
+    pool, rest = _worker_pool(jobs), list(enumerate(tasks[1:]))
     try:
-        futures = submit()
-    except BrokenProcessPool:
-        futures = submit(fresh=True)
-    runs = [_run_blocks(tasks[0])]
-    try:
-        return runs + [future.result() for future in futures]
-    except BrokenProcessPool:
-        return runs + [future.result() for future in submit(fresh=True)]
+        for k, task in rest:
+            pool.send(k, task)
+        outcomes = [_outcome(tasks[0])] + [pool.receive(k, task) for k, task in rest]
+    except BaseException:
+        _shutdown_pool(kill=True)
+        raise
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
@@ -644,8 +760,8 @@ def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
 
     Runs of ceil(len(blocks) / jobs) blocks are one task each.  One task
     (jobs = 1, or a single block) runs in this process; with more, this
-    process runs the first and the process's pool of jobs - 1 workers
-    (`_worker_pool`) the others.
+    process runs the first and the process's jobs - 1 workers
+    (`_pool_runs`) the others.
     """
     size = -(-len(blocks) // jobs)
     tasks = [(worker, blocks[k:k + size], args) for k in range(0, len(blocks), size)]
@@ -908,8 +1024,8 @@ def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> t
 
     Per d, one `_draw_block` call draws the instances and their Haar
     splits, so an instance is the search's and the same in any block; one
-    `_pair_tables` call follows, whose runs reduce pair matrices to their
-    trace powers per n (`_pair_traces`, no spectrum).  Then come the
+    `_pair_tables` call follows, whose pools reduce pair Gram matrices to
+    their trace powers per n (`_gram_traces`, no spectrum).  Then come the
     verdicts per subsystem count.
     """
     by_d = defaultdict(list)  # d -> block indices
@@ -921,7 +1037,7 @@ def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> t
         dims = tuple(block[k] for k in idx)
         lam, u, _ = _draw_block(master_seed, [first + k for k in idx], dims)
         order += idx
-        tables.append(_pair_tables(lam, u, dims, lambda *pair: _pair_traces(*pair, n_values)))
+        tables.append(_pair_tables(lam, u, dims, lambda m: _gram_traces(m, n_values)))
     # each instance's Gram entries are a row-major m x m run of `entries`
     entries = np.concatenate(tables, axis=-1)
     sizes = np.array([len(dims) for dims in block])

@@ -177,27 +177,25 @@ def _pair_gram(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
     return m
 
 
-def _pair_spectrum(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
-                   dims_i: tuple, dims_j: tuple) -> np.ndarray:
-    """Eigenvalues of `_pair_gram`'s M, ascending, stack by stack; roundoff
-    below zero is clipped to 0."""
-    m = _pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j)
+def _gram_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of `_pair_gram` matrices M (..., k, k),
+    ascending; roundoff below zero is clipped to 0."""
     return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
-def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
-                 dims_i: tuple, dims_j: tuple, n_values) -> np.ndarray:
-    """tr rho^n of `_pair_matrix`'s rho = X X^dag for each n >= 1 of n_values,
-    shape (len(n_values), ...), from matrix products alone: no spectrum.
+def _gram_traces(m: np.ndarray, n_values) -> np.ndarray:
+    """tr M^n of a stack of `_pair_gram` matrices M (..., k, k) for each
+    n >= 1 of n_values, shape (len(n_values), ...), from matrix products
+    alone: no spectrum.  M shares rho's nonzero eigenvalues, so these are
+    tr rho^n.
 
-    M is `_pair_gram`'s, which shares rho's nonzero eigenvalues.  The powers
-    of M are Hermitian, so tr M^n is the entrywise sum of M^ceil(n/2) times
-    conj(M^floor(n/2)), from one ladder M, M^2, ... up to M^ceil(max n / 2).
-    A trace power below the smallest normal float raises, since its log,
-    the Renyi entropy, would be lost to underflow.
+    The powers of M are Hermitian, so tr M^n is the entrywise sum of
+    M^ceil(n/2) times conj(M^floor(n/2)), from one ladder M, M^2, ... up to
+    M^ceil(max n / 2), and M^0 = 1 when n = 1 is asked.  A trace power
+    below the smallest normal float raises, since its log, the Renyi
+    entropy, would be lost to underflow.
     """
-    m = _pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j)
-    ladder = [np.eye(m.shape[-1], dtype=m.dtype), m]
+    ladder = [np.eye(m.shape[-1], dtype=m.dtype) if 1 in n_values else None, m]
     while len(ladder) <= (max(n_values, default=0) + 1) // 2:
         ladder.append(ladder[-1] @ m)
     traces = np.empty((len(n_values),) + m.shape[:-2])
@@ -211,6 +209,12 @@ def _pair_traces(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarra
         raise InvalidStateError(f"tr rho^{n_values[first[0]]} = {traces[first]:.3e}: "
                                 "trace power vanished")
     return traces
+
+
+def _pair_spectrum(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
+                   dims_i: tuple, dims_j: tuple) -> np.ndarray:
+    """`_gram_eigenvalues` of `_pair_gram`'s M, stack by stack."""
+    return _gram_eigenvalues(_pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j))
 
 
 def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,

@@ -107,8 +107,11 @@ def ginibre_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 def ginibre_from_parts(parts: np.ndarray) -> np.ndarray:
-    """Complex matrices (..., d, d) from `ginibre_parts`'s (..., 2, d, d)."""
-    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+    """Complex matrices (..., d, d) from `ginibre_parts`'s (..., 2, d, d),
+    each part copied once into its half of the output."""
+    z = np.empty(parts.shape[:-3] + parts.shape[-2:], dtype=complex)
+    z.real, z.imag = parts[..., 0, :, :], parts[..., 1, :, :]
+    return z
 
 
 def ginibre(dim: int, rng: np.random.Generator, stack: tuple = ()) -> np.ndarray:
@@ -120,12 +123,13 @@ def ginibre(dim: int, rng: np.random.Generator, stack: tuple = ()) -> np.ndarray
     return ginibre_from_parts(ginibre_parts(rng, np.empty((*stack, 2, dim, dim))))
 
 
-def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
+def unitary_from_ginibre(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Haar unitaries from Ginibre matrices (..., d, d): QR, then R's phases
-    absorbed so the distribution is exactly Haar.  Leading axes are a stack."""
+    absorbed so the distribution is exactly Haar.  Leading axes are a stack;
+    the unitaries are written to `out` when it is given."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    return np.multiply(q, (diag / np.abs(diag))[..., None, :], out=out)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

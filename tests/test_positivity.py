@@ -1,10 +1,12 @@
 import functools
 import itertools
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,8 +25,8 @@ from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   verify_witness)
 from rpentropy.positivity import _draw_block, _evaluate_block, trial_rng, unitary_from_ginibre
 from rpentropy.reflected import SubsystemSplit, pair_spectrum, von_neumann
-from rpentropy.sampling import (ginibre, haar_unitary, random_density, simplex_eigenvalues,
-                                trial_rngs)
+from rpentropy.sampling import (ginibre, ginibre_from_parts, haar_unitary, random_density,
+                                simplex_eigenvalues, trial_rngs)
 
 import oracles
 from oracles import (b_from_mutual, brute_force_reflected, draw_one, sequential_refine,
@@ -40,25 +42,36 @@ def block_instances(cfg: SearchConfig):
 
 @pytest.fixture
 def serial_pools(monkeypatch):
-    """A stand-in executor: records the worker count of each pool built and
-    runs each submitted call in this process, so no process starts."""
-    import concurrent.futures
+    """Stand-in pipe workers: records the worker count of each pool built
+    and runs each task it is sent in this process when its reply is read,
+    so no process starts."""
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class SerialWorkers:
+        def __init__(self, count):
+            sizes.append(count)
+            self.sent = {}
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def send(self, k, task):
+            self.sent[k] = task
 
-        def shutdown(self):
+        def receive(self, k, task):
+            return positivity._outcome(self.sent.pop(k))
+
+        def close(self, kill=False):
             pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(positivity, "_Workers", SerialWorkers)
     return sizes
+
+
+def die_once(marker: str) -> tuple:
+    """A pool worker for `_pool_map`: ([the pid that ran it],), except that
+    a process that finds the file `marker` removes it and kills itself."""
+    if os.path.exists(marker):
+        os.unlink(marker)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return ([os.getpid()],)
 
 
 def random_gram(seed, m1=3, n=2, d_a=2, d_b=2):
@@ -522,18 +535,31 @@ class TestBatchedSearch:
                 assert json.dumps(report, sort_keys=True) == reference
 
     def test_kernel_calls_stay_within_the_stack_budget(self, monkeypatch):
-        # every pair-kernel call of the sweep, the search and the descent
-        # holds at most STACK_ENTRIES pair-matrix entries, or one pair whose
-        # d^2 entries exceed it alone
-        calls = []
-        for name in ("_pair_traces", "_pair_spectrum"):
-            def recording(schmidt_values, mat_i, *rest, kernel=getattr(positivity, name)):
-                calls.append(mat_i.shape)
-                return kernel(schmidt_values, mat_i, *rest)
+        # every pair Gram build run (d x d split matrices per pair), every
+        # pooled reduction (k x k pair Gram matrices) and every Haar-step
+        # run (d x d Ginibre matrices) of the sweep, the search and the
+        # descent holds at most STACK_ENTRIES entries, or a single matrix
+        # whose entries exceed it alone
+        calls = {"build": [], "reduce": [], "haar": []}
 
-            monkeypatch.setattr(positivity, name, recording)
+        def recording(kind, function, stack, *rest, **options):
+            calls[kind].append(stack.shape)
+            return function(stack, *rest, **options)
+
+        def recording_build(schmidt_values, mat_i, *rest, build=positivity._pair_gram):
+            calls["build"].append(mat_i.shape)
+            return build(schmidt_values, mat_i, *rest)
+
+        monkeypatch.setattr(positivity, "_pair_gram", recording_build)
+        for kind, name in (("reduce", "_gram_traces"), ("reduce", "_gram_eigenvalues"),
+                           ("haar", "unitary_from_ginibre")):
+            monkeypatch.setattr(positivity, name,
+                                functools.partial(recording, kind, getattr(positivity, name)))
         mixed = [[(2, 2)] * 3, [(2, 3), (3, 2)], [(8, 8)] * 3, [(4, 4), (2, 8)], [(8, 8), (4, 16)]]
         theorem_sweep(mixed * 4, [2, 3], master_seed=3)
+        # 39 pairs of 2x8 splits, whose M is 4 x 4: build runs of 16, 16
+        # and 7 pairs, and one pooled reduction of all 39
+        theorem_sweep([[(2, 8)] * 2] * 13, [2], master_seed=3)
         counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=400, master_seed=1))
         counterexample_search(SearchConfig(dims=[(8, 8)] * 3, trials=4, master_seed=1))
         counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=20, master_seed=7,
@@ -541,18 +567,29 @@ class TestBatchedSearch:
                                            refine_iterations=300))
         counterexample_search(SearchConfig(dims=[(4, 4)] * 3, trials=2, master_seed=7,
                                            target="schur_s_fraction", refine_iterations=100))
-        pairs = {d: [run for run, dd, _ in calls if dd == d] for d in (4, 6, 16, 64)}
-        assert all(pairs.values()) and len(calls) == sum(map(len, pairs.values()))
-        for d, runs in pairs.items():
-            assert all(run * d * d <= positivity.STACK_ENTRIES or run == 1 for run in runs)
-        # the budget binds: full 256-pair runs at d = 4, one pair at d = 64
-        assert max(pairs[4]) == positivity.STACK_ENTRIES // 16 and set(pairs[64]) == {1}
+        runs = {kind: defaultdict(list) for kind in calls}
+        for kind, shapes in calls.items():
+            for shape in shapes:
+                runs[kind][shape[-1]].append(math.prod(shape[:-2]))
+        for kind, by_size in runs.items():
+            for size, counts in by_size.items():
+                assert all(count * size * size <= positivity.STACK_ENTRIES or count == 1
+                           for count in counts), (kind, size)
+        assert set(runs["build"]) == set(runs["haar"]) == {4, 6, 16, 64}
+        # the budget binds: full 256-matrix runs at d = 4, one matrix at d = 64
+        for kind in ("build", "haar"):
+            assert max(runs[kind][4]) == 256 and set(runs[kind][64]) == {1}
+        # M of a pair of 8x8 splits is 64 x 64, one to a reduction; the Ms
+        # of one size pool across build runs and shape pairs
+        assert set(runs["reduce"][64]) == {1}
+        assert max(runs["reduce"][4]) == 256 and 39 in runs["reduce"][4]
+        assert max(runs["build"][16]) == 16
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_search_blocks_are_the_sweep_planners(self, serial_pools, monkeypatch, jobs):
         # the search hands `_pool_map` the blocks `_sweep_blocks` cuts from
-        # its trials, numbered from trial_offset; the stand-in executor runs
-        # the pool's blocks in this process (before the caller's own), where
+        # its trials, numbered from trial_offset; the stand-in workers run
+        # the pool's blocks in this process (after the caller's own), where
         # they are recorded
         seen = []
 
@@ -575,7 +612,8 @@ class TestBatchedSearch:
 
     def test_non_unitary_draws_raise(self, monkeypatch):
         make = positivity.unitary_from_ginibre
-        monkeypatch.setattr(positivity, "unitary_from_ginibre", lambda z: make(z) * (1 + 1e-6))
+        monkeypatch.setattr(positivity, "unitary_from_ginibre",
+                            lambda z, out=None: np.multiply(make(z), 1 + 1e-6, out=out))
         with pytest.raises(InvalidStateError, match="orthonormality"):
             counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=5, master_seed=1))
 
@@ -730,19 +768,28 @@ class TestBatchedSearch:
                     assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
                                           table[1])
             monkeypatch.undo()
-        # at the default budget, one 8x8 pair matrix fills a call: of the
-        # trace-power kernel for n = 2, of the spectrum kernel for n = 1
-        for n, name in ((2, "_pair_traces"), (1, "_pair_spectrum")):
-            calls, kernel = [], getattr(positivity, name)
+        # at the default budget, one 8x8 pair matrix fills a build run, and
+        # its 64 x 64 pair Gram matrix a reduction: of the trace powers for
+        # n = 2, of the spectrum for n = 1
+        builds, build = [], positivity._pair_gram
 
-            def recording(schmidt_values, mat_i, *rest, kernel=kernel, calls=calls):
-                calls.append(mat_i.shape)
-                return kernel(schmidt_values, mat_i, *rest)
+        def recording_build(schmidt_values, mat_i, *rest):
+            builds.append(mat_i.shape)
+            return build(schmidt_values, mat_i, *rest)
+
+        monkeypatch.setattr(positivity, "_pair_gram", recording_build)
+        for n, name in ((2, "_gram_traces"), (1, "_gram_eigenvalues")):
+            builds.clear()
+            reductions, reduce = [], getattr(positivity, name)
+
+            def recording(m, *rest, reduce=reduce, reductions=reductions):
+                reductions.append(m.shape)
+                return reduce(m, *rest)
 
             monkeypatch.setattr(positivity, name, recording)
             assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
                                   reference[n][1])
-            assert calls == [(1, 64, 64)] * 6
+            assert builds == reductions == [(1, 64, 64)] * 6
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
@@ -800,7 +847,7 @@ class TestBatchedSearch:
         def no_svd(*args):
             raise AssertionError("an integer-index table took a pair spectrum")
 
-        monkeypatch.setattr(positivity, "_pair_spectrum", no_svd)
+        monkeypatch.setattr(positivity, "_gram_eigenvalues", no_svd)
         rng = np.random.default_rng(12)
         for dims in ([(8, 8)] * 3, [(2, 3), (3, 2), (2, 3)]):
             d = dims[0][0] * dims[0][1]
@@ -852,7 +899,7 @@ class TestBlockDraws:
         schmidt, u, eigenbases = draw
         splits = unitary_from_ginibre(single[1:])
         assert schmidt[k].tobytes() == lam.tobytes()
-        assert eigenbases[k].tobytes() == single[0].tobytes()
+        assert ginibre_from_parts(eigenbases[k]).tobytes() == single[0].tobytes()
         assert u[first:first + len(splits)].tobytes() == splits.tobytes()
 
     # at seed 5, instance 55195's first flat Dirichlet draw, at d = 4 and at
@@ -872,7 +919,7 @@ class TestBlockDraws:
         draw = _draw_block(seed, indices, dims_list)
         splits = np.array([len(dims) for dims in dims_list])
         schmidt, u, eigenbases = draw
-        assert schmidt.shape == (4, d) and eigenbases.shape == (4, d, d)
+        assert schmidt.shape == (4, d) and eigenbases.shape == (4, 2, d, d)
         assert u.shape == (splits.sum(), d, d)
         assert schmidt.min() >= EIGENVALUE_REDRAW_FLOOR
         for k, (index, dims, first) in enumerate(zip(indices, dims_list,
@@ -1043,7 +1090,7 @@ class TestTheoremSweep:
         # test-only SVD oracle agree within the kernel tolerance of
         # tests/test_reflected.py
         from rpentropy.positivity import _draw_instance, _gram_spectrum
-        from rpentropy.reflected import _pair_traces
+        from rpentropy.reflected import _gram_traces, _pair_gram
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,
                               tol=-1.0, trial_offset=4)
@@ -1051,8 +1098,8 @@ class TestTheoremSweep:
                            trial_offset=5)
         psi, splits = _draw_instance(cfg, 0)
         pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-        traces = {(i, j): _pair_traces(psi.schmidt_values, splits[i].matrix,
-                                       splits[j].matrix, dims[i], dims[j], n_values)
+        traces = {(i, j): _gram_traces(_pair_gram(psi.schmidt_values, splits[i].matrix,
+                                                  splits[j].matrix, dims[i], dims[j]), n_values)
                   for i, j in pairs}
         spectra = {(i, j): svd_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
         recorded = [v for v in sweep.violations if v["instance"] == 5]
@@ -1074,7 +1121,7 @@ class TestTheoremSweep:
         def no_svd(*args):
             raise AssertionError("the theorem sweep took a pair spectrum")
 
-        monkeypatch.setattr(positivity, "_pair_spectrum", no_svd)
+        monkeypatch.setattr(positivity, "_gram_eigenvalues", no_svd)
         plan = [[(2, 2)] * 2, [(2, 3), (3, 2), (2, 3)], [(4, 4), (2, 8)]] * 3
         result = theorem_sweep(plan, [1, 2, 3, 5], master_seed=3)
         assert result.checks == 4 * len(plan) and not result.violations
@@ -1092,8 +1139,8 @@ class TestTheoremSweep:
             theorem_sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
 
     def test_pool_keeps_jobs_minus_one_workers(self, serial_pools, monkeypatch):
-        # the plan is validated once, before the pool; a stand-in executor
-        # records each pool's size and runs its tasks in this process
+        # the plan is validated once, before the pool; stand-in workers
+        # record each pool's size and run their tasks in this process
         validated = []
         validate = positivity._validated_dims
 
@@ -1133,9 +1180,11 @@ class TestTheoremSweep:
 
 class TestPoolMap:
     """`_pool_map` is the one merge of block results.  It runs the first
-    run of blocks in this process and the others on a pool of jobs - 1
-    worker processes that lives until jobs changes, the pool breaks or the
-    interpreter exits."""
+    run of blocks in this process and the others on jobs - 1 worker
+    processes, each fed through its own pipe, that live until jobs changes
+    or the interpreter exits; a worker found dead is replaced."""
+
+    PLAN = [[(2, 2)] * 3] * 200  # two blocks at jobs = 2, three at jobs = 3
 
     @staticmethod
     def worker(k, tag):
@@ -1145,58 +1194,129 @@ class TestPoolMap:
         return (np.stack((rows, -rows), axis=-1), rows.astype(float), [f"{tag}{k}"] * k,
                 [os.getpid()] * k)
 
+    @staticmethod
+    def pids(jobs):
+        return [proc.pid for proc in positivity._POOL[jobs].procs]
+
     def test_caller_runs_the_first_run_and_the_pool_stays(self):
         blocks = [(3,), (0,), (1,), (4,)]
         rows = np.array([30, 31, 32, 10, 40, 41, 42, 43])
         labels = ["b3"] * 3 + ["b1"] + ["b4"] * 4
         pools = []
         # the first run is ceil(4 / jobs) blocks: all 8 rows at jobs = 1,
-        # else the 3 rows of block (3,) and the empty (0,)
+        # else the 3 rows of block (3,) and the empty (0,); the rest ran on
+        # the pool's workers, jobs - 1 of them, kept from call to call
         for jobs, first in ((1, 8), (2, 3), (2, 3), (3, 3), (5, 3)):
             pairs, values, names, pids = positivity._pool_map(self.worker, blocks, jobs, "b")
             assert np.array_equal(pairs, np.stack((rows, -rows), axis=-1))
             assert np.array_equal(values, rows) and values.dtype == float
             assert names == labels
-            assert pids[:first] == [os.getpid()] * first and os.getpid() not in pids[first:]
-            pools.append(positivity._POOL.get(jobs))
-        assert pools[0] is None and pools[1] is pools[2]
-        assert len({id(pool) for pool in pools[1:]}) == 3 and list(positivity._POOL) == [5]
+            assert pids[:first] == [os.getpid()] * first
+            pool = positivity._POOL.get(jobs)
+            assert pool is None or (len(pool.procs) == jobs - 1
+                                    and set(pids[first:]) <= set(self.pids(jobs)))
+            pools.append((pool, pool and self.pids(jobs)))
+        assert pools[0] == (None, None) and pools[1] == pools[2]
+        # another jobs starts another pool and stops the last one's workers
+        assert len({id(pool) for pool, _ in pools[1:]}) == 3 and list(positivity._POOL) == [5]
+        assert not any(proc.is_alive() for proc in pools[1][0].procs)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_a_killed_worker_is_replaced(self, monkeypatch, jobs):
-        # one pool task per worker: the replacement pool is built once and
-        # runs every pool task of the call
-        import concurrent.futures
-        built = []
+    def test_a_killed_worker_is_replaced(self, tmp_path, jobs):
+        # a worker killed while idle is replaced when its next task is sent,
+        # and one that dies running a task is replaced and runs it again;
+        # the other workers stay, and the result is the serial one
+        reference = asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8))
+        assert len(positivity._sweep_blocks(self.PLAN, jobs)) == jobs
+        assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
+        pool, pids = positivity._POOL[jobs], self.pids(jobs)
+        os.kill(pids[0], signal.SIGKILL)
+        pool.procs[0].join(timeout=30)
+        assert not pool.procs[0].is_alive()
+        assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
+        assert positivity._POOL[jobs] is pool and self.pids(jobs)[1:] == pids[1:]
+        assert self.pids(jobs)[0] != pids[0]
+        # the last worker's task kills it once, then runs on its replacement
+        pids, marker = self.pids(jobs), tmp_path / "die"
+        marker.touch()
+        blocks = [(str(tmp_path / "missing"),)] * (jobs - 1) + [(str(marker),)]
+        (ran,) = positivity._pool_map(die_once, blocks, jobs)
+        assert not marker.exists() and ran[0] == os.getpid() and ran[-1] not in pids
+        assert self.pids(jobs)[:-1] == pids[:-1] and self.pids(jobs)[-1] == ran[-1]
+        assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                super().__init__(max_workers=max_workers)
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_an_exception_leaves_no_stale_reply(self, bad):
+        # a non-unitary split in a worker's task (bad = 2), or in this
+        # process's own (bad = 0) while the workers run theirs, raises here
+        # with its type and message once every reply is read: the next
+        # calls on the same pool give the serial results
+        reference = asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12))
+        assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12, jobs=3)) == reference
+        pool, pids = positivity._POOL[3], self.pids(3)
+        splits = [(np.eye(4),)] * 3
+        splits[bad] = (1.01 * np.eye(4),)
+        with pytest.raises(InvalidStateError,
+                           match="^matrix not unitary: rows violate orthonormality$"):
+            positivity._pool_map(positivity._check_unitary, splits, 3)
+        for _ in range(2):
+            assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12, jobs=3)) == reference
+        assert positivity._POOL[3] is pool and self.pids(3) == pids
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        plan = [[(2, 2)] * 3] * 200
-        reference = asdict(theorem_sweep(plan, [2, 3], master_seed=8))
-        assert len(positivity._sweep_blocks(plan, jobs)) == jobs
-        assert asdict(theorem_sweep(plan, [2, 3], master_seed=8, jobs=jobs)) == reference
-        pool = positivity._POOL[jobs]
-        os.kill(pool.submit(os.getpid).result(), signal.SIGKILL)
-        assert asdict(theorem_sweep(plan, [2, 3], master_seed=8, jobs=jobs)) == reference
-        assert positivity._POOL[jobs] is not pool and built == [jobs - 1] * 2
-
-    def test_interpreter_exit_joins_the_workers(self):
-        # the pool is shut down at exit: the child exits 0 with nothing on
-        # stderr, and its worker is gone when it has exited
-        script = ("import os\nfrom rpentropy import positivity\n"
-                  "positivity.theorem_sweep([[(2, 2)] * 3] * 200, [2, 3], 1, jobs=2)\n"
-                  "print(positivity._POOL[2].submit(os.getpid).result())\n")
+    @staticmethod
+    def run_child(script: str) -> subprocess.CompletedProcess:
         src = str(Path(positivity.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120)
+        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    ENDINGS = (
+        "",
+        # a worker's exception, a non-unitary split, caught by the script
+        "try:\n"
+        "    positivity._pool_map(positivity._check_unitary,\n"
+        "                         [(np.eye(2),), (2 * np.eye(2),)], 2)\n"
+        "except InvalidStateError:\n"
+        "    sweep(2)\n",
+        # a worker killed while idle, replaced by the next call
+        "os.kill(positivity._POOL[2].procs[0].pid, signal.SIGKILL)\n"
+        "positivity._POOL[2].procs[0].join()\nsweep(2)\n")
+
+    def test_interpreter_exit_joins_the_workers(self):
+        # the pool is shut down at exit, after a normal run, a worker's
+        # exception or a killed worker: the child exits 0 with nothing on
+        # stderr, and every worker it had is gone when it has exited
+        for ending, workers in zip(self.ENDINGS, (1, 1, 2)):
+            script = ("import os, signal\nimport numpy as np\nfrom rpentropy import positivity\n"
+                      "from rpentropy.modular import InvalidStateError\n"
+                      "def sweep(jobs):\n"
+                      "    positivity.theorem_sweep([[(2, 2)] * 3] * 200, [2, 3], 1, jobs=jobs)\n"
+                      "    print(*[p.pid for p in positivity._POOL[jobs].procs], flush=True)\n"
+                      "sweep(2)\n" + ending)
+            out = self.run_child(script)
+            assert out.returncode == 0 and out.stderr == ""
+            pids = [int(pid) for pid in out.stdout.split()]
+            assert len(pids) == (2 if ending else 1) and len(set(pids)) == workers
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+
+    def test_spawned_workers_give_the_serial_result(self):
+        # under the spawn start method each worker imports the package and
+        # receives its task by pickle: the sweep's result is the serial one
+        plan = self.PLAN + [[(2, 3), (3, 2)]] * 100
+        reference = asdict(theorem_sweep(plan, [2, 3], master_seed=21))
+        script = ("import json, multiprocessing\nfrom dataclasses import asdict\n"
+                  "from rpentropy import positivity\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  f"plan = {plan!r}\n"
+                  "print(json.dumps(asdict(positivity.theorem_sweep(plan, [2, 3], 21, jobs=2))))\n"
+                  "print(multiprocessing.get_start_method())\n")
+        assert len(positivity._sweep_blocks(plan, 2)) >= 2
+        out = self.run_child(script)
         assert out.returncode == 0 and out.stderr == ""
-        with pytest.raises(ProcessLookupError):
-            os.kill(int(out.stdout), 0)
+        result, method = out.stdout.splitlines()
+        assert method == "spawn" and json.loads(result) == json.loads(json.dumps(reference))
 
     def test_one_block_builds_no_pool(self, serial_pools):
         # both plans stay under the one-block floor of SWEEP_BLOCK_ENTRIES // 8
