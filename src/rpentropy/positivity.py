@@ -157,8 +157,15 @@ def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> 
     """
     d, table, pools = schmidt.shape[-1], None, defaultdict(list)
 
-    def flush(m, ij, ji):
+    def flush(pool, cap=math.inf):
+        """Reduce the first cap entries of a pool (all by default) and keep
+        the rest; a pool of one run is reduced without a copy."""
         nonlocal table
+        m, ij, ji = pool[0] if len(pool) == 1 else map(np.concatenate, zip(*pool))
+        pool.clear()
+        if len(ij) > cap:
+            pool.append((m[cap:], ij[cap:], ji[cap:]))
+            m, ij, ji = m[:cap], ij[:cap], ji[:cap]
         values = reduce(m)
         if table is None:
             table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
@@ -167,18 +174,13 @@ def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> 
     for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
         m = _pair_gram(schmidt[inst], mats[i], mats[j], dims_i, dims_j)
         pool, cap = pools[m.shape[-1]], max(1, STACK_ENTRIES // m.shape[-1] ** 2)
-        if not pool and len(ij) == cap:  # a full run is a pool of its own
-            flush(m, ij, ji)
-            continue
         pool.append((m, ij, ji))
         if sum(len(held[1]) for held in pool) >= cap:
-            # a run is at most one pool's worth (k <= d), so one flush empties it
-            m, ij, ji = (np.concatenate(p) if len(pool) > 1 else p[0] for p in zip(*pool))
-            flush(m[:cap], ij[:cap], ji[:cap])
-            pool[:] = [(m[cap:], ij[cap:], ji[cap:])] if len(ij) > cap else []
+            # a run is at most one pool's worth (k <= d), so one flush leaves less than cap
+            flush(pool, cap)
     for pool in pools.values():
         if pool:
-            flush(*(np.concatenate(p) for p in zip(*pool)))
+            flush(pool)
     return table
 
 
@@ -464,40 +466,42 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
 
     This is the one owner of stream order and of the splits' Haar step.
     Instance k's `trial_rng` stream, seeded with the block's by
-    `trial_rngs`, gives its spectrum, then the real and then the imaginary
-    parts of its eigenbasis's matrix into its row of one buffer and each
-    split's into its rows of another (`sampling.ginibre_parts`, as
-    `ginibre` draws them).  The spectrum is `Generator.dirichlet`'s flat
-    draw: d standard exponentials times one over their sequential sum
-    (`cumsum`; a pairwise `sum` differs in the last bits).  The rare
-    instance below the redraw floor is drawn again as `simplex_eigenvalues`
-    draws it, so an instance is the same in any block.  The Haar step
-    (complex combine, QR, phase fix, `_check_unitary`) runs on runs of at
+    `trial_rngs`, gives its spectrum and then, straight into its rows of
+    one buffer, the real and then the imaginary parts of its eigenbasis's
+    matrix and then each split's (`sampling.ginibre_parts`, as `ginibre`
+    draws them).  The spectrum is `Generator.dirichlet`'s flat draw: d
+    standard exponentials times one over their sequential sum (`cumsum`; a
+    pairwise `sum` differs in the last bits).  The rare instance below the
+    redraw floor is drawn again as `simplex_eigenvalues` draws it, so an
+    instance is the same in any block.  The Haar step (complex combine of
+    the split rows, QR, phase fix, `_check_unitary`) runs on runs of at
     most STACK_ENTRIES split entries, or one split, into one output.
     """
     d = dims_list[0][0][0] * dims_list[0][0][1]
-    stops = np.cumsum([len(dims) for dims in dims_list]).tolist()
-    eigen = np.empty((len(stops), 2, d, d))
-    parts = np.empty((stops[-1], 2, d, d))
-    lam = np.empty((len(stops), d))
+    rows = np.array([1 + len(dims) for dims in dims_list])
+    stops = np.cumsum(rows)
+    eigen = stops - rows  # an instance's first row holds its eigenbasis
+    raw = np.empty((stops[-1], 2, d, d))
+    lam = np.empty((len(rows), d))
     for k, (rng, start, stop) in enumerate(zip(trial_rngs(master_seed, indices),
-                                               [0] + stops, stops)):
+                                               eigen.tolist(), stops.tolist())):
         rng.standard_exponential(out=lam[k])
-        ginibre_parts(rng, eigen[k])
-        ginibre_parts(rng, parts[start:stop])
+        ginibre_parts(rng, raw[start:stop])
     lam *= 1.0 / np.cumsum(lam, axis=1)[:, -1:]
     for k in np.flatnonzero(lam.min(axis=1) < EIGENVALUE_REDRAW_FLOOR).tolist():
         rng = trial_rng(master_seed, indices[k])
         lam[k] = simplex_eigenvalues(d, rng)
-        ginibre_parts(rng, eigen[k])
-        ginibre_parts(rng, parts[stops[k] - len(dims_list[k]):stops[k]])
-    u = np.empty(parts.shape[:1] + (d, d), dtype=complex)
+        ginibre_parts(rng, raw[eigen[k]:stops[k]])
+    is_split = np.ones(len(raw), dtype=bool)
+    is_split[eigen] = False
+    splits = np.flatnonzero(is_split)
+    u = np.empty((len(splits), d, d), dtype=complex)
     run = max(1, STACK_ENTRIES // d ** 2)
     for start in range(0, len(u), run):
-        out = u[start:start + run]
-        unitary_from_ginibre(ginibre_from_parts(parts[start:start + run]), out=out)
-        _check_unitary(out)
-    return np.sort(lam)[:, ::-1].copy(), u, eigen
+        u[start:start + run] = unitary_from_ginibre(
+            ginibre_from_parts(raw[splits[start:start + run]]))
+        _check_unitary(u[start:start + run])
+    return np.sort(lam)[:, ::-1].copy(), u, raw[eigen]
 
 
 def _draw_instance(cfg: SearchConfig, trial: int):
@@ -668,27 +672,24 @@ class _Workers:
         self.procs[k].start()
         child.close()
 
-    def _restart(self, k: int) -> None:
-        self.conns[k].close()
-        self.procs[k].kill()
-        self.procs[k].join()
-        self._start(k)
-
     def send(self, k: int, task) -> None:
-        """Hand worker k a task, through a new worker if it died idle."""
+        """Hand worker k a task; a pipe that refuses it (the worker died
+        idle) is left to `receive`."""
         try:
             self.conns[k].send(task)
         except OSError:
-            self._restart(k)
-            self.conns[k].send(task)
+            pass
 
     def receive(self, k: int, task) -> tuple:
-        """Worker k's `_outcome` of `task`; if the worker died on the way, a
-        new one runs the task again, once."""
+        """Worker k's `_outcome` of `task`; if the worker died before or
+        while running it, a new one runs the task again, once."""
         try:
             return self.conns[k].recv()
         except (EOFError, OSError):
-            self._restart(k)
+            self.conns[k].close()
+            self.procs[k].kill()
+            self.procs[k].join()
+            self._start(k)
             self.conns[k].send(task)
             return self.conns[k].recv()
 

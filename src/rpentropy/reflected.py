@@ -211,12 +211,6 @@ def _gram_traces(m: np.ndarray, n_values) -> np.ndarray:
     return traces
 
 
-def _pair_spectrum(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
-                   dims_i: tuple, dims_j: tuple) -> np.ndarray:
-    """`_gram_eigenvalues` of `_pair_gram`'s M, stack by stack."""
-    return _gram_eigenvalues(_pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j))
-
-
 def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
                   split_j: SubsystemSplit) -> np.ndarray:
     """Spectrum of rho_{A_i Abar_j}, ascending and nonnegative.
@@ -226,8 +220,9 @@ def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
     to min(a_i a_j, b_i b_j) entries, and roundoff below zero clipped to 0.
     """
     _check_pair_dims(psi, split_i, split_j)
-    return _pair_spectrum(psi.schmidt_values, split_i.matrix, split_j.matrix,
-                          (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
+    return _gram_eigenvalues(_pair_gram(psi.schmidt_values, split_i.matrix, split_j.matrix,
+                                        (split_i.dim_a, split_i.dim_b),
+                                        (split_j.dim_a, split_j.dim_b)))
 
 
 def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,

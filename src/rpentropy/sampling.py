@@ -123,13 +123,12 @@ def ginibre(dim: int, rng: np.random.Generator, stack: tuple = ()) -> np.ndarray
     return ginibre_from_parts(ginibre_parts(rng, np.empty((*stack, 2, dim, dim))))
 
 
-def unitary_from_ginibre(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from Ginibre matrices (..., d, d): QR, then R's phases
-    absorbed so the distribution is exactly Haar.  Leading axes are a stack;
-    the unitaries are written to `out` when it is given."""
+    absorbed so the distribution is exactly Haar.  Leading axes are a stack."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return np.multiply(q, (diag / np.abs(diag))[..., None, :], out=out)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -613,7 +613,7 @@ class TestBatchedSearch:
     def test_non_unitary_draws_raise(self, monkeypatch):
         make = positivity.unitary_from_ginibre
         monkeypatch.setattr(positivity, "unitary_from_ginibre",
-                            lambda z, out=None: np.multiply(make(z), 1 + 1e-6, out=out))
+                            lambda z: make(z) * (1 + 1e-6))
         with pytest.raises(InvalidStateError, match="orthonormality"):
             counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=5, master_seed=1))
 
@@ -1223,8 +1223,8 @@ class TestPoolMap:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_a_killed_worker_is_replaced(self, tmp_path, jobs):
-        # a worker killed while idle is replaced when its next task is sent,
-        # and one that dies running a task is replaced and runs it again;
+        # a worker killed while idle, or one that dies running a task, is
+        # replaced when its reply is read, and the new one runs the task;
         # the other workers stay, and the result is the serial one
         reference = asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8))
         assert len(positivity._sweep_blocks(self.PLAN, jobs)) == jobs

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.reflected import (UNITARITY_TOL, ReflectedDensity, SubsystemSplit,
-                                 _check_unitary, _combine, _entropies, _gram_traces,
-                                 _pair_gram, _pair_matrix, _pair_spectrum, pair_spectrum,
+                                 _check_unitary, _combine, _entropies, _gram_eigenvalues,
+                                 _gram_traces, _pair_gram, _pair_matrix, pair_spectrum,
                                  reflected_density, renyi_entropy, twist_operators,
                                  von_neumann)
 from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
@@ -14,10 +14,17 @@ from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_fr
 from oracles import (brute_force_reflected, hilbert_schmidt_mass, marginals,
                      mutual_information, reconstructed_trace)
 
+
 def _pair_traces(schmidt_values, mat_i, mat_j, dims_i, dims_j, n_values):
     """tr rho^n of a stack of pairs as the package takes it: the pair Gram
     build (`_pair_gram`), then the trace-power reduction (`_gram_traces`)."""
     return _gram_traces(_pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j), n_values)
+
+
+def _pair_spectrum(schmidt_values, mat_i, mat_j, dims_i, dims_j):
+    """Spectra of a stack of pairs as the package takes them: the pair Gram
+    build (`_pair_gram`), then its eigenvalues (`_gram_eigenvalues`)."""
+    return _gram_eigenvalues(_pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j))
 
 
 SPLIT_CHOICES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (4, 3)]
