@@ -392,8 +392,7 @@ def witness_record(table: np.ndarray, lam: float) -> GramRecord:
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    return GramRecord(size=table.shape[0], n=1, lam=float(lam),
-                      entries=np.exp(-lam * table), entropy_table=table)
+    return GramRecord(n=1, lam=float(lam), entries=np.exp(-lam * table), entropy_table=table)
 
 
 def divisibility_witness(sets: list[IntervalSet], lam: float) -> GramRecord:

@@ -21,7 +21,7 @@ import numpy as np
 from .modular import PurifiedState, _check_hermitian
 from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
                         _gram_eigenvalues, _gram_traces, _pair_gram)
-from .sampling import (EIGENVALUE_REDRAW_FLOOR, ginibre_from_parts, ginibre_parts,
+from .sampling import (EIGENVALUE_REDRAW_FLOOR, ginibre, ginibre_from_parts, ginibre_parts,
                        simplex_eigenvalues, trial_rng, trial_rngs, unitary_from_ginibre)
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, renyi_entropy, twist_operators, von_neumann  # noqa: F401
@@ -66,6 +66,10 @@ SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
 # stacked proposal calls, proposals evaluated, accepted, evaluated past the
 # accepted one and so discarded, and step-scale shrinks
 REFINE_COUNTERS = ("blocks", "evaluated", "accepted", "discarded", "shrinks")
+# the refine descent's first move scale, and the least eigenvalue a spectrum
+# move may leave: a move below it is skipped
+REFINE_SCALE = 0.4
+REFINE_FLOOR = 1e-8
 
 
 def _check_symmetric(a, what: str) -> np.ndarray:
@@ -95,7 +99,6 @@ def _gram_spectrum(g):
 class GramRecord:
     """(m+1) x (m+1) matrix of exp(-lam * S_n(A_i Abar_j)) with diagnostics."""
 
-    size: int
     n: int
     lam: float
     entries: np.ndarray
@@ -107,6 +110,11 @@ class GramRecord:
         self.entries, scale, eigvals, _ = _gram_spectrum(self.entries)
         self.scale = float(scale)
         self.min_eigenvalue = float(eigvals[0])
+
+    @property
+    def size(self) -> int:
+        """The split count, m + 1."""
+        return self.entries.shape[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -241,8 +249,7 @@ def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
             raise ValueError("n = 1 requires an explicit lam (entries e^{-lam S})")
         lam = float(n - 1)
     table = entropy_table(psi, splits, n)
-    return GramRecord(size=len(splits), n=n, lam=float(lam), entries=np.exp(-lam * table),
-                      entropy_table=table)
+    return GramRecord(n=n, lam=float(lam), entries=np.exp(-lam * table), entropy_table=table)
 
 
 @dataclass
@@ -270,8 +277,7 @@ def schur_power(gram: GramRecord, s: int) -> GramRecord:
     """Entrywise s-th power; stays PSD for positive integer s (Schur product)."""
     if int(s) != s or s < 1:
         raise ValueError("Schur power requires a positive integer exponent")
-    return GramRecord(size=gram.size, n=gram.n, lam=gram.lam * int(s),
-                      entries=gram.entries ** int(s),
+    return GramRecord(n=gram.n, lam=gram.lam * int(s), entries=gram.entries ** int(s),
                       entropy_table=gram.entropy_table)
 
 
@@ -393,8 +399,6 @@ class SearchConfig:
     literal_s: float | None = None
     trial_offset: int = 0
     refine_iterations: int = 0
-    refine_scale: float = 0.4
-    refine_floor: float = 1e-8
 
     def __post_init__(self):
         if self.trials < 1:
@@ -817,13 +821,13 @@ def _refine(cfg: SearchConfig, start_trial: int):
 
     Moves perturb the spectrum in the log simplex or rotate one split by a
     random small unitary; only improvements are kept and the move scale
-    shrinks after 300 rejections in a row.  The state eigenbasis is
-    irrelevant to every target (only the spectrum and the splits enter), so
-    it is never built and the payload stores the identity.
+    (REFINE_SCALE) shrinks after 300 rejections in a row.  The state
+    eigenbasis is irrelevant to every target (only the spectrum and the
+    splits enter), so it is never built and the payload stores the identity.
 
     Proposals are pre-fetched.  A proposal's draws do not depend on the
     state, and under rejection the stall count, the shrink and the
-    `refine_floor` skip are deterministic, so a block of proposals is drawn
+    REFINE_FLOOR skip are deterministic, so a block of proposals is drawn
     from the current state as if each were rejected.  Their rotations take
     one stacked `eigh` and one unitarity check, and the block one
     `_evaluate_block` call.  The first proposal that improves is accepted:
@@ -832,9 +836,11 @@ def _refine(cfg: SearchConfig, start_trial: int):
     last bit.  The block size follows the run.  After an accept it is
     2 / sqrt(p), p the accepts per iteration so far: a block of K costs
     about c0 + c1 K and advances about K (1 - p K / 2) iterations, which
-    is cheapest per iteration at K = sqrt(2 c0 / (c1 p)), and a call's
-    fixed cost c0 is about two proposals' c1 at 3 x 2x2.  After a block
-    without an accept it doubles.  It never exceeds `_block_trials`.
+    is cheapest per iteration at K = sqrt(2 c0 / (c1 p)).  The factor 2
+    is tuned by measurement: at 3 x 2x2 a call took about 130 us plus 20 us
+    a proposal, and factors 2 to 6 ran the seed-7 det-B descent equally
+    fast (one BLAS thread, 2 cores).  After a block without an accept it
+    doubles.  It never exceeds `_block_trials`.
 
     Returns (violation payload once the slack clears -10 * tolerance, else
     None; iterations used; counters keyed as REFINE_COUNTERS).
@@ -845,7 +851,7 @@ def _refine(cfg: SearchConfig, start_trial: int):
     counters = dict.fromkeys(REFINE_COUNTERS, 0)
     cur_slack = _evaluate_block(cfg, lam[None], betas[None])["slack"][0]
     target_slack = -10.0 * cfg.tolerance
-    scale, stall, it, size = cfg.refine_scale, 0, 0, 1
+    scale, stall, it, size = REFINE_SCALE, 0, 0, 1
     while it < cfg.refine_iterations:
         # (iteration count, split moved (0: the spectrum), spectrum, Hermitian
         # draw, scale, shrinks before it in the block, generator state after)
@@ -858,10 +864,10 @@ def _refine(cfg: SearchConfig, start_trial: int):
                 logl = np.log(lam) + scale * rng.standard_normal(lam.size)
                 lam_new = np.exp(logl)
                 lam_new = lam_new / lam_new.sum()
-                if lam_new.min() < cfg.refine_floor:
+                if lam_new.min() < REFINE_FLOOR:
                     continue
             else:
-                h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                h = ginibre(d, rng)
             block.append((it, which, lam_new, h, scale, shrinks, rng.bit_generator.state))
             # the rejection this proposal meets unless it is accepted
             stall += 1
@@ -1047,7 +1053,7 @@ def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> t
 
     min_eigs = np.empty((len(block), len(n_values)))
     scales = np.empty_like(min_eigs)
-    grams = {}
+    violations = []
     for m in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == m)
         g = entries[:, starts[members][:, None] + np.arange(m * m)]
@@ -1055,9 +1061,9 @@ def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> t
             g.reshape(-1, len(members), m, m).swapaxes(0, 1))
         min_eigs[members] = eigvals[..., 0]
         scales[members] = scale
-        grams.update(zip(members.tolist(), g))
-
-    violations = [{"instance": first + int(k), "n": n_values[c], "dims": list(block[k]),
-                   "gram": grams[k][c].tolist(), "min_eigenvalue": float(min_eigs[k, c])}
-                  for k, c in zip(*np.nonzero(min_eigs / scales < -tol))]
-    return min_eigs, scales, violations
+        violations += [{"instance": first + int(members[r]), "n": n_values[c],
+                        "dims": list(block[members[r]]), "gram": g[r, c].tolist(),
+                        "min_eigenvalue": float(eigvals[r, c, 0])}
+                       for r, c in zip(*np.nonzero(eigvals[..., 0] / scale < -tol))]
+    # by instance; a stable sort keeps each instance's n order
+    return min_eigs, scales, sorted(violations, key=lambda v: v["instance"])

@@ -115,7 +115,7 @@ class ReflectedDensity:
     dim_i: int
     dim_j: int
     labels: tuple = ("", "")
-    eigenvalues: np.ndarray = field(default=None, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -249,9 +249,7 @@ def _check_spectrum(eigs: np.ndarray, what: str) -> None:
 
 def _eigenvalues_of(state) -> np.ndarray:
     """Eigenvalues of a density, or a 1-D array taken as the spectrum itself."""
-    if isinstance(state, ReflectedDensity):
-        return state.eigenvalues
-    if isinstance(state, DensityMatrix):
+    if isinstance(state, (ReflectedDensity, DensityMatrix)):
         return state.eigenvalues
     if np.ndim(state) == 1:
         return np.asarray(state, dtype=float)

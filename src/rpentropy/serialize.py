@@ -40,10 +40,6 @@ def canonical_dumps(obj) -> str:
                       default=_json_default)
 
 
-def content_hash(obj) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
-
-
 def save_report(path: str, report: dict, meta: dict | None = None) -> str:
     """Write {meta, report}; the report part is byte-stable for a fixed config.
 
@@ -65,14 +61,14 @@ def save_report(path: str, report: dict, meta: dict | None = None) -> str:
 
 
 def write_fixture(out_dir: str, payload: dict) -> str:
-    """Store a payload under a content-hash filename; bit-stable given a seed."""
-    digest = content_hash(payload)
+    """Store a payload's canonical text under a content-hash filename, the
+    first 16 hex digits of the text's SHA-256; bit-stable given a seed."""
+    text = canonical_dumps(payload)
     fix_dir = os.path.join(out_dir, "fixtures")
     os.makedirs(fix_dir, exist_ok=True)
-    path = os.path.join(fix_dir, f"{digest}.json")
+    path = os.path.join(fix_dir, hashlib.sha256(text.encode()).hexdigest()[:16] + ".json")
     with open(path, "w") as handle:
-        handle.write(canonical_dumps(payload))
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from rpentropy import fermion
+from rpentropy import fermion, positivity
 from rpentropy.fermion import entropy
 from rpentropy.modular import ModularData, PurifiedState
 from rpentropy.positivity import SearchConfig, _evaluate_block, _payload, _serialize_instance
@@ -128,8 +128,10 @@ def draw_one(master_seed: int, index: int, dims) -> tuple:
     return lam, ginibre(d, rng, (1 + len(dims),))
 
 
-# The one-proposal-per-call descent that `_refine` pre-fetches, kept verbatim
-# from before the pre-fetch: `_refine` must follow its trajectory to the bit.
+# The one-proposal-per-call descent that `_refine` pre-fetches, as it was
+# before the pre-fetch: `_refine` must follow its trajectory to the bit.  It
+# reads the module's REFINE_SCALE and REFINE_FLOOR when called, so a test
+# that patches them changes both descents.
 
 def sequential_refine(cfg: SearchConfig, start_trial: int):
     """Stochastic descent from a sweep instance into the violating region.
@@ -152,7 +154,7 @@ def sequential_refine(cfg: SearchConfig, start_trial: int):
 
     cur_slack = evaluate(lam, betas)["slack"][0]
     target_slack = -10.0 * cfg.tolerance
-    scale = cfg.refine_scale
+    scale = positivity.REFINE_SCALE
     stall = 0
     for it in range(cfg.refine_iterations):
         which = int(rng.integers(0, 1 + len(betas)))
@@ -161,10 +163,10 @@ def sequential_refine(cfg: SearchConfig, start_trial: int):
             logl = np.log(lam) + scale * rng.standard_normal(lam.size)
             lam_new = np.exp(logl)
             lam_new = lam_new / lam_new.sum()
-            if lam_new.min() < cfg.refine_floor:
+            if lam_new.min() < positivity.REFINE_FLOOR:
                 continue
         else:
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = ginibre(d, rng)
             h = 0.5 * (h + h.conj().T)
             w, v = np.linalg.eigh(h)
             rot = (v * np.exp(1j * scale * w)) @ v.conj().T

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -135,9 +136,12 @@ class TestSearch:
         assert results["num_violations"] >= 1
         assert results["fixtures"]
         fixture = tmp_path / "fixtures" / results["fixtures"][0]
-        assert fixture.exists()
-        payload = json.loads(fixture.read_text())
+        text = fixture.read_text()
+        payload = json.loads(text)
         assert payload["violation"]["slack"] < 0
+        # named by the hash of the text it holds before its one newline
+        assert text == canonical_dumps(payload) + "\n"
+        assert fixture.name == hashlib.sha256(text[:-1].encode()).hexdigest()[:16] + ".json"
 
     def test_none_found_is_success(self, tmp_path):
         code = run(tmp_path, "search", "--target", "entropy_n1",
@@ -668,17 +672,21 @@ class TestSerializeHelpers:
         mat = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         assert np.array_equal(decode_complex(encode_complex(mat)), mat)
 
-    def test_content_hash_stability(self):
-        from rpentropy.serialize import content_hash
-        payload = {"b": [1.0, 2.5e-17], "a": "x"}
-        assert content_hash(payload) == content_hash(dict(payload))
-        assert content_hash(payload) != content_hash({"b": [1.0, 2.4e-17], "a": "x"})
+    def test_content_hash_stability(self, tmp_path):
+        # a fixture's name follows its content, not its key order
+        from rpentropy.serialize import write_fixture
+
+        def name(payload):
+            return os.path.basename(write_fixture(str(tmp_path), payload))
+        assert name({"b": [1.0, 2.5e-17], "a": "x"}) == name({"a": "x", "b": [1.0, 2.5e-17]})
+        assert name({"b": [1.0, 2.5e-17], "a": "x"}) != name({"b": [1.0, 2.4e-17], "a": "x"})
 
     def test_fixture_filename_is_content_hash(self, tmp_path):
-        from rpentropy.serialize import content_hash, write_fixture
+        from rpentropy.serialize import write_fixture
         payload = {"k": 1.25}
         path = write_fixture(str(tmp_path), payload)
-        assert os.path.basename(path) == content_hash(payload) + ".json"
+        digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]
+        assert os.path.basename(path) == digest + ".json"
         assert json.loads(open(path).read()) == payload
 
     def test_refused_value_leaves_no_report(self, tmp_path):

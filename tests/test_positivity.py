@@ -272,12 +272,20 @@ class TestSchurPower:
         assert np.allclose(powered.entries, record.entries)
 
     def test_small_example(self):
-        record = GramRecord(size=2, n=2, lam=1.0,
-                            entries=np.array([[1.0, 0.5], [0.5, 1.0]]),
+        record = GramRecord(n=2, lam=1.0, entries=np.array([[1.0, 0.5], [0.5, 1.0]]),
                             entropy_table=np.zeros((2, 2)))
         powered = schur_power(record, 2)
         assert np.allclose(powered.entries, [[1.0, 0.25], [0.25, 1.0]])
         assert check_psd(powered).passed
+
+    def test_size_is_the_split_count(self):
+        # the size is read off the entries and cannot be passed
+        record, _, splits = random_gram(13, m1=3)
+        assert record.size == record.entries.shape[0] == len(splits)
+        assert schur_power(record, 2).size == 3
+        with pytest.raises(TypeError):
+            GramRecord(n=2, lam=1.0, entries=record.entries,
+                       entropy_table=record.entropy_table, size=3)
 
     def test_integer_powers_stay_psd(self):
         for seed in (17, 23):
@@ -1344,12 +1352,11 @@ class TestPrefetchedRefine:
         # the budget runs out mid-block without a witness
         "budget-ends": (dict(DETB, trials=200, master_seed=7, refine_iterations=50), 50),
         # an unreachable target: the descent stalls past 300 rejections and
-        # shrinks its scale, with refine_floor skips on the way
+        # shrinks its scale, with REFINE_FLOOR skips on the way
         "stall-shrink": (dict(dims=[(2, 2)] * 2, target="entropy_n1", trials=1, master_seed=3,
-                              tolerance=10.0, refine_iterations=700, refine_scale=2.0), 700),
-        # large moves: many spectra fall below refine_floor and are skipped
-        "floor-skips": (dict(DETB, trials=1, master_seed=5, refine_iterations=400,
-                             refine_scale=3.0, refine_floor=1e-3), 170),
+                              tolerance=10.0, refine_iterations=700), 700),
+        # large moves: many spectra fall below REFINE_FLOOR and are skipped
+        "floor-skips": (dict(DETB, trials=1, master_seed=5, refine_iterations=400), 170),
         # past four subsystems det-B skips the orderings
         "five-subsystems": (dict(DETB, dims=[(2, 2)] * 5, trials=400, master_seed=3,
                                  refine_iterations=500), 115),
@@ -1359,9 +1366,16 @@ class TestPrefetchedRefine:
                            refine_iterations=300), 300),
     }
 
+    # the cases' step scale and floor, patched into the module, where both
+    # descents read them
+    CONSTANTS = {"stall-shrink": dict(REFINE_SCALE=2.0),
+                 "floor-skips": dict(REFINE_SCALE=3.0, REFINE_FLOOR=1e-3)}
+
     @pytest.mark.parametrize("name", list(CASES))
-    def test_trajectory_equals_the_sequential_descent(self, name):
+    def test_trajectory_equals_the_sequential_descent(self, name, monkeypatch):
         kwargs, steps = self.CASES[name]
+        for constant, value in self.CONSTANTS.get(name, {}).items():
+            monkeypatch.setattr(positivity, constant, value)
         cfg = SearchConfig(**kwargs)
         start = counterexample_search(SearchConfig(**dict(kwargs, refine_iterations=0)))
         expected = sequential_refine(cfg, start.min_slack_trial)
@@ -1410,8 +1424,10 @@ class TestPrefetchedRefine:
         # blocks of up to 682 proposals, so that an accept and a shrink the
         # rewind must undo often share a block
         monkeypatch.setattr(positivity, "STACK_ENTRIES", 1 << 16)
+        monkeypatch.setattr(positivity, "REFINE_SCALE", 2.0)
+        monkeypatch.setattr(positivity, "REFINE_FLOOR", 1e-3)
         cfg = SearchConfig(dims=[(2, 2)] * 3, trials=1, master_seed=2, tolerance=-2e-5,
-                           refine_iterations=3000, refine_scale=2.0, refine_floor=1e-3)
+                           refine_iterations=3000)
         expected = sequential_refine(cfg, 0)
         expected_sequence = sequence()
         payload, used, counters = positivity._refine(cfg, 0)

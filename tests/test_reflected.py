@@ -150,6 +150,13 @@ class TestReflectedDensity:
         with pytest.raises(InvalidStateError, match=message):
             ReflectedDensity(matrix=matrix, dim_i=2, dim_j=2)
 
+    def test_eigenvalues_are_computed_not_passed(self):
+        matrix = np.diag([0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(TypeError):
+            ReflectedDensity(matrix=matrix, dim_i=2, dim_j=2, eigenvalues=np.full(4, 0.25))
+        assert np.allclose(ReflectedDensity(matrix=matrix, dim_i=2, dim_j=2).eigenvalues,
+                           [0.1, 0.2, 0.3, 0.4])
+
     def test_oracle_agreement(self):
         for seed in range(30):
             psi, si, sj, _ = random_instance(seed)
