@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .positivity import (COUNTEREXAMPLE_TOL, TARGETS, SearchConfig, counterexample_search,
-                         summarize, theorem_sweep)
+from .positivity import (COUNTEREXAMPLE_TOL, PSD_RELATIVE_TOL, TARGETS, SearchConfig,
+                         counterexample_search, summarize, theorem_sweep)
 from .serialize import read_xy_csv, save_report, write_csv, write_fixture
 
 EXIT_OK = 0
@@ -315,7 +315,7 @@ def cmd_fermion(opts, argv) -> int:
     witness_ran = bool(np.isfinite(witness_min))
     passed = (worst["wick_cauchy"] <= tol and worst["duality"] <= tol
               and worst["vertex"] <= 1e-9
-              and (not witness_ran or witness_min >= -1e-10))
+              and (not witness_ran or witness_min >= -PSD_RELATIVE_TOL))
     results = {"worst_residuals": worst,
                "divisibility_min_normalized_eigenvalue":
                    float(witness_min) if witness_ran else None,

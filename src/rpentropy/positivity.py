@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,8 @@ SWEEP_INSTANCE_ENTRIES = 320
 # Ms (256 4 x 4 Ms, one 64 x 64); a Haar-step run (`_draw_block`), this
 # many split entries.  At 64 KB per complex temporary a step stays in
 # cache and below the allocator's mapping threshold, so its memory is
-# reused, not faulted in afresh.  The d = 16 block above took 10.4 ms with
-# 19 trace calls, one per build run, and takes 8.7 ms with 19 build runs
-# and 8 pooled reductions.  The refine descent evaluates at most
-# as many proposals at once as fit in one build run (`_block_trials`).
+# reused, not faulted in afresh.  The refine descent evaluates at most as
+# many proposals at once as fit in one build run (`_block_trials`).
 STACK_ENTRIES = 1 << 12
 # the quantiles a report keeps of a slack array in place of the array
 SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
@@ -66,10 +64,12 @@ SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
 # stacked proposal calls, proposals evaluated, accepted, evaluated past the
 # accepted one and so discarded, and step-scale shrinks
 REFINE_COUNTERS = ("blocks", "evaluated", "accepted", "discarded", "shrinks")
-# the refine descent's first move scale, and the least eigenvalue a spectrum
-# move may leave: a move below it is skipped
+# the refine descent's first move scale, the least eigenvalue a spectrum
+# move may leave (a move below it is skipped), and the proposals it
+# evaluates per call, at most `_block_trials`
 REFINE_SCALE = 0.4
 REFINE_FLOOR = 1e-8
+REFINE_BLOCK = 12
 
 
 def _check_symmetric(a, what: str) -> np.ndarray:
@@ -260,15 +260,15 @@ class PsdVerdict:
     witness: np.ndarray | None
 
 
-def check_psd(gram, tol: float = PSD_RELATIVE_TOL) -> PsdVerdict:
-    """PASS iff the minimum eigenvalue clears -tol * scale, which for
-    0 <= tol < 1 also bounds every leading k x k minor below by
-    -tol * scale^k (Cauchy interlacing).  The failure witness is the
-    eigenvector of the minimum eigenvalue: the coefficient vector of the
-    violating operator combination."""
+def check_psd(gram) -> PsdVerdict:
+    """PASS iff the minimum eigenvalue clears -PSD_RELATIVE_TOL * scale,
+    which also bounds every leading k x k minor below by
+    -PSD_RELATIVE_TOL * scale^k (Cauchy interlacing).  The failure witness
+    is the eigenvector of the minimum eigenvalue: the coefficient vector of
+    the violating operator combination."""
     _, scale, eigvals, eigvecs = _gram_spectrum(
         gram.entries if isinstance(gram, GramRecord) else gram)
-    passed = bool(eigvals[0] >= -tol * scale)
+    passed = bool(eigvals[0] >= -PSD_RELATIVE_TOL * scale)
     return PsdVerdict(passed=passed, min_eigenvalue=float(eigvals[0]), scale=float(scale),
                       witness=None if passed else eigvecs[:, 0])
 
@@ -437,20 +437,8 @@ class SearchReport:
         return bool(self.violations)
 
     def to_dict(self) -> dict:
-        cfg = self.config
         return {
-            "config": {
-                "dims": [list(d) for d in cfg.dims],
-                "trials": cfg.trials,
-                "master_seed": cfg.master_seed,
-                "target": cfg.target,
-                "tolerance": cfg.tolerance,
-                "lam": cfg.lam,
-                "n": cfg.n,
-                "literal_s": cfg.literal_s,
-                "trial_offset": cfg.trial_offset,
-                "refine_iterations": cfg.refine_iterations,
-            },
+            "config": asdict(self.config),
             "trials_run": self.trials_run,
             "refine_used": self.refine_used,
             "slack_quantiles": self.slack_quantiles,
@@ -833,25 +821,23 @@ def _refine(cfg: SearchConfig, start_trial: int):
     `_evaluate_block` call.  The first proposal that improves is accepted:
     the generator, the scale and the iteration count rewind to just after
     it, so the trajectory is the sequential one-at-a-time descent's to the
-    last bit.  The block size follows the run.  After an accept it is
-    2 / sqrt(p), p the accepts per iteration so far: a block of K costs
-    about c0 + c1 K and advances about K (1 - p K / 2) iterations, which
-    is cheapest per iteration at K = sqrt(2 c0 / (c1 p)).  The factor 2
-    is tuned by measurement: at 3 x 2x2 a call took about 130 us plus 20 us
-    a proposal, and factors 2 to 6 ran the seed-7 det-B descent equally
-    fast (one BLAS thread, 2 cores).  After a block without an accept it
-    doubles.  It never exceeds `_block_trials`.
+    last bit, for any block size.  A block holds REFINE_BLOCK proposals,
+    or `_block_trials` if fewer: a call costs a fixed overhead plus a
+    little per proposal, and proposals past an accept are discarded, so a
+    short constant block trades the two off: blocks of 8, 12 and 16 ran the
+    seed-7 det-B descents equally fast (27-32 ms for 138 steps, 103-109 ms
+    for 804; medians of 15 runs, one BLAS thread, 2 shared cores).
 
     Returns (violation payload once the slack clears -10 * tolerance, else
     None; iterations used; counters keyed as REFINE_COUNTERS).
     """
     rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
     lam, betas, _ = _draw_block(cfg.master_seed, [start_trial], [cfg.dims])
-    lam, m, d, cap = lam[0], len(betas), cfg.dim, _block_trials(cfg)
+    lam, m, d, size = lam[0], len(betas), cfg.dim, min(REFINE_BLOCK, _block_trials(cfg))
     counters = dict.fromkeys(REFINE_COUNTERS, 0)
     cur_slack = _evaluate_block(cfg, lam[None], betas[None])["slack"][0]
     target_slack = -10.0 * cfg.tolerance
-    scale, stall, it, size = REFINE_SCALE, 0, 0, 1
+    scale, stall, it = REFINE_SCALE, 0, 0
     while it < cfg.refine_iterations:
         # (iteration count, split moved (0: the spectrum), spectrum, Hermitian
         # draw, scale, shrinks before it in the block, generator state after)
@@ -895,7 +881,6 @@ def _refine(cfg: SearchConfig, start_trial: int):
         better = np.flatnonzero(fields["slack"] < cur_slack)
         if not better.size:
             counters["shrinks"] += shrinks
-            size = min(cap, 2 * size)
             continue
         k = int(better[0])
         it, _, lam, _, scale, shrinks, state = block[k]
@@ -912,7 +897,6 @@ def _refine(cfg: SearchConfig, start_trial: int):
             result["instance"] = _serialize_instance(
                 np.sort(lam)[::-1], np.eye(d, dtype=complex), cfg.dims, betas)
             return result, it, counters
-        size = max(1, min(cap, round(2 * math.sqrt(it / counters["accepted"]))))
     return None, cfg.refine_iterations, counters
 
 
@@ -941,14 +925,13 @@ class SweepResult:
 
 
 def theorem_sweep(dims_by_instance, n_values, master_seed: int,
-                  tol: float = PSD_RELATIVE_TOL, jobs: int = 1,
-                  trial_offset: int = 0) -> SweepResult:
+                  tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> SweepResult:
     """PSD sweep of integer-index Gram matrices over random instances.
 
     dims_by_instance: iterable of split-dimension lists, one instance each,
-    numbered from trial_offset.  Every n must be an integer >= 1, and every
-    (instance, n) pair must come out PSD within -tol * ||G||; any violation
-    is collected (a numerics bug, not physics).  The plan is validated and
+    numbered from 0.  Every n must be an integer >= 1, and every (instance,
+    n) pair must come out PSD within -tol * ||G||; any violation is
+    collected (a numerics bug, not physics).  The plan is validated and
     cut into blocks of equal estimated cost once, here (`_sweep_blocks`);
     `_pool_map` runs the blocks (`_sweep_block`) and merges them, in this
     process when jobs = 1 or the plan is under the one-block floor.
@@ -960,8 +943,7 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     if any(int(n) != n or n < 1 for n in n_values):  # a trace power needs n >= 1
         raise ValueError(f"Renyi indices must be integers >= 1, got {n_values}")
     n_values = [int(n) for n in n_values]
-    blocks = [(trial_offset + start, block)
-              for start, block in _sweep_blocks(dims_by_instance, jobs)]
+    blocks = _sweep_blocks(dims_by_instance, jobs)
     min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
                                              master_seed, tol)
     dims = [splits for _, block in blocks for splits in block]
@@ -971,7 +953,7 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     if normalized.size:
         k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
         result.min_normalized_eig = float(normalized[k, c])
-        result.worst = {"instance": trial_offset + int(k), "n": n_values[c],
+        result.worst = {"instance": int(k), "n": n_values[c],
                         "dims": list(dims[k]), "min_eigenvalue": float(min_eigs[k, c]),
                         "scale": float(scales[k, c])}
     return result

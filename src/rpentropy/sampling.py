@@ -136,12 +136,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return unitary_from_ginibre(ginibre(dim, rng))
 
 
-def simplex_eigenvalues(dim: int, rng: np.random.Generator,
-                        floor: float = EIGENVALUE_REDRAW_FLOOR) -> np.ndarray:
-    """Flat Dirichlet draw over the probability simplex, redrawn below `floor`."""
+def simplex_eigenvalues(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Flat Dirichlet draw over the probability simplex, redrawn below
+    EIGENVALUE_REDRAW_FLOOR (read when called)."""
     while True:
         lam = rng.dirichlet(np.ones(dim))
-        if lam.min() >= floor:
+        if lam.min() >= EIGENVALUE_REDRAW_FLOOR:
             return lam
 
 

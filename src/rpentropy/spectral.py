@@ -20,6 +20,8 @@ from scipy.special import k0, k0e
 DECAY_SAMPLES = 40                # decay_rate: x points of the log-slope regression
 POWER_GAMMA_BOUNDS = (-1.9, 8.0)  # fit_power_density: exponent search interval
 POWER_GRID_POINTS = 400           # fit_power_density: p^2 grid size
+FIT_MARGINS = (0.03, 40.0)        # fit_grid: momentum ends times max x and min x
+DELTA_P0 = 1e-8                   # SpectralDensity: momentum of the p^2 = 0 point mass
 
 
 @dataclass(frozen=True)
@@ -28,13 +30,12 @@ class SpectralDensity:
 
     An optional point mass at p^2 = 0 models the saturation constant of a
     massive theory; the divergent K0(0 x) kernel limit is approximated by a
-    point mass at `delta_p0` with delta_p0 * x << 1 over the window of use.
+    point mass at DELTA_P0 with DELTA_P0 * x << 1 over the window of use.
     """
 
     p2_grid: np.ndarray
     weights: np.ndarray
     delta_at_zero: float = 0.0
-    delta_p0: float = 1e-8
 
     def __post_init__(self):
         grid = np.asarray(self.p2_grid, dtype=float)
@@ -45,8 +46,6 @@ class SpectralDensity:
             raise ValueError("p^2 grid must be nonnegative and strictly increasing")
         if np.any(w < 0) or self.delta_at_zero < 0:
             raise ValueError("spectral weights must be nonnegative")
-        if not self.delta_p0 > 0:
-            raise ValueError("delta_p0 must be positive")
         object.__setattr__(self, "p2_grid", grid)
         object.__setattr__(self, "weights", w)
 
@@ -94,9 +93,9 @@ def forward(density: SpectralDensity, x) -> np.ndarray | float:
             out += k0(np.outer(xs, p[mask])).dot(density.weights[mask])
         if np.any(~mask):
             # exact zeros on the grid fall back to the point-mass convention
-            out += density.weights[~mask].sum() * k0(density.delta_p0 * xs)
+            out += density.weights[~mask].sum() * k0(DELTA_P0 * xs)
     if density.delta_at_zero > 0:
-        out += density.delta_at_zero * k0(density.delta_p0 * xs)
+        out += density.delta_at_zero * k0(DELTA_P0 * xs)
     return float(out[0]) if scalar else out
 
 
@@ -122,16 +121,16 @@ def _fit_kernel(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def fit_grid(x: np.ndarray, grid_points: int,
-             margins: tuple[float, float] = (0.03, 40.0)) -> tuple[np.ndarray, float, float]:
+def fit_grid(x: np.ndarray, grid_points: int) -> tuple[np.ndarray, float, float]:
     """Log-spaced p^2 grid for samples at lengths x, with its momentum ends.
 
-    The momenta run from p_lo = margins[0] / max x to p_hi = margins[1] / min x,
-    so the grid spans every decay scale the samples can resolve while
-    K0(p_hi min x) stays far above its double-precision underflow.
+    The momenta run from p_lo = FIT_MARGINS[0] / max x to
+    p_hi = FIT_MARGINS[1] / min x, so the grid spans every decay scale the
+    samples can resolve while K0(p_hi min x) = K0(40) stays far above its
+    double-precision underflow.
     """
-    p_lo = margins[0] / x.max()
-    p_hi = margins[1] / x.min()
+    p_lo = FIT_MARGINS[0] / x.max()
+    p_hi = FIT_MARGINS[1] / x.min()
     return np.logspace(np.log10(p_lo ** 2), np.log10(p_hi ** 2), grid_points), p_lo, p_hi
 
 
@@ -249,19 +248,18 @@ class PowerFitReport:
     residual_relative: float
 
 
-def fit_power_density(curve: EntropyCurve,
-                      margins: tuple[float, float] = (0.03, 40.0)) -> PowerFitReport:
+def fit_power_density(curve: EntropyCurve) -> PowerFitReport:
     """Fit a pure power-law spectral density g(p^2) = A p^gamma, A >= 0.
 
-    The density is discretized on a wide momentum grid (trapezoid weights in
-    p^2) and the exponent minimizes the data-space residual; the amplitude is
-    profiled out in closed form.  A short-distance curve S ~ (alpha/lam) log x
-    comes out with gamma = alpha - 2.
+    The density is discretized on `fit_grid`'s momentum grid (trapezoid
+    weights in p^2) and the exponent minimizes the data-space residual; the
+    amplitude is profiled out in closed form.  A short-distance curve
+    S ~ (alpha/lam) log x comes out with gamma = alpha - 2.
     """
     from scipy.optimize import minimize_scalar
 
     y = curve.exponentials()
-    p2, p_lo, p_hi = fit_grid(curve.x, POWER_GRID_POINTS, margins)
+    p2, p_lo, p_hi = fit_grid(curve.x, POWER_GRID_POINTS)
     quad = np.gradient(p2)
     kernel = _fit_kernel(curve.x, np.sqrt(p2))
     p_ref = math.sqrt(p_lo * p_hi)

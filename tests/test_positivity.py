@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpentropy import positivity
+from rpentropy import positivity, sampling
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   counterexample_search, divisibility_matrix,
@@ -27,6 +27,7 @@ from rpentropy.positivity import _draw_block, _evaluate_block, trial_rng, unitar
 from rpentropy.reflected import SubsystemSplit, pair_spectrum, von_neumann
 from rpentropy.sampling import (ginibre, ginibre_from_parts, haar_unitary, random_density,
                                 simplex_eigenvalues, trial_rngs)
+from rpentropy.spectral import EntropyCurve, SpectralDensity, fit_grid, fit_power_density
 
 import oracles
 from oracles import (b_from_mutual, brute_force_reflected, draw_one, sequential_refine,
@@ -170,6 +171,22 @@ class TestGramMatrix:
         assert np.asarray(violation["gram"]) == pytest.approx(record.entries, rel=1e-12)
         assert violation["min_eigenvalue"] == pytest.approx(
             record.min_eigenvalue, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_psd(np.eye(2), tol=1e-10),
+    lambda: theorem_sweep([[(2, 2)] * 2], [2], 1, trial_offset=0),
+    lambda: simplex_eigenvalues(4, np.random.default_rng(0), floor=1e-6),
+    lambda: fit_grid(np.array([1.0, 2.0]), 10, margins=(0.03, 40.0)),
+    lambda: fit_power_density(EntropyCurve(x=np.array([1.0, 2.0]), s=np.array([0.1, 0.2]),
+                                           lam=1.0), margins=(0.03, 40.0)),
+    lambda: SpectralDensity(p2_grid=np.array([1.0]), weights=np.array([1.0]), delta_p0=1e-8)],
+    ids=["check_psd-tol", "theorem_sweep-trial_offset", "simplex_eigenvalues-floor",
+         "fit_grid-margins", "fit_power_density-margins", "SpectralDensity-delta_p0"])
+def test_retired_keywords_raise(call):
+    # each of these values has one setting, a module constant, and no keyword
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        call()
 
 
 class TestCheckPsd:
@@ -970,11 +987,11 @@ class TestBlockDraws:
     def test_redraws_follow_the_one_at_a_time_stream(self, monkeypatch):
         # at a floor of 0.1 about 4 in 5 flat Dirichlet draws at d = 4 have
         # an entry below it, so most instances of the block take the redraw
-        # branch, some of them more than once
+        # branch, some of them more than once.  The block reads the floor in
+        # positivity, the redraw (`simplex_eigenvalues`) in sampling
         floor, seed, dims = 0.1, 11, [(2, 2)] * 3
         monkeypatch.setattr(positivity, "EIGENVALUE_REDRAW_FLOOR", floor)
-        monkeypatch.setattr(positivity, "simplex_eigenvalues",
-                            functools.partial(simplex_eigenvalues, floor=floor))
+        monkeypatch.setattr(sampling, "EIGENVALUE_REDRAW_FLOOR", floor)
         indices = list(range(30, 70))
         draw = _draw_block(seed, indices, [dims] * len(indices))
         first_draws = [trial_rng(seed, k).dirichlet(np.ones(4)).min() for k in indices]
@@ -982,7 +999,7 @@ class TestBlockDraws:
         assert draw[0].min() >= floor
         for k, index in enumerate(indices):
             rng = trial_rng(seed, index)
-            lam = np.sort(simplex_eigenvalues(4, rng, floor))[::-1]
+            lam = np.sort(simplex_eigenvalues(4, rng))[::-1]
             self.assert_instance(draw, k, 3 * k, lam, ginibre(4, rng, (4,)))
 
     def test_ginibre_parts_keep_the_stacked_layout(self):
@@ -1001,18 +1018,19 @@ class TestBlockDraws:
         assert ginibre_from_parts(buffer[1:4]).tobytes() == stacked.tobytes()
 
     def test_sweep_and_search_take_the_redrawn_instance(self):
-        # both callers read the redrawn spectrum: the Gram matrix the sweep
-        # records for that instance is gram_matrix's of the search instance
-        from rpentropy.positivity import _draw_instance
+        # both callers read the redrawn spectrum: the Gram matrix a sweep
+        # block records for that instance, in its second slot, is
+        # gram_matrix's of the search instance
+        from rpentropy.positivity import _draw_instance, _sweep_block
         seed, redrawn = self.REDRAWN
         dims = [(2, 3), (3, 2), (2, 3)]
         cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
                            trial_offset=redrawn)
         psi, splits = _draw_instance(cfg, 0)
         assert psi.schmidt_values.tobytes() == draw_one(seed, redrawn, dims)[0].tobytes()
-        sweep = theorem_sweep([[(2, 2)] * 2, dims], [2], master_seed=seed, tol=-1.0,
-                              trial_offset=redrawn - 1)
-        [violation] = [v for v in sweep.violations if v["instance"] == redrawn]
+        _, _, violations = _sweep_block(redrawn - 1, [((2, 2),) * 2, tuple(dims)], [2],
+                                        seed, -1.0)
+        [violation] = [v for v in violations if v["instance"] == redrawn]
         assert np.asarray(violation["gram"]) == pytest.approx(
             gram_matrix(psi, splits, 2).entries, rel=1e-12)
 
@@ -1097,11 +1115,10 @@ class TestTheoremSweep:
         # block; tol = -1 records every check.  The power sums of the
         # test-only SVD oracle agree within the kernel tolerance of
         # tests/test_reflected.py
-        from rpentropy.positivity import _draw_instance, _gram_spectrum
+        from rpentropy.positivity import _draw_instance, _gram_spectrum, _sweep_block
         from rpentropy.reflected import _gram_traces, _pair_gram
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
-        sweep = theorem_sweep([[(2, 2)] * 2, dims], n_values, master_seed=seed,
-                              tol=-1.0, trial_offset=4)
+        _, _, violations = _sweep_block(4, [((2, 2),) * 2, tuple(dims)], n_values, seed, -1.0)
         cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
                            trial_offset=5)
         psi, splits = _draw_instance(cfg, 0)
@@ -1110,7 +1127,7 @@ class TestTheoremSweep:
                                                   splits[j].matrix, dims[i], dims[j]), n_values)
                   for i, j in pairs}
         spectra = {(i, j): svd_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
-        recorded = [v for v in sweep.violations if v["instance"] == 5]
+        recorded = [v for v in violations if v["instance"] == 5]
         assert [v["n"] for v in recorded] == n_values
         for k, (n, violation) in enumerate(zip(n_values, recorded)):
             g = np.empty((3, 3))
@@ -1421,9 +1438,10 @@ class TestPrefetchedRefine:
         monkeypatch.setattr(positivity, "_evaluate_block", fake)
         # the oracle below calls its own module's reference
         monkeypatch.setattr(oracles, "_evaluate_block", fake)
-        # blocks of up to 682 proposals, so that an accept and a shrink the
-        # rewind must undo often share a block
+        # blocks of 682 proposals, so that an accept and a shrink the rewind
+        # must undo often share a block
         monkeypatch.setattr(positivity, "STACK_ENTRIES", 1 << 16)
+        monkeypatch.setattr(positivity, "REFINE_BLOCK", 1 << 16)
         monkeypatch.setattr(positivity, "REFINE_SCALE", 2.0)
         monkeypatch.setattr(positivity, "REFINE_FLOOR", 1e-3)
         cfg = SearchConfig(dims=[(2, 2)] * 3, trials=1, master_seed=2, tolerance=-2e-5,
@@ -1440,6 +1458,39 @@ class TestPrefetchedRefine:
                                                             - counters["discarded"]) < used
         for (schmidt, mats), (schmidt_0, mats_0) in zip(evaluated, expected_sequence):
             assert np.array_equal(schmidt, schmidt_0) and np.array_equal(mats, mats_0)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        # 3 x 2x2: 42 proposals fit the stack budget, so REFINE_BLOCK rules
+        ("detb-seed7", dict(DETB, trials=200, master_seed=7, refine_iterations=20000)),
+        ("budget-ends", dict(DETB, trials=200, master_seed=7, refine_iterations=50)),
+        # 3 x 4x4: two proposals fit
+        ("stack-budget", dict(DETB, dims=[(4, 4)] * 3, trials=1, master_seed=1,
+                              refine_iterations=60))])
+    def test_every_block_holds_the_constant_size(self, monkeypatch, name, kwargs):
+        # after the start's one-instance call, every evaluator call holds
+        # min(REFINE_BLOCK, _block_trials) proposals, until one runs into the
+        # end of the budget; that call and any after it (an accept in it
+        # rewinds to before the end) hold fewer
+        cfg = SearchConfig(**kwargs)
+        start = counterexample_search(SearchConfig(**dict(kwargs, refine_iterations=0)))
+        size = min(positivity.REFINE_BLOCK, positivity._block_trials(cfg))
+        sizes = []
+        evaluate = positivity._evaluate_block
+
+        def recording(cfg, schmidt, mats):
+            sizes.append(len(schmidt))
+            return evaluate(cfg, schmidt, mats)
+
+        monkeypatch.setattr(positivity, "_evaluate_block", recording)
+        payload, used, counters = positivity._refine(cfg, start.min_slack_trial)
+        assert sizes[0] == 1 and len(sizes) == 1 + counters["blocks"] >= 3
+        full = sizes[1:]
+        tail = next((k for k, n in enumerate(full) if n != size), len(full))
+        assert all(n < size for n in full[tail:])
+        # the seed-7 descent ends at its witness, in a full block; the other
+        # two run out of budget in a short one
+        assert (payload is None) == (tail < len(full)) == (name != "detb-seed7")
+        assert size == {"stack-budget": 2}.get(name, positivity.REFINE_BLOCK)
 
     def test_blocks_stay_within_the_stack_budget(self, monkeypatch):
         # a 3 x 4x4 proposal has 6 pairs of 256 entries: two per block at

@@ -44,8 +44,6 @@ class TestBesselK0:
         curve = EntropyCurve(x=np.array([1.0, 2.0]), s=np.array([0.1, 0.2]), lam=1.0)
         with pytest.raises(ValueError, match="positive"):
             fit_spectral(curve, np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="delta_p0"):
-            SpectralDensity(p2_grid=np.array([]), weights=np.array([]), delta_p0=0.0)
         g = SpectralDensity(p2_grid=np.array([1.0]), weights=np.array([1.0]))
         with pytest.raises(ValueError, match="positive"):
             forward(g, np.array([1.0, -2.0]))
@@ -71,8 +69,7 @@ class TestForward:
 
     def test_delta_at_zero_near_constant(self):
         # p0 x << 1 makes the kernel logarithmically flat, not exactly flat
-        g = SpectralDensity(p2_grid=np.array([]), weights=np.array([]),
-                            delta_at_zero=0.5, delta_p0=1e-8)
+        g = SpectralDensity(p2_grid=np.array([]), weights=np.array([]), delta_at_zero=0.5)
         vals = forward(g, np.array([0.5, 1.0, 2.0]))
         assert np.all(vals > 0)
         assert np.max(vals) - np.min(vals) <= 0.1 * np.max(vals)
@@ -252,7 +249,10 @@ class TestPowerLaw:
         assert fit.gamma == pytest.approx(-1.0, rel=0.05)
 
     def test_underflowing_kernel_column_refused(self):
+        # fit_grid's momenta stop at p x_min = 40; this grid runs on to
+        # p x_min = 800, past the K0 underflow at ~742
         xs = np.logspace(math.log10(0.3), math.log10(3.0), 60)
         curve = EntropyCurve(x=xs, s=np.log(xs) / 6, lam=6.0)
+        p2 = np.logspace(2 * math.log10(0.03 / xs.max()), 2 * math.log10(800.0 / xs.min()), 400)
         with pytest.raises(ValueError, match="K0 underflows to 0.*largest usable p"):
-            fit_power_density(curve, margins=(0.03, 800.0))
+            fit_spectral(curve, p2)
