@@ -106,7 +106,7 @@ OPTIONS = {
         ("dims", _list_of(_split_dims), "2x2,2x2,2x2",
          "one split per subsystem, e.g. '2x2,2x2,2x2'"),
         ("target", TARGETS, "entropy_n1", "inequality to search"),
-        ("lam", _finite, 1.0, "exponent weight for entropy mode"),
+        ("lam", _positive, 1.0, "exponent weight for entropy mode"),
         ("n", int, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
          "Renyi index for integer/detB modes"),
         ("refine", _nonnegative_int, 0, "stochastic descent budget after the sweep"),

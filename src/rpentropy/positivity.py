@@ -21,8 +21,9 @@ import numpy as np
 from .modular import PurifiedState, _check_hermitian
 from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
                         _gram_eigenvalues, _gram_traces, _pair_gram)
-from .sampling import (EIGENVALUE_REDRAW_FLOOR, ginibre, ginibre_from_parts, ginibre_parts,
-                       simplex_eigenvalues, trial_rng, trial_rngs, unitary_from_ginibre)
+from . import sampling
+from .sampling import (ginibre, ginibre_from_parts, ginibre_parts, simplex_eigenvalues, trial_rng,
+                       trial_rngs, unitary_from_ginibre)
 # not called here: the benchmark's tracer patches these names on this module
 from .reflected import _combine, renyi_entropy, twist_operators, von_neumann  # noqa: F401
 from .sampling import haar_unitary  # noqa: F401
@@ -95,26 +96,41 @@ def _gram_spectrum(g):
     return g, scale, eigvals, eigvecs
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramRecord:
-    """(m+1) x (m+1) matrix of exp(-lam * S_n(A_i Abar_j)) with diagnostics."""
+    """(m+1) x (m+1) matrix of exp(-lam * S_n(A_i Abar_j)) with its one
+    `_gram_spectrum`: the symmetrized entries, the least eigenvalue, the
+    scale and the eigenvectors (ascending), which `check_psd` reads."""
 
     n: int
     lam: float
     entries: np.ndarray
     entropy_table: np.ndarray
-    min_eigenvalue: float = field(default=0.0, init=False)
-    scale: float = field(default=0.0, init=False)  # max(||entries||_2, tiny)
+    min_eigenvalue: float = field(init=False)
+    scale: float = field(init=False)  # max(||entries||_2, tiny)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries, scale, eigvals, _ = _gram_spectrum(self.entries)
-        self.scale = float(scale)
-        self.min_eigenvalue = float(eigvals[0])
+        entries, scale, eigvals, eigvecs = _gram_spectrum(self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "min_eigenvalue", float(eigvals[0]))
+        object.__setattr__(self, "scale", float(scale))
+        object.__setattr__(self, "eigenvectors", eigvecs)
 
     @property
     def size(self) -> int:
         """The split count, m + 1."""
         return self.entries.shape[0]
+
+
+def _as_slice(index: np.ndarray):
+    """The slice that selects what index does, if its entries step up
+    evenly (one entry always does), so that indexing gives a view; else
+    index itself."""
+    step = int(index[1] - index[0]) if len(index) > 1 else 1
+    if step > 0 and np.all(np.diff(index) == step):
+        return slice(int(index[0]), int(index[-1]) + 1, step)
+    return index
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,7 +140,9 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
     laid out flat, row-major, both in instance order), by instance, then j,
     then i, in runs of at most `size` pairs of one shape, in first-seen
     order: ((dims_i, dims_j), instance, split i, split j, entry ij, entry
-    ji).  The index arrays are read-only because every caller shares them."""
+    ji).  An instance or split index that steps up evenly is a slice
+    (`_as_slice`), as a one-pair run's always are, so a build reads views;
+    the index arrays are read-only because every caller shares them."""
     sizes = np.array([len(splits) for splits in dims])
     count = sizes * (sizes + 1) // 2
     inst = np.repeat(np.arange(len(dims)), count)
@@ -143,8 +161,9 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
         group = pairs[:, key == code]
         group.flags.writeable = False
         for k in range(0, group.shape[1], size):
+            run = group[:, k:k + size]
             runs.append(((shape_of[code // len(shapes)], shape_of[code % len(shapes)]),
-                         *group[:, k:k + size]))
+                         *map(_as_slice, run[:3]), *run[3:]))
     return tuple(runs)
 
 
@@ -156,9 +175,11 @@ def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j}, so each pair
     i <= j is reduced once and written to both entries.  Each run of one
     shape pair, at most STACK_ENTRIES pair-matrix entries (at least one
-    pair), builds its pair Gram matrices M (`_pair_gram`, k x k).  The Ms
-    of one k are pooled across shape pairs, and a pool is reduced once it
-    holds STACK_ENTRIES entries (at least one M), the rest at the end:
+    pair), builds its pair Gram matrices M (`_pair_gram`, k x k) from its
+    Schmidt rows and splits, views where the plan holds slices, so that the
+    weighting in `_pair_matrix` makes the one copy.  The Ms of one k are
+    pooled across shape pairs, and a pool is reduced once it holds
+    STACK_ENTRIES entries (at least one M), the rest at the end:
     reduce(M stack (run, k, k)) gives values (run,), which may gain axes in
     front of the run axis; the table gains them too.  Each M is reduced
     alone, so the table is the same for any pooling.
@@ -265,11 +286,15 @@ def check_psd(gram) -> PsdVerdict:
     which also bounds every leading k x k minor below by
     -PSD_RELATIVE_TOL * scale^k (Cauchy interlacing).  The failure witness
     is the eigenvector of the minimum eigenvalue: the coefficient vector of
-    the violating operator combination."""
-    _, scale, eigvals, eigvecs = _gram_spectrum(
-        gram.entries if isinstance(gram, GramRecord) else gram)
-    passed = bool(eigvals[0] >= -PSD_RELATIVE_TOL * scale)
-    return PsdVerdict(passed=passed, min_eigenvalue=float(eigvals[0]), scale=float(scale),
+    the violating operator combination.  A GramRecord's spectrum is the
+    record's own; a matrix takes its `_gram_spectrum` here."""
+    if isinstance(gram, GramRecord):
+        min_eigenvalue, scale, eigvecs = gram.min_eigenvalue, gram.scale, gram.eigenvectors
+    else:
+        _, scale, eigvals, eigvecs = _gram_spectrum(gram)
+        min_eigenvalue, scale = float(eigvals[0]), float(scale)
+    passed = min_eigenvalue >= -PSD_RELATIVE_TOL * scale
+    return PsdVerdict(passed=passed, min_eigenvalue=min_eigenvalue, scale=scale,
                       witness=None if passed else eigvecs[:, 0])
 
 
@@ -381,6 +406,8 @@ class SearchConfig:
             'schur_s_fraction' (det B second differences, the s -> 0 limit;
             n = 1 is the entropy table of the divisibility inequalities,
             n >= 2 tests fractional powers of the proven integer-index case).
+    lam: entropy_n1's exponent weight, > 0 and finite (refused otherwise,
+    whatever the target).
     literal_s: a fractional entrywise power checked alongside det B.
     refine_iterations: when > 0 and the plain sweep finds nothing, run a
     seeded stochastic descent from the best sweep instance (violating
@@ -405,6 +432,8 @@ class SearchConfig:
             raise ValueError("trials must be >= 1")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be > 0 and finite, got {self.lam}")
         if self.n < 1:
             raise ValueError("Renyi index must be >= 1")
         if self.target == "integer_n" and self.n < 2:
@@ -465,7 +494,8 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
     standard exponentials times one over their sequential sum (`cumsum`; a
     pairwise `sum` differs in the last bits).  The rare instance below the
     redraw floor is drawn again as `simplex_eigenvalues` draws it, so an
-    instance is the same in any block.  The Haar step (complex combine of
+    instance is the same in any block; both read the floor, sampling's
+    EIGENVALUE_REDRAW_FLOOR, when called.  The Haar step (complex combine of
     the split rows, QR, phase fix, `_check_unitary`) runs on runs of at
     most STACK_ENTRIES split entries, or one split, into one output.
     """
@@ -480,7 +510,7 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
         rng.standard_exponential(out=lam[k])
         ginibre_parts(rng, raw[start:stop])
     lam *= 1.0 / np.cumsum(lam, axis=1)[:, -1:]
-    for k in np.flatnonzero(lam.min(axis=1) < EIGENVALUE_REDRAW_FLOOR).tolist():
+    for k in np.flatnonzero(lam.min(axis=1) < sampling.EIGENVALUE_REDRAW_FLOOR).tolist():
         rng = trial_rng(master_seed, indices[k])
         lam[k] = simplex_eigenvalues(d, rng)
         ginibre_parts(rng, raw[eigen[k]:stops[k]])
@@ -975,8 +1005,10 @@ def _sweep_blocks(dims_by_instance, jobs: int) -> list:
     every block of two or more instances within SWEEP_BLOCK_ENTRIES pair
     entries, so each of the `_pool_map` runs gets the same number of
     blocks; one instance per block if no such count is below the plan's
-    length.  An empty plan raises ValueError.
+    length.  An empty plan, or jobs below 1, raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     plan, seen, raw = [], {}, None
     for dims in dims_by_instance:
         if dims is not raw:  # a run of one object, as a search's trials are, is keyed once

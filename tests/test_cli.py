@@ -484,7 +484,10 @@ class TestOptionBounds:
         (["kl", "--ridge", "inf"], "ridge: must be >= 0 and finite"),
         (["gram-sweep", "--dims", "0x2"], "dims: must be >= 1"),
         (["search", "--dims", "2x2,4x0,2x2"], "dims: must be >= 1"),
-        (["search", "--lam", "nan"], "lam: must be finite"),  # LAPACK non-convergence
+        (["search", "--lam", "nan"], "lam: must be > 0 and finite"),  # LAPACK non-convergence
+        # a weight <= 0 once ran, reported 20 violations in 20 trials and exited 0
+        (["search", "--lam", "-1", "--trials", "20", "--seed", "3"], "lam: must be > 0"),
+        (["search", "--lam", "0"], "lam: must be > 0"),
         (["search", "--literal-s", "nan"], "literal_s: must be finite"),
         (["search", "--refine", "-3"], "refine: must be >= 0"),  # ran with no descent
         # reported in the config but never run: a literal power outside det B,

@@ -216,6 +216,35 @@ class TestCheckPsd:
             with pytest.raises(InvalidStateError, match="asymmetric"):
                 check_psd(gram)
 
+    @pytest.mark.parametrize("entries", [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    def test_record_verdict_reads_the_record_spectrum(self, entries, monkeypatch):
+        # a record's one `_gram_spectrum` is the verdict's: no eigh runs,
+        # and the verdict is the matrix's own, witness included
+        record = GramRecord(n=2, lam=1.0, entries=np.array(entries),
+                            entropy_table=np.zeros((2, 2)))
+        reference = check_psd(record.entries)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("check_psd of a record took a spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        verdict = check_psd(record)
+        assert (verdict.passed, verdict.min_eigenvalue, verdict.scale) == (
+            reference.passed, reference.min_eigenvalue, reference.scale)
+        assert verdict.passed == (entries[0][1] < 1.0)
+        if verdict.passed:
+            assert verdict.witness is None and reference.witness is None
+        else:
+            assert np.array_equal(verdict.witness, reference.witness)
+
+    def test_record_is_frozen(self):
+        import dataclasses
+        record, _, _ = random_gram(11, m1=3, n=2)
+        for name in ("n", "lam", "entries", "entropy_table", "min_eigenvalue", "scale",
+                     "eigenvectors"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+
     def test_schur_square_of_pass_passes(self):
         record, _, _ = random_gram(11, m1=3, n=2)
         assert check_psd(record).passed
@@ -463,6 +492,21 @@ class TestSearch:
             SearchConfig(dims=[(2, 2)] * 2, trials=1, master_seed=0, target="bogus")
         with pytest.raises(ValueError, match="trials"):
             SearchConfig(dims=[(2, 2)] * 2, trials=0, master_seed=0)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, -0.0, math.nan, math.inf])
+    def test_config_refuses_a_weight_not_positive_and_finite(self, lam):
+        # e^{-lam S} at lam <= 0 is no entropy-weighted Gram matrix: a
+        # search at lam = -1 once found a violation in every trial.  The
+        # API, as the CLI, refuses it for any target, and so does
+        # verify_witness, which builds the same config
+        for target in positivity.TARGETS:
+            with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+                SearchConfig(dims=[(2, 2)] * 2, trials=1, master_seed=0, target=target,
+                             n=2, lam=lam)
+        with open(Path(__file__).parent / "fixtures" / "detb_witness.json") as handle:
+            witness = json.load(handle)["violation"]
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            verify_witness(witness, target="entropy_n1", lam=lam)
 
     @pytest.mark.parametrize("target,n", [("entropy_n1", 1), ("integer_n", 2)])
     def test_config_refuses_settings_no_target_runs(self, target, n):
@@ -732,7 +776,11 @@ class TestBatchedSearch:
         assert _pair_plan((((2, 3), (3, 2), (2, 3)),), 2) is plan
         perms, index = _orderings(4)
         assert _orderings(4)[1] is index and perms[0] == (0, 1, 2, 3)
-        for array in [index] + [a for _, *arrays in plan for a in arrays]:
+        # an evenly stepped index is held as a slice, which cannot be
+        # written to; every index array is read-only
+        held = [a for _, *arrays in plan for a in arrays]
+        assert any(isinstance(a, slice) for a in held)
+        for array in [index] + [a for a in held if not isinstance(a, slice)]:
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -744,8 +792,16 @@ class TestBatchedSearch:
         dims = (((2, 3), (3, 2)), ((3, 2), (3, 2), (2, 3)), ((2, 3),) * 4)
         plan = _pair_plan(dims, 4)
         first_split, first_entry, seen = [0, 2, 5], [0, 4, 13], set()
-        for (dims_i, dims_j), inst, i, j, ij, ji in plan:
-            assert 1 <= len(inst) <= 4
+        runs = []
+        for (dims_i, dims_j), *held, ij, ji in plan:
+            # an instance or split index may be a slice (`_as_slice`): the
+            # indices it selects of the 3 instances and 9 splits; a one-pair
+            # run's always are slices
+            inst, i, j = (np.arange(count)[index] for count, index in zip((3, 9, 9), held))
+            if len(ij) == 1:
+                assert all(isinstance(index, slice) for index in held)
+            runs.append(((dims_i, dims_j), len(inst)))
+            assert 1 <= len(inst) <= 4 and len(i) == len(j) == len(ij) == len(inst)
             for k, a, b, at_ij, at_ji in zip(inst, i, j, ij, ji):
                 m, a0, b0 = len(dims[k]), a - first_split[k], b - first_split[k]
                 assert 0 <= a0 <= b0 < m
@@ -756,7 +812,7 @@ class TestBatchedSearch:
         assert seen == {(k, a, b) for k, splits in enumerate(dims)
                         for a in range(len(splits)) for b in range(a, len(splits))}
         a, b = (2, 3), (3, 2)
-        assert [(shapes, len(inst)) for shapes, inst, *_ in plan] == [
+        assert runs == [
             ((a, a), 4), ((a, a), 4), ((a, a), 4), ((a, b), 1), ((b, b), 4), ((b, a), 2)]
 
     def test_verify_witness_defaults_to_the_search_n(self):
@@ -779,7 +835,7 @@ class TestBatchedSearch:
         # the same tables, through either pair kernel; the 3 x 8x8 instance
         # reduces one pair per call
         from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_plan
-        assert [len(i) for _, _, i, *_ in _pair_plan((((8, 8),) * 3,), 1)] == [1] * 6
+        assert [len(ij) for *_, ij, _ in _pair_plan((((8, 8),) * 3,), 1)] == [1] * 6
         for dims in ([(2, 3), (3, 2), (2, 3), (3, 2)], [(8, 8)] * 3):
             cfg = SearchConfig(dims=dims, trials=3, master_seed=4)
             drawn = [_draw_instance(cfg, t) for t in range(cfg.trials)]
@@ -815,6 +871,29 @@ class TestBatchedSearch:
             assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
                                   reference[n][1])
             assert builds == reductions == [(1, 64, 64)] * 6
+
+    def test_one_pair_runs_build_from_views(self, monkeypatch):
+        # at d = 64 every build run holds one pair, whose plan indices are
+        # slices: the Schmidt row and both splits reach `_pair_gram` as
+        # views of the caller's arrays, not as copies, and the table is the
+        # same as from copies
+        from rpentropy.positivity import _entropy_tables
+        cfg = SearchConfig(dims=[(8, 8)] * 3, trials=2, master_seed=4)
+        schmidt, mats = block_instances(cfg)
+        reference = _entropy_tables(schmidt.copy(), mats.copy(), cfg.dims, 2)
+        calls, build = [], positivity._pair_gram
+
+        def recording(schmidt_values, mat_i, mat_j, *rest):
+            calls.append((schmidt_values, mat_i, mat_j))
+            return build(np.array(schmidt_values), np.array(mat_i), np.array(mat_j), *rest)
+
+        monkeypatch.setattr(positivity, "_pair_gram", recording)
+        assert np.array_equal(_entropy_tables(schmidt, mats, cfg.dims, 2), reference)
+        assert len(calls) == 12
+        for schmidt_values, mat_i, mat_j in calls:
+            assert schmidt_values.shape == (1, 64) and mat_i.shape == mat_j.shape == (1, 64, 64)
+            assert np.shares_memory(schmidt_values, schmidt)
+            assert np.shares_memory(mat_i, mats) and np.shares_memory(mat_j, mats)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
@@ -987,10 +1066,9 @@ class TestBlockDraws:
     def test_redraws_follow_the_one_at_a_time_stream(self, monkeypatch):
         # at a floor of 0.1 about 4 in 5 flat Dirichlet draws at d = 4 have
         # an entry below it, so most instances of the block take the redraw
-        # branch, some of them more than once.  The block reads the floor in
-        # positivity, the redraw (`simplex_eigenvalues`) in sampling
+        # branch, some of them more than once.  The block and its redraws
+        # (`simplex_eigenvalues`) read the one floor, sampling's, when called
         floor, seed, dims = 0.1, 11, [(2, 2)] * 3
-        monkeypatch.setattr(positivity, "EIGENVALUE_REDRAW_FLOOR", floor)
         monkeypatch.setattr(sampling, "EIGENVALUE_REDRAW_FLOOR", floor)
         indices = list(range(30, 70))
         draw = _draw_block(seed, indices, [dims] * len(indices))
@@ -1162,6 +1240,18 @@ class TestTheoremSweep:
             theorem_sweep([[(2, 2)] * 2, [(2, 2), (2, 3)]], [2], master_seed=1)
         with pytest.raises(ValueError, match="at least two subsystems"):
             theorem_sweep([[(2, 2)] * 2, [(2, 3)]], [2], master_seed=1)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_raise(self, jobs, serial_pools):
+        # the one planner of the sweep and the search refuses them; they
+        # once reached a division by zero in the planner or in `_pool_map`
+        cfg = SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1)
+        for call in (lambda: theorem_sweep([[(2, 2)] * 2] * 3, [2], master_seed=1, jobs=jobs),
+                     lambda: counterexample_search(cfg, jobs=jobs),
+                     lambda: positivity._sweep_blocks([[(2, 2)] * 2], jobs)):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                call()
+        assert serial_pools == []
 
     def test_pool_keeps_jobs_minus_one_workers(self, serial_pools, monkeypatch):
         # the plan is validated once, before the pool; stand-in workers
