@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .modular import PurifiedState, _check_hermitian
-from .reflected import (SubsystemSplit, _check_pair_dims, _check_unitary, _entropies,
-                        _gram_eigenvalues, _gram_traces, _pair_gram)
+from .reflected import (TINY, SubsystemSplit, _check_pair_dims, _check_pair_traces,
+                        _check_unitary, _entropies, _gram_eigenvalues, _gram_traces, _pair_gram,
+                        _split_weights)
 from . import sampling
 from .sampling import (ginibre, ginibre_from_parts, ginibre_parts, simplex_eigenvalues, trial_rng,
                        trial_rngs, unitary_from_ginibre)
@@ -33,6 +34,13 @@ SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
 TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
+# det B's slack is exactly 0 when B is zero to working precision:
+# ||B||_F <= DETB_ZERO_ULPS * size^2 * eps * max(1, max |S|), size^2 the
+# entry count of the table.  On trivial splits (1x4, 4x1, 1x9, 1x16 and
+# 1x64, two to five of them), whose entropies are all 0 in exact
+# arithmetic, ||B||_F came to at most 7.5 eps * max(1, max |S|); on 2x2,
+# 2x3 and 16x1 tables it was at least 5e14 eps
+DETB_ZERO_ULPS = 8
 # block planning (`_sweep_blocks`, for the sweep and the search): a block of
 # two or more instances holds at most this many pair-matrix entries, which
 # bounds a block's memory for any plan length and split size
@@ -51,13 +59,15 @@ SWEEP_BLOCK_ENTRIES = 1 << 17
 SWEEP_INSTANCE_ENTRIES = 320
 # stacked steps of a block: each holds at most this many entries, or one
 # matrix if a single matrix is larger.  A build run of pair Gram matrices
-# (`_pair_tables`) holds this many pair-matrix entries: 256 pairs at
-# d = 4, one pair at d = 64; a pooled reduction, this many entries of the
-# Ms (256 4 x 4 Ms, one 64 x 64); a Haar-step run (`_draw_block`), this
-# many split entries.  At 64 KB per complex temporary a step stays in
-# cache and below the allocator's mapping threshold, so its memory is
-# reused, not faulted in afresh.  The refine descent evaluates at most as
-# many proposals at once as fit in one build run (`_block_trials`).
+# (`_weighted_pair_tables`) holds this many pair-matrix entries, gathered
+# from the call's weighted split stack and its conjugate, each made once
+# per call: 256 pairs at d = 4, one pair, read as views, at d = 64; a
+# pooled reduction, this many entries of the Ms (256 4 x 4 Ms, one
+# 64 x 64); a Haar-step run (`_draw_block`), this many split entries.  At
+# 64 KB per complex temporary a step stays in cache and below the
+# allocator's mapping threshold, so its memory is reused, not faulted in
+# afresh.  The refine descent evaluates at most as many proposals at once
+# as fit in one build run (`_block_trials`).
 STACK_ENTRIES = 1 << 12
 # the quantiles a report keeps of a slack array in place of the array
 SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
@@ -92,7 +102,7 @@ def _gram_spectrum(g):
     g = _check_symmetric(g, "Gram matrix")
     g = 0.5 * (g + g.swapaxes(-1, -2))
     eigvals, eigvecs = np.linalg.eigh(g)
-    scale = np.maximum(np.abs(eigvals).max(axis=-1), np.finfo(float).tiny)
+    scale = np.maximum(np.abs(eigvals).max(axis=-1), TINY)
     return g, scale, eigvals, eigvecs
 
 
@@ -139,10 +149,10 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
     (a tuple of (d_A, d_B) per instance; splits stacked flat and m x m tables
     laid out flat, row-major, both in instance order), by instance, then j,
     then i, in runs of at most `size` pairs of one shape, in first-seen
-    order: ((dims_i, dims_j), instance, split i, split j, entry ij, entry
-    ji).  An instance or split index that steps up evenly is a slice
-    (`_as_slice`), as a one-pair run's always are, so a build reads views;
-    the index arrays are read-only because every caller shares them."""
+    order: ((dims_i, dims_j), split i, split j, entry ij, entry ji).  A
+    split index that steps up evenly is a slice (`_as_slice`), as a
+    one-pair run's always are, so a build reads views; the index arrays
+    are read-only because every caller shares them."""
     sizes = np.array([len(splits) for splits in dims])
     count = sizes * (sizes + 1) // 2
     inst = np.repeat(np.arange(len(dims)), count)
@@ -151,11 +161,11 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
     local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     i, j, m = i[local], j[local], sizes[inst]
     split, entry = (np.cumsum(sizes) - sizes)[inst], (np.cumsum(sizes ** 2) - sizes ** 2)[inst]
-    pairs = np.stack((inst, split + i, split + j, entry + i * m + j, entry + j * m + i))
+    pairs = np.stack((split + i, split + j, entry + i * m + j, entry + j * m + i))
     shapes = {}
     codes = np.array([shapes.setdefault(shape, len(shapes))
                       for splits in dims for shape in splits])
-    key = codes[pairs[1]] * len(shapes) + codes[pairs[2]]
+    key = codes[pairs[0]] * len(shapes) + codes[pairs[1]]
     shape_of, runs = list(shapes), []
     for code in dict.fromkeys(key.tolist()):
         group = pairs[:, key == code]
@@ -163,28 +173,51 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
         for k in range(0, group.shape[1], size):
             run = group[:, k:k + size]
             runs.append(((shape_of[code // len(shapes)], shape_of[code % len(shapes)]),
-                         *map(_as_slice, run[:3]), *run[3:]))
+                         *map(_as_slice, run[:2]), *run[2:]))
     return tuple(runs)
 
 
 def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> np.ndarray:
+    """`_weighted_pair_tables` of a flat stack of instances shaped as `dims`
+    (`_pair_plan`): Schmidt values (N, d) and split matrices (S, d, d), each
+    split weighted by its instance's `_split_weights` in one pass."""
+    ops = np.empty((2,) + mats.shape, dtype=complex)
+    weights = np.repeat(_split_weights(schmidt), [len(splits) for splits in dims], axis=0)
+    np.multiply(weights, mats, out=ops[0])
+    return _weighted_pair_tables(ops, dims, reduce)
+
+
+def _weighted_pair_tables(ops: np.ndarray, dims: tuple, reduce) -> np.ndarray:
     """Flat table (sum of m^2,) of a pair reduction over a flat stack of
-    instances shaped as `dims` (`_pair_plan`): Schmidt values (N, d) and
-    split matrices (S, d, d).
+    instances shaped as `dims` (`_pair_plan`), given as their weighted split
+    matrices in ops[0] of ops (2, S, d, d): each split's rows times
+    lam^{1/4} of its instance (`_split_weights`).  ops[1] receives their
+    conjugate, so each split is weighted and conjugated once per call,
+    however many pairs it enters.
+
+    One buffer holds both stacks because glibc's malloc returns to the
+    system a free heap top larger than twice the largest mapping freed so
+    far: two separate d = 64 stacks freed together crossed that line and
+    were faulted in afresh on every call (128 minor faults per 3-split
+    record), which made gram-large 10 % slower than weighting each pair's
+    operands afresh.
 
     rho_{A_j Abar_i} is the reflection of rho_{A_i Abar_j}, so each pair
     i <= j is reduced once and written to both entries.  Each run of one
     shape pair, at most STACK_ENTRIES pair-matrix entries (at least one
-    pair), builds its pair Gram matrices M (`_pair_gram`, k x k) from its
-    Schmidt rows and splits, views where the plan holds slices, so that the
-    weighting in `_pair_matrix` makes the one copy.  The Ms of one k are
+    pair), builds its pair Gram matrices M (`_pair_gram`, k x k) from views
+    of the two stacks where the plan holds slices, else from gathers.  The
+    unit-trace gate (`_check_pair_traces`) checks every M's trace once per
+    table, naming the first offender in plan order.  The Ms of one k are
     pooled across shape pairs, and a pool is reduced once it holds
     STACK_ENTRIES entries (at least one M), the rest at the end:
     reduce(M stack (run, k, k)) gives values (run,), which may gain axes in
     front of the run axis; the table gains them too.  Each M is reduced
     alone, so the table is the same for any pooling.
     """
-    d, table, pools = schmidt.shape[-1], None, defaultdict(list)
+    d, table, pools, traces = ops.shape[-1], None, defaultdict(list), []
+    left, right = ops
+    np.conjugate(left, out=right)
 
     def flush(pool, cap=math.inf):
         """Reduce the first cap entries of a pool (all by default) and keep
@@ -200,13 +233,15 @@ def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> 
             table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
         table[..., ij] = table[..., ji] = values
 
-    for (dims_i, dims_j), inst, i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
-        m = _pair_gram(schmidt[inst], mats[i], mats[j], dims_i, dims_j)
+    for (dims_i, dims_j), i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
+        m = _pair_gram(left[i], right[j], dims_i, dims_j)
+        traces.append(np.trace(m, axis1=-2, axis2=-1))
         pool, cap = pools[m.shape[-1]], max(1, STACK_ENTRIES // m.shape[-1] ** 2)
         pool.append((m, ij, ji))
         if sum(len(held[1]) for held in pool) >= cap:
             # a run is at most one pool's worth (k <= d), so one flush leaves less than cap
             flush(pool, cap)
+    _check_pair_traces(np.concatenate(traces).real)
     for pool in pools.values():
         if pool:
             flush(pool)
@@ -248,9 +283,17 @@ def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs: von Neumann from the pair
     spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no
-    spectrum) for n >= 2."""
-    schmidt, mats, dims = _instance_arrays(psi, splits)
-    return _entropy_tables(schmidt, mats, dims, n)
+    spectrum) for n >= 2.  The weighted stack is written straight from the
+    splits, with no stack of the raw split matrices."""
+    for split in splits:
+        _check_pair_dims(psi, split, split)
+    weights = _split_weights(psi.schmidt_values)
+    ops = np.empty((2, len(splits), psi.dim, psi.dim), dtype=complex)
+    for k, split in enumerate(splits):
+        np.multiply(weights, split.matrix, out=ops[0, k])
+    dims = tuple((split.dim_a, split.dim_b) for split in splits)
+    table = _weighted_pair_tables(ops, (dims,), functools.partial(_pair_entropies, n=n))
+    return table.reshape(len(splits), len(splits))
 
 
 def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
@@ -408,7 +451,8 @@ class SearchConfig:
             n >= 2 tests fractional powers of the proven integer-index case).
     lam: entropy_n1's exponent weight, > 0 and finite (refused otherwise,
     whatever the target).
-    literal_s: a fractional entrywise power checked alongside det B.
+    literal_s: a fractional entrywise power s checked alongside det B: the
+    Gram matrix of exp(-s (n - 1) S_n) for n >= 2, of exp(-s S_1) at n = 1.
     refine_iterations: when > 0 and the plain sweep finds nothing, run a
     seeded stochastic descent from the best sweep instance (violating
     regions occupy a small volume, so pure sampling can need huge budgets).
@@ -590,15 +634,22 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
         det_fixed = np.linalg.det(b)
         det_best, ordering = det_fixed, np.tile(np.arange(size), (len(table), 1))
     # ||B||_F as the dot product np.linalg.norm takes, of a C-ordered copy so
-    # that its bits do not depend on B's layout; the scale floor keeps
-    # roundoff on near-degenerate tables (B ~ 0) from masquerading as violations
+    # that its bits do not depend on B's layout.  A B that is zero to working
+    # precision (DETB_ZERO_ULPS) has slack 0: its det is roundoff, which the
+    # scale floor would otherwise blow up into a violation
     flat = np.ascontiguousarray(b).reshape(len(b), -1)
     b_norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
-    out = {"slack": det_best / np.maximum(b_norm ** (size - 1), 1e-12),
+    zero_b = b_norm <= (DETB_ZERO_ULPS * size ** 2 * np.finfo(float).eps
+                        * np.maximum(1.0, np.abs(table).max(axis=(-2, -1))))
+    slack = np.where(zero_b, 0.0, det_best / np.maximum(b_norm ** (size - 1), 1e-12))
+    out = {"slack": slack,
            "det_b": det_fixed, "det_b_best": det_best, "best_ordering": ordering,
            "entropy_table": table}
     if cfg.literal_s is not None:
-        _, scale, eigvals, _ = _gram_spectrum(np.exp(-cfg.literal_s * (cfg.n - 1) * table))
+        # exp(-s (n - 1) S_n) is the s-th power of the proven n >= 2 case; at
+        # n = 1 the power is exp(-s S_1)
+        weight = cfg.literal_s * max(cfg.n - 1, 1)
+        _, scale, eigvals, _ = _gram_spectrum(np.exp(-weight * table))
         out["literal_s_min_eigenvalue"] = eigvals[:, 0]
         out["literal_s_slack"] = eigvals[:, 0] / scale
     return out

@@ -20,6 +20,8 @@ from .modular import (HERMITICITY_TOL, DensityMatrix, InvalidStateError, Purifie
 
 UNITARITY_TOL = 1e-10
 PSD_FLOOR = -1e-12
+# the smallest normal float
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -147,34 +149,54 @@ def _check_pair_dims(psi: PurifiedState, split_i: SubsystemSplit,
             f"state dimension {psi.dim}")
 
 
-def _pair_matrix(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
-                 dims_i: tuple, dims_j: tuple) -> np.ndarray:
+def _split_weights(schmidt_values: np.ndarray) -> np.ndarray:
+    """lam_p^{1/4} of Schmidt values (..., d) as columns (..., d, 1): the
+    weight of row p of every split matrix that enters a pair matrix."""
+    return np.sqrt(np.sqrt(schmidt_values))[..., :, None]
+
+
+def _pair_operands(schmidt_values: np.ndarray, mat_i: np.ndarray,
+                   mat_j: np.ndarray) -> tuple:
+    """(left, right) of one pair or a stack of pairs: mat_i weighted by
+    `_split_weights`, and the conjugate of mat_j so weighted, for
+    `_pair_matrix` and `_pair_gram`."""
+    weights = _split_weights(schmidt_values)
+    right = weights * mat_j
+    return weights * mat_i, np.conjugate(right, out=right)
+
+
+def _pair_matrix(left: np.ndarray, right: np.ndarray, dims_i: tuple,
+                 dims_j: tuple) -> np.ndarray:
     """Coefficients X of the purified vector on (A_i Abar_j) x (B_i Bbar_j).
 
     X[(k l), (r s)] = sum_p sqrt(lam_p) C_i[p, k, r] conj(C_j[p, l, s]) with
     k, l the A and r, s the B indices, so rho_{A_i Abar_j} = X X^dag.  The
-    Schmidt values (..., d) and the split matrices (..., d, d), of shapes
-    dims_i = (a_i, b_i) and dims_j = (a_j, b_j), may carry matching leading
-    axes: a stack of pairs gives a stack of pair matrices.
+    operands are `_pair_operands`' weighted split matrices (..., d, d), of
+    shapes dims_i = (a_i, b_i) and dims_j = (a_j, b_j); matching leading
+    axes are a stack of pairs and give a stack of pair matrices.
     """
-    weights = np.sqrt(np.sqrt(schmidt_values))[..., :, None]
-    x = (weights * mat_i).swapaxes(-1, -2) @ (weights * mat_j).conj()
+    x = left.swapaxes(-1, -2) @ right
     (da_i, db_i), (da_j, db_j) = dims_i, dims_j
     lead = x.shape[:-2]
     return (x.reshape(*lead, da_i, db_i, da_j, db_j).swapaxes(-3, -2)
             .reshape(*lead, da_i * da_j, db_i * db_j))
 
 
-def _pair_gram(schmidt_values: np.ndarray, mat_i: np.ndarray, mat_j: np.ndarray,
-               dims_i: tuple, dims_j: tuple) -> np.ndarray:
+def _pair_gram(left: np.ndarray, right: np.ndarray, dims_i: tuple,
+               dims_j: tuple) -> np.ndarray:
     """M, the smaller of X X^dag and X^dag X of `_pair_matrix`'s X, stack by
     stack: min(a_i a_j, b_i b_j) square, with the nonzero eigenvalues of
-    rho = X X^dag.  tr M must be 1 within TRACE_TOL."""
-    x = _pair_matrix(schmidt_values, mat_i, mat_j, dims_i, dims_j)
+    rho = X X^dag.  Its trace is not checked here: a caller passes the
+    traces of its Ms to `_check_pair_traces`."""
+    x = _pair_matrix(left, right, dims_i, dims_j)
     adjoint = x.conj().swapaxes(-1, -2)
-    m = x @ adjoint if x.shape[-2] <= x.shape[-1] else adjoint @ x
-    _check_unit_trace(np.trace(m, axis1=-2, axis2=-1).real, "pair spectrum sums to")
-    return m
+    return x @ adjoint if x.shape[-2] <= x.shape[-1] else adjoint @ x
+
+
+def _check_pair_traces(traces) -> None:
+    """The unit-trace gate of pair Gram matrices: tr M = tr rho must be 1
+    within TRACE_TOL; the first offender of the array is named."""
+    _check_unit_trace(traces, "pair spectrum sums to")
 
 
 def _gram_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -203,7 +225,7 @@ def _gram_traces(m: np.ndarray, n_values) -> np.ndarray:
         # Re sum(A conj(B)) is the dot product of the (re, im) pairs of A and B
         high, low = ladder[(n + 1) // 2].view(float), ladder[n // 2].view(float)
         traces[k] = (high * low).sum(axis=(-2, -1))
-    vanished = ~(traces >= np.finfo(float).tiny)
+    vanished = ~(traces >= TINY)
     if vanished.any():
         first = tuple(np.argwhere(vanished)[0])
         raise InvalidStateError(f"tr rho^{n_values[first[0]]} = {traces[first]:.3e}: "
@@ -220,9 +242,10 @@ def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
     to min(a_i a_j, b_i b_j) entries, and roundoff below zero clipped to 0.
     """
     _check_pair_dims(psi, split_i, split_j)
-    return _gram_eigenvalues(_pair_gram(psi.schmidt_values, split_i.matrix, split_j.matrix,
-                                        (split_i.dim_a, split_i.dim_b),
-                                        (split_j.dim_a, split_j.dim_b)))
+    m = _pair_gram(*_pair_operands(psi.schmidt_values, split_i.matrix, split_j.matrix),
+                   (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
+    _check_pair_traces(np.trace(m).real)
+    return _gram_eigenvalues(m)
 
 
 def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
@@ -234,7 +257,7 @@ def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,
     the same matrix and serves as a test oracle.
     """
     _check_pair_dims(psi, split_i, split_j)
-    x = _pair_matrix(psi.schmidt_values, split_i.matrix, split_j.matrix,
+    x = _pair_matrix(*_pair_operands(psi.schmidt_values, split_i.matrix, split_j.matrix),
                      (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
     return ReflectedDensity(matrix=x @ x.conj().T, dim_i=split_i.dim_a,
                             dim_j=split_j.dim_a, labels=(split_i.label, split_j.label))

@@ -15,7 +15,8 @@ from rpentropy.fermion import entropy
 from rpentropy.modular import ModularData, PurifiedState
 from rpentropy.positivity import SearchConfig, _evaluate_block, _payload, _serialize_instance
 from rpentropy.reflected import (ReflectedDensity, SubsystemSplit, TwistOperatorSet,
-                                 _check_pair_dims, _check_unitary, _pair_matrix)
+                                 _check_pair_dims, _check_unitary, _pair_matrix,
+                                 _pair_operands)
 from rpentropy.sampling import ginibre, simplex_eigenvalues, trial_rng, unitary_from_ginibre
 
 # ------------------------------------------------------------ reflected states
@@ -52,7 +53,7 @@ def svd_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
                  split_j: SubsystemSplit) -> np.ndarray:
     """The pair spectrum as the squared singular values of the pair matrix,
     independent of the kernels' pair Gram matrix."""
-    x = _pair_matrix(psi.schmidt_values, split_i.matrix, split_j.matrix,
+    x = _pair_matrix(*_pair_operands(psi.schmidt_values, split_i.matrix, split_j.matrix),
                      (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
     return np.linalg.svd(x, compute_uv=False) ** 2
 

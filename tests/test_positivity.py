@@ -485,6 +485,37 @@ class TestSearch:
         # linear-in-s scaling of the defect near the limit
         assert mins[0] / mins[1] == pytest.approx(10.0, rel=0.3)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_literal_power_at_each_n(self, n):
+        # the literal power is exp(-s S_1) at n = 1, the hand computation
+        # of the test above (exp(-s (n - 1) S_1) is all ones there and
+        # checks nothing); for n >= 2 it is exp(-s (n - 1) S_n)
+        from rpentropy.positivity import _evaluate_target, _instance_from_dict
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "detb_witness.json")
+        with open(fixture) as handle:
+            psi, splits = _instance_from_dict(json.load(handle)["violation"]["instance"])
+        cfg = SearchConfig(dims=[(s.dim_a, s.dim_b) for s in splits], trials=1, master_seed=0,
+                           target="schur_s_fraction", n=n, literal_s=0.1)
+        result = _evaluate_target(cfg, psi, splits)
+        powered = np.exp(-0.1 * max(n - 1, 1) * entropy_table(psi, splits, n=n))
+        expected = np.linalg.eigvalsh(0.5 * (powered + powered.T)).min()
+        assert result["literal_s_min_eigenvalue"] == pytest.approx(expected, rel=1e-9)
+        if n == 1:
+            assert result["literal_s_min_eigenvalue"] < -1e-7
+
+    @pytest.mark.parametrize("dims", [[(1, 4)] * 2, [(4, 1)] * 2, [(1, 9)] * 2, [(1, 4)] * 3])
+    def test_detb_on_trivial_splits_finds_nothing(self, dims):
+        # every entropy of a 1 x d split is 0 in exact arithmetic, so B is
+        # roundoff; at two splits the 1e-12 norm floor alone would make it
+        # 73 violations of slack down to -6.7e-4 at 1x4, seed 42.  The slack
+        # is exactly 0; det B stays as computed
+        cfg = SearchConfig(dims=dims, trials=200, master_seed=42, target="schur_s_fraction")
+        report = counterexample_search(cfg)
+        assert not report.found and report.min_slack == 0.0
+        fields = _evaluate_block(cfg, *block_instances(cfg))
+        assert np.all(fields["slack"] == 0.0) and np.any(fields["det_b"] != 0.0)
+        assert np.abs(fields["entropy_table"]).max() <= 1e-14
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="same total dimension"):
             SearchConfig(dims=[(2, 2), (2, 3)], trials=1, master_seed=0)
@@ -615,9 +646,9 @@ class TestBatchedSearch:
             calls[kind].append(stack.shape)
             return function(stack, *rest, **options)
 
-        def recording_build(schmidt_values, mat_i, *rest, build=positivity._pair_gram):
-            calls["build"].append(mat_i.shape)
-            return build(schmidt_values, mat_i, *rest)
+        def recording_build(left, *rest, build=positivity._pair_gram):
+            calls["build"].append(left.shape)
+            return build(left, *rest)
 
         monkeypatch.setattr(positivity, "_pair_gram", recording_build)
         for kind, name in (("reduce", "_gram_traces"), ("reduce", "_gram_eigenvalues"),
@@ -794,15 +825,15 @@ class TestBatchedSearch:
         first_split, first_entry, seen = [0, 2, 5], [0, 4, 13], set()
         runs = []
         for (dims_i, dims_j), *held, ij, ji in plan:
-            # an instance or split index may be a slice (`_as_slice`): the
-            # indices it selects of the 3 instances and 9 splits; a one-pair
-            # run's always are slices
-            inst, i, j = (np.arange(count)[index] for count, index in zip((3, 9, 9), held))
+            # a split index may be a slice (`_as_slice`): the indices it
+            # selects of the 9 splits; a one-pair run's always are slices
+            i, j = (np.arange(9)[index] for index in held)
             if len(ij) == 1:
                 assert all(isinstance(index, slice) for index in held)
-            runs.append(((dims_i, dims_j), len(inst)))
-            assert 1 <= len(inst) <= 4 and len(i) == len(j) == len(ij) == len(inst)
-            for k, a, b, at_ij, at_ji in zip(inst, i, j, ij, ji):
+            runs.append(((dims_i, dims_j), len(ij)))
+            assert 1 <= len(ij) <= 4 and len(i) == len(j) == len(ij)
+            for a, b, at_ij, at_ji in zip(i, j, ij, ji):
+                k = int(np.searchsorted(first_split, a, side="right")) - 1
                 m, a0, b0 = len(dims[k]), a - first_split[k], b - first_split[k]
                 assert 0 <= a0 <= b0 < m
                 assert (dims[k][a0], dims[k][b0]) == (dims_i, dims_j)
@@ -854,9 +885,9 @@ class TestBatchedSearch:
         # n = 2, of the spectrum for n = 1
         builds, build = [], positivity._pair_gram
 
-        def recording_build(schmidt_values, mat_i, *rest):
-            builds.append(mat_i.shape)
-            return build(schmidt_values, mat_i, *rest)
+        def recording_build(left, *rest):
+            builds.append(left.shape)
+            return build(left, *rest)
 
         monkeypatch.setattr(positivity, "_pair_gram", recording_build)
         for n, name in ((2, "_gram_traces"), (1, "_gram_eigenvalues")):
@@ -874,26 +905,70 @@ class TestBatchedSearch:
 
     def test_one_pair_runs_build_from_views(self, monkeypatch):
         # at d = 64 every build run holds one pair, whose plan indices are
-        # slices: the Schmidt row and both splits reach `_pair_gram` as
-        # views of the caller's arrays, not as copies, and the table is the
-        # same as from copies
+        # slices: both operands reach `_pair_gram` as views of the call's
+        # two stacks, the weighted splits and their conjugate, not as
+        # copies, and the table is the same as from copies
         from rpentropy.positivity import _entropy_tables
         cfg = SearchConfig(dims=[(8, 8)] * 3, trials=2, master_seed=4)
         schmidt, mats = block_instances(cfg)
         reference = _entropy_tables(schmidt.copy(), mats.copy(), cfg.dims, 2)
-        calls, build = [], positivity._pair_gram
+        buffers, calls = [], []
+        tables, build = positivity._weighted_pair_tables, positivity._pair_gram
 
-        def recording(schmidt_values, mat_i, mat_j, *rest):
-            calls.append((schmidt_values, mat_i, mat_j))
-            return build(np.array(schmidt_values), np.array(mat_i), np.array(mat_j), *rest)
+        def recording_tables(ops, *rest):
+            buffers.append(ops)
+            return tables(ops, *rest)
 
+        def recording(left, right, *rest):
+            calls.append((left, right))
+            return build(np.array(left), np.array(right), *rest)
+
+        monkeypatch.setattr(positivity, "_weighted_pair_tables", recording_tables)
         monkeypatch.setattr(positivity, "_pair_gram", recording)
         assert np.array_equal(_entropy_tables(schmidt, mats, cfg.dims, 2), reference)
-        assert len(calls) == 12
-        for schmidt_values, mat_i, mat_j in calls:
-            assert schmidt_values.shape == (1, 64) and mat_i.shape == mat_j.shape == (1, 64, 64)
-            assert np.shares_memory(schmidt_values, schmidt)
-            assert np.shares_memory(mat_i, mats) and np.shares_memory(mat_j, mats)
+        assert len(buffers) == 1 and len(calls) == 12
+        weighted, conjugate = buffers[0]
+        assert weighted.shape == (6, 64, 64) and not np.shares_memory(buffers[0], mats)
+        assert np.array_equal(conjugate, weighted.conj())
+        for left, right in calls:
+            assert left.shape == right.shape == (1, 64, 64)
+            assert np.shares_memory(left, weighted) and not np.shares_memory(left, conjugate)
+            assert np.shares_memory(right, conjugate) and not np.shares_memory(right, weighted)
+
+    @pytest.mark.parametrize("dims", [[(2, 2)] * 4, [(8, 8)] * 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_trace_gate_fires_once_per_table(self, dims, n):
+        # the unit-trace gate checks every M of a table at once and names
+        # the first offender in plan order: Schmidt rows scaled by 1 + 1e-6
+        # and 1 + 2e-6 raise with the first, through a stacked d = 4 call
+        # (runs of many pairs) and a d = 64 call (runs of one pair)
+        from rpentropy.positivity import _entropy_tables
+        cfg = SearchConfig(dims=dims, trials=3, master_seed=6)
+        schmidt, mats = block_instances(cfg)
+        _entropy_tables(schmidt, mats, dims, n)
+        tampered = schmidt * np.array([[1.0], [1 + 1e-6], [1 + 2e-6]])
+        with pytest.raises(InvalidStateError, match="pair spectrum sums to 1.000001"):
+            _entropy_tables(tampered, mats, dims, n)
+        psi = PurifiedState(dim=cfg.dim, schmidt_values=tampered[1],
+                            eigenbasis=np.eye(cfg.dim, dtype=complex))
+        splits = [SubsystemSplit(dim_a=a, dim_b=b, coeffs=mat) for (a, b), mat in zip(dims, mats[1])]
+        with pytest.raises(InvalidStateError, match="pair spectrum sums to 1.000001"):
+            entropy_table(psi, splits, n)
+
+    @pytest.mark.parametrize("dims", [[(2, 2), (1, 4), (4, 1), (2, 2)],
+                                      [(8, 8), (4, 16), (16, 4)]])
+    def test_entropy_table_is_the_stacked_table(self, dims):
+        # entropy_table writes its weighted stack straight from the splits;
+        # the table is the flat-stack kernel's to the last bit, every n
+        from rpentropy.positivity import _draw_instance, _entropy_tables
+        cfg = SearchConfig(dims=dims, trials=2, master_seed=11)
+        schmidt, mats = block_instances(cfg)
+        for trial in range(cfg.trials):
+            psi, splits = _draw_instance(cfg, trial)
+            assert np.array_equal(psi.schmidt_values, schmidt[trial])
+            for n in range(1, 6):
+                assert np.array_equal(entropy_table(psi, splits, n),
+                                      _entropy_tables(schmidt[trial], mats[trial], dims, n))
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
@@ -1194,15 +1269,16 @@ class TestTheoremSweep:
         # test-only SVD oracle agree within the kernel tolerance of
         # tests/test_reflected.py
         from rpentropy.positivity import _draw_instance, _gram_spectrum, _sweep_block
-        from rpentropy.reflected import _gram_traces, _pair_gram
+        from rpentropy.reflected import _gram_traces, _pair_gram, _pair_operands
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         _, _, violations = _sweep_block(4, [((2, 2),) * 2, tuple(dims)], n_values, seed, -1.0)
         cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
                            trial_offset=5)
         psi, splits = _draw_instance(cfg, 0)
         pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-        traces = {(i, j): _gram_traces(_pair_gram(psi.schmidt_values, splits[i].matrix,
-                                                  splits[j].matrix, dims[i], dims[j]), n_values)
+        operands = {(i, j): _pair_operands(psi.schmidt_values, splits[i].matrix, splits[j].matrix)
+                    for i, j in pairs}
+        traces = {(i, j): _gram_traces(_pair_gram(*operands[i, j], dims[i], dims[j]), n_values)
                   for i, j in pairs}
         spectra = {(i, j): svd_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
         recorded = [v for v in violations if v["instance"] == 5]

@@ -5,26 +5,35 @@ from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.reflected import (UNITARITY_TOL, ReflectedDensity, SubsystemSplit,
-                                 _check_unitary, _combine, _entropies, _gram_eigenvalues,
-                                 _gram_traces, _pair_gram, _pair_matrix, pair_spectrum,
-                                 reflected_density, renyi_entropy, twist_operators,
-                                 von_neumann)
+                                 _check_pair_traces, _check_unitary, _combine, _entropies,
+                                 _gram_eigenvalues, _gram_traces, _pair_gram, _pair_matrix,
+                                 _pair_operands, pair_spectrum, reflected_density,
+                                 renyi_entropy, twist_operators, von_neumann)
 from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
 
 from oracles import (brute_force_reflected, hilbert_schmidt_mass, marginals,
                      mutual_information, reconstructed_trace)
 
 
+def _checked_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j):
+    """Pair Gram matrices of a stack of pairs as the package builds them:
+    the weighted operands (`_pair_operands`), the build (`_pair_gram`), then
+    the unit-trace gate (`_check_pair_traces`)."""
+    m = _pair_gram(*_pair_operands(schmidt_values, mat_i, mat_j), dims_i, dims_j)
+    _check_pair_traces(np.trace(m, axis1=-2, axis2=-1).real)
+    return m
+
+
 def _pair_traces(schmidt_values, mat_i, mat_j, dims_i, dims_j, n_values):
-    """tr rho^n of a stack of pairs as the package takes it: the pair Gram
-    build (`_pair_gram`), then the trace-power reduction (`_gram_traces`)."""
-    return _gram_traces(_pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j), n_values)
+    """tr rho^n of a stack of pairs as the package takes it: the checked
+    pair Gram build, then the trace-power reduction (`_gram_traces`)."""
+    return _gram_traces(_checked_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j), n_values)
 
 
 def _pair_spectrum(schmidt_values, mat_i, mat_j, dims_i, dims_j):
-    """Spectra of a stack of pairs as the package takes them: the pair Gram
-    build (`_pair_gram`), then its eigenvalues (`_gram_eigenvalues`)."""
-    return _gram_eigenvalues(_pair_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j))
+    """Spectra of a stack of pairs as the package takes them: the checked
+    pair Gram build, then its eigenvalues (`_gram_eigenvalues`)."""
+    return _gram_eigenvalues(_checked_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j))
 
 
 SPLIT_CHOICES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (4, 3)]
@@ -327,7 +336,7 @@ class TestPairSpectrum:
         eigs = _pair_spectrum(lam, mat_i, mat_j, dims_i, dims_j)
         k = min(dims_i[0] * dims_j[0], dims_i[1] * dims_j[1])
         assert eigs.shape == (3, k) and eigs.min() >= 0.0
-        x = _pair_matrix(lam, mat_i, mat_j, dims_i, dims_j)
+        x = _pair_matrix(*_pair_operands(lam, mat_i, mat_j), dims_i, dims_j)
         oracle = _entropies(np.linalg.svd(x, compute_uv=False) ** 2, 1)
         entropy = _entropies(eigs, 1)
         eps = np.finfo(float).eps
@@ -373,7 +382,7 @@ class TestPairTraces:
         n_values = list(range(1, 10))
         traces = _pair_traces(lam, mat_i, mat_j, dims_i, dims_j, n_values)
         assert traces.shape == (9, 3)
-        x = _pair_matrix(lam, mat_i, mat_j, dims_i, dims_j)
+        x = _pair_matrix(*_pair_operands(lam, mat_i, mat_j), dims_i, dims_j)
         eigs = np.linalg.svd(x, compute_uv=False) ** 2
         for n, values in zip(n_values, traces):
             expected = np.sum(eigs ** n, axis=-1)
