@@ -110,7 +110,7 @@ OPTIONS = {
         ("n", int, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
          "Renyi index for integer/detB modes"),
         ("refine", _nonnegative_int, 0, "stochastic descent budget after the sweep"),
-        ("literal_s", _finite, None, "also check a literal fractional entrywise power"),
+        ("literal_s", _positive, None, "also check a literal fractional entrywise power"),
         ("jobs", _positive_int, 1, "parallel workers")),
     "fermion": _options(
         1e-10,

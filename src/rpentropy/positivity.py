@@ -272,14 +272,6 @@ def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.n
     return table.reshape(lead + (len(dims),) * 2)
 
 
-def _instance_arrays(psi: PurifiedState, splits: list[SubsystemSplit]) -> tuple:
-    """(Schmidt values, split matrices (m, d, d), split dims) of one instance."""
-    for split in splits:
-        _check_pair_dims(psi, split, split)
-    return (psi.schmidt_values, np.array([s.matrix for s in splits]),
-            [(s.dim_a, s.dim_b) for s in splits])
-
-
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs: von Neumann from the pair
     spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no
@@ -356,6 +348,10 @@ class DivisibilityRecord:
     B_ij = S(A_i Abar_{j+1}) + S(A_{i+1} Abar_j) - S(A_i Abar_j)
            - S(A_{i+1} Abar_{j+1}); det B >= 0 is the lam -> 0 limit of the
     Gram inequalities (infinite divisibility).
+
+    det B and B's inertia do not depend on the subsystem ordering: B is
+    -D S D^T (D the difference operator), and a permutation P gives D P = M D
+    with M integral and unimodular, so B becomes M B M^T, det M = +-1.
     """
 
     b_matrix: np.ndarray
@@ -381,39 +377,6 @@ def divisibility_matrix(entropy_table: np.ndarray) -> DivisibilityRecord:
     """Build the m x m second-difference record from an (m+1)x(m+1) table."""
     b = _second_differences(_checked_table(entropy_table))
     return DivisibilityRecord(b_matrix=b, det_b=float(np.linalg.det(b)))
-
-
-def _ordering_dets(s: np.ndarray) -> tuple:
-    """(orderings, det B of the checked tables s (..., size, size) under
-    each ordering, shape (..., orderings)): one stacked det.  The identity
-    ordering comes first."""
-    perms, index = _orderings(s.shape[-1])
-    return perms, np.linalg.det(_second_differences(s[..., index[:, :, None], index[:, None, :]]))
-
-
-@functools.lru_cache(maxsize=None)
-def _orderings(size: int) -> tuple:
-    """(every permutation of range(size) in itertools order, the identity
-    first, as a tuple and as a read-only (size!, size) index array)."""
-    perms = tuple(itertools.permutations(range(size)))
-    index = np.array(perms)
-    index.flags.writeable = False
-    return perms, index
-
-
-def divisibility_over_orderings(entropy_table: np.ndarray):
-    """det B for every subsystem ordering; returns (worst det, ordering, all).
-
-    The consecutive-pair structure of B depends on the ordering; the minimum
-    over permutations is the strongest divisibility test for an instance.
-    """
-    s = np.asarray(entropy_table, dtype=float)
-    if s.shape[0] > 4:
-        raise ValueError("orderings report supported for up to 4 subsystems")
-    perms, dets = _ordering_dets(_checked_table(s))
-    results = [(perm, float(det_b)) for perm, det_b in zip(perms, dets)]
-    worst = min(results, key=lambda item: item[1])
-    return worst[1], worst[0], results
 
 
 def three_set_inequality(s_ab, s_ac, s_bc, s_aa, s_bb, s_cc) -> float:
@@ -451,8 +414,10 @@ class SearchConfig:
             n >= 2 tests fractional powers of the proven integer-index case).
     lam: entropy_n1's exponent weight, > 0 and finite (refused otherwise,
     whatever the target).
-    literal_s: a fractional entrywise power s checked alongside det B: the
-    Gram matrix of exp(-s (n - 1) S_n) for n >= 2, of exp(-s S_1) at n = 1.
+    n: the Renyi index; entropy_n1 takes n = 1 only.
+    literal_s: a fractional entrywise power s > 0 checked alongside det B:
+    the Gram matrix of exp(-s (n - 1) S_n) for n >= 2, of exp(-s S_1) at
+    n = 1.
     refine_iterations: when > 0 and the plain sweep finds nothing, run a
     seeded stochastic descent from the best sweep instance (violating
     regions occupy a small volume, so pure sampling can need huge budgets).
@@ -482,8 +447,12 @@ class SearchConfig:
             raise ValueError("Renyi index must be >= 1")
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
+        if self.target == "entropy_n1" and self.n != 1:
+            raise ValueError(f"entropy_n1 takes von Neumann entropies, n = 1; got n = {self.n}")
         if self.literal_s is not None and self.target != "schur_s_fraction":
             raise ValueError("literal_s is checked only by the schur_s_fraction target")
+        if self.literal_s is not None and not 0 < self.literal_s < math.inf:
+            raise ValueError(f"literal_s must be > 0 and finite, got {self.literal_s}")
         if self.refine_iterations > 0 and self.target == "integer_n":
             raise ValueError("the integer_n control mode takes no refine descent")
         self.dims = _validated_dims(self.dims)
@@ -624,15 +593,8 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
     table = _checked_table(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
     size = table.shape[-1]
     b = _second_differences(table)
-    if size <= 4:
-        # the identity ordering's det is the fixed ordering's, to the last bit
-        _, dets = _ordering_dets(table)
-        worst = np.argmin(dets, axis=-1)
-        det_fixed, det_best = dets[:, 0], dets[np.arange(len(dets)), worst]
-        ordering = _orderings(size)[1][worst]
-    else:
-        det_fixed = np.linalg.det(b)
-        det_best, ordering = det_fixed, np.tile(np.arange(size), (len(table), 1))
+    # det B is the same under every subsystem ordering (`DivisibilityRecord`)
+    det_b = np.linalg.det(b)
     # ||B||_F as the dot product np.linalg.norm takes, of a C-ordered copy so
     # that its bits do not depend on B's layout.  A B that is zero to working
     # precision (DETB_ZERO_ULPS) has slack 0: its det is roundoff, which the
@@ -641,10 +603,8 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
     b_norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
     zero_b = b_norm <= (DETB_ZERO_ULPS * size ** 2 * np.finfo(float).eps
                         * np.maximum(1.0, np.abs(table).max(axis=(-2, -1))))
-    slack = np.where(zero_b, 0.0, det_best / np.maximum(b_norm ** (size - 1), 1e-12))
-    out = {"slack": slack,
-           "det_b": det_fixed, "det_b_best": det_best, "best_ordering": ordering,
-           "entropy_table": table}
+    slack = np.where(zero_b, 0.0, det_b / np.maximum(b_norm ** (size - 1), 1e-12))
+    out = {"slack": slack, "det_b": det_b, "entropy_table": table}
     if cfg.literal_s is not None:
         # exp(-s (n - 1) S_n) is the s-th power of the proven n >= 2 case; at
         # n = 1 the power is exp(-s S_1)
@@ -664,10 +624,13 @@ def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
                      splits: list[SubsystemSplit]) -> dict:
     """Normalized slack of the configured inequality (negative = violation)
     on one instance, whose splits must be shaped as cfg.dims."""
-    schmidt, mats, dims = _instance_arrays(psi, splits)
+    for split in splits:
+        _check_pair_dims(psi, split, split)
+    dims = [(s.dim_a, s.dim_b) for s in splits]
     if dims != cfg.dims:
         raise ValueError(f"splits {dims} do not match the configured dims {cfg.dims}")
-    return _payload(_evaluate_block(cfg, schmidt[None], mats[None]), 0)
+    mats = np.array([s.matrix for s in splits])
+    return _payload(_evaluate_block(cfg, psi.schmidt_values[None], mats[None]), 0)
 
 
 def _block_trials(cfg: SearchConfig) -> int:

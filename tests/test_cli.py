@@ -488,7 +488,16 @@ class TestOptionBounds:
         # a weight <= 0 once ran, reported 20 violations in 20 trials and exited 0
         (["search", "--lam", "-1", "--trials", "20", "--seed", "3"], "lam: must be > 0"),
         (["search", "--lam", "0"], "lam: must be > 0"),
-        (["search", "--literal-s", "nan"], "literal_s: must be finite"),
+        (["search", "--literal-s", "nan"], "literal_s: must be > 0 and finite"),
+        # s = 0 once reported the all-ones matrix's roundoff as a literal
+        # power, and s < 0 the Gram matrix of exp(+|s| S)
+        (["search", "--target", "schur_s_fraction", "--literal-s", "0"],
+         "literal_s: must be > 0 and finite"),
+        (["search", "--target", "schur_s_fraction", "--literal-s=-0.1"],
+         "literal_s: must be > 0 and finite"),
+        # once ran n = 1 and reported n = 3
+        (["search", "--target", "entropy_n1", "--n", "3"],
+         "entropy_n1 takes von Neumann entropies, n = 1; got n = 3"),
         (["search", "--refine", "-3"], "refine: must be >= 0"),  # ran with no descent
         # reported in the config but never run: a literal power outside det B,
         # a descent in the integer_n control mode

@@ -29,9 +29,8 @@ EXPORTS = {
                 "modular_operators", "purify", "reflect_operator"],
     "positivity": ["DivisibilityRecord", "GramRecord", "SearchConfig", "SearchReport",
                    "check_psd", "counterexample_search", "divisibility_matrix",
-                   "divisibility_over_orderings", "entropy_table", "gram_matrix",
-                   "schur_power", "theorem_sweep", "theorem_sweep_parallel",
-                   "three_set_inequality", "verify_witness"],
+                   "entropy_table", "gram_matrix", "schur_power", "theorem_sweep",
+                   "theorem_sweep_parallel", "three_set_inequality", "verify_witness"],
     "reflected": ["ReflectedDensity", "SubsystemSplit", "TwistOperatorSet",
                   "reflected_density", "renyi_entropy", "twist_operators", "von_neumann"],
     "spectral": ["EntropyCurve", "SpectralDensity", "decay_rate", "derivative_checks",

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from rpentropy import positivity, sampling
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
-                                  counterexample_search, divisibility_matrix,
-                                  divisibility_over_orderings, entropy_table,
+                                  counterexample_search, divisibility_matrix, entropy_table,
                                   gram_matrix, schur_power, theorem_sweep,
                                   theorem_sweep_parallel, three_set_inequality,
                                   verify_witness)
@@ -373,33 +372,26 @@ class TestDivisibility:
         with pytest.raises(InvalidStateError):
             divisibility_matrix(table)
 
-    def test_orderings_report(self):
-        rng = np.random.default_rng(37)
-        raw = rng.uniform(0.1, 2.0, size=(3, 3))
+    def test_rejects_a_table_below_two_splits(self):
+        with pytest.raises(ValueError, match="square with size >= 2"):
+            divisibility_matrix(np.ones((1, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+    def test_det_b_is_the_same_under_every_ordering(self, size, seed):
+        # reordering the subsystems by P maps B to M B M^T with D P = M D,
+        # M integral and unimodular, so one det serves every ordering.  Each
+        # ordering sums B's entries from S in its own order, which rounds at
+        # eps max|S|, however small B is: the bound carries max|S| too
+        raw = np.random.default_rng(seed).uniform(0.05, 3.0, size=(size, size))
         table = 0.5 * (raw + raw.T)
-        worst, ordering, results = divisibility_over_orderings(table)
-        assert len(results) == 6
-        assert worst == min(det for _, det in results)
-        assert worst <= divisibility_matrix(table).det_b + 1e-15
-
-    def test_orderings_equal_per_ordering_records(self):
-        rng = np.random.default_rng(41)
-        for size in (2, 3, 4):
-            raw = rng.uniform(0.1, 2.0, size=(size, size))
-            table = 0.5 * (raw + raw.T)
-            worst, ordering, results = divisibility_over_orderings(table)
-            assert [perm for perm, _ in results] == list(itertools.permutations(range(size)))
-            for perm, det_b in results:
-                assert det_b == divisibility_matrix(table[np.ix_(perm, perm)]).det_b
-            assert (worst, ordering) == min(((d, p) for p, d in results), key=lambda x: x[0])
-
-    def test_orderings_validate_the_table(self):
-        with pytest.raises(InvalidStateError):
-            divisibility_over_orderings(np.array([[0.4, 1.1], [0.3, 0.9]]))
-        with pytest.raises(ValueError, match="square"):
-            divisibility_over_orderings(np.ones((1, 1)))
-        with pytest.raises(ValueError, match="up to 4"):
-            divisibility_over_orderings(np.ones((5, 5)))
+        perms = np.array(list(itertools.permutations(range(size))))
+        b = positivity._second_differences(table[perms[:, :, None], perms[:, None, :]])
+        dets = np.linalg.det(b)
+        scale = np.max(np.linalg.norm(b, axis=(-2, -1))) + np.abs(table).max()
+        bound = 64 * np.finfo(float).eps * scale ** (size - 1)
+        assert dets[0] == divisibility_matrix(table).det_b
+        assert np.max(np.abs(dets - dets[0])) <= bound
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.05, 3.0), min_size=6, max_size=6))
@@ -551,8 +543,19 @@ class TestSearch:
                 SearchConfig(**base, refine_iterations=500)
         else:
             assert SearchConfig(**base, refine_iterations=500).refine_iterations == 500
+            # entropy_n1 takes von Neumann entropies: n = 3 once ran n = 1 and reported 3
+            with pytest.raises(ValueError, match="entropy_n1 takes von Neumann entropies"):
+                SearchConfig(**dict(base, n=3))
         SearchConfig(**base, refine_iterations=0)
         SearchConfig(**dict(base, target="schur_s_fraction"), literal_s=0.5, refine_iterations=5)
+
+    @pytest.mark.parametrize("literal_s", [0.0, -0.1, math.nan, math.inf])
+    def test_config_refuses_a_literal_power_not_positive_and_finite(self, literal_s):
+        # s = 0 checked the all-ones matrix's roundoff, and s < 0 the Gram
+        # matrix of exp(+|s| S), which is no fractional power
+        with pytest.raises(ValueError, match="literal_s must be > 0 and finite"):
+            SearchConfig(dims=[(2, 2)] * 3, trials=1, master_seed=0,
+                         target="schur_s_fraction", literal_s=literal_s)
 
 
 class TestBatchedSearch:
@@ -591,10 +594,6 @@ class TestBatchedSearch:
             assert np.array_equal(stored_psi.eigenbasis, psi.eigenbasis)
             for stored, split in zip(stored_splits, splits):
                 assert np.array_equal(stored.matrix, split.matrix)
-            if len(cfg.dims) > 4 and cfg.target == "schur_s_fraction":
-                # past four subsystems the orderings report is skipped
-                assert result["best_ordering"] == list(range(5))
-                assert result["det_b_best"] == result["det_b"]
         slacks = [r["slack"] for r in report.violations]
         assert report.min_slack == min(slacks)
         assert report.min_slack_trial == cfg.trial_offset + slacks.index(min(slacks))
@@ -768,7 +767,7 @@ class TestBatchedSearch:
     def test_detb_slack_independent_of_the_layout_of_b(self, monkeypatch, layout):
         # ||B||_F must not depend on how B lies in memory: a Fortran-ordered
         # B, or one whose last axis has stride 2, gives the fresh
-        # C-contiguous B's slack to the last bit, with and without orderings
+        # C-contiguous B's slack to the last bit, at 3, 4 and 6 subsystems
         def strided(b):
             out = np.zeros(b.shape[:-1] + (2 * b.shape[-1],))[..., ::2]
             out[...] = b
@@ -785,13 +784,12 @@ class TestBatchedSearch:
             monkeypatch.setattr(positivity, "_second_differences",
                                 lambda s: relaid(second_differences(s)))
             fields = _evaluate_block(cfg, schmidt, mats)
-            for key in ("slack", "det_b", "det_b_best"):
+            for key in ("slack", "det_b"):
                 assert np.array_equal(fields[key], reference[key])
 
     def test_detb_fixed_ordering_is_the_identity_ordering(self):
-        # det_b is read from the identity column of the ordering dets; it
-        # must equal a det of the fixed-ordering B of its own, stacked and
-        # one instance at a time
+        # det_b is the det of the table's own B (the identity ordering),
+        # stacked and one instance at a time
         from rpentropy.positivity import _second_differences
         for dims in ([(2, 2)] * 3, [(2, 3), (3, 2), (2, 3), (3, 2)], [(2, 2)] * 2):
             cfg = SearchConfig(dims=dims, trials=60, master_seed=23, target="schur_s_fraction")
@@ -802,16 +800,14 @@ class TestBatchedSearch:
                 assert fields["det_b"][k] == np.linalg.det(b[k])
 
     def test_shared_index_caches_are_read_only(self):
-        from rpentropy.positivity import _orderings, _pair_plan
+        from rpentropy.positivity import _pair_plan
         plan = _pair_plan((((2, 3), (3, 2), (2, 3)),), 2)
         assert _pair_plan((((2, 3), (3, 2), (2, 3)),), 2) is plan
-        perms, index = _orderings(4)
-        assert _orderings(4)[1] is index and perms[0] == (0, 1, 2, 3)
         # an evenly stepped index is held as a slice, which cannot be
         # written to; every index array is read-only
         held = [a for _, *arrays in plan for a in arrays]
         assert any(isinstance(a, slice) for a in held)
-        for array in [index] + [a for a in held if not isinstance(a, slice)]:
+        for array in [a for a in held if not isinstance(a, slice)]:
             with pytest.raises(ValueError):
                 array[0] = 0
 
