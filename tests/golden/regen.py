@@ -48,16 +48,29 @@ REL, ABS = 1e-6, 1e-12
 
 
 def fingerprint() -> dict:
-    """The build and CPU a golden's bytes depend on."""
+    """The build and CPU a golden's bytes depend on.  A numpy that cannot
+    name its BLAS (`show_config` takes no `mode` before numpy 1.26) gives
+    "blas": None, which `same_build` never takes for a match."""
     import numpy as np
     import scipy
 
-    config = np.show_config(mode="dicts")
-    blas = config["Build Dependencies"]["blas"]
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        build = {"blas": [blas.get("name"), blas.get("version"), blas.get("openblas configuration")],
+                 "simd": config["SIMD Extensions"].get("found")}
+    except (TypeError, KeyError, AttributeError):
+        build = {"blas": None, "simd": None}
     return {"python": ".".join(platform.python_version_tuple()[:2]),
             "machine": platform.machine(), "numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": [blas.get("name"), blas.get("version"), blas.get("openblas configuration")],
-            "simd": config["SIMD Extensions"].get("found")}
+            **build}
+
+
+def same_build() -> bool:
+    """Whether this is the build the goldens were recorded under, so that
+    reports must equal them byte for byte."""
+    current = fingerprint()
+    return current["blas"] is not None and (HERE / "fingerprint.json").read_text() == encode(current)
 
 
 def run_case(name: str, out: Path) -> dict:
