@@ -43,8 +43,14 @@ def _split_dims(entry) -> tuple:
 
 
 def _checked(kind, test, message: str):
-    """Converter to `kind` that refuses a value failing `test`."""
+    """Converter to `kind` that refuses a bool, a number that is not an
+    integer where `kind` is int (int() would truncate 2.7), and a value
+    failing `test`."""
     def convert(value):
+        if isinstance(value, bool):
+            raise ValueError("must be a number, not a boolean")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("must be an integer")
         if not test(kind(value)):
             raise ValueError(message)
         return kind(value)
@@ -52,6 +58,7 @@ def _checked(kind, test, message: str):
 
 
 # a float option must be finite: NaN and inf fail each float bound
+_integer = _checked(int, lambda v: True, "")  # search's trials and n: SearchConfig bounds them
 _positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "must be >= 0")
 _at_least_two = _checked(int, lambda v: v >= 2, "must be >= 2")
@@ -102,12 +109,12 @@ OPTIONS = {
         ("jobs", _positive_int, 1, "parallel workers")),
     "search": _options(
         COUNTEREXAMPLE_TOL,
-        ("trials", int, 2000, "number of random trials"),
+        ("trials", _integer, 2000, "number of random trials"),
         ("dims", _list_of(_split_dims), "2x2,2x2,2x2",
          "one split per subsystem, e.g. '2x2,2x2,2x2'"),
         ("target", TARGETS, "entropy_n1", "inequality to search"),
         ("lam", _positive, 1.0, "exponent weight for entropy mode"),
-        ("n", int, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
+        ("n", _integer, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
          "Renyi index for integer/detB modes"),
         ("refine", _nonnegative_int, 0, "stochastic descent budget after the sweep"),
         ("literal_s", _positive, None, "also check a literal fractional entrywise power"),
@@ -474,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             flags = ["--lambda", "--lam"] if key == "lam" else ["--" + key.replace("_", "-")]
             p.add_argument(*flags, dest=key, help=help_text,
-                           type=kind if kind is int else None,
                            choices=kind if isinstance(kind, tuple) else None)
     return parser
 

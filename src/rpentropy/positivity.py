@@ -665,129 +665,65 @@ def _run_blocks(task) -> list:
     return [worker(*block, *args) for block in blocks]
 
 
-def _outcome(task) -> tuple:
-    """(True, `_run_blocks(task)`), or (False, the exception it raised)."""
-    try:
-        return True, _run_blocks(task)
-    except Exception as exc:
-        return False, exc
-
-
-def _serve(conn) -> None:
-    """A pool worker: sends back the `_outcome` of each task that arrives
-    on its pipe, until None or the end of the pipe.  An interrupt is the
-    caller's to handle, so the worker ignores SIGINT."""
+def _ignore_interrupts() -> None:
+    """A pool worker's initializer: an interrupt is the caller's to handle."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        for task in iter(conn.recv, None):
-            outcome = _outcome(task)
-            try:
-                conn.send(outcome)
-            except Exception as exc:  # an output or exception that does not pickle
-                conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-    except EOFError:
-        pass
 
 
-class _Workers:
-    """`count` worker processes (`_serve`), each fed and read through its
-    own duplex `multiprocessing.Pipe`; a worker found dead is replaced."""
-
-    def __init__(self, count: int):
-        self.procs, self.conns = [None] * count, [None] * count
-        for k in range(count):
-            self._start(k)
-
-    def _start(self, k: int) -> None:
-        import multiprocessing
-
-        self.conns[k], child = multiprocessing.Pipe()
-        self.procs[k] = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
-        self.procs[k].start()
-        child.close()
-
-    def send(self, k: int, task) -> None:
-        """Hand worker k a task; a pipe that refuses it (the worker died
-        idle) is left to `receive`."""
-        try:
-            self.conns[k].send(task)
-        except OSError:
-            pass
-
-    def receive(self, k: int, task) -> tuple:
-        """Worker k's `_outcome` of `task`; if the worker died before or
-        while running it, a new one runs the task again, once."""
-        try:
-            return self.conns[k].recv()
-        except (EOFError, OSError):
-            self.conns[k].close()
-            self.procs[k].kill()
-            self.procs[k].join()
-            self._start(k)
-            self.conns[k].send(task)
-            return self.conns[k].recv()
-
-    def close(self, kill: bool = False) -> None:
-        """Stop every worker, idle ones by a None task, or all by SIGKILL,
-        and join it."""
-        for proc, conn in zip(self.procs, self.conns):
-            if kill:
-                proc.kill()
-            else:
-                try:
-                    conn.send(None)
-                except OSError:  # it died: join reaps it
-                    pass
-        for proc, conn in zip(self.procs, self.conns):
-            proc.join()
-            conn.close()
+_POOL = {}  # jobs -> the live executor of jobs - 1 workers; at most one entry
 
 
-_POOL = {}  # jobs -> the live _Workers of jobs - 1 workers; at most one entry
-
-
-def _worker_pool(jobs: int) -> _Workers:
-    """The process's jobs - 1 workers, started on first use and kept for
-    later calls; started anew when jobs changes."""
+def _worker_pool(jobs: int):
+    """The process's executor of jobs - 1 workers, built on first use and
+    kept for later calls; built anew when jobs changes."""
     if jobs not in _POOL:
+        from concurrent.futures import ProcessPoolExecutor
+
         _shutdown_pool()
-        _POOL[jobs] = _Workers(jobs - 1)
-        # the first start registers multiprocessing's exit hook, which
-        # terminates daemonic workers; registered after it, this one runs
-        # first and lets each worker finish
-        atexit.unregister(_shutdown_pool)
-        atexit.register(_shutdown_pool)
+        _POOL[jobs] = ProcessPoolExecutor(jobs - 1, initializer=_ignore_interrupts)
     return _POOL[jobs]
 
 
-def _shutdown_pool(kill: bool = False) -> None:
-    """Stop and join the workers, if any (`_Workers.close`)."""
-    for pool in _POOL.values():
-        pool.close(kill)
-    _POOL.clear()
+@atexit.register
+def _shutdown_pool() -> None:
+    """Stop and join the executor, if any, dropping tasks not yet started.
+    It leaves `_POOL` only once joined, so that no executor forks its
+    workers while another's manager thread lives, even when an interrupt
+    cut the join short (the next call joins it again)."""
+    for jobs, pool in list(_POOL.items()):
+        pool.shutdown(wait=True, cancel_futures=True)
+        del _POOL[jobs]
 
 
 def _pool_runs(tasks: list, jobs: int) -> list:
-    """The outputs of every task, in order.  Tasks after the first go down
-    the pipes of the process's workers (`_worker_pool`), then this process
-    runs the first, then each worker's reply is read.  Every reply is read
-    before a task's exception, the first in task order, is raised here, so
-    no stale reply stays in a pipe; an interrupt, or a task that kills its
-    worker twice, kills the pool instead."""
-    pool, rest = _worker_pool(jobs), list(enumerate(tasks[1:]))
+    """The outputs of every task, in order: the first task runs in this
+    process while the process's executor (`_worker_pool`) runs the rest.
+    Every pool task ends before a task's exception, the first in task
+    order, is raised here.  An executor that breaks (a worker died) is
+    replaced, and the new one runs this call's pool tasks again, once."""
+    from concurrent.futures import wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    def submit():
+        pool = _worker_pool(jobs)
+        return [pool.submit(_run_blocks, task) for task in tasks[1:]]
+
     try:
-        for k, task in rest:
-            pool.send(k, task)
-        outcomes = [_outcome(tasks[0])] + [pool.receive(k, task) for k, task in rest]
-    except BaseException:
-        _shutdown_pool(kill=True)
-        raise
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
+        futures = submit()
+    except RuntimeError:  # BrokenProcessPool, or an executor already shut down
+        _shutdown_pool()
+        futures = submit()
+    try:
+        runs = [_run_blocks(tasks[0])]
+    finally:
+        wait(futures)
+    try:
+        return runs + [future.result() for future in futures]
+    except BrokenProcessPool:
+        _shutdown_pool()
+        return runs + [future.result() for future in submit()]
 
 
 def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
@@ -797,8 +733,8 @@ def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
 
     Runs of ceil(len(blocks) / jobs) blocks are one task each.  One task
     (jobs = 1, or a single block) runs in this process; with more, this
-    process runs the first and the process's jobs - 1 workers
-    (`_pool_runs`) the others.
+    process runs the first and the process's executor of jobs - 1
+    workers (`_pool_runs`) the others.
     """
     size = -(-len(blocks) // jobs)
     tasks = [(worker, blocks[k:k + size], args) for k in range(0, len(blocks), size)]

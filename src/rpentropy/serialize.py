@@ -87,20 +87,22 @@ def write_csv(path: str, header: list[str], rows) -> str:
 def read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Two-column numeric CSV (with optional header) -> (x, y) arrays.
 
-    A row whose first two cells are not numbers is skipped as a header.  A
-    nan or inf cell, or a file without numeric rows, raises ValueError that
-    names the file (and the row).
+    Blank rows are skipped.  Only the first non-empty row may be a header,
+    a row that does not start with two numbers.  Any later such row, a nan
+    or inf cell, or a file without numeric rows raises ValueError that names
+    the file (and the row).
     """
-    xs, ys = [], []
+    xs, ys, malformed = [], [], None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            if not row or len(row) < 2:
-                continue
+        rows = (row for row in reader if any(cell.strip() for cell in row))
+        for k, row in enumerate(rows):
             try:
                 x, y = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header line
+            except (IndexError, ValueError):
+                if k and malformed is None:
+                    malformed = f"{path}: row {reader.line_num}: not two numbers: {row}"
+                continue
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{path}: row {reader.line_num}: non-finite value in "
                                  f"{row[:2]}")
@@ -108,4 +110,6 @@ def read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             ys.append(y)
     if not xs:
         raise ValueError(f"no numeric (x, y) rows found in {path}")
+    if malformed:
+        raise ValueError(malformed)
     return np.asarray(xs), np.asarray(ys)

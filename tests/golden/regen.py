@@ -3,10 +3,11 @@ change unless a change means them to.
 
 Each case runs in-process through `cli.main`, at `--jobs 1` where the
 subcommand takes it, into a fresh directory.  Its golden file holds the
-case's argv, the `report` section of the one report it writes and, in the
-report's order, every fixture it writes.  `fingerprint.json` holds the
-numpy, scipy and BLAS build, and the CPU they ran on, under which the files
-were recorded.
+case's argv, the `report` section of the one report it writes, in the
+report's order every fixture it writes and, when the report names a CSV
+table, that table's lines.  `fingerprint.json` holds the numpy, scipy and
+BLAS build, and the CPU they ran on, under which the files were recorded.
+The tests also run the `POOLED` cases at `--jobs 2` against the same files.
 
 Rewrite every file (after a change that moves report bytes on purpose;
 list each changed field in CHANGES.md):
@@ -43,6 +44,9 @@ CASES = {
     "cft": "cft",
 }
 
+# cases whose plans are several blocks, so that at --jobs 2 the pool's worker runs some
+POOLED = ("sweep-seed42", "entropy-seed2024")
+
 # the structural comparison's float bound: |a - b| <= max(REL * max(|a|, |b|), ABS)
 REL, ABS = 1e-6, 1e-12
 
@@ -73,13 +77,14 @@ def same_build() -> bool:
     return current["blas"] is not None and (HERE / "fingerprint.json").read_text() == encode(current)
 
 
-def run_case(name: str, out: Path) -> dict:
-    """Run case `name` into the empty directory `out`: {argv, report, fixtures}."""
+def run_case(name: str, out: Path, jobs: int = 1) -> dict:
+    """Run case `name` into the empty directory `out`: {argv, report,
+    fixtures}, and csv, the lines of the CSV table the report names."""
     from rpentropy.cli import OPTIONS, main
 
     argv = shlex.split(CASES[name])
     if any(key == "jobs" for key, *_ in OPTIONS[argv[0]]):
-        argv += ["--jobs", "1"]
+        argv += ["--jobs", str(jobs)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv + ["--out", str(out)])
     if code != 0:
@@ -88,7 +93,10 @@ def run_case(name: str, out: Path) -> dict:
     report = json.loads(path.read_text())["report"]
     fixtures = [json.loads((out / "fixtures" / fixture).read_text())
                 for fixture in report["results"].get("fixtures", [])]
-    return {"argv": argv, "report": report, "fixtures": fixtures}
+    case = {"argv": argv, "report": report, "fixtures": fixtures}
+    if "csv" in report["results"]:  # CRLF line ends, as write_csv writes them
+        case["csv"] = (out / report["results"]["csv"]).read_bytes().decode().split("\r\n")
+    return case
 
 
 def encode(data) -> str:
@@ -101,12 +109,16 @@ def encode(data) -> str:
 def differences(got, want, path: str = "") -> list:
     """Where got and want differ structurally: keys, list lengths, types,
     ints, strings and bools exactly, floats beyond REL and ABS.  The names
-    of fixture files are content hashes, so only their count is compared."""
+    of fixture files are content hashes, so only their count is compared;
+    a CSV table's numeric cells are compared as floats."""
     if type(got) is not type(want):
         return [f"{path}: {type(want).__name__} -> {type(got).__name__}"]
     if isinstance(got, dict):
         if got.keys() != want.keys():
             return [f"{path}: keys {sorted(want.keys() ^ got.keys())} differ"]
+        if not path and "csv" in got:
+            got, want = ({**d, "csv": [[_cell(cell) for cell in line.split(",")]
+                                       for line in d["csv"]]} for d in (got, want))
         if path.endswith("/results") and "fixtures" in got:
             got, want = ({**d, "fixtures": len(d["fixtures"])} for d in (got, want))
         return [diff for key in want for diff in differences(got[key], want[key], f"{path}/{key}")]
@@ -120,6 +132,14 @@ def differences(got, want, path: str = "") -> list:
             return [f"{path}: {want!r} -> {got!r}"]
         return []
     return [] if got == want else [f"{path}: {want!r} -> {got!r}"]
+
+
+def _cell(text: str):
+    """A CSV cell: its float, or the text when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def main() -> None:

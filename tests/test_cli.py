@@ -507,6 +507,9 @@ class TestOptionBounds:
          "the integer_n control mode takes no refine descent"),
         (["fermion", "--cutoff", "inf"], "cutoff: must be > 0 and finite"),
         (["fermion", "--lambda", "1,nan"], "lam: must be > 0 and finite"),
+        # search's trials and n are converted with every other option
+        (["search", "--trials", "2.7"], "for trials: invalid literal"),
+        (["search", "--n", "2.5"], "for n: invalid literal"),
     ] + [([name, "--tolerance", bad], "tolerance: must be finite")
          for name in OPTIONS for bad in ("nan", "inf")]
 
@@ -517,11 +520,53 @@ class TestOptionBounds:
         assert "config error" in err and message in err
         assert not list(tmp_path.iterdir())
 
-    # an input table with a nan or inf cell, or with no numeric row, once
-    # reached scipy and exited 2; the error names the file and the row
+    # a config value that int() would truncate, or a bool read as a number,
+    # once ran: {"trials": 2.7, "seed": true} swept 2 instances at seed 1
+    CONFIGS = [
+        ("gram-sweep", {"trials": 2.7}, "trials: must be an integer"),
+        ("gram-sweep", {"seed": True}, "seed: must be a number, not a boolean"),
+        ("gram-sweep", {"trials": True}, "trials: must be a number, not a boolean"),
+        ("gram-sweep", {"n": [2.5]}, "n: must be an integer"),
+        ("gram-sweep", {"dims": [[2.5, 2]]}, "dims: must be an integer"),
+        ("gram-sweep", {"jobs": 1.5}, "jobs: must be an integer"),
+        ("search", {"trials": 2.7}, "trials: must be an integer"),
+        ("search", {"n": 2.5}, "n: must be an integer"),
+        ("search", {"trials": True}, "trials: must be a number, not a boolean"),
+        ("search", {"lam": True}, "lam: must be a number, not a boolean"),
+        ("fermion", {"lam": [1.0, True]}, "lam: must be a number, not a boolean"),
+        ("kl", {"ridge": False}, "ridge: must be a number, not a boolean"),
+        ("cft", {"pairs": 10.5}, "pairs: must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("subcommand, config, message", CONFIGS,
+                             ids=[f"{name} {json.dumps(cfg)}" for name, cfg, _ in CONFIGS])
+    def test_truncated_or_boolean_config_value_config_error(self, tmp_path, capsys, subcommand,
+                                                             config, message):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config))
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
+    def test_integral_float_config_values_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 4.0, "n": [2.0], "dims": [[2.0, 2]]}))
+        assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        config = load(tmp_path, "gram-sweep-seed42.json")["report"]["config"]
+        assert (config["trials"], config["n"], config["dims"]) == (4, [2], [[2, 2]])
+
+    # a 50-row table with one malformed row at line 27
+    MALFORMED = "x,F\n" + "".join(
+        f"{x!r},{'1.0x' if k == 25 else '1.0'}\n"
+        for k, x in enumerate(np.linspace(0.02, 0.98, 50).tolist()))
+    # an input table with a nan or inf cell, with no numeric row, or with a
+    # malformed row after its first once reached scipy and exited 2, or
+    # (the malformed row) was skipped; the error names the file and the row
     TABLES = {"nan cell": ("x,y\n0.1,1.0\n0.2,nan\n0.3,1.2\n", "row 3: non-finite"),
               "inf cell": ("0.1,1.0\n0.2,1.1\ninf,1.2\n", "row 3: non-finite"),
-              "no numeric row": ("x,y\na,b\n", "no numeric (x, y) rows")}
+              "no numeric row": ("x,y\na,b\n", "no numeric (x, y) rows"),
+              "malformed row": (MALFORMED, "row 27: not two numbers")}
 
     @pytest.mark.parametrize("flag", [["kl", "--input"], ["cft", "--f-table"]],
                              ids=["kl", "cft"])

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
@@ -42,26 +43,28 @@ def block_instances(cfg: SearchConfig):
 
 @pytest.fixture
 def serial_pools(monkeypatch):
-    """Stand-in pipe workers: records the worker count of each pool built
-    and runs each task it is sent in this process when its reply is read,
-    so no process starts."""
+    """A stand-in executor: records the worker count of each pool built and
+    runs each submitted call in this process as it is submitted, so no
+    process starts."""
+    import concurrent.futures
     sizes = []
 
-    class SerialWorkers:
-        def __init__(self, count):
-            sizes.append(count)
-            self.sent = {}
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
 
-        def send(self, k, task):
-            self.sent[k] = task
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-        def receive(self, k, task):
-            return positivity._outcome(self.sent.pop(k))
-
-        def close(self, kill=False):
+        def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(positivity, "_Workers", SerialWorkers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -687,8 +690,8 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_search_blocks_are_the_sweep_planners(self, serial_pools, monkeypatch, jobs):
         # the search hands `_pool_map` the blocks `_sweep_blocks` cuts from
-        # its trials, numbered from trial_offset; the stand-in workers run
-        # the pool's blocks in this process (after the caller's own), where
+        # its trials, numbered from trial_offset; the stand-in executor runs
+        # the pool's blocks in this process (before the caller's own), where
         # they are recorded
         seen = []
 
@@ -1326,8 +1329,8 @@ class TestTheoremSweep:
         assert serial_pools == []
 
     def test_pool_keeps_jobs_minus_one_workers(self, serial_pools, monkeypatch):
-        # the plan is validated once, before the pool; stand-in workers
-        # record each pool's size and run their tasks in this process
+        # the plan is validated once, before the pool; the stand-in executor
+        # records each pool's size and runs its tasks in this process
         validated = []
         validate = positivity._validated_dims
 
@@ -1367,9 +1370,9 @@ class TestTheoremSweep:
 
 class TestPoolMap:
     """`_pool_map` is the one merge of block results.  It runs the first
-    run of blocks in this process and the others on jobs - 1 worker
-    processes, each fed through its own pipe, that live until jobs changes
-    or the interpreter exits; a worker found dead is replaced."""
+    run of blocks in this process and the others on a kept executor of
+    jobs - 1 worker processes, built anew when jobs changes or the executor
+    breaks (a worker died), and shut down when the interpreter exits."""
 
     PLAN = [[(2, 2)] * 3] * 200  # two blocks at jobs = 2, three at jobs = 3
 
@@ -1382,65 +1385,74 @@ class TestPoolMap:
                 [os.getpid()] * k)
 
     @staticmethod
-    def pids(jobs):
-        return [proc.pid for proc in positivity._POOL[jobs].procs]
+    def gone(pid, timeout=30.0):
+        """Whether process `pid` has exited and been reaped within `timeout` s."""
+        for _ in range(int(timeout / 0.01)):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            time.sleep(0.01)
+        return False
 
     def test_caller_runs_the_first_run_and_the_pool_stays(self):
         blocks = [(3,), (0,), (1,), (4,)]
         rows = np.array([30, 31, 32, 10, 40, 41, 42, 43])
         labels = ["b3"] * 3 + ["b1"] + ["b4"] * 4
-        pools = []
+        pools, workers = [], []
         # the first run is ceil(4 / jobs) blocks: all 8 rows at jobs = 1,
         # else the 3 rows of block (3,) and the empty (0,); the rest ran on
-        # the pool's workers, jobs - 1 of them, kept from call to call
+        # the executor's workers, jobs - 1 at most, kept from call to call
         for jobs, first in ((1, 8), (2, 3), (2, 3), (3, 3), (5, 3)):
             pairs, values, names, pids = positivity._pool_map(self.worker, blocks, jobs, "b")
             assert np.array_equal(pairs, np.stack((rows, -rows), axis=-1))
             assert np.array_equal(values, rows) and values.dtype == float
             assert names == labels
-            assert pids[:first] == [os.getpid()] * first
-            pool = positivity._POOL.get(jobs)
-            assert pool is None or (len(pool.procs) == jobs - 1
-                                    and set(pids[first:]) <= set(self.pids(jobs)))
-            pools.append((pool, pool and self.pids(jobs)))
-        assert pools[0] == (None, None) and pools[1] == pools[2]
-        # another jobs starts another pool and stops the last one's workers
-        assert len({id(pool) for pool, _ in pools[1:]}) == 3 and list(positivity._POOL) == [5]
-        assert not any(proc.is_alive() for proc in pools[1][0].procs)
+            assert pids[:first] == [os.getpid()] * first and os.getpid() not in pids[first:]
+            assert len(set(pids[first:])) <= jobs - 1
+            pools.append(positivity._POOL.get(jobs))
+            workers.append(set(pids[first:]))
+        # the same executor, and its one worker, serve both jobs = 2 calls
+        assert pools[0] is None and pools[1] is pools[2] and workers[1] == workers[2]
+        # another jobs builds another executor and stops the last one's workers
+        assert len({id(pool) for pool in pools[1:]}) == 3 and list(positivity._POOL) == [5]
+        for pid in workers[1] | workers[3]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_a_killed_worker_is_replaced(self, tmp_path, jobs):
-        # a worker killed while idle, or one that dies running a task, is
-        # replaced when its reply is read, and the new one runs the task;
-        # the other workers stay, and the result is the serial one
+        # a worker killed while idle, or one that dies running a task, breaks
+        # the executor; a new one runs the call's pool tasks again, and the
+        # result is the serial one
         reference = asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8))
         assert len(positivity._sweep_blocks(self.PLAN, jobs)) == jobs
+        missing = [(str(tmp_path / "missing"),)] * jobs
+        (ran,) = positivity._pool_map(die_once, missing, jobs)
+        pool = positivity._POOL[jobs]
+        os.kill(ran[-1], signal.SIGKILL)
+        assert self.gone(ran[-1])  # the executor reaped it: it is broken
         assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
-        pool, pids = positivity._POOL[jobs], self.pids(jobs)
-        os.kill(pids[0], signal.SIGKILL)
-        pool.procs[0].join(timeout=30)
-        assert not pool.procs[0].is_alive()
-        assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
-        assert positivity._POOL[jobs] is pool and self.pids(jobs)[1:] == pids[1:]
-        assert self.pids(jobs)[0] != pids[0]
-        # the last worker's task kills it once, then runs on its replacement
-        pids, marker = self.pids(jobs), tmp_path / "die"
+        assert positivity._POOL[jobs] is not pool
+        (again,) = positivity._pool_map(die_once, missing, jobs)
+        assert again[0] == os.getpid() and ran[-1] not in again
+        # the last task kills its worker once, then runs on a new executor
+        pool, marker = positivity._POOL[jobs], tmp_path / "die"
         marker.touch()
-        blocks = [(str(tmp_path / "missing"),)] * (jobs - 1) + [(str(marker),)]
-        (ran,) = positivity._pool_map(die_once, blocks, jobs)
-        assert not marker.exists() and ran[0] == os.getpid() and ran[-1] not in pids
-        assert self.pids(jobs)[:-1] == pids[:-1] and self.pids(jobs)[-1] == ran[-1]
+        (ran,) = positivity._pool_map(die_once, missing[1:] + [(str(marker),)], jobs)
+        assert not marker.exists() and ran[0] == os.getpid()
+        assert positivity._POOL[jobs] is not pool and not set(ran[1:]) & set(again[1:])
         assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
 
     @pytest.mark.parametrize("bad", [0, 2])
     def test_an_exception_leaves_no_stale_reply(self, bad):
         # a non-unitary split in a worker's task (bad = 2), or in this
         # process's own (bad = 0) while the workers run theirs, raises here
-        # with its type and message once every reply is read: the next
-        # calls on the same pool give the serial results
+        # with its type and message once every task has ended: the next
+        # calls on the same executor give the serial results
         reference = asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12))
         assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12, jobs=3)) == reference
-        pool, pids = positivity._POOL[3], self.pids(3)
+        pool = positivity._POOL[3]
         splits = [(np.eye(4),)] * 3
         splits[bad] = (1.01 * np.eye(4),)
         with pytest.raises(InvalidStateError,
@@ -1448,12 +1460,13 @@ class TestPoolMap:
             positivity._pool_map(positivity._check_unitary, splits, 3)
         for _ in range(2):
             assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12, jobs=3)) == reference
-        assert positivity._POOL[3] is pool and self.pids(3) == pids
+        assert positivity._POOL[3] is pool
 
     @staticmethod
     def run_child(script: str) -> subprocess.CompletedProcess:
         src = str(Path(positivity.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(Path(__file__).parent))),
+                   OPENBLAS_NUM_THREADS="1")
         return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
 
@@ -1465,21 +1478,24 @@ class TestPoolMap:
         "                         [(np.eye(2),), (2 * np.eye(2),)], 2)\n"
         "except InvalidStateError:\n"
         "    sweep(2)\n",
-        # a worker killed while idle, replaced by the next call
-        "os.kill(positivity._POOL[2].procs[0].pid, signal.SIGKILL)\n"
-        "positivity._POOL[2].procs[0].join()\nsweep(2)\n")
+        # a worker killed while idle; the next call builds a new executor
+        "os.kill(pids[0], signal.SIGKILL)\nsweep(2)\n")
 
-    def test_interpreter_exit_joins_the_workers(self):
-        # the pool is shut down at exit, after a normal run, a worker's
+    def test_interpreter_exit_joins_the_workers(self, tmp_path):
+        # the executor is shut down at exit, after a normal run, a worker's
         # exception or a killed worker: the child exits 0 with nothing on
         # stderr, and every worker it had is gone when it has exited
+        missing = str(tmp_path / "missing")
         for ending, workers in zip(self.ENDINGS, (1, 1, 2)):
             script = ("import os, signal\nimport numpy as np\nfrom rpentropy import positivity\n"
                       "from rpentropy.modular import InvalidStateError\n"
+                      "from test_positivity import die_once\n"
                       "def sweep(jobs):\n"
                       "    positivity.theorem_sweep([[(2, 2)] * 3] * 200, [2, 3], 1, jobs=jobs)\n"
-                      "    print(*[p.pid for p in positivity._POOL[jobs].procs], flush=True)\n"
-                      "sweep(2)\n" + ending)
+                      f"    (ran,) = positivity._pool_map(die_once, [({missing!r},)] * jobs, jobs)\n"
+                      "    print(*ran[1:], flush=True)\n"
+                      "    return ran[1:]\n"
+                      "pids = sweep(2)\n" + ending)
             out = self.run_child(script)
             assert out.returncode == 0 and out.stderr == ""
             pids = [int(pid) for pid in out.stdout.split()]
