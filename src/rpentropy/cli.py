@@ -68,6 +68,15 @@ _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "must be >= 0 and fi
 _subsystem_count = _checked(int, lambda v: v >= 2, "need at least two subsystems")
 
 
+def _path(value) -> str:
+    """A path option (out, kl's input, cft's f_table): a non-empty string.
+    A config file can hand it any JSON value: 0 would read as no table, 5
+    fail in os.path.join, and true open file descriptor 1."""
+    if not isinstance(value, str) or not value:
+        raise ValueError("must be a non-empty path string")
+    return value
+
+
 def _component_count(value) -> int:
     from .fermion import MAX_WICK_COMPONENTS  # loaded only to resolve fermion options
     return _checked(int, lambda v: 1 <= v <= MAX_WICK_COMPONENTS,
@@ -87,7 +96,7 @@ def _options(tolerance: float, *specific) -> list:
     """Option table of one subcommand: seed, its own options, tolerance, out."""
     return [("seed", _nonnegative_int, 42, "master seed"), *specific,
             ("tolerance", _finite, tolerance, "pass/fail tolerance"),
-            ("out", None, lambda resolved: os.environ.get(OUT_ENV_VAR, "reports"),
+            ("out", _path, lambda resolved: os.environ.get(OUT_ENV_VAR, "reports"),
              f"output directory (default ${OUT_ENV_VAR} or ./reports)")]
 
 
@@ -130,13 +139,13 @@ OPTIONS = {
         ("sets", None, None, None)),
     "kl": _options(
         1e-6,
-        ("input", None, None, "CSV of (x, S) samples; default built-in fixture"),
+        ("input", _path, None, "CSV of (x, S) samples; default built-in fixture"),
         ("lam", _positive, 1.0, "exponent weight of the entropy curve"),
         ("grid_points", _at_least_two, 60, "points of the p^2 fit grid"),
         ("ridge", _nonnegative, 0.0, "ridge parameter of the fit")),
     "cft": _options(
         1e-10,
-        ("f_table", None, None, "CSV of (x, F) pairs; default F=1"),
+        ("f_table", _path, None, "CSV of (x, F) pairs; default F=1"),
         ("n", _at_least_two, 2, "Renyi index"),
         ("central_charge", _positive, 1.0, "central charge"),
         ("grid_points", _positive_int, 1000, "derivative-check grid points"),

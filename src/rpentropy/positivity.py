@@ -13,6 +13,7 @@ import atexit
 import functools
 import itertools
 import math
+import os
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
@@ -665,24 +666,39 @@ def _run_blocks(task) -> list:
     return [worker(*block, *args) for block in blocks]
 
 
-def _ignore_interrupts() -> None:
-    """A pool worker's initializer: an interrupt is the caller's to handle."""
+def _start_worker(cpus: list, counter) -> None:
+    """A pool worker's initializer: an interrupt is the caller's to handle,
+    and the k-th worker started (k from the shared `counter`) runs on CPU
+    cpus[k % len(cpus)] alone.  With no CPUs (no `os.sched_setaffinity`)
+    the worker stays unpinned."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if cpus:
+        with counter.get_lock():
+            k = counter.value
+            counter.value += 1
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
 
 
-_POOL = {}  # jobs -> the live executor of jobs - 1 workers; at most one entry
+_POOL = {}  # jobs -> the live executor of jobs workers; at most one entry
 
 
 def _worker_pool(jobs: int):
-    """The process's executor of jobs - 1 workers, built on first use and
-    kept for later calls; built anew when jobs changes."""
+    """The process's executor of jobs workers, built on first use and kept
+    for later calls; built anew when jobs changes.  The workers pin
+    themselves (`_start_worker`) to the CPUs of this process's affinity
+    mask as read here, numbered by a shared counter, not a queue: a
+    `multiprocessing.Queue` starts a feeder thread, and a fork after that
+    is unsafe."""
     if jobs not in _POOL:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         _shutdown_pool()
-        _POOL[jobs] = ProcessPoolExecutor(jobs - 1, initializer=_ignore_interrupts)
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        _POOL[jobs] = ProcessPoolExecutor(jobs, initializer=_start_worker,
+                                          initargs=(cpus, multiprocessing.Value("i", 0)))
     return _POOL[jobs]
 
 
@@ -698,17 +714,29 @@ def _shutdown_pool() -> None:
 
 
 def _pool_runs(tasks: list, jobs: int) -> list:
-    """The outputs of every task, in order: the first task runs in this
-    process while the process's executor (`_worker_pool`) runs the rest.
-    Every pool task ends before a task's exception, the first in task
-    order, is raised here.  An executor that breaks (a worker died) is
-    replaced, and the new one runs this call's pool tasks again, once."""
+    """The outputs of every task, in order, each run by the process's
+    executor (`_worker_pool`) while this process waits.  Every task ends
+    before a task's exception, the first in task order, is raised here; an
+    interrupt in the wait cancels the tasks not yet started and waits for
+    the running ones before it is raised.  An executor that breaks (a
+    worker died) is replaced, and the new one runs this call's tasks again,
+    once."""
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     def submit():
         pool = _worker_pool(jobs)
-        return [pool.submit(_run_blocks, task) for task in tasks[1:]]
+        return [pool.submit(_run_blocks, task) for task in tasks]
+
+    def results(futures):
+        try:
+            wait(futures)
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
+        return [future.result() for future in futures]
 
     try:
         futures = submit()
@@ -716,14 +744,10 @@ def _pool_runs(tasks: list, jobs: int) -> list:
         _shutdown_pool()
         futures = submit()
     try:
-        runs = [_run_blocks(tasks[0])]
-    finally:
-        wait(futures)
-    try:
-        return runs + [future.result() for future in futures]
+        return results(futures)
     except BrokenProcessPool:
         _shutdown_pool()
-        return runs + [future.result() for future in submit()]
+        return results(submit())
 
 
 def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
@@ -732,9 +756,9 @@ def _pool_map(worker, blocks: list, jobs: int, *args) -> tuple:
     concatenated along their first axis and list fields joined.
 
     Runs of ceil(len(blocks) / jobs) blocks are one task each.  One task
-    (jobs = 1, or a single block) runs in this process; with more, this
-    process runs the first and the process's executor of jobs - 1
-    workers (`_pool_runs`) the others.
+    (jobs = 1, or a single block) runs in this process; more run on the
+    process's executor of jobs pinned workers (`_pool_runs`) while this
+    process waits.
     """
     size = -(-len(blocks) // jobs)
     tasks = [(worker, blocks[k:k + size], args) for k in range(0, len(blocks), size)]

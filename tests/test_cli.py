@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rpentropy import cli
-from rpentropy.cli import OPTIONS, main
+from rpentropy.cli import OPTIONS, OUT_ENV_VAR, main
 from rpentropy.positivity import summarize
 from rpentropy.serialize import canonical_dumps, read_xy_csv, write_csv
 
@@ -548,6 +548,25 @@ class TestOptionBounds:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not out.exists()
+
+    # a path from a config file once went through unchecked: cft checked
+    # F = 1 and exited 0, out = 5 raised a TypeError traceback from
+    # os.path.join, and kl read file descriptor 1
+    PATHS = [("cft", {"f_table": 0}), ("gram-sweep", {"out": 5}), ("kl", {"input": True}),
+             ("kl", {"input": ""})]
+
+    @pytest.mark.parametrize("subcommand, config", PATHS,
+                             ids=[f"{name} {json.dumps(cfg)}" for name, cfg in PATHS])
+    def test_path_config_value_config_error(self, tmp_path, monkeypatch, capsys, subcommand,
+                                            config):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUT_ENV_VAR, raising=False)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([subcommand, "--config", "cfg.json"]) == 1
+        (key, value), = config.items()
+        err = capsys.readouterr().err
+        assert f"config error: bad value {value!r} for {key}: must be a non-empty path" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_integral_float_config_values_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -45,12 +45,12 @@ def block_instances(cfg: SearchConfig):
 def serial_pools(monkeypatch):
     """A stand-in executor: records the worker count of each pool built and
     runs each submitted call in this process as it is submitted, so no
-    process starts."""
+    process starts and no initializer runs."""
     import concurrent.futures
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
@@ -691,7 +691,7 @@ class TestBatchedSearch:
     def test_search_blocks_are_the_sweep_planners(self, serial_pools, monkeypatch, jobs):
         # the search hands `_pool_map` the blocks `_sweep_blocks` cuts from
         # its trials, numbered from trial_offset; the stand-in executor runs
-        # the pool's blocks in this process (before the caller's own), where
+        # the pool's blocks in this process as they are submitted, where
         # they are recorded
         seen = []
 
@@ -1328,7 +1328,7 @@ class TestTheoremSweep:
                 call()
         assert serial_pools == []
 
-    def test_pool_keeps_jobs_minus_one_workers(self, serial_pools, monkeypatch):
+    def test_pool_keeps_jobs_workers(self, serial_pools, monkeypatch):
         # the plan is validated once, before the pool; the stand-in executor
         # records each pool's size and runs its tasks in this process
         validated = []
@@ -1346,16 +1346,16 @@ class TestTheoremSweep:
         for _ in range(2):
             assert asdict(theorem_sweep(plan, [2, 3], master_seed=5, jobs=4)) == reference
         # each call validates the plan's one distinct dims once
-        assert serial_pools == [3] and validated == [[(2, 2)] * 3] * 2
+        assert serial_pools == [4] and validated == [[(2, 2)] * 3] * 2
         # a plan under the floor runs in this process at any jobs
         theorem_sweep([[(2, 2)] * 2] * 44, [2, 3], master_seed=5, jobs=3)
-        assert serial_pools == [3] and list(positivity._POOL) == [4]
+        assert serial_pools == [4] and list(positivity._POOL) == [4]
         # 48 entries per 2 x 2x2 trial: at a block budget of 48, three
-        # trials are three blocks, and five jobs replace the pool of three
+        # trials are three blocks, and five jobs replace the pool of four
         # workers
         monkeypatch.setattr(positivity, "SWEEP_BLOCK_ENTRIES", 48)
         counterexample_search(SearchConfig(dims=[(2, 2)] * 2, trials=3, master_seed=1), jobs=5)
-        assert serial_pools == [3, 4] and list(positivity._POOL) == [5]
+        assert serial_pools == [4, 5] and list(positivity._POOL) == [5]
 
     def test_empty_plan_and_empty_n(self):
         # a plan of no instances has no minimum to report (it once returned
@@ -1369,10 +1369,11 @@ class TestTheoremSweep:
 
 
 class TestPoolMap:
-    """`_pool_map` is the one merge of block results.  It runs the first
-    run of blocks in this process and the others on a kept executor of
-    jobs - 1 worker processes, built anew when jobs changes or the executor
-    breaks (a worker died), and shut down when the interpreter exits."""
+    """`_pool_map` is the one merge of block results.  One run of blocks
+    runs in this process; more run on a kept executor of jobs worker
+    processes, each pinned to one CPU, while this process waits.  The
+    executor is built anew when jobs changes or it breaks (a worker died),
+    and shut down when the interpreter exits."""
 
     PLAN = [[(2, 2)] * 3] * 200  # two blocks at jobs = 2, three at jobs = 3
 
@@ -1395,25 +1396,27 @@ class TestPoolMap:
             time.sleep(0.01)
         return False
 
-    def test_caller_runs_the_first_run_and_the_pool_stays(self):
+    def test_workers_run_every_run_and_the_pool_stays(self):
         blocks = [(3,), (0,), (1,), (4,)]
         rows = np.array([30, 31, 32, 10, 40, 41, 42, 43])
         labels = ["b3"] * 3 + ["b1"] + ["b4"] * 4
         pools, workers = [], []
-        # the first run is ceil(4 / jobs) blocks: all 8 rows at jobs = 1,
-        # else the 3 rows of block (3,) and the empty (0,); the rest ran on
-        # the executor's workers, jobs - 1 at most, kept from call to call
-        for jobs, first in ((1, 8), (2, 3), (2, 3), (3, 3), (5, 3)):
+        # at jobs = 1 the one run of all 8 rows is this process's; else
+        # every run of ceil(4 / jobs) blocks ran on the executor's workers,
+        # jobs at most, kept from call to call
+        for jobs in (1, 2, 2, 3, 5):
             pairs, values, names, pids = positivity._pool_map(self.worker, blocks, jobs, "b")
             assert np.array_equal(pairs, np.stack((rows, -rows), axis=-1))
             assert np.array_equal(values, rows) and values.dtype == float
             assert names == labels
-            assert pids[:first] == [os.getpid()] * first and os.getpid() not in pids[first:]
-            assert len(set(pids[first:])) <= jobs - 1
+            if jobs == 1:
+                assert pids == [os.getpid()] * 8
+            else:
+                assert os.getpid() not in pids and len(set(pids)) <= jobs
             pools.append(positivity._POOL.get(jobs))
-            workers.append(set(pids[first:]))
-        # the same executor, and its one worker, serve both jobs = 2 calls
-        assert pools[0] is None and pools[1] is pools[2] and workers[1] == workers[2]
+            workers.append(set(pids))
+        # the same executor, and its two workers, serve both jobs = 2 calls
+        assert pools[0] is None and pools[1] is pools[2] and len(workers[1] | workers[2]) <= 2
         # another jobs builds another executor and stops the last one's workers
         assert len({id(pool) for pool in pools[1:]}) == 3 and list(positivity._POOL) == [5]
         for pid in workers[1] | workers[3]:
@@ -1435,19 +1438,19 @@ class TestPoolMap:
         assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
         assert positivity._POOL[jobs] is not pool
         (again,) = positivity._pool_map(die_once, missing, jobs)
-        assert again[0] == os.getpid() and ran[-1] not in again
+        assert os.getpid() not in again and ran[-1] not in again
         # the last task kills its worker once, then runs on a new executor
         pool, marker = positivity._POOL[jobs], tmp_path / "die"
         marker.touch()
         (ran,) = positivity._pool_map(die_once, missing[1:] + [(str(marker),)], jobs)
-        assert not marker.exists() and ran[0] == os.getpid()
-        assert positivity._POOL[jobs] is not pool and not set(ran[1:]) & set(again[1:])
+        assert not marker.exists() and os.getpid() not in ran
+        assert positivity._POOL[jobs] is not pool and not set(ran) & set(again)
         assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=8, jobs=jobs)) == reference
 
     @pytest.mark.parametrize("bad", [0, 2])
     def test_an_exception_leaves_no_stale_reply(self, bad):
-        # a non-unitary split in a worker's task (bad = 2), or in this
-        # process's own (bad = 0) while the workers run theirs, raises here
+        # a non-unitary split in the first task (bad = 0) or the last
+        # (bad = 2), each on a worker while the others run theirs, raises here
         # with its type and message once every task has ended: the next
         # calls on the same executor give the serial results
         reference = asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12))
@@ -1462,13 +1465,78 @@ class TestPoolMap:
             assert asdict(theorem_sweep(self.PLAN, [2, 3], master_seed=12, jobs=3)) == reference
         assert positivity._POOL[3] is pool
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_each_worker_runs_on_one_cpu_of_the_callers_mask(self):
+        # worker k of an executor runs on cpus[k % len(cpus)] alone, cpus
+        # being the caller's mask when the executor is built: distinct CPUs
+        # while jobs <= len(cpus), round robin beyond.  The caller is held
+        # to at most two CPUs here, so three jobs wrap on any machine; its
+        # own mask is left as it was
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)[:2]
+        os.sched_setaffinity(0, cpus)
+        try:
+            for jobs in (2, 3):
+                positivity._pool_map(self.worker, [(1,)] * jobs, jobs, "b")
+                assert os.sched_getaffinity(0) == set(cpus)
+                # the executor's processes, polled until each has run its
+                # initializer (a worker started on demand may not have yet)
+                for _ in range(3000):
+                    pinned = [os.sched_getaffinity(pid) for pid in positivity._POOL[jobs]._processes]
+                    if all(len(cpu) == 1 for cpu in pinned):
+                        break
+                    time.sleep(0.01)
+                assert all(len(cpu) == 1 for cpu in pinned)
+                assert sorted(min(cpu) for cpu in pinned) == sorted(cpus[k % len(cpus)]
+                                                                     for k in range(jobs))
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_an_interrupt_waits_for_the_running_tasks(self):
+        # SIGINT in the caller while its pooled sweep runs: the tasks not
+        # started are cancelled and the running ones waited for, then
+        # KeyboardInterrupt is raised.  The same executor then gives the
+        # serial result, and the child exits 0 with every worker reaped
+        script = ("import signal\nfrom dataclasses import asdict\n"
+                  "from rpentropy import positivity\n"
+                  "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                  "plan = [[(2, 2)] * 3] * 200\n"
+                  "reference = asdict(positivity.theorem_sweep(plan, [2, 3], 4))\n"
+                  "assert asdict(positivity.theorem_sweep(plan, [2, 3], 4, jobs=2)) == reference\n"
+                  "pool = positivity._POOL[2]\n"
+                  "print('go', flush=True)\n"
+                  "try:\n"
+                  "    positivity.theorem_sweep(plan * 600, [2, 3], 4, jobs=2)\n"
+                  "except KeyboardInterrupt:\n"
+                  "    print('interrupted', flush=True)\n"
+                  "assert not pool._pending_work_items  # nothing left running\n"
+                  "assert positivity._POOL[2] is pool\n"
+                  "assert asdict(positivity.theorem_sweep(plan, [2, 3], 4, jobs=2)) == reference\n"
+                  "print(*pool._processes, flush=True)\n")
+        with subprocess.Popen([sys.executable, "-c", script], env=self.child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            assert child.stdout.readline() == "go\n"
+            time.sleep(0.25)  # after the submit, well before the sweep ends
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=120)
+        assert child.returncode == 0 and err == ""
+        interrupted, pids = out.splitlines()
+        assert interrupted == "interrupted" and len(pids.split()) == 2
+        for pid in pids.split():
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
+
     @staticmethod
-    def run_child(script: str) -> subprocess.CompletedProcess:
+    def child_env() -> dict:
         src = str(Path(positivity.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(Path(__file__).parent))),
-                   OPENBLAS_NUM_THREADS="1")
-        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
+        return dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(Path(__file__).parent))),
+                    OPENBLAS_NUM_THREADS="1")
+
+    @classmethod
+    def run_child(cls, script: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", script], env=cls.child_env(),
+                              capture_output=True, text=True, timeout=120)
 
     ENDINGS = (
         "",
@@ -1486,20 +1554,26 @@ class TestPoolMap:
         # exception or a killed worker: the child exits 0 with nothing on
         # stderr, and every worker it had is gone when it has exited
         missing = str(tmp_path / "missing")
-        for ending, workers in zip(self.ENDINGS, (1, 1, 2)):
+        for ending, replaced in zip(self.ENDINGS, (False, False, True)):
             script = ("import os, signal\nimport numpy as np\nfrom rpentropy import positivity\n"
                       "from rpentropy.modular import InvalidStateError\n"
                       "from test_positivity import die_once\n"
                       "def sweep(jobs):\n"
                       "    positivity.theorem_sweep([[(2, 2)] * 3] * 200, [2, 3], 1, jobs=jobs)\n"
                       f"    (ran,) = positivity._pool_map(die_once, [({missing!r},)] * jobs, jobs)\n"
-                      "    print(*ran[1:], flush=True)\n"
-                      "    return ran[1:]\n"
+                      "    print(*ran, flush=True)\n"
+                      "    return ran\n"
                       "pids = sweep(2)\n" + ending)
             out = self.run_child(script)
             assert out.returncode == 0 and out.stderr == ""
             pids = [int(pid) for pid in out.stdout.split()]
-            assert len(pids) == (2 if ending else 1) and len(set(pids)) == workers
+            # either of an executor's two workers may run either task; a
+            # killed worker's executor is replaced by one of new workers
+            assert len(pids) == (4 if ending else 2)
+            if replaced:
+                assert not set(pids[:2]) & set(pids[2:])
+            else:
+                assert len(set(pids)) <= 2
             for pid in pids:
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
