@@ -1,6 +1,6 @@
 """Numerical toolkit for reflection-positivity entropy inequalities.
 
-Finite-dimensional modular operators, reflected Renyi entropies and their
+Purified finite-dimensional states, reflected Renyi entropies and their
 Gram-matrix positivity checks, exact free-fermion entropy/correlator
 identities, spectral (Bessel-kernel) representations of single-interval
 entropies, and two-interval conformal inequality checks, plus a randomized
@@ -19,18 +19,15 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines, in export order
 _EXPORTS = {
-    "cft": ("CrossRatioFunction", "TwoIntervalConfig", "check_derivative_inequality",
-            "check_midpoint_inequality", "cross_ratio", "renyi_two_interval", "z_point"),
+    "cft": ("CrossRatioFunction", "check_derivative_inequality", "check_midpoint_inequality",
+            "z_point"),
     "fermion": ("ChargeConfiguration", "IntervalSet", "correlator_cauchy", "correlator_wick",
                 "divisibility_witness", "entropy", "gaussian_vertex_correlator",
-                "log_correlator_cauchy", "renyi"),
-    "modular": ("DensityMatrix", "InvalidStateError", "ModularData", "PurifiedState",
-                "check_tomita_relation", "doubled_overlap", "half_sided_overlap",
-                "modular_operators", "purify", "reflect_operator"),
+                "log_correlator_cauchy"),
+    "modular": ("DensityMatrix", "InvalidStateError", "PurifiedState", "purify"),
     "positivity": ("DivisibilityRecord", "GramRecord", "SearchConfig", "SearchReport",
                    "check_psd", "counterexample_search", "divisibility_matrix",
-                   "entropy_table", "gram_matrix", "schur_power", "theorem_sweep",
-                   "theorem_sweep_parallel", "three_set_inequality", "verify_witness"),
+                   "entropy_table", "gram_matrix", "theorem_sweep", "verify_witness"),
     "reflected": ("ReflectedDensity", "SubsystemSplit", "TwistOperatorSet",
                   "reflected_density", "renyi_entropy", "twist_operators", "von_neumann"),
     "spectral": ("EntropyCurve", "SpectralDensity", "decay_rate", "derivative_checks",

@@ -1,15 +1,13 @@
-"""Two-interval conformal entropies and the reflection-positivity
-inequalities on the cross-ratio function.
+"""The reflection-positivity inequalities on the cross-ratio function of
+two-interval conformal entropies.
 
 The model dependence sits entirely in a pluggable positive function F of the
 cross ratio, symmetric under x -> 1-x with F(0) = 1.  Absolute entropy
-normalizations are cutoff dependent; only inequality slacks and entropy
-differences are asserted.
+normalizations are cutoff dependent; only inequality slacks are asserted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,30 +16,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-9     # validate: the largest |F(x) - F(1-x)| of a symmetric F
 SYMMETRY_SAMPLES = 101  # validate: mirror points x, up to x = 1/2
 FD_STEP = 1e-5          # derivative check: central-difference step over min(x, 1-x)
-
-
-@dataclass(frozen=True)
-class TwoIntervalConfig:
-    """Two ordered intervals (a1,b1), (a2,b2) with CFT data."""
-
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-    central_charge: float = 1.0
-    n: int = 2
-
-    def __post_init__(self):
-        if not (self.a1 < self.b1 < self.a2 < self.b2):
-            raise ValueError("endpoints must satisfy a1 < b1 < a2 < b2")
-        if self.central_charge <= 0:
-            raise ValueError("central charge must be positive")
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("Renyi index must be an integer >= 2")
-
-    @property
-    def q(self) -> float:
-        return twist_exponent(self.central_charge, self.n)
 
 
 def twist_exponent(central_charge: float, n: int) -> float:
@@ -103,27 +77,6 @@ class CrossRatioFunction:
             report["limit_at_zero"] = f0
             report["limit_ok"] = abs(f0 - 1.0) <= 1e-2
         return report
-
-
-def cross_ratio(cfg: TwoIntervalConfig) -> float:
-    """Conformally invariant cross ratio in (0, 1) of the four endpoints."""
-    return float((cfg.b1 - cfg.a1) * (cfg.b2 - cfg.a2)
-                 / ((cfg.a2 - cfg.a1) * (cfg.b2 - cfg.b1)))
-
-
-def renyi_two_interval(cfg: TwoIntervalConfig, func: CrossRatioFunction) -> float:
-    """Two-interval Renyi entropy from the conformal parameterization.
-
-    S_n = [q log(x (a2-b1)(b2-a1)) - 2 log k - log F(x)] / (n - 1) at k = 1;
-    the absolute value is cutoff dependent through k, so only differences
-    and slacks are physical.
-    """
-    x = cross_ratio(cfg)
-    f_val = float(func(np.array([x]))[0])
-    if not f_val > 0:
-        raise ValueError("F must be positive")
-    scale_arg = x * (cfg.a2 - cfg.b1) * (cfg.b2 - cfg.a1)
-    return float((cfg.q * math.log(scale_arg) - math.log(f_val)) / (cfg.n - 1))
 
 
 def _ratio(func: CrossRatioFunction, q: float, x: np.ndarray) -> np.ndarray:

@@ -71,18 +71,6 @@ class IntervalSet:
         """a_1, b_1, a_2, b_2, ..."""
         return np.stack([self.lefts, self.rights], axis=-1).ravel()
 
-    def reflected(self) -> "IntervalSet":
-        """Mirror image under x -> -x (the spatial wedge reflection)."""
-        return IntervalSet(lefts=-self.rights[::-1], rights=-self.lefts[::-1],
-                           cutoff=self.cutoff)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        if abs(self.cutoff - other.cutoff) > 0:
-            raise IntervalError("cannot union interval sets with different cutoffs")
-        return IntervalSet.from_pairs(
-            list(zip(self.lefts, self.rights)) + list(zip(other.lefts, other.rights)),
-            cutoff=self.cutoff)
-
 
 def _check_endpoints(points: np.ndarray, cutoff) -> None:
     """The IntervalSet invariant on every row of the (..., 2p) endpoints a_1,
@@ -157,13 +145,6 @@ def entropy(intervals: IntervalSet) -> float:
     """
     return float(_entropy_terms(intervals.lefts, intervals.rights,
                                 math.log(intervals.cutoff))[0])
-
-
-def renyi(intervals: IntervalSet, n: float) -> float:
-    """Renyi entropy; every index is proportional to the same quantity."""
-    if n < 1:
-        raise ValueError("Renyi index must be >= 1")
-    return (1.0 + n) / (2.0 * n) * entropy(intervals)
 
 
 def log_correlator_cauchy(intervals: IntervalSet) -> float:

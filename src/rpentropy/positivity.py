@@ -13,6 +13,7 @@ import atexit
 import functools
 import itertools
 import math
+import numbers
 import os
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
@@ -82,6 +83,15 @@ REFINE_COUNTERS = ("blocks", "evaluated", "accepted", "discarded", "shrinks")
 REFINE_SCALE = 0.4
 REFINE_FLOOR = 1e-8
 REFINE_BLOCK = 12
+
+
+def _renyi_index(n) -> int:
+    """n as an int, once it is an integral number >= 1 (2.0 counts); a
+    bool, a non-number, a non-integer or n < 1 raises ValueError."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real) \
+            or not (n >= 1 and n % 1 == 0):
+        raise ValueError(f"Renyi index must be >= 1 and an integer, got {n!r}")
+    return int(n)
 
 
 def _check_symmetric(a, what: str) -> np.ndarray:
@@ -278,6 +288,7 @@ def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> n
     spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no
     spectrum) for n >= 2.  The weighted stack is written straight from the
     splits, with no stack of the raw split matrices."""
+    n = _renyi_index(n)
     for split in splits:
         _check_pair_dims(psi, split, split)
     weights = _split_weights(psi.schmidt_values)
@@ -299,8 +310,7 @@ def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
     entropy table behind the entries takes a pair spectrum for n = 1 only;
     for n >= 2 it comes from the trace powers themselves (`entropy_table`).
     """
-    if n < 1:
-        raise ValueError("Renyi index must be >= 1")
+    n = _renyi_index(n)
     if lam is None:
         if n == 1:
             raise ValueError("n = 1 requires an explicit lam (entries e^{-lam S})")
@@ -332,14 +342,6 @@ def check_psd(gram) -> PsdVerdict:
     passed = min_eigenvalue >= -PSD_RELATIVE_TOL * scale
     return PsdVerdict(passed=passed, min_eigenvalue=min_eigenvalue, scale=scale,
                       witness=None if passed else eigvecs[:, 0])
-
-
-def schur_power(gram: GramRecord, s: int) -> GramRecord:
-    """Entrywise s-th power; stays PSD for positive integer s (Schur product)."""
-    if int(s) != s or s < 1:
-        raise ValueError("Schur power requires a positive integer exponent")
-    return GramRecord(n=gram.n, lam=gram.lam * int(s), entries=gram.entries ** int(s),
-                      entropy_table=gram.entropy_table)
 
 
 @dataclass
@@ -378,19 +380,6 @@ def divisibility_matrix(entropy_table: np.ndarray) -> DivisibilityRecord:
     """Build the m x m second-difference record from an (m+1)x(m+1) table."""
     b = _second_differences(_checked_table(entropy_table))
     return DivisibilityRecord(b_matrix=b, det_b=float(np.linalg.det(b)))
-
-
-def three_set_inequality(s_ab, s_ac, s_bc, s_aa, s_bb, s_cc) -> float:
-    """Slack (LHS - RHS) of the explicit three-subsystem divisibility inequality.
-
-    Nonnegative whenever the entropy exponentials are infinitely divisible;
-    equals det B of the corresponding 3x3 symmetric entropy table.
-    """
-    lhs = 2 * s_ab * s_ac + 2 * s_ab * s_bc + 2 * s_bc * s_ac \
-        + s_aa * s_bb + s_aa * s_cc + s_bb * s_cc
-    rhs = s_ab ** 2 + s_ac ** 2 + s_bc ** 2 \
-        + 2 * s_ab * s_cc + 2 * s_ac * s_bb + 2 * s_bc * s_aa
-    return float(lhs - rhs)
 
 
 def _validated_dims(dims) -> list:
@@ -444,8 +433,7 @@ class SearchConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be > 0 and finite, got {self.lam}")
-        if self.n < 1:
-            raise ValueError("Renyi index must be >= 1")
+        self.n = _renyi_index(self.n)
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
         if self.target == "entropy_n1" and self.n != 1:
@@ -943,10 +931,7 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     boundaries and any `jobs`; the worst check is the first one at the
     minimum, in instance and then n order.
     """
-    n_values = list(n_values)
-    if any(int(n) != n or n < 1 for n in n_values):  # a trace power needs n >= 1
-        raise ValueError(f"Renyi indices must be integers >= 1, got {n_values}")
-    n_values = [int(n) for n in n_values]
+    n_values = [_renyi_index(n) for n in n_values]  # a trace power needs n >= 1
     blocks = _sweep_blocks(dims_by_instance, jobs)
     min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
                                              master_seed, tol)
@@ -963,8 +948,8 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     return result
 
 
-# an alias for the export list and the benchmark (perfbench/tracer.py patches
-# it, and the sweep workload calls it); the package calls theorem_sweep
+# an alias kept for the benchmark only (perfbench/tracer.py patches it, and
+# the sweep workload calls it); the package calls theorem_sweep
 theorem_sweep_parallel = theorem_sweep
 
 

@@ -1,6 +1,8 @@
-"""Subsystem splits, reflected reduced density matrices and their spectra,
-and the entropies computed from them.  The twist operators are a second
-route to the reflected densities; tests use them as an oracle.
+"""Subsystem splits, reflected reduced density matrices, the pair Gram
+kernels (build, unit-trace gate, spectrum, trace powers) that every table
+of S_n(A_i Abar_j) runs on, and the entropies of a spectrum.  The twist
+operators are a second route to the reflected densities; tests use them as
+an oracle.
 
 A subsystem is a tensor factorization H1 = H_A (x) H_B encoded by the
 coefficients of the state eigenvectors in the split's product basis.  Index
@@ -69,12 +71,6 @@ class SubsystemSplit:
         from .sampling import haar_unitary
         return cls(dim_a=dim_a, dim_b=dim_b, coeffs=haar_unitary(dim_a * dim_b, rng),
                    label=label)
-
-    def swapped(self) -> "SubsystemSplit":
-        """Complementary arrangement: the B factor becomes the subsystem."""
-        return SubsystemSplit(dim_a=self.dim_b, dim_b=self.dim_a,
-                              coeffs=self.coeffs.transpose(0, 2, 1),
-                              label=self.label + "~" if self.label else "")
 
 
 def _check_unitary(mat: np.ndarray) -> None:
@@ -231,21 +227,6 @@ def _gram_traces(m: np.ndarray, n_values) -> np.ndarray:
         raise InvalidStateError(f"tr rho^{n_values[first[0]]} = {traces[first]:.3e}: "
                                 "trace power vanished")
     return traces
-
-
-def pair_spectrum(psi: PurifiedState, split_i: SubsystemSplit,
-                  split_j: SubsystemSplit) -> np.ndarray:
-    """Spectrum of rho_{A_i Abar_j}, ascending and nonnegative.
-
-    The eigenvalues of the smaller pair Gram matrix (X X^dag or X^dag X of
-    the pair matrix X; no SVD): every nonzero eigenvalue, padded with zeros
-    to min(a_i a_j, b_i b_j) entries, and roundoff below zero clipped to 0.
-    """
-    _check_pair_dims(psi, split_i, split_j)
-    m = _pair_gram(*_pair_operands(psi.schmidt_values, split_i.matrix, split_j.matrix),
-                   (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
-    _check_pair_traces(np.trace(m).real)
-    return _gram_eigenvalues(m)
 
 
 def reflected_density(psi: PurifiedState, split_i: SubsystemSplit,

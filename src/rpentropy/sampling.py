@@ -152,8 +152,3 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     rho = (u * lam) @ u.conj().T
     return 0.5 * (rho + rho.conj().T)
 
-
-def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Ginibre test operator of unit Frobenius norm."""
-    op = ginibre(dim, rng)
-    return op / np.linalg.norm(op)

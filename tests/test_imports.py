@@ -7,6 +7,7 @@ Each scipy check runs in a fresh interpreter, because this test process
 has scipy loaded already.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -19,18 +20,15 @@ import rpentropy
 
 # the public names and their modules
 EXPORTS = {
-    "cft": ["CrossRatioFunction", "TwoIntervalConfig", "check_derivative_inequality",
-            "check_midpoint_inequality", "cross_ratio", "renyi_two_interval", "z_point"],
+    "cft": ["CrossRatioFunction", "check_derivative_inequality", "check_midpoint_inequality",
+            "z_point"],
     "fermion": ["ChargeConfiguration", "IntervalSet", "correlator_cauchy", "correlator_wick",
                 "divisibility_witness", "entropy", "gaussian_vertex_correlator",
-                "log_correlator_cauchy", "renyi"],
-    "modular": ["DensityMatrix", "InvalidStateError", "ModularData", "PurifiedState",
-                "check_tomita_relation", "doubled_overlap", "half_sided_overlap",
-                "modular_operators", "purify", "reflect_operator"],
+                "log_correlator_cauchy"],
+    "modular": ["DensityMatrix", "InvalidStateError", "PurifiedState", "purify"],
     "positivity": ["DivisibilityRecord", "GramRecord", "SearchConfig", "SearchReport",
                    "check_psd", "counterexample_search", "divisibility_matrix",
-                   "entropy_table", "gram_matrix", "schur_power", "theorem_sweep",
-                   "theorem_sweep_parallel", "three_set_inequality", "verify_witness"],
+                   "entropy_table", "gram_matrix", "theorem_sweep", "verify_witness"],
     "reflected": ["ReflectedDensity", "SubsystemSplit", "TwistOperatorSet",
                   "reflected_density", "renyi_entropy", "twist_operators", "von_neumann"],
     "spectral": ["EntropyCurve", "SpectralDensity", "decay_rate", "derivative_checks",
@@ -61,6 +59,23 @@ def test_scipy_stays_unloaded(code, tmp_path):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_never_imports_the_tests():
+    # the oracles are test-only: no module of the package imports them, or
+    # anything else from the test tree
+    package = Path(rpentropy.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert "positivity.py" in {path.name for path in modules}
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {(path.name, node.module or "")}
+    assert not {(name, module) for name, module in imported
+                if module.partition(".")[0] in ("oracles", "tests", "conftest")}
 
 
 def test_export_list_unchanged():

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpentropy.modular import (HERMITICITY_TOL, RANK_FLOOR, DensityMatrix, InvalidStateError,
-                               check_tomita_relation, doubled_overlap,
-                               half_sided_overlap, modular_operators, purify,
-                               reflect_operator)
-from rpentropy.sampling import random_density, random_operator
+                               purify)
+from rpentropy.sampling import random_density
 
-from oracles import conjugation_matrix, delta_matrix, reconstruct_density
+from oracles import (_apply_first_factor, check_tomita_relation, conjugation_matrix,
+                     delta_matrix, doubled_overlap, half_sided_overlap, modular_operators,
+                     purified_vector, random_operator, reconstruct_density, reflect_operator)
 
 
 def make_state(d, seed):
@@ -68,7 +68,7 @@ class TestPurify:
     def test_vector_unit_norm_and_round_trip(self):
         for seed in range(8):
             psi, _ = make_state(5, seed)
-            vec = psi.vector()
+            vec = purified_vector(psi)
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
             # partial trace over the second factor returns the source state
             mat = vec.reshape(5, 5)
@@ -125,7 +125,7 @@ class TestModularOperators:
         for seed in range(5):
             psi, _ = make_state(4, seed)
             md = modular_operators(psi)
-            v0 = psi.vector()
+            v0 = purified_vector(psi)
             assert np.linalg.norm(md.apply_delta(v0) - v0) < 1e-12
             assert np.linalg.norm(md.apply_conjugation(v0) - v0) < 1e-12
 
@@ -164,7 +164,6 @@ class TestTomitaRelation:
     def test_identity_operator_residual_zero(self):
         psi, _ = make_state(4, 0)
         md = modular_operators(psi)
-        from rpentropy.modular import _apply_first_factor
         lhs = md.apply_conjugation(md.apply_delta(
             _apply_first_factor(psi, np.eye(4)), power=0.5))
         rhs = _apply_first_factor(psi, np.eye(4))

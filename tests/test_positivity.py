@@ -20,18 +20,26 @@ from rpentropy import positivity, sampling
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
 from rpentropy.positivity import (GramRecord, SearchConfig, check_psd,
                                   counterexample_search, divisibility_matrix, entropy_table,
-                                  gram_matrix, schur_power, theorem_sweep,
-                                  theorem_sweep_parallel, three_set_inequality,
+                                  gram_matrix, theorem_sweep, theorem_sweep_parallel,
                                   verify_witness)
 from rpentropy.positivity import _draw_block, _evaluate_block, trial_rng, unitary_from_ginibre
-from rpentropy.reflected import SubsystemSplit, pair_spectrum, von_neumann
+from rpentropy.reflected import (SubsystemSplit, _gram_eigenvalues, _pair_gram, _pair_operands,
+                                 von_neumann)
 from rpentropy.sampling import (ginibre, ginibre_from_parts, haar_unitary, random_density,
                                 simplex_eigenvalues, trial_rngs)
 from rpentropy.spectral import EntropyCurve, SpectralDensity, fit_grid, fit_power_density
 
 import oracles
-from oracles import (b_from_mutual, brute_force_reflected, draw_one, sequential_refine,
-                     svd_spectrum)
+from oracles import (b_from_mutual, brute_force_reflected, draw_one, replica_factor,
+                     sequential_refine, svd_spectrum, three_set_inequality)
+
+
+def kernel_spectrum(psi, split_i, split_j):
+    """Spectrum of rho_{A_i Abar_j} as the tables take it: the eigenvalues
+    of the pair Gram matrix (`_pair_gram`, `_gram_eigenvalues`)."""
+    m = _pair_gram(*_pair_operands(psi.schmidt_values, split_i.matrix, split_j.matrix),
+                   (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
+    return _gram_eigenvalues(m)
 
 
 def block_instances(cfg: SearchConfig):
@@ -248,9 +256,10 @@ class TestCheckPsd:
                 setattr(record, name, getattr(record, name))
 
     def test_schur_square_of_pass_passes(self):
-        record, _, _ = random_gram(11, m1=3, n=2)
+        # the entrywise square of tr rho^2 entries is the Gram record at lam = 2 (n - 1)
+        record, psi, splits = random_gram(11, m1=3, n=2)
         assert check_psd(record).passed
-        assert check_psd(schur_power(record, 2)).passed
+        assert check_psd(gram_matrix(psi, splits, 2, lam=2 * (2 - 1))).passed
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 6), st.sampled_from(["psd", "near_singular", "indefinite"]),
@@ -313,38 +322,89 @@ class TestGramSpectrum:
 
 
 class TestSchurPower:
-
-    def test_s_one_is_identity_map(self):
-        record, _, _ = random_gram(13, m1=2)
-        powered = schur_power(record, 1)
-        assert np.allclose(powered.entries, record.entries)
-
-    def test_small_example(self):
-        record = GramRecord(n=2, lam=1.0, entries=np.array([[1.0, 0.5], [0.5, 1.0]]),
-                            entropy_table=np.zeros((2, 2)))
-        powered = schur_power(record, 2)
-        assert np.allclose(powered.entries, [[1.0, 0.25], [0.25, 1.0]])
-        assert check_psd(powered).passed
+    # the entrywise s-th power of a Gram record of n is the record at
+    # lam = s (n - 1), and stays PSD for integer s (Schur product theorem)
 
     def test_size_is_the_split_count(self):
         # the size is read off the entries and cannot be passed
         record, _, splits = random_gram(13, m1=3)
         assert record.size == record.entries.shape[0] == len(splits)
-        assert schur_power(record, 2).size == 3
         with pytest.raises(TypeError):
             GramRecord(n=2, lam=1.0, entries=record.entries,
                        entropy_table=record.entropy_table, size=3)
 
     def test_integer_powers_stay_psd(self):
         for seed in (17, 23):
-            record, _, _ = random_gram(seed, m1=3, n=2)
+            record, psi, splits = random_gram(seed, m1=3, n=2)
             for s in (2, 3):
-                assert check_psd(schur_power(record, s)).passed
+                powered = gram_matrix(psi, splits, 2, lam=s * (2 - 1))
+                assert np.allclose(powered.entries, record.entries ** s, rtol=1e-13, atol=0)
+                assert check_psd(powered).passed
 
-    def test_rejects_fractional(self):
-        record, _, _ = random_gram(29, m1=2)
-        with pytest.raises(ValueError):
-            schur_power(record, 0.5)
+
+class TestRenyiIndex:
+    # one gate for every entry point that takes n: an integral number >= 1
+    # runs as an int, and a bool, a non-integer or n < 1 is refused.  2.5 and
+    # 2.0 once failed deep in the trace-power ladder with a TypeError, and
+    # True ran as n = 1
+
+    BAD = [2.5, 0, -1, True, np.True_, math.nan, math.inf, "2"]
+    MESSAGE = "Renyi index must be >= 1 and an integer"
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_gram_matrix_and_entropy_table_refuse(self, n):
+        _, psi, splits = random_gram(5, m1=2)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gram_matrix(psi, splits, n, lam=1.0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            entropy_table(psi, splits, n)
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_search_witness_and_sweep_refuse(self, n):
+        for target in positivity.TARGETS:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                SearchConfig(dims=[(2, 2)] * 2, trials=1, master_seed=0, target=target, n=n)
+        with open(Path(__file__).parent / "fixtures" / "detb_witness.json") as handle:
+            witness = json.load(handle)["violation"]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            verify_witness(witness, target="schur_s_fraction", n=n)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            theorem_sweep([[(2, 2)] * 2], [2, n], master_seed=1)
+
+    def test_integral_numbers_run_as_ints(self):
+        from rpentropy.serialize import canonical_dumps
+        _, psi, splits = random_gram(5, m1=3)
+        for n in (2.0, np.int64(2), np.float64(2.0)):
+            record = gram_matrix(psi, splits, n)
+            assert type(record.n) is int and record.n == 2
+            assert np.array_equal(record.entries, gram_matrix(psi, splits, 2).entries)
+            assert np.array_equal(entropy_table(psi, splits, n), entropy_table(psi, splits, 2))
+        base = dict(dims=[(2, 2)] * 3, trials=30, master_seed=3, target="schur_s_fraction")
+        cfg = SearchConfig(**base, n=3.0)
+        assert type(cfg.n) is int and cfg.n == 3
+        assert canonical_dumps(counterexample_search(cfg).to_dict()) \
+            == canonical_dumps(counterexample_search(SearchConfig(**base, n=3)).to_dict())
+        plan = [[(2, 2)] * 2, [(2, 3)] * 3]
+        assert theorem_sweep(plan, [2.0, np.int64(3)], 1) == theorem_sweep(plan, [2, 3], 1)
+
+
+class TestReplicaFactor:
+    # the paper's proof as an oracle: tr rho_{A_i Abar_j}^n is the inner
+    # product of one vector per split, so the integer-index Gram matrix is
+    # W W^dag (`replica_factor`), built without a reflected density
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(2, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_gram_is_the_replica_factor_square(self, d, n, m, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(a, d // a) for a in range(1, d + 1) if d % a == 0]
+        dims = [shapes[k] for k in rng.integers(len(shapes), size=m)]
+        schmidt = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        mats = np.array([haar_unitary(d, rng) for _ in dims])
+        w = replica_factor(schmidt, mats, dims, n)
+        gram = np.exp(-(n - 1) * positivity._entropy_tables(schmidt, mats, dims, n))
+        assert np.max(np.abs(w @ w.conj().T - gram) / gram) <= 1e-13
 
 
 class TestDivisibility:
@@ -613,7 +673,7 @@ class TestBatchedSearch:
         axis = SubsystemSplit.axis(8, 2)
         instances = [_draw_instance(cfg, t) for t in range(cfg.trials)]
         instances = [(psi, [axis, splits[1], axis]) for psi, splits in instances]
-        assert (pair_spectrum(instances[0][0], axis, axis) == 0).any()
+        assert (kernel_spectrum(instances[0][0], axis, axis) == 0).any()
         fields = _evaluate_block(cfg, np.array([psi.schmidt_values for psi, _ in instances]),
                                  np.array([[s.matrix for s in splits] for _, splits in instances]))
         for k, (psi, splits) in enumerate(instances):
@@ -1008,7 +1068,7 @@ class TestBatchedSearch:
                 for j in range(i, len(splits)):
                     assert tables[k][i, j] == tables[k][j, i]
                     if n == 1:
-                        eigs = pair_spectrum(psi, splits[i], splits[j])
+                        eigs = kernel_spectrum(psi, splits[i], splits[j])
                         assert tables[k][i, j] == von_neumann(eigs)
                     else:
                         eigs = svd_spectrum(psi, splits[i], splits[j])
@@ -1307,7 +1367,7 @@ class TestTheoremSweep:
     def test_renyi_indices_below_one_raise(self):
         # n = 0 would count zero-padded eigenvalues; no trace power exists there
         for n_values in ([0], [-1], [2, 0, 3], [2.5]):
-            with pytest.raises(ValueError, match="integers >= 1"):
+            with pytest.raises(ValueError, match="Renyi index must be >= 1 and an integer"):
                 theorem_sweep([[(2, 2)] * 2], n_values, master_seed=1)
 
     def test_invalid_plans_raise(self):

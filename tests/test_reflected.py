@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpentropy.modular import DensityMatrix, InvalidStateError, PurifiedState, purify
+from rpentropy.positivity import entropy_table
 from rpentropy.reflected import (UNITARITY_TOL, ReflectedDensity, SubsystemSplit,
                                  _check_pair_traces, _check_unitary, _combine, _entropies,
                                  _gram_eigenvalues, _gram_traces, _pair_gram, _pair_matrix,
-                                 _pair_operands, pair_spectrum, reflected_density,
-                                 renyi_entropy, twist_operators, von_neumann)
+                                 _pair_operands, reflected_density, renyi_entropy,
+                                 twist_operators, von_neumann)
 from rpentropy.sampling import ginibre, haar_unitary, random_density, unitary_from_ginibre
 
 from oracles import (brute_force_reflected, hilbert_schmidt_mass, marginals,
-                     mutual_information, reconstructed_trace)
+                     mutual_information, reconstructed_trace, swapped)
 
 
 def _checked_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j):
@@ -34,6 +35,12 @@ def _pair_spectrum(schmidt_values, mat_i, mat_j, dims_i, dims_j):
     """Spectra of a stack of pairs as the package takes them: the checked
     pair Gram build, then its eigenvalues (`_gram_eigenvalues`)."""
     return _gram_eigenvalues(_checked_gram(schmidt_values, mat_i, mat_j, dims_i, dims_j))
+
+
+def pair_spectrum(psi, split_i, split_j):
+    """`_pair_spectrum` of one state and one pair of splits."""
+    return _pair_spectrum(psi.schmidt_values, split_i.matrix, split_j.matrix,
+                          (split_i.dim_a, split_i.dim_b), (split_j.dim_a, split_j.dim_b))
 
 
 SPLIT_CHOICES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (4, 3)]
@@ -110,9 +117,9 @@ class TestSubsystemSplit:
     def test_swapped_swaps_factors(self):
         rng = np.random.default_rng(0)
         split = SubsystemSplit.haar(2, 3, rng)
-        swapped = split.swapped()
-        assert (swapped.dim_a, swapped.dim_b) == (3, 2)
-        assert np.allclose(swapped.coeffs, split.coeffs.transpose(0, 2, 1))
+        other = swapped(split)
+        assert (other.dim_a, other.dim_b) == (3, 2)
+        assert np.allclose(other.coeffs, split.coeffs.transpose(0, 2, 1))
 
 
 class TestTwistOperators:
@@ -221,7 +228,7 @@ class TestReflectedDensity:
         assert np.sort(rd_same.eigenvalues)[-1] == pytest.approx(1.0, abs=1e-12)
         assert renyi_entropy(rd_same, 2) == pytest.approx(0.0, abs=1e-10)
         # complementary subsystem: maximal mixing propagates
-        rd_comp = reflected_density(psi, axis, axis.swapped())
+        rd_comp = reflected_density(psi, axis, swapped(axis))
         assert np.allclose(rd_comp.matrix, np.eye(4) / 4, atol=1e-12)
         for n in (2, 3):
             assert renyi_entropy(rd_comp, n) == pytest.approx(2 * np.log(2), abs=1e-10)
@@ -285,13 +292,17 @@ class TestPairSpectrum:
         tampered = PurifiedState(dim=4, schmidt_values=psi.schmidt_values * (1 + 1e-6),
                                  eigenbasis=psi.eigenbasis)
         split = SubsystemSplit.haar(2, 2, rng)
-        with pytest.raises(InvalidStateError, match="sums to"):
-            pair_spectrum(tampered, split, split)
+        with pytest.raises(InvalidStateError, match="reflected density trace 1.000001"):
+            reflected_density(tampered, split, split)
+        with pytest.raises(InvalidStateError, match="pair spectrum sums to 1.000001"):
+            entropy_table(tampered, [split, split], 2)
 
     def test_dimension_mismatch(self):
         psi = purify(DensityMatrix.from_matrix(np.eye(4) / 4))
         with pytest.raises(InvalidStateError, match="dimension"):
-            pair_spectrum(psi, SubsystemSplit.axis(2, 2), SubsystemSplit.axis(2, 3))
+            reflected_density(psi, SubsystemSplit.axis(2, 2), SubsystemSplit.axis(2, 3))
+        with pytest.raises(InvalidStateError, match="dimension"):
+            entropy_table(psi, [SubsystemSplit.axis(2, 2), SubsystemSplit.axis(2, 3)], 2)
 
     def test_stacked_spectra_equal_per_pair_calls(self):
         # a stack of states and splits goes through one call per kernel step,
@@ -435,7 +446,7 @@ class TestPairTraces:
         # -log(tr rho^n) / (n - 1) would read inf
         lam = np.full(4, 0.25)
         axis = SubsystemSplit.axis(2, 2)
-        pair = (lam, axis.matrix, axis.swapped().matrix, (2, 2), (2, 2))
+        pair = (lam, axis.matrix, swapped(axis).matrix, (2, 2), (2, 2))
         assert _pair_traces(*pair, [2])[0] == pytest.approx(0.25, rel=1e-15)
         with pytest.raises(InvalidStateError, match=r"tr rho\^600 = .*trace power vanished"):
             _pair_traces(*pair, [2, 600])
