@@ -13,14 +13,18 @@ from typing import Callable
 
 import numpy as np
 
+from .modular import _check_renyi_order, _check_tolerance, _check_weight
+
 SYMMETRY_TOL = 1e-9     # validate: the largest |F(x) - F(1-x)| of a symmetric F
 SYMMETRY_SAMPLES = 101  # validate: mirror points x, up to x = 1/2
 FD_STEP = 1e-5          # derivative check: central-difference step over min(x, 1-x)
 
 
 def twist_exponent(central_charge: float, n: int) -> float:
-    """Twist exponent q = (c/6)(n - 1/n), positive for n >= 2."""
-    return central_charge / 6.0 * (n - 1.0 / n)
+    """Twist exponent q = (c/6)(n - 1/n) of a central charge c > 0 and a
+    Renyi index n >= 1; positive for n > 1."""
+    c, n = _check_weight(central_charge, "central_charge"), _check_renyi_order(n)
+    return c / 6.0 * (n - 1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,7 @@ def check_derivative_inequality(func: CrossRatioFunction, q: float, grid,
     discretization uncertainty of the slack.
     """
     xs = np.asarray(grid, dtype=float)
+    tol = _check_tolerance(tol, "tol")
     if np.any(xs <= 0) or np.any(xs >= 1):
         raise ValueError("grid must lie strictly inside (0, 1)")
     h = FD_STEP * np.minimum(xs, 1.0 - xs)
@@ -142,6 +147,7 @@ def check_midpoint_inequality(func: CrossRatioFunction, q: float, pairs,
     y -> x for smooth F.
     """
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    tol = _check_tolerance(tol, "tol")
     if np.any(pairs <= 0) or np.any(pairs >= 1):
         raise ValueError("pairs must lie strictly inside (0, 1)")
     zs = _z_points(pairs[:, 0], pairs[:, 1])

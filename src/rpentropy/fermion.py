@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modular import _check_weight
 from .positivity import GramRecord, _gram_spectrum
 
 # below this separation the correlator singularities take over and the
@@ -240,9 +241,7 @@ def _check_neutral(charges: np.ndarray) -> None:
 
 def _interval_charges(p: int, lam: float) -> np.ndarray:
     """+/- sqrt(2 pi lam / 3) at the p left and p right endpoints, checked neutral."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    q = math.sqrt(2.0 * math.pi * lam / 3.0)
+    q = math.sqrt(2.0 * math.pi * _check_weight(lam, "lam") / 3.0)
     charges = np.concatenate([np.full(p, q), np.full(p, -q)])
     _check_neutral(charges)
     return charges
@@ -353,9 +352,7 @@ def witness_tables(families: list[list[IntervalSet]]) -> list[np.ndarray]:
 def witness_minimum(tables: list[np.ndarray], lams) -> float:
     """min over tables and lams of witness_record(table, lam)'s min_eigenvalue
     / scale (inf for no tables): one stacked Gram verdict per table size."""
-    lams = np.asarray(lams, dtype=float)
-    if not np.all(lams > 0):
-        raise ValueError("lam must be positive")
+    lams = np.array([_check_weight(lam, "lam") for lam in lams])
     by_size, worst = defaultdict(list), math.inf
     for table in tables:
         by_size[table.shape[0]].append(table)
@@ -371,9 +368,8 @@ def witness_record(table: np.ndarray, lam: float) -> GramRecord:
     The vertex representation makes these matrices positive semidefinite for
     every lam > 0 (infinite divisibility of the fermion entropy).
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    return GramRecord(n=1, lam=float(lam), entries=np.exp(-lam * table), entropy_table=table)
+    lam = _check_weight(lam, "lam")
+    return GramRecord(n=1, lam=lam, entries=np.exp(-lam * table), entropy_table=table)
 
 
 def divisibility_witness(sets: list[IntervalSet], lam: float) -> GramRecord:

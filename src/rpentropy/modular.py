@@ -1,5 +1,9 @@
 """Density matrices and their canonical purification on a doubled
-finite-dimensional system, with the state invariants' gates.
+finite-dimensional system, with the package's gates: the state invariants'
+and the scalar parameters'.  An exponent weight (lam, a literal power s, the
+central charge c) is a real in (0, inf), a Renyi index n a real in [1, inf)
+and an integer under a trace power, a tolerance a finite real; no gate takes
+a bool, and each names the parameter it refuses.
 
 The purified vector lives in H1 (x) H2 with H2 a copy of H1.  Conventions:
 row-major flattening throughout, the purifying factor carries the conjugated
@@ -8,6 +12,8 @@ eigenbasis, so the purified vector equals vec(sqrt(rho)).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +25,35 @@ RANK_FLOOR = 1e-12
 
 class InvalidStateError(ValueError):
     """Input fails a density-matrix or purified-state invariant."""
+
+
+def _real(value) -> bool:
+    """A real number, and not a bool (numpy's included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _check_weight(value, what: str) -> float:
+    """The weight gate: value as a float, once it is a real in (0, inf)."""
+    if not (_real(value) and 0 < value < math.inf):
+        raise ValueError(f"{what} must be > 0 and finite, got {value!r}")
+    return float(value)
+
+
+def _check_renyi_order(n, integer: bool = False):
+    """The Renyi-order gate: n as given once it is a real in [1, inf); with
+    `integer`, as an int once it is also integral (2.0 counts)."""
+    if not (_real(n) and 1 <= n < math.inf and (not integer or n % 1 == 0)):
+        kind = "an integer" if integer else "finite"
+        raise ValueError(f"Renyi index must be >= 1 and {kind}, got {n!r}")
+    return int(n) if integer else n
+
+
+def _check_tolerance(value, what: str) -> float:
+    """The tolerance gate: value as a float once it is a finite real, negative
+    allowed (a NaN would pass every `slack < -tol` test unseen)."""
+    if not (_real(value) and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 def _check_hermitian(mat, bound, what: str) -> None:

@@ -13,14 +13,14 @@ import atexit
 import functools
 import itertools
 import math
-import numbers
 import os
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .modular import PurifiedState, _check_hermitian
+from .modular import (PurifiedState, _check_hermitian, _check_renyi_order, _check_tolerance,
+                      _check_weight)
 from .reflected import (TINY, SubsystemSplit, _check_pair_dims, _check_pair_traces,
                         _check_unitary, _entropies, _gram_eigenvalues, _gram_traces, _pair_gram,
                         _split_weights)
@@ -83,15 +83,6 @@ REFINE_COUNTERS = ("blocks", "evaluated", "accepted", "discarded", "shrinks")
 REFINE_SCALE = 0.4
 REFINE_FLOOR = 1e-8
 REFINE_BLOCK = 12
-
-
-def _renyi_index(n) -> int:
-    """n as an int, once it is an integral number >= 1 (2.0 counts); a
-    bool, a non-number, a non-integer or n < 1 raises ValueError."""
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real) \
-            or not (n >= 1 and n % 1 == 0):
-        raise ValueError(f"Renyi index must be >= 1 and an integer, got {n!r}")
-    return int(n)
 
 
 def _check_symmetric(a, what: str) -> np.ndarray:
@@ -288,7 +279,7 @@ def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> n
     spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no
     spectrum) for n >= 2.  The weighted stack is written straight from the
     splits, with no stack of the raw split matrices."""
-    n = _renyi_index(n)
+    n = _check_renyi_order(n, integer=True)
     for split in splits:
         _check_pair_dims(psi, split, split)
     weights = _split_weights(psi.schmidt_values)
@@ -310,13 +301,14 @@ def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
     entropy table behind the entries takes a pair spectrum for n = 1 only;
     for n >= 2 it comes from the trace powers themselves (`entropy_table`).
     """
-    n = _renyi_index(n)
+    n = _check_renyi_order(n, integer=True)
     if lam is None:
         if n == 1:
             raise ValueError("n = 1 requires an explicit lam (entries e^{-lam S})")
-        lam = float(n - 1)
+        lam = n - 1
+    lam = _check_weight(lam, "lam")
     table = entropy_table(psi, splits, n)
-    return GramRecord(n=n, lam=float(lam), entries=np.exp(-lam * table), entropy_table=table)
+    return GramRecord(n=n, lam=lam, entries=np.exp(-lam * table), entropy_table=table)
 
 
 @dataclass
@@ -402,6 +394,7 @@ class SearchConfig:
             'schur_s_fraction' (det B second differences, the s -> 0 limit;
             n = 1 is the entropy table of the divisibility inequalities,
             n >= 2 tests fractional powers of the proven integer-index case).
+    tolerance: the slack a violation must clear; finite, negative allowed.
     lam: entropy_n1's exponent weight, > 0 and finite (refused otherwise,
     whatever the target).
     n: the Renyi index; entropy_n1 takes n = 1 only.
@@ -431,17 +424,17 @@ class SearchConfig:
             raise ValueError("trials must be >= 1")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be > 0 and finite, got {self.lam}")
-        self.n = _renyi_index(self.n)
+        self.tolerance = _check_tolerance(self.tolerance, "tolerance")
+        self.lam = _check_weight(self.lam, "lam")
+        self.n = _check_renyi_order(self.n, integer=True)
         if self.target == "integer_n" and self.n < 2:
             raise ValueError("integer_n control mode needs n >= 2")
         if self.target == "entropy_n1" and self.n != 1:
             raise ValueError(f"entropy_n1 takes von Neumann entropies, n = 1; got n = {self.n}")
-        if self.literal_s is not None and self.target != "schur_s_fraction":
-            raise ValueError("literal_s is checked only by the schur_s_fraction target")
-        if self.literal_s is not None and not 0 < self.literal_s < math.inf:
-            raise ValueError(f"literal_s must be > 0 and finite, got {self.literal_s}")
+        if self.literal_s is not None:
+            if self.target != "schur_s_fraction":
+                raise ValueError("literal_s is checked only by the schur_s_fraction target")
+            self.literal_s = _check_weight(self.literal_s, "literal_s")
         if self.refine_iterations > 0 and self.target == "integer_n":
             raise ValueError("the integer_n control mode takes no refine descent")
         self.dims = _validated_dims(self.dims)
@@ -931,7 +924,8 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     boundaries and any `jobs`; the worst check is the first one at the
     minimum, in instance and then n order.
     """
-    n_values = [_renyi_index(n) for n in n_values]  # a trace power needs n >= 1
+    n_values = [_check_renyi_order(n, integer=True) for n in n_values]
+    tol = _check_tolerance(tol, "tol")
     blocks = _sweep_blocks(dims_by_instance, jobs)
     min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
                                              master_seed, tol)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modular import (HERMITICITY_TOL, DensityMatrix, InvalidStateError, PurifiedState,
-                      _check_hermitian, _check_unit_trace)
+                      _check_hermitian, _check_renyi_order, _check_unit_trace)
 
 UNITARITY_TOL = 1e-10
 PSD_FLOOR = -1e-12
@@ -293,9 +293,7 @@ def renyi_entropy(state, n: int) -> float:
     n = 1 routes to the von Neumann entropy.  The trace power is accumulated
     in log space so tiny eigenvalues cannot underflow.
     """
-    if n < 1:
-        raise ValueError("Renyi index must be >= 1")
-    return float(_entropies(_eigenvalues_of(state), n))
+    return float(_entropies(_eigenvalues_of(state), _check_renyi_order(n)))
 
 
 def von_neumann(state) -> float:

@@ -17,6 +17,8 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import k0, k0e
 
+from .modular import _check_tolerance, _check_weight
+
 DECAY_SAMPLES = 40                # decay_rate: x points of the log-slope regression
 POWER_GAMMA_BOUNDS = (-1.9, 8.0)  # fit_power_density: exponent search interval
 POWER_GRID_POINTS = 400           # fit_power_density: p^2 grid size
@@ -69,8 +71,7 @@ class EntropyCurve:
             raise ValueError("x and s must be equal-length 1-D arrays")
         if np.any(x <= 0) or np.unique(x).size != x.size:
             raise ValueError("x values must be positive and distinct")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        object.__setattr__(self, "lam", _check_weight(self.lam, "lam"))
         order = np.argsort(x)
         object.__setattr__(self, "x", x[order])
         object.__setattr__(self, "s", s[order])
@@ -202,7 +203,7 @@ def derivative_checks(curve: EntropyCurve, tol: float = 1e-9) -> DerivativeRepor
     does NOT imply, so it is reported but nothing asserts it.  The
     non-uniform central stencils are exact on quadratics.
     """
-    x, s = curve.x, curve.s
+    x, s, tol = curve.x, curve.s, _check_tolerance(tol, "tol")
     if x.size < 5:
         raise ValueError("need at least 5 samples for second differences")
     if np.any(np.diff(x) <= 0):

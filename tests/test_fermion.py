@@ -241,12 +241,12 @@ class TestIdentityRows:
     def test_validation_kept(self):
         with pytest.raises(IntervalError, match="permutation"):
             identity_rows([random_set(np.random.default_rng(2), 9, hi=100.0)], [1.0])
-        with pytest.raises(ValueError, match="lam must be positive"):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             identity_rows(self.sets(3, 2), [1.0, -1.0])
         # a NaN lam once gave NaN vertex sums, and a NaN witness Gram matrix
-        with pytest.raises(ValueError, match="lam must be positive"):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             identity_rows(self.sets(3, 2), [1.0, float("nan")])
-        with pytest.raises(ValueError, match="lam must be positive"):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             witness_minimum([witness_table([IntervalSet.from_pairs([(1, 2)]),
                                             IntervalSet.from_pairs([(3, 4)])])],
                             [float("nan")])
@@ -290,7 +290,7 @@ class TestVertexOperators:
             assert identity_rows([s], lams)[3][0].tolist() == [
                 gaussian_vertex_correlator(ChargeConfiguration.from_intervals(s, lam))
                 for lam in lams]
-        with pytest.raises(ValueError, match="lam must be positive"):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             identity_rows([s], [1.0, 0.0])
 
     def test_lambda_six_matches_correlator_scaling(self):
@@ -359,7 +359,7 @@ class TestDivisibilityWitness:
         expected = min(r.min_eigenvalue / r.scale for r in records)
         assert abs(witness_minimum(tables, lams) - expected) <= 8 * np.finfo(float).eps
         assert witness_minimum([], lams) == math.inf
-        with pytest.raises(ValueError, match="lam must be positive"):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             witness_minimum(tables, [1.0, 0.0])
 
     def test_stacked_tables_equal_single_tables(self):

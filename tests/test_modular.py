@@ -1,10 +1,14 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpentropy.modular import (HERMITICITY_TOL, RANK_FLOOR, DensityMatrix, InvalidStateError,
-                               purify)
+                               _check_renyi_order, _check_tolerance, _check_weight, purify)
 from rpentropy.sampling import random_density
 
 from oracles import (_apply_first_factor, check_tomita_relation, conjugation_matrix,
@@ -224,3 +228,93 @@ class TestReflectOperator:
         full = mj @ np.kron(op, np.eye(3)).conj() @ mj.conj()
         assert np.allclose(full, np.kron(np.eye(3), reflect_operator(md, op)),
                            atol=1e-11)
+
+
+def _gated_calls() -> dict:
+    """Every public entry point of a gated parameter, as label -> (call of
+    the parameter's value, the name its error must give)."""
+    from rpentropy import fermion
+    from rpentropy.cft import (CrossRatioFunction, check_derivative_inequality,
+                               check_midpoint_inequality, twist_exponent)
+    from rpentropy.positivity import (SearchConfig, entropy_table, gram_matrix, theorem_sweep,
+                                      verify_witness)
+    from rpentropy.reflected import SubsystemSplit, renyi_entropy
+    from rpentropy.spectral import EntropyCurve, derivative_checks
+
+    psi, rng = make_state(4, 3)
+    splits = [SubsystemSplit.haar(2, 2, rng) for _ in range(3)]
+    sets = [fermion.IntervalSet.from_pairs(pairs) for pairs in ([(1, 2)], [(3, 4), (5, 7)])]
+    table = fermion.witness_table(sets)
+    rho = random_density(4, rng)
+    curve = EntropyCurve(x=np.linspace(1.0, 2.0, 6), s=np.zeros(6), lam=1.0)
+    config = dict(dims=[(2, 2)] * 2, trials=1, master_seed=0)
+    with open(Path(__file__).parent / "fixtures" / "detb_witness.json") as handle:
+        witness = json.load(handle)["violation"]
+    weight, order = "lam must be > 0 and finite", "Renyi index must be >= 1"
+    return {
+        "gram_matrix lam": (lambda v: gram_matrix(psi, splits, 2, lam=v), weight),
+        "SearchConfig lam": (lambda v: SearchConfig(**config, lam=v), weight),
+        "verify_witness lam": (lambda v: verify_witness(witness, "entropy_n1", lam=v), weight),
+        "SearchConfig literal_s": (
+            lambda v: SearchConfig(**config, target="schur_s_fraction", literal_s=v),
+            "literal_s must be > 0 and finite"),
+        "ChargeConfiguration.from_intervals lam": (
+            lambda v: fermion.ChargeConfiguration.from_intervals(sets[0], v), weight),
+        "identity_rows lam": (lambda v: fermion.identity_rows(sets, [1.0, v]), weight),
+        "witness_minimum lam": (lambda v: fermion.witness_minimum([table], [1.0, v]), weight),
+        "witness_record lam": (lambda v: fermion.witness_record(table, v), weight),
+        "divisibility_witness lam": (lambda v: fermion.divisibility_witness(sets, v), weight),
+        "EntropyCurve lam": (lambda v: EntropyCurve(x=[1.0, 2.0], s=[0.1, 0.2], lam=v), weight),
+        "twist_exponent c": (lambda v: twist_exponent(v, 2),
+                             "central_charge must be > 0 and finite"),
+        "twist_exponent n": (lambda v: twist_exponent(1.0, v), order),
+        "renyi_entropy n": (lambda v: renyi_entropy(rho, v), order),
+        "gram_matrix n": (lambda v: gram_matrix(psi, splits, v, lam=1.0), order),
+        "entropy_table n": (lambda v: entropy_table(psi, splits, v), order),
+        "SearchConfig n": (lambda v: SearchConfig(**config, target="schur_s_fraction", n=v),
+                           order),
+        "theorem_sweep n": (lambda v: theorem_sweep([[(2, 2)] * 2], [2, v], 1), order),
+        "SearchConfig tolerance": (lambda v: SearchConfig(**config, tolerance=v),
+                                   "tolerance must be finite"),
+        "theorem_sweep tol": (lambda v: theorem_sweep([[(2, 2)] * 2], [2], 1, tol=v),
+                              "tol must be finite"),
+        "derivative_checks tol": (lambda v: derivative_checks(curve, tol=v),
+                                  "tol must be finite"),
+        "check_derivative_inequality tol": (
+            lambda v: check_derivative_inequality(CrossRatioFunction.ones(), 0.5, [0.5], tol=v),
+            "tol must be finite"),
+        "check_midpoint_inequality tol": (
+            lambda v: check_midpoint_inequality(CrossRatioFunction.ones(), 0.5, [0.2, 0.4], tol=v),
+            "tol must be finite"),
+    }
+
+
+class TestParameterGates:
+    # each parameter's domain is decided by one gate in modular: an exponent
+    # weight (lam, s, c) is a real in (0, inf), a Renyi index a real in
+    # [1, inf), a tolerance a finite real; no gate takes a bool.  lam = inf
+    # once gave gram_matrix an all-zero record that check_psd passed, n = NaN
+    # a NaN Renyi entropy, and a NaN tolerance a search that could find nothing
+
+    BAD = [math.nan, math.inf, -math.inf, 0, -1, True, np.True_, "1"]
+    CALLS = _gated_calls()
+
+    @pytest.mark.parametrize("label", list(CALLS))
+    def test_refuses_each_value_outside_its_domain(self, label):
+        call, message = self.CALLS[label]
+        tolerance = message.endswith("must be finite")
+        for value in self.BAD:
+            if tolerance and type(value) is int:
+                call(value)  # a zero or negative tolerance is allowed
+                continue
+            with pytest.raises(ValueError, match=message):
+                call(value)
+
+    def test_gates_return_their_documented_types(self):
+        assert _check_weight(np.float32(0.5), "lam") == 0.5
+        assert type(_check_weight(2, "lam")) is float
+        assert _check_renyi_order(np.int64(3)) == 3 and _check_renyi_order(1.5) == 1.5
+        assert type(_check_renyi_order(2.0, integer=True)) is int
+        with pytest.raises(ValueError, match="Renyi index must be >= 1 and an integer"):
+            _check_renyi_order(2.5, integer=True)
+        assert type(_check_tolerance(0, "tol")) is float and _check_tolerance(-1e-3, "tol") == -1e-3

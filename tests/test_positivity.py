@@ -470,6 +470,27 @@ class TestDivisibility:
     def test_three_set_fully_degenerate(self):
         assert three_set_inequality(1.3, 1.3, 1.3, 1.3, 1.3, 1.3) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("part", [
+        "premise",
+        pytest.param("verdict", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))])
+    def test_det_b_misses_a_b_with_negative_eigenvalues(self, part):
+        # infinite divisibility needs B >= 0 (Schoenberg), but det B passes a
+        # B with an even number of negative eigenvalues, and |det B| / ||B||_F^m
+        # cannot clear COUNTEREXAMPLE_TOL from m = 13 splits on.  At 24 2x2
+        # splits and seed 7, 45 of 100 instances had lambda_min(B) < -1e-6
+        # ||B||_2 and the search reported none of them
+        cfg = SearchConfig(dims=[(2, 2)] * 24, trials=100, master_seed=7,
+                           target="schur_s_fraction")
+        schmidt, u = block_instances(cfg)
+        eigs = np.linalg.eigvalsh(positivity._second_differences(
+            positivity._entropy_tables(schmidt, u, cfg.dims, cfg.n)))
+        negative = np.flatnonzero(eigs[:, 0] < -cfg.tolerance * np.abs(eigs).max(axis=1))
+        if part == "premise":
+            assert negative.size >= 1
+        else:
+            reported = [v["trial"] for v in counterexample_search(cfg).violations]
+            assert reported == negative.tolist()
+
 
 class TestSearch:
 
