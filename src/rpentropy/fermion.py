@@ -235,7 +235,8 @@ class ChargeConfiguration:
 
 
 def _check_neutral(charges: np.ndarray) -> None:
-    if not abs(charges.sum()) <= 1e-12:
+    """Refuses |total charge| > 1e-12 max(1, sum |charge|): roundoff grows with the charges."""
+    if not abs(charges.sum()) <= 1e-12 * max(1.0, np.abs(charges).sum()):
         raise ValueError(f"configuration is not neutral: total charge {charges.sum():.3e}")
 
 

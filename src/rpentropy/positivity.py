@@ -3,8 +3,9 @@ infinite-divisibility conditions, and the randomized counterexample search.
 
 For integer Renyi index n the Gram matrix of tr(rho_{A_i Abar_j}^n) is
 positive semidefinite in any quantum system; the extension to the entropy
-case (n -> 1) and to fractional entrywise powers (s -> 0, equivalently
-det B >= 0) can fail, and the search hunts for such violating instances.
+case (n -> 1) and to fractional entrywise powers (s -> 0: the second
+differences B >= 0, through the one `_gram_spectrum` verdict) can fail,
+and the search hunts for such violating instances.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
 TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
-# det B's slack is exactly 0 when B is zero to working precision:
-# ||B||_F <= DETB_ZERO_ULPS * size^2 * eps * max(1, max |S|), size^2 the
-# entry count of the table.  On trivial splits (1x4, 4x1, 1x9, 1x16 and
-# 1x64, two to five of them), whose entropies are all 0 in exact
-# arithmetic, ||B||_F came to at most 7.5 eps * max(1, max |S|); on 2x2,
-# 2x3 and 16x1 tables it was at least 5e14 eps
+# the schur_s_fraction slack is exactly 0 when B is zero to working
+# precision: ||B||_2 <= DETB_ZERO_ULPS * size^2 * eps * max(1, max |S|),
+# size^2 the table's entry count.  On trivial splits (2-5 of 1x4, 4x1, 1x9,
+# 1x16 or 1x64, 2-3 of 16x1; 200 seed-42 instances each), whose entropies
+# are 0 in exact arithmetic, ||B||_2 came to at most 12.8 eps max(1, max |S|);
+# on 2x2 and 2x3 tables of two and three splits, at least 2.7e14 eps
 DETB_ZERO_ULPS = 8
 # block planning (`_sweep_blocks`, for the sweep and the search): a block of
 # two or more instances holds at most this many pair-matrix entries, which
@@ -341,8 +342,9 @@ class DivisibilityRecord:
     """Second-difference matrix of an entropy table and its determinant.
 
     B_ij = S(A_i Abar_{j+1}) + S(A_{i+1} Abar_j) - S(A_i Abar_j)
-           - S(A_{i+1} Abar_{j+1}); det B >= 0 is the lam -> 0 limit of the
-    Gram inequalities (infinite divisibility).
+           - S(A_{i+1} Abar_{j+1}); B >= 0, whose verdict is
+    `check_psd(record.b_matrix)`, is the lam -> 0 limit of the Gram
+    inequalities (infinite divisibility, Schoenberg).  det B is data only.
 
     det B and B's inertia do not depend on the subsystem ordering: B is
     -D S D^T (D the difference operator), and a permutation P gives D P = M D
@@ -369,8 +371,9 @@ def _second_differences(s: np.ndarray) -> np.ndarray:
 
 
 def divisibility_matrix(entropy_table: np.ndarray) -> DivisibilityRecord:
-    """Build the m x m second-difference record from an (m+1)x(m+1) table."""
-    b = _second_differences(_checked_table(entropy_table))
+    """The m x m record of the symmetrized (m+1) x (m+1) table: B is symmetric."""
+    s = _checked_table(entropy_table)
+    b = _second_differences(0.5 * (s + s.swapaxes(-1, -2)))
     return DivisibilityRecord(b_matrix=b, det_b=float(np.linalg.det(b)))
 
 
@@ -391,14 +394,15 @@ class SearchConfig:
     dims: one (d_A, d_B) pair per subsystem, all with equal product.
     target: 'integer_n' (control; violations flag a numerics bug),
             'entropy_n1' (Gram of e^{-lam S}, von Neumann entropies),
-            'schur_s_fraction' (det B second differences, the s -> 0 limit;
-            n = 1 is the entropy table of the divisibility inequalities,
-            n >= 2 tests fractional powers of the proven integer-index case).
+            'schur_s_fraction' (the s -> 0 limit: the second-difference
+            matrix B must be PSD, slack lambda_min(B) / ||B||_2; n = 1 is
+            the entropy table of the divisibility inequalities, n >= 2
+            tests fractional powers of the proven integer-index case).
     tolerance: the slack a violation must clear; finite, negative allowed.
     lam: entropy_n1's exponent weight, > 0 and finite (refused otherwise,
     whatever the target).
     n: the Renyi index; entropy_n1 takes n = 1 only.
-    literal_s: a fractional entrywise power s > 0 checked alongside det B:
+    literal_s: a fractional entrywise power s > 0 checked alongside B:
     the Gram matrix of exp(-s (n - 1) S_n) for n >= 2, of exp(-s S_1) at
     n = 1.
     refine_iterations: when > 0 and the plain sweep finds nothing, run a
@@ -416,7 +420,6 @@ class SearchConfig:
     lam: float = 1.0
     n: int = 1
     literal_s: float | None = None
-    trial_offset: int = 0
     refine_iterations: int = 0
 
     def __post_init__(self):
@@ -522,7 +525,7 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
 
 
 def _draw_instance(cfg: SearchConfig, trial: int):
-    lam, u, eigen = _draw_block(cfg.master_seed, [cfg.trial_offset + trial], [cfg.dims])
+    lam, u, eigen = _draw_block(cfg.master_seed, [trial], [cfg.dims])
     eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[0]))
     _check_unitary(eigenbasis)
     psi = PurifiedState(dim=cfg.dim, schmidt_values=lam[0], eigenbasis=eigenbasis)
@@ -571,21 +574,18 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
         gram, scale, eigvals, _ = _gram_spectrum(np.exp(-lam * table))
         return {"slack": eigvals[:, 0] / scale, "gram": gram, "entropy_table": table,
                 "min_eigenvalue": eigvals[:, 0]}
-    # schur_s_fraction: infinite divisibility through the lam -> 0 expansion
+    # schur_s_fraction: infinite divisibility, the s -> 0 limit, holds iff B
+    # is PSD (Schoenberg), so B takes the one verdict; det B is report data
     table = _checked_table(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
     size = table.shape[-1]
     b = _second_differences(table)
-    # det B is the same under every subsystem ordering (`DivisibilityRecord`)
     det_b = np.linalg.det(b)
-    # ||B||_F as the dot product np.linalg.norm takes, of a C-ordered copy so
-    # that its bits do not depend on B's layout.  A B that is zero to working
-    # precision (DETB_ZERO_ULPS) has slack 0: its det is roundoff, which the
-    # scale floor would otherwise blow up into a violation
-    flat = np.ascontiguousarray(b).reshape(len(b), -1)
-    b_norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
-    zero_b = b_norm <= (DETB_ZERO_ULPS * size ** 2 * np.finfo(float).eps
-                        * np.maximum(1.0, np.abs(table).max(axis=(-2, -1))))
-    slack = np.where(zero_b, 0.0, det_b / np.maximum(b_norm ** (size - 1), 1e-12))
+    _, scale, eigvals, _ = _gram_spectrum(b)
+    # a B that is zero to working precision (DETB_ZERO_ULPS) has slack 0: its
+    # spectrum is roundoff, which the normalization would blow up to order 1
+    zero_b = scale <= (DETB_ZERO_ULPS * size ** 2 * np.finfo(float).eps
+                       * np.maximum(1.0, np.abs(table).max(axis=(-2, -1))))
+    slack = np.where(zero_b, 0.0, eigvals[:, 0] / scale)
     out = {"slack": slack, "det_b": det_b, "entropy_table": table}
     if cfg.literal_s is not None:
         # exp(-s (n - 1) S_n) is the s-th power of the proven n >= 2 case; at
@@ -766,20 +766,18 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """Randomized search for violations of the configured inequality.
 
     The trials are cut into blocks up front by the sweep's planner
-    (`_sweep_blocks`), and `_pool_map` runs and merges them.  Each trial
-    derives its own stream from (master_seed, trial index), so any block
-    boundaries and any `jobs` give the identical report.  Exhausting the
-    budget without a violation is a normal outcome, reported with the trial
-    count; with refine_iterations > 0 a seeded descent then pushes the best
-    sweep instance toward the violating region.
+    (`_sweep_blocks`), and `_pool_map` runs and merges them.  Each trial,
+    numbered from 0, derives its own stream from (master_seed, trial index),
+    so any block boundaries and any `jobs` give the identical report.
+    Exhausting the budget without a violation is a normal outcome, reported
+    with the trial count; with refine_iterations > 0 a seeded descent then
+    pushes the best sweep instance toward the violating region.
     """
-    blocks = [(cfg.trial_offset + start, block)
-              for start, block in _sweep_blocks([cfg.dims] * cfg.trials, jobs)]
+    blocks = _sweep_blocks([cfg.dims] * cfg.trials, jobs)
     slacks, violations = _pool_map(_search_block, blocks, jobs, cfg)
-    min_slack, best, quantiles = summarize(slacks)
-    min_trial = cfg.trial_offset + best
+    min_slack, min_trial, quantiles = summarize(slacks)
     report = SearchReport(config=cfg, trials_run=cfg.trials, violations=violations,
-                          min_slack=float(min_slack), min_slack_trial=min_trial,
+                          min_slack=min_slack, min_slack_trial=min_trial,
                           slack_quantiles=quantiles)
     if not violations and cfg.refine_iterations > 0:
         refined, report.refine_used, report.refine_counters = _refine(cfg, min_trial)
@@ -816,7 +814,7 @@ def _refine(cfg: SearchConfig, start_trial: int):
     Returns (violation payload once the slack clears -10 * tolerance, else
     None; iterations used; counters keyed as REFINE_COUNTERS).
     """
-    rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
+    rng = trial_rng(cfg.master_seed, cfg.trials)
     lam, betas, _ = _draw_block(cfg.master_seed, [start_trial], [cfg.dims])
     lam, m, d, size = lam[0], len(betas), cfg.dim, min(REFINE_BLOCK, _block_trials(cfg))
     counters = dict.fromkeys(REFINE_COUNTERS, 0)

@@ -320,7 +320,7 @@ def sequential_refine(cfg: SearchConfig, start_trial: int):
     Each move is one `_evaluate_block` call on one instance.  Returns a
     violation payload once the slack clears -10 * tolerance.
     """
-    rng = trial_rng(cfg.master_seed, cfg.trial_offset + cfg.trials)
+    rng = trial_rng(cfg.master_seed, cfg.trials)
     lam, z = draw_one(cfg.master_seed, start_trial, cfg.dims)
     lam, betas = lam.copy(), unitary_from_ginibre(z)[1:]
     _check_unitary(betas)

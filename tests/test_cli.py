@@ -843,21 +843,20 @@ class TestResolvedConfig:
         self.check(tmp_path, "search-entropy_n1-seed42.json", ["search"], {
             "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 42,
             "target": "entropy_n1", "tolerance": 1e-6, "lam": 1.0, "n": 1,
-            "literal_s": None, "trial_offset": 0, "refine_iterations": 0})
+            "literal_s": None, "refine_iterations": 0})
         # the default n follows the target
         self.check(tmp_path, "search-integer_n-seed5.json",
                    ["search", "--seed", "5", "--target", "integer_n", "--dims", "2x3,3x2",
                     "--trials", "9", "--jobs", "2"], {
             "dims": [[2, 3], [3, 2]], "trials": 9, "master_seed": 5, "target": "integer_n",
-            "tolerance": 1e-6, "lam": 1.0, "n": 2, "literal_s": None, "trial_offset": 0,
-            "refine_iterations": 0})
+            "tolerance": 1e-6, "lam": 1.0, "n": 2, "literal_s": None, "refine_iterations": 0})
         self.check(tmp_path, "search-schur_s_fraction-seed6.json",
                    ["search", "--seed", "6", "--target", "schur_s_fraction", "--lam", "2",
                     "--n", "3", "--literal-s", "0.5", "--refine", "10",
                     "--tolerance", "1e-4"], {
             "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 6,
             "target": "schur_s_fraction", "tolerance": 1e-4, "lam": 2.0, "n": 3,
-            "literal_s": 0.5, "trial_offset": 0, "refine_iterations": 10})
+            "literal_s": 0.5, "refine_iterations": 10})
 
     def test_fermion(self, tmp_path):
         self.check(tmp_path, "fermion-seed42.json",

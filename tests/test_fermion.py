@@ -262,8 +262,19 @@ class TestVertexOperators:
                                                                 abs=1e-13)
 
     def test_neutrality_required(self):
-        with pytest.raises(ValueError, match="neutral"):
-            ChargeConfiguration(points=np.array([0.0, 1.0]), charges=np.array([1.0, -0.5]))
+        for charges in ([1.0, -0.5], [1.0, -0.9]):
+            with pytest.raises(ValueError, match="neutral"):
+                ChargeConfiguration(points=np.array([0.0, 1.0]), charges=np.array(charges))
+
+    @pytest.mark.parametrize("lam", [1e12, 1e20, 1e30])
+    def test_neutrality_is_relative_to_the_charge_scale(self, lam):
+        # +q three times and -q three times sum to roundoff of order eps 3q,
+        # which an absolute 1e-12 refused from lam = 1e12 on
+        intervals = IntervalSet.from_pairs([(1, 2), (3, 4), (5, 6)])
+        config = ChargeConfiguration.from_intervals(intervals, lam)
+        q = math.sqrt(2 * math.pi * lam / 3)
+        assert np.array_equal(config.charges, [q] * 3 + [-q] * 3)
+        assert abs(config.charges.sum()) > 1e-12
 
     def test_distinct_points_required(self):
         with pytest.raises(IntervalError):

@@ -155,8 +155,8 @@ class TestGramMatrix:
         from rpentropy.positivity import _draw_instance
         from rpentropy.sampling import haar_unitary, simplex_eigenvalues, trial_rng
         dims = [(2, 3), (3, 2), (2, 3)]
-        cfg = SearchConfig(dims=dims, trials=1, master_seed=17, trial_offset=40)
-        psi, splits = _draw_instance(cfg, 2)
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=17)
+        psi, splits = _draw_instance(cfg, 42)
         rng = trial_rng(17, 42)
         lam = simplex_eigenvalues(6, rng)
         assert np.array_equal(psi.schmidt_values, np.sort(lam)[::-1])
@@ -186,13 +186,15 @@ class TestGramMatrix:
 @pytest.mark.parametrize("call", [
     lambda: check_psd(np.eye(2), tol=1e-10),
     lambda: theorem_sweep([[(2, 2)] * 2], [2], 1, trial_offset=0),
+    lambda: SearchConfig(dims=[(2, 2)] * 2, trials=1, master_seed=0, trial_offset=0),
     lambda: simplex_eigenvalues(4, np.random.default_rng(0), floor=1e-6),
     lambda: fit_grid(np.array([1.0, 2.0]), 10, margins=(0.03, 40.0)),
     lambda: fit_power_density(EntropyCurve(x=np.array([1.0, 2.0]), s=np.array([0.1, 0.2]),
                                            lam=1.0), margins=(0.03, 40.0)),
     lambda: SpectralDensity(p2_grid=np.array([1.0]), weights=np.array([1.0]), delta_p0=1e-8)],
-    ids=["check_psd-tol", "theorem_sweep-trial_offset", "simplex_eigenvalues-floor",
-         "fit_grid-margins", "fit_power_density-margins", "SpectralDensity-delta_p0"])
+    ids=["check_psd-tol", "theorem_sweep-trial_offset", "SearchConfig-trial_offset",
+         "simplex_eigenvalues-floor", "fit_grid-margins", "fit_power_density-margins",
+         "SpectralDensity-delta_p0"])
 def test_retired_keywords_raise(call):
     # each of these values has one setting, a module constant, and no keyword
     with pytest.raises(TypeError, match="unexpected keyword"):
@@ -435,6 +437,15 @@ class TestDivisibility:
         with pytest.raises(InvalidStateError):
             divisibility_matrix(table)
 
+    def test_b_of_a_table_within_the_symmetry_gate_takes_the_verdict(self):
+        # an asymmetry of 1e-7 in entries of 1000 passes the table's gate;
+        # its B, of entries near 1, once failed the verdict's own gate
+        table = np.full((3, 3), 1000.0) + np.diag([0.0, 1.0, 0.0])
+        table[0, 1] += 1e-7
+        b = divisibility_matrix(table).b_matrix
+        assert np.array_equal(b, b.T)
+        assert not check_psd(b).passed
+
     def test_rejects_a_table_below_two_splits(self):
         with pytest.raises(ValueError, match="square with size >= 2"):
             divisibility_matrix(np.ones((1, 1)))
@@ -470,15 +481,14 @@ class TestDivisibility:
     def test_three_set_fully_degenerate(self):
         assert three_set_inequality(1.3, 1.3, 1.3, 1.3, 1.3, 1.3) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("part", [
-        "premise",
-        pytest.param("verdict", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))])
+    @pytest.mark.parametrize("part", ["premise", "verdict"])
     def test_det_b_misses_a_b_with_negative_eigenvalues(self, part):
-        # infinite divisibility needs B >= 0 (Schoenberg), but det B passes a
-        # B with an even number of negative eigenvalues, and |det B| / ||B||_F^m
-        # cannot clear COUNTEREXAMPLE_TOL from m = 13 splits on.  At 24 2x2
-        # splits and seed 7, 45 of 100 instances had lambda_min(B) < -1e-6
-        # ||B||_2 and the search reported none of them
+        # infinite divisibility needs B >= 0 (Schoenberg).  det B passed a B
+        # with an even number of negative eigenvalues, and |det B| / ||B||_F^m
+        # cannot clear COUNTEREXAMPLE_TOL from m = 13 splits on: at 24 2x2
+        # splits and seed 7, 45 of 100 instances have lambda_min(B) < -1e-6
+        # ||B||_2, and the det slack reported none of them.  The search must
+        # report exactly those
         cfg = SearchConfig(dims=[(2, 2)] * 24, trials=100, master_seed=7,
                            target="schur_s_fraction")
         schmidt, u = block_instances(cfg)
@@ -490,6 +500,55 @@ class TestDivisibility:
         else:
             reported = [v["trial"] for v in counterexample_search(cfg).violations]
             assert reported == negative.tolist()
+
+    def test_two_negative_eigenvalues_fail_the_verdict(self, monkeypatch):
+        # B = diag(-1, -1, 2) has det B = 2 > 0, and det B / ||B||_F^3 =
+        # 0.136 passed it.  S_ij = c + a_i + a_j - sum_{k<i, l<j} B_kl has
+        # that B: the sum inverts the second differences, and c + a_i + a_j
+        # is in their kernel
+        b = np.diag([-1.0, -1.0, 2.0])
+        cumulative = np.tril(np.ones((4, 3)), -1)
+        a = np.array([0.3, 0.1, 0.4, 0.2])
+        table = 2.0 + a[:, None] + a[None, :] - cumulative @ b @ cumulative.T
+        record = divisibility_matrix(table)
+        assert np.allclose(record.b_matrix, b, atol=1e-14) and record.det_b > 0
+        assert record.det_b / np.linalg.norm(record.b_matrix) ** 3 > positivity.COUNTEREXAMPLE_TOL
+        verdict = check_psd(record.b_matrix)
+        assert not verdict.passed
+        assert verdict.min_eigenvalue / verdict.scale == pytest.approx(-0.5, rel=1e-14)
+        cfg = SearchConfig(dims=[(2, 2)] * 4, trials=1, master_seed=0, target="schur_s_fraction")
+        monkeypatch.setattr(positivity, "_entropy_tables", lambda *args: table[None])
+        fields = _evaluate_block(cfg, *block_instances(cfg))
+        assert fields["slack"][0] == pytest.approx(-0.5, rel=1e-14)
+        assert fields["det_b"][0] == record.det_b
+
+    def test_slack_sign_is_det_b_sign_at_three_subsystems(self):
+        # a 2 x 2 B has one negative eigenvalue exactly where det B < 0;
+        # with two it would fail the slack alone.  None of 5,000 seeded
+        # instances violates, and the stored descent witness does, by both
+        from rpentropy.positivity import _evaluate_target, _instance_from_dict
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=5000, master_seed=3,
+                           target="schur_s_fraction")
+        fields = _evaluate_block(cfg, *block_instances(cfg))
+        assert np.array_equal(fields["slack"] < 0, fields["det_b"] < 0)
+        with open(Path(__file__).parent / "fixtures" / "detb_witness.json") as handle:
+            witness = _evaluate_target(cfg, *_instance_from_dict(
+                json.load(handle)["violation"]["instance"]))
+        assert witness["slack"] < -10 * cfg.tolerance and witness["det_b"] < 0
+
+    def test_slack_sign_is_the_same_under_reordering(self):
+        # reordering the subsystems maps B to M B M^T with M unimodular, so
+        # B keeps its inertia (Sylvester) while lambda_min(B) / ||B||_2 may
+        # move: every slack keeps its sign, at 24 2x2 splits too
+        cfg = SearchConfig(dims=[(2, 2)] * 24, trials=40, master_seed=7,
+                           target="schur_s_fraction")
+        schmidt, mats = block_instances(cfg)
+        slack = _evaluate_block(cfg, schmidt, mats)["slack"]
+        assert np.any(slack < -cfg.tolerance) and np.all(np.abs(slack) > 1e-9)
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            permuted = _evaluate_block(cfg, schmidt, mats[:, rng.permutation(24)])["slack"]
+            assert np.array_equal(np.sign(permuted), np.sign(slack))
 
 
 class TestSearch:
@@ -543,7 +602,7 @@ class TestSearch:
         assert "literal_s_min_eigenvalue" in result
 
     def test_detb_witness_breaks_literal_fractional_powers(self):
-        # det B < 0 is the s -> 0 limit; the stored witness must therefore
+        # B not PSD is the s -> 0 limit; the stored witness must therefore
         # also fail PSD under literal small entrywise powers of e^{-S}
         import os
         fixture = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -582,9 +641,10 @@ class TestSearch:
     @pytest.mark.parametrize("dims", [[(1, 4)] * 2, [(4, 1)] * 2, [(1, 9)] * 2, [(1, 4)] * 3])
     def test_detb_on_trivial_splits_finds_nothing(self, dims):
         # every entropy of a 1 x d split is 0 in exact arithmetic, so B is
-        # roundoff; at two splits the 1e-12 norm floor alone would make it
-        # 73 violations of slack down to -6.7e-4 at 1x4, seed 42.  The slack
-        # is exactly 0; det B stays as computed
+        # roundoff, and lambda_min(B) / ||B||_2 of roundoff is of order 1:
+        # without the zero-B rule, 1x4 at two splits and seed 42 makes 74
+        # violations of slack -1.  The slack is exactly 0; det B stays as
+        # computed
         cfg = SearchConfig(dims=dims, trials=200, master_seed=42, target="schur_s_fraction")
         report = counterexample_search(cfg)
         assert not report.found and report.min_slack == 0.0
@@ -617,7 +677,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("target,n", [("entropy_n1", 1), ("integer_n", 2)])
     def test_config_refuses_settings_no_target_runs(self, target, n):
-        # a literal power is checked by det B alone, and the integer_n
+        # a literal power is checked by the det-B target alone, and the integer_n
         # control mode runs no descent: either would be reported but not run
         base = dict(dims=[(2, 2)] * 3, trials=1, master_seed=0, target=target, n=n)
         with pytest.raises(ValueError, match="literal_s is checked only"):
@@ -663,14 +723,14 @@ class TestBatchedSearch:
         # a tolerance of -10 counts every trial as a violation, so every
         # payload is compared
         from rpentropy.positivity import _draw_instance, _evaluate_target, _instance_from_dict
-        cfg = SearchConfig(trials=9, master_seed=31, trial_offset=5, tolerance=-10.0,
+        cfg = SearchConfig(trials=9, master_seed=31, tolerance=-10.0,
                            **self.CASES[name])
         report = counterexample_search(cfg)
         assert len(report.violations) == cfg.trials
         for t, result in enumerate(report.violations):
             psi, splits = _draw_instance(cfg, t)
             expected = _evaluate_target(cfg, psi, splits)
-            expected["trial"] = cfg.trial_offset + t
+            expected["trial"] = t
             instance = result.pop("instance")
             assert result == expected
             stored_psi, stored_splits = _instance_from_dict(instance)
@@ -680,7 +740,7 @@ class TestBatchedSearch:
                 assert np.array_equal(stored.matrix, split.matrix)
         slacks = [r["slack"] for r in report.violations]
         assert report.min_slack == min(slacks)
-        assert report.min_slack_trial == cfg.trial_offset + slacks.index(min(slacks))
+        assert report.min_slack_trial == slacks.index(min(slacks))
 
     @pytest.mark.parametrize("target,n", [("entropy_n1", 1), ("integer_n", 2),
                                           ("schur_s_fraction", 1), ("schur_s_fraction", 3)])
@@ -701,10 +761,12 @@ class TestBatchedSearch:
             assert _payload(fields, k) == _evaluate_target(cfg, psi, splits)
 
     def test_report_exact_across_jobs_and_blocks(self, monkeypatch):
-        # trials 2960..2999 of seed 2024 hold the entropy witness at 2985
-        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=40, master_seed=2024, trial_offset=2960)
+        # a tolerance of -0.1 counts the five of seed 2024's first 40
+        # trials whose slack is below 0.1 as violations, so their payloads
+        # are compared as well
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=40, master_seed=2024, tolerance=-0.1)
         reference = json.dumps(counterexample_search(cfg).to_dict(), sort_keys=True)
-        assert [v["trial"] for v in json.loads(reference)["violations"]] == [2985]
+        assert [v["trial"] for v in json.loads(reference)["violations"]] == [11, 15, 30, 35, 36]
         # a 3 x 2x2 trial has 6 pairs of 16 entries.  Blocks: the default
         # plan is one block, 1 puts every trial in a block of its own, 500
         # about five trials.  Kernel runs: the default holds 256 pairs, 1 one
@@ -771,7 +833,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_search_blocks_are_the_sweep_planners(self, serial_pools, monkeypatch, jobs):
         # the search hands `_pool_map` the blocks `_sweep_blocks` cuts from
-        # its trials, numbered from trial_offset; the stand-in executor runs
+        # its trials, numbered from 0; the stand-in executor runs
         # the pool's blocks in this process as they are submitted, where
         # they are recorded
         seen = []
@@ -787,10 +849,9 @@ class TestBatchedSearch:
         for dims, trials, count in (([(2, 2)] * 2, 30, 1), ([(2, 2)] * 3, 1400, 2),
                                     ([(8, 8)] * 3, 12, 3)):
             seen.clear()
-            counterexample_search(SearchConfig(dims=dims, trials=trials, master_seed=1,
-                                               trial_offset=50), jobs=jobs)
-            planned = positivity._sweep_blocks([dims] * trials, jobs)
-            assert sorted(seen) == [(50 + start, block) for start, block in planned]
+            counterexample_search(SearchConfig(dims=dims, trials=trials, master_seed=1),
+                                  jobs=jobs)
+            assert sorted(seen) == positivity._sweep_blocks([dims] * trials, jobs)
             assert len(seen) == (1 if count == 1 else jobs * -(-count // jobs))
 
     def test_non_unitary_draws_raise(self, monkeypatch):
@@ -849,7 +910,7 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_detb_slack_independent_of_the_layout_of_b(self, monkeypatch, layout):
-        # ||B||_F must not depend on how B lies in memory: a Fortran-ordered
+        # the slack must not depend on how B lies in memory: a Fortran-ordered
         # B, or one whose last axis has stride 2, gives the fresh
         # C-contiguous B's slack to the last bit, at 3, 4 and 6 subsystems
         def strided(b):
@@ -1136,7 +1197,7 @@ class TestBatchedSearch:
             raise AssertionError("np.linalg.svd was called")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=40, master_seed=2024, trial_offset=2960)
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=3000, master_seed=2024)
         report = counterexample_search(cfg)
         assert [v["trial"] for v in report.violations] == [2985]
         assert verify_witness(report.violations[0], target="entropy_n1") < -cfg.tolerance
@@ -1257,9 +1318,8 @@ class TestBlockDraws:
         from rpentropy.positivity import _draw_instance, _sweep_block
         seed, redrawn = self.REDRAWN
         dims = [(2, 3), (3, 2), (2, 3)]
-        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
-                           trial_offset=redrawn)
-        psi, splits = _draw_instance(cfg, 0)
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2)
+        psi, splits = _draw_instance(cfg, redrawn)
         assert psi.schmidt_values.tobytes() == draw_one(seed, redrawn, dims)[0].tobytes()
         _, _, violations = _sweep_block(redrawn - 1, [((2, 2),) * 2, tuple(dims)], [2],
                                         seed, -1.0)
@@ -1352,9 +1412,8 @@ class TestTheoremSweep:
         from rpentropy.reflected import _gram_traces, _pair_gram, _pair_operands
         seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
         _, _, violations = _sweep_block(4, [((2, 2),) * 2, tuple(dims)], n_values, seed, -1.0)
-        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
-                           trial_offset=5)
-        psi, splits = _draw_instance(cfg, 0)
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2)
+        psi, splits = _draw_instance(cfg, 5)
         pairs = [(i, j) for i in range(3) for j in range(i, 3)]
         operands = {(i, j): _pair_operands(psi.schmidt_values, splits[i].matrix, splits[j].matrix)
                     for i, j in pairs}
@@ -1707,9 +1766,9 @@ class TestPrefetchedRefine:
                               tolerance=10.0, refine_iterations=700), 700),
         # large moves: many spectra fall below REFINE_FLOOR and are skipped
         "floor-skips": (dict(DETB, trials=1, master_seed=5, refine_iterations=400), 170),
-        # past four subsystems det-B skips the orderings
+        # five subsystems: a 4 x 4 B, whose least eigenvalue the descent lowers
         "five-subsystems": (dict(DETB, dims=[(2, 2)] * 5, trials=400, master_seed=3,
-                                 refine_iterations=500), 115),
+                                 refine_iterations=500), 99),
         "entropy-n1": (dict(dims=[(2, 2)] * 3, target="entropy_n1", trials=1, master_seed=3,
                             refine_iterations=300), 300),
         "literal-s": (dict(DETB, n=2, literal_s=0.5, trials=1, master_seed=3,
