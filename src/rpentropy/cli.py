@@ -18,6 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
+from .fermion import MAX_WICK_COMPONENTS
+from .modular import _check_count, _check_renyi_order, _check_tolerance, _check_weight
 from .positivity import (COUNTEREXAMPLE_TOL, PSD_RELATIVE_TOL, TARGETS, SearchConfig,
                          counterexample_search, summarize, theorem_sweep)
 from .serialize import read_xy_csv, save_report, write_csv, write_fixture
@@ -34,41 +36,28 @@ class ConfigError(Exception):
     pass
 
 
-def _split_dims(entry) -> tuple:
+def _gated(parse, gate, *bounds):
+    """The converter of a numeric option: a string (a flag's, or a config's)
+    is read by `parse` (int or float), then the value passes `gate`, the
+    modular gate of its domain, which names the option."""
+    return lambda value, key: gate(parse(value) if isinstance(value, str) else value, key,
+                                   *bounds)
+
+
+_count = functools.partial(_gated, int, _check_count)  # _count(low[, high])
+_weight = _gated(float, _check_weight)
+_renyi_index = _gated(int, lambda n, key: _check_renyi_order(n, integer=True))
+
+
+def _split_dims(entry, key) -> tuple:
     """'2x3' or [2, 3] -> (2, 3); each factor must be >= 1."""
     fields = entry.lower().split("x") if isinstance(entry, str) else list(entry)
     if len(fields) != 2:
         raise ValueError(f"bad dims entry {entry!r}; expected like '2x2'")
-    return _positive_int(fields[0]), _positive_int(fields[1])
+    return tuple(_count(1)(field, key) for field in fields)
 
 
-def _checked(kind, test, message: str):
-    """Converter to `kind` that refuses a bool, a number that is not an
-    integer where `kind` is int (int() would truncate 2.7), and a value
-    failing `test`."""
-    def convert(value):
-        if isinstance(value, bool):
-            raise ValueError("must be a number, not a boolean")
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError("must be an integer")
-        if not test(kind(value)):
-            raise ValueError(message)
-        return kind(value)
-    return convert
-
-
-# a float option must be finite: NaN and inf fail each float bound
-_integer = _checked(int, lambda v: True, "")  # search's trials and n: SearchConfig bounds them
-_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
-_nonnegative_int = _checked(int, lambda v: v >= 0, "must be >= 0")
-_at_least_two = _checked(int, lambda v: v >= 2, "must be >= 2")
-_finite = _checked(float, math.isfinite, "must be finite")
-_positive = _checked(float, lambda v: 0 < v < math.inf, "must be > 0 and finite")
-_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
-_subsystem_count = _checked(int, lambda v: v >= 2, "need at least two subsystems")
-
-
-def _path(value) -> str:
+def _path(value, key) -> str:
     """A path option (out, kl's input, cft's f_table): a non-empty string.
     A config file can hand it any JSON value: 0 would read as no table, 5
     fail in os.path.join, and true open file descriptor 1."""
@@ -77,79 +66,76 @@ def _path(value) -> str:
     return value
 
 
-def _component_count(value) -> int:
-    from .fermion import MAX_WICK_COMPONENTS  # loaded only to resolve fermion options
-    return _checked(int, lambda v: 1 <= v <= MAX_WICK_COMPONENTS,
-                    f"must be in 1..{MAX_WICK_COMPONENTS} (permutation sum)")(value)
-
-
 def _list_of(item):
     """Parser of a comma string ('2,3,4') or a nonempty JSON array into [item(v), ...]."""
-    def parse(value) -> list:
+    def parse(value, key) -> list:
         if not len(value):
             raise ValueError("must list at least one value")
-        return [item(v) for v in (value.split(",") if isinstance(value, str) else value)]
+        return [item(v, key) for v in (value.split(",") if isinstance(value, str) else value)]
     return parse
 
 
 def _options(tolerance: float, *specific) -> list:
     """Option table of one subcommand: seed, its own options, tolerance, out."""
-    return [("seed", _nonnegative_int, 42, "master seed"), *specific,
-            ("tolerance", _finite, tolerance, "pass/fail tolerance"),
+    return [("seed", _count(0), 42, "master seed"), *specific,
+            ("tolerance", _gated(float, _check_tolerance), tolerance, "pass/fail tolerance"),
             ("out", _path, lambda resolved: os.environ.get(OUT_ENV_VAR, "reports"),
              f"output directory (default ${OUT_ENV_VAR} or ./reports)")]
 
 
 # One table per subcommand of (key, type, default, help).  The key is the
-# config key and, dashed, the flag.  The type converts flag and config values
-# alike: a tuple lists the allowed values and None keeps the value as given.
+# config key and, dashed, the flag.  The type, called with the value and the
+# key, converts flag and config values alike; a numeric option's ends in its
+# modular gate, which holds the bound.  A tuple lists the allowed values and
+# None keeps the value as given.
 # A callable default is computed from the keys resolved before it.  A help of
 # None marks a config-only key.  The README config table lists the same keys
 # in the same order.
 OPTIONS = {
     "gram-sweep": _options(
         1e-10,
-        ("trials", _positive_int, 500, "number of random instances"),
+        ("trials", _count(1), 500, "number of random instances"),
         ("dims", _list_of(_split_dims), "2x2,2x3,2x4,3x3,4x4",
          "pool of splits, e.g. '2x2,2x3,4x4'"),
-        ("subsystems", _list_of(_subsystem_count), "2,3,4",
+        ("subsystems", _list_of(_count(2)), "2,3,4",
          "pool of subsystem counts, e.g. '2,3,4'"),
-        ("n", _list_of(_positive_int), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
-        ("jobs", _positive_int, 1, "parallel workers")),
+        ("n", _list_of(_renyi_index), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
+        ("jobs", _count(1), 1, "parallel workers")),
     "search": _options(
         COUNTEREXAMPLE_TOL,
-        ("trials", _integer, 2000, "number of random trials"),
+        ("trials", _count(1), 2000, "number of random trials"),
         ("dims", _list_of(_split_dims), "2x2,2x2,2x2",
          "one split per subsystem, e.g. '2x2,2x2,2x2'"),
         ("target", TARGETS, "entropy_n1", "inequality to search"),
-        ("lam", _positive, 1.0, "exponent weight for entropy mode"),
-        ("n", _integer, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
+        ("lam", _weight, 1.0, "exponent weight for entropy mode"),
+        ("n", _renyi_index, lambda resolved: 2 if resolved["target"] == "integer_n" else 1,
          "Renyi index for integer/detB modes"),
-        ("refine", _nonnegative_int, 0, "stochastic descent budget after the sweep"),
-        ("literal_s", _positive, None, "also check a literal fractional entrywise power"),
-        ("jobs", _positive_int, 1, "parallel workers")),
+        ("refine", _count(0), 0, "stochastic descent budget after the sweep"),
+        ("literal_s", _weight, None, "also check a literal fractional entrywise power"),
+        ("jobs", _count(1), 1, "parallel workers")),
     "fermion": _options(
         1e-10,
-        ("trials", _positive_int, 50, "random interval sets"),
-        ("max_components", _component_count, 5, "most intervals in a random set"),
-        ("lam", _list_of(_positive), "0.1,1,6,10", "lambda list, e.g. '0.1,1,6,10'"),
-        ("cutoff", _positive, 1.0, "UV cutoff of the entropies"),
-        ("witness_trials", _nonnegative_int, 100,
+        ("trials", _count(1), 50, "random interval sets"),
+        ("max_components", _count(1, MAX_WICK_COMPONENTS), 5, "most intervals in a random set"),
+        ("lam", _list_of(_weight), "0.1,1,6,10", "lambda list, e.g. '0.1,1,6,10'"),
+        ("cutoff", _weight, 1.0, "UV cutoff of the entropies"),
+        ("witness_trials", _count(0), 100,
          "random divisibility witness configurations"),
         ("sets", None, None, None)),
     "kl": _options(
         1e-6,
         ("input", _path, None, "CSV of (x, S) samples; default built-in fixture"),
-        ("lam", _positive, 1.0, "exponent weight of the entropy curve"),
-        ("grid_points", _at_least_two, 60, "points of the p^2 fit grid"),
-        ("ridge", _nonnegative, 0.0, "ridge parameter of the fit")),
+        ("lam", _weight, 1.0, "exponent weight of the entropy curve"),
+        ("grid_points", _count(2), 60, "points of the p^2 fit grid"),
+        ("ridge", _gated(float, functools.partial(_check_weight, zero=True)), 0.0,
+         "ridge parameter of the fit")),
     "cft": _options(
         1e-10,
         ("f_table", _path, None, "CSV of (x, F) pairs; default F=1"),
-        ("n", _at_least_two, 2, "Renyi index"),
-        ("central_charge", _positive, 1.0, "central charge"),
-        ("grid_points", _positive_int, 1000, "derivative-check grid points"),
-        ("pairs", _positive_int, 1000, "random midpoint-check pairs")),
+        ("n", _count(2), 2, "Renyi index"),
+        ("central_charge", _weight, 1.0, "central charge"),
+        ("grid_points", _count(1), 1000, "derivative-check grid points"),
+        ("pairs", _count(1), 1000, "random midpoint-check pairs")),
 }
 # config keys accepted per subcommand (superset of flags)
 CONFIG_KEYS = {name: {key for key, *_ in options} for name, options in OPTIONS.items()}
@@ -187,24 +173,26 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = config[key]
         elif value is None:
             value = default(resolved) if callable(default) else default
-        try:
-            resolved[key] = kind(value) if callable(kind) and value is not None else value
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
+        try:  # a null stands for "none" only where that is the default
+            gated = callable(kind) and (value is not None or default is not None)
+            resolved[key] = kind(value, key) if gated else value
+        except (TypeError, ValueError) as exc:  # a gate's reason opens with the key
+            reason = str(exc).removeprefix(f"{key} ")
+            raise ConfigError(f"bad value {value!r} for {key}: {reason}") from exc
     return resolved
 
 
 def _emit(subcommand: str, opts: dict, name: str, results: dict, argv: list,
-          config: dict | None = None, meta: dict | None = None) -> str:
+          meta: dict | None = None) -> str:
     """Write the report.  out and jobs are run context, not config: the
-    report's config defaults to every other resolved option, and jobs joins
-    `meta` and the argv in the run-specific section."""
+    report's config is every other resolved option, under its key, so it
+    reruns as a --config file; jobs joins `meta` and the argv in the
+    run-specific section."""
     report = {
         "tool": "rpentropy",
         "version": __version__,
         "subcommand": subcommand,
-        "config": config if config is not None else
-                  {k: v for k, v in opts.items() if k not in ("out", "jobs")},
+        "config": {k: v for k, v in opts.items() if k not in ("out", "jobs")},
         "results": results,
     }
     run = {"jobs": opts["jobs"]} if "jobs" in opts else {}
@@ -256,11 +244,9 @@ def cmd_search(opts, argv) -> int:
         "violation": violation}) for violation in report.violations]
     results = report.to_dict()
     results["fixtures"] = [os.path.basename(p) for p in fixture_paths]
-    # the search reports its SearchConfig, under that object's field names;
     # the descent's counters are run telemetry: meta, never report
-    config = results.pop("config")
     path = _emit("search", opts, f"search-{target}-seed{opts['seed']}.json", results, argv,
-                 config, meta={"refine": report.refine_counters})
+                 meta={"refine": report.refine_counters})
     found = len(report.violations)
     print(f"search[{target}]: {found} violation(s) in {report.trials_run} trials"
           f"{f' (+{report.refine_used} refine steps)' if report.refine_used else ''}, "
@@ -281,16 +267,15 @@ def cmd_fermion(opts, argv) -> int:
     explicit_sets = opts["sets"]
     rng = np.random.default_rng(seed)
     if explicit_sets is not None:
-        try:
+        try:  # a set within the permutation sum's bound, as max_components
             test_sets = [fermion.IntervalSet.from_pairs(pairs, cutoff=cutoff)
                          for pairs in explicit_sets]
+            for s in test_sets:
+                _check_count(s.num_intervals, "intervals per set", 1, MAX_WICK_COMPONENTS)
         except (fermion.IntervalError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad interval sets: {exc}") from exc
         if not test_sets:
             raise ConfigError("sets must list at least one interval set")
-        if any(s.num_intervals > fermion.MAX_WICK_COMPONENTS for s in test_sets):
-            raise ConfigError(f"interval sets limited to {fermion.MAX_WICK_COMPONENTS} "
-                              "components (permutation sum)")
     else:
         test_sets = fermion.interval_sets(
             [fermion.random_endpoints(rng, (1, opts["max_components"] + 1), 0.0, 10.0, 1e-3)
@@ -302,15 +287,14 @@ def cmd_fermion(opts, argv) -> int:
     vertex_const = log_v[0] + lams_col * s_val[0]
     s_val, log_cauchy, wick, log_v = s_val[1:], log_cauchy[1:], wick[1:], log_v[1:]
     p = np.array([s.num_intervals for s in test_sets])
-    duality = np.abs(log_cauchy + 6.0 * s_val - p * math.log(1.0 / (2.0 * math.pi * cutoff)))
     cauchy = np.array([math.exp(v) for v in log_cauchy.tolist()])  # correlator_cauchy's exp
     wick_dev = np.abs(wick - cauchy) / np.abs(cauchy)
     vertex_dev = np.max(np.abs(log_v + lams_col * s_val[:, None] - p[:, None] * vertex_const),
                         axis=1)
     rows = zip(range(len(test_sets)), p.tolist(), s_val.tolist(), wick_dev.tolist(),
-               duality.tolist(), vertex_dev.tolist())
+               vertex_dev.tolist())
     worst = {name: float(dev.max()) for name, dev in
-             (("wick_cauchy", wick_dev), ("duality", duality), ("vertex", vertex_dev))}
+             (("wick_cauchy", wick_dev), ("vertex", vertex_dev))}
 
     witness_families = []
     if explicit_sets is not None:
@@ -327,10 +311,9 @@ def cmd_fermion(opts, argv) -> int:
 
     csv_path = write_csv(os.path.join(opts["out"], f"fermion-identities-seed{seed}.csv"),
                          ["trial", "components", "entropy", "wick_cauchy_rel",
-                          "duality_residual", "vertex_residual"], rows)
+                          "vertex_residual"], rows)
     witness_ran = bool(np.isfinite(witness_min))
-    passed = (worst["wick_cauchy"] <= tol and worst["duality"] <= tol
-              and worst["vertex"] <= 1e-9
+    passed = (worst["wick_cauchy"] <= tol and worst["vertex"] <= 1e-9
               and (not witness_ran or witness_min >= -PSD_RELATIVE_TOL))
     results = {"worst_residuals": worst,
                "divisibility_min_normalized_eigenvalue":
@@ -338,9 +321,8 @@ def cmd_fermion(opts, argv) -> int:
                "csv": os.path.basename(csv_path), "passed": passed}
     path = _emit("fermion", opts, f"fermion-seed{seed}.json", results, argv)
     witness_note = f"{witness_min:.2e}" if witness_ran else "skipped"
-    print(f"fermion: worst wick/cauchy {worst['wick_cauchy']:.2e}, duality "
-          f"{worst['duality']:.2e}, vertex {worst['vertex']:.2e}, divisibility min "
-          f"{witness_note} -> {path}")
+    print(f"fermion: worst wick/cauchy {worst['wick_cauchy']:.2e}, vertex "
+          f"{worst['vertex']:.2e}, divisibility min {witness_note} -> {path}")
     return EXIT_OK if passed else EXIT_NUMERICS
 
 

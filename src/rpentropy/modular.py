@@ -1,9 +1,11 @@
 """Density matrices and their canonical purification on a doubled
 finite-dimensional system, with the package's gates: the state invariants'
 and the scalar parameters'.  An exponent weight (lam, a literal power s, the
-central charge c) is a real in (0, inf), a Renyi index n a real in [1, inf)
-and an integer under a trace power, a tolerance a finite real; no gate takes
-a bool, and each names the parameter it refuses.
+central charge c) is a real in (0, inf) and a ridge one in [0, inf), a Renyi
+index n a real in [1, inf) and an integer under a trace power, a tolerance a
+finite real, and a count (trials, a seed, jobs, a split factor) an integral
+real within its bounds; no gate takes a bool, and each names the parameter
+it refuses.  The command line converts each numeric option with these gates.
 
 The purified vector lives in H1 (x) H2 with H2 a copy of H1.  Conventions:
 row-major flattening throughout, the purifying factor carries the conjugated
@@ -32,11 +34,21 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
-def _check_weight(value, what: str) -> float:
-    """The weight gate: value as a float, once it is a real in (0, inf)."""
-    if not (_real(value) and 0 < value < math.inf):
-        raise ValueError(f"{what} must be > 0 and finite, got {value!r}")
+def _check_weight(value, what: str, zero: bool = False) -> float:
+    """The weight gate: value as a float, once it is a real in (0, inf), or
+    in [0, inf) with `zero` (a ridge)."""
+    if not (_real(value) and (0 <= value if zero else 0 < value) and value < math.inf):
+        raise ValueError(f"{what} must be {'>=' if zero else '>'} 0 and finite, got {value!r}")
     return float(value)
+
+
+def _check_count(value, what: str, low: int, high: float = math.inf) -> int:
+    """The count gate: value as an int, once it is an integral real in
+    [low, high] (2.0 counts; int() would truncate 2.7)."""
+    if not (_real(value) and low <= value <= high and value % 1 == 0):
+        bound = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ValueError(f"{what} must be {bound} and an integer, got {value!r}")
+    return int(value)
 
 
 def _check_renyi_order(n, integer: bool = False):

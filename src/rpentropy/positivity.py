@@ -16,12 +16,12 @@ import itertools
 import math
 import os
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import (PurifiedState, _check_hermitian, _check_renyi_order, _check_tolerance,
-                      _check_weight)
+from .modular import (PurifiedState, _check_count, _check_hermitian, _check_renyi_order,
+                      _check_tolerance, _check_weight)
 from .reflected import (TINY, SubsystemSplit, _check_pair_dims, _check_pair_traces,
                         _check_unitary, _entropies, _gram_eigenvalues, _gram_traces, _pair_gram,
                         _split_weights)
@@ -378,8 +378,8 @@ def divisibility_matrix(entropy_table: np.ndarray) -> DivisibilityRecord:
 
 
 def _validated_dims(dims) -> list:
-    """One (d_A, d_B) int pair per subsystem: at least two, one product d."""
-    dims = [(int(a), int(b)) for a, b in dims]
+    """One (d_A, d_B) pair of counts >= 1 per subsystem: at least two, one product d."""
+    dims = [(_check_count(a, "dims", 1), _check_count(b, "dims", 1)) for a, b in dims]
     if len({a * b for a, b in dims}) != 1:
         raise ValueError("all subsystem splits must share the same total dimension")
     if len(dims) < 2:
@@ -423,8 +423,9 @@ class SearchConfig:
     refine_iterations: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        self.trials = _check_count(self.trials, "trials", 1)
+        self.master_seed = _check_count(self.master_seed, "master_seed", 0)
+        self.refine_iterations = _check_count(self.refine_iterations, "refine_iterations", 0)
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         self.tolerance = _check_tolerance(self.tolerance, "tolerance")
@@ -465,7 +466,6 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": asdict(self.config),
             "trials_run": self.trials_run,
             "refine_used": self.refine_used,
             "slack_quantiles": self.slack_quantiles,
@@ -773,6 +773,7 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     with the trial count; with refine_iterations > 0 a seeded descent then
     pushes the best sweep instance toward the violating region.
     """
+    jobs = _check_count(jobs, "jobs", 1)  # _pool_map takes the int
     blocks = _sweep_blocks([cfg.dims] * cfg.trials, jobs)
     slacks, violations = _pool_map(_search_block, blocks, jobs, cfg)
     min_slack, min_trial, quantiles = summarize(slacks)
@@ -924,6 +925,8 @@ def theorem_sweep(dims_by_instance, n_values, master_seed: int,
     """
     n_values = [_check_renyi_order(n, integer=True) for n in n_values]
     tol = _check_tolerance(tol, "tol")
+    master_seed = _check_count(master_seed, "master_seed", 0)
+    jobs = _check_count(jobs, "jobs", 1)  # _pool_map takes the int
     blocks = _sweep_blocks(dims_by_instance, jobs)
     min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
                                              master_seed, tol)
@@ -956,10 +959,9 @@ def _sweep_blocks(dims_by_instance, jobs: int) -> list:
     every block of two or more instances within SWEEP_BLOCK_ENTRIES pair
     entries, so each of the `_pool_map` runs gets the same number of
     blocks; one instance per block if no such count is below the plan's
-    length.  An empty plan, or jobs below 1, raises ValueError.
+    length.  An empty plan, or jobs not an integer >= 1, raises ValueError.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = _check_count(jobs, "jobs", 1)
     plan, seen, raw = [], {}, None
     for dims in dims_by_instance:
         if dims is not raw:  # a run of one object, as a search's trials are, is keyed once

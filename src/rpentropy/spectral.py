@@ -150,9 +150,10 @@ def fit_spectral(curve: EntropyCurve, p2_grid: np.ndarray,
 
     Solves min ||K w - y||_2 subject to w >= 0 with K_ij = K0(p_j x_i) and
     y = e^{-lam S}.  Positivity is the physical regularizer; an optional
-    ridge parameter is available for badly conditioned kernels.  Weight-space
+    ridge in [0, inf) is available for badly conditioned kernels.  Weight-space
     recovery is not unique, so quality is judged in data space.
     """
+    ridge = _check_weight(ridge, "ridge", zero=True)
     p2_grid = np.asarray(p2_grid, dtype=float)
     if np.any(p2_grid <= 0) or np.any(np.diff(p2_grid) <= 0):
         raise ValueError("fit grid must be positive and strictly increasing")

@@ -81,8 +81,9 @@ class TestGramSweep:
         # a one-subsystem instance, or a plan of no instances (which once
         # wrote a minimum eigenvalue of inf that JSON cannot hold), is a
         # config error, as in the search, and writes no report
-        for argv, message in ((["--subsystems", "1", "--trials", "2"], "at least two"),
-                              (["--subsystems", "2,1", "--trials", "1"], "at least two"),
+        for argv, message in ((["--subsystems", "1", "--trials", "2"], "subsystems: must be >= 2"),
+                              (["--subsystems", "2,1", "--trials", "1"],
+                               "subsystems: must be >= 2"),
                               (["--trials", "0"], "trials: must be >= 1"),
                               (["--trials", "-3"], "trials: must be >= 1")):
             assert run(tmp_path, "gram-sweep", *argv) == 1
@@ -465,9 +466,10 @@ class TestConfigHandling:
 
 
 class TestOptionBounds:
-    """Each option's bound sits in its converter: a value outside it is a
-    config error (exit 1) before any work, and writes no report.  These
-    once raised a traceback, exited 2 as a numerics failure, or ran."""
+    """Each numeric option's bound sits in its modular gate, which its
+    converter calls: a value outside it is a config error (exit 1) before
+    any work, and writes no report.  These once raised a traceback, exited
+    2 as a numerics failure, or ran."""
 
     CASES = [
         (["cft", "--n", "0"], "for n: must be >= 2"),  # ZeroDivisionError
@@ -522,19 +524,24 @@ class TestOptionBounds:
     # a config value that int() would truncate, or a bool read as a number,
     # once ran: {"trials": 2.7, "seed": true} swept 2 instances at seed 1
     CONFIGS = [
-        ("gram-sweep", {"trials": 2.7}, "trials: must be an integer"),
-        ("gram-sweep", {"seed": True}, "seed: must be a number, not a boolean"),
-        ("gram-sweep", {"trials": True}, "trials: must be a number, not a boolean"),
-        ("gram-sweep", {"n": [2.5]}, "n: must be an integer"),
-        ("gram-sweep", {"dims": [[2.5, 2]]}, "dims: must be an integer"),
-        ("gram-sweep", {"jobs": 1.5}, "jobs: must be an integer"),
-        ("search", {"trials": 2.7}, "trials: must be an integer"),
-        ("search", {"n": 2.5}, "n: must be an integer"),
-        ("search", {"trials": True}, "trials: must be a number, not a boolean"),
-        ("search", {"lam": True}, "lam: must be a number, not a boolean"),
-        ("fermion", {"lam": [1.0, True]}, "lam: must be a number, not a boolean"),
-        ("kl", {"ridge": False}, "ridge: must be a number, not a boolean"),
-        ("cft", {"pairs": 10.5}, "pairs: must be an integer"),
+        ("gram-sweep", {"trials": 2.7}, "trials: must be >= 1 and an integer, got 2.7"),
+        ("gram-sweep", {"seed": True}, "seed: must be >= 0 and an integer, got True"),
+        ("gram-sweep", {"trials": True}, "trials: must be >= 1 and an integer, got True"),
+        ("gram-sweep", {"n": [2.5]}, "n: Renyi index must be >= 1 and an integer, got 2.5"),
+        ("gram-sweep", {"dims": [[2.5, 2]]}, "dims: must be >= 1 and an integer, got 2.5"),
+        ("gram-sweep", {"jobs": 1.5}, "jobs: must be >= 1 and an integer, got 1.5"),
+        ("search", {"trials": 2.7}, "trials: must be >= 1 and an integer, got 2.7"),
+        ("search", {"n": 2.5}, "n: Renyi index must be >= 1 and an integer, got 2.5"),
+        ("search", {"trials": True}, "trials: must be >= 1 and an integer, got True"),
+        ("search", {"lam": True}, "lam: must be > 0 and finite, got True"),
+        ("fermion", {"lam": [1.0, True]}, "lam: must be > 0 and finite, got True"),
+        ("kl", {"ridge": False}, "ridge: must be >= 0 and finite, got False"),
+        ("cft", {"pairs": 10.5}, "pairs: must be >= 1 and an integer, got 10.5"),
+        # a null once reached the run: a TypeError traceback, or exit 2
+        ("gram-sweep", {"trials": None}, "trials: must be >= 1 and an integer, got None"),
+        ("gram-sweep", {"seed": None}, "seed: must be >= 0 and an integer, got None"),
+        ("kl", {"ridge": None}, "ridge: must be >= 0 and finite, got None"),
+        ("fermion", {"tolerance": None}, "tolerance: must be finite, got None"),
     ]
 
     @pytest.mark.parametrize("subcommand, config, message", CONFIGS,
@@ -697,10 +704,13 @@ class TestFermionExplicitSets:
         assert results["divisibility_min_normalized_eigenvalue"] is None
 
     def test_bad_sets_config_error(self, tmp_path):
-        cfg = tmp_path / "sets.json"
-        cfg.write_text(json.dumps({"sets": [[[2.0, 1.0]]]}))
-        assert main(["fermion", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-
+        # a set of more intervals than the permutation sum's 8 too, by the
+        # gate of max_components
+        cfg, out = tmp_path / "sets.json", tmp_path / "out"
+        for sets in ([[[2.0, 1.0]]], [[[2.0 * k, 2.0 * k + 1] for k in range(9)]]):
+            cfg.write_text(json.dumps({"sets": sets}))
+            assert main(["fermion", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
 class TestSerializeHelpers:
 
@@ -841,22 +851,22 @@ class TestResolvedConfig:
 
     def test_search(self, tmp_path):
         self.check(tmp_path, "search-entropy_n1-seed42.json", ["search"], {
-            "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 42,
-            "target": "entropy_n1", "tolerance": 1e-6, "lam": 1.0, "n": 1,
-            "literal_s": None, "refine_iterations": 0})
+            "seed": 42, "trials": 2000, "dims": [[2, 2], [2, 2], [2, 2]],
+            "target": "entropy_n1", "lam": 1.0, "n": 1, "refine": 0, "literal_s": None,
+            "tolerance": 1e-6})
         # the default n follows the target
         self.check(tmp_path, "search-integer_n-seed5.json",
                    ["search", "--seed", "5", "--target", "integer_n", "--dims", "2x3,3x2",
                     "--trials", "9", "--jobs", "2"], {
-            "dims": [[2, 3], [3, 2]], "trials": 9, "master_seed": 5, "target": "integer_n",
-            "tolerance": 1e-6, "lam": 1.0, "n": 2, "literal_s": None, "refine_iterations": 0})
+            "seed": 5, "trials": 9, "dims": [[2, 3], [3, 2]], "target": "integer_n",
+            "lam": 1.0, "n": 2, "refine": 0, "literal_s": None, "tolerance": 1e-6})
         self.check(tmp_path, "search-schur_s_fraction-seed6.json",
                    ["search", "--seed", "6", "--target", "schur_s_fraction", "--lam", "2",
                     "--n", "3", "--literal-s", "0.5", "--refine", "10",
                     "--tolerance", "1e-4"], {
-            "dims": [[2, 2], [2, 2], [2, 2]], "trials": 2000, "master_seed": 6,
-            "target": "schur_s_fraction", "tolerance": 1e-4, "lam": 2.0, "n": 3,
-            "literal_s": 0.5, "refine_iterations": 10})
+            "seed": 6, "trials": 2000, "dims": [[2, 2], [2, 2], [2, 2]],
+            "target": "schur_s_fraction", "lam": 2.0, "n": 3, "refine": 10, "literal_s": 0.5,
+            "tolerance": 1e-4})
 
     def test_fermion(self, tmp_path):
         self.check(tmp_path, "fermion-seed42.json",
@@ -883,3 +893,37 @@ class TestResolvedConfig:
                     "--grid-points", "50", "--pairs", "20", "--tolerance", "1e-9"], {
             "seed": 4, "n": 3, "central_charge": 0.5, "grid_points": 50, "pairs": 20,
             "tolerance": 1e-9, "f_table": None})
+
+
+class TestConfigRoundTrip:
+    """Every report's config is a valid --config file: rerun from it, a
+    subcommand writes the same report section, byte for byte.  The search's
+    config once held SearchConfig's field names, which --config refused."""
+
+    RUNS = {
+        "gram-sweep": (["--trials", "20", "--dims", "2x2,2x3", "--n", "2,3", "--seed", "3"],
+                       "gram-sweep-seed3.json"),
+        "search": (["--target", "schur_s_fraction", "--trials", "30", "--seed", "7",
+                    "--refine", "40", "--literal-s", "0.5"],
+                   "search-schur_s_fraction-seed7.json"),
+        "fermion": (["--trials", "3", "--witness-trials", "2", "--lambda", "0.5,2"],
+                    "fermion-seed42.json"),
+        "kl": (["--grid-points", "30", "--ridge", "1e-9"], "kl-seed42.json"),
+        "cft": (["--grid-points", "50", "--pairs", "20", "--n", "3"], "cft-seed42.json"),
+    }
+
+    @staticmethod
+    def report_text(path) -> str:
+        """The report section of a report file: meta sorts before it."""
+        text = path.read_text()
+        return text[text.index('\n  "report": '):]
+
+    @pytest.mark.parametrize("subcommand", list(RUNS))
+    def test_report_config_reruns_to_the_same_report(self, tmp_path, subcommand):
+        argv, name = self.RUNS[subcommand]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([subcommand, *argv, "--out", str(first)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(load(first, name)["report"]["config"]))
+        assert main([subcommand, "--config", str(cfg), "--out", str(second)]) == 0
+        assert self.report_text(second / name) == self.report_text(first / name)

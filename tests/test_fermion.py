@@ -179,7 +179,7 @@ class TestCorrelators:
 
 
     def test_one_pass_matches_entropy_and_correlator_bit_for_bit(self):
-        # the fermion CLI takes both duality terms from one pass over the
+        # the fermion CLI takes the entropy and the log correlator from one pass over the
         # separations and the Wick comparison's correlator as their exp
         rng = np.random.default_rng(12)
         for t in range(200):

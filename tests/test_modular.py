@@ -289,6 +289,32 @@ def _gated_calls() -> dict:
     }
 
 
+def _counted_calls() -> dict:
+    """Every public entry point of a count, a seed, jobs or ridge, as label
+    -> (call of the parameter's value, the name its error must give)."""
+    from rpentropy.positivity import SearchConfig, counterexample_search, theorem_sweep
+    from rpentropy.spectral import EntropyCurve, fit_spectral
+
+    config = dict(dims=[(2, 2)] * 2, trials=1, master_seed=0)
+    curve = EntropyCurve(x=np.linspace(1.0, 2.0, 6), s=np.zeros(6), lam=1.0)
+    return {
+        "SearchConfig trials": (lambda v: SearchConfig(**dict(config, trials=v)), "trials"),
+        "SearchConfig master_seed": (lambda v: SearchConfig(**dict(config, master_seed=v)),
+                                     "master_seed"),
+        "SearchConfig refine_iterations": (lambda v: SearchConfig(**config, refine_iterations=v),
+                                           "refine_iterations"),
+        "SearchConfig dims": (lambda v: SearchConfig(**dict(config, dims=[(v, 2)] * 3)), "dims"),
+        "theorem_sweep master_seed": (lambda v: theorem_sweep([[(2, 2)] * 2], [2], v),
+                                      "master_seed"),
+        "theorem_sweep dims": (lambda v: theorem_sweep([[(2, v)] * 2], [2], 1), "dims"),
+        "theorem_sweep jobs": (lambda v: theorem_sweep([[(2, 2)] * 2], [2], 1, jobs=v), "jobs"),
+        "counterexample_search jobs": (
+            lambda v: counterexample_search(SearchConfig(**config), jobs=v), "jobs"),
+        "fit_spectral ridge": (lambda v: fit_spectral(curve, np.logspace(-1, 1, 8), ridge=v),
+                               "ridge"),
+    }
+
+
 class TestParameterGates:
     # each parameter's domain is decided by one gate in modular: an exponent
     # weight (lam, s, c) is a real in (0, inf), a Renyi index a real in
@@ -309,6 +335,31 @@ class TestParameterGates:
                 continue
             with pytest.raises(ValueError, match=message):
                 call(value)
+
+    # a count, a seed or jobs is an integral real with a lower bound, ridge a
+    # real in [0, inf); none takes a bool.  Each value here once ran as
+    # another (a seed of 1.5 as seed 1, trials = True as one trial, a 2.5 x 2
+    # split as 2 x 2, a ridge of -1 or NaN as none) or failed later naming
+    # no parameter (a seed of -1, jobs = 2.5)
+    COUNT_BAD = [1.5, 2.5, -1, math.nan, math.inf, True, np.True_, "1"]
+    COUNTED = _counted_calls()
+
+    @pytest.mark.parametrize("value", COUNT_BAD, ids=repr)
+    @pytest.mark.parametrize("label", list(COUNTED))
+    def test_refuses_each_count_outside_its_domain(self, label, value, monkeypatch):
+        from rpentropy import positivity
+
+        call, name = self.COUNTED[label]
+        if name == "ridge" and value in (1.5, 2.5):
+            call(value)  # a fractional ridge is a ridge
+            return
+
+        def no_draw(*args):
+            raise AssertionError("drew an instance before the gate")
+
+        monkeypatch.setattr(positivity, "_draw_block", no_draw)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            call(value)
 
     def test_gates_return_their_documented_types(self):
         assert _check_weight(np.float32(0.5), "lam") == 0.5
