@@ -68,14 +68,16 @@ class CrossRatioFunction:
     def validate(self) -> dict:
         """Check the crossing symmetry F(x) = F(1-x) and the F(0+) -> 1 limit.
 
-        Symmetry is tested on mirror pairs inside the domain; the limit check
-        runs only when the domain reaches small x.
+        Symmetry is tested on mirror pairs inside the domain, and reported
+        untested (None) when the domain holds none, that is when it misses
+        x = 1/2; the limit check runs only when the domain reaches small x.
         """
-        lo = max(self.domain[0], 1e-4)
-        hi = min(self.domain[1], 1.0 - 1e-4)
-        xs = np.linspace(max(lo, 1.0 - hi), 0.5, SYMMETRY_SAMPLES)
-        sym_dev = float(np.max(np.abs(self(xs) - self(1.0 - xs))))
-        report = {"symmetry_deviation": sym_dev, "symmetric": sym_dev <= SYMMETRY_TOL}
+        start = max(self.domain[0], 1e-4, 1.0 - min(self.domain[1], 1.0 - 1e-4))
+        report = {"symmetry_deviation": None, "symmetric": None}
+        if start <= 0.5:
+            xs = np.linspace(start, 0.5, SYMMETRY_SAMPLES)
+            sym_dev = float(np.max(np.abs(self(xs) - self(1.0 - xs))))
+            report = {"symmetry_deviation": sym_dev, "symmetric": sym_dev <= SYMMETRY_TOL}
         if self.domain[0] <= 1e-4:
             f0 = float(self(np.array([1e-4]))[0])
             report["limit_at_zero"] = f0

@@ -21,7 +21,7 @@ from . import __version__
 from .fermion import MAX_WICK_COMPONENTS
 from .modular import _check_count, _check_renyi_order, _check_tolerance, _check_weight
 from .positivity import (COUNTEREXAMPLE_TOL, PSD_RELATIVE_TOL, TARGETS, SearchConfig,
-                         counterexample_search, summarize, theorem_sweep)
+                         _check_theorem_index, counterexample_search, summarize, theorem_sweep)
 from .serialize import read_xy_csv, save_report, write_csv, write_fixture
 
 EXIT_OK = 0
@@ -47,6 +47,7 @@ def _gated(parse, gate, *bounds):
 _count = functools.partial(_gated, int, _check_count)  # _count(low[, high])
 _weight = _gated(float, _check_weight)
 _renyi_index = _gated(int, lambda n, key: _check_renyi_order(n, integer=True))
+_theorem_index = _gated(int, lambda n, key: _check_theorem_index(n))
 
 
 def _split_dims(entry, key) -> tuple:
@@ -99,7 +100,7 @@ OPTIONS = {
          "pool of splits, e.g. '2x2,2x3,4x4'"),
         ("subsystems", _list_of(_count(2)), "2,3,4",
          "pool of subsystem counts, e.g. '2,3,4'"),
-        ("n", _list_of(_renyi_index), "2,3,4,5", "Renyi index list, e.g. '2,3,4,5'"),
+        ("n", _list_of(_theorem_index), "2,3,4,5", "Renyi index list (n >= 2), e.g. '2,3,4,5'"),
         ("jobs", _count(1), 1, "parallel workers")),
     "search": _options(
         COUNTEREXAMPLE_TOL,
@@ -280,21 +281,12 @@ def cmd_fermion(opts, argv) -> int:
         test_sets = fermion.interval_sets(
             [fermion.random_endpoints(rng, (1, opts["max_components"] + 1), 0.0, 10.0, 1e-3)
              for _ in range(opts["trials"])], cutoff)
-    # the calibration set's row fixes each lam's vertex constant
-    calib = fermion.IntervalSet.from_pairs([(1.0, 2.0)], cutoff=cutoff)
-    s_val, log_cauchy, wick, log_v = fermion.identity_rows([calib] + test_sets, lams)
-    lams_col = np.array(lams)
-    vertex_const = log_v[0] + lams_col * s_val[0]
-    s_val, log_cauchy, wick, log_v = s_val[1:], log_cauchy[1:], wick[1:], log_v[1:]
-    p = np.array([s.num_intervals for s in test_sets])
+    s_val, log_cauchy, wick = fermion.identity_rows(test_sets)
+    p = [s.num_intervals for s in test_sets]
     cauchy = np.array([math.exp(v) for v in log_cauchy.tolist()])  # correlator_cauchy's exp
     wick_dev = np.abs(wick - cauchy) / np.abs(cauchy)
-    vertex_dev = np.max(np.abs(log_v + lams_col * s_val[:, None] - p[:, None] * vertex_const),
-                        axis=1)
-    rows = zip(range(len(test_sets)), p.tolist(), s_val.tolist(), wick_dev.tolist(),
-               vertex_dev.tolist())
-    worst = {name: float(dev.max()) for name, dev in
-             (("wick_cauchy", wick_dev), ("vertex", vertex_dev))}
+    rows = zip(range(len(test_sets)), p, s_val.tolist(), wick_dev.tolist())
+    worst = {"wick_cauchy": float(wick_dev.max())}
 
     witness_families = []
     if explicit_sets is not None:
@@ -310,19 +302,17 @@ def cmd_fermion(opts, argv) -> int:
     witness_min = fermion.witness_minimum(fermion.witness_tables(witness_families), lams)
 
     csv_path = write_csv(os.path.join(opts["out"], f"fermion-identities-seed{seed}.csv"),
-                         ["trial", "components", "entropy", "wick_cauchy_rel",
-                          "vertex_residual"], rows)
+                         ["trial", "components", "entropy", "wick_cauchy_rel"], rows)
     witness_ran = bool(np.isfinite(witness_min))
-    passed = (worst["wick_cauchy"] <= tol and worst["vertex"] <= 1e-9
-              and (not witness_ran or witness_min >= -PSD_RELATIVE_TOL))
+    passed = worst["wick_cauchy"] <= tol and (not witness_ran or witness_min >= -PSD_RELATIVE_TOL)
     results = {"worst_residuals": worst,
                "divisibility_min_normalized_eigenvalue":
                    float(witness_min) if witness_ran else None,
                "csv": os.path.basename(csv_path), "passed": passed}
     path = _emit("fermion", opts, f"fermion-seed{seed}.json", results, argv)
     witness_note = f"{witness_min:.2e}" if witness_ran else "skipped"
-    print(f"fermion: worst wick/cauchy {worst['wick_cauchy']:.2e}, vertex "
-          f"{worst['vertex']:.2e}, divisibility min {witness_note} -> {path}")
+    print(f"fermion: worst wick/cauchy {worst['wick_cauchy']:.2e}, "
+          f"divisibility min {witness_note} -> {path}")
     return EXIT_OK if passed else EXIT_NUMERICS
 
 
@@ -422,6 +412,7 @@ def cmd_cft(opts, argv) -> int:
     pairs = rng.uniform(lo, hi, size=(opts["pairs"], 2))
     deriv = check_derivative_inequality(func, q, grid, tol=tol)
     midpoint = check_midpoint_inequality(func, q, pairs, tol=tol)
+    validation = func.validate()
 
     csv_path = write_csv(os.path.join(opts["out"], f"cft-slack-seed{seed}.csv"),
                          ["x", "derivative_slack"],
@@ -429,7 +420,7 @@ def cmd_cft(opts, argv) -> int:
     results = {
         "f_name": func.name,
         "q": q,
-        "f_validation": func.validate(),
+        "f_validation": validation,
         # the grid is linspace(lo, hi, grid_points) and the midpoint pairs are
         # default_rng(seed).uniform(lo, hi, (pairs, 2)), so both regenerate
         "x_range": [lo, hi],

@@ -223,29 +223,18 @@ class ChargeConfiguration:
         np.fill_diagonal(diffs, np.inf)
         if diffs.min() < MIN_SEPARATION:
             raise IntervalError("charge insertion points must be distinct")
-        _check_neutral(q)
+        # roundoff in the total grows with the charges, so neutrality is relative
+        if not abs(q.sum()) <= 1e-12 * max(1.0, np.abs(q).sum()):
+            raise ValueError(f"configuration is not neutral: total charge {q.sum():.3e}")
         object.__setattr__(self, "points", x)
         object.__setattr__(self, "charges", q)
 
     @classmethod
     def from_intervals(cls, intervals: IntervalSet, lam: float) -> "ChargeConfiguration":
         """Charges +/- sqrt(2 pi lam / 3) at the left/right endpoints."""
+        q = math.sqrt(2.0 * math.pi * _check_weight(lam, "lam") / 3.0)
         return cls(points=np.concatenate([intervals.lefts, intervals.rights]),
-                   charges=_interval_charges(intervals.num_intervals, lam), lam=float(lam))
-
-
-def _check_neutral(charges: np.ndarray) -> None:
-    """Refuses |total charge| > 1e-12 max(1, sum |charge|): roundoff grows with the charges."""
-    if not abs(charges.sum()) <= 1e-12 * max(1.0, np.abs(charges).sum()):
-        raise ValueError(f"configuration is not neutral: total charge {charges.sum():.3e}")
-
-
-def _interval_charges(p: int, lam: float) -> np.ndarray:
-    """+/- sqrt(2 pi lam / 3) at the p left and p right endpoints, checked neutral."""
-    q = math.sqrt(2.0 * math.pi * _check_weight(lam, "lam") / 3.0)
-    charges = np.concatenate([np.full(p, q), np.full(p, -q)])
-    _check_neutral(charges)
-    return charges
+                   charges=np.repeat([q, -q], intervals.num_intervals), lam=float(lam))
 
 
 def _log_distances(x: np.ndarray, within=True) -> np.ndarray:
@@ -256,13 +245,6 @@ def _log_distances(x: np.ndarray, within=True) -> np.ndarray:
                   out=np.zeros(diffs.shape))
 
 
-def _vertex_sums(charges: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """(1/8 pi) sum_{i,j} q_i q_j logs_ij per charge row (L, k) and per
-    log-distance matrix (..., k, k): shape (..., L)."""
-    products = charges[:, :, None] * charges[:, None, :] * logs[..., None, :, :]
-    return np.sum(products, axis=(-2, -1)) / (8.0 * math.pi)
-
-
 def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
     """Log of the free-scalar expectation of normal-ordered vertex operators.
 
@@ -270,27 +252,16 @@ def gaussian_vertex_correlator(cfg: ChargeConfiguration) -> float:
     self-energies are dropped (normal ordering) and absorbed into one
     multiplicative constant per insertion pair.
     """
-    return float(_vertex_sums(cfg.charges[None], _log_distances(cfg.points))[0])
+    products = np.outer(cfg.charges, cfg.charges) * _log_distances(cfg.points)
+    return float(np.sum(products) / (8.0 * math.pi))
 
 
-def _vertex_logs(a: np.ndarray, b: np.ndarray, lams) -> np.ndarray:
-    """gaussian_vertex_correlator of ChargeConfiguration.from_intervals(set,
-    lam) per lam, for the set of every row of the (N, p) endpoint arrays:
-    (N, L).  An interval set's endpoints are at least MIN_SEPARATION apart
-    already, so only each lam's charges are checked."""
-    charges = np.array([_interval_charges(a.shape[-1], lam) for lam in lams])
-    return _vertex_sums(charges.reshape(-1, 2 * a.shape[-1]),
-                        _log_distances(np.concatenate([a, b], axis=-1)))
-
-
-def identity_rows(sets: list[IntervalSet], lams) -> tuple:
+def identity_rows(sets: list[IntervalSet]) -> tuple:
     """(entropy, log Cauchy correlator, Wick correlator) of every set, each
-    shaped (N,), and its vertex log correlators per lam, shaped (N, L): row k
-    is entropy, log_correlator_cauchy, correlator_wick and, per lam,
-    gaussian_vertex_correlator of ChargeConfiguration.from_intervals of
-    sets[k], up to roundoff, from one stacked pass per component count.
+    shaped (N,): row k is entropy, log_correlator_cauchy and correlator_wick
+    of sets[k], up to roundoff, from one stacked pass per component count.
     """
-    terms = [np.empty(len(sets)) for _ in range(3)] + [np.empty((len(sets), len(lams)))]
+    terms = [np.empty(len(sets)) for _ in range(3)]
     by_count = defaultdict(list)
     for k, s in enumerate(sets):
         by_count[s.num_intervals].append(k)
@@ -298,7 +269,7 @@ def identity_rows(sets: list[IntervalSet], lams) -> tuple:
         a, b = (np.array([getattr(sets[k], end) for k in members]) for end in ("lefts", "rights"))
         log_cutoffs = np.array([math.log(sets[k].cutoff) for k in members])
         for term, value in zip(terms, (*_entropy_terms(a, b, log_cutoffs),
-                                       _wick_correlators(a, b), _vertex_logs(a, b, lams))):
+                                       _wick_correlators(a, b))):
             term[members] = value
     return tuple(terms)
 

@@ -37,9 +37,10 @@ SYMMETRY_TOL = 1e-9
 # a violation must clear this much relative slack to count as a counterexample
 COUNTEREXAMPLE_TOL = 1e-6
 TARGETS = ("integer_n", "entropy_n1", "schur_s_fraction")
-# the schur_s_fraction slack is exactly 0 when B is zero to working
-# precision: ||B||_2 <= DETB_ZERO_ULPS * size^2 * eps * max(1, max |S|),
-# size^2 the table's entry count.  On trivial splits (2-5 of 1x4, 4x1, 1x9,
+# the det-B slack (`_divisibility`: the schur_s_fraction target's and a
+# DivisibilityRecord's) is exactly 0 when B is zero to working precision:
+# ||B||_2 <= DETB_ZERO_ULPS * size^2 * eps * max(1, max |S|), size^2 the
+# table's entry count.  On trivial splits (2-5 of 1x4, 4x1, 1x9,
 # 1x16 or 1x64, 2-3 of 16x1; 200 seed-42 instances each), whose entropies
 # are 0 in exact arithmetic, ||B||_2 came to at most 12.8 eps max(1, max |S|);
 # on 2x2 and 2x3 tables of two and three splits, at least 2.7e14 eps
@@ -339,12 +340,14 @@ def check_psd(gram) -> PsdVerdict:
 
 @dataclass
 class DivisibilityRecord:
-    """Second-difference matrix of an entropy table and its determinant.
+    """Second-difference matrix of an entropy table, its verdict and its determinant.
 
     B_ij = S(A_i Abar_{j+1}) + S(A_{i+1} Abar_j) - S(A_i Abar_j)
-           - S(A_{i+1} Abar_{j+1}); B >= 0, whose verdict is
-    `check_psd(record.b_matrix)`, is the lam -> 0 limit of the Gram
-    inequalities (infinite divisibility, Schoenberg).  det B is data only.
+           - S(A_{i+1} Abar_{j+1}); B >= 0 is the lam -> 0 limit of the Gram
+    inequalities (infinite divisibility, Schoenberg).  Its verdict is
+    `slack`, the search's schur_s_fraction slack to the bit (negative = a
+    violation, which the search counts past its tolerance).  det B is data
+    only.
 
     det B and B's inertia do not depend on the subsystem ordering: B is
     -D S D^T (D the difference operator), and a permutation P gives D P = M D
@@ -353,16 +356,7 @@ class DivisibilityRecord:
 
     b_matrix: np.ndarray
     det_b: float
-
-
-def _checked_table(entropy_table) -> np.ndarray:
-    """The entropy tables (..., m+1, m+1) as a float array, once they are
-    square, of size >= 2 and symmetric within SYMMETRY_TOL; leading axes are
-    a stack."""
-    s = np.asarray(entropy_table, dtype=float)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 2:
-        raise ValueError("entropy table must be square with size >= 2")
-    return _check_symmetric(s, "entropy table")
+    slack: float
 
 
 def _second_differences(s: np.ndarray) -> np.ndarray:
@@ -370,11 +364,32 @@ def _second_differences(s: np.ndarray) -> np.ndarray:
     return s[..., :-1, 1:] + s[..., 1:, :-1] - s[..., :-1, :-1] - s[..., 1:, 1:]
 
 
+def _divisibility(entropy_table) -> tuple:
+    """The one det-B route: (symmetrized tables, B, det B, slack) of the
+    entropy tables (..., m+1, m+1), once they are square, of size >= 2 and
+    symmetric within SYMMETRY_TOL; leading axes are a stack.
+
+    B of the symmetrized tables is symmetric and takes the one
+    `_gram_spectrum` verdict, slack lambda_min(B) / ||B||_2, except that a B
+    zero to working precision (DETB_ZERO_ULPS) has slack 0: its spectrum is
+    roundoff, which the normalization would blow up to order 1.
+    """
+    s = np.asarray(entropy_table, dtype=float)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 2:
+        raise ValueError("entropy table must be square with size >= 2")
+    s = _check_symmetric(s, "entropy table")
+    s = 0.5 * (s + s.swapaxes(-1, -2))
+    b = _second_differences(s)
+    _, scale, eigvals, _ = _gram_spectrum(b)
+    zero_b = scale <= (DETB_ZERO_ULPS * s.shape[-1] ** 2 * np.finfo(float).eps
+                       * np.maximum(1.0, np.abs(s).max(axis=(-2, -1))))
+    return s, b, np.linalg.det(b), np.where(zero_b, 0.0, eigvals[..., 0] / scale)
+
+
 def divisibility_matrix(entropy_table: np.ndarray) -> DivisibilityRecord:
-    """The m x m record of the symmetrized (m+1) x (m+1) table: B is symmetric."""
-    s = _checked_table(entropy_table)
-    b = _second_differences(0.5 * (s + s.swapaxes(-1, -2)))
-    return DivisibilityRecord(b_matrix=b, det_b=float(np.linalg.det(b)))
+    """The m x m record of an (m+1) x (m+1) table, by the search's route."""
+    _, b, det_b, slack = _divisibility(entropy_table)
+    return DivisibilityRecord(b_matrix=b, det_b=float(det_b), slack=float(slack))
 
 
 def _validated_dims(dims) -> list:
@@ -576,16 +591,7 @@ def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) ->
                 "min_eigenvalue": eigvals[:, 0]}
     # schur_s_fraction: infinite divisibility, the s -> 0 limit, holds iff B
     # is PSD (Schoenberg), so B takes the one verdict; det B is report data
-    table = _checked_table(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
-    size = table.shape[-1]
-    b = _second_differences(table)
-    det_b = np.linalg.det(b)
-    _, scale, eigvals, _ = _gram_spectrum(b)
-    # a B that is zero to working precision (DETB_ZERO_ULPS) has slack 0: its
-    # spectrum is roundoff, which the normalization would blow up to order 1
-    zero_b = scale <= (DETB_ZERO_ULPS * size ** 2 * np.finfo(float).eps
-                       * np.maximum(1.0, np.abs(table).max(axis=(-2, -1))))
-    slack = np.where(zero_b, 0.0, eigvals[:, 0] / scale)
+    table, _, det_b, slack = _divisibility(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
     out = {"slack": slack, "det_b": det_b, "entropy_table": table}
     if cfg.literal_s is not None:
         # exp(-s (n - 1) S_n) is the s-th power of the proven n >= 2 case; at
@@ -908,22 +914,35 @@ class SweepResult:
     violations: list
 
 
+def _check_theorem_index(n) -> int:
+    """A Renyi index of the theorem sweep as an int: an integer n >= 2.  At
+    n = 1 every trace entry is tr rho = 1, an all-ones Gram matrix that
+    checks nothing."""
+    n = _check_renyi_order(n, integer=True)
+    if n < 2:
+        raise ValueError(f"the theorem sweep needs Renyi indices n >= 2, got {n}")
+    return n
+
+
 def theorem_sweep(dims_by_instance, n_values, master_seed: int,
                   tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> SweepResult:
     """PSD sweep of integer-index Gram matrices over random instances.
 
     dims_by_instance: iterable of split-dimension lists, one instance each,
-    numbered from 0.  Every n must be an integer >= 1, and every (instance,
-    n) pair must come out PSD within -tol * ||G||; any violation is
-    collected (a numerics bug, not physics).  The plan is validated and
-    cut into blocks of equal estimated cost once, here (`_sweep_blocks`);
+    numbered from 0.  n_values must list one or more indices, each an
+    integer n >= 2 (`_check_theorem_index`), and every (instance, n) pair
+    must come out PSD within -tol * ||G||; any violation is collected (a
+    numerics bug, not physics).  The plan is validated and cut into
+    blocks of equal estimated cost once, here (`_sweep_blocks`);
     `_pool_map` runs the blocks (`_sweep_block`) and merges them, in this
     process when jobs = 1 or the plan is under the one-block floor.
     Instance streams make the result the same to the last bit for any block
     boundaries and any `jobs`; the worst check is the first one at the
     minimum, in instance and then n order.
     """
-    n_values = [_check_renyi_order(n, integer=True) for n in n_values]
+    n_values = [_check_theorem_index(n) for n in n_values]
+    if not n_values:
+        raise ValueError("the theorem sweep needs at least one Renyi index")
     tol = _check_tolerance(tol, "tol")
     master_seed = _check_count(master_seed, "master_seed", 0)
     jobs = _check_count(jobs, "jobs", 1)  # _pool_map takes the int

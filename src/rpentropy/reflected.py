@@ -203,17 +203,16 @@ def _gram_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def _gram_traces(m: np.ndarray, n_values) -> np.ndarray:
     """tr M^n of a stack of `_pair_gram` matrices M (..., k, k) for each
-    n >= 1 of n_values, shape (len(n_values), ...), from matrix products
+    n >= 2 of n_values, shape (len(n_values), ...), from matrix products
     alone: no spectrum.  M shares rho's nonzero eigenvalues, so these are
     tr rho^n.
 
     The powers of M are Hermitian, so tr M^n is the entrywise sum of
     M^ceil(n/2) times conj(M^floor(n/2)), from one ladder M, M^2, ... up to
-    M^ceil(max n / 2), and M^0 = 1 when n = 1 is asked.  A trace power
-    below the smallest normal float raises, since its log, the Renyi
-    entropy, would be lost to underflow.
+    M^ceil(max n / 2).  A trace power below the smallest normal float
+    raises, since its log, the Renyi entropy, would be lost to underflow.
     """
-    ladder = [np.eye(m.shape[-1], dtype=m.dtype) if 1 in n_values else None, m]
+    ladder = [None, m]  # no M^0: n >= 2
     while len(ladder) <= (max(n_values, default=0) + 1) // 2:
         ladder.append(ladder[-1] @ m)
     traces = np.empty((len(n_values),) + m.shape[:-2])

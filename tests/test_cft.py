@@ -168,6 +168,14 @@ class TestTableFunction:
         assert np.max(np.abs(func(probe) - (1 + 0.2 * np.sin(math.pi * probe) ** 2))) <= 1e-4
         assert func.validate()["symmetric"]
 
+    @pytest.mark.parametrize("lo, hi", [(0.6, 0.9), (0.05, 0.45)])
+    def test_domain_without_mirror_pairs_leaves_symmetry_untested(self, lo, hi):
+        # no x in [lo, hi] has 1 - x in it too; validate once evaluated
+        # 1 - x outside the table and raised
+        xs = np.linspace(lo, hi, 31)
+        report = CrossRatioFunction.from_table(xs, 1.0 + xs).validate()
+        assert report["symmetry_deviation"] is None and report["symmetric"] is None
+
     def test_out_of_domain_rejected(self):
         func = CrossRatioFunction.from_table(np.linspace(0.2, 0.8, 13),
                                              np.ones(13))

@@ -67,6 +67,15 @@ class TestGramSweep:
         assert main(["gram-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_renyi_index_one_config_error(self, tmp_path, capsys):
+        # at n = 1 every Gram entry is tr rho = 1: the sweep once "checked"
+        # the all-ones matrix and reported its roundoff
+        for argv in (["--n", "1"], ["--n", "2,1"]):
+            assert run(tmp_path, "gram-sweep", "--trials", "2", *argv) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and "for n: the theorem sweep needs" in err
+        assert not list(tmp_path.iterdir())
+
     def test_empty_lists_config_error(self, tmp_path, capsys):
         # an empty n list once reached the sweep, whose minimum over no
         # checks (inf) the report writer refused midway through the file
@@ -253,6 +262,14 @@ class TestFermion:
         results = load(tmp_path, "fermion-seed42.json")["report"]["results"]
         assert results["passed"] and results["divisibility_min_normalized_eigenvalue"] is None
 
+    def test_large_lambda_passes(self, tmp_path):
+        # a vertex residual, zero by construction, once failed here on
+        # roundoff that grows with lam (8.4e-9 against an absolute 1e-9)
+        assert run(tmp_path, "fermion", "--lambda", "1e7", "--trials", "50",
+                   "--witness-trials", "0") == 0
+        results = load(tmp_path, "fermion-seed42.json")["report"]["results"]
+        assert results["passed"] and list(results["worst_residuals"]) == ["wick_cauchy"]
+
     def test_eight_components_run(self, tmp_path):
         assert run(tmp_path, "fermion", "--trials", "24", "--max-components", "8",
                    "--witness-trials", "4") == 0
@@ -302,6 +319,17 @@ class TestCft:
         results = load(tmp_path, "cft-seed42.json")["report"]["results"]
         assert results["passed"]
         assert (tmp_path / results["csv"]).exists()
+
+    @pytest.mark.parametrize("lo, hi", [(0.6, 0.9), (0.05, 0.45)])
+    def test_table_without_mirror_pairs_reports(self, tmp_path, lo, hi):
+        # the symmetry check once evaluated F(1 - x) outside such a table:
+        # exit 2 after the CSV was written, and no report
+        xs = np.linspace(lo, hi, 40)
+        write_csv(tmp_path / "f.csv", ["x", "f"], zip(xs.tolist(), (1.0 + xs).tolist()))
+        assert run(tmp_path, "cft", "--f-table", str(tmp_path / "f.csv"),
+                   "--grid-points", "50", "--pairs", "50") == 0
+        validation = load(tmp_path, "cft-seed42.json")["report"]["results"]["f_validation"]
+        assert validation["symmetric"] is None and validation["symmetry_deviation"] is None
 
     def test_report_holds_summaries_only(self, tmp_path):
         from rpentropy.cft import CrossRatioFunction, check_midpoint_inequality

@@ -184,14 +184,14 @@ class TestCorrelators:
         rng = np.random.default_rng(12)
         for t in range(200):
             s = random_set(rng, 1 + t % 8, cutoff=float(rng.uniform(0.2, 2.0)))
-            s_val, log_c = (float(row[0]) for row in identity_rows([s], [1.0])[:2])
+            s_val, log_c = (float(row[0]) for row in identity_rows([s])[:2])
             assert s_val == entropy(s) and log_c == log_correlator_cauchy(s)
             assert math.exp(log_c) == correlator_cauchy(s)
 
 
 class TestIdentityRows:
     """identity_rows stacks the sets by component count; each row must be
-    its set's per-set entropy, log correlator, Wick sum and vertex sums."""
+    its set's per-set entropy, log correlator and Wick sum."""
 
     def sets(self, seed, count):
         rng = np.random.default_rng(seed)
@@ -199,10 +199,10 @@ class TestIdentityRows:
                 for t in range(count)]
 
     def test_rows_match_per_set_terms(self):
-        sets, lams = self.sets(23, 48), [0.1, 1.0, 6.0, 10.0]
+        sets = self.sets(23, 48)
         # the six p = 8 sets span more than one Wick chunk
         assert 6 * math.factorial(8) * 8 > fermion.WICK_CHUNK_ENTRIES
-        s_val, log_c, wick, log_v = identity_rows(sets, lams)
+        s_val, log_c, wick = identity_rows(sets)
         eps = np.finfo(float).eps
         for k, s in enumerate(sets):
             p = s.num_intervals
@@ -212,19 +212,15 @@ class TestIdentityRows:
             assert abs(log_c[k] - single_log_c) <= bound * max(1.0, abs(single_log_c))
             single_wick = correlator_wick(s)
             assert abs(wick[k] - single_wick) <= bound * math.factorial(p) * abs(single_wick)
-            single_v = np.array([gaussian_vertex_correlator(
-                ChargeConfiguration.from_intervals(s, lam)) for lam in lams])
-            assert np.all(np.abs(log_v[k] - single_v)
-                          <= bound * np.maximum(1.0, np.abs(single_v)))
 
     def test_wick_rows_ignore_chunking(self, monkeypatch):
         # each row's permutation terms are summed in one order, whatever the
         # chunks, so the Wick sums are the same to the last bit
         sets = self.sets(29, 24)
-        wick = identity_rows(sets, [1.0])[2]
+        wick = identity_rows(sets)[2]
         for budget in (1, 5000, 1 << 22):
             monkeypatch.setattr(fermion, "WICK_CHUNK_ENTRIES", budget)
-            assert identity_rows(sets, [1.0])[2].tobytes() == wick.tobytes()
+            assert identity_rows(sets)[2].tobytes() == wick.tobytes()
 
     def test_eight_components_match_plain_permutation_loop(self):
         s = self.sets(31, 8)[7]
@@ -235,17 +231,13 @@ class TestIdentityRows:
             for i, j in enumerate(perm):
                 term *= inv[i][j]
             total += term
-        assert identity_rows([s], [1.0])[2][0] == (-1.0) ** 8 / (2.0 * math.pi) ** 8 * total
+        assert identity_rows([s])[2][0] == (-1.0) ** 8 / (2.0 * math.pi) ** 8 * total
         assert abs(correlator_wick(s) - correlator_cauchy(s)) <= 1e-10 * correlator_cauchy(s)
 
     def test_validation_kept(self):
         with pytest.raises(IntervalError, match="permutation"):
-            identity_rows([random_set(np.random.default_rng(2), 9, hi=100.0)], [1.0])
-        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
-            identity_rows(self.sets(3, 2), [1.0, -1.0])
-        # a NaN lam once gave NaN vertex sums, and a NaN witness Gram matrix
-        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
-            identity_rows(self.sets(3, 2), [1.0, float("nan")])
+            identity_rows([random_set(np.random.default_rng(2), 9, hi=100.0)])
+        # a NaN lam once gave a NaN witness Gram matrix
         with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             witness_minimum([witness_table([IntervalSet.from_pairs([(1, 2)]),
                                             IntervalSet.from_pairs([(3, 4)])])],
@@ -293,16 +285,20 @@ class TestVertexOperators:
                     ChargeConfiguration.from_intervals(s, lam))
                 assert abs(log_v + lam * entropy(s) - p * const) <= 1e-12
 
-    def test_shared_log_matrix_matches_single_lam_bit_for_bit(self):
+    def test_vertex_log_is_the_entropy_times_minus_lam(self):
+        # with charges +/- sqrt(2 pi lam / 3) the vertex sums are (lam / 6)
+        # (same_a + same_b - cross) of the entropy's own separation sums, so
+        # log V + lam S = -lam p log(eps) / 6 up to roundoff alone
         rng = np.random.default_rng(21)
-        lams = [0.1, 1.0, 2.5, 6.0, 10.0]
+        eps = np.finfo(float).eps
         for p in range(1, 7):
             s = random_set(rng, p, cutoff=0.4)
-            assert identity_rows([s], lams)[3][0].tolist() == [
-                gaussian_vertex_correlator(ChargeConfiguration.from_intervals(s, lam))
-                for lam in lams]
+            for lam in (0.1, 1.0, 2.5, 6.0, 10.0, 1e7):
+                log_v = gaussian_vertex_correlator(ChargeConfiguration.from_intervals(s, lam))
+                residual = log_v + lam * entropy(s) + lam * p * math.log(0.4) / 6
+                assert abs(residual) <= 64 * p * p * eps * lam * max(1.0, abs(entropy(s)))
         with pytest.raises(ValueError, match="lam must be > 0 and finite"):
-            identity_rows([s], [1.0, 0.0])
+            ChargeConfiguration.from_intervals(s, 0.0)
 
     def test_lambda_six_matches_correlator_scaling(self):
         # at lam = 6 the vertex expectation carries the same set dependence as

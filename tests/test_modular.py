@@ -260,7 +260,6 @@ def _gated_calls() -> dict:
             "literal_s must be > 0 and finite"),
         "ChargeConfiguration.from_intervals lam": (
             lambda v: fermion.ChargeConfiguration.from_intervals(sets[0], v), weight),
-        "identity_rows lam": (lambda v: fermion.identity_rows(sets, [1.0, v]), weight),
         "witness_minimum lam": (lambda v: fermion.witness_minimum([table], [1.0, v]), weight),
         "witness_record lam": (lambda v: fermion.witness_record(table, v), weight),
         "divisibility_witness lam": (lambda v: fermion.divisibility_witness(sets, v), weight),

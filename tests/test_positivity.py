@@ -411,6 +411,30 @@ class TestReplicaFactor:
 
 class TestDivisibility:
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dims", [[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(1, 4)] * 4],
+                             ids=["2x2", "2x3-3x2", "1x4"])
+    def test_record_slack_is_the_search_slack(self, dims, n):
+        # one det-B route: the record of an instance's entropy table gives
+        # the search's slack to the bit.  Every entropy of a 1 x 4 split is 0
+        # in exact arithmetic, so B is roundoff: check_psd of it fails on
+        # most seed-42 instances, and both slacks are exactly 0
+        from rpentropy.positivity import _draw_instance, _evaluate_target
+        trials = 200 if dims[0] == (1, 4) else 20
+        cfg = SearchConfig(dims=dims, trials=trials, master_seed=42, target="schur_s_fraction",
+                           n=n)
+        slacks, roundoff_fails = [], 0
+        for trial in range(trials):
+            psi, splits = _draw_instance(cfg, trial)
+            record = divisibility_matrix(entropy_table(psi, splits, n))
+            assert record.slack == _evaluate_target(cfg, psi, splits)["slack"]
+            slacks.append(record.slack)
+            roundoff_fails += not check_psd(record.b_matrix).passed
+        if dims[0] == (1, 4):
+            assert slacks == [0.0] * trials and roundoff_fails > trials // 2
+        else:
+            assert all(slack != 0.0 for slack in slacks)
+
     def test_equal_entropies_give_zero(self):
         table = np.full((3, 3), 1.7)
         record = divisibility_matrix(table)
@@ -1338,6 +1362,18 @@ class TestTheoremSweep:
         assert not result.violations
         assert result.min_normalized_eig >= -1e-10
 
+    @pytest.mark.parametrize("n_values", [[1], [2, 1], [1.0]], ids=repr)
+    def test_refuses_index_one(self, n_values, monkeypatch):
+        # at n = 1 every entry is tr rho = 1: the all-ones Gram matrix, whose
+        # minimum is roundoff, once counted as checks.  It is refused before
+        # any draw
+        def no_draw(*args):
+            raise AssertionError("drew an instance before the gate")
+
+        monkeypatch.setattr(positivity, "_draw_block", no_draw)
+        with pytest.raises(ValueError, match="the theorem sweep needs"):
+            theorem_sweep([[(2, 2)] * 2], n_values, master_seed=1)
+
     def test_parallel_merge_matches_serial(self):
         plan = [[(2, 2)] * 2, [(2, 3)] * 3] * 6
         serial = theorem_sweep(plan, [2, 4], master_seed=13)
@@ -1441,8 +1477,8 @@ class TestTheoremSweep:
 
         monkeypatch.setattr(positivity, "_gram_eigenvalues", no_svd)
         plan = [[(2, 2)] * 2, [(2, 3), (3, 2), (2, 3)], [(4, 4), (2, 8)]] * 3
-        result = theorem_sweep(plan, [1, 2, 3, 5], master_seed=3)
-        assert result.checks == 4 * len(plan) and not result.violations
+        result = theorem_sweep(plan, [2, 3, 5], master_seed=3)
+        assert result.checks == 3 * len(plan) and not result.violations
 
     def test_renyi_indices_below_one_raise(self):
         # n = 0 would count zero-padded eigenvalues; no trace power exists there
@@ -1498,14 +1534,14 @@ class TestTheoremSweep:
         assert serial_pools == [4, 5] and list(positivity._POOL) == [5]
 
     def test_empty_plan_and_empty_n(self):
-        # a plan of no instances has no minimum to report (it once returned
-        # inf, which a JSON report cannot hold)
+        # a plan of no instances, or no index, has no minimum to report (it
+        # once returned inf, which a JSON report cannot hold)
         with pytest.raises(ValueError, match="empty"):
             theorem_sweep([], [2], 1)
         with pytest.raises(ValueError, match="empty"):
             theorem_sweep([], [2, 3], master_seed=1, jobs=2)
-        no_n = theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
-        assert (no_n.instances, no_n.checks, no_n.violations) == (3, 0, [])
+        with pytest.raises(ValueError, match="at least one Renyi index"):
+            theorem_sweep([[(2, 2)] * 2] * 3, [], master_seed=1)
 
 
 class TestPoolMap:
