@@ -210,10 +210,16 @@ def cmd_gram_sweep(opts, argv) -> int:
             for i in range(opts["trials"])]
     result = theorem_sweep(plan, opts["n"], master_seed=opts["seed"],
                            tol=opts["tolerance"], jobs=opts["jobs"])
+    by_dims = {}  # each distinct dims' rows of per-n slacks
+    for dims, slacks in zip(plan, result.slacks):
+        by_dims.setdefault(tuple(dims), []).append(slacks)
     results = {
         "instances": result.instances,
         "checks": result.checks,
         "min_normalized_eigenvalue": result.min_normalized_eig,
+        "slack_quantiles": [{"dims": list(dims), "n": n, "quantiles": summarize(column)[2]}
+                            for dims, rows in by_dims.items()
+                            for n, column in zip(opts["n"], np.transpose(rows))],
         "worst": result.worst,
         "violations": result.violations,
         "passed": not result.violations,

@@ -254,26 +254,13 @@ def _weighted_pair_tables(ops: np.ndarray, dims: tuple, reduce) -> np.ndarray:
 
 def _pair_entropies(m: np.ndarray, n: int) -> np.ndarray:
     """S_n(A_i Abar_j) of a stack of pair Gram matrices M (`_pair_gram`),
-    the pair reduction of entropy tables; neither route takes an SVD.  Von
-    Neumann (n = 1) needs the eigenvalues, so it takes `eigvalsh` of M
-    (`_gram_eigenvalues`).  An integer n >= 2 needs none: S_n is
-    -log(tr rho^n) / (n - 1), from the theorem sweep's trace powers
-    (`_gram_traces`).
+    with no SVD: von Neumann (n = 1) from `eigvalsh` of M
+    (`_gram_eigenvalues`), an integer n >= 2 as -log(tr rho^n) / (n - 1)
+    from the trace powers (`_gram_traces`) integer_n takes as Gram entries.
     """
     if n == 1:
         return _entropies(_gram_eigenvalues(m), 1)
     return -np.log(_gram_traces(m, (n,))[0]) / (n - 1)
-
-
-def _entropy_tables(schmidt: np.ndarray, mats: np.ndarray, dims, n: int) -> np.ndarray:
-    """Tables (..., m, m) of S_n(A_i Abar_j) (n = 1 is von Neumann) of the
-    instances with Schmidt values (..., d) and split matrices (..., m, d, d),
-    the splits shaped as dims; leading axes are a stack, flattened into one
-    `_pair_tables` call; only n = 1 takes a spectrum."""
-    d, lead = schmidt.shape[-1], schmidt.shape[:-1]
-    table = _pair_tables(schmidt.reshape(-1, d), mats.reshape(-1, d, d),
-                         (tuple(dims),) * math.prod(lead), functools.partial(_pair_entropies, n=n))
-    return table.reshape(lead + (len(dims),) * 2)
 
 
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
@@ -573,39 +560,63 @@ def _instance_from_dict(data: dict):
     return psi, splits
 
 
-def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) -> dict:
-    """The configured inequality on a block of instances: Schmidt values
-    (N, d) and unitary split matrices (N, m, d, d), split as cfg.dims.
+def _reduction(cfg: SearchConfig, n_values: tuple):
+    """The pair reduction of cfg's target (`_pair_tables`): for integer_n
+    the trace powers tr rho^n of every index in n_values, from one
+    `_gram_traces` ladder; otherwise the S_n entropies (`_pair_entropies`)."""
+    return (functools.partial(_gram_traces, n_values=n_values) if cfg.target == "integer_n"
+            else functools.partial(_pair_entropies, n=cfg.n))
 
-    Returns the report fields as arrays indexed by instance, "slack" (the
-    normalized slack, negative = violation) first; `_payload` turns one
-    instance's into its result dict.
+
+def _verdict(cfg: SearchConfig, tables: np.ndarray) -> dict:
+    """The configured inequality on stacked tables of its pair reduction
+    (`_reduction`): entropy tables (N, m, m) or integer_n's trace powers
+    (c, N, m, m), a table per index.  Returns the report fields as arrays by
+    check, "slack" (normalized, negative = violation) first; a check is an
+    instance, or integer_n's (instance, index) pair, by instance then index.
     """
-    if cfg.target != "schur_s_fraction":
-        # entropy_n1 weighs von Neumann entropies by lam; integer_n is the
-        # proven case lam = n - 1
-        n, lam = (1, cfg.lam) if cfg.target == "entropy_n1" else (cfg.n, float(cfg.n - 1))
-        table = _entropy_tables(schmidt, mats, cfg.dims, n)
-        gram, scale, eigvals, _ = _gram_spectrum(np.exp(-lam * table))
-        return {"slack": eigvals[:, 0] / scale, "gram": gram, "entropy_table": table,
-                "min_eigenvalue": eigvals[:, 0]}
-    # schur_s_fraction: infinite divisibility, the s -> 0 limit, holds iff B
-    # is PSD (Schoenberg), so B takes the one verdict; det B is report data
-    table, _, det_b, slack = _divisibility(_entropy_tables(schmidt, mats, cfg.dims, cfg.n))
-    out = {"slack": slack, "det_b": det_b, "entropy_table": table}
-    if cfg.literal_s is not None:
-        # exp(-s (n - 1) S_n) is the s-th power of the proven n >= 2 case; at
-        # n = 1 the power is exp(-s S_1)
-        weight = cfg.literal_s * max(cfg.n - 1, 1)
-        _, scale, eigvals, _ = _gram_spectrum(np.exp(-weight * table))
-        out["literal_s_min_eigenvalue"] = eigvals[:, 0]
-        out["literal_s_slack"] = eigvals[:, 0] / scale
-    return out
+    if cfg.target == "schur_s_fraction":
+        # infinite divisibility, the s -> 0 limit, holds iff B is PSD
+        # (Schoenberg), so B takes the one verdict; det B is report data
+        table, _, det_b, slack = _divisibility(tables)
+        out = {"slack": slack, "det_b": det_b, "entropy_table": table}
+        if cfg.literal_s is not None:
+            # exp(-s (n - 1) S_n) is the s-th power of the proven n >= 2
+            # case; at n = 1 the power is exp(-s S_1)
+            weight = cfg.literal_s * max(cfg.n - 1, 1)
+            _, scale, eigvals, _ = _gram_spectrum(np.exp(-weight * table))
+            out["literal_s_min_eigenvalue"] = eigvals[:, 0]
+            out["literal_s_slack"] = eigvals[:, 0] / scale
+        return out
+    # integer_n, the proven case, takes the trace powers as its Gram entries;
+    # entropy_n1 weighs von Neumann entropies by lam
+    if cfg.target == "integer_n":
+        gram, fields = tables.swapaxes(0, 1).reshape((-1,) + tables.shape[-2:]), {}
+    else:
+        gram, fields = np.exp(-cfg.lam * tables), {"entropy_table": tables}
+    gram, scale, eigvals, _ = _gram_spectrum(gram)
+    return {"slack": eigvals[:, 0] / scale, "gram": gram, **fields,
+            "min_eigenvalue": eigvals[:, 0], "scale": scale}
 
 
-def _payload(fields: dict, k: int) -> dict:
-    """The result dict of instance k of an `_evaluate_block` output."""
-    return {key: value[k].tolist() for key, value in fields.items()}
+def _evaluate_block(cfg: SearchConfig, schmidt: np.ndarray, mats: np.ndarray) -> dict:
+    """`_verdict` on a block of instances, Schmidt values (N, d) and unitary
+    split matrices (N, m, d, d) split as cfg.dims, through one `_pair_tables`
+    call; integer_n checks cfg.n alone, so a check is an instance."""
+    (count, m), d = mats.shape[:2], cfg.dim
+    table = _pair_tables(schmidt, mats.reshape(-1, d, d), (tuple(cfg.dims),) * count,
+                         _reduction(cfg, (cfg.n,)))
+    return _verdict(cfg, table.reshape(table.shape[:-1] + (count, m, m)))
+
+
+def _payload(fields: dict, k: int, n: int) -> dict:
+    """The result dict of check k, at Renyi index n, of a `_verdict` output
+    but for its scale (the sweep's worst check reads it); integer_n's adds
+    S_n = -log(G) / (n - 1) of its trace-power Gram G as report data."""
+    result = {key: value[k].tolist() for key, value in fields.items() if key != "scale"}
+    if "entropy_table" not in fields:
+        result["entropy_table"] = (-np.log(fields["gram"][k]) / (n - 1)).tolist()
+    return result
 
 
 def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
@@ -617,8 +628,8 @@ def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
     dims = [(s.dim_a, s.dim_b) for s in splits]
     if dims != cfg.dims:
         raise ValueError(f"splits {dims} do not match the configured dims {cfg.dims}")
-    mats = np.array([s.matrix for s in splits])
-    return _payload(_evaluate_block(cfg, psi.schmidt_values[None], mats[None]), 0)
+    fields = _evaluate_block(cfg, psi.schmidt_values[None], np.array([[s.matrix for s in splits]]))
+    return _payload(fields, 0, cfg.n)
 
 
 def _block_trials(cfg: SearchConfig) -> int:
@@ -628,23 +639,49 @@ def _block_trials(cfg: SearchConfig) -> int:
     return max(1, STACK_ENTRIES // (m * (m + 1) // 2 * cfg.dim * cfg.dim))
 
 
-def _search_block(first: int, block, cfg: SearchConfig) -> tuple:
-    """(slacks, violations) of one block of trials (`_sweep_blocks`), its
-    first trial `first`: one `_draw_block` call and one `_evaluate_block`
-    call.  Payloads, and the eigenbasis unitary they store, are built for
-    violating trials only."""
-    schmidt, u, eigen = _draw_block(cfg.master_seed, range(first, first + len(block)), block)
-    u = u.reshape(len(block), len(cfg.dims), cfg.dim, cfg.dim)
-    fields = _evaluate_block(cfg, schmidt, u)
-    violations = []
-    for k in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
-        eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[k]))
-        _check_unitary(eigenbasis)
-        result = _payload(fields, k)
-        result["trial"] = first + k
-        result["instance"] = _serialize_instance(schmidt[k], eigenbasis, cfg.dims, u[k])
-        violations.append(result)
-    return fields["slack"], violations
+def _plan_block(first: int, block, cfg: SearchConfig, n_values: tuple) -> tuple:
+    """The 1-D `_verdict` fields by check ("slack" first; integer_n checks
+    every index of n_values), then the payloads of the checks below
+    -cfg.tolerance, with trial and instance, of one block of a plan
+    (`_sweep_blocks`), its first instance `first`, split as its entries.
+    Per d, one `_draw_block` and one `_pair_tables` call, whose reduction
+    the target sets (`_reduction`); per subsystem count, one `_verdict`.  A
+    violating instance is drawn again for its payload (a draw is the same
+    in any block)."""
+    sizes = np.array([len(dims) for dims in block])
+    by_d = defaultdict(list)  # d -> block indices
+    for k, dims in enumerate(block):
+        by_d[dims[0][0] * dims[0][1]].append(k)
+    reduce, tables, order = _reduction(cfg, n_values), [], []
+    for idx in by_d.values():
+        dims = tuple(block[k] for k in idx)
+        schmidt, u, _ = _draw_block(cfg.master_seed, [first + k for k in idx], dims)
+        tables.append(_pair_tables(schmidt, u, dims, reduce))
+        order += idx
+    # each instance's table is a row-major m x m run of `entries`
+    entries = np.concatenate(tables, axis=-1)
+    starts = np.empty_like(sizes)
+    starts[order] = np.cumsum(sizes[order] ** 2) - sizes[order] ** 2
+    per = len(n_values) if cfg.target == "integer_n" else 1  # checks per instance
+    checks, violations = {}, []
+    for m in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == m)
+        table = entries[..., starts[members][:, None] + np.arange(m * m)]
+        fields = _verdict(cfg, table.reshape(table.shape[:-1] + (m, m)))
+        rows = (members[:, None] * per + np.arange(per)).ravel()
+        for key, value in fields.items():
+            if value.ndim == 1:
+                checks.setdefault(key, np.empty(len(block) * per))[rows] = value
+        for r in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
+            k, c = divmod(int(rows[r]), per)
+            schmidt, u, eigen = _draw_block(cfg.master_seed, [first + k], [block[k]])
+            eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[0]))
+            _check_unitary(eigenbasis)
+            instance = _serialize_instance(schmidt[0], eigenbasis, block[k], u)
+            violations.append(dict(_payload(fields, r, n_values[c]), trial=first + k,
+                                   instance=instance))
+    # by trial; a stable sort keeps each trial's index order
+    return (*checks.values(), sorted(violations, key=lambda v: v["trial"]))
 
 
 def _run_blocks(task) -> list:
@@ -771,8 +808,9 @@ def summarize(values) -> tuple[float, int, dict]:
 def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """Randomized search for violations of the configured inequality.
 
-    The trials are cut into blocks up front by the sweep's planner
-    (`_sweep_blocks`), and `_pool_map` runs and merges them.  Each trial,
+    The trials are cut into blocks up front (`_sweep_blocks`), and
+    `_pool_map` runs them through the one block worker (`_plan_block`,
+    integer_n at cfg.n alone) and merges them.  Each trial,
     numbered from 0, derives its own stream from (master_seed, trial index),
     so any block boundaries and any `jobs` give the identical report.
     Exhausting the budget without a violation is a normal outcome, reported
@@ -781,7 +819,7 @@ def counterexample_search(cfg: SearchConfig, jobs: int = 1) -> SearchReport:
     """
     jobs = _check_count(jobs, "jobs", 1)  # _pool_map takes the int
     blocks = _sweep_blocks([cfg.dims] * cfg.trials, jobs)
-    slacks, violations = _pool_map(_search_block, blocks, jobs, cfg)
+    slacks, *_, violations = _pool_map(_plan_block, blocks, jobs, cfg, (cfg.n,))
     min_slack, min_trial, quantiles = summarize(slacks)
     report = SearchReport(config=cfg, trials_run=cfg.trials, violations=violations,
                           min_slack=min_slack, min_slack_trial=min_trial,
@@ -880,7 +918,7 @@ def _refine(cfg: SearchConfig, start_trial: int):
         counters["discarded"] += len(block) - k - 1
         counters["shrinks"] += shrinks
         if cur_slack < target_slack:
-            result = _payload(fields, k)
+            result = _payload(fields, k, cfg.n)
             result["trial"] = start_trial
             result["refined"] = True
             result["refine_iterations"] = it
@@ -912,6 +950,7 @@ class SweepResult:
     min_normalized_eig: float
     worst: dict
     violations: list
+    slacks: list = field(default_factory=list)
 
 
 def _check_theorem_index(n) -> int:
@@ -926,40 +965,38 @@ def _check_theorem_index(n) -> int:
 
 def theorem_sweep(dims_by_instance, n_values, master_seed: int,
                   tol: float = PSD_RELATIVE_TOL, jobs: int = 1) -> SweepResult:
-    """PSD sweep of integer-index Gram matrices over random instances.
+    """PSD sweep of integer-index Gram matrices over random instances: the
+    search's integer_n target (`_plan_block`) over a plan, at every index
+    of n_values, each an integer n >= 2 (`_check_theorem_index`).
 
-    dims_by_instance: iterable of split-dimension lists, one instance each,
-    numbered from 0.  n_values must list one or more indices, each an
-    integer n >= 2 (`_check_theorem_index`), and every (instance, n) pair
-    must come out PSD within -tol * ||G||; any violation is collected (a
-    numerics bug, not physics).  The plan is validated and cut into
-    blocks of equal estimated cost once, here (`_sweep_blocks`);
-    `_pool_map` runs the blocks (`_sweep_block`) and merges them, in this
-    process when jobs = 1 or the plan is under the one-block floor.
-    Instance streams make the result the same to the last bit for any block
-    boundaries and any `jobs`; the worst check is the first one at the
+    dims_by_instance lists split dims, one instance each, numbered from 0.
+    Every (instance, n) check must come out PSD within -tol * ||G||; a
+    violation is collected (a numerics bug, not physics).  The plan is
+    validated and cut into blocks once (`_sweep_blocks`), so the result is
+    the same to the last bit for any `jobs`.  `slacks` holds each instance's
+    row of normalized slacks by n; the worst check is the first at their
     minimum, in instance and then n order.
     """
-    n_values = [_check_theorem_index(n) for n in n_values]
+    n_values = tuple(_check_theorem_index(n) for n in n_values)
     if not n_values:
         raise ValueError("the theorem sweep needs at least one Renyi index")
     tol = _check_tolerance(tol, "tol")
-    master_seed = _check_count(master_seed, "master_seed", 0)
     jobs = _check_count(jobs, "jobs", 1)  # _pool_map takes the int
     blocks = _sweep_blocks(dims_by_instance, jobs)
-    min_eigs, scales, violations = _pool_map(_sweep_block, blocks, jobs, n_values,
-                                             master_seed, tol)
-    dims = [splits for _, block in blocks for splits in block]
-    normalized = min_eigs / scales
-    result = SweepResult(instances=len(dims), checks=normalized.size,
-                         min_normalized_eig=math.inf, worst={}, violations=violations)
-    if normalized.size:
-        k, c = np.unravel_index(np.argmin(normalized), normalized.shape)
-        result.min_normalized_eig = float(normalized[k, c])
-        result.worst = {"instance": int(k), "n": n_values[c],
-                        "dims": list(dims[k]), "min_eigenvalue": float(min_eigs[k, c]),
-                        "scale": float(scales[k, c])}
-    return result
+    dims, per = [splits for _, block in blocks for splits in block], len(n_values)
+    # gates master_seed; cfg.dims is unread (each instance is split as its entry)
+    cfg = SearchConfig(dims=dims[0], trials=len(dims), master_seed=master_seed,
+                       target="integer_n", tolerance=tol, n=n_values[0])
+    slack, min_eigs, scales, payloads = _pool_map(_plan_block, blocks, jobs, cfg, n_values)
+    violations = [{"instance": p["trial"], "n": n_values[q % per], "dims": list(dims[p["trial"]]),
+                   "gram": p["gram"], "min_eigenvalue": p["min_eigenvalue"]}
+                  for q, p in zip(np.flatnonzero(slack < -tol).tolist(), payloads)]
+    q = int(np.argmin(slack))
+    k, c = divmod(q, per)
+    worst = {"instance": k, "n": n_values[c], "dims": list(dims[k]),
+             "min_eigenvalue": float(min_eigs[q]), "scale": float(scales[q])}
+    return SweepResult(instances=len(dims), checks=slack.size, min_normalized_eig=float(slack[q]),
+                       worst=worst, violations=violations, slacks=slack.reshape(-1, per).tolist())
 
 
 # an alias kept for the benchmark only (perfbench/tracer.py patches it, and
@@ -1008,48 +1045,3 @@ def _sweep_blocks(dims_by_instance, jobs: int) -> list:
     else:
         cuts = np.arange(len(plan) + 1)
     return [(start, plan[start:stop]) for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-
-
-def _sweep_block(first: int, block, n_values, master_seed: int, tol: float) -> tuple:
-    """(min eigenvalues, scales, violations) of one block, its first
-    instance `first`: both arrays are (instances, n), by instance and then
-    by n, as are the violations.
-
-    Per d, one `_draw_block` call draws the instances and their Haar
-    splits, so an instance is the search's and the same in any block; one
-    `_pair_tables` call follows, whose pools reduce pair Gram matrices to
-    their trace powers per n (`_gram_traces`, no spectrum).  Then come the
-    verdicts per subsystem count.
-    """
-    by_d = defaultdict(list)  # d -> block indices
-    for idx, splits in enumerate(block):
-        by_d[splits[0][0] * splits[0][1]].append(idx)
-
-    tables, order = [], []
-    for idx in by_d.values():
-        dims = tuple(block[k] for k in idx)
-        lam, u, _ = _draw_block(master_seed, [first + k for k in idx], dims)
-        order += idx
-        tables.append(_pair_tables(lam, u, dims, lambda m: _gram_traces(m, n_values)))
-    # each instance's Gram entries are a row-major m x m run of `entries`
-    entries = np.concatenate(tables, axis=-1)
-    sizes = np.array([len(dims) for dims in block])
-    starts = np.empty_like(sizes)
-    starts[order] = np.cumsum(sizes[order] ** 2) - sizes[order] ** 2
-
-    min_eigs = np.empty((len(block), len(n_values)))
-    scales = np.empty_like(min_eigs)
-    violations = []
-    for m in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == m)
-        g = entries[:, starts[members][:, None] + np.arange(m * m)]
-        g, scale, eigvals, _ = _gram_spectrum(
-            g.reshape(-1, len(members), m, m).swapaxes(0, 1))
-        min_eigs[members] = eigvals[..., 0]
-        scales[members] = scale
-        violations += [{"instance": first + int(members[r]), "n": n_values[c],
-                        "dims": list(block[members[r]]), "gram": g[r, c].tolist(),
-                        "min_eigenvalue": float(eigvals[r, c, 0])}
-                       for r, c in zip(*np.nonzero(eigvals[..., 0] / scale < -tol))]
-    # by instance; a stable sort keeps each instance's n order
-    return min_eigs, scales, sorted(violations, key=lambda v: v["instance"])

@@ -356,7 +356,7 @@ def sequential_refine(cfg: SearchConfig, start_trial: int):
             lam, betas = lam_new, betas_new
             stall = 0
             if cur_slack < target_slack:
-                result = _payload(fields, 0)
+                result = _payload(fields, 0, cfg.n)
                 result["trial"] = start_trial
                 result["refined"] = True
                 result["refine_iterations"] = it + 1

@@ -39,6 +39,23 @@ class TestGramSweep:
         results = load(tmp_path, "gram-sweep-seed1.json")["report"]["results"]
         assert results["checks"] == 24
 
+    def test_slack_quantiles_per_dims_and_n(self, tmp_path):
+        # one summary per distinct dims and n, in plan order, of exactly
+        # that group's slacks: trial i takes split 2x2 or 2x3 (i mod 2) and
+        # 2, 3 or 4 subsystems (i mod 3), so six dims of two trials each
+        from rpentropy.positivity import theorem_sweep
+        assert run(tmp_path, "gram-sweep", "--trials", "12", "--seed", "5", "--n", "2,3",
+                   "--dims", "2x2,2x3", "--subsystems", "2,3,4") == 0
+        results = load(tmp_path, "gram-sweep-seed5.json")["report"]["results"]
+        plan = [[(2, 2 + i % 2)] * (2 + i % 3) for i in range(12)]
+        slacks = np.array(theorem_sweep(plan, [2, 3], master_seed=5).slacks)
+        expected = [{"dims": [list(split) for split in plan[i]], "n": n,
+                     "quantiles": summarize(slacks[i::6, c])[2]}
+                    for i in range(6) for c, n in enumerate((2, 3))]
+        assert results["slack_quantiles"] == expected
+        assert (min(q["quantiles"]["q00"] for q in expected)
+                == results["min_normalized_eigenvalue"])
+
     def test_deterministic_report(self, tmp_path):
         run(tmp_path, "gram-sweep", "--trials", "10", "--seed", "5")
         first = load(tmp_path, "gram-sweep-seed5.json")["report"]

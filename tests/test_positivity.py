@@ -49,6 +49,18 @@ def block_instances(cfg: SearchConfig):
     return schmidt, u.reshape(cfg.trials, len(cfg.dims), cfg.dim, cfg.dim)
 
 
+def entropy_tables(schmidt, mats, dims, n):
+    """Tables (..., m, m) of S_n(A_i Abar_j) of instances with Schmidt
+    values (..., d) and split matrices (..., m, d, d), the splits shaped as
+    dims: the leading axes flattened into one `_pair_tables` call of the
+    entropy reduction (`_pair_entropies`)."""
+    d, lead = schmidt.shape[-1], schmidt.shape[:-1]
+    table = positivity._pair_tables(schmidt.reshape(-1, d), mats.reshape(-1, d, d),
+                                    (tuple(dims),) * math.prod(lead),
+                                    functools.partial(positivity._pair_entropies, n=n))
+    return table.reshape(lead + (len(dims),) * 2)
+
+
 @pytest.fixture
 def serial_pools(monkeypatch):
     """A stand-in executor: records the worker count of each pool built and
@@ -405,7 +417,7 @@ class TestReplicaFactor:
         schmidt = np.sort(rng.dirichlet(np.ones(d)))[::-1]
         mats = np.array([haar_unitary(d, rng) for _ in dims])
         w = replica_factor(schmidt, mats, dims, n)
-        gram = np.exp(-(n - 1) * positivity._entropy_tables(schmidt, mats, dims, n))
+        gram = np.exp(-(n - 1) * entropy_tables(schmidt, mats, dims, n))
         assert np.max(np.abs(w @ w.conj().T - gram) / gram) <= 1e-13
 
 
@@ -517,7 +529,7 @@ class TestDivisibility:
                            target="schur_s_fraction")
         schmidt, u = block_instances(cfg)
         eigs = np.linalg.eigvalsh(positivity._second_differences(
-            positivity._entropy_tables(schmidt, u, cfg.dims, cfg.n)))
+            entropy_tables(schmidt, u, cfg.dims, cfg.n)))
         negative = np.flatnonzero(eigs[:, 0] < -cfg.tolerance * np.abs(eigs).max(axis=1))
         if part == "premise":
             assert negative.size >= 1
@@ -541,7 +553,7 @@ class TestDivisibility:
         assert not verdict.passed
         assert verdict.min_eigenvalue / verdict.scale == pytest.approx(-0.5, rel=1e-14)
         cfg = SearchConfig(dims=[(2, 2)] * 4, trials=1, master_seed=0, target="schur_s_fraction")
-        monkeypatch.setattr(positivity, "_entropy_tables", lambda *args: table[None])
+        monkeypatch.setattr(positivity, "_pair_tables", lambda *args: table.ravel())
         fields = _evaluate_block(cfg, *block_instances(cfg))
         assert fields["slack"][0] == pytest.approx(-0.5, rel=1e-14)
         assert fields["det_b"][0] == record.det_b
@@ -782,7 +794,7 @@ class TestBatchedSearch:
         fields = _evaluate_block(cfg, np.array([psi.schmidt_values for psi, _ in instances]),
                                  np.array([[s.matrix for s in splits] for _, splits in instances]))
         for k, (psi, splits) in enumerate(instances):
-            assert _payload(fields, k) == _evaluate_target(cfg, psi, splits)
+            assert _payload(fields, k, cfg.n) == _evaluate_target(cfg, psi, splits)
 
     def test_report_exact_across_jobs_and_blocks(self, monkeypatch):
         # a tolerance of -0.1 counts the five of seed 2024's first 40
@@ -856,17 +868,17 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_search_blocks_are_the_sweep_planners(self, serial_pools, monkeypatch, jobs):
-        # the search hands `_pool_map` the blocks `_sweep_blocks` cuts from
-        # its trials, numbered from 0; the stand-in executor runs
-        # the pool's blocks in this process as they are submitted, where
-        # they are recorded
-        seen = []
+        # the block worker, run by `_pool_map`, receives the blocks
+        # `_sweep_blocks` cuts from the search's trials, numbered from 0;
+        # the stand-in executor runs the pool's blocks in this process as
+        # they are submitted, where they are recorded
+        seen, worker = [], positivity._plan_block
 
-        def recording(first, block, cfg):
+        def recording(first, block, *args):
             seen.append((first, block))
-            return np.zeros(len(block)), []
+            return worker(first, block, *args)
 
-        monkeypatch.setattr(positivity, "_search_block", recording)
+        monkeypatch.setattr(positivity, "_plan_block", recording)
         # block counts at jobs = 1: one block under the floor, two 700-trial
         # blocks at 3 x 2x2, and three blocks of 3 x 8x8 trials, whose 24576
         # pair entries each allow at most five to a block
@@ -1030,19 +1042,19 @@ class TestBatchedSearch:
         # one call per pair, runs of a few pairs and whole shape groups give
         # the same tables, through either pair kernel; the 3 x 8x8 instance
         # reduces one pair per call
-        from rpentropy.positivity import _draw_instance, _entropy_tables, _pair_plan
+        from rpentropy.positivity import _draw_instance, _pair_plan
         assert [len(ij) for *_, ij, _ in _pair_plan((((8, 8),) * 3,), 1)] == [1] * 6
         for dims in ([(2, 3), (3, 2), (2, 3), (3, 2)], [(8, 8)] * 3):
             cfg = SearchConfig(dims=dims, trials=3, master_seed=4)
             drawn = [_draw_instance(cfg, t) for t in range(cfg.trials)]
             schmidt = np.array([psi.schmidt_values for psi, _ in drawn])
             mats = np.array([[s.matrix for s in splits] for _, splits in drawn])
-            reference = {n: _entropy_tables(schmidt, mats, dims, n) for n in (1, 2)}
+            reference = {n: entropy_tables(schmidt, mats, dims, n) for n in (1, 2)}
             for entries in (1, 100, 1 << 20):
                 monkeypatch.setattr(positivity, "STACK_ENTRIES", entries)
                 for n, table in reference.items():
-                    assert np.array_equal(_entropy_tables(schmidt, mats, dims, n), table)
-                    assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
+                    assert np.array_equal(entropy_tables(schmidt, mats, dims, n), table)
+                    assert np.array_equal(entropy_tables(schmidt[1], mats[1], dims, n),
                                           table[1])
             monkeypatch.undo()
         # at the default budget, one 8x8 pair matrix fills a build run, and
@@ -1064,7 +1076,7 @@ class TestBatchedSearch:
                 return reduce(m, *rest)
 
             monkeypatch.setattr(positivity, name, recording)
-            assert np.array_equal(_entropy_tables(schmidt[1], mats[1], dims, n),
+            assert np.array_equal(entropy_tables(schmidt[1], mats[1], dims, n),
                                   reference[n][1])
             assert builds == reductions == [(1, 64, 64)] * 6
 
@@ -1073,10 +1085,9 @@ class TestBatchedSearch:
         # slices: both operands reach `_pair_gram` as views of the call's
         # two stacks, the weighted splits and their conjugate, not as
         # copies, and the table is the same as from copies
-        from rpentropy.positivity import _entropy_tables
         cfg = SearchConfig(dims=[(8, 8)] * 3, trials=2, master_seed=4)
         schmidt, mats = block_instances(cfg)
-        reference = _entropy_tables(schmidt.copy(), mats.copy(), cfg.dims, 2)
+        reference = entropy_tables(schmidt.copy(), mats.copy(), cfg.dims, 2)
         buffers, calls = [], []
         tables, build = positivity._weighted_pair_tables, positivity._pair_gram
 
@@ -1090,7 +1101,7 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(positivity, "_weighted_pair_tables", recording_tables)
         monkeypatch.setattr(positivity, "_pair_gram", recording)
-        assert np.array_equal(_entropy_tables(schmidt, mats, cfg.dims, 2), reference)
+        assert np.array_equal(entropy_tables(schmidt, mats, cfg.dims, 2), reference)
         assert len(buffers) == 1 and len(calls) == 12
         weighted, conjugate = buffers[0]
         assert weighted.shape == (6, 64, 64) and not np.shares_memory(buffers[0], mats)
@@ -1107,13 +1118,12 @@ class TestBatchedSearch:
         # the first offender in plan order: Schmidt rows scaled by 1 + 1e-6
         # and 1 + 2e-6 raise with the first, through a stacked d = 4 call
         # (runs of many pairs) and a d = 64 call (runs of one pair)
-        from rpentropy.positivity import _entropy_tables
         cfg = SearchConfig(dims=dims, trials=3, master_seed=6)
         schmidt, mats = block_instances(cfg)
-        _entropy_tables(schmidt, mats, dims, n)
+        entropy_tables(schmidt, mats, dims, n)
         tampered = schmidt * np.array([[1.0], [1 + 1e-6], [1 + 2e-6]])
         with pytest.raises(InvalidStateError, match="pair spectrum sums to 1.000001"):
-            _entropy_tables(tampered, mats, dims, n)
+            entropy_tables(tampered, mats, dims, n)
         psi = PurifiedState(dim=cfg.dim, schmidt_values=tampered[1],
                             eigenbasis=np.eye(cfg.dim, dtype=complex))
         splits = [SubsystemSplit(dim_a=a, dim_b=b, coeffs=mat) for (a, b), mat in zip(dims, mats[1])]
@@ -1125,7 +1135,7 @@ class TestBatchedSearch:
     def test_entropy_table_is_the_stacked_table(self, dims):
         # entropy_table writes its weighted stack straight from the splits;
         # the table is the flat-stack kernel's to the last bit, every n
-        from rpentropy.positivity import _draw_instance, _entropy_tables
+        from rpentropy.positivity import _draw_instance
         cfg = SearchConfig(dims=dims, trials=2, master_seed=11)
         schmidt, mats = block_instances(cfg)
         for trial in range(cfg.trials):
@@ -1133,7 +1143,7 @@ class TestBatchedSearch:
             assert np.array_equal(psi.schmidt_values, schmidt[trial])
             for n in range(1, 6):
                 assert np.array_equal(entropy_table(psi, splits, n),
-                                      _entropy_tables(schmidt[trial], mats[trial], dims, n))
+                                      entropy_tables(schmidt[trial], mats[trial], dims, n))
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([[(2, 2)] * 3, [(2, 3), (3, 2), (2, 3)], [(8, 2)] * 2,
@@ -1150,8 +1160,7 @@ class TestBatchedSearch:
         # comes from trace powers, whose exp(-(n-1) S) matches the power sum
         # of the test-only SVD oracle within the kernel tolerance of
         # tests/test_reflected.py
-        import functools
-        from rpentropy.positivity import _entropy_tables, _pair_entropies, _pair_tables
+        from rpentropy.positivity import _pair_entropies, _pair_tables
         per_instance = dims if isinstance(dims, tuple) else [dims] * 3
         rng = np.random.default_rng(seed)
         d = per_instance[0][0][0] * per_instance[0][0][1]
@@ -1165,7 +1174,7 @@ class TestBatchedSearch:
             tables = [t.reshape(len(splits), -1)
                       for t, splits in zip(np.split(flat, ends[:-1]), dims)]
         else:
-            tables = _entropy_tables(schmidt, np.array(mats), dims, n)
+            tables = entropy_tables(schmidt, np.array(mats), dims, n)
         for k, splits_k in enumerate(per_instance):
             psi = PurifiedState(dim=d, schmidt_values=schmidt[k], eigenbasis=np.eye(d))
             splits = [SubsystemSplit(dim_a=a, dim_b=b, coeffs=mat)
@@ -1336,20 +1345,23 @@ class TestBlockDraws:
         assert ginibre_from_parts(buffer[1:4]).tobytes() == stacked.tobytes()
 
     def test_sweep_and_search_take_the_redrawn_instance(self):
-        # both callers read the redrawn spectrum: the Gram matrix a sweep
-        # block records for that instance, in its second slot, is
-        # gram_matrix's of the search instance
-        from rpentropy.positivity import _draw_instance, _sweep_block
+        # both callers read the redrawn spectrum: the Gram matrix the block
+        # worker records for that instance, in its second slot, is
+        # gram_matrix's of the search instance, and so is the instance its
+        # payload stores; tolerance = -1 records every check
+        from rpentropy.positivity import _draw_instance, _instance_from_dict, _plan_block
         seed, redrawn = self.REDRAWN
         dims = [(2, 3), (3, 2), (2, 3)]
-        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2)
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
+                           tolerance=-1.0)
         psi, splits = _draw_instance(cfg, redrawn)
         assert psi.schmidt_values.tobytes() == draw_one(seed, redrawn, dims)[0].tobytes()
-        _, _, violations = _sweep_block(redrawn - 1, [((2, 2),) * 2, tuple(dims)], [2],
-                                        seed, -1.0)
-        [violation] = [v for v in violations if v["instance"] == redrawn]
+        *_, violations = _plan_block(redrawn - 1, [((2, 2),) * 2, tuple(dims)], cfg, (2,))
+        [violation] = [v for v in violations if v["trial"] == redrawn]
         assert np.asarray(violation["gram"]) == pytest.approx(
             gram_matrix(psi, splits, 2).entries, rel=1e-12)
+        stored, _ = _instance_from_dict(violation["instance"])
+        assert stored.schmidt_values.tobytes() == psi.schmidt_values.tobytes()
 
 
 class TestTheoremSweep:
@@ -1439,16 +1451,18 @@ class TestTheoremSweep:
         assert [start for start, _ in positivity._sweep_blocks(big * 3, 2)] == [0, 1, 2]
 
     def test_sweep_draws_the_search_instance(self):
-        # the stacked sweep must give exactly the Gram of per-pair trace
-        # powers on the search's instance, also in the second slot of a
-        # block; tol = -1 records every check.  The power sums of the
-        # test-only SVD oracle agree within the kernel tolerance of
-        # tests/test_reflected.py
-        from rpentropy.positivity import _draw_instance, _gram_spectrum, _sweep_block
+        # the block worker's integer_n over several indices must give
+        # exactly the Gram of per-pair trace powers on the search's
+        # instance, also in the second slot of a block; tolerance = -1
+        # records every check.  The power sums of the test-only SVD oracle
+        # agree within the kernel tolerance of tests/test_reflected.py
+        from rpentropy.positivity import _draw_instance, _gram_spectrum, _plan_block
         from rpentropy.reflected import _gram_traces, _pair_gram, _pair_operands
-        seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], [2, 3, 4]
-        _, _, violations = _sweep_block(4, [((2, 2),) * 2, tuple(dims)], n_values, seed, -1.0)
-        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2)
+        seed, dims, n_values = 91, [(2, 3), (3, 2), (2, 3)], (2, 3, 4)
+        cfg = SearchConfig(dims=dims, trials=1, master_seed=seed, target="integer_n", n=2,
+                           tolerance=-1.0)
+        slacks, *_, violations = _plan_block(4, [((2, 2),) * 2, tuple(dims)], cfg, n_values)
+        assert slacks.shape == (2 * len(n_values),)
         psi, splits = _draw_instance(cfg, 5)
         pairs = [(i, j) for i in range(3) for j in range(i, 3)]
         operands = {(i, j): _pair_operands(psi.schmidt_values, splits[i].matrix, splits[j].matrix)
@@ -1456,8 +1470,8 @@ class TestTheoremSweep:
         traces = {(i, j): _gram_traces(_pair_gram(*operands[i, j], dims[i], dims[j]), n_values)
                   for i, j in pairs}
         spectra = {(i, j): svd_spectrum(psi, splits[i], splits[j]) for i, j in pairs}
-        recorded = [v for v in violations if v["instance"] == 5]
-        assert [v["n"] for v in recorded] == n_values
+        recorded = [v for v in violations if v["trial"] == 5]
+        assert len(recorded) == len(n_values)
         for k, (n, violation) in enumerate(zip(n_values, recorded)):
             g = np.empty((3, 3))
             for (i, j), values in traces.items():
@@ -1465,9 +1479,30 @@ class TestTheoremSweep:
                 power_sum = np.sum(spectra[i, j] ** n)
                 assert values[k] == pytest.approx(
                     power_sum, rel=8 * n * psi.dim * np.finfo(float).eps)
-            g, _, eigvals, _ = _gram_spectrum(g)
+            g, scale, eigvals, _ = _gram_spectrum(g)
             assert violation["gram"] == g.tolist()
             assert violation["min_eigenvalue"] == eigvals[0]
+            assert violation["slack"] == slacks[len(n_values) + k] == eigvals[0] / scale
+            # the entropy table is report data, -log(G) / (n - 1)
+            assert violation["entropy_table"] == (-np.log(g) / (n - 1)).tolist()
+
+    def test_sweep_and_search_integer_n_give_one_slack(self):
+        # one block evaluator, one rounding path: on the same 200 seed-3
+        # instances the sweep's slacks and Gram entries are search
+        # integer_n's to the bit at every index.  The search once took
+        # exp(-(n - 1) S_n) of S_n = -log(tr rho^n) / (n - 1), and 20, 81
+        # and 104 slacks differed at n = 2, 3 and 5.  tolerance = -10
+        # records every check
+        plan, n_values = [[(2, 2)] * 3] * 200, [2, 3, 5]
+        sweep = theorem_sweep(plan, n_values, master_seed=3, tol=-10.0)
+        assert np.shape(sweep.slacks) == (200, 3)
+        for c, n in enumerate(n_values):
+            cfg = SearchConfig(dims=plan[0], trials=200, master_seed=3, target="integer_n", n=n,
+                               tolerance=-10.0)
+            report = counterexample_search(cfg)
+            assert [v["slack"] for v in report.violations] == [row[c] for row in sweep.slacks]
+            assert ([v["gram"] for v in report.violations]
+                    == [v["gram"] for v in sweep.violations if v["n"] == n])
 
     def test_sweep_takes_no_svd(self, monkeypatch):
         # integer-index Gram entries are trace powers of the pair matrix:
@@ -1521,8 +1556,9 @@ class TestTheoremSweep:
         monkeypatch.setattr(positivity, "_validated_dims", recording)
         for _ in range(2):
             assert asdict(theorem_sweep(plan, [2, 3], master_seed=5, jobs=4)) == reference
-        # each call validates the plan's one distinct dims once
-        assert serial_pools == [4] and validated == [[(2, 2)] * 3] * 2
+        # each call validates the plan's one distinct dims once, and its
+        # integer_n config the first instance's validated dims
+        assert serial_pools == [4] and validated == [[(2, 2)] * 3, ((2, 2),) * 3] * 2
         # a plan under the floor runs in this process at any jobs
         theorem_sweep([[(2, 2)] * 2] * 44, [2, 3], master_seed=5, jobs=3)
         assert serial_pools == [4] and list(positivity._POOL) == [4]
