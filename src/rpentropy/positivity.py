@@ -13,7 +13,6 @@ from __future__ import annotations
 import atexit
 import functools
 import itertools
-import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -63,15 +62,15 @@ SWEEP_BLOCK_ENTRIES = 1 << 17
 SWEEP_INSTANCE_ENTRIES = 320
 # stacked steps of a block: each holds at most this many entries, or one
 # matrix if a single matrix is larger.  A build run of pair Gram matrices
-# (`_weighted_pair_tables`) holds this many pair-matrix entries, gathered
-# from the call's weighted split stack and its conjugate, each made once
-# per call: 256 pairs at d = 4, one pair, read as views, at d = 64; a
-# pooled reduction, this many entries of the Ms (256 4 x 4 Ms, one
-# 64 x 64); a Haar-step run (`_draw_block`), this many split entries.  At
-# 64 KB per complex temporary a step stays in cache and below the
-# allocator's mapping threshold, so its memory is reused, not faulted in
-# afresh.  The refine descent evaluates at most as many proposals at once
-# as fit in one build run (`_block_trials`).
+# (`_pair_tables`) holds this many pair-matrix entries, gathered from the
+# call's weighted split stack and its conjugate, each made once per call:
+# 256 pairs at d = 4, one pair, read as views, at d = 64.  A run is reduced
+# as it is built, and its k x k Ms (k <= d) fit too.  A Haar-step run
+# (`_draw_block`) holds this many split entries.  At 64 KB per complex
+# temporary a step stays in cache and below the allocator's mapping
+# threshold, so its memory is reused, not faulted in afresh.  The refine
+# descent evaluates at most as many proposals at once as fit in one build
+# run (`_block_trials`).
 STACK_ENTRIES = 1 << 12
 # the quantiles a report keeps of a slack array in place of the array
 SUMMARY_QUANTILES = (0.0, 0.01, 0.1, 0.5, 1.0)
@@ -88,12 +87,14 @@ REFINE_BLOCK = 12
 
 
 def _check_symmetric(a, what: str) -> np.ndarray:
-    """The stack a (..., m, m) as a float array once each matrix is symmetric
-    within SYMMETRY_TOL of max(1, its largest |entry|); otherwise raises
-    InvalidStateError naming `what`.  NaN and inf fail."""
+    """The stack a (..., m, m), m >= 1, symmetrized as a float array once each
+    matrix is symmetric within SYMMETRY_TOL of max(1, its largest |entry|);
+    raises naming `what` otherwise (ValueError for a bad shape).  NaN and inf fail."""
     a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"{what} must be square, of size >= 1; got shape {a.shape}")
     _check_hermitian(a, SYMMETRY_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1))), what)
-    return a
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _gram_spectrum(g):
@@ -104,7 +105,6 @@ def _gram_spectrum(g):
     g (..., m, m) are a stack, and every output gains the same axes.
     """
     g = _check_symmetric(g, "Gram matrix")
-    g = 0.5 * (g + g.swapaxes(-1, -2))
     eigvals, eigvecs = np.linalg.eigh(g)
     scale = np.maximum(np.abs(eigvals).max(axis=-1), TINY)
     return g, scale, eigvals, eigvecs
@@ -182,22 +182,11 @@ def _pair_plan(dims: tuple, size: int) -> tuple:
 
 
 def _pair_tables(schmidt: np.ndarray, mats: np.ndarray, dims: tuple, reduce) -> np.ndarray:
-    """`_weighted_pair_tables` of a flat stack of instances shaped as `dims`
-    (`_pair_plan`): Schmidt values (N, d) and split matrices (S, d, d), each
-    split weighted by its instance's `_split_weights` in one pass."""
-    ops = np.empty((2,) + mats.shape, dtype=complex)
-    weights = np.repeat(_split_weights(schmidt), [len(splits) for splits in dims], axis=0)
-    np.multiply(weights, mats, out=ops[0])
-    return _weighted_pair_tables(ops, dims, reduce)
-
-
-def _weighted_pair_tables(ops: np.ndarray, dims: tuple, reduce) -> np.ndarray:
     """Flat table (sum of m^2,) of a pair reduction over a flat stack of
-    instances shaped as `dims` (`_pair_plan`), given as their weighted split
-    matrices in ops[0] of ops (2, S, d, d): each split's rows times
-    lam^{1/4} of its instance (`_split_weights`).  ops[1] receives their
-    conjugate, so each split is weighted and conjugated once per call,
-    however many pairs it enters.
+    instances shaped as `dims` (`_pair_plan`): Schmidt values (N, d) and
+    split matrices (S, d, d).  Each split is weighted by lam^{1/4} of its
+    instance (`_split_weights`) and conjugated once per call, however many
+    pairs it enters.
 
     One buffer holds both stacks because glibc's malloc returns to the
     system a free heap top larger than twice the largest mapping freed so
@@ -211,44 +200,25 @@ def _weighted_pair_tables(ops: np.ndarray, dims: tuple, reduce) -> np.ndarray:
     shape pair, at most STACK_ENTRIES pair-matrix entries (at least one
     pair), builds its pair Gram matrices M (`_pair_gram`, k x k) from views
     of the two stacks where the plan holds slices, else from gathers.  The
-    unit-trace gate (`_check_pair_traces`) checks every M's trace once per
-    table, naming the first offender in plan order.  The Ms of one k are
-    pooled across shape pairs, and a pool is reduced once it holds
-    STACK_ENTRIES entries (at least one M), the rest at the end:
-    reduce(M stack (run, k, k)) gives values (run,), which may gain axes in
-    front of the run axis; the table gains them too.  Each M is reduced
-    alone, so the table is the same for any pooling.
+    unit-trace gate (`_check_pair_traces`) checks the run's Ms, naming the
+    first offender in plan order, before reduce(M stack (run, k, k)) gives
+    values (run,), which may gain axes in front of the run axis; the table
+    gains them too.  Each M is reduced alone, so the table is the same for
+    any run length.
     """
-    d, table, pools, traces = ops.shape[-1], None, defaultdict(list), []
+    ops = np.empty((2,) + mats.shape, dtype=complex)
     left, right = ops
+    weights = np.repeat(_split_weights(schmidt), [len(splits) for splits in dims], axis=0)
+    np.multiply(weights, mats, out=left)
     np.conjugate(left, out=right)
-
-    def flush(pool, cap=math.inf):
-        """Reduce the first cap entries of a pool (all by default) and keep
-        the rest; a pool of one run is reduced without a copy."""
-        nonlocal table
-        m, ij, ji = pool[0] if len(pool) == 1 else map(np.concatenate, zip(*pool))
-        pool.clear()
-        if len(ij) > cap:
-            pool.append((m[cap:], ij[cap:], ji[cap:]))
-            m, ij, ji = m[:cap], ij[:cap], ji[:cap]
+    table, size = None, max(1, STACK_ENTRIES // mats.shape[-1] ** 2)
+    for (dims_i, dims_j), i, j, ij, ji in _pair_plan(dims, size):
+        m = _pair_gram(left[i], right[j], dims_i, dims_j)
+        _check_pair_traces(np.trace(m, axis1=-2, axis2=-1).real)
         values = reduce(m)
         if table is None:
             table = np.empty(values.shape[:-1] + (sum(len(s) ** 2 for s in dims),))
         table[..., ij] = table[..., ji] = values
-
-    for (dims_i, dims_j), i, j, ij, ji in _pair_plan(dims, max(1, STACK_ENTRIES // d ** 2)):
-        m = _pair_gram(left[i], right[j], dims_i, dims_j)
-        traces.append(np.trace(m, axis1=-2, axis2=-1))
-        pool, cap = pools[m.shape[-1]], max(1, STACK_ENTRIES // m.shape[-1] ** 2)
-        pool.append((m, ij, ji))
-        if sum(len(held[1]) for held in pool) >= cap:
-            # a run is at most one pool's worth (k <= d), so one flush leaves less than cap
-            flush(pool, cap)
-    _check_pair_traces(np.concatenate(traces).real)
-    for pool in pools.values():
-        if pool:
-            flush(pool)
     return table
 
 
@@ -256,48 +226,55 @@ def _pair_entropies(m: np.ndarray, n: int) -> np.ndarray:
     """S_n(A_i Abar_j) of a stack of pair Gram matrices M (`_pair_gram`),
     with no SVD: von Neumann (n = 1) from `eigvalsh` of M
     (`_gram_eigenvalues`), an integer n >= 2 as -log(tr rho^n) / (n - 1)
-    from the trace powers (`_gram_traces`) integer_n takes as Gram entries.
-    """
+    from the trace powers (`_gram_traces`) integer_n takes as Gram entries."""
     if n == 1:
         return _entropies(_gram_eigenvalues(m), 1)
     return -np.log(_gram_traces(m, (n,))[0]) / (n - 1)
 
 
+def _instance_table(psi: PurifiedState, splits: list[SubsystemSplit], reduce) -> np.ndarray:
+    """The (..., m, m) table of one instance's splits under a pair reduction:
+    `_pair_tables` on a one-instance stack.  An empty split list raises."""
+    if not splits:
+        raise ValueError("a table needs at least one subsystem split")
+    for split in splits:
+        _check_pair_dims(psi, split, split)
+    dims = tuple((split.dim_a, split.dim_b) for split in splits)
+    mats = np.array([split.matrix for split in splits])
+    table = _pair_tables(psi.schmidt_values[None], mats, (dims,), reduce)
+    return table.reshape(table.shape[:-1] + (len(splits),) * 2)
+
+
 def entropy_table(psi: PurifiedState, splits: list[SubsystemSplit], n: int) -> np.ndarray:
     """Table of S_n(A_i Abar_j) over all split pairs: von Neumann from the pair
     spectra for n = 1, -log(tr rho^n) / (n - 1) from trace powers (no
-    spectrum) for n >= 2.  The weighted stack is written straight from the
-    splits, with no stack of the raw split matrices."""
+    spectrum) for n >= 2 (`_pair_entropies`)."""
     n = _check_renyi_order(n, integer=True)
-    for split in splits:
-        _check_pair_dims(psi, split, split)
-    weights = _split_weights(psi.schmidt_values)
-    ops = np.empty((2, len(splits), psi.dim, psi.dim), dtype=complex)
-    for k, split in enumerate(splits):
-        np.multiply(weights, split.matrix, out=ops[0, k])
-    dims = tuple((split.dim_a, split.dim_b) for split in splits)
-    table = _weighted_pair_tables(ops, (dims,), functools.partial(_pair_entropies, n=n))
-    return table.reshape(len(splits), len(splits))
+    return _instance_table(psi, splits, functools.partial(_pair_entropies, n=n))
 
 
 def gram_matrix(psi: PurifiedState, splits: list[SubsystemSplit], n: int,
                 lam: float | None = None) -> GramRecord:
     """Assemble the Gram record for the given splits and Renyi index.
 
-    lam defaults to n - 1, the proven case where entries equal the trace
-    powers tr(rho^n); other values are experimental search targets.  For
-    n = 1 the trace entries are trivially 1, so lam must be supplied.  The
-    entropy table behind the entries takes a pair spectrum for n = 1 only;
-    for n >= 2 it comes from the trace powers themselves (`entropy_table`).
-    """
+    lam defaults to n - 1, the proven case: the entries are the trace powers
+    G = tr(rho^n) of the integer_n target's `_gram_traces` ladder, its Gram
+    to the bit.  Other values, exp(-lam S_n) with S_n = -log(G) / (n - 1),
+    are experimental search targets.  For n = 1 the trace entries are
+    trivially 1, so lam must be supplied, and S_1 takes the pair spectra."""
     n = _check_renyi_order(n, integer=True)
     if lam is None:
         if n == 1:
             raise ValueError("n = 1 requires an explicit lam (entries e^{-lam S})")
         lam = n - 1
     lam = _check_weight(lam, "lam")
-    table = entropy_table(psi, splits, n)
-    return GramRecord(n=n, lam=lam, entries=np.exp(-lam * table), entropy_table=table)
+    if n == 1:
+        table = entropy_table(psi, splits, n)
+        return GramRecord(n=n, lam=lam, entries=np.exp(-lam * table), entropy_table=table)
+    gram = _instance_table(psi, splits, functools.partial(_gram_traces, n_values=(n,)))[0]
+    table = -np.log(gram) / (n - 1)
+    entries = gram if lam == n - 1 else np.exp(-lam * table)
+    return GramRecord(n=n, lam=lam, entries=entries, entropy_table=table)
 
 
 @dataclass
@@ -361,11 +338,9 @@ def _divisibility(entropy_table) -> tuple:
     zero to working precision (DETB_ZERO_ULPS) has slack 0: its spectrum is
     roundoff, which the normalization would blow up to order 1.
     """
-    s = np.asarray(entropy_table, dtype=float)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 2:
+    s = _check_symmetric(entropy_table, "entropy table")
+    if s.shape[-1] < 2:
         raise ValueError("entropy table must be square with size >= 2")
-    s = _check_symmetric(s, "entropy table")
-    s = 0.5 * (s + s.swapaxes(-1, -2))
     b = _second_differences(s)
     _, scale, eigvals, _ = _gram_spectrum(b)
     zero_b = scale <= (DETB_ZERO_ULPS * s.shape[-1] ** 2 * np.finfo(float).eps
@@ -526,11 +501,19 @@ def _draw_block(master_seed: int, indices, dims_list) -> tuple:
     return np.sort(lam)[:, ::-1].copy(), u, raw[eigen]
 
 
-def _draw_instance(cfg: SearchConfig, trial: int):
-    lam, u, eigen = _draw_block(cfg.master_seed, [trial], [cfg.dims])
+def _draw_single(master_seed: int, trial: int, dims) -> tuple:
+    """(descending Schmidt values (d,), checked eigenbasis unitary (d, d),
+    split unitaries (m, d, d)) of instance `trial` split as dims: a
+    one-instance `_draw_block`, its eigenbasis built and checked."""
+    lam, u, eigen = _draw_block(master_seed, [trial], [dims])
     eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[0]))
     _check_unitary(eigenbasis)
-    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam[0], eigenbasis=eigenbasis)
+    return lam[0], eigenbasis, u
+
+
+def _draw_instance(cfg: SearchConfig, trial: int):
+    lam, eigenbasis, u = _draw_single(cfg.master_seed, trial, cfg.dims)
+    psi = PurifiedState(dim=cfg.dim, schmidt_values=lam, eigenbasis=eigenbasis)
     splits = [SubsystemSplit(dim_a=da, dim_b=db, coeffs=u[k], label=f"A{k+1}")
               for k, (da, db) in enumerate(cfg.dims)]
     return psi, splits
@@ -622,14 +605,12 @@ def _payload(fields: dict, k: int, n: int) -> dict:
 def _evaluate_target(cfg: SearchConfig, psi: PurifiedState,
                      splits: list[SubsystemSplit]) -> dict:
     """Normalized slack of the configured inequality (negative = violation)
-    on one instance, whose splits must be shaped as cfg.dims."""
-    for split in splits:
-        _check_pair_dims(psi, split, split)
+    on one instance, whose splits must be shaped as cfg.dims (`_instance_table`)."""
     dims = [(s.dim_a, s.dim_b) for s in splits]
     if dims != cfg.dims:
         raise ValueError(f"splits {dims} do not match the configured dims {cfg.dims}")
-    fields = _evaluate_block(cfg, psi.schmidt_values[None], np.array([[s.matrix for s in splits]]))
-    return _payload(fields, 0, cfg.n)
+    table = _instance_table(psi, splits, _reduction(cfg, (cfg.n,)))
+    return _payload(_verdict(cfg, table[..., None, :, :]), 0, cfg.n)
 
 
 def _block_trials(cfg: SearchConfig) -> int:
@@ -646,8 +627,8 @@ def _plan_block(first: int, block, cfg: SearchConfig, n_values: tuple) -> tuple:
     (`_sweep_blocks`), its first instance `first`, split as its entries.
     Per d, one `_draw_block` and one `_pair_tables` call, whose reduction
     the target sets (`_reduction`); per subsystem count, one `_verdict`.  A
-    violating instance is drawn again for its payload (a draw is the same
-    in any block)."""
+    violating instance is drawn again, once, for its payloads (a draw is
+    the same in any block)."""
     sizes = np.array([len(dims) for dims in block])
     by_d = defaultdict(list)  # d -> block indices
     for k, dims in enumerate(block):
@@ -663,7 +644,7 @@ def _plan_block(first: int, block, cfg: SearchConfig, n_values: tuple) -> tuple:
     starts = np.empty_like(sizes)
     starts[order] = np.cumsum(sizes[order] ** 2) - sizes[order] ** 2
     per = len(n_values) if cfg.target == "integer_n" else 1  # checks per instance
-    checks, violations = {}, []
+    checks, violations, instances = {}, [], {}  # instances: block index -> serialized
     for m in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == m)
         table = entries[..., starts[members][:, None] + np.arange(m * m)]
@@ -674,12 +655,11 @@ def _plan_block(first: int, block, cfg: SearchConfig, n_values: tuple) -> tuple:
                 checks.setdefault(key, np.empty(len(block) * per))[rows] = value
         for r in np.flatnonzero(fields["slack"] < -cfg.tolerance).tolist():
             k, c = divmod(int(rows[r]), per)
-            schmidt, u, eigen = _draw_block(cfg.master_seed, [first + k], [block[k]])
-            eigenbasis = unitary_from_ginibre(ginibre_from_parts(eigen[0]))
-            _check_unitary(eigenbasis)
-            instance = _serialize_instance(schmidt[0], eigenbasis, block[k], u)
+            if k not in instances:
+                schmidt, eigenbasis, u = _draw_single(cfg.master_seed, first + k, block[k])
+                instances[k] = _serialize_instance(schmidt, eigenbasis, block[k], u)
             violations.append(dict(_payload(fields, r, n_values[c]), trial=first + k,
-                                   instance=instance))
+                                   instance=instances[k]))
     # by trial; a stable sort keeps each trial's index order
     return (*checks.values(), sorted(violations, key=lambda v: v["trial"]))
 

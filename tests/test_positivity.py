@@ -161,6 +161,23 @@ class TestGramMatrix:
                     direct = float(np.trace(np.linalg.matrix_power(rho, 3)).real)
                     assert record.entries[i, j] == pytest.approx(direct, rel=1e-11)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_default_record_is_the_integer_n_gram(self, n):
+        # at the default lam = n - 1 the entries are the integer_n target's
+        # trace-power Gram to the bit (an exp(-(n - 1) S_n) round trip once
+        # differed in the last bits on 355 of these 600 records), and the
+        # entropy table is entropy_table's, -log(G) / (n - 1)
+        from rpentropy.positivity import _draw_instance, _evaluate_target
+        cfg = SearchConfig(dims=[(2, 2)] * 3, trials=200, master_seed=3,
+                           target="integer_n", n=n)
+        for trial in range(cfg.trials):
+            psi, splits = _draw_instance(cfg, trial)
+            record = gram_matrix(psi, splits, n)
+            fields = _evaluate_target(cfg, psi, splits)
+            assert np.array_equal(record.entries, fields["gram"])
+            assert np.array_equal(record.entropy_table, fields["entropy_table"])
+            assert np.array_equal(record.entropy_table, entropy_table(psi, splits, n))
+
     def test_draw_instance_matches_single_draws(self):
         # one stacked Haar step must reproduce the eigenbasis and the splits
         # drawn one matrix at a time, so search trials stay the same
@@ -180,8 +197,7 @@ class TestGramMatrix:
     def test_sweep_matches_gram_matrix(self):
         # the sweep and gram_matrix share the trace-power kernel, so on the
         # instance drawn from the same trial stream the Gram matrices agree
-        # entrywise up to gram_matrix's exp(-(n-1) S) round trip; tol = -1
-        # records the sweep's Gram
+        # to the bit; tol = -1 records the sweep's Gram
         from rpentropy.positivity import _draw_instance
         seed, dims = 91, [(2, 3)] * 3
         sweep = theorem_sweep([dims], [4], master_seed=seed, tol=-1.0)
@@ -190,7 +206,7 @@ class TestGramMatrix:
         psi, splits = _draw_instance(cfg, 0)
         record = gram_matrix(psi, splits, n=4)
         [violation] = sweep.violations
-        assert np.asarray(violation["gram"]) == pytest.approx(record.entries, rel=1e-12)
+        assert np.array_equal(violation["gram"], record.entries)
         assert violation["min_eigenvalue"] == pytest.approx(
             record.min_eigenvalue, rel=1e-12, abs=1e-12)
 
@@ -211,6 +227,21 @@ def test_retired_keywords_raise(call):
     # each of these values has one setting, a module constant, and no keyword
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda psi: check_psd(np.zeros((2, 3))), "Gram matrix must be square"),
+    (lambda psi: check_psd(np.zeros(3)), "Gram matrix must be square"),
+    (lambda psi: entropy_table(psi, [], 2), "at least one subsystem split"),
+    (lambda psi: gram_matrix(psi, [], 2), "at least one subsystem split")],
+    ids=["check_psd-non-square", "check_psd-vector", "entropy_table-no-splits",
+         "gram_matrix-no-splits"])
+def test_bad_shapes_raise_by_name(call, message):
+    # these ended in numpy's own errors: "operands could not be broadcast",
+    # an axis out of bounds, "need at least one array to concatenate"
+    _, psi, _ = random_gram(5, m1=2)
+    with pytest.raises(ValueError, match=message):
+        call(psi)
 
 
 class TestCheckPsd:
@@ -817,7 +848,7 @@ class TestBatchedSearch:
 
     def test_kernel_calls_stay_within_the_stack_budget(self, monkeypatch):
         # every pair Gram build run (d x d split matrices per pair), every
-        # pooled reduction (k x k pair Gram matrices) and every Haar-step
+        # reduction (k x k pair Gram matrices) and every Haar-step
         # run (d x d Ginibre matrices) of the sweep, the search and the
         # descent holds at most STACK_ENTRIES entries, or a single matrix
         # whose entries exceed it alone
@@ -839,8 +870,11 @@ class TestBatchedSearch:
         mixed = [[(2, 2)] * 3, [(2, 3), (3, 2)], [(8, 8)] * 3, [(4, 4), (2, 8)], [(8, 8), (4, 16)]]
         theorem_sweep(mixed * 4, [2, 3], master_seed=3)
         # 39 pairs of 2x8 splits, whose M is 4 x 4: build runs of 16, 16
-        # and 7 pairs, and one pooled reduction of all 39
+        # and 7 pairs, each reduced as it is built
+        start = {kind: len(shapes) for kind, shapes in calls.items()}
         theorem_sweep([[(2, 8)] * 2] * 13, [2], master_seed=3)
+        assert calls["build"][start["build"]:] == [(16, 16, 16), (16, 16, 16), (7, 16, 16)]
+        assert calls["reduce"][start["reduce"]:] == [(16, 4, 4), (16, 4, 4), (7, 4, 4)]
         counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=400, master_seed=1))
         counterexample_search(SearchConfig(dims=[(8, 8)] * 3, trials=4, master_seed=1))
         counterexample_search(SearchConfig(dims=[(2, 2)] * 3, trials=20, master_seed=7,
@@ -860,10 +894,10 @@ class TestBatchedSearch:
         # the budget binds: full 256-matrix runs at d = 4, one matrix at d = 64
         for kind in ("build", "haar"):
             assert max(runs[kind][4]) == 256 and set(runs[kind][64]) == {1}
-        # M of a pair of 8x8 splits is 64 x 64, one to a reduction; the Ms
-        # of one size pool across build runs and shape pairs
+        # M of a pair of 8x8 splits is 64 x 64, one to a reduction; a
+        # build run of 256 2x2 pairs is one reduction of 256 4 x 4 Ms
         assert set(runs["reduce"][64]) == {1}
-        assert max(runs["reduce"][4]) == 256 and 39 in runs["reduce"][4]
+        assert max(runs["reduce"][4]) == 256
         assert max(runs["build"][16]) == 16
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1083,39 +1117,42 @@ class TestBatchedSearch:
     def test_one_pair_runs_build_from_views(self, monkeypatch):
         # at d = 64 every build run holds one pair, whose plan indices are
         # slices: both operands reach `_pair_gram` as views of the call's
-        # two stacks, the weighted splits and their conjugate, not as
-        # copies, and the table is the same as from copies
+        # one buffer of two stacks, the weighted splits and their
+        # conjugate, not as copies, and the table is the same as from copies
         cfg = SearchConfig(dims=[(8, 8)] * 3, trials=2, master_seed=4)
         schmidt, mats = block_instances(cfg)
         reference = entropy_tables(schmidt.copy(), mats.copy(), cfg.dims, 2)
-        buffers, calls = [], []
-        tables, build = positivity._weighted_pair_tables, positivity._pair_gram
+        tables_calls, calls = [], []
+        tables, build = positivity._pair_tables, positivity._pair_gram
 
-        def recording_tables(ops, *rest):
-            buffers.append(ops)
-            return tables(ops, *rest)
+        def recording_tables(*args):
+            tables_calls.append(args)
+            return tables(*args)
 
         def recording(left, right, *rest):
             calls.append((left, right))
             return build(np.array(left), np.array(right), *rest)
 
-        monkeypatch.setattr(positivity, "_weighted_pair_tables", recording_tables)
+        monkeypatch.setattr(positivity, "_pair_tables", recording_tables)
         monkeypatch.setattr(positivity, "_pair_gram", recording)
         assert np.array_equal(entropy_tables(schmidt, mats, cfg.dims, 2), reference)
-        assert len(buffers) == 1 and len(calls) == 12
-        weighted, conjugate = buffers[0]
-        assert weighted.shape == (6, 64, 64) and not np.shares_memory(buffers[0], mats)
+        assert len(tables_calls) == 1 and len(calls) == 12
+        buffer = calls[0][0].base
+        weighted, conjugate = buffer
+        assert weighted.shape == (6, 64, 64) and not np.shares_memory(buffer, mats)
         assert np.array_equal(conjugate, weighted.conj())
         for left, right in calls:
             assert left.shape == right.shape == (1, 64, 64)
+            assert left.base is buffer and right.base is buffer
             assert np.shares_memory(left, weighted) and not np.shares_memory(left, conjugate)
             assert np.shares_memory(right, conjugate) and not np.shares_memory(right, weighted)
 
     @pytest.mark.parametrize("dims", [[(2, 2)] * 4, [(8, 8)] * 3])
     @pytest.mark.parametrize("n", [1, 2])
     def test_trace_gate_fires_once_per_table(self, dims, n):
-        # the unit-trace gate checks every M of a table at once and names
-        # the first offender in plan order: Schmidt rows scaled by 1 + 1e-6
+        # the unit-trace gate checks each build run's Ms before they are
+        # reduced and names the first offender in plan order, so a table
+        # raises once: Schmidt rows scaled by 1 + 1e-6
         # and 1 + 2e-6 raise with the first, through a stacked d = 4 call
         # (runs of many pairs) and a d = 64 call (runs of one pair)
         cfg = SearchConfig(dims=dims, trials=3, master_seed=6)
@@ -1385,6 +1422,26 @@ class TestTheoremSweep:
         monkeypatch.setattr(positivity, "_draw_block", no_draw)
         with pytest.raises(ValueError, match="the theorem sweep needs"):
             theorem_sweep([[(2, 2)] * 2], n_values, master_seed=1)
+
+    def test_violating_instance_is_drawn_once(self, monkeypatch):
+        # at tol = -1 every check violates: an instance is drawn in its
+        # block and once more for the payloads of all four of its indices
+        # (it was drawn again per check), which are each index's own
+        plan, n_values = [[(2, 2)] * 3, [(2, 3), (3, 2)], [(2, 2)] * 2], (2, 3, 4, 5)
+        alone = [v for n in n_values
+                 for v in theorem_sweep(plan, [n], master_seed=5, tol=-1.0).violations]
+        draws, draw = [], positivity._draw_block
+
+        def counting(master_seed, indices, dims_list):
+            draws.append(list(indices))
+            return draw(master_seed, indices, dims_list)
+
+        monkeypatch.setattr(positivity, "_draw_block", counting)
+        result = theorem_sweep(plan, n_values, master_seed=5, tol=-1.0)
+        # one block: a draw per d (4, then 6), then one per instance
+        assert draws[:2] == [[0, 2], [1]] and sorted(draws[2:]) == [[0], [1], [2]]
+        assert result.violations == sorted(alone, key=lambda v: (v["instance"], v["n"]))
+        assert len(result.violations) == len(plan) * len(n_values)
 
     def test_parallel_merge_matches_serial(self):
         plan = [[(2, 2)] * 2, [(2, 3)] * 3] * 6
